@@ -220,43 +220,6 @@ pub fn simulator_throughput_suite() -> Vec<BenchCase> {
         }),
     });
 
-    // The sharded-runner guard trio: the identical 8-thread triad under
-    // `--shards {1, 2, 4}`. Results are bit-identical by contract
-    // (tests/pdes_determinism.rs enforces it); what these cases track is
-    // *cost* — `triad_shards_1` pins the windowed scheduler's overhead
-    // against the serial `8_threads_triad` path, and the multi-shard
-    // cases keep the executor's spawn/merge cost visible per PR.
-    for (name, shards) in [
-        ("triad_shards_1", 1usize),
-        ("triad_shards_2", 2),
-        ("triad_shards_4", 4),
-    ] {
-        cases.push(BenchCase {
-            group: "sim_stream",
-            name,
-            bytes: Some(lines * 8 * 64),
-            run: Box::new(move || {
-                let mut m = machine();
-                m.set_shards(shards);
-                let progs: Vec<Program> = (0..8usize)
-                    .map(|i| {
-                        let mut p = Program::new(Schedule::FillTiles.place(i, 64));
-                        p.push(Op::Stream {
-                            kind: StreamKind::Triad,
-                            a: (i as u64) << 24,
-                            b: (i as u64) << 24 | 1 << 23,
-                            c: (i as u64) << 24 | 1 << 22,
-                            lines,
-                            vectorized: true,
-                        });
-                        p
-                    })
-                    .collect();
-                Runner::new(&mut m, progs).run().end_time
-            }),
-        });
-    }
-
     cases
 }
 
@@ -271,11 +234,11 @@ mod tests {
             .iter()
             .map(|c| format!("{}/{}", c.group, c.name))
             .collect();
-        assert_eq!(cases.len(), 19);
+        assert_eq!(cases.len(), 16);
         assert_eq!(keys.first().map(String::as_str), Some("sim_access/l1_hit"));
         assert_eq!(
             keys.last().map(String::as_str),
-            Some("sim_stream/triad_shards_4")
+            Some("sim_stream/8_threads_triad")
         );
         let mut sorted = keys.clone();
         sorted.sort();

@@ -41,11 +41,11 @@
 //!   and its registration-order guarantees. Their home modules
 //!   (`engine/observe.rs`, `trace.rs`, `invariants.rs`) are exempt.
 //! * `thread-outside-executor` — `crates/sim` must not touch
-//!   `std::thread` / `std::sync` anywhere except the audited shard
-//!   executor (`runner/shard.rs`): the simulator's determinism contract
-//!   rests on exactly one seam where OS threads exist, with all
-//!   cross-thread data flowing through that module's capture/merge path.
-//!   A stray `Mutex` or `spawn` elsewhere reintroduces scheduler
+//!   `std::thread` / `std::sync` at all: one simulation runs on one host
+//!   thread, and the only executor that spawns workers is
+//!   `SweepExecutor` (`crates/benchsuite`), which runs whole independent
+//!   simulations and merges their results in job order. A stray `Mutex`
+//!   or `spawn` inside the simulator reintroduces scheduler
 //!   nondeterminism the bit-identical-output tests cannot see locally.
 //! * `wildcard-state-match` — in `crates/sim`, a `match` whose arms name a
 //!   coherence state or event type (`LineState`/`MesifState`/
@@ -184,11 +184,11 @@ fn rules() -> Vec<LintRule> {
         },
         LintRule {
             name: "thread-outside-executor",
-            message: "crates/sim may use std::thread / std::sync only in \
-                      the audited shard executor (runner/shard.rs); host \
-                      threading anywhere else reintroduces scheduler \
-                      nondeterminism",
-            applies: |p| p.contains("crates/sim/") && !p.ends_with("/runner/shard.rs"),
+            message: "crates/sim must not use std::thread / std::sync: a \
+                      simulation is single-threaded, and host threading \
+                      belongs to SweepExecutor, which runs whole \
+                      simulations as independent jobs",
+            applies: |p| p.contains("crates/sim/"),
             matches: |l| {
                 l.contains(STD_THREAD)
                     || l.contains(THREAD_SPAWN)
@@ -600,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn threading_flagged_in_sim_outside_shard_executor() {
+    fn threading_flagged_everywhere_in_sim() {
         for bad in [
             format!("    {}::scope(|s| {{}});\n", STD_THREAD),
             format!("    let h = {}work);\n", THREAD_SPAWN),
@@ -608,7 +608,7 @@ mod tests {
             format!("    use {}Mutex;\n", STD_SYNC),
         ] {
             assert_eq!(
-                find("/crates/sim/src/runner/mod.rs", &bad),
+                find("/crates/sim/src/runner.rs", &bad),
                 ["thread-outside-executor"],
                 "{bad}"
             );
@@ -617,12 +617,7 @@ mod tests {
                 ["thread-outside-executor"],
                 "{bad}"
             );
-            // The shard executor is the one audited seam…
-            assert!(
-                find("/crates/sim/src/runner/shard.rs", &bad).is_empty(),
-                "{bad}"
-            );
-            // …and other crates run their own worker pools freely.
+            // Other crates run their own worker pools freely.
             assert!(
                 find("/crates/benchsuite/src/lib.rs", &bad).is_empty(),
                 "{bad}"

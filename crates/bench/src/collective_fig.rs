@@ -357,7 +357,6 @@ mod tests {
         RunConf {
             effort: Effort::Quick,
             jobs,
-            shards: 1,
             check: knl_sim::CheckLevel::Off,
             trace: knl_sim::TraceLevel::Off,
             trace_path: None,

@@ -47,13 +47,6 @@ pub struct RunConf {
     /// or the machine's available parallelism). `1` forces the serial
     /// path; results are bit-identical either way.
     pub jobs: usize,
-    /// Runner shards for the conservative-PDES execution core
-    /// (`--shards N` or `KNL_SHARDS`; default 1). Partitions tiles (and
-    /// their cores' L1s) into `N` shards whose shard-local work executes
-    /// in parallel windows *within* one simulation, composing with
-    /// `--jobs` (which parallelizes across independent sweep jobs).
-    /// Results are bit-identical for every value (DESIGN.md §5i).
-    pub shards: usize,
     /// Coherence checking level (`--check off|invariants|full`, or
     /// `KNL_CHECK`). A pure observer: results are bit-identical at every
     /// level; non-`off` levels panic on any protocol violation.
@@ -104,7 +97,6 @@ impl RunConf {
         let mut conf = RunConf {
             effort: Effort::Quick,
             jobs: knl_benchsuite::default_jobs(),
-            shards: default_shards(),
             check: default_check(),
             trace: default_trace(),
             trace_path: None,
@@ -123,10 +115,6 @@ impl RunConf {
                 "--jobs" | "-j" => {
                     let v = args.next().ok_or("--jobs requires a value")?;
                     conf.jobs = parse_jobs(&v)?;
-                }
-                "--shards" => {
-                    let v = args.next().ok_or("--shards requires a value")?;
-                    conf.shards = parse_shards(&v)?;
                 }
                 "--check" => {
                     let v = args.next().ok_or("--check requires a value")?;
@@ -164,8 +152,6 @@ impl RunConf {
                 other => {
                     if let Some(v) = other.strip_prefix("--jobs=") {
                         conf.jobs = parse_jobs(v)?;
-                    } else if let Some(v) = other.strip_prefix("--shards=") {
-                        conf.shards = parse_shards(v)?;
                     } else if let Some(v) = other.strip_prefix("--check=") {
                         conf.check = parse_check(v)?;
                     } else if let Some(v) = other.strip_prefix("--trace-level=") {
@@ -185,16 +171,12 @@ impl RunConf {
                         conf.progress = parse_progress(v)?;
                     } else if other == "--help" || other == "-h" {
                         eprintln!(
-                            "usage: [--quick|--paper] [--jobs N] [--shards N]\n\
+                            "usage: [--quick|--paper] [--jobs N]\n\
                              \x20       [--check LEVEL] [--trace PATH] [--trace-level LEVEL]\n\
                              \x20       [--analyze LEVEL] [--protocol NAME]\n\
                              \x20 quick sweeps are the default; --jobs defaults to KNL_JOBS\n\
                              \x20 or the available parallelism (--jobs 1 runs serially;\n\
                              \x20 results are bit-identical for every N)\n\
-                             \x20 --shards N (default KNL_SHARDS or 1) partitions each\n\
-                             \x20 simulation's tiles into N shards executing shard-local\n\
-                             \x20 windows in parallel (conservative PDES); composes with\n\
-                             \x20 --jobs and is bit-identical for every N\n\
                              \x20 --check off|invariants|full (default KNL_CHECK or off)\n\
                              \x20 runs the coherence invariant checker / memory oracle;\n\
                              \x20 it never changes results, only panics on violations\n\
@@ -249,22 +231,6 @@ fn parse_jobs(v: &str) -> Result<usize, String> {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!("--jobs expects a positive integer, got {v:?}")),
     }
-}
-
-fn parse_shards(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("--shards expects a positive integer, got {v:?}")),
-    }
-}
-
-/// The `KNL_SHARDS` environment default (`1` when unset or unparsable).
-fn default_shards() -> usize {
-    std::env::var("KNL_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 fn parse_check(v: &str) -> Result<CheckLevel, String> {
@@ -401,7 +367,6 @@ mod tests {
             RunConf {
                 effort: Effort::Paper,
                 jobs: 3,
-                shards: 1,
                 check: CheckLevel::Off,
                 trace: TraceLevel::Off,
                 trace_path: None,
@@ -584,20 +549,15 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_forms() {
-        assert_eq!(parse(&[]).unwrap().shards, 1);
-        assert_eq!(parse(&["--shards", "4"]).unwrap().shards, 4);
-        assert_eq!(parse(&["--shards=2"]).unwrap().shards, 2);
-        // Composes with --jobs: the two knobs are independent.
-        let c = parse(&["--jobs", "2", "--shards", "3"]).unwrap();
-        assert_eq!((c.jobs, c.shards), (2, 3));
-    }
-
-    #[test]
-    fn bad_shards_rejected() {
-        assert!(parse(&["--shards"]).is_err());
-        assert!(parse(&["--shards", "0"]).is_err());
-        assert!(parse(&["--shards=lots"]).is_err());
+    fn shards_option_is_gone() {
+        let unset = parse(&[]).unwrap();
+        std::env::set_var("KNL_SHARDS", "4");
+        assert_eq!(parse(&[]).unwrap(), unset, "KNL_SHARDS is not read");
+        for argv in [&["--shards", "2"][..], &["--shards=2"]] {
+            let err = parse(argv).unwrap_err();
+            assert_eq!(err, format!("unknown argument: {}", argv[0]));
+        }
+        std::env::remove_var("KNL_SHARDS");
     }
 
     #[test]

@@ -19,17 +19,14 @@ pub fn executor(conf: &RunConf) -> SweepExecutor {
 }
 
 /// A machine honouring `--check` / `KNL_CHECK`, `--trace-level` /
-/// `KNL_TRACE`, `--analyze` / `KNL_ANALYZE`, `--protocol` /
-/// `KNL_PROTOCOL` and `--shards` / `KNL_SHARDS`. Jobs that build their
-/// machine through this helper run under the requested observer levels;
-/// call [`Machine::finish_check`] before dropping the machine so the
-/// final counter/oracle reconciliation runs, and hand the machine to
+/// `KNL_TRACE`, `--analyze` / `KNL_ANALYZE` and `--protocol` /
+/// `KNL_PROTOCOL`. Jobs that build their machine through this helper
+/// run under the requested observer levels; call
+/// [`Machine::finish_check`] before dropping the machine so the final
+/// counter/oracle reconciliation runs, and hand the machine to
 /// [`TraceSink::submit`] so its trace section is collected.
 pub fn machine(conf: &RunConf, cfg: MachineConfig) -> Machine {
-    let mut m =
-        Machine::with_observer_config(cfg.with_protocol(conf.protocol), conf.observer_config());
-    m.set_shards(conf.shards);
-    m
+    Machine::with_observer_config(cfg.with_protocol(conf.protocol), conf.observer_config())
 }
 
 /// Collects per-job serialized trace sections and telemetry series and
@@ -178,7 +175,6 @@ mod tests {
         RunConf {
             effort: Effort::Quick,
             jobs,
-            shards: 1,
             check,
             trace,
             trace_path: None,
@@ -213,16 +209,6 @@ mod tests {
         c.analyze = knl_sim::AnalyzeLevel::Error;
         let m = machine(&c, cfg);
         assert_eq!(m.analyze_level(), knl_sim::AnalyzeLevel::Error);
-    }
-
-    #[test]
-    fn machine_helper_carries_shards() {
-        use knl_arch::{ClusterMode, MemoryMode};
-        let mut c = conf(1, CheckLevel::Off, TraceLevel::Off);
-        let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
-        assert_eq!(machine(&c, cfg.clone()).shards(), 1);
-        c.shards = 4;
-        assert_eq!(machine(&c, cfg).shards(), 4);
     }
 
     #[test]

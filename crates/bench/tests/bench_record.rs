@@ -2,8 +2,10 @@
 //!
 //! The deterministic part runs in every profile: the checked-in
 //! `BENCH_10.json` must be canonical bytes (bit-exact round trip through
-//! `knl_stats::json`) and must describe exactly the cases the live suite
-//! defines, so the trajectory can never drift out of sync with the code.
+//! `knl_stats::json`) and must record every case the live suite defines,
+//! in suite order, so the trajectory can never drift out of sync with the
+//! code. Cases deleted from the suite since the recording stay in the file
+//! (`knl-bench-record --baseline` reports them as `removed`).
 //!
 //! The timing part is release-only and warn-only by default: medians on a
 //! shared single-CPU runner are too noisy to gate merges on, so a
@@ -43,13 +45,14 @@ fn checked_in_trajectory_matches_live_suite() {
     assert_eq!(doc.get("pr").and_then(Json::as_u64), Some(10));
     assert_eq!(doc.get("suite").and_then(Json::as_str), Some(SUITE));
 
-    let recorded = parse_trajectory(&doc).expect("trajectory must parse");
     let suite = simulator_throughput_suite();
-    let recorded_keys: Vec<String> = recorded.iter().map(|r| r.key()).collect();
     let live_keys: Vec<String> = suite
         .iter()
         .map(|c| format!("{}/{}", c.group, c.name))
         .collect();
+    let mut recorded = parse_trajectory(&doc).expect("trajectory must parse");
+    recorded.retain(|r| live_keys.contains(&r.key()));
+    let recorded_keys: Vec<String> = recorded.iter().map(|r| r.key()).collect();
     assert_eq!(
         recorded_keys, live_keys,
         "BENCH_10.json is out of sync with benchcases::simulator_throughput_suite \

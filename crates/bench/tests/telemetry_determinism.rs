@@ -15,7 +15,6 @@ fn conf(jobs: usize, telemetry: TelemetryConfig, out: Option<&Path>) -> RunConf 
     RunConf {
         effort: Effort::Quick,
         jobs,
-        shards: 1,
         check: knl_sim::CheckLevel::Off,
         trace: knl_sim::TraceLevel::Off,
         trace_path: None,

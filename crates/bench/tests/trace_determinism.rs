@@ -15,7 +15,6 @@ fn conf(jobs: usize, trace: TraceLevel, path: &Path) -> RunConf {
     RunConf {
         effort: Effort::Quick,
         jobs,
-        shards: 1,
         check: CheckLevel::Off,
         trace,
         trace_path: Some(path.to_string_lossy().into_owned()),

@@ -108,20 +108,6 @@ impl TagCache {
         false
     }
 
-    /// Version-aware presence probe *without* side effects: the same match
-    /// condition as [`TagCache::lookup`], but no tick advance and no LRU
-    /// refresh. The sharded runner classifies pending accesses with `peek`
-    /// (would this read hit the core's L1?) and only the one real `lookup`
-    /// on the execution path touches the replacement state, so the tick
-    /// stream stays identical to a serial run (DESIGN.md §5i).
-    pub fn peek(&self, line: u64, version: u32) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        self.slots[base..base + self.ways]
-            .iter()
-            .any(|w| w.tag == line && w.version == version)
-    }
-
     /// Look up ignoring version (presence of any epoch of the line).
     pub fn present_any_version(&self, line: u64) -> bool {
         let set = self.set_of(line);
@@ -249,28 +235,6 @@ mod tests {
         // Re-inserting with the new version refreshes in place (no eviction).
         assert_eq!(c.insert(5, 1), Insert::Placed);
         assert!(c.lookup(5, 1));
-    }
-
-    #[test]
-    fn peek_matches_lookup_without_side_effects() {
-        let mut c = TagCache::new(1024, 2);
-        c.insert(5, 1);
-        assert!(c.peek(5, 1));
-        assert!(!c.peek(5, 0), "peek is version-aware");
-        assert!(!c.peek(6, 1));
-        // peek must not refresh LRU: after peeking line 0 many times, it is
-        // still the eviction victim (lookup would have rescued it).
-        let mut c = TagCache::new(1024, 2);
-        c.insert(0, 0);
-        c.insert(16, 0);
-        c.lookup(16, 0);
-        for _ in 0..10 {
-            assert!(c.peek(0, 0));
-        }
-        match c.insert(32, 0) {
-            Insert::Evicted(v) => assert_eq!(v, 0, "peek must not touch LRU"),
-            other => panic!("expected eviction, got {other:?}"),
-        }
     }
 
     #[test]

@@ -56,11 +56,10 @@ impl Counters {
         )
     }
 
-    /// Fold a per-shard delta into this aggregate (field-wise addition).
+    /// Fold another tally into this aggregate (field-wise addition).
     ///
-    /// Counters are pure sums, so the sharded runner can account events in
-    /// per-shard `Counters` during a window and merge them in any order —
-    /// the total is identical to serial accounting (DESIGN.md §5i).
+    /// Counters are pure sums, so callers that total several machines or
+    /// runs may merge in any order.
     pub fn merge(&mut self, delta: &Counters) {
         self.l1_hits += delta.l1_hits;
         self.l2_hits += delta.l2_hits;
@@ -232,7 +231,7 @@ mod tests {
         assert_eq!(ab.l1_hits, 15);
         assert_eq!(ab.invalidations, 2);
         assert_eq!(ab.nt_stores, 7);
-        // Merging the per-shard split reproduces the serial total.
+        // Merging the parts into an empty tally gives the same total.
         let mut total = Counters::default();
         total.merge(&a);
         total.merge(&b);

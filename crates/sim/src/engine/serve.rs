@@ -7,99 +7,16 @@
 //! control flow, so timings and counters are bit-identical whether the
 //! hub is empty or full.
 
-use crate::cache::{Insert, TagCache};
+use crate::cache::Insert;
 use crate::engine::observe::{gstate_tag, src_tag};
-use crate::fxmap::LineMap;
 use crate::invariants::ProtoEvent;
-use crate::machine::{AccessKind, AccessOutcome, Machine, ServedBy};
+use crate::machine::{AccessOutcome, Machine, ServedBy};
 use crate::mcache::McacheOutcome;
-use crate::mesif::{DirEntry, MesifState};
+use crate::mesif::MesifState;
 use crate::protocol;
 use crate::trace::hop_dist;
 use crate::SimTime;
 use knl_arch::{CoreId, MemTarget, TileId, LINE_SHIFT};
-
-/// The L1-hit condition of the coherent read path: present in the
-/// requesting core's L1 at the directory's current version. This is the
-/// single source of truth shared by the serial read path (which uses the
-/// mutating `lookup`) and the shard executor's classifier/fast path
-/// (DESIGN.md §5i).
-pub(crate) fn l1_read_probe(l1: &mut TagCache, dir: &LineMap<DirEntry>, line: u64) -> bool {
-    let ver = dir.get(line).map_or(0, |e| e.version);
-    l1.lookup(line, ver)
-}
-
-/// Non-mutating twin of [`l1_read_probe`]: the same condition via
-/// [`TagCache::peek`], so classifying a pending access leaves the tick
-/// stream and LRU state untouched.
-pub(crate) fn l1_read_peek(l1: &TagCache, dir: &LineMap<DirEntry>, line: u64) -> bool {
-    let ver = dir.get(line).map_or(0, |e| e.version);
-    l1.peek(line, ver)
-}
-
-/// A coherent access split at the shard boundary (DESIGN.md §5i).
-///
-/// Phase 1 ([`Machine::begin_access`]) either completes the access
-/// entirely inside the requesting core's shard — an L1 read hit, which
-/// touches no shared resource — or packages it as a [`RemoteRequest`]:
-/// a timestamped message bound for the serialization spine. Phase 2
-/// ([`Machine::serve_request`]) services the request against the shared
-/// directory/mesh/device state and produces the reply, which the runner
-/// delivers back to the issuing thread as its continuation time.
-pub(crate) enum ServicePhase {
-    /// Completed shard-locally (L1 hit).
-    Local(AccessOutcome),
-    /// Must be serviced on the serialization spine.
-    Remote(RemoteRequest),
-}
-
-/// A timestamped remote-service message: everything the spine needs to
-/// resume the access exactly where phase 1 left off.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RemoteRequest {
-    pub core: CoreId,
-    pub addr: u64,
-    pub kind: AccessKind,
-    /// Issue time at the requesting core (the message timestamp; service
-    /// ordering and all queueing delays derive from it).
-    pub issued: SimTime,
-}
-
-impl Machine {
-    /// Phase 1 of a coherent access: complete it shard-locally when the
-    /// shard-local condition holds (a jitter-free L1 read hit with no
-    /// injected mutation), else return the remote-request continuation.
-    /// `Local` and `Remote`+[`Machine::serve_request`] compose to exactly
-    /// [`Machine::access`], so the split can never change results.
-    pub(crate) fn begin_access(
-        &mut self,
-        core: CoreId,
-        addr: u64,
-        kind: AccessKind,
-        now: SimTime,
-    ) -> ServicePhase {
-        let line = addr >> LINE_SHIFT;
-        if kind == AccessKind::Read
-            && self.jitter_off()
-            && self.mutation.is_none()
-            && l1_read_peek(&self.l1[core.0 as usize], &self.dir, line)
-        {
-            return ServicePhase::Local(self.access(core, addr, kind, now));
-        }
-        ServicePhase::Remote(RemoteRequest {
-            core,
-            addr,
-            kind,
-            issued: now,
-        })
-    }
-
-    /// Phase 2: service a remote request on the serialization spine and
-    /// produce the reply.
-    pub(crate) fn serve_request(&mut self, req: RemoteRequest) -> AccessOutcome {
-        self.access(req.core, req.addr, req.kind, req.issued)
-    }
-}
 
 impl Machine {
     pub(crate) fn read(
@@ -111,9 +28,10 @@ impl Machine {
         now: SimTime,
     ) -> AccessOutcome {
         let t = self.cfg.timing.clone();
+        let ver = self.dir.get(line).map_or(0, |e| e.version);
 
-        // L1 hit (the probe shared with the shard executor).
-        if l1_read_probe(&mut self.l1[core.0 as usize], &self.dir, line) {
+        // L1 hit.
+        if self.l1[core.0 as usize].lookup(line, ver) {
             self.counters.l1_hits += 1;
             self.hub.coherent_read(now, line, false);
             let dur = self.jitter(t.l1_hit_ps, line);
@@ -123,7 +41,6 @@ impl Machine {
                 served_by: ServedBy::L1,
             };
         }
-        let ver = self.dir.get(line).map_or(0, |e| e.version);
 
         // Same-tile L2 hit.
         let tile_state = self
@@ -1144,43 +1061,6 @@ mod tests {
         let out = m.access(c, 4096, AccessKind::NtStore, 0);
         assert!(matches!(out.served_by, ServedBy::Posted));
         assert_eq!(m.counters().nt_stores, 1);
-    }
-
-    #[test]
-    fn begin_access_splits_at_the_shard_boundary() {
-        // A cold read is a remote request; serving it gives the same
-        // outcome `access` would. Once the line is L1-resident the same
-        // read completes locally.
-        let mut m = machine(ClusterMode::Quadrant, MemoryMode::Flat);
-        let c = CoreId(0);
-        let addr = 1 << 16;
-        let cold = match m.begin_access(c, addr, AccessKind::Read, 0) {
-            super::ServicePhase::Remote(req) => {
-                assert_eq!(req.issued, 0);
-                m.serve_request(req)
-            }
-            super::ServicePhase::Local(_) => panic!("cold read cannot be shard-local"),
-        };
-        assert!(!matches!(cold.served_by, ServedBy::L1));
-        match m.begin_access(c, addr, AccessKind::Read, cold.complete) {
-            super::ServicePhase::Local(out) => {
-                assert!(matches!(out.served_by, ServedBy::L1));
-                assert!(out.complete > cold.complete);
-            }
-            super::ServicePhase::Remote(_) => panic!("warm read must be shard-local"),
-        }
-        // Writes always ride the spine, even with the line L1-resident.
-        assert!(matches!(
-            m.begin_access(c, addr, AccessKind::Write, cold.complete),
-            super::ServicePhase::Remote(_)
-        ));
-        // With jitter on, even a warm read is remote (the jitter sequence
-        // must advance in serial order).
-        m.set_jitter(5);
-        assert!(matches!(
-            m.begin_access(c, addr, AccessKind::Read, cold.complete),
-            super::ServicePhase::Remote(_)
-        ));
     }
 
     #[test]

@@ -3,17 +3,6 @@
 //! bandwidth, Table II / Fig. 9). Observable actions route through the
 //! [`crate::engine::observe::ObserverHub`] exactly like the single-line
 //! protocol paths in [`crate::engine::serve`].
-//!
-//! Under the sharded runner (DESIGN.md §5i), bulk transfers are always
-//! *remote* work: every chunk occupies shared devices (mesh rings, memory
-//! queues, other tiles' caches), so no part of a transfer can complete
-//! inside the issuing core's shard. The request/reply decomposition is
-//! the slicing that already exists — the runner issues one bounded chunk
-//! per event (`STREAM_SLICE_PS` slices, chase chunks) and each chunk's
-//! completion time is the reply that schedules the thread's continuation.
-//! [`StreamState`] *is* the persisted continuation state between those
-//! request/reply pairs, which is why the sharded scheduler can serialize
-//! every transfer chunk on the spine without restructuring the kernels.
 
 use crate::engine::observe::src_tag;
 use crate::machine::{AccessKind, Machine};

@@ -31,23 +31,8 @@ const POOL_LINES: u64 = 12;
 /// At [`CheckLevel::FullOracle`] the checker's final reconciliation
 /// (counter deltas + flat-vs-visible memory image) runs before returning.
 pub fn fuzz_case(cfg: &MachineConfig, seed: u64, check: CheckLevel) -> Counters {
-    fuzz_case_sharded(cfg, seed, check, 1)
-}
-
-/// [`fuzz_case`] with the runner partitioned into `shards` conservative
-/// PDES shards (see `runner::shard`). Sharding is an execution strategy,
-/// not a model change, so for every `(cfg, seed, check)` this must return
-/// counters identical to the serial run — the fuzz leg of the
-/// determinism suite asserts exactly that.
-pub fn fuzz_case_sharded(
-    cfg: &MachineConfig,
-    seed: u64,
-    check: CheckLevel,
-    shards: usize,
-) -> Counters {
     let mut m = Machine::with_observer_config(cfg.clone(), ObserverConfig::default().check(check));
     m.set_jitter(0);
-    m.set_shards(shards);
 
     // A small pool of hot lines, DDR plus (when addressable) flat MCDRAM
     // so cross-device coherence is exercised too.
@@ -178,13 +163,6 @@ mod tests {
         let full = fuzz_case(&cfg(), 7, CheckLevel::FullOracle);
         assert_eq!(off, inv);
         assert_eq!(off, full);
-    }
-
-    #[test]
-    fn sharded_fuzz_matches_serial() {
-        let serial = fuzz_case(&cfg(), 42, CheckLevel::FullOracle);
-        let sharded = fuzz_case_sharded(&cfg(), 42, CheckLevel::FullOracle, 2);
-        assert_eq!(serial, sharded);
     }
 
     #[test]

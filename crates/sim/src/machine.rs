@@ -99,12 +99,6 @@ pub struct Machine {
     pub(crate) counters: Counters,
     jitter_pct: u32,
     jitter_seq: u64,
-    /// Shard count for the runner's conservative-PDES mode (DESIGN.md §5i).
-    /// `1` — the default — keeps the plain serial event loop; `N > 1`
-    /// partitions tiles (and their cores' L1s) into `N` shards whose
-    /// shard-local work executes in parallel windows. Results are
-    /// bit-identical for every value.
-    shards: usize,
     /// The event spine: every observer (coherence checker, tracer,
     /// analyzer gate) hangs off this one hub. Empty by default, in which
     /// case each emission point is a single never-taken branch.
@@ -175,7 +169,6 @@ impl Machine {
             counters: Counters::default(),
             jitter_pct,
             jitter_seq: 0,
-            shards: 1,
             hub: ObserverHub::default(),
             mutation: None,
         }
@@ -327,28 +320,6 @@ impl Machine {
     /// benchmark realism wants jitter on).
     pub fn set_jitter(&mut self, pct: u32) {
         self.jitter_pct = pct;
-    }
-
-    /// Set the runner shard count (`--shards` / `KNL_SHARDS`). Clamped to
-    /// at least 1. Any value produces bit-identical results; values above
-    /// 1 let the runner execute shard-local windows in parallel on
-    /// multicore hosts (DESIGN.md §5i).
-    pub fn set_shards(&mut self, n: usize) {
-        self.shards = n.max(1);
-    }
-
-    /// The configured runner shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Whether latency jitter is disabled. The sharded runner only
-    /// executes accesses shard-locally when this holds: `jitter` advances
-    /// a global sequence on every jittered access, so out-of-order
-    /// execution would reassign draws. With jitter on, every access rides
-    /// the serial spine instead (still bit-identical, just unbatched).
-    pub(crate) fn jitter_off(&self) -> bool {
-        self.jitter_pct == 0
     }
 
     /// Clear caches, directory, and memory-side cache (fresh repetition).

@@ -7,18 +7,13 @@
 //! waiters, who then pay a real coherent re-read of the flag line — exactly
 //! the cost structure of the paper's polling-based collectives.
 //!
-//! This module is the shard *scheduler*: it owns the global event queue,
-//! keyed `(time, tid)` — a strict total order, because a live unparked
-//! thread has exactly one pending event — and executes every op that
-//! touches shared machine state (the serialization *spine*) in that
-//! order. With [`Machine::shards`] above 1 it carves conservative time
-//! windows out of the queue and hands provably shard-local work (L1-hit
-//! reads, compute, marks) to the per-shard executors in [`shard`], which
-//! is the only module allowed to spawn threads (the
-//! `thread-outside-executor` lint). Results are bit-identical for every
-//! shard count; DESIGN.md §5i gives the argument.
+//! The event queue is keyed `(time, tid)` — a strict total order, because
+//! a live unparked thread has exactly one pending event — so the order in
+//! which equal-time events fire is a pure function of timestamps and
+//! thread ids, never of insertion history. One simulation runs on one
+//! host thread; parallelism lives one level up, where `crates/bench`
+//! sweeps thousands of small independent simulations (DESIGN.md §5i).
 
-use crate::engine::serve::ServicePhase;
 use crate::fxmap::LineMap;
 use crate::machine::{AccessKind, Machine, StreamState};
 use crate::ops::Op;
@@ -28,8 +23,6 @@ use crate::SimTime;
 use knl_arch::topology::splitmix64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-mod shard;
 
 /// Simulated-time span of one scheduling slice of a bulk streaming op. Must
 /// stay below the memory devices' reorder window so cross-thread arrival
@@ -41,8 +34,8 @@ const CHASE_CHUNK_LINES: u64 = 8;
 /// Result of one run: per-thread measured intervals.
 #[derive(Debug, Clone, Default)]
 pub struct RunResult {
-    /// (thread, interval-id) → [(start, end)]. Key-sorted, so the sharded
-    /// merge path cannot leak scheduling order through map iteration.
+    /// (thread, interval-id) → [(start, end)]. Key-sorted, so iteration
+    /// order cannot leak scheduling order.
     intervals: SortedVecMap<(usize, usize), Vec<(SimTime, SimTime)>>,
     /// Time the last thread finished.
     pub end_time: SimTime,
@@ -136,9 +129,9 @@ pub struct Runner<'m> {
     /// The global event queue, keyed `(time, tid)`. The key is a strict
     /// total order — each live unparked thread has exactly one pending
     /// event (`WaitFlag` parks without re-enqueueing; `SetFlag` wakes only
-    /// parked threads) — and, unlike an insertion sequence number, it is
-    /// computable by any shard, which is what lets the sharded scheduler
-    /// reproduce the serial pop order exactly (DESIGN.md §5i).
+    /// parked threads) — and, unlike an insertion sequence number, it
+    /// makes the pop order a pure function of timestamps: equal-time
+    /// events fire in ascending tid order.
     queue: BinaryHeap<Reverse<(SimTime, usize)>>,
     result: RunResult,
 }
@@ -193,16 +186,12 @@ impl<'m> Runner<'m> {
         for tid in 0..self.programs.len() {
             self.enqueue(0, tid);
         }
-        if self.machine.shards() > 1 {
-            self.run_windows();
-        } else {
-            while let Some(Reverse((time, tid))) = self.queue.pop() {
-                if self.threads[tid].finished {
-                    continue;
-                }
-                self.threads[tid].now = self.threads[tid].now.max(time);
-                self.step(tid);
+        while let Some(Reverse((time, tid))) = self.queue.pop() {
+            if self.threads[tid].finished {
+                continue;
             }
+            self.threads[tid].now = self.threads[tid].now.max(time);
+            self.step(tid);
         }
         let parked: Vec<usize> = self
             .threads
@@ -245,15 +234,10 @@ impl<'m> Runner<'m> {
         let mut advance = true;
         match op {
             Op::Read(addr) => {
-                // The request/reply split the shard executor uses: a
-                // shard-local L1 hit completes in phase 1; anything else
-                // becomes a remote request serviced here on the spine.
-                // The two phases compose to exactly `Machine::access`.
-                self.threads[tid].now =
-                    match self.machine.begin_access(core, addr, AccessKind::Read, now) {
-                        ServicePhase::Local(out) => out.complete,
-                        ServicePhase::Remote(req) => self.machine.serve_request(req).complete,
-                    };
+                self.threads[tid].now = self
+                    .machine
+                    .access(core, addr, AccessKind::Read, now)
+                    .complete;
             }
             Op::Write(addr) => {
                 self.threads[tid].now = self
@@ -429,6 +413,17 @@ mod tests {
         m
     }
 
+    fn traced_machine() -> Machine {
+        use crate::engine::observe::ObserverConfig;
+        use crate::trace::TraceLevel;
+        let mut m = Machine::with_observer_config(
+            MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat),
+            ObserverConfig::default().trace(TraceLevel::Full),
+        );
+        m.set_jitter(0);
+        m
+    }
+
     #[test]
     fn single_thread_marks() {
         let mut m = machine();
@@ -539,13 +534,8 @@ mod tests {
 
     #[test]
     fn runner_stamps_trace_events_with_thread_and_marks() {
-        use crate::engine::observe::ObserverConfig;
-        use crate::trace::{EventKind, TraceLevel};
-        let mut m = Machine::with_observer_config(
-            MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat),
-            ObserverConfig::default().trace(TraceLevel::Full),
-        );
-        m.set_jitter(0);
+        use crate::trace::EventKind;
+        let mut m = traced_machine();
         let mk = |core: u16| {
             let mut p = Program::on_core(CoreId(core));
             p.push(Op::MarkStart(7))
@@ -573,6 +563,46 @@ mod tests {
             .events()
             .iter()
             .any(|e| { matches!(e.kind, EventKind::Serve { op: 'R', .. }) && e.thread == 1 }));
+    }
+
+    #[test]
+    fn equal_time_events_fire_in_tid_order() {
+        use crate::trace::EventKind;
+        // Four threads tie at t = 0 and tie again at t = 1200 ps, where
+        // each writes the same line. Thread i reaches 1200 ps through
+        // 4 - i compute steps, so the t = 1200 events enter the queue in
+        // *descending* tid order, and cores descend with tid: only the
+        // (time, tid) key serves the writes as 0, 1, 2, 3.
+        let line = 1 << 20;
+        let run = || {
+            let mut m = traced_machine();
+            let progs: Vec<Program> = (0..4u64)
+                .map(|i| {
+                    let mut p = Program::on_core(CoreId(6 - 2 * i as u16));
+                    for _ in 0..4 - i {
+                        p.push(Op::Compute(1200 / (4 - i)));
+                    }
+                    p.push(Op::MarkStart(0))
+                        .push(Op::Write(line))
+                        .push(Op::MarkEnd(0));
+                    p
+                })
+                .collect();
+            let r = run_programs(&mut m, progs);
+            let served: Vec<u32> = m
+                .tracer()
+                .expect("tracer attached")
+                .events()
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Serve { op: 'W', .. }))
+                .map(|e| e.thread)
+                .collect();
+            (served, r.iteration_durations_ns(0))
+        };
+        let (served, durations) = run();
+        assert_eq!(served, [0, 1, 2, 3]);
+        assert_eq!(durations.len(), 4);
+        assert_eq!(run(), (served, durations), "second run differs");
     }
 
     #[test]
