@@ -195,6 +195,36 @@ pub fn simulator_throughput_suite() -> Vec<BenchCase> {
         ));
     }
 
+    // What `reset_caches` costs after an iteration that touched `lines`
+    // lines (one core reading them from memory, then the reset): benchmark
+    // loops reset after every iteration, most of which touch a handful of
+    // lines, so the reset must cost what was touched (DESIGN.md §6, "Reset
+    // cost"). 16384 lines fill every set and way of one L2 — the most a
+    // single core can make a reset rewrite.
+    for (name, lines) in [
+        ("reset_after_1_line", 1u64),
+        ("reset_after_1024_lines", 1024),
+        ("reset_after_streamed_l2", 16384),
+    ] {
+        cases.push(BenchCase {
+            group: "sim_reset",
+            name,
+            bytes: None,
+            run: {
+                let mut m = machine();
+                let mut now = 0;
+                Box::new(move || {
+                    for l in 0..lines {
+                        let addr = (1 << 22) + l * 64;
+                        now = m.access(CoreId(0), addr, AccessKind::Read, now).complete;
+                    }
+                    m.reset_caches();
+                    now
+                })
+            },
+        });
+    }
+
     let lines = 64 * 1024u64;
     cases.push(BenchCase {
         group: "sim_stream",
@@ -234,8 +264,16 @@ mod tests {
             .iter()
             .map(|c| format!("{}/{}", c.group, c.name))
             .collect();
-        assert_eq!(cases.len(), 16);
+        assert_eq!(cases.len(), 19);
         assert_eq!(keys.first().map(String::as_str), Some("sim_access/l1_hit"));
+        assert_eq!(
+            keys[15..18],
+            [
+                "sim_reset/reset_after_1_line",
+                "sim_reset/reset_after_1024_lines",
+                "sim_reset/reset_after_streamed_l2"
+            ]
+        );
         assert_eq!(
             keys.last().map(String::as_str),
             Some("sim_stream/8_threads_triad")

@@ -26,7 +26,7 @@ Run the simulator_throughput suite, write BENCH_<pr>.json, and diff
 against the previous trajectory.
 
 options:
-  --pr N           trajectory number (default 10); names the output file
+  --pr N           trajectory number (default 13); names the output file
   --out PATH       output path (default BENCH_<pr>.json in the repo root)
   --baseline PATH  previous trajectory to diff against (default: the
                    highest-numbered BENCH_*.json below --pr next to the
@@ -49,7 +49,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        pr: 10,
+        pr: 13,
         out: None,
         baseline: None,
         threshold: 0.25,

@@ -98,10 +98,8 @@ mod tests {
 
     #[test]
     fn fit_quick_model() {
-        std::env::set_var(
-            "KNL_RESULTS_DIR",
-            std::env::temp_dir().join("knl_modelfit_test"),
-        );
+        let _dir =
+            crate::output::ResultsDirGuard::set(&std::env::temp_dir().join("knl_modelfit_test"));
         let cfg = snc4_flat();
         let mut p = SuiteParams::quick();
         p.iters = 3;
@@ -114,6 +112,5 @@ mod tests {
         let m2 = fit_model(&cfg, &p, true);
         assert_eq!(m1.rr_ns, m2.rr_ns);
         assert_eq!(m1.contention.beta, m2.contention.beta);
-        std::env::remove_var("KNL_RESULTS_DIR");
     }
 }

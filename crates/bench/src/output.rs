@@ -87,6 +87,42 @@ pub fn results_dir() -> PathBuf {
     p.join("results")
 }
 
+/// Test support: `KNL_RESULTS_DIR` points at `dir` while the guard lives.
+/// The variable is process-wide and this crate's unit tests share one
+/// process, so the guard also holds a lock: a test that redirects its
+/// output can never have the variable pulled away mid-run by another.
+#[cfg(test)]
+pub(crate) struct ResultsDirGuard {
+    previous: Option<std::ffi::OsString>,
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl ResultsDirGuard {
+    pub(crate) fn set(dir: &Path) -> Self {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A holder that failed its assertion poisons the lock; it guards
+        // no data, so the next test may take it all the same.
+        let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let previous = std::env::var_os("KNL_RESULTS_DIR");
+        std::env::set_var("KNL_RESULTS_DIR", dir);
+        ResultsDirGuard {
+            previous,
+            _lock: lock,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Drop for ResultsDirGuard {
+    fn drop(&mut self) {
+        match self.previous.take() {
+            Some(v) => std::env::set_var("KNL_RESULTS_DIR", v),
+            None => std::env::remove_var("KNL_RESULTS_DIR"),
+        }
+    }
+}
+
 /// Format a float with 1 decimal.
 pub fn f1(x: f64) -> String {
     format!("{x:.1}")
@@ -133,16 +169,12 @@ mod tests {
 
     #[test]
     fn csv_written() {
-        std::env::set_var(
-            "KNL_RESULTS_DIR",
-            std::env::temp_dir().join("knl_test_results"),
-        );
+        let _dir = ResultsDirGuard::set(&std::env::temp_dir().join("knl_test_results"));
         let mut t = Table::new("t", &["x", "y"]);
         t.row(vec!["1".into(), "2".into()]);
         let p = t.write_csv("unit_test_table");
         let s = std::fs::read_to_string(p).unwrap();
         assert_eq!(s, "x,y\n1,2\n");
-        std::env::remove_var("KNL_RESULTS_DIR");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Perf-guard tests for the recorded bench trajectory (DESIGN.md §6).
 //!
 //! The deterministic part runs in every profile: the checked-in
-//! `BENCH_10.json` must be canonical bytes (bit-exact round trip through
+//! `BENCH_13.json` must be canonical bytes (bit-exact round trip through
 //! `knl_stats::json`) and must record every case the live suite defines,
 //! in suite order, so the trajectory can never drift out of sync with the
 //! code. Cases deleted from the suite since the recording stay in the file
@@ -17,12 +17,12 @@ use knl_bench::microbench::parse_trajectory;
 use knl_stats::json::Json;
 
 /// Path of the checked-in trajectory for this PR, relative to the crate.
-const TRAJECTORY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
+const TRAJECTORY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_13.json");
 
 fn checked_in() -> (String, Json) {
     let text = std::fs::read_to_string(TRAJECTORY)
         .unwrap_or_else(|e| panic!("cannot read {TRAJECTORY}: {e}"));
-    let doc = Json::parse(&text).expect("BENCH_10.json must be valid JSON");
+    let doc = Json::parse(&text).expect("BENCH_13.json must be valid JSON");
     (text, doc)
 }
 
@@ -42,7 +42,7 @@ fn checked_in_trajectory_matches_live_suite() {
         doc.get("format").and_then(Json::as_str),
         Some("knl-bench-trajectory-v1")
     );
-    assert_eq!(doc.get("pr").and_then(Json::as_u64), Some(10));
+    assert_eq!(doc.get("pr").and_then(Json::as_u64), Some(13));
     assert_eq!(doc.get("suite").and_then(Json::as_str), Some(SUITE));
 
     let suite = simulator_throughput_suite();
@@ -55,7 +55,7 @@ fn checked_in_trajectory_matches_live_suite() {
     let recorded_keys: Vec<String> = recorded.iter().map(|r| r.key()).collect();
     assert_eq!(
         recorded_keys, live_keys,
-        "BENCH_10.json is out of sync with benchcases::simulator_throughput_suite \
+        "BENCH_13.json is out of sync with benchcases::simulator_throughput_suite \
          — re-run knl-bench-record"
     );
     for (r, c) in recorded.iter().zip(&suite) {

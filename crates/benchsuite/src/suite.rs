@@ -399,6 +399,44 @@ mod tests {
     }
 
     #[test]
+    fn reset_after_cache_suite_leaves_no_line_cached() {
+        use knl_arch::TileId;
+        use knl_sim::machine::ServedBy;
+        use knl_sim::AccessKind;
+
+        let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
+        let tiles = cfg.active_tiles as u16;
+        let mut m = Machine::new(cfg);
+        run_cache_suite(&mut m, &SuiteParams::quick());
+        // The suite ends on a reset of its own; cache one line of each
+        // region again so this reset has something to drop.
+        let regions = [1u64 << 23, 1 << 27, 1 << 28];
+        for base in regions {
+            m.access(CoreId(0), base, AccessKind::Read, 0);
+            let again = m.access(CoreId(0), base, AccessKind::Read, 0);
+            assert_eq!(again.served_by, ServedBy::L1);
+        }
+        m.reset_caches();
+        // pointer_chase uses `iters` lines at 1 << 23; cachebw's buffers at
+        // 1 << 27 and 1 << 28 span iters × (64 KB + 4 KB) < 8192 lines.
+        for (base, lines) in [(regions[0], 16u64), (regions[1], 8192), (regions[2], 8192)] {
+            for addr in (0..lines).map(|l| base + l * 64) {
+                for t in 0..tiles {
+                    assert_eq!(m.line_state(addr, TileId(t)), MesifState::Invalid);
+                }
+            }
+        }
+        for base in regions {
+            let out = m.access(CoreId(0), base, AccessKind::Read, 0);
+            assert!(
+                matches!(out.served_by, ServedBy::Memory(_)),
+                "{base:#x} served by {:?} after a reset",
+                out.served_by
+            );
+        }
+    }
+
+    #[test]
     fn quick_cache_mode_suite() {
         let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Cache);
         let mut params = SuiteParams::quick();

@@ -783,8 +783,8 @@ fn conflict(
 type TileFootprint = (Vec<usize>, Vec<(u64, u64)>);
 
 fn capacity(programs: &[Program], findings: &mut Vec<Finding>) {
-    let l1_lines = TagCache::knl_l1().capacity_lines() as u64;
-    let l2_lines = TagCache::knl_l2().capacity_lines() as u64;
+    let l1_lines = TagCache::KNL_L1_LINES as u64;
+    let l2_lines = TagCache::KNL_L2_LINES as u64;
     let mut per_tile: BTreeMap<u16, TileFootprint> = BTreeMap::new();
     for (t, p) in programs.iter().enumerate() {
         let mut ranges: Vec<(u64, u64)> = Vec::new();

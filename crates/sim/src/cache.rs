@@ -33,12 +33,24 @@ struct Way {
 
 const EMPTY: u64 = u64::MAX;
 
+/// The state of a way that holds no line.
+const EMPTY_WAY: Way = Way {
+    tag: EMPTY,
+    version: 0,
+    lru: 0,
+};
+
 /// A set-associative tag cache.
 #[derive(Debug, Clone)]
 pub struct TagCache {
     ways: usize,
     sets: usize,
     slots: Vec<Way>,
+    /// One bit per set, set by `insert`: the sets that may differ from
+    /// [`EMPTY_WAY`] since the last `clear`. Only `insert` can take a way
+    /// out of the empty state (`lookup` and `remove` write only ways whose
+    /// tag already matches), so `clear` has nothing to do anywhere else.
+    written: Vec<u64>,
     tick: u64,
 }
 
@@ -62,26 +74,26 @@ impl TagCache {
         TagCache {
             ways,
             sets,
-            slots: vec![
-                Way {
-                    tag: EMPTY,
-                    version: 0,
-                    lru: 0
-                };
-                lines
-            ],
+            slots: vec![EMPTY_WAY; lines],
+            written: vec![0; sets.div_ceil(64)],
             tick: 0,
         }
     }
 
+    /// Capacity of [`TagCache::knl_l1`] in lines (32 KB).
+    pub const KNL_L1_LINES: usize = 512;
+
+    /// Capacity of [`TagCache::knl_l2`] in lines (1 MB).
+    pub const KNL_L2_LINES: usize = 16384;
+
     /// KNL L1D: 32 KB, 8-way.
     pub fn knl_l1() -> Self {
-        TagCache::new(32 << 10, 8)
+        TagCache::new((Self::KNL_L1_LINES as u64) << LINE_SHIFT, 8)
     }
 
     /// KNL tile L2: 1 MB, 16-way.
     pub fn knl_l2() -> Self {
-        TagCache::new(1 << 20, 16)
+        TagCache::new((Self::KNL_L2_LINES as u64) << LINE_SHIFT, 16)
     }
 
     fn set_of(&self, line: u64) -> usize {
@@ -123,6 +135,7 @@ impl TagCache {
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_of(line);
+        self.written[set / 64] |= 1 << (set % 64);
         let slots = self.set_slots(set);
         // Same line (any version): refresh.
         if let Some(w) = slots.iter_mut().find(|w| w.tag == line) {
@@ -164,11 +177,7 @@ impl TagCache {
         let set = self.set_of(line);
         for w in self.set_slots(set) {
             if w.tag == line {
-                *w = Way {
-                    tag: EMPTY,
-                    version: 0,
-                    lru: 0,
-                };
+                *w = EMPTY_WAY;
                 return true;
             }
         }
@@ -190,14 +199,20 @@ impl TagCache {
         self.ways
     }
 
-    /// Drop every entry (used between benchmark repetitions).
+    /// Empty the cache (used between benchmark repetitions). Costs one pass
+    /// over the per-set bitmap plus a rewrite of the sets inserted into
+    /// since the previous `clear` — not of the whole array, which for the
+    /// 96 tag arrays of a machine is 13.4 MB (DESIGN.md §6, "Reset cost").
+    /// The result is field-for-field what a full wipe leaves: every way
+    /// empty with `version` and `lru` zero, `tick` kept.
     pub fn clear(&mut self) {
-        for w in &mut self.slots {
-            *w = Way {
-                tag: EMPTY,
-                version: 0,
-                lru: 0,
-            };
+        for (i, word) in self.written.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let base = (i * 64 + bits.trailing_zeros() as usize) * self.ways;
+                self.slots[base..base + self.ways].fill(EMPTY_WAY);
+                bits &= bits - 1;
+            }
         }
     }
 }
@@ -205,15 +220,18 @@ impl TagCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knl_arch::SplitMixRng;
 
     #[test]
     fn knl_geometries() {
         let l1 = TagCache::knl_l1();
         assert_eq!(l1.capacity_lines(), 512);
+        assert_eq!(l1.capacity_lines(), TagCache::KNL_L1_LINES);
         assert_eq!(l1.ways(), 8);
         assert_eq!(l1.num_sets(), 64);
         let l2 = TagCache::knl_l2();
         assert_eq!(l2.capacity_lines(), 16384);
+        assert_eq!(l2.capacity_lines(), TagCache::KNL_L2_LINES);
         assert_eq!(l2.ways(), 16);
         assert_eq!(l2.num_sets(), 1024);
     }
@@ -279,6 +297,102 @@ mod tests {
         c.insert(1, 0);
         c.clear();
         assert!(!c.lookup(1, 0));
+    }
+
+    /// Every field `clear` promises to leave as a full wipe would.
+    fn fields(c: &TagCache) -> (Vec<(u64, u32, u64)>, u64) {
+        let ways = c.slots.iter().map(|w| (w.tag, w.version, w.lru));
+        (ways.collect(), c.tick)
+    }
+
+    fn written_sets(c: &TagCache) -> usize {
+        c.written.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Inserted(Insert),
+        Found(bool),
+    }
+
+    /// Drive `cache` and a clone with one seeded random stream of inserts,
+    /// lookups and removals (versions 0..3, so stale copies and in-place
+    /// refreshes occur) over lines drawn by `draw`. After each of three
+    /// rounds `clear()` the one and wipe every slot of the other: fields
+    /// must be equal then, and results equal at every step of the next
+    /// round. Returns how many sets a round had written before its clear.
+    fn clear_matches_full_wipe(
+        cache: TagCache,
+        seed: u64,
+        steps: usize,
+        draw: impl Fn(&mut SplitMixRng) -> u64,
+    ) -> usize {
+        let (mut a, mut b) = (cache.clone(), cache);
+        let mut rng = SplitMixRng::seed_from_u64(seed);
+        let mut written = 0;
+        for round in 0..3 {
+            for i in 0..steps {
+                let (line, version) = (draw(&mut rng), rng.range_u32(0, 3));
+                let op = rng.range_u32(0, 3);
+                let run = |c: &mut TagCache| match op {
+                    0 => Outcome::Found(c.lookup(line, version)),
+                    1 => Outcome::Found(c.remove(line)),
+                    _ => Outcome::Inserted(c.insert(line, version)),
+                };
+                assert_eq!(run(&mut a), run(&mut b), "round {round} step {i}");
+            }
+            written = written_sets(&a);
+            a.clear();
+            b.slots.fill(EMPTY_WAY);
+            assert_eq!(fields(&a), fields(&b), "after clear {round}");
+            assert_eq!(written_sets(&a), 0);
+        }
+        written
+    }
+
+    #[test]
+    fn clear_is_a_full_wipe_when_every_set_was_written() {
+        for (cache, seed) in [(TagCache::knl_l1(), 0xC1EA_0001), (TagCache::knl_l2(), 2)] {
+            let (sets, lines) = (cache.num_sets(), cache.capacity_lines());
+            let written = clear_matches_full_wipe(cache, seed, 4 * lines, |r| {
+                r.range_u64(0, 4 * lines as u64)
+            });
+            assert_eq!(written, sets);
+        }
+    }
+
+    #[test]
+    fn clear_is_a_full_wipe_when_few_sets_were_written() {
+        for (cache, seed) in [(TagCache::knl_l1(), 3), (TagCache::knl_l2(), 0xC1EA_0004)] {
+            // 3 sets, twice as many lines as their ways hold: evictions,
+            // stale versions and removals all inside a corner of the array.
+            let (sets, ways) = (cache.num_sets() as u64, cache.ways() as u64);
+            let written = clear_matches_full_wipe(cache, seed, 2000, |r| {
+                r.range_u64(0, 3) + sets * r.range_u64(0, 2 * ways)
+            });
+            assert_eq!(written, 3);
+        }
+    }
+
+    #[test]
+    fn clear_of_a_clean_cache_changes_nothing() {
+        let mut c = TagCache::knl_l1();
+        let fresh = fields(&c);
+        c.clear();
+        assert_eq!(fields(&c), fresh, "never written");
+        // Lookups and removals that miss advance `tick` but write no way.
+        assert!(!c.lookup(9, 0));
+        assert!(!c.remove(9));
+        assert_eq!(written_sets(&c), 0);
+        c.insert(9, 1);
+        c.insert(9 + 64, 1);
+        assert_eq!(written_sets(&c), 1);
+        c.clear();
+        let once = fields(&c);
+        assert_eq!(once.0, fresh.0);
+        assert_eq!(once.1, 3, "tick is kept");
+        c.clear();
+        assert_eq!(fields(&c), once, "second clear in a row");
     }
 
     #[test]

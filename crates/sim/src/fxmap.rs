@@ -195,13 +195,19 @@ impl<V: Default> LineMap<V> {
         Some(out)
     }
 
-    /// Drop all entries, keeping capacity.
+    /// Drop all entries, keeping capacity. Free on an empty map; otherwise
+    /// one pass over the keys, resetting values only in occupied slots
+    /// (a free slot already holds `V::default()`: `grow` fills with it and
+    /// `remove` leaves it behind).
     pub fn clear(&mut self) {
-        for k in &mut self.keys {
-            *k = EMPTY;
+        if self.len == 0 {
+            return;
         }
-        for v in &mut self.vals {
-            *v = V::default();
+        for (k, v) in self.keys.iter_mut().zip(&mut self.vals) {
+            if *k != EMPTY {
+                *k = EMPTY;
+                *v = V::default();
+            }
         }
         self.len = 0;
     }
@@ -311,6 +317,45 @@ mod tests {
         assert_eq!(m.get(1), None);
         m.insert(3, 3);
         assert_eq!(m.get(3), Some(&3));
+    }
+
+    #[test]
+    fn clear_of_a_grown_map_drops_values_and_leaves_a_fresh_table() {
+        use std::rc::Rc;
+        let token = Rc::new(());
+        let mut m: LineMap<Vec<Rc<()>>> = LineMap::new();
+        m.clear(); // nothing allocated yet
+        assert_eq!(m.keys.len(), 0);
+        for k in 0..3500u64 {
+            m.insert(k * 64, vec![token.clone()]);
+        }
+        // Leave holes and shifted runs behind, as the directory does.
+        for k in (0..3500u64).step_by(7) {
+            m.remove(k * 64);
+        }
+        let slots = m.keys.len();
+        assert!(slots >= 4096);
+        assert_eq!(Rc::strong_count(&token), 1 + m.len());
+
+        m.clear();
+        assert_eq!(m.len(), 0);
+        assert_eq!(m.keys.len(), slots, "capacity kept");
+        assert_eq!(Rc::strong_count(&token), 1, "heap values dropped");
+        assert!((0..3500u64).all(|k| !m.contains_key(k * 64)));
+        assert!(m.vals.iter().all(Vec::is_empty), "free slots hold defaults");
+        m.clear(); // second clear in a row
+        assert_eq!((m.len(), m.keys.len()), (0, slots));
+
+        // Refilled, it reads like a map that was never used before.
+        let mut fresh: LineMap<Vec<Rc<()>>> = LineMap::new();
+        for k in (0..500u64).rev() {
+            m.insert(k * 3, vec![token.clone(); (k % 3) as usize]);
+            fresh.insert(k * 3, vec![token.clone(); (k % 3) as usize]);
+        }
+        assert_eq!(m.sorted_keys(), fresh.sorted_keys());
+        for k in fresh.sorted_keys() {
+            assert_eq!(m.get(k).map(Vec::len), fresh.get(k).map(Vec::len));
+        }
     }
 
     #[test]

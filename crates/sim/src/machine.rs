@@ -322,7 +322,12 @@ impl Machine {
         self.jitter_pct = pct;
     }
 
-    /// Clear caches, directory, and memory-side cache (fresh repetition).
+    /// Empty the caches, the directory and the memory-side cache (fresh
+    /// repetition). Benchmark loops call this after every iteration, so it
+    /// costs what the iteration wrote — the tag-array sets inserted into
+    /// and the occupied directory and memory-side-cache slots — plus a scan
+    /// of the per-set bitmaps (4.6 KB), not a rewrite of all 96 tag arrays
+    /// (DESIGN.md §6, "Reset cost").
     pub fn reset_caches(&mut self) {
         self.reset_tile_caches();
         if self.mcache.enabled() {
@@ -330,8 +335,9 @@ impl Machine {
         }
     }
 
-    /// Clear only the on-die caches (L1/L2/directory), leaving the MCDRAM
+    /// Empty only the on-die caches (L1/L2/directory), leaving the MCDRAM
     /// memory-side cache warm — used by cache-mode latency benchmarks.
+    /// Same cost rule as [`Machine::reset_caches`].
     pub fn reset_tile_caches(&mut self) {
         for c in &mut self.l1 {
             c.clear();
