@@ -3,8 +3,10 @@
 //! The paper's KNL keeps lines coherent with MESIF over its distributed tag
 //! directories; the simulator additionally models MESI, MOESI, and the
 //! update-based Dragon protocol so the same measure→fit pipeline can emit
-//! *differential* capability models per protocol (ROADMAP item 2). This enum
-//! is pure description — the transition tables live in `knl-sim::protocol`.
+//! *differential* capability models per protocol (`knl-protocols`). This enum
+//! is pure description: the name plus the three policy bits in which the
+//! protocols differ, which the one transition function in
+//! `knl_sim::protocol` consults.
 
 /// Which coherence protocol the simulated directories run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -57,6 +59,20 @@ impl ProtocolKind {
     pub fn invalidation_based(self) -> bool {
         !matches!(self, ProtocolKind::Dragon)
     }
+
+    /// True when the latest reader of a shared line becomes its clean
+    /// Forward holder and answers the next read (MESIF); elsewhere memory
+    /// supplies clean shared lines.
+    pub fn has_forward(self) -> bool {
+        matches!(self, ProtocolKind::Mesif)
+    }
+
+    /// True when a remote read of a Modified line leaves the dirty data
+    /// cached at its owner (MOESI's O, Dragon's Sm) instead of forcing a
+    /// write-back.
+    pub fn has_owned(self) -> bool {
+        matches!(self, ProtocolKind::Moesi | ProtocolKind::Dragon)
+    }
 }
 
 impl std::fmt::Display for ProtocolKind {
@@ -84,9 +100,19 @@ mod tests {
     }
 
     #[test]
-    fn only_dragon_updates() {
-        for p in ProtocolKind::ALL {
-            assert_eq!(p.invalidation_based(), p != ProtocolKind::Dragon);
-        }
+    fn policy_bits_tell_the_four_protocols_apart() {
+        // (forward, owned, invalidation): the grid of DESIGN.md §5f — only
+        // Dragon updates instead of invalidating.
+        let grid =
+            ProtocolKind::ALL.map(|p| (p.has_forward(), p.has_owned(), p.invalidation_based()));
+        assert_eq!(
+            grid,
+            [
+                (true, false, true),
+                (false, false, true),
+                (false, true, true),
+                (false, true, false),
+            ]
+        );
     }
 }

@@ -11,7 +11,7 @@ use knl_bench::output::{f1, Table};
 use knl_bench::runconf::{Effort, RunConf};
 use knl_bench::sweep::{executor, machine, TraceSink};
 use knl_benchsuite::pointer_chase::{invalid_latency_salted, transfer_latency};
-use knl_sim::MesifState;
+use knl_sim::LineState;
 
 fn main() {
     let conf = RunConf::from_args();
@@ -19,9 +19,9 @@ fn main() {
     let cfg = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Flat);
     let origin = CoreId(0);
     let states = [
-        MesifState::Modified,
-        MesifState::Exclusive,
-        MesifState::Invalid,
+        LineState::Modified,
+        LineState::Exclusive,
+        LineState::Invalid,
     ];
     let num_cores = cfg.num_cores() as u16;
 
@@ -43,7 +43,7 @@ fn main() {
             .expect("machine has ≥3 tiles");
         let row = states
             .map(|st| {
-                let sample = if st == MesifState::Invalid {
+                let sample = if st == LineState::Invalid {
                     invalid_latency_salted(&mut m, origin, iters, partner as u64)
                 } else {
                     transfer_latency(&mut m, owner, origin, helper, st, iters)

@@ -12,7 +12,7 @@ use knl_bench::output::{f2, Table};
 use knl_bench::runconf::{Effort, RunConf};
 use knl_bench::sweep::{executor, machine, TraceSink};
 use knl_benchsuite::cachebw::{copy_bandwidth, fig5_partners};
-use knl_sim::MesifState;
+use knl_sim::LineState;
 
 fn main() {
     let conf = RunConf::from_args();
@@ -24,10 +24,10 @@ fn main() {
     let reader = CoreId(0);
     let partners = fig5_partners(&machine(&conf, cfg.clone()), reader);
 
-    let series: Vec<(String, CoreId, MesifState)> = partners
+    let series: Vec<(String, CoreId, LineState)> = partners
         .iter()
         .flat_map(|(loc, owner)| {
-            [MesifState::Modified, MesifState::Exclusive]
+            [LineState::Modified, LineState::Exclusive]
                 .into_iter()
                 .map(move |st| (loc.to_string(), *owner, st))
         })

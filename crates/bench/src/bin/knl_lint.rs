@@ -48,12 +48,15 @@
 //!   or `spawn` inside the simulator reintroduces scheduler
 //!   nondeterminism the bit-identical-output tests cannot see locally.
 //! * `wildcard-state-match` — in `crates/sim`, a `match` whose arms name a
-//!   coherence state or event type (`LineState`/`MesifState`/
-//!   `GlobalState`/`ProtocolEvent`/`ProtoEvent`) must not have a `_` arm:
-//!   a wildcard silently swallows newly added protocol states/events,
-//!   which is exactly how a checker or metrics sink goes stale when a
-//!   protocol back end grows a state (the model checker in
-//!   `sim::modelcheck` only covers what the code actually names). Unlike
+//!   coherence state, directory request or event type (`LineState`/
+//!   `GlobalState`/`Request`/`ProtocolEvent`/`ProtoEvent`) must not have
+//!   a `_` arm: a wildcard silently swallows newly added protocol
+//!   states/requests/events, which is exactly how the transition table, a
+//!   checker or a metrics sink goes stale when a protocol grows a state
+//!   (the model checker in `sim::modelcheck` only covers what the code
+//!   actually names). The one sanctioned wildcard is the mutation
+//!   post-hook's (`sim::mutation`), whose meaning *is* "every other
+//!   (defect, request) pair stays the shipped transition". Unlike
 //!   the other rules this one is block-scoped: it tracks brace depth to
 //!   tie each `_ =>` arm to its enclosing `match`.
 //!
@@ -107,10 +110,10 @@ const THREAD_SPAWN: &str = concat!("thread::", "spawn(");
 const THREAD_SCOPE: &str = concat!("thread::", "scope(");
 const STD_SYNC: &str = concat!("std::", "sync::");
 
-/// Coherence state/event types whose matches must stay exhaustive.
+/// Coherence state/request/event types whose matches must stay exhaustive.
 const STATE_TOKENS: [&str; 5] = [
     concat!("Line", "State::"),
-    concat!("Mesif", "State::"),
+    concat!("Req", "uest::"),
     concat!("Global", "State::"),
     concat!("Protocol", "Event::"),
     concat!("Proto", "Event::"),
@@ -118,8 +121,8 @@ const STATE_TOKENS: [&str; 5] = [
 
 const WILDCARD_STATE_MATCH: &str = "wildcard-state-match";
 const WILDCARD_STATE_MSG: &str =
-    "matches over coherence state/event types must list every variant; a \
-     `_` arm silently swallows states added by new protocol back ends";
+    "matches over coherence state/request/event types must list every \
+     variant; a `_` arm silently swallows states a protocol grows later";
 
 fn rules() -> Vec<LintRule> {
     vec![
@@ -700,7 +703,7 @@ mod tests {
 
     #[test]
     fn state_tokens_in_arm_bodies_do_not_mark_the_match() {
-        // The dispatch-wrapper shape: an exhaustive match over Mutation
+        // The mutation catalog's shape: an exhaustive match over Mutation
         // whose *bodies* build GlobalState values. The pattern segment is
         // what classifies the match, so the `_`-free outer match is clean
         // and an inner non-state match keeps its wildcard.
@@ -708,14 +711,14 @@ mod tests {
             "match mu {{\n    Mutation::A => {{\n        e.state = {}Uncached;\n        match n {{\n            0 => 1,\n            _ => 2,\n        }}\n    }}\n    Mutation::B => 3,\n}}\n",
             STATE_TOKENS[2]
         );
-        assert!(find("/crates/sim/src/protocol.rs", &ok).is_empty());
+        assert!(find("/crates/sim/src/mutation.rs", &ok).is_empty());
         // Multi-line call arguments in a body are not pattern
         // continuations either.
         let call = format!(
             "match n {{\n    0 => f(\n        {}Uncached,\n    ),\n    _ => g(),\n}}\n",
             STATE_TOKENS[2]
         );
-        assert!(find("/crates/sim/src/protocol.rs", &call).is_empty());
+        assert!(find("/crates/sim/src/mutation.rs", &call).is_empty());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! Enumerates every reachable (directory entry × per-cache line state ×
 //! symbolic currency) configuration of a bounded system and checks the
-//! shipped transition tables — the *same* `grant_read` / `grant_write` /
-//! `nt_store` / `evict` code the simulator executes — for structural
-//! soundness, SWMR, data-value currency, and quiescence. With `--mutants`
+//! shipped transition table — the *same* `protocol::transition` the
+//! simulator executes — under each protocol for structural soundness, SWMR, data-value currency, and quiescence. With `--mutants`
 //! it injects every catalogued single-transition defect and requires the
 //! sweep to kill each one with a minimal counterexample, then replays that
 //! counterexample on a full `Machine` to confirm the runtime
@@ -18,7 +17,7 @@ use std::process::exit;
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
 use knl_sim::fuzz::replay_trace;
 use knl_sim::modelcheck::{check, cross_protocol_equivalence, format_trace, EquivConfig, McConfig};
-use knl_sim::protocol::Mutation;
+use knl_sim::mutation::Mutation;
 use knl_sim::CheckLevel;
 
 const USAGE: &str = "\
@@ -207,7 +206,7 @@ fn main() {
         }
         let (mut killed, mut total) = (0u32, 0u32);
         for &kind in &args.protocols {
-            for &mu in Mutation::catalog(kind) {
+            for mu in Mutation::catalog(kind) {
                 total += 1;
                 let label = format!("{kind}/{}", mu.name());
                 match check(kind, &args.mc, Some(mu)) {

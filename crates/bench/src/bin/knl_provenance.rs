@@ -4,14 +4,15 @@
 //!   sidecar manifest against the current source digest; exit non-zero if
 //!   any is stale, missing, or corrupt. CI runs this so a results CSV
 //!   produced by older sources can never silently survive a code change.
-//! * `knl-provenance --stamp`: (re-)write manifests blessing the current
-//!   artifacts as products of the current tree — run after regenerating
-//!   results, before committing them.
+//! * `knl-provenance --stamp`: re-bless the current artifacts as products
+//!   of the current tree — refreshes each manifest's source digest and
+//!   trajectory, keeps the binary and run configuration that produced the
+//!   artifact. Run after regenerating results, before committing them.
 //! * `knl-provenance --show PATH`: print one artifact's manifest.
 
 use knl_bench::output::results_dir;
 use knl_bench::provenance::{
-    manifest_path, source_digest, tracked_artifacts, verify, write_manifest, Verdict,
+    manifest_path, source_digest, stamp_manifest, tracked_artifacts, verify, Verdict,
 };
 use std::path::Path;
 
@@ -92,7 +93,7 @@ fn run_stamp() {
     let results = results_dir();
     let artifacts = tracked_artifacts(&results);
     for a in &artifacts {
-        write_manifest(a);
+        stamp_manifest(a);
         eprintln!(
             "  stamped {}",
             a.strip_prefix(&results).unwrap_or(a).display()

@@ -15,7 +15,9 @@
 //! Manifests render through [`knl_stats::json::Json`], whose object keys
 //! are sorted — re-stamping an unchanged tree is byte-stable. The
 //! `knl-provenance` binary verifies (`--verify`, CI) or re-blesses
-//! (`--stamp`) the whole `results/` tree.
+//! (`--stamp`) the whole `results/` tree; a re-bless refreshes the digest
+//! and trajectory only, so an artifact stays attributed to the binary and
+//! run configuration that produced it.
 
 use crate::runconf::RunConf;
 use knl_stats::json::Json;
@@ -179,7 +181,30 @@ pub fn manifest_for(artifact: &Path) -> Json {
 /// Write (or refresh) the sidecar manifest for `artifact`. Failures are
 /// silent: provenance must never break a results run.
 pub fn write_manifest(artifact: &Path) {
-    let doc = manifest_for(artifact);
+    write_doc(artifact, &manifest_for(artifact));
+}
+
+/// Re-bless `artifact` as a product of the current tree: refresh its
+/// manifest's `source_digest` and `trajectory` and keep who produced it
+/// (`binary`, `run`). Only an artifact without a readable manifest is
+/// attributed to the stamping process.
+pub fn stamp_manifest(artifact: &Path) {
+    let mut doc = manifest_for(artifact);
+    let old = std::fs::read_to_string(manifest_path(artifact))
+        .ok()
+        .and_then(|text| Json::parse(&text))
+        .filter(|old| old.get("format").and_then(Json::as_str) == Some(FORMAT));
+    if let (Json::Obj(new), Some(Json::Obj(mut old))) = (&mut doc, old) {
+        for key in ["binary", "run"] {
+            if let Some(kept) = old.remove(key) {
+                new.insert(key.into(), kept);
+            }
+        }
+    }
+    write_doc(artifact, &doc);
+}
+
+fn write_doc(artifact: &Path, doc: &Json) {
     let mut text = doc.render();
     text.push('\n');
     let _ = std::fs::write(manifest_path(artifact), text);
@@ -286,6 +311,48 @@ mod tests {
 
         std::fs::write(&mp, "not json").unwrap();
         assert_eq!(verify(&artifact), Verdict::Corrupt);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stamp_refreshes_the_digest_and_keeps_the_producer() {
+        let dir = std::env::temp_dir().join("knl-provenance-stamp-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let artifact = dir.join("table1.csv");
+        std::fs::write(&artifact, "a,b\n1,2\n").unwrap();
+        // A manifest another binary wrote against an older tree.
+        let run = Json::obj(vec![("effort", Json::Str("quick".into()))]);
+        let foreign = Json::obj(vec![
+            ("format", Json::Str(FORMAT.into())),
+            ("artifact", Json::Str("table1.csv".into())),
+            ("binary", Json::Str("table1".into())),
+            (
+                "source_digest",
+                Json::Str("fnv1a64:0000000000000000".into()),
+            ),
+            ("trajectory", Json::Str("BENCH_0.json".into())),
+            ("run", run.clone()),
+        ]);
+        std::fs::write(manifest_path(&artifact), foreign.render()).unwrap();
+        assert!(matches!(verify(&artifact), Verdict::Stale { .. }));
+
+        stamp_manifest(&artifact);
+        assert_eq!(verify(&artifact), Verdict::Fresh);
+        let text = std::fs::read_to_string(manifest_path(&artifact)).unwrap();
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("binary").and_then(Json::as_str), Some("table1"));
+        assert_eq!(doc.get("run"), Some(&run));
+        assert_eq!(
+            doc.get("trajectory")
+                .and_then(Json::as_str)
+                .map(str::to_string),
+            latest_trajectory()
+        );
+
+        // Nothing to keep: the stamping process becomes the producer.
+        std::fs::write(manifest_path(&artifact), "not json").unwrap();
+        stamp_manifest(&artifact);
+        assert_eq!(verify(&artifact), Verdict::Fresh);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

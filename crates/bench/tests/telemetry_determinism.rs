@@ -8,7 +8,7 @@ use knl_bench::runconf::{Effort, RunConf};
 use knl_bench::sweep::{machine, TraceSink};
 use knl_benchsuite::pointer_chase::transfer_latency;
 use knl_benchsuite::SweepExecutor;
-use knl_sim::{MesifState, TelemetryConfig};
+use knl_sim::{LineState, TelemetryConfig};
 use std::path::{Path, PathBuf};
 
 fn conf(jobs: usize, telemetry: TelemetryConfig, out: Option<&Path>) -> RunConf {
@@ -39,7 +39,7 @@ fn run_sweep(cfg: &MachineConfig, conf: &RunConf) -> (Vec<u64>, Option<String>) 
             .map(CoreId)
             .find(|c| c.tile() != owner.tile() && c.tile() != origin.tile())
             .expect("helper tile");
-        let s = transfer_latency(&mut m, owner, origin, helper, MesifState::Modified, 3);
+        let s = transfer_latency(&mut m, owner, origin, helper, LineState::Modified, 3);
         m.finish_check();
         sink.submit(i, &mut m);
         s.median().to_bits()

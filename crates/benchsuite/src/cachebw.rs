@@ -4,7 +4,7 @@
 
 use crate::state_prep::prep_lines;
 use knl_arch::{CoreId, QuadrantId};
-use knl_sim::{Machine, MesifState, Op, Program, SimTime};
+use knl_sim::{LineState, Machine, Op, Program, SimTime};
 use knl_stats::Sample;
 
 /// The cache-to-cache copy workload as flag-synchronized Op-IR programs:
@@ -66,7 +66,7 @@ pub fn copy_bandwidth(
     owner: CoreId,
     reader: CoreId,
     helper: CoreId,
-    state: MesifState,
+    state: LineState,
     bytes: u64,
     iters: usize,
 ) -> Sample {
@@ -91,7 +91,7 @@ pub fn read_bandwidth(
     owner: CoreId,
     reader: CoreId,
     helper: CoreId,
-    state: MesifState,
+    state: LineState,
     bytes: u64,
     iters: usize,
 ) -> Sample {
@@ -139,7 +139,7 @@ fn read_latency_sample(
     let mut now: SimTime = 0;
     for it in 0..iters {
         let src = (1u64 << 27) + (it as u64) * (lines + 4) * 64;
-        now = prep_lines(m, owner, helper, src, lines, MesifState::Exclusive, now);
+        now = prep_lines(m, owner, helper, src, lines, LineState::Exclusive, now);
         let done = m.read_buf(reader, src, lines * 64, true, now);
         s.push((done - now) as f64 / 1000.0);
         now = done + 5_000_000;
@@ -202,7 +202,7 @@ mod tests {
             CoreId(40),
             CoreId(0),
             CoreId(20),
-            MesifState::Modified,
+            LineState::Modified,
             64 << 10,
             5,
         );
@@ -221,7 +221,7 @@ mod tests {
             CoreId(1),
             CoreId(0),
             CoreId(20),
-            MesifState::Exclusive,
+            LineState::Exclusive,
             64 << 10,
             5,
         )
@@ -231,7 +231,7 @@ mod tests {
             CoreId(1),
             CoreId(0),
             CoreId(20),
-            MesifState::Modified,
+            LineState::Modified,
             64 << 10,
             5,
         )
@@ -248,7 +248,7 @@ mod tests {
             CoreId(40),
             CoreId(0),
             CoreId(20),
-            MesifState::Exclusive,
+            LineState::Exclusive,
             64 << 10,
             5,
         );

@@ -5,7 +5,7 @@
 
 use crate::state_prep::prep_lines;
 use knl_arch::CoreId;
-use knl_sim::{AccessKind, Machine, MesifState, Op, Program, SimTime};
+use knl_sim::{AccessKind, LineState, Machine, Op, Program, SimTime};
 
 /// The congestion workload as flag-synchronized Op-IR programs: each pair
 /// ping-pongs a private line, every handoff ordered by its own flag pair
@@ -82,7 +82,7 @@ pub fn congestion_with_pairs(m: &mut Machine, pairs: &[(CoreId, CoreId)], iters:
         let mut t0 = now;
         for (p, &(a, b)) in pairs.iter().enumerate() {
             let addr = (1u64 << 26) + ((it * pairs.len() + p) as u64) * 64;
-            t0 = t0.max(prep_lines(m, b, a, addr, 1, MesifState::Modified, now));
+            t0 = t0.max(prep_lines(m, b, a, addr, 1, LineState::Modified, now));
         }
         let mut worst = 0u64;
         for (p, &(a, b)) in pairs.iter().enumerate() {

@@ -4,7 +4,7 @@
 
 use crate::state_prep::prep_lines;
 use knl_arch::{CoreId, Schedule};
-use knl_sim::{AccessKind, Machine, MesifState, Op, Program, SimTime};
+use knl_sim::{AccessKind, LineState, Machine, Op, Program, SimTime};
 use knl_stats::Sample;
 
 /// The 1:N contention workload as flag-synchronized Op-IR programs: the
@@ -78,7 +78,7 @@ pub fn contention(
                 CoreId((num_cores - 2) as u16),
                 addr,
                 1,
-                MesifState::Modified,
+                LineState::Modified,
                 now,
             );
             // All N readers fire at the same instant; the home directory

@@ -3,7 +3,7 @@
 
 use crate::state_prep::prep_lines;
 use knl_arch::CoreId;
-use knl_sim::{AccessKind, Machine, MesifState, Op, Program, SimTime};
+use knl_sim::{AccessKind, LineState, Machine, Op, Program, SimTime};
 use knl_stats::Sample;
 
 /// Gap between iterations (lets shared resources drain).
@@ -57,7 +57,7 @@ pub fn transfer_latency(
     owner: CoreId,
     reader: CoreId,
     helper: CoreId,
-    state: MesifState,
+    state: LineState,
     iters: usize,
 ) -> Sample {
     let mut s = Sample::new();
@@ -77,7 +77,7 @@ pub fn transfer_latency(
 pub fn latency_map(
     m: &mut Machine,
     origin: CoreId,
-    states: &[MesifState],
+    states: &[LineState],
     iters: usize,
 ) -> Vec<(u16, char, f64)> {
     let num_cores = m.config().num_cores() as u16;
@@ -93,7 +93,7 @@ pub fn latency_map(
             .find(|c| c.tile() != owner.tile() && c.tile() != origin.tile())
             .expect("machine has ≥3 tiles");
         for &st in states {
-            let sample = if st == MesifState::Invalid {
+            let sample = if st == LineState::Invalid {
                 // I: the line comes from memory regardless of the partner;
                 // salt by partner id so no region is ever re-read.
                 invalid_latency_salted(m, origin, iters, partner as u64)
@@ -152,9 +152,9 @@ mod tests {
         let owner = CoreId(0);
         let reader = CoreId(1);
         let helper = CoreId(20);
-        let lm = transfer_latency(&mut m, owner, reader, helper, MesifState::Modified, 9).median();
-        let le = transfer_latency(&mut m, owner, reader, helper, MesifState::Exclusive, 9).median();
-        let ls = transfer_latency(&mut m, owner, reader, helper, MesifState::Shared, 9).median();
+        let lm = transfer_latency(&mut m, owner, reader, helper, LineState::Modified, 9).median();
+        let le = transfer_latency(&mut m, owner, reader, helper, LineState::Exclusive, 9).median();
+        let ls = transfer_latency(&mut m, owner, reader, helper, LineState::Shared, 9).median();
         assert!(lm > le && le > ls, "M={lm} E={le} S={ls}");
         assert!((lm - 34.0).abs() < 8.0, "tile M {lm}");
         assert!((ls - 14.0).abs() < 4.0, "tile S {ls}");
@@ -166,9 +166,9 @@ mod tests {
         let owner = CoreId(40);
         let reader = CoreId(0);
         let helper = CoreId(20);
-        let lm = transfer_latency(&mut m, owner, reader, helper, MesifState::Modified, 9).median();
+        let lm = transfer_latency(&mut m, owner, reader, helper, LineState::Modified, 9).median();
         assert!((90.0..160.0).contains(&lm), "remote M {lm}");
-        let ls = transfer_latency(&mut m, owner, reader, helper, MesifState::Shared, 9).median();
+        let ls = transfer_latency(&mut m, owner, reader, helper, LineState::Shared, 9).median();
         assert!(ls < lm, "S {ls} < M {lm}");
     }
 
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn latency_map_covers_all_partners() {
         let mut m = machine();
-        let map = latency_map(&mut m, CoreId(0), &[MesifState::Modified], 3);
+        let map = latency_map(&mut m, CoreId(0), &[LineState::Modified], 3);
         assert_eq!(map.len(), 63);
         // Same-tile partner (core 1) must be the fastest M transfer.
         let tile_lat = map.iter().find(|(c, _, _)| *c == 1).unwrap().2;

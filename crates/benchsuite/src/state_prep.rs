@@ -2,7 +2,7 @@
 //! (the same way the BenchIT harness arranges states on hardware).
 
 use knl_arch::CoreId;
-use knl_sim::{AccessKind, Machine, MesifState, SimTime};
+use knl_sim::{AccessKind, LineState, Machine, SimTime};
 
 /// Gap inserted between preparation and measurement so preparation traffic
 /// has fully drained (directory serialization slots, device queues).
@@ -17,7 +17,7 @@ pub fn prep_lines(
     helper: CoreId,
     base: u64,
     lines: u64,
-    state: MesifState,
+    state: LineState,
     mut now: SimTime,
 ) -> SimTime {
     assert_ne!(
@@ -28,28 +28,28 @@ pub fn prep_lines(
     for i in 0..lines {
         let addr = base + i * 64;
         match state {
-            MesifState::Modified => {
+            LineState::Modified => {
                 now = m.access(owner, addr, AccessKind::Write, now).complete;
             }
-            MesifState::Exclusive => {
+            LineState::Exclusive => {
                 // NT store invalidates every cached copy; the next read gets E.
                 now = m.access(owner, addr, AccessKind::NtStore, now).complete;
                 now = m.access(owner, addr, AccessKind::Read, now).complete;
             }
-            MesifState::Shared | MesifState::Owned => {
+            LineState::Shared | LineState::Owned => {
                 // Owner dirties, helper reads: under MESIF the owner
                 // downgrades to S (helper F); under MOESI/Dragon the owner
                 // keeps the dirty line as O with the helper sharing.
                 now = m.access(owner, addr, AccessKind::Write, now).complete;
                 now = m.access(helper, addr, AccessKind::Read, now).complete;
             }
-            MesifState::Forward => {
+            LineState::Forward => {
                 // Helper first (E), then owner reads: owner becomes F.
                 now = m.access(helper, addr, AccessKind::NtStore, now).complete;
                 now = m.access(helper, addr, AccessKind::Read, now).complete;
                 now = m.access(owner, addr, AccessKind::Read, now).complete;
             }
-            MesifState::Invalid => {
+            LineState::Invalid => {
                 now = m.access(owner, addr, AccessKind::NtStore, now).complete;
             }
         }
@@ -77,11 +77,11 @@ mod tests {
         let owner = CoreId(0);
         let helper = CoreId(10);
         for (state, expect) in [
-            (MesifState::Modified, MesifState::Modified),
-            (MesifState::Exclusive, MesifState::Exclusive),
-            (MesifState::Shared, MesifState::Shared),
-            (MesifState::Forward, MesifState::Forward),
-            (MesifState::Invalid, MesifState::Invalid),
+            (LineState::Modified, LineState::Modified),
+            (LineState::Exclusive, LineState::Exclusive),
+            (LineState::Shared, LineState::Shared),
+            (LineState::Forward, LineState::Forward),
+            (LineState::Invalid, LineState::Invalid),
         ] {
             let base = 1 << 20;
             let t = prep_lines(&mut m, owner, helper, base, 4, state, 0);
@@ -101,6 +101,6 @@ mod tests {
     #[should_panic(expected = "another tile")]
     fn same_tile_helper_rejected() {
         let mut m = machine();
-        prep_lines(&mut m, CoreId(0), CoreId(1), 0, 1, MesifState::Shared, 0);
+        prep_lines(&mut m, CoreId(0), CoreId(1), 0, 1, LineState::Shared, 0);
     }
 }

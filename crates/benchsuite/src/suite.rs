@@ -11,7 +11,7 @@ use crate::params::SuiteParams;
 use crate::pointer_chase;
 use knl_arch::{CoreId, MachineConfig, MemoryMode, NumaKind, Schedule};
 use knl_sim::{
-    CheckLevel, Machine, MesifState, ObserverConfig, StreamKind, TelemetrySampler, TraceLevel,
+    CheckLevel, LineState, Machine, ObserverConfig, StreamKind, TelemetrySampler, TraceLevel,
     Tracer,
 };
 
@@ -53,10 +53,10 @@ pub fn run_cache_suite(m: &mut Machine, params: &SuiteParams) -> CacheResults {
     };
 
     for st in [
-        MesifState::Modified,
-        MesifState::Exclusive,
-        MesifState::Shared,
-        MesifState::Forward,
+        LineState::Modified,
+        LineState::Exclusive,
+        LineState::Shared,
+        LineState::Forward,
     ] {
         let tile = pointer_chase::transfer_latency(m, tile_owner, reader, helper, st, params.iters);
         r.tile_ns
@@ -75,7 +75,7 @@ pub fn run_cache_suite(m: &mut Machine, params: &SuiteParams) -> CacheResults {
             remote_owner,
             reader,
             helper,
-            MesifState::Exclusive,
+            LineState::Exclusive,
             bytes,
             params.iters.min(7),
         );
@@ -84,7 +84,7 @@ pub fn run_cache_suite(m: &mut Machine, params: &SuiteParams) -> CacheResults {
     r.read_bw_gbps = best_read;
 
     for (loc, owner) in [("tile", tile_owner), ("remote", remote_owner)] {
-        for st in [MesifState::Modified, MesifState::Exclusive] {
+        for st in [LineState::Modified, LineState::Exclusive] {
             let mut best: f64 = 0.0;
             for &bytes in &params.c2c_sizes {
                 let s = cachebw::copy_bandwidth(
@@ -104,7 +104,7 @@ pub fn run_cache_suite(m: &mut Machine, params: &SuiteParams) -> CacheResults {
 
     // Fig. 5 sweep over the three locations.
     for (loc, owner) in cachebw::fig5_partners(m, reader) {
-        for st in [MesifState::Modified, MesifState::Exclusive] {
+        for st in [LineState::Modified, LineState::Exclusive] {
             for &bytes in &params.c2c_sizes {
                 let s = cachebw::copy_bandwidth(
                     m,
@@ -422,7 +422,7 @@ mod tests {
         for (base, lines) in [(regions[0], 16u64), (regions[1], 8192), (regions[2], 8192)] {
             for addr in (0..lines).map(|l| base + l * 64) {
                 for t in 0..tiles {
-                    assert_eq!(m.line_state(addr, TileId(t)), MesifState::Invalid);
+                    assert_eq!(m.line_state(addr, TileId(t)), LineState::Invalid);
                 }
             }
         }

@@ -13,9 +13,9 @@
 
 use crate::analyze::AnalyzeLevel;
 use crate::counters::Counters;
+use crate::directory::{DirEntry, GlobalState};
 use crate::invariants::{CheckLevel, CoherenceChecker, ProtoEvent};
 use crate::machine::ServedBy;
-use crate::mesif::{DirEntry, GlobalState};
 use crate::program::Program;
 use crate::telemetry::{TelemetryConfig, TelemetrySampler};
 use crate::trace::{EventKind, TraceLevel, Tracer, NO_TILE};
@@ -912,7 +912,7 @@ mod tests {
 
     #[test]
     fn remote_serve_traced_with_state_and_hops() {
-        use crate::mesif::MesifState;
+        use crate::directory::LineState;
         use crate::trace::hop_dist;
         let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
         let mut m =
@@ -925,7 +925,7 @@ mod tests {
         let out = m.access(reader, addr, AccessKind::Read, t);
         let holder = match out.served_by {
             ServedBy::RemoteCache { holder, state } => {
-                assert_eq!(state, MesifState::Modified);
+                assert_eq!(state, LineState::Modified);
                 holder
             }
             other => panic!("expected remote-cache serve, got {other:?}"),

@@ -8,17 +8,67 @@
 //! hub is empty or full.
 
 use crate::cache::Insert;
+use crate::directory::LineState;
 use crate::engine::observe::{gstate_tag, src_tag};
 use crate::invariants::ProtoEvent;
 use crate::machine::{AccessOutcome, Machine, ServedBy};
 use crate::mcache::McacheOutcome;
-use crate::mesif::MesifState;
-use crate::protocol;
+use crate::protocol::{self, Outcome, Request};
 use crate::trace::hop_dist;
 use crate::SimTime;
 use knl_arch::{CoreId, MemTarget, TileId, LINE_SHIFT};
 
 impl Machine {
+    /// The one place the engine steps a directory entry: run `request`
+    /// from `tile` through the protocol table (plus the defect a test
+    /// injected, if any) and emit the [`crate::ProtocolEvent::Dir`] event
+    /// carrying the entry's own pre-state tag and post-state. `None` when
+    /// the directory has no entry for `line`: nothing to transition.
+    ///
+    /// Forced inline (as is `transition`, by hint): `request` is a constant
+    /// at every call site, so each copy folds the table down to that
+    /// request's arms. Left as one shared function the ownership ping-pong
+    /// of the `remote_transfer` bench case ran 61 ns against 55 ns.
+    #[inline(always)]
+    fn dir_step(
+        &mut self,
+        time: SimTime,
+        line: u64,
+        request: Request,
+        tile: TileId,
+        counted: bool,
+    ) -> Option<Outcome> {
+        let kind = self.cfg.protocol;
+        let entry = self.dir.get_mut(line)?;
+        let pre = *entry;
+        let mut out = protocol::transition(kind, entry, request, tile);
+        if let Some(defect) = self.mutation {
+            defect.corrupt(kind, request, tile, &pre, entry, &mut out);
+        }
+        let event = match request {
+            Request::Read => ProtoEvent::GrantRead { tile },
+            Request::Write => ProtoEvent::GrantWrite {
+                tile,
+                invalidated: out.invalidated,
+                updated: out.updated,
+            },
+            Request::Evict => ProtoEvent::Evict {
+                tile,
+                dirty: out.writeback,
+            },
+            Request::NtStore if kind.invalidation_based() => ProtoEvent::InvalidateAll {
+                holders: out.invalidated,
+                dirty: out.writeback,
+            },
+            Request::NtStore => ProtoEvent::UpdateAll {
+                holders: out.updated,
+            },
+        };
+        self.hub
+            .dir_transition(time, line, gstate_tag(&pre.state), event, entry, counted);
+        Some(out)
+    }
+
     pub(crate) fn read(
         &mut self,
         core: CoreId,
@@ -46,13 +96,13 @@ impl Machine {
         let tile_state = self
             .dir
             .get(line)
-            .map_or(MesifState::Invalid, |e| e.state_of(tile));
-        if tile_state != MesifState::Invalid && self.l2[tile.0 as usize].lookup(line, ver) {
+            .map_or(LineState::Invalid, |e| e.state_of(tile));
+        if tile_state != LineState::Invalid && self.l2[tile.0 as usize].lookup(line, ver) {
             self.counters.l2_hits += 1;
             // A dirty copy (M, or O under the owner protocols) pays the
             // write-back-bookkeeping extra.
-            let is_m = matches!(tile_state, MesifState::Modified | MesifState::Owned);
-            let is_e = tile_state == MesifState::Exclusive;
+            let is_m = matches!(tile_state, LineState::Modified | LineState::Owned);
+            let is_e = tile_state == LineState::Exclusive;
             let lat = t.tile_l2_ps(is_m, is_e);
             // Port occupancy bounds same-tile bandwidth.
             let port = t.l2_port_ps_per_line + if is_m { t.l2_port_m_extra_ps } else { 0 };
@@ -85,40 +135,30 @@ impl Machine {
         let t_svc = t_req + wait + t.cha_lookup_ps;
         entry.busy_until = t_req + wait + t.cha_line_serialize_ps;
 
-        let proto = self.cfg.protocol;
         let supplier = entry.supplier().filter(|&s| s != tile);
         let outcome = if let Some(sup) = supplier {
             let st = entry.state_of(sup);
             let extra = match st {
                 // A dirty supplier (M, or O under the owner protocols) pays
                 // the same forced-readout extra.
-                MesifState::Modified | MesifState::Owned => t.remote_m_extra_ps,
-                MesifState::Exclusive => t.remote_e_extra_ps,
-                MesifState::Shared | MesifState::Forward | MesifState::Invalid => 0,
+                LineState::Modified | LineState::Owned => t.remote_m_extra_ps,
+                LineState::Exclusive => t.remote_e_extra_ps,
+                LineState::Shared | LineState::Forward | LineState::Invalid => 0,
             };
             let sup_pos = self.topo.tile_position(sup);
             let t_data =
                 self.mesh.traverse(home_pos, sup_pos, t_svc + t.inject_ps) + t.remote_l2_ps + extra;
             let complete = self.mesh.traverse(sup_pos, req_pos, t_data + t.inject_ps) + t.fill_ps;
             self.counters.remote_cache_hits += 1;
-            let mu = self.mutation;
-            let entry = self.dir.get_mut(line).expect("entry exists");
-            let from = gstate_tag(&entry.state);
-            let grant = protocol::grant_read_mutated(proto, mu, entry, tile);
+            let grant = self
+                .dir_step(t_svc, line, Request::Read, tile, true)
+                .expect("entry exists");
             if grant.writeback {
                 // Forced write-back downgrades M to a clean state (MESIF:
                 // M→S; the owner protocols keep the dirty line cached as O
                 // and flush nothing here).
                 self.counters.writebacks += 1;
             }
-            self.hub.dir_transition(
-                t_svc,
-                line,
-                from,
-                ProtoEvent::GrantRead { tile },
-                entry,
-                true,
-            );
             self.hub.coherent_read(t_svc, line, false);
             let jc = now + self.jitter(complete - now, line);
             if self.hub.enabled() {
@@ -148,22 +188,11 @@ impl Machine {
             let (ready, served_by) = self.memory_read(addr, line, home_pos, t_svc);
             let served_pos = self.served_pos(served_by);
             let complete = self.mesh.traverse(served_pos, req_pos, ready + t.inject_ps) + t.fill_ps;
-            let mu = self.mutation;
-            let entry = self.dir.get_mut(line).expect("entry exists");
-            let from = gstate_tag(&entry.state);
-            let grant = protocol::grant_read_mutated(proto, mu, entry, tile);
-            if grant.writeback {
-                self.counters.writebacks += 1;
-                self.hub.writeback(ready, line, false);
-            }
-            self.hub.dir_transition(
-                t_svc,
-                line,
-                from,
-                ProtoEvent::GrantRead { tile },
-                entry,
-                true,
-            );
+            let grant = self
+                .dir_step(t_svc, line, Request::Read, tile, true)
+                .expect("entry exists");
+            // A dirty copy elsewhere would have been the supplier above.
+            debug_assert!(!grant.writeback, "memory served a line cached dirty");
             self.hub.coherent_read(t_svc, line, true);
             let jc = now + self.jitter(complete - now, line);
             if self.hub.enabled() {
@@ -202,11 +231,11 @@ impl Machine {
         let tile_state = self
             .dir
             .get(line)
-            .map_or(MesifState::Invalid, |e| e.state_of(tile));
+            .map_or(LineState::Invalid, |e| e.state_of(tile));
         let ver = self.dir.get(line).map_or(0, |e| e.version);
 
         // Silent upgrade: tile already owns the line (M or E).
-        if matches!(tile_state, MesifState::Modified | MesifState::Exclusive)
+        if matches!(tile_state, LineState::Modified | LineState::Exclusive)
             && self.l2[tile.0 as usize].lookup(line, ver)
         {
             let in_l1 = self.l1[core.0 as usize].lookup(line, ver);
@@ -216,30 +245,15 @@ impl Machine {
             } else {
                 self.counters.l2_hits += 1;
                 t.tile_l2_ps(
-                    tile_state == MesifState::Modified,
-                    tile_state == MesifState::Exclusive,
+                    tile_state == LineState::Modified,
+                    tile_state == LineState::Exclusive,
                 )
             };
-            let mu = self.mutation;
-            let proto = self.cfg.protocol;
-            let entry = self.dir.get_mut(line).expect("owned line has entry");
-            let from = gstate_tag(&entry.state);
-            let grant = protocol::grant_write_mutated(proto, mu, entry, tile);
-            self.hub.dir_transition(
-                now,
-                line,
-                from,
-                ProtoEvent::GrantWrite {
-                    tile,
-                    invalidated: grant.invalidated,
-                    updated: grant.updated,
-                },
-                entry,
-                true,
-            );
+            self.dir_step(now, line, Request::Write, tile, true)
+                .expect("owned line has entry");
             // The version advanced (sibling-core L1 copies die); re-stamp
             // the writer's own caches.
-            let ver = entry.version;
+            let ver = self.dir.get(line).map_or(0, |e| e.version);
             self.l2_fill(tile, line, ver);
             self.l1_fill(core, line, ver);
             let dur = self.jitter(lat, line);
@@ -272,21 +286,19 @@ impl Machine {
         let t_svc = t_req + wait + t.cha_lookup_ps;
         entry.busy_until = t_req + wait + t.cha_line_serialize_ps;
 
-        let proto = self.cfg.protocol;
         // Under write-update (Dragon) every valid copy is current, so a
         // holder's write needs permission only — never a supplier fetch.
         // The invalidation protocols fetch from the supplier even while
         // holding S (MESIF: the F copy answers).
-        let supplier = entry.supplier().filter(|&s| s != tile).filter(|_| {
-            !(protocol::write_upgrades_any_copy(proto) && tile_state != MesifState::Invalid)
-        });
+        let fetches = self.cfg.protocol.invalidation_based() || tile_state == LineState::Invalid;
+        let supplier = entry.supplier().filter(|&s| s != tile && fetches);
 
         let (data_ready, served_by) = if let Some(sup) = supplier {
             let st = entry.state_of(sup);
             let extra = match st {
-                MesifState::Modified | MesifState::Owned => t.remote_m_extra_ps,
-                MesifState::Exclusive => t.remote_e_extra_ps,
-                MesifState::Shared | MesifState::Forward | MesifState::Invalid => 0,
+                LineState::Modified | LineState::Owned => t.remote_m_extra_ps,
+                LineState::Exclusive => t.remote_e_extra_ps,
+                LineState::Shared | LineState::Forward | LineState::Invalid => 0,
             };
             let sup_pos = self.topo.tile_position(sup);
             let at_sup =
@@ -304,7 +316,7 @@ impl Machine {
                     state: st,
                 },
             )
-        } else if tile_state != MesifState::Invalid {
+        } else if tile_state != LineState::Invalid {
             // Upgrade from S/F: data already local; only permission needed.
             let ready = self.mesh.traverse(home_pos, req_pos, t_svc + t.inject_ps);
             (ready, ServedBy::TileL2(tile_state))
@@ -317,22 +329,9 @@ impl Machine {
             (ready, served)
         };
 
-        let mu = self.mutation;
-        let entry = self.dir.get_mut(line).expect("entry exists");
-        let from = gstate_tag(&entry.state);
-        let grant = protocol::grant_write_mutated(proto, mu, entry, tile);
-        self.hub.dir_transition(
-            t_svc,
-            line,
-            from,
-            ProtoEvent::GrantWrite {
-                tile,
-                invalidated: grant.invalidated,
-                updated: grant.updated,
-            },
-            entry,
-            true,
-        );
+        let grant = self
+            .dir_step(t_svc, line, Request::Write, tile, true)
+            .expect("entry exists");
         self.counters.invalidations += grant.invalidated as u64;
         self.counters.updates += grant.updated as u64;
         let inv_cost = grant.invalidated as u64 * t.invalidate_per_sharer_ps
@@ -370,7 +369,6 @@ impl Machine {
         now: SimTime,
     ) -> AccessOutcome {
         let t = self.cfg.timing.clone();
-        let proto = self.cfg.protocol;
         self.counters.nt_stores += 1;
         self.hub.issue(now, line, 'N');
         // Sweep any cached copies (rare for streaming workloads). The
@@ -378,27 +376,10 @@ impl Machine {
         // the same accounting as the RFO path, which the coherence checker
         // reconciles exactly; Dragon refreshes each copy in place instead.
         let mut extra = 0;
-        let mut swept = None;
-        let mu = self.mutation;
-        if let Some(entry) = self.dir.get_mut(line) {
-            if entry.num_holders() > 0 {
-                let from = gstate_tag(&entry.state);
-                let sweep = protocol::nt_store_mutated(proto, mu, entry);
-                let event = if proto.invalidation_based() {
-                    ProtoEvent::InvalidateAll {
-                        holders: sweep.invalidated,
-                        dirty: sweep.writeback,
-                    }
-                } else {
-                    ProtoEvent::UpdateAll {
-                        holders: sweep.updated,
-                    }
-                };
-                self.hub.dir_transition(now, line, from, event, entry, true);
-                swept = Some(sweep);
-            }
-        }
-        if let Some(sweep) = swept {
+        if self.dir.get(line).is_some_and(|e| e.num_holders() > 0) {
+            let sweep = self
+                .dir_step(now, line, Request::NtStore, tile, true)
+                .expect("entry just seen");
             self.counters.invalidations += sweep.invalidated as u64;
             self.counters.updates += sweep.updated as u64;
             extra = sweep.invalidated as u64 * t.invalidate_per_sharer_ps
@@ -637,24 +618,9 @@ impl Machine {
 
     pub(crate) fn l2_fill(&mut self, tile: TileId, line: u64, version: u32) {
         if let Insert::Evicted(victim) = self.l2[tile.0 as usize].insert(line, version) {
-            let mut dirty = None;
             let when = self.l2_port_busy[tile.0 as usize];
-            let proto = self.cfg.protocol;
-            let mu = self.mutation;
-            if let Some(entry) = self.dir.get_mut(victim) {
-                let from = gstate_tag(&entry.state);
-                let d = protocol::evict_mutated(proto, mu, entry, tile);
-                self.hub.dir_transition(
-                    when,
-                    victim,
-                    from,
-                    ProtoEvent::Evict { tile, dirty: d },
-                    entry,
-                    true,
-                );
-                dirty = Some(d);
-            }
-            if dirty == Some(true) {
+            let evicted = self.dir_step(when, victim, Request::Evict, tile, true);
+            if evicted.is_some_and(|e| e.writeback) {
                 // Dirty victim: write back in the background.
                 self.counters.writebacks += 1;
                 self.hub.writeback(when, victim, false);
@@ -681,23 +647,8 @@ impl Machine {
             }
         }
         self.l2[tile.0 as usize].remove(line);
-        let mut dirty = None;
-        let proto = self.cfg.protocol;
-        let mu = self.mutation;
-        if let Some(entry) = self.dir.get_mut(line) {
-            let from = gstate_tag(&entry.state);
-            let d = protocol::evict_mutated(proto, mu, entry, tile);
-            self.hub.dir_transition(
-                now,
-                line,
-                from,
-                ProtoEvent::Evict { tile, dirty: d },
-                entry,
-                true,
-            );
-            dirty = Some(d);
-        }
-        if dirty == Some(true) {
+        let evicted = self.dir_step(now, line, Request::Evict, tile, true);
+        if evicted.is_some_and(|e| e.writeback) {
             self.counters.writebacks += 1;
             self.hub.writeback(now, line, false);
             let pos = self.topo.tile_position(tile);
@@ -708,117 +659,52 @@ impl Machine {
     }
 
     /// Pre-load a line into a tile's caches in a given state without timing
-    /// (benchmark state preparation). `core` receives an L1 copy too.
-    pub fn prepare_line(&mut self, core: CoreId, addr: u64, state: MesifState) {
+    /// (benchmark state preparation). `core` receives an L1 copy too. Every
+    /// step is an uncounted directory transition with its own event, so
+    /// occupancy observers see the line arrive exactly once.
+    pub fn prepare_line(&mut self, core: CoreId, addr: u64, state: LineState) {
         let line = addr >> LINE_SHIFT;
         let tile = core.tile();
-        let proto = self.cfg.protocol;
-        match state {
-            MesifState::Invalid => {
-                if let Some(entry) = self.dir.get_mut(line) {
-                    let from = gstate_tag(&entry.state);
-                    let holders = entry.num_holders();
-                    let dirty = entry.invalidate_all();
-                    self.hub.dir_transition(
-                        0,
-                        line,
-                        from,
-                        ProtoEvent::InvalidateAll { holders, dirty },
-                        entry,
-                        false,
-                    );
-                }
-            }
-            MesifState::Modified | MesifState::Owned => {
-                let entry = self.dir.get_or_insert_default(line);
-                let from = gstate_tag(&entry.state);
-                let grant = protocol::grant_write(proto, entry, tile);
-                self.hub.dir_transition(
-                    0,
-                    line,
-                    from,
-                    ProtoEvent::GrantWrite {
-                        tile,
-                        invalidated: grant.invalidated,
-                        updated: grant.updated,
-                    },
-                    entry,
-                    false,
-                );
-                let ver = entry.version;
-                self.l2_fill(tile, line, ver);
-                self.l1_fill(core, line, ver);
-            }
-            MesifState::Exclusive => {
-                let entry = self.dir.get_or_insert_default(line);
+        let helper = TileId((tile.0 + 1) % self.cfg.active_tiles as u16);
+        // Every state but the dirty ones is built up from a line nobody
+        // caches: drop all copies first (under any protocol — this is a
+        // flush, not an NT store, which Dragon would answer by updating).
+        if !state.dirty() {
+            if let Some(entry) = self.dir.get_mut(line) {
                 let from = gstate_tag(&entry.state);
                 let holders = entry.num_holders();
                 let dirty = entry.invalidate_all();
-                protocol::grant_read(proto, entry, tile); // first reader ⇒ E
-                self.hub.dir_transition(
-                    0,
-                    line,
-                    from,
-                    ProtoEvent::InvalidateAll { holders, dirty },
-                    entry,
-                    false,
-                );
-                self.hub.dir_transition(
-                    0,
-                    line,
-                    from,
-                    ProtoEvent::GrantRead { tile },
-                    entry,
-                    false,
-                );
-                let ver = entry.version;
-                self.l2_fill(tile, line, ver);
-                self.l1_fill(core, line, ver);
-            }
-            MesifState::Shared | MesifState::Forward => {
-                // Owner reads, then a helper tile reads, leaving the owner S
-                // and the helper F; for an F request we re-read from `core`.
-                let entry = self.dir.get_or_insert_default(line);
-                let from = gstate_tag(&entry.state);
-                let holders = entry.num_holders();
-                let dirty = entry.invalidate_all();
-                let helper = TileId((tile.0 + 1) % self.cfg.active_tiles as u16);
-                let (first, second) = if state == MesifState::Shared {
-                    (tile, helper)
-                } else {
-                    (helper, tile)
-                };
-                protocol::grant_read(proto, entry, first);
-                protocol::grant_read(proto, entry, second);
-                self.hub.dir_transition(
-                    0,
-                    line,
-                    from,
-                    ProtoEvent::InvalidateAll { holders, dirty },
-                    entry,
-                    false,
-                );
-                self.hub.dir_transition(
-                    0,
-                    line,
-                    from,
-                    ProtoEvent::GrantRead { tile: second },
-                    entry,
-                    false,
-                );
-                let ver = entry.version;
-                self.l2_fill(tile, line, ver);
-                self.l1_fill(core, line, ver);
+                let flush = ProtoEvent::InvalidateAll { holders, dirty };
+                self.hub.dir_transition(0, line, from, flush, entry, false);
             }
         }
+        let steps: &[(Request, TileId)] = match state {
+            LineState::Invalid => return,
+            LineState::Modified | LineState::Owned => &[(Request::Write, tile)],
+            // First reader ⇒ E.
+            LineState::Exclusive => &[(Request::Read, tile)],
+            // Owner reads, then a helper tile reads, leaving the owner S
+            // and the helper F; for an F request the roles swap.
+            LineState::Shared => &[(Request::Read, tile), (Request::Read, helper)],
+            LineState::Forward => &[(Request::Read, helper), (Request::Read, tile)],
+        };
+        self.dir.get_or_insert_default(line);
+        for &(request, by) in steps {
+            self.dir_step(0, line, request, by, false);
+        }
+        let ver = self.dir.get(line).map_or(0, |e| e.version);
+        self.l2_fill(tile, line, ver);
+        self.l1_fill(core, line, ver);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::directory::LineState;
     use crate::machine::{AccessKind, Machine, ServedBy};
-    use crate::mesif::MesifState;
-    use knl_arch::{ClusterMode, CoreId, MachineConfig, MemTarget, MemoryMode, NumaKind, Schedule};
+    use knl_arch::{
+        ClusterMode, CoreId, MachineConfig, MemTarget, MemoryMode, NumaKind, ProtocolKind, Schedule,
+    };
 
     fn machine(cm: ClusterMode, mm: MemoryMode) -> Machine {
         let mut m = Machine::new(MachineConfig::knl7210(cm, mm));
@@ -891,9 +777,9 @@ mod tests {
         let owner = CoreId(0);
         let reader = CoreId(1); // same tile
         for (state, expect_ns) in [
-            (MesifState::Modified, 34.0),
-            (MesifState::Exclusive, 18.0),
-            (MesifState::Shared, 14.0),
+            (LineState::Modified, 34.0),
+            (LineState::Exclusive, 18.0),
+            (LineState::Shared, 14.0),
         ] {
             let addr = 1 << 16;
             m.reset_caches();
@@ -918,7 +804,7 @@ mod tests {
         let owner = CoreId(10); // tile 5
         let reader = CoreId(0); // tile 0
         let addr = 1 << 16;
-        m.prepare_line(owner, addr, MesifState::Modified);
+        m.prepare_line(owner, addr, LineState::Modified);
         let out = m.access(reader, addr, AccessKind::Read, 0);
         assert!(matches!(out.served_by, ServedBy::RemoteCache { .. }));
         let ns = out.complete as f64 / 1000.0;
@@ -932,8 +818,8 @@ mod tests {
         let reader = CoreId(0);
         let addr_m = 1 << 16;
         let addr_s = 2 << 16;
-        m.prepare_line(owner, addr_m, MesifState::Modified);
-        m.prepare_line(owner, addr_s, MesifState::Forward);
+        m.prepare_line(owner, addr_m, LineState::Modified);
+        m.prepare_line(owner, addr_s, LineState::Forward);
         let tm = m.access(reader, addr_m, AccessKind::Read, 0).complete;
         let ts = m
             .access(reader, addr_s, AccessKind::Read, 10_000_000)
@@ -949,7 +835,7 @@ mod tests {
         let b = CoreId(10);
         let addr = 1 << 16;
         // b owns; a reads (both share); b writes (invalidates a); a reads again.
-        m.prepare_line(b, addr, MesifState::Modified);
+        m.prepare_line(b, addr, LineState::Modified);
         let r1 = m.access(a, addr, AccessKind::Read, 0);
         assert!(matches!(r1.served_by, ServedBy::RemoteCache { .. }));
         let w = m.access(b, addr, AccessKind::Write, r1.complete);
@@ -964,6 +850,30 @@ mod tests {
     }
 
     #[test]
+    fn only_dragon_upgrades_any_copy() {
+        // A clean sharer writes while another tile owns the line dirty (O).
+        // Under write-update every valid copy is current, so Dragon needs
+        // permission only; an invalidation protocol with the same directory
+        // state (MOESI) fetches from the supplier.
+        for (kind, upgrades) in [(ProtocolKind::Moesi, false), (ProtocolKind::Dragon, true)] {
+            let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
+            let mut m = Machine::new(cfg.with_protocol(kind));
+            m.set_jitter(0);
+            let (owner, sharer, addr) = (CoreId(0), CoreId(10), 1 << 16);
+            let t = m.access(owner, addr, AccessKind::Write, 0).complete;
+            let t = m.access(sharer, addr, AccessKind::Read, t).complete;
+            assert_eq!(m.line_state(addr, owner.tile()), LineState::Owned, "{kind}");
+            let w = m.access(sharer, addr, AccessKind::Write, t + 1_000_000);
+            assert_eq!(
+                matches!(w.served_by, ServedBy::TileL2(LineState::Shared)),
+                upgrades,
+                "{kind}: {:?}",
+                w.served_by
+            );
+        }
+    }
+
+    #[test]
     fn contention_serializes_at_directory() {
         // N readers hitting the same M line nearly simultaneously: the last
         // completion grows roughly linearly with N (Table I: α + β·N).
@@ -972,7 +882,7 @@ mod tests {
         let addr = 1 << 16;
         let last_for = |m: &mut Machine, n: usize| -> u64 {
             m.reset_caches();
-            m.prepare_line(owner, addr, MesifState::Modified);
+            m.prepare_line(owner, addr, LineState::Modified);
             let mut worst = 0;
             for i in 0..n {
                 let reader = Schedule::Scatter.core(i + 1, 64);

@@ -285,8 +285,8 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::StreamState;
+    use crate::directory::LineState;
     use crate::machine::Machine;
-    use crate::mesif::MesifState;
     use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, NumaKind, Schedule};
 
     fn machine(cm: ClusterMode, mm: MemoryMode) -> Machine {
@@ -417,7 +417,7 @@ mod tests {
         let src = 1 << 20;
         let dst = 8 << 20;
         for l in 0..knl_arch::lines_for(bytes) {
-            m.prepare_line(owner, src + l * 64, MesifState::Modified);
+            m.prepare_line(owner, src + l * 64, LineState::Modified);
         }
         let done = m.copy_buf(reader, src, dst, bytes, true, 0);
         let gbps = (bytes as f64 / 1e9) / (done as f64 / 1e12);

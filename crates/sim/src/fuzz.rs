@@ -11,9 +11,9 @@ use crate::engine::observe::ObserverConfig;
 use crate::invariants::CheckLevel;
 use crate::machine::{AccessKind, Machine};
 use crate::modelcheck::{McOp, McOpKind};
+use crate::mutation::Mutation;
 use crate::ops::Op;
 use crate::program::Program;
-use crate::protocol::Mutation;
 use crate::Counters;
 use knl_arch::{CoreId, MachineConfig, NumaKind, Schedule, SplitMixRng};
 

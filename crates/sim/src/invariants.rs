@@ -2,17 +2,17 @@
 //! memory oracle.
 //!
 //! Every number the repo reproduces flows through the coherence directory in
-//! [`crate::mesif`] (MESIF by default; see [`crate::protocol`] for the other
-//! back ends); a silent protocol bug would quietly skew every fitted
-//! α/β. This module is a pure *observer* bolted onto [`crate::Machine`]:
+//! [`crate::directory`], stepped by the one transition table in
+//! [`crate::protocol`] (MESIF by default); a silent protocol bug would
+//! quietly skew every fitted α/β. This module is a pure *observer* bolted onto [`crate::Machine`]:
 //! at every [`DirEntry`] transition the machine notifies a
 //! [`CoherenceChecker`], which
 //!
 //! * validates the directory invariants (at most one M/E holder; `sharers`
-//!   nonempty and duplicate-free in S/O; the F forwarder or O owner, when
-//!   present, is a listed sharer; states foreign to the running protocol
-//!   never appear — see `CoherenceProtocol::validate_entry`; `supplier()`
-//!   is always a current holder; `busy_until` is monotone per line; the
+//!   nonempty in S/O; the F forwarder or O owner, when present, is a
+//!   listed sharer; states foreign to the running protocol never appear —
+//!   see [`crate::protocol::validate`]; `supplier()` is always a current
+//!   holder; `busy_until` is monotone per line; the
 //!   `version` epoch never regresses),
 //! * keeps its own invalidation/update/write-back message counts and
 //!   reconciles them against [`crate::counters::Counters`] at the end of a
@@ -32,8 +32,9 @@
 //! enough to reproduce and debug a failure.
 
 use crate::counters::Counters;
+use crate::directory::{DirEntry, LineState};
 use crate::fxmap::LineMap;
-use crate::mesif::{DirEntry, GlobalState, LineState};
+use crate::protocol;
 use knl_arch::{ProtocolKind, TileId};
 use std::collections::VecDeque;
 
@@ -124,24 +125,12 @@ pub enum ProtoEvent {
     },
 }
 
-/// A recorded event plus the entry state *after* the transition.
-#[derive(Debug, Clone)]
+/// A recorded event plus the entry *after* the transition.
+#[derive(Debug, Clone, Copy)]
 struct EventRecord {
     seq: u64,
     event: ProtoEvent,
-    state: GlobalState,
-    sharers: Vec<TileId>,
-    version: u32,
-    busy_until: u64,
-}
-
-/// Structural legality of `entry` under `kind` — the exact predicate the
-/// runtime checker applies after every directory transition (sharer-list
-/// shape, supplier holds the line, no states foreign to the protocol).
-/// Exposed so the exhaustive model checker ([`crate::modelcheck`]) verifies
-/// the same property the runtime enforces, from one definition.
-pub fn validate_structure(kind: ProtocolKind, entry: &DirEntry) -> Result<(), String> {
-    crate::protocol::backend(kind).validate_entry(entry)
+    entry: DirEntry,
 }
 
 /// Did the version epoch step backwards between two observations? Shared
@@ -256,11 +245,11 @@ impl CoherenceChecker {
     pub fn on_transition(&mut self, line: u64, event: ProtoEvent, entry: &DirEntry, counted: bool) {
         self.events += 1;
         self.seq += 1;
-        let prev = self.history.get(line).and_then(|h| h.back());
-        let (prev_state, prev_version, prev_busy) = match prev {
-            Some(r) => (r.state.clone(), r.version, r.busy_until),
-            None => (GlobalState::Uncached, 0, 0),
-        };
+        let prev = self
+            .history
+            .get(line)
+            .and_then(|h| h.back())
+            .map_or_else(DirEntry::default, |r| r.entry);
 
         // The dirty value leaves the caches on a downgrade (an M owner
         // answers a read and the line ends *clean*), a dirty eviction, or a
@@ -269,12 +258,8 @@ impl CoherenceChecker {
         // read downgrades (M→O), which `DirEntry::dirty` reflects. This
         // inference is protocol-neutral: it only asks whether dirtiness was
         // lost without a write.
-        let prev_dirty = matches!(
-            prev_state,
-            GlobalState::Modified { .. } | GlobalState::Owned { .. }
-        );
         let downgrade_writeback =
-            matches!(event, ProtoEvent::GrantRead { .. }) && prev_dirty && !entry.dirty();
+            matches!(event, ProtoEvent::GrantRead { .. }) && prev.dirty() && !entry.dirty();
         let writeback = downgrade_writeback
             || matches!(
                 event,
@@ -314,14 +299,11 @@ impl CoherenceChecker {
             }
         }
 
-        self.validate(line, entry, prev_version, prev_busy);
+        self.validate(line, entry, prev.version, prev.busy_until);
         let record = EventRecord {
             seq: self.seq,
             event,
-            state: entry.state.clone(),
-            sharers: entry.sharers.clone(),
-            version: entry.version,
-            busy_until: entry.busy_until,
+            entry: *entry,
         };
         let ring = self.history.get_or_insert_default(line);
         if ring.len() == EVENT_WINDOW {
@@ -332,10 +314,10 @@ impl CoherenceChecker {
 
     /// Validate the after-state of a transition.
     fn validate(&self, line: u64, entry: &DirEntry, prev_version: u32, prev_busy: u64) {
-        // Structural legality (sharer-list shape, supplier holds the line,
-        // no states foreign to the running protocol) is the back end's to
-        // define; see `CoherenceProtocol::validate_entry`.
-        if let Err(msg) = validate_structure(self.protocol, entry) {
+        // Structural legality (sharer-set shape, supplier holds the line,
+        // no states foreign to the running protocol) is the protocol
+        // table's to define.
+        if let Err(msg) = protocol::validate(self.protocol, entry) {
             self.fail(line, entry, &msg);
         }
         if version_regressed(prev_version, entry.version) {
@@ -458,9 +440,10 @@ impl CoherenceChecker {
             None => out.push_str("    (no recorded events)\n"),
             Some(ring) => {
                 for r in ring {
+                    let e = &r.entry;
                     out.push_str(&format!(
                         "    #{:06} {:?} -> {:?} sharers={:?} v={} busy={}\n",
-                        r.seq, r.event, r.state, r.sharers, r.version, r.busy_until
+                        r.seq, r.event, e.state, e.sharers, e.version, e.busy_until
                     ));
                 }
             }
@@ -564,7 +547,8 @@ impl ShadowMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesif::MesifState;
+    use crate::directory::{GlobalState, TileSet};
+    use crate::protocol::{transition, Request};
 
     const T0: TileId = TileId(0);
     const T1: TileId = TileId(1);
@@ -573,25 +557,32 @@ mod tests {
         CoherenceChecker::new(CheckLevel::Invariants, Counters::default())
     }
 
+    /// MESIF read grant to `t`; returns the event the engine reports for it.
+    fn read(e: &mut DirEntry, t: TileId) -> ProtoEvent {
+        transition(ProtocolKind::Mesif, e, Request::Read, t);
+        ProtoEvent::GrantRead { tile: t }
+    }
+
+    /// MESIF write grant to `t`; returns the event the engine reports for it.
+    fn write(e: &mut DirEntry, t: TileId) -> ProtoEvent {
+        let g = transition(ProtocolKind::Mesif, e, Request::Write, t);
+        ProtoEvent::GrantWrite {
+            tile: t,
+            invalidated: g.invalidated,
+            updated: g.updated,
+        }
+    }
+
     #[test]
     fn clean_transitions_pass() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        e.grant_read(T0);
-        ck.on_transition(0, ProtoEvent::GrantRead { tile: T0 }, &e, true);
-        e.grant_read(T1);
-        ck.on_transition(0, ProtoEvent::GrantRead { tile: T1 }, &e, true);
-        let inv = e.grant_write(T0);
-        ck.on_transition(
-            0,
-            ProtoEvent::GrantWrite {
-                tile: T0,
-                invalidated: inv,
-                updated: 0,
-            },
-            &e,
-            true,
-        );
+        let granted = read(&mut e, T0);
+        ck.on_transition(0, granted, &e, true);
+        let granted = read(&mut e, T1);
+        ck.on_transition(0, granted, &e, true);
+        let granted = write(&mut e, T0);
+        ck.on_transition(0, granted, &e, true);
         assert_eq!(ck.invalidations, 1);
         assert_eq!(ck.events, 3);
     }
@@ -601,29 +592,9 @@ mod tests {
     fn owner_with_sharers_is_caught() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        e.grant_write(T0);
-        e.sharers.push(T1); // corrupt: M state with a residual sharer
-        ck.on_transition(
-            0,
-            ProtoEvent::GrantWrite {
-                tile: T0,
-                invalidated: 0,
-                updated: 0,
-            },
-            &e,
-            true,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate sharer")]
-    fn duplicate_sharer_is_caught() {
-        let mut ck = checker();
-        let mut e = DirEntry::default();
-        e.grant_read(T0);
-        e.grant_read(T1);
-        e.sharers.push(T0);
-        ck.on_transition(0, ProtoEvent::GrantRead { tile: T1 }, &e, true);
+        let granted = write(&mut e, T0);
+        e.sharers.insert(T1); // corrupt: M state with a residual sharer
+        ck.on_transition(0, granted, &e, true);
     }
 
     #[test]
@@ -631,21 +602,12 @@ mod tests {
     fn version_regression_is_caught() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        e.grant_write(T0);
-        ck.on_transition(
-            0,
-            ProtoEvent::GrantWrite {
-                tile: T0,
-                invalidated: 0,
-                updated: 0,
-            },
-            &e,
-            true,
-        );
+        let granted = write(&mut e, T0);
+        ck.on_transition(0, granted, &e, true);
         e.version = 0; // regress the epoch
-        e.grant_read(T1);
+        let granted = read(&mut e, T1);
         e.version = 0;
-        ck.on_transition(0, ProtoEvent::GrantRead { tile: T1 }, &e, true);
+        ck.on_transition(0, granted, &e, true);
     }
 
     #[test]
@@ -656,11 +618,11 @@ mod tests {
             busy_until: 10_000,
             ..Default::default()
         };
-        e.grant_read(T0);
-        ck.on_transition(0, ProtoEvent::GrantRead { tile: T0 }, &e, true);
+        let granted = read(&mut e, T0);
+        ck.on_transition(0, granted, &e, true);
         e.busy_until = 5_000;
-        e.grant_read(T1);
-        ck.on_transition(0, ProtoEvent::GrantRead { tile: T1 }, &e, true);
+        let granted = read(&mut e, T1);
+        ck.on_transition(0, granted, &e, true);
     }
 
     #[test]
@@ -669,7 +631,7 @@ mod tests {
         let ck = checker();
         let e = DirEntry {
             state: GlobalState::Shared { forward: Some(T1) },
-            sharers: vec![T0],
+            sharers: TileSet::from([T0]),
             ..Default::default()
         };
         ck.validate(0, &e, 0, 0);
@@ -679,19 +641,10 @@ mod tests {
     fn downgrade_counts_one_writeback() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        e.grant_write(T0);
-        ck.on_transition(
-            0,
-            ProtoEvent::GrantWrite {
-                tile: T0,
-                invalidated: 0,
-                updated: 0,
-            },
-            &e,
-            true,
-        );
-        e.grant_read(T1);
-        ck.on_transition(0, ProtoEvent::GrantRead { tile: T1 }, &e, true);
+        let granted = write(&mut e, T0);
+        ck.on_transition(0, granted, &e, true);
+        let granted = read(&mut e, T1);
+        ck.on_transition(0, granted, &e, true);
         assert_eq!(ck.writebacks, 1, "M->S downgrade implies one write-back");
     }
 
@@ -699,8 +652,8 @@ mod tests {
     fn uncounted_events_validate_but_do_not_count() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        e.grant_read(T0);
-        e.grant_read(T1);
+        read(&mut e, T0);
+        read(&mut e, T1);
         let holders = e.num_holders();
         let dirty = e.invalidate_all();
         ck.on_transition(0, ProtoEvent::InvalidateAll { holders, dirty }, &e, false);
@@ -712,19 +665,10 @@ mod tests {
     fn reconcile_passes_on_matching_counters() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        e.grant_read(T0);
-        ck.on_transition(0, ProtoEvent::GrantRead { tile: T0 }, &e, true);
-        let inv = e.grant_write(T1);
-        ck.on_transition(
-            0,
-            ProtoEvent::GrantWrite {
-                tile: T1,
-                invalidated: inv,
-                updated: 0,
-            },
-            &e,
-            true,
-        );
+        let granted = read(&mut e, T0);
+        ck.on_transition(0, granted, &e, true);
+        let granted = write(&mut e, T1);
+        ck.on_transition(0, granted, &e, true);
         let counters = Counters {
             invalidations: 1,
             ..Default::default()
@@ -737,17 +681,8 @@ mod tests {
     fn reconcile_catches_counter_drift() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        let inv = e.grant_write(T0);
-        ck.on_transition(
-            0,
-            ProtoEvent::GrantWrite {
-                tile: T0,
-                invalidated: inv,
-                updated: 0,
-            },
-            &e,
-            true,
-        );
+        let granted = write(&mut e, T0);
+        ck.on_transition(0, granted, &e, true);
         let counters = Counters {
             invalidations: 7,
             ..Default::default()
@@ -759,17 +694,8 @@ mod tests {
     fn shadow_tracks_write_then_nt_store() {
         let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, Counters::default());
         let mut e = DirEntry::default();
-        let inv = e.grant_write(T0);
-        ck.on_transition(
-            7,
-            ProtoEvent::GrantWrite {
-                tile: T0,
-                invalidated: inv,
-                updated: 0,
-            },
-            &e,
-            true,
-        );
+        let granted = write(&mut e, T0);
+        ck.on_transition(7, granted, &e, true);
         ck.observe_read(7, false);
         let holders = e.num_holders();
         let dirty = e.invalidate_all();
@@ -792,17 +718,8 @@ mod tests {
     fn oracle_catches_read_past_dirty_copy() {
         let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, Counters::default());
         let mut e = DirEntry::default();
-        let inv = e.grant_write(T0);
-        ck.on_transition(
-            3,
-            ProtoEvent::GrantWrite {
-                tile: T0,
-                invalidated: inv,
-                updated: 0,
-            },
-            &e,
-            true,
-        );
+        let granted = write(&mut e, T0);
+        ck.on_transition(3, granted, &e, true);
         // A read served straight from memory while T0 still holds the line
         // dirty: the stale-supply case the oracle exists to catch.
         ck.observe_read(3, true);
@@ -827,8 +744,8 @@ mod tests {
         let mut e = DirEntry::default();
         for i in 0..(EVENT_WINDOW + 9) {
             let t = TileId((i % 2) as u16);
-            e.grant_read(t);
-            ck.on_transition(0, ProtoEvent::GrantRead { tile: t }, &e, true);
+            let granted = read(&mut e, t);
+            ck.on_transition(0, granted, &e, true);
         }
         assert_eq!(ck.history.get(0).unwrap().len(), EVENT_WINDOW);
     }
@@ -840,12 +757,12 @@ mod tests {
         // authority.
         let e = DirEntry {
             state: GlobalState::Shared { forward: None },
-            sharers: vec![T0],
+            sharers: TileSet::from([T0]),
             version: 0,
             busy_until: 0,
         };
         assert_eq!(e.supplier(), None);
-        assert_eq!(e.state_of(T0), MesifState::Shared);
+        assert_eq!(e.state_of(T0), LineState::Shared);
         checker().validate(0, &e, 0, 0);
     }
 }

@@ -26,6 +26,7 @@ pub mod alloc;
 pub mod analyze;
 pub mod cache;
 pub mod counters;
+pub mod directory;
 pub mod engine;
 pub mod fuzz;
 pub mod fxmap;
@@ -34,9 +35,10 @@ pub mod machine;
 pub mod mcache;
 pub mod memdev;
 pub mod mesh;
-pub mod mesif;
 pub mod metrics;
 pub mod modelcheck;
+#[doc(hidden)]
+pub mod mutation;
 pub mod ops;
 pub mod program;
 pub mod protocol;
@@ -48,19 +50,18 @@ pub mod trace;
 pub use alloc::Arena;
 pub use analyze::{analyze, AnalysisReport, AnalyzeLevel, Finding, Rule, Severity};
 pub use counters::Counters;
+pub use directory::{DirEntry, GlobalState, LineState, TileSet};
 pub use engine::observe::{
     AnalyzeGate, MachineObserver, ObserverConfig, ObserverHub, ProtocolEvent,
 };
 pub use invariants::{CheckLevel, CoherenceChecker};
 pub use machine::{AccessKind, Machine};
-pub use mesif::{DirEntry, GlobalState, LineState, MesifState};
+
 pub use metrics::Metrics;
 pub use modelcheck::{EquivConfig, EquivReport, McConfig, McOp, McOpKind, McReport, McViolation};
 pub use ops::{Op, StreamKind};
 pub use program::Program;
-pub use protocol::{
-    CoherenceProtocol, Dragon, Mesi, Mesif, Moesi, Mutation, ReadGrant, StoreSweep, WriteGrant,
-};
+pub use protocol::{Outcome, Request};
 pub use runner::{RunResult, Runner};
 pub use telemetry::{TelemetryConfig, TelemetrySampler, TelemetrySeries};
 pub use trace::{TraceEvent, TraceLevel, Tracer};

@@ -16,15 +16,15 @@ use crate::alloc::Arena;
 use crate::analyze::AnalyzeLevel;
 use crate::cache::TagCache;
 use crate::counters::Counters;
+use crate::directory::{DirEntry, LineState, TileSet};
 use crate::engine::observe::{AnalyzeGate, MachineObserver, ObserverConfig, ObserverHub};
 use crate::fxmap::LineMap;
 use crate::invariants::{CheckLevel, CoherenceChecker};
 use crate::mcache::MemorySideCache;
 use crate::memdev::{DeviceParams, MemDevice};
 use crate::mesh::{Mesh, MeshConfig};
-use crate::mesif::{DirEntry, MesifState};
+use crate::mutation::Mutation;
 use crate::program::Program;
-use crate::protocol::Mutation;
 use crate::telemetry::TelemetrySampler;
 use crate::trace::{TraceLevel, Tracer};
 use crate::SimTime;
@@ -52,13 +52,13 @@ pub enum ServedBy {
     /// Requesting core's own L1.
     L1,
     /// Requester's tile L2, with the line's state there.
-    TileL2(MesifState),
+    TileL2(LineState),
     /// Forwarded from another tile's cache.
     RemoteCache {
         /// Supplying tile.
         holder: TileId,
         /// State the supplier held the line in.
-        state: MesifState,
+        state: LineState,
     },
     /// Served by a memory device.
     Memory(MemTarget),
@@ -104,9 +104,9 @@ pub struct Machine {
     /// case each emission point is a single never-taken branch.
     pub(crate) hub: ObserverHub,
     /// Fault injection for checker and model-checker tests: a single
-    /// transition defect routed through the `protocol::*_mutated`
-    /// dispatchers (see [`Machine::debug_mutation`]). `None` — the only
-    /// production value — takes the untouched hot path.
+    /// transition defect the directory step applies on top of the shipped
+    /// table (see [`Machine::debug_mutation`]). `None` is the only
+    /// production value.
     pub(crate) mutation: Option<Mutation>,
 }
 
@@ -121,6 +121,12 @@ const _: () = {
 impl Machine {
     /// Instantiate the simulated machine for one configuration.
     pub fn new(cfg: MachineConfig) -> Self {
+        assert!(
+            cfg.active_tiles <= TileSet::CAPACITY,
+            "{} active tiles do not fit the directory's {}-tile sharer bitmask",
+            cfg.active_tiles,
+            TileSet::CAPACITY
+        );
         let topo = cfg.topology();
         let map = cfg.address_map(&topo);
         let t = &cfg.timing;
@@ -221,16 +227,6 @@ impl Machine {
     /// divergence.
     pub fn finish_check(&self) {
         self.hub.finish(&self.counters);
-    }
-
-    /// Fault injection for checker tests: while enabled, a write that
-    /// should invalidate other holders leaves one stale sharer behind —
-    /// the "skipped invalidation" directory bug the checker must catch.
-    /// Sugar for [`Machine::debug_mutation`] with
-    /// [`Mutation::WriteKeepsStaleSharer`].
-    #[doc(hidden)]
-    pub fn debug_skip_invalidation(&mut self, on: bool) {
-        self.mutation = on.then_some(Mutation::WriteKeepsStaleSharer);
     }
 
     /// Fault injection for checker and model-checker tests: inject a
@@ -382,11 +378,11 @@ impl Machine {
     }
 
     /// The MESIF state `tile` currently holds `addr` in (directory's view).
-    pub fn line_state(&self, addr: u64, tile: TileId) -> MesifState {
+    pub fn line_state(&self, addr: u64, tile: TileId) -> LineState {
         let line = addr >> LINE_SHIFT;
         self.dir
             .get(line)
-            .map_or(MesifState::Invalid, |e| e.state_of(tile))
+            .map_or(LineState::Invalid, |e| e.state_of(tile))
     }
 
     pub(crate) fn jitter(&mut self, dur: SimTime, line: u64) -> SimTime {
@@ -405,6 +401,14 @@ impl Machine {
 mod tests {
     use super::*;
     use knl_arch::{ClusterMode, MemoryMode};
+
+    #[test]
+    #[should_panic(expected = "sharer bitmask")]
+    fn more_tiles_than_the_sharer_mask_holds_are_rejected() {
+        let mut cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
+        cfg.active_tiles = TileSet::CAPACITY + 1;
+        Machine::new(cfg);
+    }
 
     #[test]
     fn counters_accumulate() {

@@ -3,15 +3,15 @@
 //! The checker exhaustively enumerates every reachable configuration of a
 //! small bounded system — `caches` tile caches × `lines` cache lines under
 //! {read, RFO, NT store, evict} events — against one [`ProtocolKind`],
-//! driving the *same* `protocol::grant_read`/`grant_write`/`nt_store`/
-//! `evict` tables the engine executes (`engine/serve.rs`). Nothing is
-//! re-modeled: the checked artifact is the shipped code, reached through
-//! the same `*_mutated` dispatchers the [`crate::machine::Machine`] calls,
-//! so a mutation corrupts both layers identically.
+//! driving the *same* [`protocol::transition`] table the engine executes
+//! (`engine/serve.rs`). Nothing is re-modeled: the checked artifact is the
+//! shipped code, and an injected [`Mutation`] is applied by the same
+//! post-hook the [`crate::machine::Machine`] applies, so it corrupts both
+//! layers identically.
 //!
 //! Per transition the checker verifies the safety properties the runtime
 //! [`crate::invariants::CoherenceChecker`] enforces — structural legality
-//! ([`validate_structure`]), version-epoch monotonicity
+//! ([`protocol::validate`]), version-epoch monotonicity
 //! ([`version_regressed`]) — plus two it can prove only by exhaustion:
 //! SWMR ([`swmr_violation`]) over every reachable configuration, and a
 //! data-value property via symbolic last-writer tracking (no read is ever
@@ -19,9 +19,9 @@
 //! reachability pass proves quiescence: every reachable state can reach a
 //! stable all-Invalid-or-clean configuration.
 //!
-//! States are canonicalized (sharers sorted — every [`DirEntry`] transition
-//! is order-independent over the sharer list — version and `busy_until`
-//! zeroed, currency masked to holders), packed into a collision-free `u64`
+//! States are canonicalized (version and `busy_until` zeroed, currency
+//! masked to holders — the sharer set is a bitmask, canonical as stored),
+//! packed into a collision-free `u64`
 //! key (≤ 15 bits per line), and hashed through [`LineMap`]. The frontier
 //! is a FIFO over states in discovery order with a canonical per-state
 //! event order, so the sweep is deterministic and BFS yields a *shortest*
@@ -29,10 +29,11 @@
 //! replay on a full [`crate::machine::Machine`] to confirm the runtime
 //! checker fires on the same defect.
 
+use crate::directory::{DirEntry, GlobalState, LineState};
 use crate::fxmap::LineMap;
-use crate::invariants::{swmr_violation, validate_structure, version_regressed};
-use crate::mesif::{DirEntry, GlobalState, LineState};
-use crate::protocol::{self, Mutation};
+use crate::invariants::{swmr_violation, version_regressed};
+use crate::mutation::Mutation;
+use crate::protocol::{self, Outcome, Request};
 use knl_arch::{ProtocolKind, TileId};
 use std::fmt;
 
@@ -196,10 +197,7 @@ fn pack_line(lm: &LineModel, caches: u16) -> u64 {
         GlobalState::Shared { forward: Some(f) } => (4, f.0 as u64),
         GlobalState::Owned { owner } => (5, owner.0 as u64),
     };
-    let mut sharers = 0u64;
-    for s in &lm.entry.sharers {
-        sharers |= 1 << s.0;
-    }
+    let sharers = lm.entry.sharers.bits();
     debug_assert!(aux < 8 && sharers < 16 && caches <= 4);
     tag | aux << 3 | sharers << 6 | (lm.current as u64) << 10 | (lm.mem_current as u64) << 14
 }
@@ -213,14 +211,12 @@ fn state_key(s: &State, caches: u16) -> u64 {
 }
 
 /// Canonicalize in place: version/busy zeroed (both unbounded and
-/// property-checked per transition instead), sharers sorted (every
-/// transition is order-independent over the list), currency masked to
-/// actual holders.
+/// property-checked per transition instead), currency masked to actual
+/// holders.
 fn canonicalize(s: &mut State, caches: u16) {
     for lm in &mut s.lines {
         lm.entry.version = 0;
         lm.entry.busy_until = 0;
-        lm.entry.sharers.sort_unstable();
         lm.current &= holders_mask(&lm.entry, caches);
     }
 }
@@ -246,7 +242,7 @@ fn ops(s: &State, cfg: &McConfig) -> Vec<McOp> {
         }
         for t in 0..cfg.caches {
             // Every write transitions the directory — the engine grants
-            // silent upgrades through the same `grant_write` table.
+            // silent upgrades through the same `Request::Write` arm.
             out.push(McOp {
                 kind: McOpKind::Write,
                 tile: t,
@@ -271,6 +267,23 @@ fn ops(s: &State, cfg: &McConfig) -> Vec<McOp> {
     out
 }
 
+/// The directory step as the engine takes it: the shipped transition plus
+/// the injected defect, if any.
+fn step(
+    kind: ProtocolKind,
+    mu: Option<Mutation>,
+    entry: &mut DirEntry,
+    request: Request,
+    t: TileId,
+) -> Outcome {
+    let pre = *entry;
+    let mut out = protocol::transition(kind, entry, request, t);
+    if let Some(defect) = mu {
+        defect.corrupt(kind, request, t, &pre, entry, &mut out);
+    }
+    out
+}
+
 /// Apply `op` to a copy of `s`, mirroring the engine's directory
 /// interaction exactly, and run the per-transition safety checks. Returns
 /// the canonical successor and the first property violated, if any.
@@ -284,7 +297,7 @@ fn apply(
     let mut next = s.clone();
     let lm = &mut next.lines[op.line as usize];
     let t = TileId(op.tile);
-    let dragon = protocol::write_upgrades_any_copy(kind);
+    let dragon = !kind.invalidation_based();
     let mut transitioned = true;
     let mut value_err = None;
 
@@ -298,7 +311,7 @@ fn apply(
                 Some(sup) => lm.current & 1 << sup.0 != 0,
                 None => lm.mem_current,
             };
-            let g = protocol::grant_read_mutated(kind, mu, &mut lm.entry, t);
+            let g = step(kind, mu, &mut lm.entry, Request::Read, t);
             if g.writeback {
                 // A forced downgrade flushes the (pre-transition) owner's
                 // data, which under every table is the supplier's copy.
@@ -326,7 +339,7 @@ fn apply(
             }
         }
         McOpKind::Write => {
-            protocol::grant_write_mutated(kind, mu, &mut lm.entry, t);
+            step(kind, mu, &mut lm.entry, Request::Write, t);
             // The writer defines the new value; memory goes stale. Under
             // write-update every surviving holder is refreshed in place;
             // under invalidation any surviving copy is stale by definition.
@@ -341,7 +354,7 @@ fn apply(
             // The engine sweeps the directory only when copies exist; the
             // posted store itself always lands in memory.
             if lm.entry.num_holders() > 0 {
-                protocol::nt_store_mutated(kind, mu, &mut lm.entry);
+                step(kind, mu, &mut lm.entry, Request::NtStore, t);
                 lm.current = if dragon {
                     holders_mask(&lm.entry, cfg.caches)
                 } else {
@@ -354,8 +367,7 @@ fn apply(
         }
         McOpKind::Evict => {
             let evictor_current = lm.current & 1 << t.0 != 0;
-            let dirty = protocol::evict_mutated(kind, mu, &mut lm.entry, t);
-            if dirty {
+            if step(kind, mu, &mut lm.entry, Request::Evict, t).writeback {
                 // The flush lands the evictor's data in memory.
                 lm.mem_current = evictor_current;
             }
@@ -367,7 +379,7 @@ fn apply(
         // Same order as the runtime: the structural predicate first (the
         // checker validates every `dir_transition`), then the exhaustive-
         // only properties.
-        if let Err(msg) = validate_structure(kind, &lm.entry) {
+        if let Err(msg) = protocol::validate(kind, &lm.entry) {
             Some(format!("structural: {msg}"))
         } else if version_regressed(0, lm.entry.version) {
             Some(format!(
@@ -590,8 +602,7 @@ fn equiv_read(st: &mut EquivState, kind: ProtocolKind, op: McOp) -> u32 {
         Some(sup) => lm.tile_val[sup.0 as usize],
         None => lm.mem_val,
     };
-    let g = protocol::grant_read(kind, &mut lm.entry, t);
-    if g.writeback {
+    if protocol::transition(kind, &mut lm.entry, Request::Read, t).writeback {
         lm.mem_val = observed;
     }
     lm.tile_val[op.tile as usize] = observed;
@@ -603,9 +614,9 @@ fn equiv_step(st: &mut EquivState, kind: ProtocolKind, op: McOp, val: u32, cache
     let t = TileId(op.tile);
     match op.kind {
         McOpKind::Write => {
-            protocol::grant_write(kind, &mut lm.entry, t);
+            protocol::transition(kind, &mut lm.entry, Request::Write, t);
             lm.tile_val[op.tile as usize] = val;
-            if protocol::write_upgrades_any_copy(kind) {
+            if !kind.invalidation_based() {
                 for i in 0..caches {
                     if lm.entry.state_of(TileId(i)) != LineState::Invalid {
                         lm.tile_val[i as usize] = val;
@@ -615,8 +626,8 @@ fn equiv_step(st: &mut EquivState, kind: ProtocolKind, op: McOp, val: u32, cache
         }
         McOpKind::NtStore => {
             if lm.entry.num_holders() > 0 {
-                protocol::nt_store(kind, &mut lm.entry);
-                if protocol::write_upgrades_any_copy(kind) {
+                protocol::transition(kind, &mut lm.entry, Request::NtStore, t);
+                if !kind.invalidation_based() {
                     for i in 0..caches {
                         if lm.entry.state_of(TileId(i)) != LineState::Invalid {
                             lm.tile_val[i as usize] = val;
@@ -628,7 +639,7 @@ fn equiv_step(st: &mut EquivState, kind: ProtocolKind, op: McOp, val: u32, cache
         }
         McOpKind::Evict => {
             if lm.entry.state_of(t) != LineState::Invalid
-                && protocol::backend(kind).evict(&mut lm.entry, t)
+                && protocol::transition(kind, &mut lm.entry, Request::Evict, t).writeback
             {
                 lm.mem_val = lm.tile_val[op.tile as usize];
             }
@@ -821,7 +832,7 @@ mod tests {
             max_states: 500_000,
         };
         for kind in ProtocolKind::ALL {
-            for &m in Mutation::catalog(kind) {
+            for m in Mutation::catalog(kind) {
                 let r = check(kind, &cfg, Some(m)).expect("within budget");
                 let v = r
                     .violation

@@ -1,1043 +1,518 @@
-//! Pluggable coherence-protocol back ends: MESIF, MESI, MOESI, Dragon.
+//! The coherence protocols — MESIF, MESI, MOESI, Dragon — as one directory
+//! transition table.
 //!
-//! [`CoherenceProtocol`] is the transition table the engine consults at the
-//! home directory: what a read grant does to the line's [`GlobalState`], what
-//! an RFO does to the other sharers (invalidate vs. update), who supplies the
-//! data, and what an NT store sweeps. The engine (`engine/serve.rs`) never
-//! matches on protocol-specific states itself — it asks the back end and
-//! charges the costs the answer implies.
+//! [`transition`] is what the home directory does with a [`Request`] under
+//! a [`ProtocolKind`]: how the line's [`GlobalState`] and sharer set change,
+//! and what that cost ([`Outcome`]: the requester's resulting state, a
+//! forced write-back, invalidation or update messages sent). The engine
+//! (`engine/serve.rs`), the model checker ([`crate::modelcheck`]), the
+//! conformance harness and the table golden (`tests/protocol_tables.rs`)
+//! all call this one function; [`validate`] is the matching legality
+//! predicate the runtime checker and the model checker share.
 //!
-//! * [`Mesif`] — the KNL protocol of the paper; delegates verbatim to the
-//!   [`DirEntry`] transition methods so the trait port is bit-identical to
-//!   the pre-trait engine.
-//! * [`Mesi`] — MESIF without the F state: shared reads are served by
-//!   *memory*, so the Table I "S/F" rows collapse to memory latency.
-//! * [`Moesi`] — adds the dirty-shared O state: a read of a Modified line
-//!   leaves the dirty data cached at the owner (no write-back) and the owner
-//!   keeps supplying.
-//! * [`Dragon`] — update-based: remote stores *update* sharers in place
-//!   instead of invalidating them. Sharers stay valid across remote writes
-//!   (no version bump), which is the protocol's capability-model signature:
-//!   repeated reader hits where the invalidation protocols pay a coherence
-//!   miss, paid for by per-sharer update rounds on every write.
+//! The four protocols differ in three policy bits, all read off the
+//! [`ProtocolKind`]:
 //!
-//! The hot path dispatches through the free functions at the bottom of this
-//! module (`grant_read`, `grant_write`, …) — an `#[inline]` match on
-//! [`ProtocolKind`] that monomorphizes to direct calls, keeping the
-//! zero-cost-when-off observer bar intact. The `dyn`-capable [`backend`]
-//! accessor exists for the generic conformance harness.
+//! | | `has_forward` | `has_owned` | `invalidation_based` |
+//! |---|---|---|---|
+//! | MESIF  | yes | no  | yes |
+//! | MESI   | no  | no  | yes |
+//! | MOESI  | no  | yes | yes |
+//! | Dragon | no  | yes | no  |
+//!
+//! * `has_forward` — the latest reader of a shared line becomes its clean
+//!   F holder and answers the next read; without it memory serves shared
+//!   reads, so the Table I "S/F" rows collapse to memory latency.
+//! * `has_owned` — a remote read of a Modified line leaves the dirty data
+//!   cached at its owner (O, supplying) instead of forcing a write-back.
+//! * `invalidation_based` — a store kills the other copies and retires the
+//!   coherence epoch; Dragon instead *updates* them in place (no version
+//!   bump, the writer becomes the dirty supplier Sm, modeled as O), which
+//!   is its capability-model signature: repeated reader hits where the
+//!   invalidation protocols pay a coherence miss, paid for by per-sharer
+//!   update rounds on every write.
+//!
+//! Everything else — E on a first read, silent evictions of clean copies,
+//! O collapsing back to M when its last clean sharer leaves — is common.
+//! The table is *total*: any `(state, request)` pair, including states the
+//! protocol itself never produces, transitions without panicking (pinned
+//! row by row in `tests/golden/protocol_tables.txt`).
 
-use crate::mesif::{DirEntry, GlobalState, LineState};
+use crate::directory::{DirEntry, GlobalState, LineState, TileSet};
 use knl_arch::{ProtocolKind, TileId};
 
-/// Outcome of serving a read at the home directory.
+/// What a tile asks of a line's home directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadGrant {
+pub enum Request {
+    /// A read by a tile that holds no copy.
+    Read,
+    /// A write: read-for-ownership, or the upgrade of a copy already held.
+    Write,
+    /// The tile drops its copy (capacity eviction or explicit flush).
+    Evict,
+    /// A non-temporal store overwrites the line in memory; the cached
+    /// copies are swept. The issuing tile plays no role in the sweep.
+    NtStore,
+}
+
+/// What a transition did, as the engine charges it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outcome {
     /// State the requesting tile's copy ends in.
-    pub state: LineState,
-    /// The grant forced dirty data to be flushed to memory (MESIF/MESI
-    /// downgrade M→S; the O protocols keep dirty data cached instead).
+    pub requester: LineState,
+    /// Dirty data must be flushed to memory (a downgrade of M without an
+    /// O state, the eviction of a dirty copy, an invalidating NT sweep of
+    /// a dirty line).
     pub writeback: bool,
-}
-
-/// Outcome of serving a write (RFO) at the home directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WriteGrant {
-    /// Sharers whose copies were invalidated (invalidation-based protocols).
+    /// Copies at other tiles that were invalidated.
     pub invalidated: usize,
-    /// Sharers whose copies were refreshed in place (Dragon).
+    /// Copies at other tiles that were refreshed in place (Dragon).
     pub updated: usize,
 }
 
-/// Outcome of a non-temporal store sweeping the directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreSweep {
-    /// Holders whose copies were invalidated.
-    pub invalidated: usize,
-    /// Holders whose copies were refreshed in place (Dragon).
-    pub updated: usize,
-    /// A dirty cached copy was flushed to memory before the store.
-    pub writeback: bool,
-}
-
-/// A coherence protocol's transition table, as consulted by the engine at
-/// the line's home directory.
-///
-/// Implementations mutate the [`DirEntry`] and report what the transition
-/// cost: final requester state, write-backs forced, invalidation/update
-/// rounds sent. All tables must be *total* — any `(state, event)` pair,
-/// including states the protocol itself never produces, must transition
-/// without panicking (pinned by `tests/protocol_conformance.rs`).
-pub trait CoherenceProtocol {
-    /// Which [`ProtocolKind`] this back end implements.
-    fn kind(&self) -> ProtocolKind;
-
-    /// Serve a read request from tile `t`.
-    fn grant_read(&self, entry: &mut DirEntry, t: TileId) -> ReadGrant;
-
-    /// Serve a write (RFO) from tile `t`.
-    fn grant_write(&self, entry: &mut DirEntry, t: TileId) -> WriteGrant;
-
-    /// Tile `t` drops its copy (capacity eviction or explicit flush).
-    /// Returns `true` when dirty data must be written back.
-    ///
-    /// Eviction is protocol-neutral: every back end's legal states route
-    /// through the right [`DirEntry::evict`] arm.
-    fn evict(&self, entry: &mut DirEntry, t: TileId) -> bool {
-        entry.evict(t)
-    }
-
-    /// A non-temporal store hits the line: sweep the cached copies.
-    /// Invalidation-based default; Dragon overrides with an update round.
-    fn nt_store(&self, entry: &mut DirEntry) -> StoreSweep {
-        let holders = entry.num_holders();
-        let writeback = entry.invalidate_all();
-        StoreSweep {
-            invalidated: holders,
-            updated: 0,
-            writeback,
+/// Serve `request` from tile `t` at `entry`'s home directory under `kind`.
+#[inline]
+pub fn transition(
+    kind: ProtocolKind,
+    entry: &mut DirEntry,
+    request: Request,
+    t: TileId,
+) -> Outcome {
+    use GlobalState::{Exclusive, Modified, Owned, Shared, Uncached};
+    let (mut writeback, mut invalidated, mut updated) = (false, 0, 0);
+    // Whom a shared read leaves answering the next one.
+    let forward = kind.has_forward().then_some(t);
+    match (request, entry.state) {
+        (Request::Read, Uncached) => {
+            entry.sharers = TileSet::EMPTY;
+            entry.state = Exclusive { owner: t };
         }
-    }
+        // The owner re-reads its own line: nothing moves.
+        (Request::Read, Exclusive { owner } | Modified { owner } | Owned { owner })
+            if owner == t => {}
+        // The owner keeps the dirty line and keeps supplying: no
+        // write-back — the O protocols' defining transition.
+        (Request::Read, Modified { owner }) if kind.has_owned() => {
+            entry.sharers = TileSet::from([owner, t]);
+            entry.state = Owned { owner };
+        }
+        // The previous owner downgrades to S, which is clean: a Modified
+        // line is flushed on the way.
+        (Request::Read, Exclusive { owner } | Modified { owner }) => {
+            writeback = entry.dirty();
+            entry.sharers = TileSet::from([owner, t]);
+            entry.state = Shared { forward };
+        }
+        (Request::Read, Shared { .. }) => {
+            entry.sharers.insert(t);
+            entry.state = Shared { forward };
+        }
+        // Join as a clean sharer; the dirty owner keeps supplying.
+        (Request::Read, Owned { .. }) => entry.sharers.insert(t),
 
-    /// Whether a write by a tile holding *any* valid copy needs no data
-    /// fetch. Under Dragon every valid copy is current (updates carry the
-    /// line), so holding S suffices; the invalidation protocols fetch from
-    /// the supplier unless the writer already owns the line.
-    fn write_upgrades_any_copy(&self) -> bool {
-        false
-    }
-
-    /// Structural legality of a directory entry under this protocol, e.g.
-    /// "O never occurs under MESIF" or "MESI has no F holder". Used by the
-    /// [`crate::invariants::CoherenceChecker`].
-    fn validate_entry(&self, entry: &DirEntry) -> Result<(), String> {
-        validate_common(entry)
-    }
-}
-
-/// Structural checks every protocol shares: owner states carry no sharer
-/// list, shared states have a non-empty duplicate-free one, the designated
-/// supplier actually holds the line.
-fn validate_common(entry: &DirEntry) -> Result<(), String> {
-    match &entry.state {
-        GlobalState::Uncached | GlobalState::Exclusive { .. } | GlobalState::Modified { .. } => {
-            if !entry.sharers.is_empty() {
-                return Err(format!(
-                    "{:?} must have an empty sharer list, got {:?}",
-                    entry.state, entry.sharers
-                ));
+        // Under write-update the sole holder's write has nobody to refresh
+        // and, unlike an invalidating E→M upgrade, no epoch to retire.
+        (Request::Write, Exclusive { owner } | Modified { owner })
+            if owner == t && !kind.invalidation_based() =>
+        {
+            entry.state = Modified { owner: t };
+        }
+        (
+            Request::Write,
+            Uncached | Exclusive { .. } | Modified { .. } | Shared { .. } | Owned { .. },
+        ) => {
+            let others = entry.holders().without(t);
+            let survivors = if kind.invalidation_based() {
+                // The version is bumped on *every* write: even a silent
+                // E→M upgrade must invalidate the sibling core's L1 copy
+                // within the tile (the machine re-fills the writer's own
+                // caches with the new version, so only stale copies die).
+                entry.version = entry.version.wrapping_add(1);
+                invalidated = others.len();
+                TileSet::EMPTY
+            } else {
+                // Every remote copy is refreshed by the update round and
+                // stays valid: no invalidations, no version bump.
+                updated = others.len();
+                others
+            };
+            if survivors.is_empty() {
+                entry.sharers = TileSet::EMPTY;
+                entry.state = Modified { owner: t };
+            } else {
+                // The latest writer becomes the dirty supplier.
+                entry.sharers = survivors;
+                entry.sharers.insert(t);
+                entry.state = Owned { owner: t };
             }
         }
-        GlobalState::Shared { forward } => {
-            check_sharer_list(entry)?;
-            if let Some(f) = forward {
-                if !entry.sharers.contains(f) {
-                    return Err(format!(
-                        "F holder {f:?} not in sharer list {:?}",
-                        entry.sharers
-                    ));
+
+        (Request::Evict, Uncached) => {}
+        (Request::Evict, Exclusive { owner } | Modified { owner }) if owner == t => {
+            writeback = entry.dirty();
+            entry.state = Uncached;
+        }
+        // A tile without a copy owes nothing.
+        (Request::Evict, Exclusive { .. } | Modified { .. }) => {}
+        (Request::Evict, Shared { forward }) => {
+            entry.sharers.remove(t);
+            entry.state = if entry.sharers.is_empty() {
+                Uncached
+            } else {
+                // If the F holder left, memory supplies until the next read.
+                Shared {
+                    forward: forward.filter(|&f| f != t),
                 }
+            };
+        }
+        (Request::Evict, Owned { owner }) => {
+            entry.sharers.remove(t);
+            if owner == t {
+                // The dirty supplier leaves: flush to memory; survivors
+                // are plain clean sharers (memory now supplies).
+                writeback = true;
+                entry.state = if entry.sharers.is_empty() {
+                    Uncached
+                } else {
+                    Shared { forward: None }
+                };
+            } else if entry.sharers == TileSet::from([owner]) {
+                // The last clean sharer left: the owner stands alone and
+                // the line collapses to plain dirty-exclusive M.
+                entry.sharers = TileSet::EMPTY;
+                entry.state = Modified { owner };
             }
         }
-        GlobalState::Owned { owner } => {
-            check_sharer_list(entry)?;
-            if !entry.sharers.contains(owner) {
+
+        (
+            Request::NtStore,
+            Uncached | Exclusive { .. } | Modified { .. } | Shared { .. } | Owned { .. },
+        ) => {
+            let holders = entry.num_holders();
+            if kind.invalidation_based() {
+                // One invalidation to *each* holder, a dirty copy flushed
+                // first — the same accounting as the RFO path.
+                invalidated = holders;
+                writeback = entry.invalidate_all();
+            } else if holders > 0 {
+                // The NT stream writes memory itself and the update round
+                // refreshes every cached copy with the same data, so all
+                // copies end *clean*: plain Shared served by memory, no
+                // flush, no version bump.
+                updated = holders;
+                if let Exclusive { owner } | Modified { owner } = entry.state {
+                    entry.sharers.insert(owner);
+                }
+                entry.state = Shared { forward: None };
+            }
+        }
+    }
+    Outcome {
+        requester: entry.state_of(t),
+        writeback,
+        invalidated,
+        updated,
+    }
+}
+
+/// Structural legality of `entry` under `kind` — the exact predicate the
+/// runtime [`crate::invariants::CoherenceChecker`] applies after every
+/// directory transition and the model checker ([`crate::modelcheck`])
+/// proves over every reachable state: owner states carry no sharer set,
+/// shared states a non-empty one that lists the designated supplier, and
+/// no state foreign to the protocol appears (O without `has_owned`, an F
+/// holder without `has_forward`).
+pub fn validate(kind: ProtocolKind, entry: &DirEntry) -> Result<(), String> {
+    let DirEntry { state, sharers, .. } = *entry;
+    match state {
+        GlobalState::Uncached | GlobalState::Exclusive { .. } | GlobalState::Modified { .. } => {
+            if !sharers.is_empty() {
                 return Err(format!(
-                    "owner {owner:?} not in sharer list {:?}",
-                    entry.sharers
+                    "{state:?} must have an empty sharer list, got {sharers:?}"
                 ));
             }
         }
+        GlobalState::Shared { .. } | GlobalState::Owned { .. } if sharers.is_empty() => {
+            return Err(format!("{state:?} with empty sharer list"));
+        }
+        GlobalState::Shared { forward: Some(f) } if !sharers.contains(f) => {
+            return Err(format!("F holder {f:?} not in sharer list {sharers:?}"));
+        }
+        GlobalState::Owned { owner } if !sharers.contains(owner) => {
+            return Err(format!("owner {owner:?} not in sharer list {sharers:?}"));
+        }
+        GlobalState::Shared { .. } | GlobalState::Owned { .. } => {}
     }
     if let Some(s) = entry.supplier() {
         if entry.state_of(s) == LineState::Invalid {
-            return Err(format!(
-                "supplier {s:?} does not hold the line ({:?})",
-                entry.state
-            ));
+            return Err(format!("supplier {s:?} does not hold the line ({state:?})"));
+        }
+    }
+    if matches!(state, GlobalState::Owned { .. }) && !kind.has_owned() {
+        return Err(format!("Owned state is illegal under {kind}"));
+    }
+    if let GlobalState::Shared { forward: Some(f) } = state {
+        if !kind.has_forward() {
+            return Err(format!("forward holder {f:?} is illegal under {kind}"));
         }
     }
     Ok(())
-}
-
-fn check_sharer_list(entry: &DirEntry) -> Result<(), String> {
-    if entry.sharers.is_empty() {
-        return Err(format!("{:?} with empty sharer list", entry.state));
-    }
-    for (i, s) in entry.sharers.iter().enumerate() {
-        if entry.sharers[..i].contains(s) {
-            return Err(format!("duplicate sharer {s:?} in {:?}", entry.sharers));
-        }
-    }
-    Ok(())
-}
-
-/// `Err` unless the entry is free of the O state (protocols without MOESI's
-/// O / Dragon's Sm).
-fn forbid_owned(entry: &DirEntry, proto: &str) -> Result<(), String> {
-    if matches!(entry.state, GlobalState::Owned { .. }) {
-        return Err(format!("Owned state is illegal under {proto}"));
-    }
-    Ok(())
-}
-
-/// `Err` if a Shared entry designates an F holder (protocols without
-/// MESIF's F).
-fn forbid_forward(entry: &DirEntry, proto: &str) -> Result<(), String> {
-    if let GlobalState::Shared { forward: Some(f) } = &entry.state {
-        return Err(format!("forward holder {f:?} is illegal under {proto}"));
-    }
-    Ok(())
-}
-
-/// Shared-read join for the O protocols: the requester becomes a plain
-/// clean sharer; the owner (if any) keeps supplying.
-fn join_as_sharer(entry: &mut DirEntry, t: TileId) {
-    if !entry.sharers.contains(&t) {
-        entry.sharers.push(t);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MESIF — the KNL default, calibration target of Tables I/II.
-// ---------------------------------------------------------------------------
-
-/// Intel's MESIF: a clean Forward copy answers shared reads.
-pub struct Mesif;
-
-impl CoherenceProtocol for Mesif {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Mesif
-    }
-
-    fn grant_read(&self, entry: &mut DirEntry, t: TileId) -> ReadGrant {
-        // Reading someone else's Modified line forces the dirty data out to
-        // memory (the owner downgrades to S, which is clean).
-        let writeback = matches!(entry.state, GlobalState::Modified { owner } if owner != t);
-        ReadGrant {
-            state: entry.grant_read(t),
-            writeback,
-        }
-    }
-
-    fn grant_write(&self, entry: &mut DirEntry, t: TileId) -> WriteGrant {
-        WriteGrant {
-            invalidated: entry.grant_write(t),
-            updated: 0,
-        }
-    }
-
-    fn validate_entry(&self, entry: &DirEntry) -> Result<(), String> {
-        validate_common(entry)?;
-        forbid_owned(entry, "MESIF")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MESI — no Forward state; memory serves shared reads.
-// ---------------------------------------------------------------------------
-
-/// Classic MESI: shared lines have no designated supplier.
-pub struct Mesi;
-
-impl CoherenceProtocol for Mesi {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Mesi
-    }
-
-    fn grant_read(&self, entry: &mut DirEntry, t: TileId) -> ReadGrant {
-        match entry.state {
-            GlobalState::Uncached => {
-                entry.sharers.clear();
-                entry.state = GlobalState::Exclusive { owner: t };
-                ReadGrant {
-                    state: LineState::Exclusive,
-                    writeback: false,
-                }
-            }
-            GlobalState::Exclusive { owner } | GlobalState::Modified { owner } => {
-                if owner == t {
-                    return ReadGrant {
-                        state: entry.state_of(t),
-                        writeback: false,
-                    };
-                }
-                let writeback = matches!(entry.state, GlobalState::Modified { .. });
-                entry.sharers = vec![owner, t];
-                entry.state = GlobalState::Shared { forward: None };
-                ReadGrant {
-                    state: LineState::Shared,
-                    writeback,
-                }
-            }
-            GlobalState::Shared { .. } => {
-                join_as_sharer(entry, t);
-                entry.state = GlobalState::Shared { forward: None };
-                ReadGrant {
-                    state: LineState::Shared,
-                    writeback: false,
-                }
-            }
-            // Unreachable under MESI (which never creates O); join as a
-            // clean sharer to keep the table total.
-            GlobalState::Owned { owner } => {
-                if owner == t {
-                    return ReadGrant {
-                        state: LineState::Owned,
-                        writeback: false,
-                    };
-                }
-                join_as_sharer(entry, t);
-                ReadGrant {
-                    state: LineState::Shared,
-                    writeback: false,
-                }
-            }
-        }
-    }
-
-    fn grant_write(&self, entry: &mut DirEntry, t: TileId) -> WriteGrant {
-        WriteGrant {
-            invalidated: entry.grant_write(t),
-            updated: 0,
-        }
-    }
-
-    fn validate_entry(&self, entry: &DirEntry) -> Result<(), String> {
-        validate_common(entry)?;
-        forbid_owned(entry, "MESI")?;
-        forbid_forward(entry, "MESI")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MOESI — dirty-shared O: reads of M leave the dirty data cached.
-// ---------------------------------------------------------------------------
-
-/// MOESI: a read of a Modified line downgrades the owner to O (dirty,
-/// shared, supplying) instead of forcing a write-back.
-pub struct Moesi;
-
-/// Read grant shared by the O protocols (MOESI and Dragon): `M + remote
-/// read → O` with the dirty data staying cached, clean shared reads join
-/// the sharer list with no designated clean forwarder.
-fn owned_grant_read(entry: &mut DirEntry, t: TileId) -> ReadGrant {
-    match entry.state {
-        GlobalState::Uncached => {
-            entry.sharers.clear();
-            entry.state = GlobalState::Exclusive { owner: t };
-            ReadGrant {
-                state: LineState::Exclusive,
-                writeback: false,
-            }
-        }
-        GlobalState::Exclusive { owner } => {
-            if owner == t {
-                return ReadGrant {
-                    state: LineState::Exclusive,
-                    writeback: false,
-                };
-            }
-            entry.sharers = vec![owner, t];
-            entry.state = GlobalState::Shared { forward: None };
-            ReadGrant {
-                state: LineState::Shared,
-                writeback: false,
-            }
-        }
-        GlobalState::Modified { owner } => {
-            if owner == t {
-                return ReadGrant {
-                    state: LineState::Modified,
-                    writeback: false,
-                };
-            }
-            // The owner keeps the dirty line and keeps supplying: no
-            // write-back — the O protocols' defining transition.
-            entry.sharers = vec![owner, t];
-            entry.state = GlobalState::Owned { owner };
-            ReadGrant {
-                state: LineState::Shared,
-                writeback: false,
-            }
-        }
-        GlobalState::Owned { owner } => {
-            if owner == t {
-                return ReadGrant {
-                    state: LineState::Owned,
-                    writeback: false,
-                };
-            }
-            join_as_sharer(entry, t);
-            ReadGrant {
-                state: LineState::Shared,
-                writeback: false,
-            }
-        }
-        GlobalState::Shared { .. } => {
-            join_as_sharer(entry, t);
-            entry.state = GlobalState::Shared { forward: None };
-            ReadGrant {
-                state: LineState::Shared,
-                writeback: false,
-            }
-        }
-    }
-}
-
-impl CoherenceProtocol for Moesi {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Moesi
-    }
-
-    fn grant_read(&self, entry: &mut DirEntry, t: TileId) -> ReadGrant {
-        owned_grant_read(entry, t)
-    }
-
-    fn grant_write(&self, entry: &mut DirEntry, t: TileId) -> WriteGrant {
-        // Writes invalidate exactly as under MESIF; the O arm of
-        // `DirEntry::grant_write` counts the other sharers.
-        WriteGrant {
-            invalidated: entry.grant_write(t),
-            updated: 0,
-        }
-    }
-
-    fn validate_entry(&self, entry: &DirEntry) -> Result<(), String> {
-        validate_common(entry)?;
-        forbid_forward(entry, "MOESI")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dragon — update-based: remote stores refresh sharers in place.
-// ---------------------------------------------------------------------------
-
-/// Dragon: write-update. Copies are never invalidated by remote stores —
-/// they are refreshed in place (so the coherence epoch never advances), and
-/// the latest writer becomes the dirty supplier (Sm, modeled as O).
-pub struct Dragon;
-
-impl CoherenceProtocol for Dragon {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Dragon
-    }
-
-    fn grant_read(&self, entry: &mut DirEntry, t: TileId) -> ReadGrant {
-        owned_grant_read(entry, t)
-    }
-
-    fn grant_write(&self, entry: &mut DirEntry, t: TileId) -> WriteGrant {
-        // Update semantics: no invalidations and no version bump — every
-        // remote copy is refreshed by the update round and stays valid.
-        match entry.state {
-            GlobalState::Uncached => {
-                entry.sharers.clear();
-                entry.state = GlobalState::Modified { owner: t };
-                WriteGrant::default()
-            }
-            GlobalState::Exclusive { owner } | GlobalState::Modified { owner } => {
-                if owner == t {
-                    entry.state = GlobalState::Modified { owner: t };
-                    WriteGrant::default()
-                } else {
-                    entry.sharers = vec![owner, t];
-                    entry.state = GlobalState::Owned { owner: t };
-                    WriteGrant {
-                        invalidated: 0,
-                        updated: 1,
-                    }
-                }
-            }
-            GlobalState::Owned { .. } | GlobalState::Shared { .. } => {
-                join_as_sharer(entry, t);
-                if entry.sharers.len() == 1 {
-                    // The writer is the only holder left: plain M.
-                    entry.sharers.clear();
-                    entry.state = GlobalState::Modified { owner: t };
-                    return WriteGrant::default();
-                }
-                let updated = entry.sharers.iter().filter(|&&s| s != t).count();
-                entry.state = GlobalState::Owned { owner: t };
-                WriteGrant {
-                    invalidated: 0,
-                    updated,
-                }
-            }
-        }
-    }
-
-    fn nt_store(&self, entry: &mut DirEntry) -> StoreSweep {
-        // The NT stream writes memory itself and the update round refreshes
-        // every cached copy with the same data, so all copies end *clean*:
-        // plain Shared served by memory, no flush, no version bump.
-        let holders = entry.num_holders();
-        if holders == 0 {
-            return StoreSweep::default();
-        }
-        if let GlobalState::Exclusive { owner } | GlobalState::Modified { owner } = entry.state {
-            entry.sharers.push(owner);
-        }
-        entry.state = GlobalState::Shared { forward: None };
-        StoreSweep {
-            invalidated: 0,
-            updated: holders,
-            writeback: false,
-        }
-    }
-
-    fn write_upgrades_any_copy(&self) -> bool {
-        // Every valid copy is current under write-update, so a holder's
-        // write needs permission only, never a data fetch.
-        true
-    }
-
-    fn validate_entry(&self, entry: &DirEntry) -> Result<(), String> {
-        validate_common(entry)?;
-        forbid_forward(entry, "Dragon")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch.
-// ---------------------------------------------------------------------------
-
-/// The singleton back end for a [`ProtocolKind`] — `dyn`-dispatch accessor
-/// used by the generic conformance harness and the checker.
-pub fn backend(kind: ProtocolKind) -> &'static dyn CoherenceProtocol {
-    match kind {
-        ProtocolKind::Mesif => &Mesif,
-        ProtocolKind::Mesi => &Mesi,
-        ProtocolKind::Moesi => &Moesi,
-        ProtocolKind::Dragon => &Dragon,
-    }
-}
-
-/// Statically-dispatched read grant (hot path).
-#[inline]
-pub fn grant_read(kind: ProtocolKind, entry: &mut DirEntry, t: TileId) -> ReadGrant {
-    match kind {
-        ProtocolKind::Mesif => Mesif.grant_read(entry, t),
-        ProtocolKind::Mesi => Mesi.grant_read(entry, t),
-        ProtocolKind::Moesi => Moesi.grant_read(entry, t),
-        ProtocolKind::Dragon => Dragon.grant_read(entry, t),
-    }
-}
-
-/// Statically-dispatched write grant (hot path).
-#[inline]
-pub fn grant_write(kind: ProtocolKind, entry: &mut DirEntry, t: TileId) -> WriteGrant {
-    match kind {
-        ProtocolKind::Mesif => Mesif.grant_write(entry, t),
-        ProtocolKind::Mesi => Mesi.grant_write(entry, t),
-        ProtocolKind::Moesi => Moesi.grant_write(entry, t),
-        ProtocolKind::Dragon => Dragon.grant_write(entry, t),
-    }
-}
-
-/// Statically-dispatched NT-store sweep.
-#[inline]
-pub fn nt_store(kind: ProtocolKind, entry: &mut DirEntry) -> StoreSweep {
-    match kind {
-        ProtocolKind::Mesif => Mesif.nt_store(entry),
-        ProtocolKind::Mesi => Mesi.nt_store(entry),
-        ProtocolKind::Moesi => Moesi.nt_store(entry),
-        ProtocolKind::Dragon => Dragon.nt_store(entry),
-    }
-}
-
-/// Statically-dispatched write-upgrade policy.
-#[inline]
-pub fn write_upgrades_any_copy(kind: ProtocolKind) -> bool {
-    matches!(kind, ProtocolKind::Dragon)
-}
-
-// ---------------------------------------------------------------------------
-// Mutation harness: single-transition defects for the model checker.
-// ---------------------------------------------------------------------------
-
-/// A single-transition defect injected into one protocol table — the
-/// generalization of the original `debug_skip_invalidation` fault. Each
-/// variant corrupts exactly one transition shape (a write grant, a read
-/// grant, an eviction, or an NT sweep) and leaves every other transition
-/// verbatim, so a surviving mutant means the checker has a blind spot on
-/// that transition.
-///
-/// The catalog is restricted to defects the *runtime* [`crate::invariants::
-/// CoherenceChecker`] can also observe (structurally illegal entries, stale
-/// reads the memory oracle sees, or write-back counts that fail end-of-run
-/// reconciliation): `knl-mc` requires every minimal counterexample to
-/// replay to a runtime violation, which keeps the static and dynamic layers
-/// provably aligned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutation {
-    /// RFO leaves the writer on the sharer list next to its M grant.
-    WriteLeavesWriterInSharers,
-    /// RFO forgets to invalidate one remote holder (the PR 2 fault).
-    WriteKeepsStaleSharer,
-    /// RFO demotes the result to clean Shared instead of Modified.
-    WriteLeavesEntryShared,
-    /// RFO grants Exclusive — the dirty bit is lost.
-    WriteStaysClean,
-    /// RFO steps the version epoch backwards.
-    WriteRegressesVersion,
-    /// Read grant pushes the requester onto the sharer list twice.
-    ReadDuplicatesSharer,
-    /// Read grant elects an F holder but drops it from the sharer list.
-    ReadDropsForwardFromSharers,
-    /// Read of a remote M line leaves MOESI's O state behind.
-    ReadCreatesOwned,
-    /// Read grant designates an F holder under a protocol without F.
-    ReadSetsForeignForward,
-    /// Read downgrading M to O drops the owner from the sharer list.
-    ReadOwnedDropsOwner,
-    /// Read of a remote M line skips the forced write-back.
-    ReadSkipsWriteback,
-    /// Dirty eviction reports the line clean — the flush is lost.
-    EvictDropsWriteback,
-    /// The O holder's eviction leaves the directory claiming O.
-    EvictKeepsOwned,
-    /// Last-holder eviction leaves Shared with an empty sharer list.
-    EvictLeavesSharedEmpty,
-    /// NT sweep invalidates copies but forgets to clear the sharer list.
-    NtStoreKeepsSharerList,
-    /// Dragon's NT update round drops the refreshed sharer list.
-    NtStoreDropsSharers,
-    /// Dragon's NT update round elects an F holder Dragon never has.
-    NtStoreCreatesForward,
-}
-
-impl Mutation {
-    /// Every defined mutation (CLI enumeration order).
-    pub const ALL: [Mutation; 17] = [
-        Mutation::WriteLeavesWriterInSharers,
-        Mutation::WriteKeepsStaleSharer,
-        Mutation::WriteLeavesEntryShared,
-        Mutation::WriteStaysClean,
-        Mutation::WriteRegressesVersion,
-        Mutation::ReadDuplicatesSharer,
-        Mutation::ReadDropsForwardFromSharers,
-        Mutation::ReadCreatesOwned,
-        Mutation::ReadSetsForeignForward,
-        Mutation::ReadOwnedDropsOwner,
-        Mutation::ReadSkipsWriteback,
-        Mutation::EvictDropsWriteback,
-        Mutation::EvictKeepsOwned,
-        Mutation::EvictLeavesSharedEmpty,
-        Mutation::NtStoreKeepsSharerList,
-        Mutation::NtStoreDropsSharers,
-        Mutation::NtStoreCreatesForward,
-    ];
-
-    /// Stable kebab-case name (CLI and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Mutation::WriteLeavesWriterInSharers => "write-leaves-writer-in-sharers",
-            Mutation::WriteKeepsStaleSharer => "write-keeps-stale-sharer",
-            Mutation::WriteLeavesEntryShared => "write-leaves-entry-shared",
-            Mutation::WriteStaysClean => "write-stays-clean",
-            Mutation::WriteRegressesVersion => "write-regresses-version",
-            Mutation::ReadDuplicatesSharer => "read-duplicates-sharer",
-            Mutation::ReadDropsForwardFromSharers => "read-drops-forward-from-sharers",
-            Mutation::ReadCreatesOwned => "read-creates-owned",
-            Mutation::ReadSetsForeignForward => "read-sets-foreign-forward",
-            Mutation::ReadOwnedDropsOwner => "read-owned-drops-owner",
-            Mutation::ReadSkipsWriteback => "read-skips-writeback",
-            Mutation::EvictDropsWriteback => "evict-drops-writeback",
-            Mutation::EvictKeepsOwned => "evict-keeps-owned",
-            Mutation::EvictLeavesSharedEmpty => "evict-leaves-shared-empty",
-            Mutation::NtStoreKeepsSharerList => "nt-store-keeps-sharer-list",
-            Mutation::NtStoreDropsSharers => "nt-store-drops-sharers",
-            Mutation::NtStoreCreatesForward => "nt-store-creates-forward",
-        }
-    }
-
-    /// Parse a [`Mutation::name`] back (CLI).
-    pub fn parse(s: &str) -> Option<Mutation> {
-        Mutation::ALL.into_iter().find(|m| m.name() == s)
-    }
-
-    /// The defects applicable to (and required to be killed under) `kind`
-    /// — exactly twelve per protocol. Defects tied to a mechanism the
-    /// protocol lacks (invalidation under Dragon, F under MESI/MOESI/
-    /// Dragon, O under MESIF/MESI) are catalogued only where the mechanism
-    /// exists, so every listed mutant is reachable and must die.
-    pub fn catalog(kind: ProtocolKind) -> &'static [Mutation] {
-        match kind {
-            ProtocolKind::Mesif => &[
-                Mutation::WriteLeavesWriterInSharers,
-                Mutation::WriteKeepsStaleSharer,
-                Mutation::WriteLeavesEntryShared,
-                Mutation::WriteStaysClean,
-                Mutation::WriteRegressesVersion,
-                Mutation::ReadDuplicatesSharer,
-                Mutation::ReadDropsForwardFromSharers,
-                Mutation::ReadCreatesOwned,
-                Mutation::ReadSkipsWriteback,
-                Mutation::EvictDropsWriteback,
-                Mutation::EvictLeavesSharedEmpty,
-                Mutation::NtStoreKeepsSharerList,
-            ],
-            ProtocolKind::Mesi => &[
-                Mutation::WriteLeavesWriterInSharers,
-                Mutation::WriteKeepsStaleSharer,
-                Mutation::WriteLeavesEntryShared,
-                Mutation::WriteStaysClean,
-                Mutation::WriteRegressesVersion,
-                Mutation::ReadDuplicatesSharer,
-                Mutation::ReadSetsForeignForward,
-                Mutation::ReadCreatesOwned,
-                Mutation::ReadSkipsWriteback,
-                Mutation::EvictDropsWriteback,
-                Mutation::EvictLeavesSharedEmpty,
-                Mutation::NtStoreKeepsSharerList,
-            ],
-            ProtocolKind::Moesi => &[
-                Mutation::WriteLeavesWriterInSharers,
-                Mutation::WriteKeepsStaleSharer,
-                Mutation::WriteLeavesEntryShared,
-                Mutation::WriteStaysClean,
-                Mutation::WriteRegressesVersion,
-                Mutation::ReadDuplicatesSharer,
-                Mutation::ReadSetsForeignForward,
-                Mutation::ReadOwnedDropsOwner,
-                Mutation::EvictKeepsOwned,
-                Mutation::EvictDropsWriteback,
-                Mutation::EvictLeavesSharedEmpty,
-                Mutation::NtStoreKeepsSharerList,
-            ],
-            ProtocolKind::Dragon => &[
-                Mutation::WriteLeavesWriterInSharers,
-                Mutation::WriteLeavesEntryShared,
-                Mutation::WriteStaysClean,
-                Mutation::WriteRegressesVersion,
-                Mutation::ReadDuplicatesSharer,
-                Mutation::ReadSetsForeignForward,
-                Mutation::ReadOwnedDropsOwner,
-                Mutation::EvictKeepsOwned,
-                Mutation::EvictDropsWriteback,
-                Mutation::EvictLeavesSharedEmpty,
-                Mutation::NtStoreDropsSharers,
-                Mutation::NtStoreCreatesForward,
-            ],
-        }
-    }
-}
-
-/// [`grant_read`] with an optional injected defect. `None` takes the
-/// untouched hot path; the model checker and the engine both route through
-/// here so a mutant corrupts the *shipped* table identically in both.
-#[inline]
-pub fn grant_read_mutated(
-    kind: ProtocolKind,
-    mu: Option<Mutation>,
-    entry: &mut DirEntry,
-    t: TileId,
-) -> ReadGrant {
-    let Some(m) = mu else {
-        return grant_read(kind, entry, t);
-    };
-    let pre = entry.state.clone();
-    let mut g = grant_read(kind, entry, t);
-    match m {
-        Mutation::ReadDuplicatesSharer => {
-            if entry.sharers.contains(&t) {
-                entry.sharers.push(t);
-            }
-        }
-        Mutation::ReadDropsForwardFromSharers => {
-            if let GlobalState::Shared { forward: Some(f) } = entry.state {
-                entry.sharers.retain(|&s| s != f);
-            }
-        }
-        Mutation::ReadCreatesOwned => {
-            if let GlobalState::Modified { owner } = pre {
-                if owner != t {
-                    entry.state = GlobalState::Owned { owner };
-                    entry.sharers = vec![owner, t];
-                }
-            }
-        }
-        Mutation::ReadSetsForeignForward => {
-            if matches!(entry.state, GlobalState::Shared { forward: None })
-                && entry.sharers.contains(&t)
-            {
-                entry.state = GlobalState::Shared { forward: Some(t) };
-            }
-        }
-        Mutation::ReadOwnedDropsOwner => {
-            if let GlobalState::Owned { owner } = entry.state {
-                entry.sharers.retain(|&s| s != owner);
-            }
-        }
-        Mutation::ReadSkipsWriteback => g.writeback = false,
-        Mutation::WriteLeavesWriterInSharers
-        | Mutation::WriteKeepsStaleSharer
-        | Mutation::WriteLeavesEntryShared
-        | Mutation::WriteStaysClean
-        | Mutation::WriteRegressesVersion
-        | Mutation::EvictDropsWriteback
-        | Mutation::EvictKeepsOwned
-        | Mutation::EvictLeavesSharedEmpty
-        | Mutation::NtStoreKeepsSharerList
-        | Mutation::NtStoreDropsSharers
-        | Mutation::NtStoreCreatesForward => {}
-    }
-    g
-}
-
-/// [`grant_write`] with an optional injected defect (see
-/// [`grant_read_mutated`]).
-#[inline]
-pub fn grant_write_mutated(
-    kind: ProtocolKind,
-    mu: Option<Mutation>,
-    entry: &mut DirEntry,
-    t: TileId,
-) -> WriteGrant {
-    let Some(m) = mu else {
-        return grant_write(kind, entry, t);
-    };
-    // Remember one holder whose invalidation the stale-sharer defect is
-    // about to "forget" (meaningless under write-update, which sends no
-    // invalidations to skip).
-    let stale = if m == Mutation::WriteKeepsStaleSharer && kind.invalidation_based() {
-        match &entry.state {
-            GlobalState::Exclusive { owner } | GlobalState::Modified { owner } if *owner != t => {
-                Some(*owner)
-            }
-            GlobalState::Shared { .. } | GlobalState::Owned { .. } => {
-                entry.sharers.iter().copied().find(|&s| s != t)
-            }
-            GlobalState::Uncached
-            | GlobalState::Exclusive { .. }
-            | GlobalState::Modified { .. } => None,
-        }
-    } else {
-        None
-    };
-    let g = grant_write(kind, entry, t);
-    let granted_m = matches!(entry.state, GlobalState::Modified { owner } if owner == t);
-    match m {
-        Mutation::WriteLeavesWriterInSharers => {
-            if granted_m && entry.sharers.is_empty() {
-                entry.sharers.push(t);
-            }
-        }
-        Mutation::WriteKeepsStaleSharer => {
-            if let Some(s) = stale {
-                entry.sharers.push(s);
-            }
-        }
-        Mutation::WriteLeavesEntryShared => {
-            if granted_m {
-                entry.state = GlobalState::Shared { forward: None };
-                entry.sharers = vec![t];
-            }
-        }
-        Mutation::WriteStaysClean => {
-            if granted_m {
-                entry.state = GlobalState::Exclusive { owner: t };
-                entry.sharers.clear();
-            }
-        }
-        Mutation::WriteRegressesVersion => entry.version = entry.version.wrapping_sub(2),
-        Mutation::ReadDuplicatesSharer
-        | Mutation::ReadDropsForwardFromSharers
-        | Mutation::ReadCreatesOwned
-        | Mutation::ReadSetsForeignForward
-        | Mutation::ReadOwnedDropsOwner
-        | Mutation::ReadSkipsWriteback
-        | Mutation::EvictDropsWriteback
-        | Mutation::EvictKeepsOwned
-        | Mutation::EvictLeavesSharedEmpty
-        | Mutation::NtStoreKeepsSharerList
-        | Mutation::NtStoreDropsSharers
-        | Mutation::NtStoreCreatesForward => {}
-    }
-    g
-}
-
-/// [`nt_store`] with an optional injected defect (see
-/// [`grant_read_mutated`]).
-#[inline]
-pub fn nt_store_mutated(
-    kind: ProtocolKind,
-    mu: Option<Mutation>,
-    entry: &mut DirEntry,
-) -> StoreSweep {
-    let Some(m) = mu else {
-        return nt_store(kind, entry);
-    };
-    let pre_holder = entry.supplier().or_else(|| entry.sharers.first().copied());
-    let sweep = nt_store(kind, entry);
-    match m {
-        Mutation::NtStoreKeepsSharerList => {
-            if matches!(entry.state, GlobalState::Uncached) {
-                if let Some(h) = pre_holder {
-                    entry.sharers.push(h);
-                }
-            }
-        }
-        Mutation::NtStoreDropsSharers => {
-            if matches!(entry.state, GlobalState::Shared { .. }) {
-                entry.sharers.clear();
-            }
-        }
-        Mutation::NtStoreCreatesForward => {
-            if matches!(entry.state, GlobalState::Shared { forward: None }) {
-                if let Some(h) = entry.sharers.first().copied() {
-                    entry.state = GlobalState::Shared { forward: Some(h) };
-                }
-            }
-        }
-        Mutation::WriteLeavesWriterInSharers
-        | Mutation::WriteKeepsStaleSharer
-        | Mutation::WriteLeavesEntryShared
-        | Mutation::WriteStaysClean
-        | Mutation::WriteRegressesVersion
-        | Mutation::ReadDuplicatesSharer
-        | Mutation::ReadDropsForwardFromSharers
-        | Mutation::ReadCreatesOwned
-        | Mutation::ReadSetsForeignForward
-        | Mutation::ReadOwnedDropsOwner
-        | Mutation::ReadSkipsWriteback
-        | Mutation::EvictDropsWriteback
-        | Mutation::EvictKeepsOwned
-        | Mutation::EvictLeavesSharedEmpty => {}
-    }
-    sweep
-}
-
-/// Protocol-routed eviction with an optional injected defect (see
-/// [`grant_read_mutated`]).
-#[inline]
-pub fn evict_mutated(
-    kind: ProtocolKind,
-    mu: Option<Mutation>,
-    entry: &mut DirEntry,
-    t: TileId,
-) -> bool {
-    let Some(m) = mu else {
-        return backend(kind).evict(entry, t);
-    };
-    let was_owned_by_t = matches!(entry.state, GlobalState::Owned { owner } if owner == t);
-    let had_holders = entry.num_holders() > 0;
-    let dirty = backend(kind).evict(entry, t);
-    match m {
-        Mutation::EvictDropsWriteback => return false,
-        Mutation::EvictKeepsOwned => {
-            if was_owned_by_t {
-                entry.state = GlobalState::Owned { owner: t };
-            }
-        }
-        Mutation::EvictLeavesSharedEmpty => {
-            if had_holders && matches!(entry.state, GlobalState::Uncached) {
-                entry.state = GlobalState::Shared { forward: None };
-                entry.sharers.clear();
-            }
-        }
-        Mutation::WriteLeavesWriterInSharers
-        | Mutation::WriteKeepsStaleSharer
-        | Mutation::WriteLeavesEntryShared
-        | Mutation::WriteStaysClean
-        | Mutation::WriteRegressesVersion
-        | Mutation::ReadDuplicatesSharer
-        | Mutation::ReadDropsForwardFromSharers
-        | Mutation::ReadCreatesOwned
-        | Mutation::ReadSetsForeignForward
-        | Mutation::ReadOwnedDropsOwner
-        | Mutation::ReadSkipsWriteback
-        | Mutation::NtStoreKeepsSharerList
-        | Mutation::NtStoreDropsSharers
-        | Mutation::NtStoreCreatesForward => {}
-    }
-    dirty
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ProtocolKind::{Dragon, Mesi, Mesif, Moesi};
 
     fn t(i: u16) -> TileId {
         TileId(i)
     }
 
+    fn read(kind: ProtocolKind, e: &mut DirEntry, tile: u16) -> Outcome {
+        transition(kind, e, Request::Read, t(tile))
+    }
+
+    fn write(kind: ProtocolKind, e: &mut DirEntry, tile: u16) -> Outcome {
+        transition(kind, e, Request::Write, t(tile))
+    }
+
+    /// Evict; returns whether a write-back is due.
+    fn evict(kind: ProtocolKind, e: &mut DirEntry, tile: u16) -> bool {
+        transition(kind, e, Request::Evict, t(tile)).writeback
+    }
+
+    fn nt_store(kind: ProtocolKind, e: &mut DirEntry) -> Outcome {
+        transition(kind, e, Request::NtStore, t(0))
+    }
+
+    // ------------------------------------------------------------------
+    // MESIF — the KNL default, calibration target of Tables I/II.
+    // ------------------------------------------------------------------
+
     #[test]
-    fn every_backend_reports_its_kind() {
-        for kind in ProtocolKind::ALL {
-            assert_eq!(backend(kind).kind(), kind);
+    fn first_read_is_exclusive() {
+        let mut e = DirEntry::default();
+        assert_eq!(read(Mesif, &mut e, 0).requester, LineState::Exclusive);
+        assert_eq!(e.state_of(t(0)), LineState::Exclusive);
+        assert_eq!(e.state_of(t(1)), LineState::Invalid);
+        assert_eq!(e.supplier(), Some(t(0)));
+    }
+
+    #[test]
+    fn second_read_creates_forward() {
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        assert_eq!(read(Mesif, &mut e, 1).requester, LineState::Forward);
+        assert_eq!(e.state_of(t(0)), LineState::Shared);
+        assert_eq!(e.state_of(t(1)), LineState::Forward);
+        // Only the F holder supplies.
+        assert_eq!(e.supplier(), Some(t(1)));
+        assert_eq!(e.num_holders(), 2);
+    }
+
+    #[test]
+    fn forward_moves_to_latest_reader() {
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        read(Mesif, &mut e, 1);
+        read(Mesif, &mut e, 2);
+        assert_eq!(e.state_of(t(1)), LineState::Shared);
+        assert_eq!(e.state_of(t(2)), LineState::Forward);
+        assert_eq!(e.num_holders(), 3);
+    }
+
+    #[test]
+    fn write_invalidates_sharers_and_bumps_version() {
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        read(Mesif, &mut e, 1);
+        read(Mesif, &mut e, 2);
+        let v0 = e.version;
+        assert_eq!(write(Mesif, &mut e, 0).invalidated, 2);
+        assert_eq!(e.state_of(t(0)), LineState::Modified);
+        assert_eq!(e.state_of(t(1)), LineState::Invalid);
+        assert_ne!(e.version, v0);
+    }
+
+    #[test]
+    fn write_upgrade_from_exclusive_sends_no_invalidations_but_bumps_version() {
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        let v0 = e.version;
+        let g = write(Mesif, &mut e, 0);
+        assert_eq!(g.invalidated, 0, "E→M upgrade is silent on the mesh");
+        assert_ne!(e.version, v0, "sibling-core L1 copies must still die");
+        assert!(e.dirty());
+    }
+
+    #[test]
+    fn read_of_modified_downgrades_owner() {
+        let mut e = DirEntry::default();
+        write(Mesif, &mut e, 0);
+        assert_eq!(read(Mesif, &mut e, 1).requester, LineState::Forward);
+        assert_eq!(e.state_of(t(0)), LineState::Shared);
+        assert!(!e.dirty(), "downgrade implies write-back");
+    }
+
+    #[test]
+    fn evict_dirty_reports_writeback() {
+        let mut e = DirEntry::default();
+        write(Mesif, &mut e, 0);
+        assert!(evict(Mesif, &mut e, 0));
+        assert_eq!(e.state_of(t(0)), LineState::Invalid);
+        assert_eq!(e.num_holders(), 0);
+    }
+
+    #[test]
+    fn evict_forward_falls_back_to_memory() {
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        read(Mesif, &mut e, 1);
+        assert!(!evict(Mesif, &mut e, 1)); // F holder evicts
+        assert_eq!(e.supplier(), None, "no F holder -> memory supplies");
+        assert_eq!(e.state_of(t(0)), LineState::Shared);
+    }
+
+    #[test]
+    fn evict_last_sharer_uncaches() {
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        read(Mesif, &mut e, 1);
+        evict(Mesif, &mut e, 0);
+        evict(Mesif, &mut e, 1);
+        assert_eq!(e.state, GlobalState::Uncached);
+    }
+
+    #[test]
+    fn single_writer_invariant() {
+        // Whatever sequence of grants happens, at most one tile may ever be
+        // in M/E, and M/E excludes sharers.
+        let mut e = DirEntry::default();
+        let seq = [
+            (false, 0),
+            (true, 1),
+            (false, 2),
+            (false, 0),
+            (true, 2),
+            (true, 0),
+            (false, 1),
+            (true, 1),
+        ];
+        for (is_write, tile) in seq {
+            if is_write {
+                write(Mesif, &mut e, tile);
+            } else {
+                read(Mesif, &mut e, tile);
+            }
+            let count = |states: [LineState; 2]| {
+                (0..3)
+                    .filter(|&x| states.contains(&e.state_of(t(x))))
+                    .count()
+            };
+            let owners = count([LineState::Modified, LineState::Exclusive]);
+            assert!(owners <= 1);
+            if owners == 1 {
+                let sharers = count([LineState::Shared, LineState::Forward]);
+                assert_eq!(sharers, 0, "M/E excludes S/F copies");
+            }
         }
     }
+
+    #[test]
+    fn evict_forward_then_reread_restores_forward() {
+        // Once the F holder evicts, memory supplies — until the next read,
+        // whose requester becomes the new forwarder.
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        read(Mesif, &mut e, 1);
+        evict(Mesif, &mut e, 1);
+        assert_eq!(e.supplier(), None);
+        assert_eq!(read(Mesif, &mut e, 2).requester, LineState::Forward);
+        assert_eq!(e.supplier(), Some(t(2)));
+        assert_eq!(e.state_of(t(0)), LineState::Shared);
+    }
+
+    #[test]
+    fn evict_non_holder_is_noop() {
+        let mut e = DirEntry::default();
+        write(Mesif, &mut e, 0);
+        let v = e.version;
+        assert!(
+            !evict(Mesif, &mut e, 1),
+            "a tile without a copy owes no write-back"
+        );
+        assert_eq!(e.state_of(t(0)), LineState::Modified);
+        assert_eq!(e.version, v);
+        let mut s = DirEntry::default();
+        read(Mesif, &mut s, 0);
+        read(Mesif, &mut s, 1);
+        assert!(!evict(Mesif, &mut s, 2));
+        assert_eq!(s.num_holders(), 2);
+    }
+
+    #[test]
+    fn evict_last_sharer_then_read_is_exclusive() {
+        // Last-sharer downgrade: S with one holder collapses to Uncached on
+        // evict, so the next reader starts a fresh E epoch.
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        read(Mesif, &mut e, 1);
+        evict(Mesif, &mut e, 1);
+        evict(Mesif, &mut e, 0);
+        assert_eq!(e.state, GlobalState::Uncached);
+        assert!(e.sharers.is_empty(), "no stale sharers may survive");
+        assert_eq!(read(Mesif, &mut e, 2).requester, LineState::Exclusive);
+    }
+
+    #[test]
+    fn mesif_read_of_remote_modified_writes_back() {
+        let mut e = DirEntry::default();
+        read(Mesif, &mut e, 0);
+        write(Mesif, &mut e, 0);
+        let g = read(Mesif, &mut e, 1);
+        assert!(g.writeback);
+        assert_eq!(g.requester, LineState::Forward);
+        // Owner's own re-read of its M line flushes nothing.
+        let mut e = DirEntry::default();
+        write(Mesif, &mut e, 0);
+        assert!(!read(Mesif, &mut e, 0).writeback);
+    }
+
+    // ------------------------------------------------------------------
+    // Where MESI, MOESI and Dragon differ.
+    // ------------------------------------------------------------------
 
     #[test]
     fn first_read_is_exclusive_under_every_protocol() {
         for kind in ProtocolKind::ALL {
             let mut e = DirEntry::default();
-            let g = grant_read(kind, &mut e, t(3));
-            assert_eq!(g.state, LineState::Exclusive, "{kind}");
+            let g = read(kind, &mut e, 3);
+            assert_eq!(g.requester, LineState::Exclusive, "{kind}");
             assert!(!g.writeback, "{kind}");
             assert_eq!(e.supplier(), Some(t(3)), "{kind}");
         }
     }
 
     #[test]
-    fn mesif_trait_matches_direntry_verbatim() {
-        // The trait port must be bit-identical to the raw DirEntry methods.
-        let mut a = DirEntry::default();
-        let mut b = DirEntry::default();
-        let seq = [(0u16, true), (1, false), (2, false), (1, true), (3, false)];
-        for (tile, is_write) in seq {
-            if is_write {
-                let inv = b.grant_write(t(tile));
-                let g = Mesif.grant_write(&mut a, t(tile));
-                assert_eq!(g.invalidated, inv);
-                assert_eq!(g.updated, 0);
-            } else {
-                let st = b.grant_read(t(tile));
-                let g = Mesif.grant_read(&mut a, t(tile));
-                assert_eq!(g.state, st);
-            }
-            assert_eq!(a.state, b.state);
-            assert_eq!(a.sharers, b.sharers);
-            assert_eq!(a.version, b.version);
-        }
-    }
-
-    #[test]
-    fn mesif_read_of_remote_modified_writes_back() {
-        let mut e = DirEntry::default();
-        Mesif.grant_read(&mut e, t(0));
-        Mesif.grant_write(&mut e, t(0));
-        let g = Mesif.grant_read(&mut e, t(1));
-        assert!(g.writeback);
-        assert_eq!(g.state, LineState::Forward);
-        // Owner's own re-read of its M line flushes nothing.
-        let mut e = DirEntry::default();
-        Mesif.grant_write(&mut e, t(0));
-        assert!(!Mesif.grant_read(&mut e, t(0)).writeback);
-    }
-
-    #[test]
     fn mesi_shared_reads_have_no_forwarder() {
         let mut e = DirEntry::default();
-        Mesi.grant_read(&mut e, t(0));
-        let g = Mesi.grant_read(&mut e, t(1));
-        assert_eq!(g.state, LineState::Shared);
+        read(Mesi, &mut e, 0);
+        let g = read(Mesi, &mut e, 1);
+        assert_eq!(g.requester, LineState::Shared);
         assert_eq!(e.state, GlobalState::Shared { forward: None });
         // No supplier ⇒ the engine serves shared reads from memory.
         assert_eq!(e.supplier(), None);
-        assert!(Mesi.validate_entry(&e).is_ok());
+        assert!(validate(Mesi, &e).is_ok());
     }
 
     #[test]
     fn mesi_read_of_modified_writes_back_and_shares() {
         let mut e = DirEntry::default();
-        Mesi.grant_read(&mut e, t(0));
-        Mesi.grant_write(&mut e, t(0));
-        let g = Mesi.grant_read(&mut e, t(1));
+        read(Mesi, &mut e, 0);
+        write(Mesi, &mut e, 0);
+        let g = read(Mesi, &mut e, 1);
         assert!(g.writeback);
-        assert_eq!(g.state, LineState::Shared);
+        assert_eq!(g.requester, LineState::Shared);
         assert_eq!(e.state, GlobalState::Shared { forward: None });
         assert!(!e.dirty());
     }
@@ -1045,28 +520,28 @@ mod tests {
     #[test]
     fn moesi_read_of_modified_keeps_dirty_owner_supplying() {
         let mut e = DirEntry::default();
-        Moesi.grant_read(&mut e, t(0));
-        Moesi.grant_write(&mut e, t(0));
-        let g = Moesi.grant_read(&mut e, t(1));
+        read(Moesi, &mut e, 0);
+        write(Moesi, &mut e, 0);
+        let g = read(Moesi, &mut e, 1);
         assert!(!g.writeback, "O protocols never flush on a read");
-        assert_eq!(g.state, LineState::Shared);
+        assert_eq!(g.requester, LineState::Shared);
         assert_eq!(e.state, GlobalState::Owned { owner: t(0) });
         assert_eq!(e.supplier(), Some(t(0)));
         assert!(e.dirty());
         assert_eq!(e.state_of(t(0)), LineState::Owned);
         assert_eq!(e.state_of(t(1)), LineState::Shared);
-        assert!(Moesi.validate_entry(&e).is_ok());
+        assert!(validate(Moesi, &e).is_ok());
     }
 
     #[test]
     fn moesi_owner_write_invalidates_other_sharers() {
         let mut e = DirEntry::default();
-        Moesi.grant_read(&mut e, t(0));
-        Moesi.grant_write(&mut e, t(0));
-        Moesi.grant_read(&mut e, t(1));
-        Moesi.grant_read(&mut e, t(2));
+        read(Moesi, &mut e, 0);
+        write(Moesi, &mut e, 0);
+        read(Moesi, &mut e, 1);
+        read(Moesi, &mut e, 2);
         let v0 = e.version;
-        let g = Moesi.grant_write(&mut e, t(0));
+        let g = write(Moesi, &mut e, 0);
         assert_eq!(g.invalidated, 2);
         assert_eq!(g.updated, 0);
         assert_eq!(e.state, GlobalState::Modified { owner: t(0) });
@@ -1076,23 +551,23 @@ mod tests {
     #[test]
     fn moesi_owner_evict_flushes_and_leaves_clean_sharers() {
         let mut e = DirEntry::default();
-        Moesi.grant_read(&mut e, t(0));
-        Moesi.grant_write(&mut e, t(0));
-        Moesi.grant_read(&mut e, t(1));
-        Moesi.grant_read(&mut e, t(2));
-        assert!(Moesi.evict(&mut e, t(0)), "dirty supplier must flush");
+        read(Moesi, &mut e, 0);
+        write(Moesi, &mut e, 0);
+        read(Moesi, &mut e, 1);
+        read(Moesi, &mut e, 2);
+        assert!(evict(Moesi, &mut e, 0), "dirty supplier must flush");
         assert_eq!(e.state, GlobalState::Shared { forward: None });
-        assert_eq!(e.sharers, vec![t(1), t(2)]);
+        assert_eq!(e.sharers, TileSet::from([t(1), t(2)]));
         assert!(!e.dirty());
     }
 
     #[test]
     fn moesi_sharer_evict_collapses_owned_to_modified() {
         let mut e = DirEntry::default();
-        Moesi.grant_read(&mut e, t(0));
-        Moesi.grant_write(&mut e, t(0));
-        Moesi.grant_read(&mut e, t(1));
-        assert!(!Moesi.evict(&mut e, t(1)), "clean sharer evicts silently");
+        read(Moesi, &mut e, 0);
+        write(Moesi, &mut e, 0);
+        read(Moesi, &mut e, 1);
+        assert!(!evict(Moesi, &mut e, 1), "clean sharer evicts silently");
         assert_eq!(e.state, GlobalState::Modified { owner: t(0) });
         assert!(e.sharers.is_empty());
     }
@@ -1100,25 +575,25 @@ mod tests {
     #[test]
     fn dragon_remote_write_updates_instead_of_invalidating() {
         let mut e = DirEntry::default();
-        Dragon.grant_read(&mut e, t(0));
-        Dragon.grant_read(&mut e, t(1));
-        Dragon.grant_read(&mut e, t(2));
+        read(Dragon, &mut e, 0);
+        read(Dragon, &mut e, 1);
+        read(Dragon, &mut e, 2);
         let v0 = e.version;
-        let g = Dragon.grant_write(&mut e, t(2));
+        let g = write(Dragon, &mut e, 2);
         assert_eq!(g.invalidated, 0);
         assert_eq!(g.updated, 2, "both other sharers get the new data");
         assert_eq!(e.state, GlobalState::Owned { owner: t(2) });
         assert_eq!(e.version, v0, "copies stay valid: no epoch bump");
         assert_eq!(e.num_holders(), 3);
-        assert!(Dragon.validate_entry(&e).is_ok());
+        assert!(validate(Dragon, &e).is_ok());
     }
 
     #[test]
     fn dragon_write_by_non_holder_joins_and_owns() {
         let mut e = DirEntry::default();
-        Dragon.grant_read(&mut e, t(0));
-        Dragon.grant_read(&mut e, t(1));
-        let g = Dragon.grant_write(&mut e, t(5));
+        read(Dragon, &mut e, 0);
+        read(Dragon, &mut e, 1);
+        let g = write(Dragon, &mut e, 5);
         assert_eq!(g.updated, 2);
         assert_eq!(e.state, GlobalState::Owned { owner: t(5) });
         assert_eq!(e.num_holders(), 3);
@@ -1127,8 +602,8 @@ mod tests {
     #[test]
     fn dragon_write_to_remote_exclusive_updates_the_holder() {
         let mut e = DirEntry::default();
-        Dragon.grant_read(&mut e, t(0));
-        let g = Dragon.grant_write(&mut e, t(1));
+        read(Dragon, &mut e, 0);
+        let g = write(Dragon, &mut e, 1);
         assert_eq!(g.updated, 1);
         assert_eq!(e.state, GlobalState::Owned { owner: t(1) });
         assert_eq!(e.state_of(t(0)), LineState::Shared);
@@ -1137,10 +612,10 @@ mod tests {
     #[test]
     fn dragon_sole_holder_write_collapses_to_modified() {
         let mut e = DirEntry::default();
-        Dragon.grant_read(&mut e, t(0));
-        Dragon.grant_read(&mut e, t(1));
-        Dragon.evict(&mut e, t(1));
-        let g = Dragon.grant_write(&mut e, t(0));
+        read(Dragon, &mut e, 0);
+        read(Dragon, &mut e, 1);
+        evict(Dragon, &mut e, 1);
+        let g = write(Dragon, &mut e, 0);
         assert_eq!(g.updated, 0);
         assert_eq!(e.state, GlobalState::Modified { owner: t(0) });
     }
@@ -1148,11 +623,11 @@ mod tests {
     #[test]
     fn dragon_nt_store_updates_every_holder_clean() {
         let mut e = DirEntry::default();
-        Dragon.grant_read(&mut e, t(0));
-        Dragon.grant_write(&mut e, t(1));
+        read(Dragon, &mut e, 0);
+        write(Dragon, &mut e, 1);
         assert!(e.dirty());
         let v0 = e.version;
-        let sweep = Dragon.nt_store(&mut e);
+        let sweep = nt_store(Dragon, &mut e);
         assert_eq!(sweep.invalidated, 0);
         assert_eq!(sweep.updated, 2);
         assert!(!sweep.writeback, "the NT stream itself carries the data");
@@ -1165,20 +640,20 @@ mod tests {
     #[test]
     fn dragon_nt_store_on_exclusive_keeps_the_holder() {
         let mut e = DirEntry::default();
-        Dragon.grant_read(&mut e, t(4));
-        let sweep = Dragon.nt_store(&mut e);
+        read(Dragon, &mut e, 4);
+        let sweep = nt_store(Dragon, &mut e);
         assert_eq!(sweep.updated, 1);
         assert_eq!(e.state, GlobalState::Shared { forward: None });
-        assert_eq!(e.sharers, vec![t(4)]);
+        assert_eq!(e.sharers, TileSet::from([t(4)]));
     }
 
     #[test]
     fn invalidation_protocols_nt_store_invalidates() {
-        for kind in [ProtocolKind::Mesif, ProtocolKind::Mesi, ProtocolKind::Moesi] {
+        for kind in [Mesif, Mesi, Moesi] {
             let mut e = DirEntry::default();
-            grant_read(kind, &mut e, t(0));
-            grant_write(kind, &mut e, t(0));
-            grant_read(kind, &mut e, t(1));
+            read(kind, &mut e, 0);
+            write(kind, &mut e, 0);
+            read(kind, &mut e, 1);
             let holders = e.num_holders();
             let sweep = nt_store(kind, &mut e);
             assert_eq!(sweep.invalidated, holders, "{kind}");
@@ -1188,135 +663,52 @@ mod tests {
     }
 
     #[test]
-    fn only_dragon_upgrades_any_copy() {
-        for kind in ProtocolKind::ALL {
-            assert_eq!(
-                write_upgrades_any_copy(kind),
-                kind == ProtocolKind::Dragon,
-                "{kind}"
-            );
-        }
-    }
-
-    #[test]
     fn validate_rejects_foreign_states() {
         // An O entry is illegal under MESIF and MESI, fine under MOESI/Dragon.
         let mut e = DirEntry::default();
-        Moesi.grant_read(&mut e, t(0));
-        Moesi.grant_write(&mut e, t(0));
-        Moesi.grant_read(&mut e, t(1));
+        read(Moesi, &mut e, 0);
+        write(Moesi, &mut e, 0);
+        read(Moesi, &mut e, 1);
         assert!(matches!(e.state, GlobalState::Owned { .. }));
-        assert!(Mesif.validate_entry(&e).is_err());
-        assert!(Mesi.validate_entry(&e).is_err());
-        assert!(Moesi.validate_entry(&e).is_ok());
-        assert!(Dragon.validate_entry(&e).is_ok());
+        assert!(validate(Mesif, &e).is_err());
+        assert!(validate(Mesi, &e).is_err());
+        assert!(validate(Moesi, &e).is_ok());
+        assert!(validate(Dragon, &e).is_ok());
         // A forward holder is illegal everywhere but MESIF.
         let mut e = DirEntry::default();
-        Mesif.grant_read(&mut e, t(0));
-        Mesif.grant_read(&mut e, t(1));
+        read(Mesif, &mut e, 0);
+        read(Mesif, &mut e, 1);
         assert!(matches!(e.state, GlobalState::Shared { forward: Some(_) }));
-        assert!(Mesif.validate_entry(&e).is_ok());
-        assert!(Mesi.validate_entry(&e).is_err());
-        assert!(Moesi.validate_entry(&e).is_err());
-        assert!(Dragon.validate_entry(&e).is_err());
-    }
-
-    #[test]
-    fn every_catalog_has_twelve_killable_mutants() {
-        for kind in ProtocolKind::ALL {
-            let cat = Mutation::catalog(kind);
-            assert_eq!(cat.len(), 12, "{kind}");
-            for (i, m) in cat.iter().enumerate() {
-                assert!(!cat[..i].contains(m), "{kind}: duplicate {m:?}");
-            }
-        }
-        for m in Mutation::ALL {
-            assert!(
-                ProtocolKind::ALL
-                    .into_iter()
-                    .any(|k| Mutation::catalog(k).contains(&m)),
-                "{m:?} catalogued nowhere"
-            );
-            assert_eq!(Mutation::parse(m.name()), Some(m));
-        }
-    }
-
-    #[test]
-    fn unmutated_dispatch_is_verbatim() {
-        // `None` must be bit-identical to the plain tables on a sequence
-        // exercising every transition shape.
-        for kind in ProtocolKind::ALL {
-            let mut a = DirEntry::default();
-            let mut b = DirEntry::default();
-            for (i, tile) in [(0u8, 0u16), (0, 1), (1, 2), (2, 1), (3, 0)] {
-                match i {
-                    0 => {
-                        let x = grant_read(kind, &mut a, t(tile));
-                        assert_eq!(x, grant_read_mutated(kind, None, &mut b, t(tile)));
-                    }
-                    1 => {
-                        let x = grant_write(kind, &mut a, t(tile));
-                        assert_eq!(x, grant_write_mutated(kind, None, &mut b, t(tile)));
-                    }
-                    2 => {
-                        let x = backend(kind).evict(&mut a, t(tile));
-                        assert_eq!(x, evict_mutated(kind, None, &mut b, t(tile)));
-                    }
-                    _ => {
-                        let x = nt_store(kind, &mut a);
-                        assert_eq!(x, nt_store_mutated(kind, None, &mut b));
-                    }
-                }
-                assert_eq!(a.state, b.state, "{kind}");
-                assert_eq!(a.sharers, b.sharers, "{kind}");
-                assert_eq!(a.version, b.version, "{kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn stale_sharer_mutant_reproduces_the_pr2_fault() {
-        // The generalized harness must inject exactly what the old
-        // `debug_skip_invalidation` switch did: one remote holder survives
-        // an RFO on the sharer list, structurally illegal next to M.
-        let mut e = DirEntry::default();
-        Mesif.grant_read(&mut e, t(0));
-        Mesif.grant_read(&mut e, t(1));
-        grant_write_mutated(
-            ProtocolKind::Mesif,
-            Some(Mutation::WriteKeepsStaleSharer),
-            &mut e,
-            t(1),
-        );
-        assert!(matches!(e.state, GlobalState::Modified { owner } if owner == t(1)));
-        assert_eq!(e.sharers, vec![t(0)]);
-        assert!(Mesif.validate_entry(&e).is_err());
+        assert!(validate(Mesif, &e).is_ok());
+        assert!(validate(Mesi, &e).is_err());
+        assert!(validate(Moesi, &e).is_err());
+        assert!(validate(Dragon, &e).is_err());
     }
 
     // ------------------------------------------------------------------
     // Audit pins (ISSUE 9): what exhaustive enumeration reports for
     // Dragon's NT update ledger and MOESI's O-state eviction path, fixed
-    // as unit tests in the mesif-edge-case style.
+    // as unit tests in the edge-case style above.
     // ------------------------------------------------------------------
 
     #[test]
     fn dragon_nt_store_ledger_counts_every_holder_once() {
         // Owner + two clean sharers: the update round must touch all
-        // three, flush nothing, and keep the full sharer list valid.
+        // three, flush nothing, and keep the full sharer set valid.
         let mut e = DirEntry::default();
-        Dragon.grant_write(&mut e, t(0));
-        Dragon.grant_read(&mut e, t(1));
-        Dragon.grant_read(&mut e, t(2));
+        write(Dragon, &mut e, 0);
+        read(Dragon, &mut e, 1);
+        read(Dragon, &mut e, 2);
         assert!(matches!(e.state, GlobalState::Owned { owner } if owner == t(0)));
-        let sweep = Dragon.nt_store(&mut e);
+        let sweep = nt_store(Dragon, &mut e);
         assert_eq!((sweep.invalidated, sweep.updated), (0, 3));
         assert!(
             !sweep.writeback,
             "NT data refreshes copies; nothing flushes"
         );
         assert_eq!(e.state, GlobalState::Shared { forward: None });
-        assert_eq!(e.sharers, vec![t(0), t(1), t(2)]);
-        assert!(Dragon.validate_entry(&e).is_ok());
+        assert_eq!(e.sharers, TileSet::from([t(0), t(1), t(2)]));
+        assert!(validate(Dragon, &e).is_ok());
         // The reconciliation the checker enforces: ledger == holders.
         assert_eq!(sweep.updated, e.num_holders());
     }
@@ -1324,27 +716,27 @@ mod tests {
     #[test]
     fn moesi_owner_eviction_flushes_and_leaves_clean_sharers() {
         let mut e = DirEntry::default();
-        Moesi.grant_write(&mut e, t(0));
-        Moesi.grant_read(&mut e, t(1));
+        write(Moesi, &mut e, 0);
+        read(Moesi, &mut e, 1);
         assert!(matches!(e.state, GlobalState::Owned { owner } if owner == t(0)));
         // The O holder leaving is the only point MOESI's dirty-shared data
         // reaches memory: dirty=true, survivors demote to plain S.
-        assert!(Moesi.evict(&mut e, t(0)));
+        assert!(evict(Moesi, &mut e, 0));
         assert_eq!(e.state, GlobalState::Shared { forward: None });
-        assert_eq!(e.sharers, vec![t(1)]);
-        assert!(Moesi.validate_entry(&e).is_ok());
+        assert_eq!(e.sharers, TileSet::from([t(1)]));
+        assert!(validate(Moesi, &e).is_ok());
     }
 
     #[test]
     fn moesi_last_clean_sharer_eviction_restores_modified() {
         let mut e = DirEntry::default();
-        Moesi.grant_write(&mut e, t(0));
-        Moesi.grant_read(&mut e, t(1));
+        write(Moesi, &mut e, 0);
+        read(Moesi, &mut e, 1);
         // The clean sharer leaves first: the owner stands alone again and
         // the dirty line must return to plain M — no flush either way.
-        assert!(!Moesi.evict(&mut e, t(1)));
+        assert!(!evict(Moesi, &mut e, 1));
         assert_eq!(e.state, GlobalState::Modified { owner: t(0) });
         assert!(e.sharers.is_empty());
-        assert!(Moesi.validate_entry(&e).is_ok());
+        assert!(validate(Moesi, &e).is_ok());
     }
 }

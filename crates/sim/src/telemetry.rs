@@ -593,6 +593,33 @@ mod tests {
     }
 
     #[test]
+    fn prepared_lines_count_once_in_the_census() {
+        // State preparation takes several uncounted directory steps (flush,
+        // first reader, second reader); each must shift the census by its
+        // own from → to, so one prepared line is one line in the census.
+        use crate::directory::LineState;
+        for (state, tag) in [
+            (LineState::Modified, 'M'),
+            (LineState::Exclusive, 'E'),
+            (LineState::Shared, 'S'),
+            (LineState::Forward, 'S'),
+        ] {
+            let mut m = sampled_machine(1_000_000);
+            // A previous holder, so the preparation really has to flush.
+            m.prepare_line(CoreId(8), 1 << 16, LineState::Exclusive);
+            m.prepare_line(CoreId(0), 1 << 16, state);
+            let series = m.take_telemetry().expect("sampler attached").into_series();
+            let census: Vec<(char, i64)> = series
+                .census_timeline()
+                .into_iter()
+                .map(|(s, line)| (s, *line.last().expect("nonempty timeline")))
+                .filter(|&(_, n)| n != 0)
+                .collect();
+            assert_eq!(census, [(tag, 1)], "prepared {state:?}");
+        }
+    }
+
+    #[test]
     fn device_bins_balance_enters_and_leaves() {
         let mut m = sampled_machine(DEFAULT_INTERVAL_PS);
         m.set_jitter(0);

@@ -5,7 +5,7 @@
 //! these are hand-rolled property loops rather than `proptest` macros).
 
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, SplitMixRng, TileId};
-use knl_sim::{AccessKind, Machine, MesifState, Op, Program, Runner};
+use knl_sim::{AccessKind, LineState, Machine, Op, Program, Runner};
 
 const CASES: u64 = 48;
 
@@ -46,11 +46,9 @@ fn mesif_swmr_invariant() {
                 let mut sharers = 0;
                 for t in 0..32u16 {
                     match m.line_state(a, TileId(t)) {
-                        MesifState::Modified | MesifState::Exclusive => owners += 1,
-                        MesifState::Shared | MesifState::Forward | MesifState::Owned => {
-                            sharers += 1
-                        }
-                        MesifState::Invalid => {}
+                        LineState::Modified | LineState::Exclusive => owners += 1,
+                        LineState::Shared | LineState::Forward | LineState::Owned => sharers += 1,
+                        LineState::Invalid => {}
                     }
                 }
                 assert!(owners <= 1, "case {case}, line {li}: {owners} owners");
@@ -168,7 +166,7 @@ fn pathological_timing_keeps_invariants() {
                 .filter(|&t| {
                     matches!(
                         m.line_state(a, TileId(t)),
-                        MesifState::Modified | MesifState::Exclusive
+                        LineState::Modified | LineState::Exclusive
                     )
                 })
                 .count();

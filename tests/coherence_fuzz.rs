@@ -10,6 +10,7 @@
 
 use knl::arch::{MachineConfig, ProtocolKind};
 use knl::sim::fuzz::fuzz_case;
+use knl::sim::mutation::Mutation;
 use knl::sim::{AccessKind, CheckLevel, Machine, ObserverConfig};
 
 fn fuzz_cases() -> u64 {
@@ -102,7 +103,7 @@ fn skipped_invalidation(proto: ProtocolKind) {
     use knl::arch::CoreId;
     let t = m.access(CoreId(0), 4096, AccessKind::Read, 0).complete;
     let t = m.access(CoreId(4), 4096, AccessKind::Read, t).complete;
-    m.debug_skip_invalidation(true);
+    m.debug_mutation(Some(Mutation::WriteKeepsStaleSharer));
     m.access(CoreId(8), 4096, AccessKind::Write, t);
 }
 
@@ -137,7 +138,7 @@ fn skip_invalidation_flag_is_inert_under_dragon() {
     use knl::arch::CoreId;
     let t = m.access(CoreId(0), 4096, AccessKind::Read, 0).complete;
     let t = m.access(CoreId(4), 4096, AccessKind::Read, t).complete;
-    m.debug_skip_invalidation(true);
+    m.debug_mutation(Some(Mutation::WriteKeepsStaleSharer));
     let t = m.access(CoreId(8), 4096, AccessKind::Write, t).complete;
     let _ = m.access(CoreId(0), 4096, AccessKind::Read, t);
     m.finish_check();

@@ -15,7 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use knl::arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
 use knl::sim::fuzz::replay_trace;
 use knl::sim::modelcheck::{check, format_trace, McConfig};
-use knl::sim::protocol::Mutation;
+use knl::sim::mutation::Mutation;
 use knl::sim::CheckLevel;
 
 fn replay_cfg(kind: ProtocolKind) -> MachineConfig {
@@ -36,7 +36,7 @@ fn expect_panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
 
 #[test]
 fn every_mutant_counterexample_replays_to_a_runtime_violation() {
-    // Replaying 12 mutants × 4 protocols panics on purpose 48 times; keep
+    // Replaying 11 mutants × 4 protocols panics on purpose 44 times; keep
     // the default hook from spraying backtraces over the test output.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -48,7 +48,7 @@ fn every_mutant_counterexample_replays_to_a_runtime_violation() {
     };
     let mut result: Result<(), String> = Ok(());
     for kind in ProtocolKind::ALL {
-        for &mu in Mutation::catalog(kind) {
+        for mu in Mutation::catalog(kind) {
             let report = match check(kind, &mc, Some(mu)) {
                 Ok(r) => r,
                 Err(e) => {

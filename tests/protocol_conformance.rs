@@ -1,6 +1,6 @@
-//! Protocol-generic conformance harness: every coherence back end (MESIF,
-//! MESI, MOESI, Dragon) runs the same table-driven property suite through
-//! the `dyn`-capable [`backend`] accessor.
+//! Protocol-generic conformance harness: every coherence protocol (MESIF,
+//! MESI, MOESI, Dragon) runs the same property suite through the one
+//! directory transition function, [`transition`].
 //!
 //! Three property families:
 //!
@@ -11,76 +11,64 @@
 //! * **Single-writer safety** — after any write grant exactly one tile
 //!   holds dirty data, and under the invalidation-based protocols no other
 //!   tile holds *any* copy. Checked both on hand-built states and along
-//!   seeded random op sequences validated step-by-step with the back end's
-//!   own `validate_entry`.
+//!   seeded random op sequences validated step-by-step with the protocol's
+//!   own [`validate`].
 //! * **Dragon update reach** — update messages reach every sharer: nobody
 //!   is invalidated by a write or an NT store, and the reported `updated`
 //!   count equals the number of other holders.
 
 use knl::arch::{ProtocolKind, SplitMixRng, TileId};
-use knl::sim::protocol::backend;
-use knl::sim::{DirEntry, GlobalState, LineState};
+use knl::sim::protocol::{transition, validate};
+use knl::sim::{DirEntry, GlobalState, LineState, Request, TileSet};
 
 fn t(i: u16) -> TileId {
     TileId(i)
 }
 
 /// Every directory-state *shape* that can exist, legal for the protocol or
-/// not: the transition tables must be total over all of them.
+/// not: the transition table must be total over all of them.
 fn all_state_shapes() -> Vec<DirEntry> {
-    let mk = |state: GlobalState, sharers: Vec<TileId>| DirEntry {
+    let mk = |state: GlobalState, sharers: &[TileId]| DirEntry {
         state,
-        sharers,
+        sharers: sharers.iter().copied().collect(),
         ..DirEntry::default()
     };
     vec![
-        mk(GlobalState::Uncached, vec![]),
-        mk(GlobalState::Exclusive { owner: t(0) }, vec![]),
-        mk(GlobalState::Modified { owner: t(0) }, vec![]),
-        mk(GlobalState::Shared { forward: None }, vec![t(0)]),
+        mk(GlobalState::Uncached, &[]),
+        mk(GlobalState::Exclusive { owner: t(0) }, &[]),
+        mk(GlobalState::Modified { owner: t(0) }, &[]),
+        mk(GlobalState::Shared { forward: None }, &[t(0)]),
         mk(
             GlobalState::Shared {
                 forward: Some(t(0)),
             },
-            vec![t(0), t(1)],
+            &[t(0), t(1)],
         ),
-        mk(GlobalState::Owned { owner: t(0) }, vec![t(0), t(1)]),
+        mk(GlobalState::Owned { owner: t(0) }, &[t(0), t(1)]),
     ]
-}
-
-fn assert_dup_free(e: &DirEntry, ctx: &str) {
-    for (i, s) in e.sharers.iter().enumerate() {
-        assert!(
-            !e.sharers[..i].contains(s),
-            "{ctx}: duplicate sharer {s:?} in {:?}",
-            e.sharers
-        );
-    }
 }
 
 #[test]
 fn every_state_event_pair_is_total() {
     // Requester 0 is a holder in most shapes, 2 never is: both directions
-    // of every event, from every shape, under every back end.
+    // of every event, from every shape, under every protocol.
     for kind in ProtocolKind::ALL {
-        let b = backend(kind);
         for (si, proto_entry) in all_state_shapes().into_iter().enumerate() {
             for requester in [t(0), t(2)] {
                 let ctx = |ev: &str| format!("{kind:?} shape#{si} {ev} from {requester:?}");
 
-                let mut e = proto_entry.clone();
-                let g = b.grant_read(&mut e, requester);
+                let mut e = proto_entry;
+                let g = transition(kind, &mut e, Request::Read, requester);
                 assert_ne!(
-                    g.state,
+                    g.requester,
                     LineState::Invalid,
                     "{}: a served read must leave a valid copy",
                     ctx("read")
                 );
-                assert_eq!(e.state_of(requester), g.state, "{}", ctx("read"));
-                assert_dup_free(&e, &ctx("read"));
+                assert_eq!(e.state_of(requester), g.requester, "{}", ctx("read"));
 
-                let mut e = proto_entry.clone();
-                let g = b.grant_write(&mut e, requester);
+                let mut e = proto_entry;
+                let g = transition(kind, &mut e, Request::Write, requester);
                 assert!(
                     e.state_of(requester).dirty(),
                     "{}: writer must end dirty, got {:?}",
@@ -92,21 +80,18 @@ fn every_state_event_pair_is_total() {
                     "{}: a grant cannot both invalidate and update",
                     ctx("write")
                 );
-                assert_dup_free(&e, &ctx("write"));
 
-                let mut e = proto_entry.clone();
-                b.nt_store(&mut e);
-                assert_dup_free(&e, &ctx("nt_store"));
+                let mut e = proto_entry;
+                transition(kind, &mut e, Request::NtStore, t(0));
 
-                let mut e = proto_entry.clone();
-                b.evict(&mut e, requester);
+                let mut e = proto_entry;
+                let g = transition(kind, &mut e, Request::Evict, requester);
                 assert_eq!(
-                    e.state_of(requester),
-                    LineState::Invalid,
+                    (g.requester, e.state_of(requester)),
+                    (LineState::Invalid, LineState::Invalid),
                     "{}: evicted tile still holds the line",
                     ctx("evict")
                 );
-                assert_dup_free(&e, &ctx("evict"));
             }
         }
     }
@@ -115,11 +100,10 @@ fn every_state_event_pair_is_total() {
 #[test]
 fn single_writer_safety_from_every_shape() {
     for kind in ProtocolKind::ALL {
-        let b = backend(kind);
         for (si, proto_entry) in all_state_shapes().into_iter().enumerate() {
             for requester in [t(0), t(2)] {
-                let mut e = proto_entry.clone();
-                b.grant_write(&mut e, requester);
+                let mut e = proto_entry;
+                transition(kind, &mut e, Request::Write, requester);
                 let dirty: Vec<u16> = (0..4).filter(|&i| e.state_of(t(i)).dirty()).collect();
                 assert_eq!(
                     dirty,
@@ -144,35 +128,27 @@ fn single_writer_safety_from_every_shape() {
     }
 }
 
-/// Seeded random op sequences driven through the back end itself; after
-/// every step the entry must pass the back end's own structural validation
-/// — so each protocol's table can only reach its own legal states.
+/// Seeded random op sequences driven through the table itself; after
+/// every step the entry must pass the protocol's own structural validation
+/// — so each protocol can only reach its own legal states.
 #[test]
 fn random_sequences_stay_structurally_legal() {
     const TILES: u16 = 5;
     const OPS: usize = 200;
     for kind in ProtocolKind::ALL {
-        let b = backend(kind);
         for seed in 0..4u64 {
             let mut rng = SplitMixRng::for_job(0xC0FEE ^ seed, kind as u64);
             let mut e = DirEntry::default();
             for step in 0..OPS {
                 let tile = t(rng.range_u32(0, TILES as u32) as u16);
-                match rng.range_u32(0, 4) {
-                    0 => {
-                        b.grant_read(&mut e, tile);
-                    }
-                    1 => {
-                        b.grant_write(&mut e, tile);
-                    }
-                    2 => {
-                        b.evict(&mut e, tile);
-                    }
-                    _ => {
-                        b.nt_store(&mut e);
-                    }
-                }
-                if let Err(msg) = b.validate_entry(&e) {
+                let request = match rng.range_u32(0, 4) {
+                    0 => Request::Read,
+                    1 => Request::Write,
+                    2 => Request::Evict,
+                    _ => Request::NtStore,
+                };
+                transition(kind, &mut e, request, tile);
+                if let Err(msg) = validate(kind, &e) {
                     panic!("{kind:?} seed {seed} step {step}: {msg}\n  entry: {e:?}");
                 }
                 let dirty = (0..TILES).filter(|&i| e.state_of(t(i)).dirty()).count();
@@ -187,18 +163,18 @@ fn random_sequences_stay_structurally_legal() {
 
 #[test]
 fn dragon_updates_reach_every_sharer() {
-    let b = backend(ProtocolKind::Dragon);
+    let dragon = ProtocolKind::Dragon;
 
     // Four readers build a 4-way shared line.
     let mut e = DirEntry::default();
     for i in 0..4 {
-        b.grant_read(&mut e, t(i));
+        transition(dragon, &mut e, Request::Read, t(i));
     }
     assert_eq!(e.num_holders(), 4);
     let version_before = e.version;
 
     // A member write updates the other three in place.
-    let g = b.grant_write(&mut e, t(1));
+    let g = transition(dragon, &mut e, Request::Write, t(1));
     assert_eq!(g.updated, 3, "update must reach every other sharer");
     assert_eq!(g.invalidated, 0, "Dragon never invalidates on write");
     for i in 0..4 {
@@ -214,12 +190,12 @@ fn dragon_updates_reach_every_sharer() {
     );
 
     // A non-member write joins, then updates all four previous holders.
-    let g = b.grant_write(&mut e, t(4));
+    let g = transition(dragon, &mut e, Request::Write, t(4));
     assert_eq!(g.updated, 4);
     assert_eq!(e.num_holders(), 5);
 
     // An NT store refreshes every holder instead of sweeping them.
-    let sweep = b.nt_store(&mut e);
+    let sweep = transition(dragon, &mut e, Request::NtStore, t(0));
     assert_eq!(sweep.updated, 5);
     assert_eq!(sweep.invalidated, 0);
     assert!(!sweep.writeback, "the NT stream itself carries the data");
@@ -229,13 +205,12 @@ fn dragon_updates_reach_every_sharer() {
 #[test]
 fn invalidation_protocols_sweep_on_nt_store() {
     for kind in [ProtocolKind::Mesif, ProtocolKind::Mesi, ProtocolKind::Moesi] {
-        let b = backend(kind);
         let mut e = DirEntry::default();
         for i in 0..3 {
-            b.grant_read(&mut e, t(i));
+            transition(kind, &mut e, Request::Read, t(i));
         }
         let holders = e.num_holders();
-        let sweep = b.nt_store(&mut e);
+        let sweep = transition(kind, &mut e, Request::NtStore, t(0));
         assert_eq!(sweep.invalidated, holders, "{kind:?}");
         assert_eq!(sweep.updated, 0, "{kind:?}");
         assert_eq!(e.num_holders(), 0, "{kind:?}: NT store must sweep clean");
@@ -246,26 +221,21 @@ fn invalidation_protocols_sweep_on_nt_store() {
 fn foreign_states_are_rejected_by_validate() {
     let owned = DirEntry {
         state: GlobalState::Owned { owner: t(0) },
-        sharers: vec![t(0), t(1)],
+        sharers: TileSet::from([t(0), t(1)]),
         ..DirEntry::default()
     };
     let forwarded = DirEntry {
         state: GlobalState::Shared {
             forward: Some(t(0)),
         },
-        sharers: vec![t(0), t(1)],
+        sharers: TileSet::from([t(0), t(1)]),
         ..DirEntry::default()
     };
     // O is legal exactly for MOESI and Dragon; F exactly for MESIF.
     for kind in ProtocolKind::ALL {
-        let b = backend(kind);
         let o_legal = matches!(kind, ProtocolKind::Moesi | ProtocolKind::Dragon);
-        assert_eq!(b.validate_entry(&owned).is_ok(), o_legal, "{kind:?} on O");
+        assert_eq!(validate(kind, &owned).is_ok(), o_legal, "{kind:?} on O");
         let f_legal = kind == ProtocolKind::Mesif;
-        assert_eq!(
-            b.validate_entry(&forwarded).is_ok(),
-            f_legal,
-            "{kind:?} on F"
-        );
+        assert_eq!(validate(kind, &forwarded).is_ok(), f_legal, "{kind:?} on F");
     }
 }
