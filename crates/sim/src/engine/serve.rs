@@ -228,11 +228,10 @@ impl Machine {
         now: SimTime,
     ) -> AccessOutcome {
         let t = self.cfg.timing.clone();
-        let tile_state = self
+        let (tile_state, ver) = self
             .dir
             .get(line)
-            .map_or(LineState::Invalid, |e| e.state_of(tile));
-        let ver = self.dir.get(line).map_or(0, |e| e.version);
+            .map_or((LineState::Invalid, 0), |e| (e.state_of(tile), e.version));
 
         // Silent upgrade: tile already owns the line (M or E).
         if matches!(tile_state, LineState::Modified | LineState::Exclusive)

@@ -4,9 +4,9 @@
 //! Every number the repo reproduces flows through the coherence directory in
 //! [`crate::directory`], stepped by the one transition table in
 //! [`crate::protocol`] (MESIF by default); a silent protocol bug would
-//! quietly skew every fitted α/β. This module is a pure *observer* bolted onto [`crate::Machine`]:
-//! at every [`DirEntry`] transition the machine notifies a
-//! [`CoherenceChecker`], which
+//! quietly skew every fitted α/β. This module is a pure *observer* bolted
+//! onto [`crate::Machine`]: at every [`DirEntry`] transition the machine
+//! notifies a [`CoherenceChecker`], which
 //!
 //! * validates the directory invariants (at most one M/E holder; `sharers`
 //!   nonempty in S/O; the F forwarder or O owner, when present, is a
