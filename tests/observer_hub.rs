@@ -1,15 +1,19 @@
-//! The observer-hub contract: checker, tracer, and analyzer gate ride one
-//! event spine and are *pure* observers. Turning all three on at once must
-//! not move a single bit of simulated output — end times, per-iteration
-//! durations, hardware counters, and (across `--jobs` worker counts) the
-//! merged trace bytes are compared against the empty-hub run.
+//! The observer-hub contract: checker, tracer, analyzer pre-pass and
+//! telemetry sampler ride one event spine and are *pure* observers. Turning
+//! them on at once must not move a single bit of simulated output — end
+//! times, per-iteration durations, hardware counters, and (across `--jobs`
+//! worker counts) the merged trace bytes are compared against the empty-hub
+//! run — and what they write is pinned byte-for-byte in
+//! `tests/golden/observed_transfer.txt`.
 
-use knl::arch::{ClusterMode, CoreId, MachineConfig, MemoryMode};
+use knl::arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, ProtocolKind};
 use knl::benchsuite::{pointer_chase, SweepExecutor};
 use knl::sim::{
     AnalyzeLevel, CheckLevel, CoherenceChecker, Counters, Machine, ObserverConfig, Runner,
-    TraceLevel, Tracer,
+    TelemetryConfig, TraceLevel, Tracer,
 };
+use std::fmt::Write as _;
+use std::path::PathBuf;
 
 const ITERS: usize = 5;
 
@@ -30,13 +34,18 @@ fn all_on() -> ObserverConfig {
         .analyze(AnalyzeLevel::Error)
 }
 
-/// Run the ownership-transfer workload on a fresh machine under `oc`;
-/// returns everything an observer could have perturbed (plus the detached
-/// tracer's serialized bytes, `None` when tracing was off).
-fn run_case(
-    cfg: &MachineConfig,
-    oc: ObserverConfig,
-) -> (u64, Vec<Option<u64>>, Counters, Option<String>) {
+/// Everything an observer could have perturbed, plus what the detached
+/// tracer and telemetry sampler serialize to (`None` when that one was off).
+struct Observed {
+    end_time: u64,
+    durations: Vec<Option<u64>>,
+    counters: Counters,
+    trace: Option<String>,
+    telemetry: Option<String>,
+}
+
+/// Run the ownership-transfer workload on a fresh machine under `oc`.
+fn run_case(cfg: &MachineConfig, oc: ObserverConfig) -> Observed {
     let mut m = Machine::with_observer_config(cfg.clone(), oc);
     let programs = pointer_chase::transfer_programs(CoreId(8), CoreId(0), ITERS);
     let result = Runner::new(&mut m, programs).run();
@@ -47,21 +56,35 @@ fn run_case(
         tr.serialize_into(&mut s);
         s
     });
-    (result.end_time, durations, m.counters(), trace)
+    let telemetry = m.take_telemetry().map(|tel| {
+        let mut s = String::new();
+        tel.serialize_into(&mut s);
+        s
+    });
+    Observed {
+        end_time: result.end_time,
+        durations,
+        counters: m.counters(),
+        trace,
+        telemetry,
+    }
 }
 
 #[test]
 fn all_observers_on_is_bit_identical_to_off() {
     for cfg in configs() {
         let label = cfg.label();
-        let (end_off, dur_off, ctr_off, trace_off) = run_case(&cfg, ObserverConfig::default());
-        let (end_on, dur_on, ctr_on, trace_on) = run_case(&cfg, all_on());
-        assert_eq!(end_off, end_on, "{label}: end_time moved");
-        assert_eq!(dur_off, dur_on, "{label}: iteration durations moved");
-        assert_eq!(ctr_off, ctr_on, "{label}: counters moved");
-        assert_eq!(trace_off, None, "{label}: empty hub must have no tracer");
+        let off = run_case(&cfg, ObserverConfig::default());
+        let on = run_case(&cfg, all_on());
+        assert_eq!(off.end_time, on.end_time, "{label}: end_time moved");
+        assert_eq!(
+            off.durations, on.durations,
+            "{label}: iteration durations moved"
+        );
+        assert_eq!(off.counters, on.counters, "{label}: counters moved");
+        assert_eq!(off.trace, None, "{label}: empty hub must have no tracer");
         assert!(
-            trace_on.is_some(),
+            on.trace.is_some(),
             "{label}: full hub must hand back a trace"
         );
     }
@@ -75,12 +98,11 @@ fn merged_trace_bytes_identical_across_jobs() {
     let configs = configs();
     let merged = |jobs: usize| -> String {
         let sections = SweepExecutor::new(jobs).run("observer-hub", &configs, |i, cfg| {
-            let (end, _, _, trace) = run_case(cfg, all_on());
-            (i, end, trace.expect("tracing is on"))
+            let run = run_case(cfg, all_on());
+            (i, run.end_time, run.trace.expect("tracing is on"))
         });
         let mut out = String::new();
         for (i, end, s) in sections {
-            use std::fmt::Write as _;
             let _ = writeln!(out, "# job {i} end={end}");
             out.push_str(&s);
         }
@@ -122,4 +144,43 @@ fn registration_order_does_not_affect_output() {
         (result.end_time, m.counters(), s)
     };
     assert_eq!(run(true), run(false));
+}
+
+#[test]
+fn observed_bytes_match_golden() {
+    // What the four observers see and write, pinned as data: any change to
+    // how the hub routes events or lifecycle hooks shows up as a diff in
+    // the trace or telemetry section. Regenerate after an *intentional*
+    // change to the event stream or a line format with
+    // `KNL_UPDATE_GOLDEN=1 cargo test --test observer_hub`.
+    let oc = all_on().telemetry(TelemetryConfig::every(1_000_000));
+    let mut got = String::new();
+    for kind in ProtocolKind::ALL {
+        let cfg =
+            MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat).with_protocol(kind);
+        let run = run_case(&cfg, oc);
+        writeln!(got, "## {kind} end={}", run.end_time).unwrap();
+        writeln!(got, "durations {:?}", run.durations).unwrap();
+        writeln!(got, "{:?}", run.counters).unwrap();
+        writeln!(got, "# trace").unwrap();
+        got.push_str(&run.trace.expect("tracing is on"));
+        writeln!(got, "# telemetry").unwrap();
+        got.push_str(&run.telemetry.expect("telemetry is on"));
+    }
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/observed_transfer.txt");
+    if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).unwrap();
+        eprintln!("updated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}\nrun `KNL_UPDATE_GOLDEN=1 cargo test --test observer_hub` to create it",
+            path.display()
+        )
+    });
+    for (n, (got, want)) in got.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "observed bytes drifted at line {}", n + 1);
+    }
+    assert_eq!(got.len(), golden.len(), "observed bytes drifted in length");
 }
