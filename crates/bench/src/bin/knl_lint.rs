@@ -35,11 +35,6 @@
 //!   constructors or per-observer `set_*_level` setters; those split the
 //!   observer wiring across call sites, which is how observers silently
 //!   fail to attach.
-//! * `observer-construct` — `Tracer`/`CoherenceChecker` values are built
-//!   by the `ObserverHub` (from an `ObserverConfig`), not constructed
-//!   directly; direct construction bypasses the hub's single event spine
-//!   and its registration-order guarantees. Their home modules
-//!   (`engine/observe.rs`, `trace.rs`, `invariants.rs`) are exempt.
 //! * `thread-outside-executor` — `crates/sim` must not touch
 //!   `std::thread` / `std::sync` at all: one simulation runs on one host
 //!   thread, and the only executor that spawns workers is
@@ -103,8 +98,6 @@ const WITH_OBSERVERS: &str = concat!("Machine::", "with_observers(");
 const SET_CHECK: &str = concat!(".set_", "check_level(");
 const SET_TRACE: &str = concat!(".set_", "trace_level(");
 const SET_ANALYZE: &str = concat!(".set_", "analyze_level(");
-const TRACER_NEW: &str = concat!("Tracer::", "new(");
-const CHECKER_NEW: &str = concat!("CoherenceChecker::", "new(");
 const STD_THREAD: &str = concat!("std::", "thread");
 const THREAD_SPAWN: &str = concat!("thread::", "spawn(");
 const THREAD_SCOPE: &str = concat!("thread::", "scope(");
@@ -198,17 +191,6 @@ fn rules() -> Vec<LintRule> {
                     || l.contains(THREAD_SCOPE)
                     || l.contains(STD_SYNC)
             },
-        },
-        LintRule {
-            name: "observer-construct",
-            message: "Tracer/CoherenceChecker are built by the ObserverHub \
-                      from an ObserverConfig; do not construct them directly",
-            applies: |p| {
-                !p.ends_with("/engine/observe.rs")
-                    && !p.ends_with("/trace.rs")
-                    && !p.ends_with("/invariants.rs")
-            },
-            matches: |l| l.contains(TRACER_NEW) || l.contains(CHECKER_NEW),
         },
     ]
 }
@@ -582,24 +564,6 @@ mod tests {
             // crates/sim owns the machine; its internals are exempt.
             assert!(find("/crates/sim/src/machine.rs", &bad).is_empty(), "{bad}");
         }
-    }
-
-    #[test]
-    fn direct_observer_construction_flagged_outside_hub() {
-        let tracer = format!("    let t = {}TraceLevel::Full);\n", TRACER_NEW);
-        let checker = format!("    let c = {}level, counters);\n", CHECKER_NEW);
-        assert_eq!(
-            find("/tests/observer_hub.rs", &tracer),
-            ["observer-construct"]
-        );
-        assert_eq!(
-            find("/crates/sim/src/runner.rs", &checker),
-            ["observer-construct"]
-        );
-        // The observers' home modules and the hub itself construct them.
-        assert!(find("/crates/sim/src/engine/observe.rs", &tracer).is_empty());
-        assert!(find("/crates/sim/src/trace.rs", &tracer).is_empty());
-        assert!(find("/crates/sim/src/invariants.rs", &checker).is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
 use knl_bench::output::{f1, Table};
 use knl_bench::runconf::RunConf;
-use knl_bench::sweep::print_counters;
+use knl_bench::sweep::{print_counters, TraceSink};
 use knl_benchsuite::run_configs_with;
 use knl_core::{optimize_barrier, optimize_tree, CapabilityModel, TreeKind};
 use knl_sim::StreamKind;
@@ -47,12 +47,15 @@ fn main() {
     let mut models = Vec::new();
     let mut counters = Vec::new();
     let mut results = Vec::new();
-    for (p, run) in ProtocolKind::ALL.into_iter().zip(runs) {
+    let sink = TraceSink::new(&conf, "knl_protocols");
+    for (i, (p, run)) in ProtocolKind::ALL.into_iter().zip(runs).enumerate() {
         print_counters(p.name(), &run.counters);
+        sink.submit_detached(i, run.tracer, run.telemetry);
         models.push(CapabilityModel::from_suite(&run.results));
         counters.push(run.counters);
         results.push(run.results);
     }
+    sink.write().expect("write trace");
 
     let header: Vec<&str> = std::iter::once("metric")
         .chain(ProtocolKind::ALL.iter().map(|p| p.name()))

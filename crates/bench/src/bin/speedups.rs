@@ -7,6 +7,7 @@ use knl_bench::collective_fig::{run_figure, CollectiveKind, SeriesPoint};
 use knl_bench::modelfit::{fit_model, snc4_flat};
 use knl_bench::output::Table;
 use knl_bench::runconf::RunConf;
+use knl_bench::sweep::TraceSink;
 
 fn main() {
     let conf = RunConf::from_args();
@@ -16,6 +17,10 @@ fn main() {
     let model = fit_model(&cfg, &effort.suite_params(), true);
     let threads = effort.collective_threads();
     let iters = effort.collective_iters();
+    // One sink for the whole binary: the three sweeps' points, then the
+    // what-if machine, in one trace / telemetry file written once.
+    let sink = TraceSink::new(&conf, "speedups");
+    let mut base = 0;
 
     let mut table = Table::new(
         "Max speedups of model-tuned collectives (paper: barrier 7x/24x, bcast -/13x, reduce 5x/14x)",
@@ -35,7 +40,10 @@ fn main() {
             &[Schedule::FillTiles, Schedule::Scatter],
             iters,
             &conf,
+            &sink,
+            base,
         );
+        base += pts.len();
         let best_omp = pts
             .iter()
             .max_by(|a, b| a.openmp_speedup().total_cmp(&b.openmp_speedup()))
@@ -59,10 +67,17 @@ fn main() {
 
     // §IV-B.3's "not fundamental" aside: an XPMEM-style single-copy MPI
     // closes part of the gap; the model-tuned tree still wins.
-    whatif_single_copy_mpi(&conf, &model, iters);
+    whatif_single_copy_mpi(&conf, &model, iters, &sink, base);
+    sink.write().expect("write trace");
 }
 
-fn whatif_single_copy_mpi(conf: &RunConf, model: &knl_core::CapabilityModel, iters: usize) {
+fn whatif_single_copy_mpi(
+    conf: &RunConf,
+    model: &knl_core::CapabilityModel,
+    iters: usize,
+    sink: &TraceSink,
+    job: usize,
+) {
     use knl_arch::NumaKind;
     use knl_bench::sweep::machine;
     use knl_collectives::plan::RankPlan;
@@ -96,6 +111,7 @@ fn whatif_single_copy_mpi(conf: &RunConf, model: &knl_core::CapabilityModel, ite
         iters,
     ));
     m.finish_check();
+    sink.submit(job, &mut m);
     println!();
     println!("what-if (§IV-B.3): broadcast at 64 threads —");
     println!("  MPI-like, double copy      : {double:.0} ns");

@@ -62,7 +62,10 @@ impl SeriesPoint {
 /// observer-honouring `sweep::machine` helper, so the points are
 /// independent jobs; `conf.jobs` workers run them in parallel with results
 /// merged back into the canonical (schedule-major) order — the output is
-/// bit-identical to a serial run (`--jobs 1`).
+/// bit-identical to a serial run (`--jobs 1`). Point `i` submits its
+/// machine to the caller's `sink` as job `base + i`, so a binary running
+/// several figures collects them all in one trace / telemetry file.
+#[allow(clippy::too_many_arguments)]
 pub fn run_figure(
     cfg: &MachineConfig,
     model: &CapabilityModel,
@@ -71,6 +74,8 @@ pub fn run_figure(
     schedules: &[Schedule],
     iters: usize,
     conf: &RunConf,
+    sink: &TraceSink,
+    base: usize,
 ) -> Vec<SeriesPoint> {
     let num_cores = cfg.num_cores();
     let points: Vec<(Schedule, usize)> = schedules
@@ -82,8 +87,7 @@ pub fn run_figure(
                 .map(move |&n| (sched, n))
         })
         .collect();
-    let sink = TraceSink::new(conf, &format!("{}_figure", kind.name()));
-    let pts = executor(conf).run(kind.name(), &points, |i, &(sched, n)| {
+    executor(conf).run(kind.name(), &points, |i, &(sched, n)| {
         let mut m = machine(conf, cfg.clone());
         let mut arena = m.arena();
         let layout = SimLayout::alloc(&mut arena, NumaKind::Mcdram, n);
@@ -106,11 +110,9 @@ pub fn run_figure(
             model: envelope,
         };
         m.finish_check();
-        sink.submit(i, &mut m);
+        sink.submit(base + i, &mut m);
         point
-    });
-    sink.write().expect("write trace");
-    pts
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -242,6 +244,7 @@ pub fn run_binary(name: &str, kind: CollectiveKind) {
         iters,
         conf.jobs
     );
+    let sink = TraceSink::new(&conf, name);
     let pts = run_figure(
         &cfg,
         &model,
@@ -250,7 +253,10 @@ pub fn run_binary(name: &str, kind: CollectiveKind) {
         &[Schedule::FillTiles, Schedule::Scatter],
         iters,
         &conf,
+        &sink,
+        0,
     );
+    sink.write().expect("write trace");
 
     let mut table = Table::new(
         &format!("{name} — {} in SNC4-flat (MCDRAM) [ns]", kind.name()),
@@ -380,6 +386,8 @@ mod tests {
             &[Schedule::Scatter],
             5,
             &conf(1),
+            &TraceSink::new(&conf(1), "unused"),
+            0,
         );
         assert_eq!(pts.len(), 2);
         for p in &pts {
@@ -408,11 +416,38 @@ mod tests {
             &[Schedule::Scatter, Schedule::FillTiles],
             5,
             &conf(2),
+            &TraceSink::new(&conf(2), "unused"),
+            0,
         );
         assert_eq!(pts.len(), 2);
         for p in &pts {
             assert!(p.mpi_ns > p.tuned.median, "MPI-like barrier must lag");
         }
+    }
+
+    #[test]
+    fn two_figures_share_one_sink() {
+        // `speedups` runs three figures under one command line: every
+        // point of every figure must land in the one trace file, in order.
+        let dir = std::env::temp_dir().join("knl-collective-fig-sink-test");
+        let path = dir.join("two.trace");
+        let mut c = conf(2);
+        c.trace = knl_sim::TraceLevel::Summary;
+        c.trace_path = Some(path.to_string_lossy().into_owned());
+        let sink = TraceSink::new(&c, "unused");
+        let cfg = snc4_flat();
+        let model = CapabilityModel::paper_reference();
+        let mut base = 0;
+        for kind in [CollectiveKind::Barrier, CollectiveKind::Broadcast] {
+            let scheds = [Schedule::Scatter];
+            base += run_figure(&cfg, &model, kind, &[4, 8], &scheds, 2, &c, &sink, base).len();
+        }
+        assert_eq!(base, 4);
+        let written = sink.write().unwrap().unwrap();
+        let text = std::fs::read_to_string(written).unwrap();
+        let jobs: Vec<&str> = text.lines().filter(|l| l.starts_with("# job ")).collect();
+        assert_eq!(jobs, ["# job 0", "# job 1", "# job 2", "# job 3"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub fn fit_model_observed(
     let mut runs = run_configs_with(std::slice::from_ref(cfg), params, conf.jobs, observers);
     let run = runs.remove(0);
     print_counters(&cfg.label(), &run.counters);
-    sink.submit_tracer(0, run.tracer);
-    sink.submit_telemetry(0, run.telemetry);
+    sink.submit_detached(0, run.tracer, run.telemetry);
     sink.write().expect("write trace");
     if cache {
         write_cache(cfg, params, &run.results);

@@ -174,6 +174,7 @@ impl RunConf {
                             "usage: [--quick|--paper] [--jobs N]\n\
                              \x20       [--check LEVEL] [--trace PATH] [--trace-level LEVEL]\n\
                              \x20       [--analyze LEVEL] [--protocol NAME]\n\
+                             \x20       [--telemetry[=INTERVAL]] [--telemetry-out PATH] [--progress MODE]\n\
                              \x20 quick sweeps are the default; --jobs defaults to KNL_JOBS\n\
                              \x20 or the available parallelism (--jobs 1 runs serially;\n\
                              \x20 results are bit-identical for every N)\n\

@@ -1,14 +1,16 @@
 //! Shared sweep plumbing for the figure/table binaries: an executor
 //! built from the parsed command line, machines honouring the observer
-//! flags (`--check`, `--trace-level`), the per-configuration
-//! hardware-counter summary every binary prints after its sweep, and the
-//! [`TraceSink`] that merges per-job trace sections deterministically.
+//! flags (`--check`, `--trace-level`, `--analyze`, `--telemetry`), the
+//! per-configuration hardware-counter summary every binary prints after
+//! its sweep, and the [`TraceSink`] that merges per-job trace and
+//! telemetry sections deterministically — one sink per binary, written
+//! once.
 
 use crate::output::results_dir;
 use crate::runconf::RunConf;
 use knl_arch::MachineConfig;
 use knl_benchsuite::SweepExecutor;
-use knl_sim::{Counters, Machine, TelemetrySampler, TraceLevel};
+use knl_sim::{Counters, Machine, TelemetrySampler, TraceLevel, Tracer};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -29,47 +31,93 @@ pub fn machine(conf: &RunConf, cfg: MachineConfig) -> Machine {
     Machine::with_observer_config(cfg.with_protocol(conf.protocol), conf.observer_config())
 }
 
+/// One merged artifact: its header line, where it goes (`None` when that
+/// observer is off) and the per-job sections collected so far.
+struct Sections {
+    header: String,
+    path: Option<PathBuf>,
+    parts: Mutex<Vec<(usize, String)>>,
+}
+
+impl Sections {
+    /// `on` decides whether there is a file at all; `explicit` is the
+    /// `--trace` / `--telemetry-out` path, else `results/<label>.<ext>`.
+    fn new(header: String, on: bool, explicit: &Option<String>, label: &str, ext: &str) -> Self {
+        let path = on.then(|| match explicit {
+            Some(p) => PathBuf::from(p),
+            None => results_dir().join(format!("{label}.{ext}")),
+        });
+        Sections {
+            header,
+            path,
+            parts: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Store one job's section: `# job N`, then whatever `body` writes.
+    fn push(&self, job: usize, body: impl FnOnce(&mut String)) {
+        let mut s = format!("# job {job}\n");
+        body(&mut s);
+        self.parts.lock().expect("sink poisoned").push((job, s));
+    }
+
+    /// Write header and sections, sorted by job index; returns the path.
+    fn write(&self) -> std::io::Result<Option<PathBuf>> {
+        let Some(path) = self.path.as_ref() else {
+            return Ok(None);
+        };
+        let mut parts = self.parts.lock().expect("sink poisoned");
+        parts.sort_by_key(|&(job, _)| job);
+        let mut out = self.header.clone();
+        for (_, s) in parts.iter() {
+            out.push_str(s);
+        }
+        if let Some(dir) = path.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)?;
+            }
+        }
+        std::fs::write(path, out)?;
+        eprintln!("wrote {}", path.display());
+        Ok(Some(path.clone()))
+    }
+}
+
 /// Collects per-job serialized trace sections and telemetry series and
 /// writes one merged file of each. Jobs may finish in any order on the
 /// worker pool; sections are sorted by job index before writing, so the
 /// merged files are byte-identical for every `--jobs` value (the same
-/// contract the sweep results obey).
+/// contract the sweep results obey). One binary owns one sink and writes
+/// it once, however many sweeps it runs (later sweeps offset their job
+/// indices by the earlier ones' point counts).
 pub struct TraceSink {
-    level: TraceLevel,
-    path: Option<PathBuf>,
-    parts: Mutex<Vec<(usize, String)>>,
-    tel_interval: u64,
-    tel_path: Option<PathBuf>,
-    tel_parts: Mutex<Vec<(usize, String)>>,
+    trace: Sections,
+    telemetry: Sections,
 }
 
 impl TraceSink {
-    /// Sink for one binary's sweep; `label` names the default output files
+    /// Sink for one binary's run; `label` names the default output files
     /// (`results/<label>.trace`, `results/<label>.telemetry`) when
     /// `--trace PATH` / `--telemetry-out PATH` were not given.
     pub fn new(conf: &RunConf, label: &str) -> TraceSink {
-        let path = match conf.trace {
-            TraceLevel::Off => None,
-            _ => Some(
-                conf.trace_path
-                    .as_ref()
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| results_dir().join(format!("{label}.trace"))),
-            ),
-        };
-        let tel_path = conf.telemetry.enabled().then(|| {
-            conf.telemetry_out
-                .as_ref()
-                .map(PathBuf::from)
-                .unwrap_or_else(|| results_dir().join(format!("{label}.telemetry")))
-        });
         TraceSink {
-            level: conf.trace,
-            path,
-            parts: Mutex::new(Vec::new()),
-            tel_interval: conf.telemetry.interval_ps,
-            tel_path,
-            tel_parts: Mutex::new(Vec::new()),
+            trace: Sections::new(
+                format!("# knl-trace v1 level={}\n", conf.trace.name()),
+                conf.trace != TraceLevel::Off,
+                &conf.trace_path,
+                label,
+                "trace",
+            ),
+            telemetry: Sections::new(
+                format!(
+                    "# knl-telemetry v1 interval_ps={}\n",
+                    conf.telemetry.interval_ps
+                ),
+                conf.telemetry.enabled(),
+                &conf.telemetry_out,
+                label,
+                "telemetry",
+            ),
         }
     }
 
@@ -77,87 +125,33 @@ impl TraceSink {
     /// serialized sections under `job`. No-op (and allocation-free) when
     /// both observers are off.
     pub fn submit(&self, job: usize, m: &mut Machine) {
-        let tracer = m.take_tracer();
-        self.submit_tracer(job, tracer);
-        let telemetry = m.take_telemetry();
-        self.submit_telemetry(job, telemetry);
+        self.submit_detached(job, m.take_tracer(), m.take_telemetry());
     }
 
-    /// Store an already-detached tracer's section under `job` (the shape
-    /// the suite's `run_configs_observed` hands back).
-    pub fn submit_tracer(&self, job: usize, tracer: Option<Box<knl_sim::Tracer>>) {
+    /// Store already-detached observers' sections under `job` (the shape
+    /// the suite's `run_configs_with` hands back).
+    pub fn submit_detached(
+        &self,
+        job: usize,
+        tracer: Option<Box<Tracer>>,
+        telemetry: Option<Box<TelemetrySampler>>,
+    ) {
         if let Some(tr) = tracer {
-            let mut s = String::new();
-            use std::fmt::Write as _;
-            let _ = writeln!(s, "# job {job}");
-            tr.serialize_into(&mut s);
-            self.parts
-                .lock()
-                .expect("trace sink poisoned")
-                .push((job, s));
+            self.trace.push(job, |s| tr.serialize_into(s));
+        }
+        if let Some(ts) = telemetry {
+            self.telemetry.push(job, |s| ts.serialize_into(s));
         }
     }
 
-    /// Store an already-detached telemetry sampler's section under `job`
-    /// (the shape the suite's `run_configs_with` hands back).
-    pub fn submit_telemetry(&self, job: usize, sampler: Option<Box<TelemetrySampler>>) {
-        if let Some(ts) = sampler {
-            let mut s = String::new();
-            use std::fmt::Write as _;
-            let _ = writeln!(s, "# job {job}");
-            ts.serialize_into(&mut s);
-            self.tel_parts
-                .lock()
-                .expect("telemetry sink poisoned")
-                .push((job, s));
-        }
-    }
-
-    /// Write the merged trace file; returns its path (None when tracing is
-    /// off). Sections appear in canonical job order regardless of the
-    /// completion order under `--jobs N`. Also writes the merged telemetry
-    /// file when sampling was on.
+    /// Write the merged telemetry and trace files (each only when its
+    /// observer was on); returns the trace file's path. Sections appear in
+    /// canonical job order regardless of the completion order under
+    /// `--jobs N`.
     pub fn write(&self) -> std::io::Result<Option<PathBuf>> {
-        self.write_telemetry()?;
-        let Some(path) = self.path.as_ref() else {
-            return Ok(None);
-        };
-        let mut parts = self.parts.lock().expect("trace sink poisoned");
-        parts.sort_by_key(|&(job, _)| job);
-        let mut out = format!("# knl-trace v1 level={}\n", self.level.name());
-        for (_, s) in parts.iter() {
-            out.push_str(s);
-        }
-        write_merged(path, &out)?;
-        Ok(Some(path.clone()))
+        self.telemetry.write()?;
+        self.trace.write()
     }
-
-    /// Write the merged telemetry series file; returns its path (None when
-    /// sampling is off). Same canonical-job-order contract as traces.
-    pub fn write_telemetry(&self) -> std::io::Result<Option<PathBuf>> {
-        let Some(path) = self.tel_path.as_ref() else {
-            return Ok(None);
-        };
-        let mut parts = self.tel_parts.lock().expect("telemetry sink poisoned");
-        parts.sort_by_key(|&(job, _)| job);
-        let mut out = format!("# knl-telemetry v1 interval_ps={}\n", self.tel_interval);
-        for (_, s) in parts.iter() {
-            out.push_str(s);
-        }
-        write_merged(path, &out)?;
-        Ok(Some(path.clone()))
-    }
-}
-
-fn write_merged(path: &PathBuf, contents: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, contents)?;
-    eprintln!("wrote {}", path.display());
-    Ok(())
 }
 
 /// One-line hardware-counter summary for a finished configuration.

@@ -44,9 +44,10 @@ fn run_sweep(cfg: &MachineConfig, conf: &RunConf) -> (Vec<u64>, Option<String>) 
         sink.submit(i, &mut m);
         s.median().to_bits()
     });
-    let text = sink
-        .write_telemetry()
-        .expect("write telemetry")
+    sink.write().expect("write telemetry");
+    let text = conf
+        .telemetry_out
+        .as_ref()
         .map(|p| std::fs::read_to_string(p).expect("read series back"));
     (results, text)
 }

@@ -38,7 +38,6 @@ pub use parallel::{default_jobs, ProgressMode, SweepExecutor};
 pub use params::SuiteParams;
 pub use serial::{decode_suite, encode_suite};
 pub use suite::{
-    run_cache_suite, run_configs, run_configs_checked, run_configs_observed, run_configs_with,
-    run_full_suite, run_full_suite_counted, run_full_suite_counted_checked,
-    run_full_suite_observed, run_full_suite_with, run_memory_suite, ObservedRun,
+    run_cache_suite, run_configs_with, run_full_suite, run_full_suite_with, run_memory_suite,
+    ObservedRun,
 };

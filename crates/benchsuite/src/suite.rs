@@ -10,10 +10,7 @@ use crate::memlat;
 use crate::params::SuiteParams;
 use crate::pointer_chase;
 use knl_arch::{CoreId, MachineConfig, MemoryMode, NumaKind, Schedule};
-use knl_sim::{
-    CheckLevel, LineState, Machine, ObserverConfig, StreamKind, TelemetrySampler, TraceLevel,
-    Tracer,
-};
+use knl_sim::{LineState, Machine, ObserverConfig, StreamKind, TelemetrySampler, Tracer};
 
 /// Everything one fully observed suite run hands back: the measured
 /// results plus the machine's counters and whatever detachable observers
@@ -225,57 +222,17 @@ pub fn run_memory_suite(m: &mut Machine, params: &SuiteParams) -> MemResults {
     r
 }
 
-/// Run everything for one configuration.
+/// Run everything for one configuration on an unobserved machine.
 pub fn run_full_suite(cfg: &MachineConfig, params: &SuiteParams) -> SuiteResults {
-    run_full_suite_counted(cfg, params).0
-}
-
-/// Like [`run_full_suite`], also returning the machine's hardware event
-/// counters accumulated over the whole suite (the per-configuration
-/// summary printed by the sweep drivers).
-pub fn run_full_suite_counted(
-    cfg: &MachineConfig,
-    params: &SuiteParams,
-) -> (SuiteResults, knl_sim::Counters) {
-    run_full_suite_counted_checked(cfg, params, CheckLevel::Off)
-}
-
-/// Like [`run_full_suite_counted`], with the machine running under a
-/// coherence [`CheckLevel`]. The checker is a pure observer, so results
-/// are bit-identical to the unchecked run; at any level other than
-/// [`CheckLevel::Off`] the final reconciliation (`Machine::finish_check`)
-/// runs before returning and panics on any violation.
-pub fn run_full_suite_counted_checked(
-    cfg: &MachineConfig,
-    params: &SuiteParams,
-    check: CheckLevel,
-) -> (SuiteResults, knl_sim::Counters) {
-    let (r, c, _) = run_full_suite_observed(cfg, params, check, TraceLevel::Off);
-    (r, c)
-}
-
-/// Like [`run_full_suite_counted_checked`], with both observers attached:
-/// the machine additionally runs under a [`TraceLevel`], and the detached
-/// [`Tracer`] is returned (`None` at `TraceLevel::Off`) so the caller can
-/// serialize it into a per-job trace section.
-pub fn run_full_suite_observed(
-    cfg: &MachineConfig,
-    params: &SuiteParams,
-    check: CheckLevel,
-    trace: TraceLevel,
-) -> (SuiteResults, knl_sim::Counters, Option<Box<Tracer>>) {
-    let run = run_full_suite_with(
-        cfg,
-        params,
-        ObserverConfig::default().check(check).trace(trace),
-    );
-    (run.results, run.counters, run.tracer)
+    run_full_suite_with(cfg, params, ObserverConfig::default()).results
 }
 
 /// The root suite entry point: run everything for one configuration with
 /// the full observer set an [`ObserverConfig`] describes (checker, tracer,
-/// analyzer gate, telemetry sampler). Every other `run_full_suite*`
-/// wrapper delegates here.
+/// analyzer pre-pass, telemetry sampler). All four are pure observers, so
+/// `results` and `counters` are bit-identical whatever is attached; with a
+/// checker the final reconciliation (`Machine::finish_check`) runs before
+/// returning and panics on any violation.
 pub fn run_full_suite_with(
     cfg: &MachineConfig,
     params: &SuiteParams,
@@ -303,61 +260,12 @@ pub fn run_full_suite_with(
     }
 }
 
-/// Run the full suite for many configurations on a worker pool, each job
-/// owning a freshly constructed [`Machine`]. Results come back in the
-/// order of `configs` and are bit-identical for every worker count (see
-/// the determinism contract on [`crate::parallel::SweepExecutor`]).
-pub fn run_configs(
-    configs: &[MachineConfig],
-    params: &SuiteParams,
-    jobs: usize,
-) -> Vec<(SuiteResults, knl_sim::Counters)> {
-    run_configs_checked(configs, params, jobs, CheckLevel::Off)
-}
-
-/// Like [`run_configs`], threading a coherence [`CheckLevel`] through the
-/// worker pool: every job's machine runs under the same level, preserving
-/// the executor's bit-for-bit determinism contract for any `jobs`.
-pub fn run_configs_checked(
-    configs: &[MachineConfig],
-    params: &SuiteParams,
-    jobs: usize,
-    check: CheckLevel,
-) -> Vec<(SuiteResults, knl_sim::Counters)> {
-    crate::parallel::SweepExecutor::new(jobs)
-        .progress(true)
-        .run("suite", configs, |_i, cfg| {
-            run_full_suite_counted_checked(cfg, params, check)
-        })
-}
-
-/// Like [`run_configs_checked`] with tracing too: each job's detached
-/// [`Tracer`] rides along with its results, still in canonical config
-/// order, so the caller can merge per-job trace sections deterministically
-/// for any `jobs`.
-#[allow(clippy::type_complexity)]
-pub fn run_configs_observed(
-    configs: &[MachineConfig],
-    params: &SuiteParams,
-    jobs: usize,
-    check: CheckLevel,
-    trace: TraceLevel,
-) -> Vec<(SuiteResults, knl_sim::Counters, Option<Box<Tracer>>)> {
-    run_configs_with(
-        configs,
-        params,
-        jobs,
-        ObserverConfig::default().check(check).trace(trace),
-    )
-    .into_iter()
-    .map(|run| (run.results, run.counters, run.tracer))
-    .collect()
-}
-
-/// The root parallel-sweep entry point: [`run_full_suite_with`] for many
-/// configurations on a worker pool, every job's machine under the same
-/// [`ObserverConfig`]. Results come back in canonical config order and are
-/// bit-identical for every worker count.
+/// The parallel-sweep entry point: [`run_full_suite_with`] for many
+/// configurations on a worker pool, each job owning a freshly constructed
+/// [`Machine`] under the same [`ObserverConfig`]. Results (with each job's
+/// detached tracer and sampler) come back in the order of `configs` and
+/// are bit-identical for every worker count (see the determinism contract
+/// on [`crate::parallel::SweepExecutor`]).
 pub fn run_configs_with(
     configs: &[MachineConfig],
     params: &SuiteParams,

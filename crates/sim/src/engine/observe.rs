@@ -1,15 +1,18 @@
 //! The event spine: one [`ProtocolEvent`] stream, emitted exactly once per
-//! protocol action by the engine, fanned out by the [`ObserverHub`] to
-//! whatever [`MachineObserver`]s are registered.
+//! protocol action by the engine, handed by the [`ObserverHub`] to the
+//! observers an [`ObserverConfig`] asked for — coherence checker, tracer,
+//! telemetry sampler, in that order — plus the analyzer pre-pass at run
+//! start. There are four observers and the hub has four fields; every call
+//! below is static.
 //!
 //! Observers are *pure*: they may panic (the checker's whole job) but must
 //! never change simulated timings, counters, or cache state — the
 //! equivalence tests (`checked ≡ unchecked`, `traced ≡ untraced`,
-//! `analyzer-on ≡ off`) pin this bit-for-bit. The hub caches whether any
-//! registered observer consumes events; when none does, every emission
-//! helper is a single `#[inline]` flag test, so an unobserved machine pays
-//! one never-taken branch per emission point — the same cost as the old
-//! per-observer `Option<Box<_>>` gates it replaces.
+//! `analyzer-on ≡ off`) pin this bit-for-bit, and
+//! `tests/golden/observed_transfer.txt` pins what they write. The hub
+//! caches whether any event consumer is attached; when none is, every
+//! emission helper is a single `#[inline]` flag test, so an unobserved
+//! machine pays one never-taken branch per emission point.
 
 use crate::analyze::AnalyzeLevel;
 use crate::counters::Counters;
@@ -21,7 +24,6 @@ use crate::telemetry::{TelemetryConfig, TelemetrySampler};
 use crate::trace::{EventKind, TraceLevel, Tracer, NO_TILE};
 use crate::SimTime;
 use knl_arch::{MemTarget, ProtocolKind};
-use std::any::Any;
 
 /// One observable protocol action, tagged with everything the engine has
 /// already computed at the emission point (supplier state, hop counts,
@@ -124,47 +126,6 @@ pub enum ProtocolEvent<'a> {
     NtStore,
 }
 
-/// A sink for [`ProtocolEvent`]s plus the machine lifecycle hooks the
-/// existing observers need. All hooks default to no-ops; an observer
-/// implements only what it consumes. The `as_any` boilerplate lets the
-/// [`ObserverHub`] hand back concrete observers (`get`/`take`) to the
-/// sweep drivers that serialize tracers per job.
-pub trait MachineObserver: Any + Send {
-    /// Does this observer consume [`ProtocolEvent`]s at all? The hub skips
-    /// event fan-out (and the engine skips event-only bookkeeping such as
-    /// queue-depth sampling) when no registered observer wants events.
-    fn wants_events(&self) -> bool {
-        true
-    }
-
-    /// One protocol event. `line` is the cache-line index it concerns
-    /// (0 for line-less events such as marks).
-    fn on_event(&mut self, time: SimTime, line: u64, event: &ProtocolEvent<'_>);
-
-    /// The runner switched execution context to `thread`.
-    fn set_thread(&mut self, _thread: u32) {}
-
-    /// Subsequent events originate from `tile`.
-    fn set_tile(&mut self, _tile: u16) {}
-
-    /// The on-die caches and directory were cleared (fresh repetition).
-    fn on_reset(&mut self) {}
-
-    /// A runner is about to execute `programs` with `initial_flags`
-    /// (sorted by address). The analyzer gate runs its pre-pass here.
-    fn on_run_start(&mut self, _programs: &[Program], _initial_flags: &[(u64, u64)]) {}
-
-    /// End-of-run verification against the machine's hardware counters.
-    fn finish(&self, _counters: &Counters) {}
-
-    /// Concrete-type access for [`ObserverHub::get`].
-    fn as_any(&self) -> &dyn Any;
-    /// Concrete-type access for [`ObserverHub::get_mut`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// Concrete-type extraction for [`ObserverHub::take`].
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
 /// Which observers to attach at construction — the one knob that replaced
 /// `with_check`/`with_observers` and the per-observer setters. Build with
 /// the chainable setters; `Default` is all-off (no observers, zero-cost
@@ -207,153 +168,68 @@ impl ObserverConfig {
     }
 }
 
-/// The composable observer bus: owns the registered observers and fans
-/// each emitted event out to those that want events. Emission helpers are
-/// the *single* construction site of each [`ProtocolEvent`] variant.
-///
-/// The two built-in event consumers live in *typed slots* rather than the
-/// `dyn` vector: the common single-observer configurations (`--check` or
-/// `--trace` alone, and both together) then dispatch statically — no
-/// vtable load, and the observer bodies can inline into the fan-out
-/// (DESIGN.md §6). Custom observers still go through `dyn` in `others`.
-/// Fan-out order is fixed: checker, then tracer, then `others` in
-/// registration order — observers are pure (see the module docs), so the
-/// order is unobservable in simulated results; the equivalence tests pin
-/// this.
-#[derive(Default)]
+/// The observer bus: the four things an [`ObserverConfig`] can ask for,
+/// one field each. Emission helpers are the *single* construction site of
+/// each [`ProtocolEvent`] variant; `emit` and the lifecycle
+/// hooks call exactly the observers that implement them, in the fixed
+/// order checker, tracer, telemetry — observers are pure (see the module
+/// docs), so the order is unobservable in simulated results.
 pub struct ObserverHub {
-    /// Typed fast slot for the first registered [`CoherenceChecker`].
-    checker: Option<Box<CoherenceChecker>>,
-    /// Typed fast slot for the first registered [`Tracer`].
-    tracer: Option<Box<Tracer>>,
-    /// Everything else (custom observers, duplicate built-ins).
-    others: Vec<Box<dyn MachineObserver>>,
-    /// Cached `any(wants_events)` — the empty-hub fast path.
+    pub(crate) checker: Option<Box<CoherenceChecker>>,
+    pub(crate) tracer: Option<Box<Tracer>>,
+    pub(crate) telemetry: Option<Box<TelemetrySampler>>,
+    /// The analyzer pre-pass level. Not an event consumer: an analyze-only
+    /// machine keeps the empty-hub fast path.
+    pub(crate) analyze: AnalyzeLevel,
+    /// Cached "checker, tracer or telemetry attached" — the empty-hub fast
+    /// path.
     events: bool,
 }
 
 impl ObserverHub {
-    /// Build the hub an [`ObserverConfig`] describes. `base` is the
-    /// machine's counter snapshot at attach time (the checker reconciles
-    /// against the delta from this point); `protocol` tells the checker
+    /// Build the hub an [`ObserverConfig`] describes — the only way to get
+    /// one, and only at machine construction. `protocol` tells the checker
     /// which back end's legal-state set to enforce.
-    pub(crate) fn from_config(oc: ObserverConfig, base: Counters, protocol: ProtocolKind) -> Self {
-        let mut hub = ObserverHub::default();
-        if oc.check != CheckLevel::Off {
-            hub.register(Box::new(
-                CoherenceChecker::new(oc.check, base).with_protocol(protocol),
-            ));
+    pub(crate) fn from_config(oc: ObserverConfig, protocol: ProtocolKind) -> Self {
+        let checker = (oc.check != CheckLevel::Off)
+            .then(|| Box::new(CoherenceChecker::new(oc.check, protocol)));
+        let tracer = (oc.trace != TraceLevel::Off).then(|| Box::new(Tracer::new(oc.trace)));
+        let telemetry = oc
+            .telemetry
+            .enabled()
+            .then(|| Box::new(TelemetrySampler::new(oc.telemetry)));
+        ObserverHub {
+            events: checker.is_some() || tracer.is_some() || telemetry.is_some(),
+            checker,
+            tracer,
+            telemetry,
+            analyze: oc.analyze,
         }
-        if oc.trace != TraceLevel::Off {
-            hub.register(Box::new(Tracer::new(oc.trace)));
-        }
-        if oc.analyze != AnalyzeLevel::Off {
-            hub.register(Box::new(AnalyzeGate::new(oc.analyze)));
-        }
-        if oc.telemetry.enabled() {
-            hub.register(Box::new(TelemetrySampler::new(oc.telemetry)));
-        }
-        hub
     }
 
-    /// Attach an observer. The first checker and the first tracer land in
-    /// their typed fast slots; anything else joins the `dyn` vector.
-    pub fn register(&mut self, observer: Box<dyn MachineObserver>) {
-        // `into_any` consumes the box, so type-test with `as_any` first.
-        if self.checker.is_none() && observer.as_any().is::<CoherenceChecker>() {
-            self.checker = observer.into_any().downcast().ok();
-        } else if self.tracer.is_none() && observer.as_any().is::<Tracer>() {
-            self.tracer = observer.into_any().downcast().ok();
-        } else {
-            self.others.push(observer);
-        }
-        self.recompute_events();
-    }
-
-    /// Re-derive the cached `any(wants_events)` flag.
-    fn recompute_events(&mut self) {
-        // Both built-in slot types consume events (`wants_events` default).
-        self.events = self.checker.is_some()
-            || self.tracer.is_some()
-            || self.others.iter().any(|o| o.wants_events());
-    }
-
-    /// Is any registered observer consuming events? The engine gates
-    /// event-only bookkeeping (queue-depth sampling, source/hop tagging)
-    /// behind this.
+    /// Is any event consumer attached? The engine gates event-only
+    /// bookkeeping (queue-depth sampling, source/hop tagging) behind this.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.events
     }
 
-    /// Is anything registered at all (event consumer or not)?
-    pub fn is_empty(&self) -> bool {
-        self.checker.is_none() && self.tracer.is_none() && self.others.is_empty()
+    /// Detach and return the tracer (sweep drivers serialize it per job).
+    pub(crate) fn take_tracer(&mut self) -> Option<Box<Tracer>> {
+        let tracer = self.tracer.take();
+        self.events = self.checker.is_some() || self.telemetry.is_some();
+        tracer
     }
 
-    /// The first registered observer of concrete type `T`, if any.
-    pub fn get<T: MachineObserver>(&self) -> Option<&T> {
-        self.checker
-            .as_deref()
-            .and_then(|c| (c as &dyn Any).downcast_ref::<T>())
-            .or_else(|| {
-                self.tracer
-                    .as_deref()
-                    .and_then(|t| (t as &dyn Any).downcast_ref::<T>())
-            })
-            .or_else(|| {
-                self.others
-                    .iter()
-                    .find_map(|o| o.as_any().downcast_ref::<T>())
-            })
+    /// Detach and return the telemetry sampler.
+    pub(crate) fn take_telemetry(&mut self) -> Option<Box<TelemetrySampler>> {
+        let telemetry = self.telemetry.take();
+        self.events = self.checker.is_some() || self.tracer.is_some();
+        telemetry
     }
 
-    /// Mutable access to the first observer of type `T`.
-    pub fn get_mut<T: MachineObserver>(&mut self) -> Option<&mut T> {
-        if let Some(c) = self.checker.as_deref_mut() {
-            if let Some(t) = (c as &mut dyn Any).downcast_mut::<T>() {
-                return Some(t);
-            }
-        }
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            if let Some(t) = (tr as &mut dyn Any).downcast_mut::<T>() {
-                return Some(t);
-            }
-        }
-        self.others
-            .iter_mut()
-            .find_map(|o| o.as_any_mut().downcast_mut::<T>())
-    }
-
-    /// Detach and return the first observer of type `T` (sweep drivers
-    /// take the tracer to serialize it per job).
-    pub fn take<T: MachineObserver>(&mut self) -> Option<Box<T>> {
-        let taken = if self
-            .checker
-            .as_deref()
-            .is_some_and(|c| (c as &dyn Any).is::<T>())
-        {
-            (self.checker.take().expect("checked") as Box<dyn Any>)
-                .downcast::<T>()
-                .ok()
-        } else if self
-            .tracer
-            .as_deref()
-            .is_some_and(|t| (t as &dyn Any).is::<T>())
-        {
-            (self.tracer.take().expect("checked") as Box<dyn Any>)
-                .downcast::<T>()
-                .ok()
-        } else {
-            let idx = self.others.iter().position(|o| o.as_any().is::<T>())?;
-            self.others.remove(idx).into_any().downcast::<T>().ok()
-        };
-        self.recompute_events();
-        taken
-    }
-
-    /// Fan one event out (the outlined slow path of every emitter). The
-    /// typed slots dispatch statically; only `others` goes through `dyn`.
+    /// Hand one event to every attached consumer (the outlined slow path
+    /// of every emitter).
     fn emit(&mut self, time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
         if let Some(c) = self.checker.as_deref_mut() {
             c.on_event(time, line, event);
@@ -361,10 +237,8 @@ impl ObserverHub {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.on_event(time, line, event);
         }
-        for o in &mut self.others {
-            if o.wants_events() {
-                o.on_event(time, line, event);
-            }
+        if let Some(s) = self.telemetry.as_deref_mut() {
+            s.on_event(time, line, event);
         }
     }
 
@@ -514,127 +388,62 @@ impl ObserverHub {
     }
 
     // ------------------------------------------------------------------
-    // Lifecycle fan-out
+    // Lifecycle hooks — each names the observers that implement it.
     // ------------------------------------------------------------------
 
-    /// Forward a thread-context switch.
+    /// The runner switched execution context to `thread`.
     #[inline]
     pub(crate) fn set_thread(&mut self, thread: u32) {
         if self.events {
-            if let Some(c) = self.checker.as_deref_mut() {
-                MachineObserver::set_thread(c, thread);
-            }
             if let Some(t) = self.tracer.as_deref_mut() {
-                MachineObserver::set_thread(t, thread);
-            }
-            for o in &mut self.others {
-                o.set_thread(thread);
+                t.set_thread(thread);
             }
         }
     }
 
-    /// Forward a tile-context switch.
+    /// Subsequent events originate from `tile`.
     #[inline]
     pub(crate) fn set_tile(&mut self, tile: u16) {
         if self.events {
-            if let Some(c) = self.checker.as_deref_mut() {
-                MachineObserver::set_tile(c, tile);
-            }
             if let Some(t) = self.tracer.as_deref_mut() {
-                MachineObserver::set_tile(t, tile);
+                t.set_tile(tile);
             }
-            for o in &mut self.others {
-                o.set_tile(tile);
+            if let Some(s) = self.telemetry.as_deref_mut() {
+                s.set_tile(tile);
             }
         }
     }
 
-    /// Forward a cache/directory reset.
+    /// The on-die caches and directory were cleared (fresh repetition).
     pub(crate) fn on_reset(&mut self) {
         if let Some(c) = self.checker.as_deref_mut() {
-            MachineObserver::on_reset(c);
+            c.on_reset();
         }
-        if let Some(t) = self.tracer.as_deref_mut() {
-            MachineObserver::on_reset(t);
-        }
-        for o in &mut self.others {
-            o.on_reset();
+        if let Some(s) = self.telemetry.as_deref_mut() {
+            s.on_reset();
         }
     }
 
-    /// Forward a run start (analyzer pre-pass).
-    pub(crate) fn on_run_start(&mut self, programs: &[Program], initial_flags: &[(u64, u64)]) {
-        if let Some(c) = self.checker.as_deref_mut() {
-            MachineObserver::on_run_start(c, programs, initial_flags);
-        }
-        if let Some(t) = self.tracer.as_deref_mut() {
-            MachineObserver::on_run_start(t, programs, initial_flags);
-        }
-        for o in &mut self.others {
-            o.on_run_start(programs, initial_flags);
+    /// A runner is about to execute `programs` with `initial_flags`
+    /// (sorted by address): the analyzer's static pre-pass. Findings at
+    /// `Error` severity panic; lower severities print per the level.
+    pub(crate) fn on_run_start(&self, programs: &[Program], initial_flags: &[(u64, u64)]) {
+        if self.analyze != AnalyzeLevel::Off {
+            crate::analyze::analyze(programs, initial_flags).enforce(self.analyze);
         }
     }
 
-    /// Forward end-of-run verification.
+    /// End-of-run verification against the machine's hardware counters.
     pub(crate) fn finish(&self, counters: &Counters) {
         if let Some(c) = self.checker.as_deref() {
-            MachineObserver::finish(c, counters);
-        }
-        if let Some(t) = self.tracer.as_deref() {
-            MachineObserver::finish(t, counters);
-        }
-        for o in &self.others {
-            o.finish(counters);
+            c.finish(counters);
         }
     }
 }
 
-/// The analyzer's runtime enforcement as an observer: a pure pre-pass on
-/// [`MachineObserver::on_run_start`], never consulted on the event hot
-/// path (`wants_events` is false, so an analyze-only machine keeps the
-/// empty-hub fast path).
-pub struct AnalyzeGate {
-    level: AnalyzeLevel,
-}
-
-impl AnalyzeGate {
-    /// Gate at `level` (findings at `Error` severity panic; lower
-    /// severities print per the level).
-    pub fn new(level: AnalyzeLevel) -> Self {
-        assert_ne!(level, AnalyzeLevel::Off, "use no gate instead of Off");
-        AnalyzeGate { level }
-    }
-
-    /// The enforcement level.
-    pub fn level(&self) -> AnalyzeLevel {
-        self.level
-    }
-}
-
-impl MachineObserver for AnalyzeGate {
-    fn wants_events(&self) -> bool {
-        false
-    }
-
-    fn on_event(&mut self, _time: SimTime, _line: u64, _event: &ProtocolEvent<'_>) {}
-
-    fn on_run_start(&mut self, programs: &[Program], initial_flags: &[(u64, u64)]) {
-        crate::analyze::analyze(programs, initial_flags).enforce(self.level);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-impl MachineObserver for CoherenceChecker {
-    fn on_event(&mut self, _time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
+impl CoherenceChecker {
+    /// Route one event to the checker's transition / oracle hooks.
+    pub(crate) fn on_event(&mut self, _time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
         match *event {
             ProtocolEvent::Dir {
                 proto,
@@ -661,28 +470,12 @@ impl MachineObserver for CoherenceChecker {
             | ProtocolEvent::Mark { .. } => {}
         }
     }
-
-    fn on_reset(&mut self) {
-        CoherenceChecker::on_reset(self);
-    }
-
-    fn finish(&self, counters: &Counters) {
-        CoherenceChecker::finish(self, counters);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
-impl MachineObserver for Tracer {
-    fn on_event(&mut self, time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
+impl Tracer {
+    /// Translate one event into its trace record (checker-oracle events
+    /// and state preparation are not part of the trace format).
+    pub(crate) fn on_event(&mut self, time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
         let kind = match *event {
             ProtocolEvent::Issue { op } => EventKind::Issue { op },
             ProtocolEvent::Serve {
@@ -735,24 +528,6 @@ impl MachineObserver for Tracer {
         };
         self.record(time, line, kind);
     }
-
-    fn set_thread(&mut self, thread: u32) {
-        Tracer::set_thread(self, thread);
-    }
-
-    fn set_tile(&mut self, tile: u16) {
-        Tracer::set_tile(self, tile);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Directory global-state tag for trace events (`U`/`E`/`M`/`S`/`O`).
@@ -790,51 +565,36 @@ mod tests {
         a.alloc(NumaKind::Ddr, 4096)
     }
 
+    fn hub(oc: ObserverConfig) -> ObserverHub {
+        ObserverHub::from_config(oc, ProtocolKind::Mesif)
+    }
+
     #[test]
     fn empty_hub_reports_disabled() {
-        let hub = ObserverHub::default();
-        assert!(!hub.enabled());
-        assert!(hub.is_empty());
+        assert!(!hub(ObserverConfig::default()).enabled());
     }
 
     #[test]
     fn analyze_only_hub_keeps_event_fast_path() {
-        // The analyzer gate never consumes events: the hot-path flag stays
-        // cold even though an observer is registered.
-        let hub = ObserverHub::from_config(
-            ObserverConfig::default().analyze(AnalyzeLevel::Info),
-            Counters::default(),
-            ProtocolKind::Mesif,
-        );
+        // The analyzer pre-pass never consumes events: the hot-path flag
+        // stays cold even though an observer was asked for.
+        let hub = hub(ObserverConfig::default().analyze(AnalyzeLevel::Info));
         assert!(!hub.enabled());
-        assert!(!hub.is_empty());
-        assert_eq!(
-            hub.get::<AnalyzeGate>().map(|g| g.level()),
-            Some(AnalyzeLevel::Info)
-        );
+        assert_eq!(hub.analyze, AnalyzeLevel::Info);
     }
 
     #[test]
-    fn hub_get_and_take_by_concrete_type() {
-        let mut hub = ObserverHub::from_config(
-            ObserverConfig::default()
-                .check(CheckLevel::Invariants)
-                .trace(TraceLevel::Full),
-            Counters::default(),
-            ProtocolKind::Mesif,
-        );
+    fn taking_the_last_event_consumer_restores_the_fast_path() {
+        let mut hub = hub(ObserverConfig::default()
+            .trace(TraceLevel::Full)
+            .telemetry(TelemetryConfig::on()));
         assert!(hub.enabled());
-        assert!(hub.get::<CoherenceChecker>().is_some());
-        assert_eq!(
-            hub.get::<Tracer>().map(|t| t.level()),
-            Some(TraceLevel::Full)
-        );
-        let taken = hub.take::<Tracer>().expect("tracer registered");
+        let taken = hub.take_tracer().expect("tracer attached");
         assert_eq!(taken.level(), TraceLevel::Full);
-        assert!(hub.get::<Tracer>().is_none());
-        // The checker still wants events; the fast-path flag survives.
+        assert!(hub.tracer.is_none());
+        // The sampler still wants events; the fast-path flag survives.
         assert!(hub.enabled());
-        hub.take::<CoherenceChecker>().expect("checker registered");
+        hub.take_telemetry().expect("sampler attached");
         assert!(!hub.enabled());
     }
 

@@ -177,9 +177,6 @@ pub struct CoherenceChecker {
     /// The protocol the machine runs; directory states foreign to it (an O
     /// entry under MESIF, an F holder under MESI) are violations.
     protocol: ProtocolKind,
-    /// Counters snapshot when the checker was attached (reconciliation is
-    /// over the delta).
-    base: Counters,
     /// Per-line ring of recent protocol events. A [`LineMap`]: this is
     /// updated on every directory transition (hot at any check level) and
     /// only ever read back per line, never iterated.
@@ -202,14 +199,16 @@ pub struct CoherenceChecker {
 }
 
 impl CoherenceChecker {
-    /// Build a checker for `level` (which must not be `Off`), attached to a
-    /// machine whose counters currently read `base`.
-    pub fn new(level: CheckLevel, base: Counters) -> Self {
+    /// Build a checker for `level` (which must not be `Off`) on a machine
+    /// whose back end is `protocol` (the legal-state set to enforce). Built
+    /// only by the observer hub, from an [`crate::ObserverConfig`], when
+    /// the machine is constructed — so every counter starts at zero and
+    /// [`CoherenceChecker::finish`] reconciles against the totals.
+    pub(crate) fn new(level: CheckLevel, protocol: ProtocolKind) -> Self {
         assert_ne!(level, CheckLevel::Off, "no checker at CheckLevel::Off");
         CoherenceChecker {
             level,
-            protocol: ProtocolKind::Mesif,
-            base,
+            protocol,
             history: LineMap::new(),
             seq: 0,
             events: 0,
@@ -219,13 +218,6 @@ impl CoherenceChecker {
             external_writebacks: 0,
             shadow: (level == CheckLevel::FullOracle).then(ShadowMemory::default),
         }
-    }
-
-    /// Check against a different protocol's legal-state set (the default is
-    /// MESIF, matching [`knl_arch::MachineConfig::knl7210`]).
-    pub fn with_protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = protocol;
-        self
     }
 
     /// The level this checker runs at.
@@ -394,26 +386,25 @@ impl CoherenceChecker {
     /// End-of-run check: reconcile message counters with the machine's and
     /// verify the final memory image against the sequential reference.
     pub fn finish(&self, counters: &Counters) {
-        let d = counters.since(&self.base);
-        if self.invalidations != d.invalidations {
+        if self.invalidations != counters.invalidations {
             panic!(
                 "coherence violation: checker counted {} invalidation messages, \
                  machine counters say {}",
-                self.invalidations, d.invalidations
+                self.invalidations, counters.invalidations
             );
         }
-        if self.updates != d.updates {
+        if self.updates != counters.updates {
             panic!(
                 "coherence violation: checker counted {} update messages, \
                  machine counters say {}",
-                self.updates, d.updates
+                self.updates, counters.updates
             );
         }
-        if self.writebacks + self.external_writebacks != d.writebacks {
+        if self.writebacks + self.external_writebacks != counters.writebacks {
             panic!(
                 "coherence violation: checker counted {} coherence + {} external \
                  write-backs, machine counters say {}",
-                self.writebacks, self.external_writebacks, d.writebacks
+                self.writebacks, self.external_writebacks, counters.writebacks
             );
         }
         if let Some(shadow) = self.shadow.as_ref() {
@@ -554,7 +545,7 @@ mod tests {
     const T1: TileId = TileId(1);
 
     fn checker() -> CoherenceChecker {
-        CoherenceChecker::new(CheckLevel::Invariants, Counters::default())
+        CoherenceChecker::new(CheckLevel::Invariants, ProtocolKind::Mesif)
     }
 
     /// MESIF read grant to `t`; returns the event the engine reports for it.
@@ -692,7 +683,7 @@ mod tests {
 
     #[test]
     fn shadow_tracks_write_then_nt_store() {
-        let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, Counters::default());
+        let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, ProtocolKind::Mesif);
         let mut e = DirEntry::default();
         let granted = write(&mut e, T0);
         ck.on_transition(7, granted, &e, true);
@@ -716,7 +707,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dirty cached copy")]
     fn oracle_catches_read_past_dirty_copy() {
-        let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, Counters::default());
+        let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, ProtocolKind::Mesif);
         let mut e = DirEntry::default();
         let granted = write(&mut e, T0);
         ck.on_transition(3, granted, &e, true);

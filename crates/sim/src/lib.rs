@@ -51,9 +51,7 @@ pub use alloc::Arena;
 pub use analyze::{analyze, AnalysisReport, AnalyzeLevel, Finding, Rule, Severity};
 pub use counters::Counters;
 pub use directory::{DirEntry, GlobalState, LineState, TileSet};
-pub use engine::observe::{
-    AnalyzeGate, MachineObserver, ObserverConfig, ObserverHub, ProtocolEvent,
-};
+pub use engine::observe::{ObserverConfig, ObserverHub, ProtocolEvent};
 pub use invariants::{CheckLevel, CoherenceChecker};
 pub use machine::{AccessKind, Machine};
 

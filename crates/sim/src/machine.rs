@@ -10,14 +10,16 @@
 //! This file is the facade: state, construction, and the public accessor
 //! surface. The protocol paths live in [`crate::engine::serve`], bulk
 //! transfers in [`crate::engine::transfer`], and all instrumentation flows
-//! through the [`ObserverHub`] defined in [`crate::engine::observe`].
+//! through the [`ObserverHub`] defined in [`crate::engine::observe`] — a
+//! plain struct of the four observers, built from an [`ObserverConfig`] at
+//! construction; the observer accessors below read its fields.
 
 use crate::alloc::Arena;
 use crate::analyze::AnalyzeLevel;
 use crate::cache::TagCache;
 use crate::counters::Counters;
 use crate::directory::{DirEntry, LineState, TileSet};
-use crate::engine::observe::{AnalyzeGate, MachineObserver, ObserverConfig, ObserverHub};
+use crate::engine::observe::{ObserverConfig, ObserverHub};
 use crate::fxmap::LineMap;
 use crate::invariants::{CheckLevel, CoherenceChecker};
 use crate::mcache::MemorySideCache;
@@ -99,9 +101,10 @@ pub struct Machine {
     pub(crate) counters: Counters,
     jitter_pct: u32,
     jitter_seq: u64,
-    /// The event spine: every observer (coherence checker, tracer,
-    /// analyzer gate) hangs off this one hub. Empty by default, in which
-    /// case each emission point is a single never-taken branch.
+    /// The event spine: the four observers (coherence checker, tracer,
+    /// telemetry sampler, analyzer pre-pass) are this hub's four fields.
+    /// Empty by default, in which case each emission point is a single
+    /// never-taken branch.
     pub(crate) hub: ObserverHub,
     /// Fault injection for checker and model-checker tests: a single
     /// transition defect the directory step applies on top of the shipped
@@ -119,8 +122,17 @@ const _: () = {
 };
 
 impl Machine {
-    /// Instantiate the simulated machine for one configuration.
+    /// Instantiate the simulated machine for one configuration, with no
+    /// observers attached.
     pub fn new(cfg: MachineConfig) -> Self {
+        Self::with_observer_config(cfg, ObserverConfig::default())
+    }
+
+    /// The simulated machine for one configuration with the observers an
+    /// [`ObserverConfig`] describes attached — the one construction knob
+    /// for checker, tracer, analyzer pre-pass and telemetry sampler, and
+    /// the only way any of them is built.
+    pub fn with_observer_config(cfg: MachineConfig, oc: ObserverConfig) -> Self {
         assert!(
             cfg.active_tiles <= TileSet::CAPACITY,
             "{} active tiles do not fit the directory's {}-tile sharer bitmask",
@@ -161,6 +173,7 @@ impl Machine {
             ring_service_ps: (t.mesh_ring_service_ps > 0).then_some(t.mesh_ring_service_ps),
         });
         let jitter_pct = t.jitter_for(cfg.cluster);
+        let hub = ObserverHub::from_config(oc, cfg.protocol);
         Machine {
             cfg,
             topo,
@@ -175,49 +188,25 @@ impl Machine {
             counters: Counters::default(),
             jitter_pct,
             jitter_seq: 0,
-            hub: ObserverHub::default(),
+            hub,
             mutation: None,
         }
     }
 
-    /// [`Machine::new`] with the observers an [`ObserverConfig`] describes
-    /// attached — the one construction knob for checker, tracer, and
-    /// analyzer gate.
-    pub fn with_observer_config(cfg: MachineConfig, oc: ObserverConfig) -> Self {
-        let mut m = Self::new(cfg);
-        m.hub = ObserverHub::from_config(oc, m.counters, m.cfg.protocol);
-        m
-    }
-
-    /// Attach a custom observer to the event spine. The built-in observers
-    /// are registered via [`Machine::with_observer_config`]; this is the
-    /// extension point for additional ones (profilers, energy models).
-    pub fn register_observer(&mut self, observer: Box<dyn MachineObserver>) {
-        self.hub.register(observer);
-    }
-
-    /// Is any observer registered (event consumer or not)?
-    pub fn has_observers(&self) -> bool {
-        !self.hub.is_empty()
-    }
-
-    /// Notify observers that a runner is about to execute `programs` with
-    /// `initial_flags` (sorted by address). The analyzer gate runs its
-    /// static pre-pass here.
-    pub fn observe_run_start(&mut self, programs: &[Program], initial_flags: &[(u64, u64)]) {
+    /// A runner is about to execute `programs` with `initial_flags`
+    /// (sorted by address): the analyzer's static pre-pass runs here.
+    pub fn observe_run_start(&self, programs: &[Program], initial_flags: &[(u64, u64)]) {
         self.hub.on_run_start(programs, initial_flags);
     }
 
     /// The active checking level.
     pub fn check_level(&self) -> CheckLevel {
-        self.hub
-            .get::<CoherenceChecker>()
-            .map_or(CheckLevel::Off, |c| c.level())
+        self.checker().map_or(CheckLevel::Off, |c| c.level())
     }
 
     /// The attached checker, if any (tests and diagnostics).
     pub fn checker(&self) -> Option<&CoherenceChecker> {
-        self.hub.get::<CoherenceChecker>()
+        self.hub.checker.as_deref()
     }
 
     /// End-of-run verification: reconcile the checker's message counters
@@ -240,39 +229,35 @@ impl Machine {
 
     /// The active tracing level.
     pub fn trace_level(&self) -> TraceLevel {
-        self.hub
-            .get::<Tracer>()
-            .map_or(TraceLevel::Off, |t| t.level())
+        self.tracer().map_or(TraceLevel::Off, |t| t.level())
     }
 
     /// The attached tracer, if any (tests and diagnostics).
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.hub.get::<Tracer>()
+        self.hub.tracer.as_deref()
     }
 
     /// Detach and return the tracer; sweep drivers serialize it per job
     /// and merge the sections in canonical job order.
     pub fn take_tracer(&mut self) -> Option<Box<Tracer>> {
-        self.hub.take::<Tracer>()
+        self.hub.take_tracer()
     }
 
     /// The attached telemetry sampler, if any (tests and diagnostics).
     pub fn telemetry(&self) -> Option<&TelemetrySampler> {
-        self.hub.get::<TelemetrySampler>()
+        self.hub.telemetry.as_deref()
     }
 
     /// Detach and return the telemetry sampler; sweep drivers serialize
     /// it per job and merge the sections in canonical job order, exactly
     /// like traces.
     pub fn take_telemetry(&mut self) -> Option<Box<TelemetrySampler>> {
-        self.hub.take::<TelemetrySampler>()
+        self.hub.take_telemetry()
     }
 
     /// The active static-analysis level.
     pub fn analyze_level(&self) -> AnalyzeLevel {
-        self.hub
-            .get::<AnalyzeGate>()
-            .map_or(AnalyzeLevel::Off, |g| g.level())
+        self.hub.analyze
     }
 
     /// Stamp subsequent trace events with the executing `thread` (set by

@@ -14,6 +14,7 @@
 //! host thread; parallelism lives one level up, where `crates/bench`
 //! sweeps thousands of small independent simulations (DESIGN.md §5i).
 
+use crate::analyze::AnalyzeLevel;
 use crate::fxmap::LineMap;
 use crate::machine::{AccessKind, Machine, StreamState};
 use crate::ops::Op;
@@ -169,12 +170,11 @@ impl<'m> Runner<'m> {
 
     /// Run to completion.
     pub fn run(mut self) -> RunResult {
-        if self.machine.has_observers() {
-            // Observer run-start hook, with the pre-set flags as the initial
-            // flag state (sorted for determinism). The analyzer gate does
-            // its static pre-pass here — pure observers all: they may panic
-            // (Error findings, coherence violations) but never change what
-            // the simulation computes.
+        if self.machine.analyze_level() != AnalyzeLevel::Off {
+            // The analyzer's static pre-pass, with the pre-set flags as the
+            // initial flag state (sorted for determinism) — a pure
+            // observer: it may panic (Error findings) but never changes
+            // what the simulation computes.
             let initial: Vec<(u64, u64)> = self
                 .flags
                 .sorted_keys()

@@ -26,12 +26,9 @@
 //! sampler is a pure observer — telemetry-on runs are bit-identical to
 //! telemetry-off runs in every simulated result.
 
-use crate::counters::Counters;
-use crate::engine::observe::{gstate_tag, MachineObserver, ProtocolEvent};
-use crate::program::Program;
+use crate::engine::observe::{gstate_tag, ProtocolEvent};
 use crate::svmap::SortedVecMap;
 use crate::SimTime;
-use std::any::Any;
 use std::fmt::Write as _;
 
 /// Default sampling interval: 100 µs of sim time (matches
@@ -40,7 +37,7 @@ pub const DEFAULT_INTERVAL_PS: SimTime = 100_000_000;
 
 /// Telemetry knob carried by [`crate::ObserverConfig`]: the sampling
 /// interval in integer picoseconds of sim time, `0` meaning off (the
-/// default — an unconfigured machine registers no sampler and keeps the
+/// default — an unconfigured machine attaches no sampler and keeps the
 /// empty-hub fast path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
@@ -49,7 +46,7 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Off (no sampler registered).
+    /// Off (no sampler attached).
     pub fn off() -> Self {
         TelemetryConfig { interval_ps: 0 }
     }
@@ -338,8 +335,9 @@ pub struct TelemetrySampler {
 
 impl TelemetrySampler {
     /// Sampler at `cfg.interval_ps` (must be enabled; an off config
-    /// registers no sampler instead).
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    /// attaches no sampler instead). Built only by the observer hub, from
+    /// an [`crate::ObserverConfig`].
+    pub(crate) fn new(cfg: TelemetryConfig) -> Self {
         assert!(cfg.enabled(), "use no sampler instead of interval 0");
         TelemetrySampler {
             interval_ps: cfg.interval_ps,
@@ -389,10 +387,9 @@ impl TelemetrySampler {
             *self.live_census.entry_or_default(to) += 1;
         }
     }
-}
 
-impl MachineObserver for TelemetrySampler {
-    fn on_event(&mut self, time: SimTime, _line: u64, event: &ProtocolEvent<'_>) {
+    /// Fold one event into its time bin.
+    pub(crate) fn on_event(&mut self, time: SimTime, _line: u64, event: &ProtocolEvent<'_>) {
         self.series.events += 1;
         self.series.end_ps = self.series.end_ps.max(time);
         self.last_ps = self.last_ps.max(time);
@@ -457,11 +454,13 @@ impl MachineObserver for TelemetrySampler {
         }
     }
 
-    fn set_tile(&mut self, tile: u16) {
+    /// Subsequent events originate from `tile`.
+    pub(crate) fn set_tile(&mut self, tile: u16) {
         self.tile = tile;
     }
 
-    fn on_reset(&mut self) {
+    /// The on-die caches and directory were cleared (fresh repetition).
+    pub(crate) fn on_reset(&mut self) {
         // The directory was cleared: every cached line returns to
         // Uncached. Emit compensating deltas at the latest time seen so
         // census prefix sums stay exact across repetitions.
@@ -476,20 +475,6 @@ impl MachineObserver for TelemetrySampler {
             *self.series.census.entry_or_default((bin, s)) -= n;
         }
         self.live_census = SortedVecMap::new();
-    }
-
-    fn on_run_start(&mut self, _programs: &[Program], _initial_flags: &[(u64, u64)]) {}
-
-    fn finish(&self, _counters: &Counters) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 

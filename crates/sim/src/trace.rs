@@ -322,8 +322,9 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer recording at `level` (must not be [`TraceLevel::Off`] —
-    /// "off" is represented by not having a tracer at all).
-    pub fn new(level: TraceLevel) -> Tracer {
+    /// "off" is represented by not having a tracer at all). Built only by
+    /// the observer hub, from an [`crate::ObserverConfig`].
+    pub(crate) fn new(level: TraceLevel) -> Tracer {
         assert_ne!(level, TraceLevel::Off, "TraceLevel::Off means no tracer");
         Tracer {
             level,

@@ -9,8 +9,8 @@
 use knl::arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, ProtocolKind};
 use knl::benchsuite::{pointer_chase, SweepExecutor};
 use knl::sim::{
-    AnalyzeLevel, CheckLevel, CoherenceChecker, Counters, Machine, ObserverConfig, Runner,
-    TelemetryConfig, TraceLevel, Tracer,
+    AnalyzeLevel, CheckLevel, Counters, Machine, ObserverConfig, Runner, TelemetryConfig,
+    TraceLevel,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -115,35 +115,6 @@ fn merged_trace_bytes_identical_across_jobs() {
         serial, pooled,
         "merged trace differs between --jobs 1 and 2"
     );
-}
-
-#[test]
-fn registration_order_does_not_affect_output() {
-    // The hub dispatches every event to every observer; whether the
-    // checker or the tracer registered first must be unobservable in the
-    // results, the counters, and the emitted metrics/trace bytes.
-    let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
-    let run = |checker_first: bool| {
-        let mut m = Machine::new(cfg.clone());
-        let ck = CoherenceChecker::new(CheckLevel::FullOracle, Counters::default()); // knl-lint: allow(observer-construct)
-        let tr = Tracer::new(TraceLevel::Full); // knl-lint: allow(observer-construct)
-        if checker_first {
-            m.register_observer(Box::new(ck));
-            m.register_observer(Box::new(tr));
-        } else {
-            m.register_observer(Box::new(tr));
-            m.register_observer(Box::new(ck));
-        }
-        let programs = pointer_chase::transfer_programs(CoreId(8), CoreId(0), ITERS);
-        let result = Runner::new(&mut m, programs).run();
-        m.finish_check();
-        let mut s = String::new();
-        m.take_tracer()
-            .expect("tracer registered")
-            .serialize_into(&mut s);
-        (result.end_time, m.counters(), s)
-    };
-    assert_eq!(run(true), run(false));
 }
 
 #[test]

@@ -4,8 +4,21 @@
 //! worker finishes first.
 
 use knl::arch::{ClusterMode, MachineConfig, MemoryMode, SplitMixRng};
-use knl::benchsuite::{encode_suite, run_configs, run_configs_checked, SuiteParams, SweepExecutor};
-use knl::sim::CheckLevel;
+use knl::benchsuite::{encode_suite, run_configs_with, SuiteParams, SuiteResults, SweepExecutor};
+use knl::sim::{CheckLevel, Counters, ObserverConfig};
+
+/// The comparable part of a suite sweep: results and counters per config.
+fn sweep(
+    configs: &[MachineConfig],
+    params: &SuiteParams,
+    jobs: usize,
+    observers: ObserverConfig,
+) -> Vec<(SuiteResults, Counters)> {
+    run_configs_with(configs, params, jobs, observers)
+        .into_iter()
+        .map(|run| (run.results, run.counters))
+        .collect()
+}
 
 fn tiny_params() -> SuiteParams {
     let mut p = SuiteParams::quick();
@@ -29,8 +42,8 @@ fn jobs4_matches_jobs1_bitwise() {
         MachineConfig::knl7210(ClusterMode::A2A, MemoryMode::Flat),
     ];
     let params = tiny_params();
-    let serial = run_configs(&configs, &params, 1);
-    let parallel = run_configs(&configs, &params, 4);
+    let serial = sweep(&configs, &params, 1, ObserverConfig::default());
+    let parallel = sweep(&configs, &params, 4, ObserverConfig::default());
     assert_eq!(serial.len(), parallel.len());
     for ((cfg, (s, sc)), (p, pc)) in configs.iter().zip(&serial).zip(&parallel) {
         assert_eq!(
@@ -57,10 +70,11 @@ fn checked_sweep_is_deterministic_and_observer_only() {
         MemoryMode::Cache,
     )];
     let params = tiny_params();
-    let serial = run_configs_checked(&configs, &params, 1, CheckLevel::Invariants);
-    let parallel = run_configs_checked(&configs, &params, 2, CheckLevel::Invariants);
+    let checked = ObserverConfig::default().check(CheckLevel::Invariants);
+    let serial = sweep(&configs, &params, 1, checked);
+    let parallel = sweep(&configs, &params, 2, checked);
     assert_eq!(serial, parallel, "checked sweep diverges across --jobs");
-    let unchecked = run_configs(&configs, &params, 2);
+    let unchecked = sweep(&configs, &params, 2, ObserverConfig::default());
     assert_eq!(
         unchecked, parallel,
         "the checker must observe, never steer results"
