@@ -29,12 +29,6 @@
 //! * `float-ps` — picosecond quantities (`*_ps` bindings and fields) must
 //!   not be typed `f64`: float accumulation drifts across op orderings;
 //!   convert to float only at the reporting edge.
-//! * `observer-config` — outside `crates/sim`, machines must be given
-//!   their observer set through `Machine::with_observer_config` (one
-//!   `ObserverConfig`), never the retired `with_check`/`with_observers`
-//!   constructors or per-observer `set_*_level` setters; those split the
-//!   observer wiring across call sites, which is how observers silently
-//!   fail to attach.
 //! * `thread-outside-executor` — `crates/sim` must not touch
 //!   `std::thread` / `std::sync` at all: one simulation runs on one host
 //!   thread, and the only executor that spawns workers is
@@ -93,11 +87,6 @@ const INSTANT: &str = concat!("time::", "Instant");
 const SYSTEM_TIME: &str = concat!("time::", "SystemTime");
 const TIME_DURATION: &str = concat!("time::", "Duration");
 const FLOAT_PS: &str = concat!("_ps: ", "f64");
-const WITH_CHECK: &str = concat!("Machine::", "with_check(");
-const WITH_OBSERVERS: &str = concat!("Machine::", "with_observers(");
-const SET_CHECK: &str = concat!(".set_", "check_level(");
-const SET_TRACE: &str = concat!(".set_", "trace_level(");
-const SET_ANALYZE: &str = concat!(".set_", "analyze_level(");
 const STD_THREAD: &str = concat!("std::", "thread");
 const THREAD_SPAWN: &str = concat!("thread::", "spawn(");
 const THREAD_SCOPE: &str = concat!("thread::", "scope(");
@@ -163,20 +152,6 @@ fn rules() -> Vec<LintRule> {
                       convert to float only when reporting",
             applies: |_| true,
             matches: |l| l.contains(FLOAT_PS),
-        },
-        LintRule {
-            name: "observer-config",
-            message: "attach observers with Machine::with_observer_config \
-                      (one ObserverConfig), not retired constructors or \
-                      per-observer setters",
-            applies: |p| !p.contains("crates/sim/"),
-            matches: |l| {
-                l.contains(WITH_CHECK)
-                    || l.contains(WITH_OBSERVERS)
-                    || l.contains(SET_CHECK)
-                    || l.contains(SET_TRACE)
-                    || l.contains(SET_ANALYZE)
-            },
         },
         LintRule {
             name: "thread-outside-executor",
@@ -468,7 +443,7 @@ mod tests {
             ["hash-collection"]
         );
         // Fine outside crates/sim and the serialization paths.
-        assert!(find("/crates/bench/src/microbench.rs", &bad).is_empty());
+        assert!(find("/crates/bench/src/profile.rs", &bad).is_empty());
         assert!(find("/tests/golden_snapshots.rs", &bad).is_empty());
     }
 
@@ -506,7 +481,7 @@ mod tests {
     fn wallclock_flagged_in_sim_only() {
         let bad = format!("    let t0 = std::{}::now();\n", INSTANT);
         assert_eq!(find("/crates/sim/src/machine.rs", &bad), ["wallclock"]);
-        assert!(find("/crates/bench/src/microbench.rs", &bad).is_empty());
+        assert!(find("/crates/bench/src/profile.rs", &bad).is_empty());
     }
 
     #[test]
@@ -540,30 +515,6 @@ mod tests {
     fn float_ps_flagged_everywhere() {
         let bad = format!("    let total{} = 0.0;\n", FLOAT_PS);
         assert_eq!(find("/crates/arch/src/timing.rs", &bad), ["float-ps"]);
-    }
-
-    #[test]
-    fn retired_observer_apis_flagged_outside_sim() {
-        for bad in [
-            format!("    let m = {}cfg, level);\n", WITH_CHECK),
-            format!("    let m = {}cfg, check, trace);\n", WITH_OBSERVERS),
-            format!("    m{}level);\n", SET_CHECK),
-            format!("    m{}level);\n", SET_TRACE),
-            format!("    m{}level);\n", SET_ANALYZE),
-        ] {
-            assert_eq!(
-                find("/tests/coherence_fuzz.rs", &bad),
-                ["observer-config"],
-                "{bad}"
-            );
-            assert_eq!(
-                find("/crates/bench/benches/simulator_throughput.rs", &bad),
-                ["observer-config"],
-                "{bad}"
-            );
-            // crates/sim owns the machine; its internals are exempt.
-            assert!(find("/crates/sim/src/machine.rs", &bad).is_empty(), "{bad}");
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! `knl-report` — fuse a telemetry series, an optional trace file's
-//! metrics, and the `BENCH_*.json` trajectory history into one dashboard.
+//! `knl-report` — fuse a telemetry series and an optional trace file's
+//! metrics into one dashboard.
 //!
 //! The default output is a text report with unicode sparklines: queue
 //! depth per memory device over sim time, per-tile serve heat, the
-//! directory protocol-state census timeline, invalidation/update/
-//! write-back rates, and the microbenchmark trend across recorded PRs.
+//! directory protocol-state census timeline, and invalidation/update/
+//! write-back rates.
 //! `--html PATH` additionally writes the same dashboard as a single
 //! self-contained HTML page (no external assets).
 //!
@@ -13,10 +13,8 @@
 //! markers are skipped and metric lines merge additively, so the report
 //! is independent of how the sweep was split across jobs.
 
-use knl_bench::microbench::parse_trajectory;
 use knl_sim::metrics::{dev_name, Metrics};
 use knl_sim::TelemetrySeries;
-use knl_stats::json::Json;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -25,13 +23,10 @@ const USAGE: &str = "\
 usage: knl-report TELEMETRY [options]
 
 Render a telemetry series (written by the figure binaries under
---telemetry) as a text dashboard; optionally fuse a trace file and the
-BENCH_*.json trajectory history.
+--telemetry) as a text dashboard; optionally fuse a trace file.
 
 options:
   --trace PATH     fold in a trace file's metrics (protocol totals)
-  --bench-dir DIR  directory scanned for BENCH_*.json (default:
-                   workspace root)
   --html PATH      also write the dashboard as self-contained HTML
   --top N          tiles shown in the per-tile heat section (default 8)
   -h, --help       this text
@@ -48,7 +43,6 @@ const MAX_WIDTH: usize = 64;
 struct Args {
     telemetry: PathBuf,
     trace: Option<PathBuf>,
-    bench_dir: Option<PathBuf>,
     html: Option<PathBuf>,
     top: usize,
 }
@@ -56,7 +50,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut telemetry = None;
     let mut trace = None;
-    let mut bench_dir = None;
     let mut html = None;
     let mut top = 8usize;
     let mut it = std::env::args().skip(1);
@@ -73,7 +66,6 @@ fn parse_args() -> Args {
                 exit(0);
             }
             "--trace" => trace = Some(PathBuf::from(value("--trace"))),
-            "--bench-dir" => bench_dir = Some(PathBuf::from(value("--bench-dir"))),
             "--html" => html = Some(PathBuf::from(value("--html"))),
             "--top" => {
                 top = value("--top").parse().unwrap_or_else(|_| {
@@ -99,7 +91,6 @@ fn parse_args() -> Args {
     Args {
         telemetry,
         trace,
-        bench_dir,
         html,
         top,
     }
@@ -119,7 +110,6 @@ fn main() {
     if let Some(m) = &metrics {
         render_trace(&mut out, args.trace.as_deref().unwrap(), m);
     }
-    render_bench_trend(&mut out, &bench_dir(&args));
 
     print!("{out}");
     if let Some(html) = &args.html {
@@ -170,16 +160,6 @@ fn load_metrics(path: &Path) -> Metrics {
         m.parse_line(line);
     }
     m
-}
-
-fn bench_dir(args: &Args) -> PathBuf {
-    args.bench_dir.clone().unwrap_or_else(|| {
-        // Workspace root: two levels up from this crate's manifest dir.
-        let mut p = Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf();
-        p.pop();
-        p.pop();
-        p
-    })
 }
 
 /// Scale `vals` into a sparkline string; an all-zero series renders as a
@@ -370,70 +350,6 @@ fn render_trace(out: &mut String, path: &Path, m: &Metrics) {
     // Reuse the knl-trace report body, minus its hot-line sections.
     for line in m.report(4).lines() {
         let _ = writeln!(out, "{line}");
-    }
-}
-
-fn render_bench_trend(out: &mut String, dir: &Path) {
-    let _ = writeln!(out, "\n== bench trend (BENCH_*.json) ==");
-    let mut docs: Vec<(u64, Vec<(String, f64)>)> = Vec::new();
-    if let Ok(rd) = std::fs::read_dir(dir) {
-        for entry in rd.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            let Some(pr) = name
-                .strip_prefix("BENCH_")
-                .and_then(|s| s.strip_suffix(".json"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            let Ok(text) = std::fs::read_to_string(entry.path()) else {
-                continue;
-            };
-            let Some(doc) = Json::parse(&text) else {
-                continue;
-            };
-            let Some(results) = parse_trajectory(&doc) else {
-                continue;
-            };
-            let cases = results
-                .into_iter()
-                .map(|r| (format!("{}/{}", r.group, r.name), r.ns_per_iter))
-                .collect();
-            docs.push((pr, cases));
-        }
-    }
-    if docs.is_empty() {
-        let _ = writeln!(out, "(no trajectory files under {})", dir.display());
-        return;
-    }
-    docs.sort_by_key(|&(pr, _)| pr);
-    let prs: Vec<u64> = docs.iter().map(|&(pr, _)| pr).collect();
-    let _ = writeln!(
-        out,
-        "PRs {} (left to right)",
-        prs.iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(" -> ")
-    );
-    // One row per case present in the newest trajectory.
-    let latest = &docs.last().unwrap().1;
-    for (case, latest_ns) in latest {
-        let vals: Vec<f64> = docs
-            .iter()
-            .map(|(_, cases)| {
-                cases
-                    .iter()
-                    .find(|(name, _)| name == case)
-                    .map_or(0.0, |&(_, ns)| ns)
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "{case:<42} {} latest {latest_ns:>8.1} ns",
-            sparkline(&vals)
-        );
     }
 }
 

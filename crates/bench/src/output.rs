@@ -1,5 +1,6 @@
 //! Console tables and CSV output.
 
+use std::borrow::Cow;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -66,13 +67,29 @@ impl Table {
         fs::create_dir_all(&dir).expect("create results dir");
         let path = dir.join(format!("{name}.csv"));
         let mut f = fs::File::create(&path).expect("create csv");
-        writeln!(f, "{}", self.header.join(",")).unwrap();
-        for r in &self.rows {
-            writeln!(f, "{}", r.join(",")).unwrap();
+        for record in std::iter::once(&self.header).chain(&self.rows) {
+            writeln!(f, "{}", csv_record(record)).unwrap();
         }
         crate::provenance::write_manifest(&path);
         path
     }
+}
+
+/// One CSV record. A cell is quoted (RFC 4180: wrapped in `"`, embedded
+/// quotes doubled) only when it contains a comma, a quote or a line
+/// break; every other cell is written as it is.
+fn csv_record(cells: &[String]) -> String {
+    let cells: Vec<Cow<str>> = cells
+        .iter()
+        .map(|c| {
+            if c.contains([',', '"', '\r', '\n']) {
+                Cow::Owned(format!("\"{}\"", c.replace('"', "\"\"")))
+            } else {
+                Cow::Borrowed(c.as_str())
+            }
+        })
+        .collect();
+    cells.join(",")
 }
 
 /// `results/` at the workspace root (env override: `KNL_RESULTS_DIR`).
@@ -175,6 +192,45 @@ mod tests {
         let p = t.write_csv("unit_test_table");
         let s = std::fs::read_to_string(p).unwrap();
         assert_eq!(s, "x,y\n1,2\n");
+    }
+
+    /// RFC 4180 reader for the round-trip test: records of cells.
+    fn split_csv(text: &str) -> Vec<Vec<String>> {
+        let (mut records, mut record, mut cell, mut quoted) =
+            (vec![], vec![], String::new(), false);
+        let mut it = text.chars().peekable();
+        while let Some(c) = it.next() {
+            match c {
+                '"' if quoted && it.peek() == Some(&'"') => cell.push(it.next().unwrap()),
+                '"' => quoted = !quoted,
+                ',' | '\n' if !quoted => {
+                    record.push(std::mem::take(&mut cell));
+                    if c == '\n' {
+                        records.push(std::mem::take(&mut record));
+                    }
+                }
+                _ => cell.push(c),
+            }
+        }
+        records
+    }
+
+    #[test]
+    fn csv_quotes_only_cells_that_need_it() {
+        let _dir = ResultsDirGuard::set(&std::env::temp_dir().join("knl_test_results"));
+        let mut t = Table::new("t", &["plain", "tuned w/o stagger, re-costed"]);
+        t.row(vec!["KNL rings (0.5 ns)".into(), "a \"b\"".into()]);
+        t.row(vec!["two\nlines".into(), "1.5".into()]);
+        let s = std::fs::read_to_string(t.write_csv("unit_test_quoting")).unwrap();
+        assert_eq!(
+            s,
+            "plain,\"tuned w/o stagger, re-costed\"\n\
+             KNL rings (0.5 ns),\"a \"\"b\"\"\"\n\
+             \"two\nlines\",1.5\n"
+        );
+        let mut want = vec![t.header.clone()];
+        want.extend(t.rows.iter().cloned());
+        assert_eq!(split_csv(&s), want);
     }
 
     #[test]

@@ -571,7 +571,21 @@ mod tests {
 
     #[test]
     fn empty_hub_reports_disabled() {
-        assert!(!hub(ObserverConfig::default()).enabled());
+        // Every way of spelling "off" is the default configuration, and
+        // the default builds the hub the engine's fast path skips.
+        let off = ObserverConfig::default();
+        for oc in [
+            off,
+            off.check(CheckLevel::Off),
+            off.trace(TraceLevel::Off),
+            off.telemetry(TelemetryConfig::off()),
+            off.check(CheckLevel::Off)
+                .trace(TraceLevel::Off)
+                .telemetry(TelemetryConfig::off()),
+        ] {
+            assert_eq!(oc, ObserverConfig::default());
+            assert!(!hub(oc).enabled());
+        }
     }
 
     #[test]

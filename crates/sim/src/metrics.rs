@@ -139,6 +139,17 @@ pub struct TileStat {
     pub mcache: u64,
 }
 
+impl TileStat {
+    fn add(&mut self, o: &TileStat) {
+        self.serves += o.serves;
+        self.l1 += o.l1;
+        self.l2 += o.l2;
+        self.remote += o.remote;
+        self.mem += o.mem;
+        self.mcache += o.mcache;
+    }
+}
+
 /// Per-device queue statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DevStat {
@@ -150,6 +161,15 @@ pub struct DevStat {
     pub depth_peak: u32,
     /// Sum of observed depths (mean = `depth_sum / (reads + writes)`).
     pub depth_sum: u64,
+}
+
+impl DevStat {
+    fn add(&mut self, o: &DevStat) {
+        self.reads += o.reads;
+        self.writes += o.writes;
+        self.depth_peak = self.depth_peak.max(o.depth_peak);
+        self.depth_sum += o.depth_sum;
+    }
 }
 
 /// Aggregated, mergeable trace metrics.
@@ -253,20 +273,10 @@ impl Metrics {
             self.hist.entry_or_default(*k).merge(h);
         }
         for (k, t) in &o.tiles {
-            let d = self.tiles.entry_or_default(*k);
-            d.serves += t.serves;
-            d.l1 += t.l1;
-            d.l2 += t.l2;
-            d.remote += t.remote;
-            d.mem += t.mem;
-            d.mcache += t.mcache;
+            self.tiles.entry_or_default(*k).add(t);
         }
         for (k, s) in &o.devices {
-            let d = self.devices.entry_or_default(*k);
-            d.reads += s.reads;
-            d.writes += s.writes;
-            d.depth_peak = d.depth_peak.max(s.depth_peak);
-            d.depth_sum += s.depth_sum;
+            self.devices.entry_or_default(*k).add(s);
         }
         for (k, n) in &o.dev_bins {
             *self.dev_bins.entry_or_default(*k) += n;
@@ -356,7 +366,9 @@ impl Metrics {
     }
 
     /// Parse one metric line, merging it into `self`. Returns `false` for
-    /// lines that are not metric lines (events, comments, garbage).
+    /// lines that are not metric lines (events, comments, garbage, a line
+    /// with a missing or malformed field) and then leaves `self`
+    /// untouched: every field is parsed before anything is merged.
     pub fn parse_line(&mut self, line: &str) -> bool {
         let mut it = line.split_ascii_whitespace();
         let Some(tag) = it.next() else { return false };
@@ -373,57 +385,59 @@ impl Metrics {
                         max_ps: it.next()?.parse().ok()?,
                         bins: [0; HIST_BINS],
                     };
-                    for (i, b) in it.next()?.split(',').enumerate() {
-                        if i >= HIST_BINS {
-                            return None;
-                        }
-                        h.bins[i] = b.parse().ok()?;
+                    let mut bins = it.next()?.split(',');
+                    for b in &mut h.bins {
+                        *b = bins.next()?.parse().ok()?;
+                    }
+                    if bins.next().is_some() {
+                        return None;
                     }
                     self.hist.entry_or_default((src, hops)).merge(&h);
                 }
                 "T" => {
                     let tile: u16 = it.next()?.parse().ok()?;
-                    let vals: Vec<u64> = it.map(|v| v.parse().unwrap_or(0)).collect();
-                    if vals.len() != 6 {
+                    let t = TileStat {
+                        serves: it.next()?.parse().ok()?,
+                        l1: it.next()?.parse().ok()?,
+                        l2: it.next()?.parse().ok()?,
+                        remote: it.next()?.parse().ok()?,
+                        mem: it.next()?.parse().ok()?,
+                        mcache: it.next()?.parse().ok()?,
+                    };
+                    if it.next().is_some() {
                         return None;
                     }
-                    let d = self.tiles.entry_or_default(tile);
-                    d.serves += vals[0];
-                    d.l1 += vals[1];
-                    d.l2 += vals[2];
-                    d.remote += vals[3];
-                    d.mem += vals[4];
-                    d.mcache += vals[5];
+                    self.tiles.entry_or_default(tile).add(&t);
                 }
                 "D" => {
                     let dev: u8 = it.next()?.parse().ok()?;
-                    let d = self.devices.entry_or_default(dev);
-                    d.reads += it.next()?.parse::<u64>().ok()?;
-                    d.writes += it.next()?.parse::<u64>().ok()?;
-                    d.depth_peak = d.depth_peak.max(it.next()?.parse().ok()?);
-                    d.depth_sum += it.next()?.parse::<u64>().ok()?;
+                    let d = DevStat {
+                        reads: it.next()?.parse().ok()?,
+                        writes: it.next()?.parse().ok()?,
+                        depth_peak: it.next()?.parse().ok()?,
+                        depth_sum: it.next()?.parse().ok()?,
+                    };
+                    self.devices.entry_or_default(dev).add(&d);
                 }
                 "B" => {
-                    let dev: u8 = it.next()?.parse().ok()?;
-                    let bin: u64 = it.next()?.parse().ok()?;
-                    *self.dev_bins.entry_or_default((dev, bin)) +=
-                        it.next()?.parse::<u64>().ok()?;
+                    let key: (u8, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
+                    let n: u64 = it.next()?.parse().ok()?;
+                    *self.dev_bins.entry_or_default(key) += n;
                 }
                 "U" => {
-                    let tile: u16 = it.next()?.parse().ok()?;
-                    let bin: u64 = it.next()?.parse().ok()?;
-                    *self.tile_bins.entry_or_default((tile, bin)) +=
-                        it.next()?.parse::<u64>().ok()?;
+                    let key: (u16, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
+                    let n: u64 = it.next()?.parse().ok()?;
+                    *self.tile_bins.entry_or_default(key) += n;
                 }
                 "X" => {
-                    let from = it.next()?.chars().next()?;
-                    let to = it.next()?.chars().next()?;
-                    *self.dir_transitions.entry_or_default((from, to)) +=
-                        it.next()?.parse::<u64>().ok()?;
+                    let key = (it.next()?.chars().next()?, it.next()?.chars().next()?);
+                    let n: u64 = it.next()?.parse().ok()?;
+                    *self.dir_transitions.entry_or_default(key) += n;
                 }
                 "L" => {
                     let l = u64::from_str_radix(it.next()?, 16).ok()?;
-                    *self.hot_lines.entry(l).or_default() += it.next()?.parse::<u64>().ok()?;
+                    let n: u64 = it.next()?.parse().ok()?;
+                    *self.hot_lines.entry(l).or_default() += n;
                 }
                 "C" => {
                     let field = it.next()?;
@@ -440,8 +454,10 @@ impl Metrics {
                     }
                 }
                 "Z" => {
-                    self.events += it.next()?.parse::<u64>().ok()?;
-                    self.end_time = self.end_time.max(it.next()?.parse().ok()?);
+                    let events: u64 = it.next()?.parse().ok()?;
+                    let end_time: SimTime = it.next()?.parse().ok()?;
+                    self.events += events;
+                    self.end_time = self.end_time.max(end_time);
                 }
                 _ => return None,
             }
@@ -702,6 +718,58 @@ mod tests {
         assert!(!m.parse_line(""));
         assert!(!m.parse_line("H M"));
         assert_eq!(m, Metrics::default());
+
+        // A line of every tag cut short or holding a non-number, as the
+        // last line of a truncated file would: rejected, nothing merged.
+        // `BINS` stands for a full list of histogram bins.
+        let bins = ["0"; HIST_BINS].join(",");
+        for good in [
+            "H M 4 1 2 3 4 BINS",
+            "T 3 7 1 2 3 1 0",
+            "D 1 5 6 7 8",
+            "B 1 4 9",
+            "U 3 4 9",
+            "X S M 2",
+            "L 40 3",
+            "C inv 2",
+            "Z 9 99",
+        ] {
+            assert!(m.parse_line(&good.replace("BINS", &bins)), "{good}");
+        }
+        let before = m.clone();
+        for bad in [
+            "H M 4 1 2 3 4",
+            "H M 4 1 2 3 4 0,0,1",
+            "H M 4 1 2 3 4 BINS,0",
+            "H M 4 1 2 3 4 x",
+            "H M 4 1 x 3 4 BINS",
+            "T 3 7 x y z a b",
+            "T 3 7 1 2 3 1",
+            "T 3 7 1 2 3 1 0 0",
+            "D 1 5 6 7",
+            "D 1 5 x 7 8",
+            "D 2 5",
+            "B 1 4",
+            "B 1 4 x",
+            "U 3 4",
+            "U 3 4 x",
+            "X S M",
+            "X S M x",
+            "L 40",
+            "L 40 x",
+            "L zz 3",
+            "C inv",
+            "C inv x",
+            "C nosuch 2",
+            "Z 9",
+            "Z 9 x",
+        ] {
+            assert!(
+                !m.parse_line(&bad.replace("BINS", &bins)),
+                "accepted: {bad}"
+            );
+            assert_eq!(m, before, "half-merged: {bad}");
+        }
     }
 
     #[test]

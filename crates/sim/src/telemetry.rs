@@ -84,6 +84,16 @@ pub struct DevBin {
     pub depth_sum: u64,
 }
 
+impl DevBin {
+    fn add(&mut self, o: &DevBin) {
+        self.enters += o.enters;
+        self.writes += o.writes;
+        self.leaves += o.leaves;
+        self.depth_peak = self.depth_peak.max(o.depth_peak);
+        self.depth_sum += o.depth_sum;
+    }
+}
+
 /// Per-tile activity within one time bin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileBin {
@@ -94,6 +104,14 @@ pub struct TileBin {
     /// Summed end-to-end latency of those serves (ps); the bin's mean
     /// serve latency is `serve_ps / serves`.
     pub serve_ps: u64,
+}
+
+impl TileBin {
+    fn add(&mut self, o: &TileBin) {
+        self.issues += o.issues;
+        self.serves += o.serves;
+        self.serve_ps += o.serve_ps;
+    }
 }
 
 /// Protocol message rates within one time bin.
@@ -113,6 +131,18 @@ pub struct RateBin {
     pub mc_miss: u64,
     /// Mesh hops crossed (all legs).
     pub hops: u64,
+}
+
+impl RateBin {
+    fn add(&mut self, o: &RateBin) {
+        self.inv += o.inv;
+        self.upd += o.upd;
+        self.wb += o.wb;
+        self.wb_ext += o.wb_ext;
+        self.mc_hit += o.mc_hit;
+        self.mc_miss += o.mc_miss;
+        self.hops += o.hops;
+    }
 }
 
 /// A deterministic, additively-mergeable set of time series sampled at a
@@ -170,31 +200,16 @@ impl TelemetrySeries {
             "merging telemetry series with different intervals"
         );
         for (k, b) in &o.dev_bins {
-            let d = self.dev_bins.entry_or_default(*k);
-            d.enters += b.enters;
-            d.writes += b.writes;
-            d.leaves += b.leaves;
-            d.depth_peak = d.depth_peak.max(b.depth_peak);
-            d.depth_sum += b.depth_sum;
+            self.dev_bins.entry_or_default(*k).add(b);
         }
         for (k, b) in &o.tile_bins {
-            let t = self.tile_bins.entry_or_default(*k);
-            t.issues += b.issues;
-            t.serves += b.serves;
-            t.serve_ps += b.serve_ps;
+            self.tile_bins.entry_or_default(*k).add(b);
         }
         for (k, d) in &o.census {
             *self.census.entry_or_default(*k) += d;
         }
         for (k, b) in &o.rates {
-            let r = self.rates.entry_or_default(*k);
-            r.inv += b.inv;
-            r.upd += b.upd;
-            r.wb += b.wb;
-            r.wb_ext += b.wb_ext;
-            r.mc_hit += b.mc_hit;
-            r.mc_miss += b.mc_miss;
-            r.hops += b.hops;
+            self.rates.entry_or_default(*k).add(b);
         }
         self.events += o.events;
         self.end_ps = self.end_ps.max(o.end_ps);
@@ -232,8 +247,10 @@ impl TelemetrySeries {
     }
 
     /// Parse one telemetry line, merging it into `self`. Returns `false`
-    /// for anything that is not a telemetry line (comments, garbage, an
-    /// `I` line disagreeing with an already-set interval).
+    /// for anything that is not a telemetry line (comments, garbage, a
+    /// line with a missing or malformed field, an `I` line disagreeing
+    /// with an already-set interval) and then leaves `self` untouched:
+    /// every field is parsed before anything is merged.
     pub fn parse_line(&mut self, line: &str) -> bool {
         let mut it = line.split_ascii_whitespace();
         let Some(tag) = it.next() else { return false };
@@ -249,43 +266,49 @@ impl TelemetrySeries {
                     }
                 }
                 "Q" => {
-                    let dev: u8 = it.next()?.parse().ok()?;
-                    let bin: u64 = it.next()?.parse().ok()?;
-                    let d = self.dev_bins.entry_or_default((dev, bin));
-                    d.enters += it.next()?.parse::<u64>().ok()?;
-                    d.writes += it.next()?.parse::<u64>().ok()?;
-                    d.leaves += it.next()?.parse::<u64>().ok()?;
-                    d.depth_peak = d.depth_peak.max(it.next()?.parse().ok()?);
-                    d.depth_sum += it.next()?.parse::<u64>().ok()?;
+                    let key: (u8, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
+                    let b = DevBin {
+                        enters: it.next()?.parse().ok()?,
+                        writes: it.next()?.parse().ok()?,
+                        leaves: it.next()?.parse().ok()?,
+                        depth_peak: it.next()?.parse().ok()?,
+                        depth_sum: it.next()?.parse().ok()?,
+                    };
+                    self.dev_bins.entry_or_default(key).add(&b);
                 }
                 "P" => {
-                    let tile: u16 = it.next()?.parse().ok()?;
-                    let bin: u64 = it.next()?.parse().ok()?;
-                    let t = self.tile_bins.entry_or_default((tile, bin));
-                    t.issues += it.next()?.parse::<u64>().ok()?;
-                    t.serves += it.next()?.parse::<u64>().ok()?;
-                    t.serve_ps += it.next()?.parse::<u64>().ok()?;
+                    let key: (u16, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
+                    let b = TileBin {
+                        issues: it.next()?.parse().ok()?,
+                        serves: it.next()?.parse().ok()?,
+                        serve_ps: it.next()?.parse().ok()?,
+                    };
+                    self.tile_bins.entry_or_default(key).add(&b);
                 }
                 "G" => {
                     let bin: u64 = it.next()?.parse().ok()?;
                     let state = it.next()?.chars().next()?;
-                    *self.census.entry_or_default((bin, state)) +=
-                        it.next()?.parse::<i64>().ok()?;
+                    let delta: i64 = it.next()?.parse().ok()?;
+                    *self.census.entry_or_default((bin, state)) += delta;
                 }
                 "V" => {
                     let bin: u64 = it.next()?.parse().ok()?;
-                    let r = self.rates.entry_or_default(bin);
-                    r.inv += it.next()?.parse::<u64>().ok()?;
-                    r.upd += it.next()?.parse::<u64>().ok()?;
-                    r.wb += it.next()?.parse::<u64>().ok()?;
-                    r.wb_ext += it.next()?.parse::<u64>().ok()?;
-                    r.mc_hit += it.next()?.parse::<u64>().ok()?;
-                    r.mc_miss += it.next()?.parse::<u64>().ok()?;
-                    r.hops += it.next()?.parse::<u64>().ok()?;
+                    let b = RateBin {
+                        inv: it.next()?.parse().ok()?,
+                        upd: it.next()?.parse().ok()?,
+                        wb: it.next()?.parse().ok()?,
+                        wb_ext: it.next()?.parse().ok()?,
+                        mc_hit: it.next()?.parse().ok()?,
+                        mc_miss: it.next()?.parse().ok()?,
+                        hops: it.next()?.parse().ok()?,
+                    };
+                    self.rates.entry_or_default(bin).add(&b);
                 }
                 "Z" => {
-                    self.events += it.next()?.parse::<u64>().ok()?;
-                    self.end_ps = self.end_ps.max(it.next()?.parse().ok()?);
+                    let events: u64 = it.next()?.parse().ok()?;
+                    let end_ps: SimTime = it.next()?.parse().ok()?;
+                    self.events += events;
+                    self.end_ps = self.end_ps.max(end_ps);
                 }
                 _ => return None,
             }
@@ -559,6 +582,39 @@ mod tests {
         // An `I` line disagreeing with the set interval is rejected.
         assert!(s.parse_line("I 1000"));
         assert!(!s.parse_line("I 2000"));
+
+        // A line of every tag cut short or holding a non-number, as the
+        // last line of a truncated file would: rejected, nothing merged.
+        for good in [
+            "Q 0 4 10 2 3 4 5",
+            "P 3 4 1 2 3",
+            "G 4 S 1",
+            "V 4 1 2 3 4 5 6 7",
+            "Z 9 99",
+        ] {
+            assert!(s.parse_line(good), "{good}");
+        }
+        let before = s.clone();
+        for bad in [
+            "I",
+            "I x",
+            "Q 0 4 10 2 x",
+            "Q 0 4 10 2 3 4",
+            "Q 300 4 10 2 3 4 5",
+            "P 3 4 1 2",
+            "P 3 4 1 x 3",
+            "G 4 S",
+            "G 4 S x",
+            "G 4",
+            "V 4 1 2 3 4 5 6",
+            "V 4 1 2 3 x 5 6 7",
+            "V 5 1",
+            "Z 9",
+            "Z 9 x",
+        ] {
+            assert!(!s.parse_line(bad), "accepted: {bad}");
+            assert_eq!(s, before, "half-merged: {bad}");
+        }
     }
 
     #[test]
