@@ -3,7 +3,7 @@
 //! The paper's KNL keeps lines coherent with MESIF over its distributed tag
 //! directories; the simulator additionally models MESI, MOESI, and the
 //! update-based Dragon protocol so the same measure→fit pipeline can emit
-//! *differential* capability models per protocol (`knl-protocols`). This enum
+//! *differential* capability models per protocol (`knl run protocols`). This enum
 //! is pure description: the name plus the three policy bits in which the
 //! protocols differ, which the one transition function in
 //! `knl_sim::protocol` consults.

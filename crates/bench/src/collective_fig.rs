@@ -63,8 +63,8 @@ impl SeriesPoint {
 /// independent jobs; `conf.jobs` workers run them in parallel with results
 /// merged back into the canonical (schedule-major) order — the output is
 /// bit-identical to a serial run (`--jobs 1`). Point `i` submits its
-/// machine to the caller's `sink` as job `base + i`, so a binary running
-/// several figures collects them all in one trace / telemetry file.
+/// machine to the caller's `sink` as job `base + i`, so an experiment
+/// running several figures collects them all in one trace / telemetry file.
 #[allow(clippy::too_many_arguments)]
 pub fn run_figure(
     cfg: &MachineConfig,
@@ -227,11 +227,11 @@ fn model_envelope(
     }
 }
 
-/// Complete binary body for one collective figure: fit the model, run both
-/// schedules, print the table, dump the CSV, summarize speedups.
-pub fn run_binary(name: &str, kind: CollectiveKind) {
+/// The experiment body shared by Figs. 6–8 (`name` is the registry id):
+/// fit the model, run both schedules, print the table, dump the CSV,
+/// summarize speedups.
+pub fn run(name: &str, kind: CollectiveKind, conf: &RunConf, sink: &TraceSink) {
     use crate::output::{f1, Table};
-    let conf = crate::runconf::RunConf::from_args();
     let effort = conf.effort;
     let cfg = crate::modelfit::snc4_flat();
     eprintln!("fitting capability model on {} ...", cfg.label());
@@ -244,7 +244,6 @@ pub fn run_binary(name: &str, kind: CollectiveKind) {
         iters,
         conf.jobs
     );
-    let sink = TraceSink::new(&conf, name);
     let pts = run_figure(
         &cfg,
         &model,
@@ -252,11 +251,10 @@ pub fn run_binary(name: &str, kind: CollectiveKind) {
         &threads,
         &[Schedule::FillTiles, Schedule::Scatter],
         iters,
-        &conf,
-        &sink,
+        conf,
+        sink,
         0,
     );
-    sink.write().expect("write trace");
 
     let mut table = Table::new(
         &format!("{name} — {} in SNC4-flat (MCDRAM) [ns]", kind.name()),
@@ -357,20 +355,12 @@ pub fn run_binary(name: &str, kind: CollectiveKind) {
 mod tests {
     use super::*;
     use crate::modelfit::snc4_flat;
-    use crate::runconf::Effort;
 
     fn conf(jobs: usize) -> RunConf {
         RunConf {
-            effort: Effort::Quick,
             jobs,
-            check: knl_sim::CheckLevel::Off,
-            trace: knl_sim::TraceLevel::Off,
-            trace_path: None,
-            analyze: knl_sim::AnalyzeLevel::Off,
-            protocol: knl_arch::ProtocolKind::Mesif,
-            telemetry: knl_sim::TelemetryConfig::off(),
-            telemetry_out: None,
             progress: knl_benchsuite::ProgressMode::Off,
+            ..Default::default()
         }
     }
 

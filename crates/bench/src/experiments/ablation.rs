@@ -7,10 +7,10 @@
 //! rows are independent jobs and run under `--jobs` workers; rows are merged
 //! back in parameter order, keeping the output bit-identical to `--jobs 1`.
 
+use crate::output::{f1, Table};
+use crate::runconf::RunConf;
+use crate::sweep::{executor, machine, TraceSink};
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, Schedule};
-use knl_bench::output::{f1, Table};
-use knl_bench::runconf::RunConf;
-use knl_bench::sweep::{executor, machine, TraceSink};
 use knl_benchsuite::congestion::{congestion, congestion_with_pairs};
 use knl_benchsuite::contention::contention;
 use knl_benchsuite::membw::{bandwidth_sample, Target};
@@ -20,19 +20,16 @@ use knl_core::CapabilityModel;
 use knl_sim::{Machine, StreamKind};
 use knl_stats::fit_linear;
 
-fn main() {
-    let conf = RunConf::from_args();
-    let exec = executor(&conf);
+pub fn run(conf: &RunConf, sink: &TraceSink) {
+    let exec = executor(conf);
     // One merged trace across the ablation sweeps; each sweep claims a
     // disjoint job-index range so sections stay in a canonical order.
-    let sink = TraceSink::new(&conf, "ablation");
     let mut base = 0;
-    base += ablate_directory_serialization(&conf, &exec, &sink, base);
-    base += ablate_ddr_write_mixing(&conf, &exec, &sink, base);
-    base += ablate_mlp_caps(&conf, &exec, &sink, base);
+    base += ablate_directory_serialization(conf, &exec, sink, base);
+    base += ablate_ddr_write_mixing(conf, &exec, sink, base);
+    base += ablate_mlp_caps(conf, &exec, sink, base);
     ablate_tree_staggering();
-    ablate_mesh_occupancy(&conf, &exec, &sink, base);
-    sink.write().expect("write trace");
+    ablate_mesh_occupancy(conf, &exec, sink, base);
 }
 
 /// Ablation 1: the per-line serialization at the home CHA is what produces

@@ -9,20 +9,19 @@
 //! 128 MiB ("1GB/8" label) unless --paper is given (256 MiB); shapes are
 //! size-relative so the crossovers are preserved.
 
+use crate::modelfit::fit_model;
+use crate::output::{secs, Table};
+use crate::runconf::{Effort, RunConf};
+use crate::sweep::{executor, machine, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, NumaKind, Schedule};
-use knl_bench::modelfit::fit_model;
-use knl_bench::output::{secs, Table};
-use knl_bench::runconf::{Effort, RunConf};
-use knl_bench::sweep::{executor, machine, TraceSink};
 use knl_core::efficiency::{efficiency_sweep, EFFICIENCY_THRESHOLD};
 use knl_core::overhead::OverheadModel;
 use knl_core::sortmodel::{CostBasis, SortModel};
 use knl_sort::simsort::{run_simsort, SimSortSpec};
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let effort = conf.effort;
-    let exec = executor(&conf);
+    let exec = executor(conf);
     let cfg = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Flat);
     eprintln!("fitting capability model on {} ...", cfg.label());
     let model = fit_model(&cfg, &effort.suite_params(), true);
@@ -38,11 +37,10 @@ fn main() {
 
     // One merged trace across the sort sweeps; each sweep claims a disjoint
     // job-index range so sections stay in canonical order.
-    let sink = TraceSink::new(&conf, "fig10_sort");
     // Measure (simulate) the 1 KB sorts to fit the overhead model, exactly
     // as §V-B.2 prescribes.
     let measure = |job: usize, bytes: u64, threads: usize, mem: NumaKind| -> f64 {
-        let mut m = machine(&conf, cfg.clone());
+        let mut m = machine(conf, cfg.clone());
         let spec = SimSortSpec {
             bytes,
             threads,
@@ -144,7 +142,6 @@ fn main() {
     let bytes = 64u64 << 20;
     let d = measure(next_job, bytes, 32, NumaKind::Ddr);
     let c = measure(next_job + 1, bytes, 32, NumaKind::Mcdram);
-    sink.write().expect("write trace");
     println!(
         "MCDRAM speedup for the sort (64 MiB, 32 threads): {:.2}x — the paper predicts ≈1 \
          (no benefit despite 4-5x bandwidth)",

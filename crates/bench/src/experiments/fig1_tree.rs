@@ -3,17 +3,17 @@
 //! tree would have been found with traditional algorithm design
 //! techniques."
 
+use crate::modelfit::fit_model_observed;
+use crate::runconf::RunConf;
+use crate::sweep::TraceSink;
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, Schedule};
-use knl_bench::modelfit::fit_model_observed;
-use knl_bench::runconf::RunConf;
 use knl_collectives::plan::tile_groups;
 use knl_core::{optimize_tree, TreeKind};
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Cache);
     eprintln!("fitting capability model on {} ...", cfg.label());
-    let model = fit_model_observed(&cfg, &conf.effort.suite_params(), true, &conf, "fig1_tree");
+    let model = fit_model_observed(&cfg, &conf.effort.suite_params(), true, conf, sink);
 
     // 64 cores, one thread per core (fill-tiles): 32 tile groups of 2; the
     // inter-tile tree spans the 32 tile leaders.

@@ -6,15 +6,14 @@
 //! independent), so partners are parallel jobs under `--jobs`; the merged
 //! map is bit-identical to a `--jobs 1` run.
 
+use crate::output::{f1, Table};
+use crate::runconf::{Effort, RunConf};
+use crate::sweep::{executor, machine, TraceSink};
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode};
-use knl_bench::output::{f1, Table};
-use knl_bench::runconf::{Effort, RunConf};
-use knl_bench::sweep::{executor, machine, TraceSink};
 use knl_benchsuite::pointer_chase::{invalid_latency_salted, transfer_latency};
 use knl_sim::LineState;
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let iters = if conf.effort == Effort::Paper { 21 } else { 5 };
     let cfg = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Flat);
     let origin = CoreId(0);
@@ -32,9 +31,8 @@ fn main() {
         states.len(),
         conf.jobs
     );
-    let sink = TraceSink::new(&conf, "fig4_latency_map");
-    let per_partner = executor(&conf).run("fig4", &partners, |i, &partner| {
-        let mut m = machine(&conf, cfg.clone());
+    let per_partner = executor(conf).run("fig4", &partners, |i, &partner| {
+        let mut m = machine(conf, cfg.clone());
         let owner = CoreId(partner);
         // Helper: any tile different from both owner and origin.
         let helper = (0..num_cores)
@@ -55,7 +53,6 @@ fn main() {
         sink.submit(i, &mut m);
         row
     });
-    sink.write().expect("write trace");
     let map: Vec<(u16, char, f64)> = partners
         .iter()
         .zip(per_partner)

@@ -7,22 +7,21 @@
 //! the series are parallel jobs under `--jobs` with the output merged in
 //! canonical order — bit-identical to `--jobs 1`.
 
+use crate::output::{f2, Table};
+use crate::runconf::{Effort, RunConf};
+use crate::sweep::{executor, machine, TraceSink};
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode};
-use knl_bench::output::{f2, Table};
-use knl_bench::runconf::{Effort, RunConf};
-use knl_bench::sweep::{executor, machine, TraceSink};
 use knl_benchsuite::cachebw::{copy_bandwidth, fig5_partners};
 use knl_sim::LineState;
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let (iters, sizes): (usize, Vec<u64>) = match conf.effort {
         Effort::Paper => (11, (6..=18).map(|p| 1u64 << p).collect()),
         Effort::Quick => (5, vec![64, 1 << 10, 16 << 10, 256 << 10]),
     };
     let cfg = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Cache);
     let reader = CoreId(0);
-    let partners = fig5_partners(&machine(&conf, cfg.clone()), reader);
+    let partners = fig5_partners(&machine(conf, cfg.clone()), reader);
 
     let series: Vec<(String, CoreId, LineState)> = partners
         .iter()
@@ -38,9 +37,8 @@ fn main() {
         sizes.len(),
         conf.jobs
     );
-    let sink = TraceSink::new(&conf, "fig5_cachebw");
-    let measured = executor(&conf).run("fig5", &series, |i, (_, owner, st)| {
-        let mut m = machine(&conf, cfg.clone());
+    let measured = executor(conf).run("fig5", &series, |i, (_, owner, st)| {
+        let mut m = machine(conf, cfg.clone());
         // Helper on a tile distinct from both reader and owner.
         let helper = (0..m.config().num_cores() as u16)
             .map(CoreId)
@@ -56,7 +54,6 @@ fn main() {
         sink.submit(i, &mut m);
         row
     });
-    sink.write().expect("write trace");
 
     let mut table = Table::new(
         "Fig. 5 — copy bandwidth, SNC4-cache [GB/s]",

@@ -2,16 +2,15 @@
 //! SNC4-flat mode vs thread count, for MCDRAM and DRAM, under the
 //! filling-cores (compact, 4 HT/core) and filling-tiles schedules.
 
+use crate::output::{f1, Table};
+use crate::profile::Profiler;
+use crate::runconf::{Effort, RunConf};
+use crate::sweep::{executor, machine, print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, Schedule};
-use knl_bench::output::{f1, Table};
-use knl_bench::profile::Profiler;
-use knl_bench::runconf::{Effort, RunConf};
-use knl_bench::sweep::{executor, machine, print_counters, TraceSink};
 use knl_benchsuite::membw::{bandwidth_sample, Target};
 use knl_sim::StreamKind;
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let effort = conf.effort;
     let mut params = effort.suite_params();
     if effort == Effort::Quick {
@@ -40,15 +39,14 @@ fn main() {
         points.len(),
         conf.jobs
     );
-    let sink = TraceSink::new(&conf, "fig9_triad");
     let prof = Profiler::new();
     let results = {
         let _sweep = prof.phase("sweep");
-        executor(&conf).run("fig9", &points, |i, &(sched, t)| {
+        executor(conf).run("fig9", &points, |i, &(sched, t)| {
             let _job = prof.phase("job");
             let mut m = {
                 let _build = prof.phase("machine-build");
-                machine(&conf, cfg.clone())
+                machine(conf, cfg.clone())
             };
             let mc = bandwidth_sample(&mut m, StreamKind::Triad, Target::Mcdram, t, sched, &params);
             m.reset_devices();
@@ -59,10 +57,6 @@ fn main() {
             (mc.median(), dd.median(), m.counters())
         })
     };
-    {
-        let _write = prof.phase("trace-write");
-        sink.write().expect("write trace");
-    }
 
     let mut table = Table::new(
         "Fig. 9 — triad bandwidth, SNC4-flat [GB/s]",

@@ -1,20 +1,19 @@
 //! Extension beyond the paper's evaluation: the **hybrid** memory mode
 //! (§II-C describes it; the evaluation never benchmarks it). The MCDRAM is
 //! part direct-mapped memory-side cache (4 or 8 GB) and part flat NUMA
-//! node. This binary measures both halves of both splits and answers the
+//! node. This experiment measures both halves of both splits and answers the
 //! practical question the mode poses: *how much flat MCDRAM does an
 //! application need before hybrid beats pure cache or pure flat?*
 
+use crate::output::{f1, Table};
+use crate::runconf::RunConf;
+use crate::sweep::{executor, machine, print_counters, TraceSink};
 use knl_arch::{ClusterMode, CoreId, HybridSplit, MachineConfig, MemoryMode, NumaKind, Schedule};
-use knl_bench::output::{f1, Table};
-use knl_bench::runconf::RunConf;
-use knl_bench::sweep::{executor, machine, print_counters, TraceSink};
 use knl_benchsuite::membw::{bandwidth_sample, Target};
 use knl_benchsuite::memlat;
 use knl_sim::StreamKind;
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let mut params = conf.effort.suite_params();
     params.mem_threads = vec![32];
     params.iters = params.iters.min(9);
@@ -45,12 +44,11 @@ fn main() {
         modes.len(),
         conf.jobs
     );
-    let sink = TraceSink::new(&conf, "hybrid_explorer");
-    let rows = executor(&conf).run("hybrid", &modes, |i, (label, mm)| {
+    let rows = executor(conf).run("hybrid", &modes, |i, (label, mm)| {
         let label = label.clone();
         let mm = *mm;
         let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, mm);
-        let mut m = machine(&conf, cfg.clone());
+        let mut m = machine(conf, cfg.clone());
 
         // Latency of the flat MCDRAM portion (if any).
         let mc_lat = if mm.has_flat_mcdram() {
@@ -121,7 +119,6 @@ fn main() {
         sink.submit(i, &mut m);
         (row, m.counters())
     });
-    sink.write().expect("write trace");
     for ((label, _), (row, counters)) in modes.iter().zip(rows) {
         print_counters(label, &counters);
         table.row(row);

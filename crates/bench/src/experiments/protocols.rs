@@ -16,18 +16,17 @@
 //!   and re-readers keep hitting their own cache after remote writes.
 //!
 //! The default sweep runs Quadrant-flat (the paper's headline
-//! configuration); `--paper` widens the suite like the other binaries.
+//! configuration); `--paper` widens the suite like the other experiments.
 
+use crate::output::{f1, Table};
+use crate::runconf::RunConf;
+use crate::sweep::{print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
-use knl_bench::output::{f1, Table};
-use knl_bench::runconf::RunConf;
-use knl_bench::sweep::{print_counters, TraceSink};
 use knl_benchsuite::run_configs_with;
 use knl_core::{optimize_barrier, optimize_tree, CapabilityModel, TreeKind};
 use knl_sim::StreamKind;
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let params = conf.effort.suite_params();
 
     let base = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
@@ -47,7 +46,6 @@ fn main() {
     let mut models = Vec::new();
     let mut counters = Vec::new();
     let mut results = Vec::new();
-    let sink = TraceSink::new(&conf, "knl_protocols");
     for (i, (p, run)) in ProtocolKind::ALL.into_iter().zip(runs).enumerate() {
         print_counters(p.name(), &run.counters);
         sink.submit_detached(i, run.tracer, run.telemetry);
@@ -55,7 +53,6 @@ fn main() {
         counters.push(run.counters);
         results.push(run.results);
     }
-    sink.write().expect("write trace");
 
     let header: Vec<&str> = std::iter::once("metric")
         .chain(ProtocolKind::ALL.iter().map(|p| p.name()))

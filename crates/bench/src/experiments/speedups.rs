@@ -2,24 +2,22 @@
 //! provide speedups of up to 7x (barrier) and 5x (reduce) over OpenMP, and
 //! up to 24x (barrier), 13x (broadcast) and 14x (reduce) over Intel's MPI".
 
+use crate::collective_fig::{run_figure, CollectiveKind, SeriesPoint};
+use crate::modelfit::{fit_model, snc4_flat};
+use crate::output::Table;
+use crate::runconf::RunConf;
+use crate::sweep::TraceSink;
 use knl_arch::Schedule;
-use knl_bench::collective_fig::{run_figure, CollectiveKind, SeriesPoint};
-use knl_bench::modelfit::{fit_model, snc4_flat};
-use knl_bench::output::Table;
-use knl_bench::runconf::RunConf;
-use knl_bench::sweep::TraceSink;
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let effort = conf.effort;
     let cfg = snc4_flat();
     eprintln!("fitting capability model on {} ...", cfg.label());
     let model = fit_model(&cfg, &effort.suite_params(), true);
     let threads = effort.collective_threads();
     let iters = effort.collective_iters();
-    // One sink for the whole binary: the three sweeps' points, then the
-    // what-if machine, in one trace / telemetry file written once.
-    let sink = TraceSink::new(&conf, "speedups");
+    // One sink for the whole experiment: the three sweeps' points, then
+    // the what-if machine, in one trace / telemetry file.
     let mut base = 0;
 
     let mut table = Table::new(
@@ -39,8 +37,8 @@ fn main() {
             &threads,
             &[Schedule::FillTiles, Schedule::Scatter],
             iters,
-            &conf,
-            &sink,
+            conf,
+            sink,
             base,
         );
         base += pts.len();
@@ -67,8 +65,7 @@ fn main() {
 
     // §IV-B.3's "not fundamental" aside: an XPMEM-style single-copy MPI
     // closes part of the gap; the model-tuned tree still wins.
-    whatif_single_copy_mpi(&conf, &model, iters, &sink, base);
-    sink.write().expect("write trace");
+    whatif_single_copy_mpi(conf, &model, iters, sink, base);
 }
 
 fn whatif_single_copy_mpi(
@@ -78,8 +75,8 @@ fn whatif_single_copy_mpi(
     sink: &TraceSink,
     job: usize,
 ) {
+    use crate::sweep::machine;
     use knl_arch::NumaKind;
-    use knl_bench::sweep::machine;
     use knl_collectives::plan::RankPlan;
     use knl_collectives::simspec;
     use knl_core::tree_opt::binomial_tree;

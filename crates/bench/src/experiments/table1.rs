@@ -2,15 +2,14 @@
 //! five cluster modes (flat memory mode, as the latency rows do not depend
 //! on the memory mode per the paper).
 
+use crate::output::{f1, f2, Table};
+use crate::runconf::RunConf;
+use crate::sweep::{executor, machine, print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode};
-use knl_bench::output::{f1, f2, Table};
-use knl_bench::runconf::RunConf;
-use knl_bench::sweep::{executor, machine, print_counters, TraceSink};
 use knl_benchsuite::run_cache_suite;
 use knl_stats::fit_linear;
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let params = conf.effort.suite_params();
 
     let mut table = Table::new(
@@ -23,16 +22,14 @@ fn main() {
         ClusterMode::ALL.len(),
         conf.jobs
     );
-    let sink = TraceSink::new(&conf, "table1");
-    let results = executor(&conf).run("table1", &ClusterMode::ALL, |i, &cm| {
+    let results = executor(conf).run("table1", &ClusterMode::ALL, |i, &cm| {
         let cfg = MachineConfig::knl7210(cm, MemoryMode::Flat);
-        let mut m = machine(&conf, cfg);
+        let mut m = machine(conf, cfg);
         let res = run_cache_suite(&mut m, &params);
         m.finish_check();
         sink.submit(i, &mut m);
         (res, m.counters())
     });
-    sink.write().expect("write trace");
     let mut columns = Vec::new();
     for (cm, (res, counters)) in ClusterMode::ALL.into_iter().zip(results) {
         print_counters(cm.name(), &counters);

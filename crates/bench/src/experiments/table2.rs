@@ -2,15 +2,14 @@
 //! flat and cache memory modes (medians; "peak" = best iteration anywhere
 //! in the sweep, the STREAM column analogue).
 
+use crate::output::{f1, Table};
+use crate::runconf::RunConf;
+use crate::sweep::{executor, machine, print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode};
-use knl_bench::output::{f1, Table};
-use knl_bench::runconf::RunConf;
-use knl_bench::sweep::{executor, machine, print_counters, TraceSink};
 use knl_benchsuite::{run_memory_suite, MemResults};
 use knl_sim::StreamKind;
 
-fn main() {
-    let conf = RunConf::from_args();
+pub fn run(conf: &RunConf, sink: &TraceSink) {
     let params = conf.effort.suite_params();
 
     const MEM_MODES: [MemoryMode; 2] = [MemoryMode::Flat, MemoryMode::Cache];
@@ -23,16 +22,14 @@ fn main() {
         points.len(),
         conf.jobs
     );
-    let sink = TraceSink::new(&conf, "table2");
-    let results = executor(&conf).run("table2", &points, |i, &(mm, cm)| {
+    let results = executor(conf).run("table2", &points, |i, &(mm, cm)| {
         let cfg = MachineConfig::knl7210(cm, mm);
-        let mut m = machine(&conf, cfg);
+        let mut m = machine(conf, cfg);
         let res = run_memory_suite(&mut m, &params);
         m.finish_check();
         sink.submit(i, &mut m);
         (res, m.counters())
     });
-    sink.write().expect("write trace");
     let mut results = results.into_iter();
 
     for mm in MEM_MODES {

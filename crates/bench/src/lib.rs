@@ -1,14 +1,21 @@
-//! Benchmark harness: regenerates every table and figure of the paper.
+//! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! One binary per artifact (see `src/bin/`); shared machinery here:
+//! One executable, `knl` (the root package's `src/main.rs`), is the front
+//! door: `knl run <id>|all`, `knl list`, `knl trace|report|mc|provenance|lint`.
+//! Behind it:
 //!
-//! * [`runconf`] — the command line every binary shares (`--quick` /
+//! * [`experiments`] — the registry: one row per regenerator, and the
+//!   driver that runs a row under a parsed command line,
+//! * [`tools`] — the trace, report, model-check, provenance and lint
+//!   subcommands as functions over an argument list,
+//! * [`flags`] — the flag table type and the one argument loop,
+//! * [`runconf`] — the flags every experiment shares (`--quick` /
 //!   `--paper`, `--jobs`, `--protocol`, the observer flags),
 //! * [`sweep`] — executor, observer-honouring machines and the
 //!   [`sweep::TraceSink`] built from a parsed [`runconf::RunConf`],
 //! * [`modelfit`] — fit a [`knl_core::CapabilityModel`] by running the
 //!   capability suite on the simulated machine,
-//! * [`collective_fig`] — the shared driver for Figs. 6–8 (model-tuned vs
+//! * [`collective_fig`] — the shared body of Figs. 6–8 (model-tuned vs
 //!   OpenMP-like vs MPI-like, with the min–max model band),
 //! * [`output`] — aligned console tables + CSV dumps under `results/`,
 //! * [`plot`] — ASCII charts beside the tables,
@@ -23,6 +30,8 @@
 //! reproduction target (see EXPERIMENTS.md).
 
 pub mod collective_fig;
+pub mod experiments;
+pub mod flags;
 pub mod modelfit;
 pub mod output;
 pub mod plot;
@@ -30,3 +39,4 @@ pub mod profile;
 pub mod provenance;
 pub mod runconf;
 pub mod sweep;
+pub mod tools;

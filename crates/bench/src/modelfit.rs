@@ -9,7 +9,7 @@ use knl_sim::ObserverConfig;
 use std::path::PathBuf;
 
 /// Run the capability suite for `cfg` and fit the model. When `cache_path`
-/// is given, results are cached as JSON (rerunning a figure binary skips
+/// is given, results are cached as JSON (rerunning an experiment skips
 /// the simulation pass).
 pub fn fit_model(cfg: &MachineConfig, params: &SuiteParams, cache: bool) -> CapabilityModel {
     let results = suite_results(cfg, params, cache);
@@ -18,8 +18,8 @@ pub fn fit_model(cfg: &MachineConfig, params: &SuiteParams, cache: bool) -> Capa
 
 /// [`fit_model`] honouring a parsed command line: the suite run executes
 /// on the `--jobs` worker pool under the `--check` / `--trace-level` /
-/// `--analyze` observer set, with its trace section written through a
-/// [`TraceSink`] labelled `label`. Because cached suite results skip the
+/// `--analyze` observer set, with its trace section submitted to the
+/// caller's `sink` as job 0. Because cached suite results skip the
 /// simulation pass entirely, the JSON cache is bypassed (but still
 /// refreshed) whenever any observer is on — asking for a checked or traced
 /// run means asking for the simulation to actually happen.
@@ -28,18 +28,16 @@ pub fn fit_model_observed(
     params: &SuiteParams,
     cache: bool,
     conf: &RunConf,
-    label: &str,
+    sink: &TraceSink,
 ) -> CapabilityModel {
     let observers = conf.observer_config();
     if observers == ObserverConfig::default() {
         return fit_model(cfg, params, cache);
     }
-    let sink = TraceSink::new(conf, label);
     let mut runs = run_configs_with(std::slice::from_ref(cfg), params, conf.jobs, observers);
     let run = runs.remove(0);
     print_counters(&cfg.label(), &run.counters);
     sink.submit_detached(0, run.tracer, run.telemetry);
-    sink.write().expect("write trace");
     if cache {
         write_cache(cfg, params, &run.results);
     }

@@ -1,4 +1,4 @@
-//! Terminal plots: the figure binaries render their series as ASCII charts
+//! Terminal plots: the figure experiments render their series as ASCII charts
 //! next to the tables, so shapes are visible without leaving the terminal.
 
 /// One named series of (x, y) points.

@@ -8,33 +8,51 @@
 //!
 //! * a FNV-1a-64 digest over every `.rs` source in the workspace (any
 //!   code change — simulator, suite, harness — changes the digest),
-//! * the producing binary's name and its parsed [`RunConf`] (effort,
+//! * the producing experiment's id and its parsed [`RunConf`] (effort,
 //!   jobs, protocol, observer levels, telemetry interval), and
 //! * the newest checked-in `BENCH_<n>.json` trajectory at stamping time.
 //!
 //! Manifests render through [`knl_stats::json::Json`], whose object keys
-//! are sorted — re-stamping an unchanged tree is byte-stable. The
-//! `knl-provenance` binary verifies (`--verify`, CI) or re-blesses
-//! (`--stamp`) the whole `results/` tree; a re-bless refreshes the digest
-//! and trajectory only, so an artifact stays attributed to the binary and
-//! run configuration that produced it.
+//! are sorted — re-stamping an unchanged tree is byte-stable. `knl
+//! provenance` verifies (`--verify`, CI) or re-blesses (`--stamp`) the
+//! whole `results/` tree; a re-bless refreshes the digest and trajectory
+//! only, so an artifact stays attributed to the experiment and run
+//! configuration that produced it.
 
 use crate::runconf::RunConf;
 use knl_stats::json::Json;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Manifest format tag.
 pub const FORMAT: &str = "knl-provenance-v1";
 
 static SOURCE_DIGEST: OnceLock<String> = OnceLock::new();
-static RUN: OnceLock<RunConf> = OnceLock::new();
+/// Who is writing artifacts right now: the manifests' `binary` and `run`.
+static PRODUCER: Mutex<Option<(String, Json)>> = Mutex::new(None);
 
-/// Record the parsed command line for manifests written later in this
-/// process (first caller wins; figure binaries call this from
-/// `RunConf::from_args`).
-pub fn register_run(conf: &RunConf) {
-    let _ = RUN.set(conf.clone());
+/// Attribute every manifest written from now on to experiment `id` run
+/// under `conf`, until the next call (the experiment driver calls this
+/// before each experiment, so one process can produce many). A process
+/// that never calls it writes its executable's name and `run: null`.
+pub fn set_producer(id: &str, conf: &RunConf) {
+    let effort = match conf.effort {
+        crate::runconf::Effort::Quick => "quick",
+        crate::runconf::Effort::Paper => "paper",
+    };
+    let run = Json::obj(vec![
+        ("effort", Json::Str(effort.into())),
+        ("jobs", Json::Num(conf.jobs as f64)),
+        ("protocol", Json::Str(conf.protocol.name().into())),
+        ("check", Json::Str(conf.check.name().into())),
+        ("trace", Json::Str(conf.trace.name().into())),
+        ("analyze", Json::Str(conf.analyze.name().into())),
+        (
+            "telemetry_interval_ps",
+            Json::Num(conf.telemetry.interval_ps as f64),
+        ),
+    ]);
+    *PRODUCER.lock().expect("producer poisoned") = Some((id.to_string(), run));
 }
 
 /// The workspace root (two levels above this crate's manifest dir).
@@ -124,39 +142,16 @@ pub fn manifest_path(artifact: &Path) -> PathBuf {
 
 /// Build the manifest document for `artifact` as produced right now.
 pub fn manifest_for(artifact: &Path) -> Json {
-    let binary = std::env::args()
-        .next()
-        .map(|a| {
-            Path::new(&a)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or(a)
-        })
-        .unwrap_or_else(|| "unknown".into());
-    let run = match RUN.get() {
-        Some(c) => Json::obj(vec![
-            (
-                "effort",
-                Json::Str(
-                    match c.effort {
-                        crate::runconf::Effort::Quick => "quick",
-                        crate::runconf::Effort::Paper => "paper",
-                    }
-                    .into(),
-                ),
-            ),
-            ("jobs", Json::Num(c.jobs as f64)),
-            ("protocol", Json::Str(c.protocol.name().into())),
-            ("check", Json::Str(c.check.name().into())),
-            ("trace", Json::Str(c.trace.name().into())),
-            ("analyze", Json::Str(c.analyze.name().into())),
-            (
-                "telemetry_interval_ps",
-                Json::Num(c.telemetry.interval_ps as f64),
-            ),
-        ]),
-        None => Json::Null,
+    let argv0_stem = || {
+        let exe = std::env::args().next().unwrap_or_else(|| "unknown".into());
+        let stem = Path::new(&exe).file_stem();
+        stem.map_or(exe.clone(), |s| s.to_string_lossy().into_owned())
     };
+    let (binary, run) = PRODUCER
+        .lock()
+        .expect("producer poisoned")
+        .clone()
+        .unwrap_or_else(|| (argv0_stem(), Json::Null));
     Json::obj(vec![
         ("format", Json::Str(FORMAT.into())),
         (
@@ -291,7 +286,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trip_and_verdicts() {
-        let dir = std::env::temp_dir().join("knl-provenance-test");
+        let dir = std::env::temp_dir().join("knl_provenance_test");
         std::fs::create_dir_all(&dir).unwrap();
         let artifact = dir.join("table.csv");
         std::fs::write(&artifact, "a,b\n1,2\n").unwrap();
@@ -315,8 +310,35 @@ mod tests {
     }
 
     #[test]
+    fn manifests_name_the_producer_set_last() {
+        // Under the lock every test that runs an experiment holds, so no
+        // one else sets a producer meanwhile.
+        let dir = std::env::temp_dir().join("knl_provenance_producer_test");
+        let _serial = crate::output::ResultsDirGuard::set(&dir);
+        *PRODUCER.lock().unwrap() = None;
+        let field = |key: &str| manifest_for(Path::new("x.csv")).get(key).cloned();
+        // Nothing set — what a foreign process (the repo benchmark) writes.
+        let exe = std::env::args().next().unwrap();
+        let stem = Path::new(&exe).file_stem().unwrap().to_string_lossy();
+        assert_eq!(field("binary"), Some(Json::Str(stem.into_owned())));
+        assert_eq!(field("run"), Some(Json::Null));
+        let conf = RunConf {
+            jobs: 3,
+            ..Default::default()
+        };
+        for id in ["a", "b"] {
+            set_producer(id, &conf);
+            assert_eq!(field("binary"), Some(Json::Str(id.into())));
+            let run = field("run").unwrap();
+            assert_eq!(run.get("jobs"), Some(&Json::Num(3.0)));
+            assert_eq!(run.get("effort").and_then(Json::as_str), Some("quick"));
+        }
+        *PRODUCER.lock().unwrap() = None;
+    }
+
+    #[test]
     fn stamp_refreshes_the_digest_and_keeps_the_producer() {
-        let dir = std::env::temp_dir().join("knl-provenance-stamp-test");
+        let dir = std::env::temp_dir().join("knl_provenance_stamp_test");
         std::fs::create_dir_all(&dir).unwrap();
         let artifact = dir.join("table1.csv");
         std::fs::write(&artifact, "a,b\n1,2\n").unwrap();
@@ -358,7 +380,7 @@ mod tests {
 
     #[test]
     fn tracked_artifacts_skips_manifests_and_logs() {
-        let dir = std::env::temp_dir().join("knl-provenance-tracked-test");
+        let dir = std::env::temp_dir().join("knl_provenance_tracked_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("suite-cache")).unwrap();
         std::fs::write(dir.join("a.csv"), "x\n").unwrap();

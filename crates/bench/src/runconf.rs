@@ -1,5 +1,7 @@
-//! Command-line handling shared by the figure/table binaries.
+//! The command line of `knl run`: sweep effort, worker count, protocol and
+//! the observer flags, shared by every experiment.
 
+use crate::flags::{self, Arg, Flag, Stop};
 use knl_arch::ProtocolKind;
 use knl_benchsuite::{ProgressMode, SuiteParams};
 use knl_sim::{AnalyzeLevel, CheckLevel, ObserverConfig, TelemetryConfig, TraceLevel};
@@ -38,7 +40,7 @@ impl Effort {
     }
 }
 
-/// Parsed command line shared by every figure/table binary.
+/// Parsed command line shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunConf {
     /// Sweep sizes: `--quick` (default) or `--paper`.
@@ -79,138 +81,159 @@ pub struct RunConf {
     pub progress: ProgressMode,
 }
 
+impl Default for RunConf {
+    /// What `knl run <id>` with no flags and no `KNL_*` variables runs.
+    fn default() -> RunConf {
+        RunConf {
+            effort: Effort::Quick,
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            check: CheckLevel::Off,
+            trace: TraceLevel::Off,
+            trace_path: None,
+            analyze: AnalyzeLevel::Off,
+            protocol: ProtocolKind::Mesif,
+            telemetry: TelemetryConfig::off(),
+            telemetry_out: None,
+            progress: ProgressMode::Text,
+        }
+    }
+}
+
+/// First line of `knl run --help`.
+pub const USAGE: &str = "usage: knl run <id>|all [flags]   (`knl list` shows the ids)";
+
+const TRACE_LEVEL: &str = "--trace-level";
+
+/// Every flag of `knl run`, declared once (see [`crate::flags`]). The
+/// observers (`--check`, `--trace-level`, `--analyze`, `--telemetry`)
+/// never change results.
+pub const FLAGS: &[Flag<RunConf>] = &[
+    Flag {
+        names: &["--quick", "--paper", "--full"],
+        env: None,
+        arg: Arg::Switch,
+        help: "sweep sizes: quick (default, seconds to minutes per artifact) or the\n\
+               paper's (much longer; --full is --paper)",
+        set: |c, v| {
+            c.effort = if v == "--quick" {
+                Effort::Quick
+            } else {
+                Effort::Paper
+            };
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--jobs", "-j"],
+        env: Some("KNL_JOBS"),
+        arg: Arg::Value("N>=1"),
+        help: "worker threads for independent sweep jobs (default: the available\n\
+               parallelism; 1 runs serially; results are bit-identical for every N)",
+        set: |c, v| v.parse().ok().filter(|&n| n >= 1).map(|n| c.jobs = n),
+    },
+    Flag {
+        names: &["--check"],
+        env: Some("KNL_CHECK"),
+        arg: Arg::Value("off|invariants|full"),
+        help: "coherence invariant checker / memory oracle (default off); panics on a\n\
+               protocol violation",
+        set: |c, v| CheckLevel::parse(v).map(|x| c.check = x),
+    },
+    Flag {
+        names: &["--trace"],
+        env: None,
+        arg: Arg::Value("PATH"),
+        help: "trace output file (default results/<id>.trace); implies --trace-level\n\
+               full unless a level is given; aggregate with `knl trace`",
+        set: |c, v| {
+            c.trace_path = Some(v.to_string());
+            Some(())
+        },
+    },
+    Flag {
+        names: &[TRACE_LEVEL],
+        env: Some("KNL_TRACE"),
+        arg: Arg::Value("off|summary|full"),
+        help: "record structured protocol events (default off)",
+        set: |c, v| TraceLevel::parse(v).map(|x| c.trace = x),
+    },
+    Flag {
+        names: &["--analyze"],
+        env: Some("KNL_ANALYZE"),
+        arg: Arg::Value("off|error|warn|info"),
+        help: "statically check workloads for races and deadlocks before they run\n\
+               (default off); panics on error findings",
+        set: |c, v| AnalyzeLevel::parse(v).map(|x| c.analyze = x),
+    },
+    Flag {
+        names: &["--protocol"],
+        env: Some("KNL_PROTOCOL"),
+        arg: Arg::Value("mesif|mesi|moesi|dragon"),
+        help: "coherence protocol of the simulated tag directories (default mesif,\n\
+               the real KNL's)",
+        set: |c, v| ProtocolKind::parse(v).map(|x| c.protocol = x),
+    },
+    Flag {
+        names: &["--telemetry"],
+        env: Some("KNL_TELEMETRY"),
+        arg: Arg::OptValue("off|on|N[ps|ns|us|ms]"),
+        help: "sample time-resolved machine series per sim-time bin (default off;\n\
+               on = 100us; a plain N is picoseconds)",
+        set: |c, v| parse_telemetry(v).map(|x| c.telemetry = x),
+    },
+    Flag {
+        names: &["--telemetry-out"],
+        env: None,
+        arg: Arg::Value("PATH"),
+        help: "telemetry series file (default results/<id>.telemetry); render with\n\
+               `knl report`",
+        set: |c, v| {
+            c.telemetry_out = Some(v.to_string());
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--progress"],
+        env: Some("KNL_PROGRESS"),
+        arg: Arg::Value("off|text|json"),
+        help: "sweep progress on stderr (default text); json emits per-job timing,\n\
+               utilization, ETA and straggler records in canonical job order",
+        set: |c, v| {
+            c.progress = match v {
+                "off" => ProgressMode::Off,
+                "text" | "on" => ProgressMode::Text,
+                "json" => ProgressMode::Json,
+                _ => return None,
+            };
+            Some(())
+        },
+    },
+];
+
 impl RunConf {
-    /// Parse argv; exits on `--help` or unknown arguments. The parsed
-    /// configuration is registered with [`crate::provenance`] so results
-    /// manifests record how their artifacts were produced.
-    pub fn from_args() -> RunConf {
-        let conf = Self::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
-            eprintln!("{err}");
-            std::process::exit(2);
-        });
-        crate::provenance::register_run(&conf);
-        conf
+    /// Parse `knl run`'s flags against the process environment; prints the
+    /// help (exit 0) or the error (exit 2) itself.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> RunConf {
+        flags::or_exit(
+            Self::parse(args, |var| std::env::var(var).ok()),
+            USAGE,
+            FLAGS,
+        )
     }
 
-    /// Parse an argument list (testable core of [`from_args`]).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<RunConf, String> {
-        let mut conf = RunConf {
-            effort: Effort::Quick,
-            jobs: knl_benchsuite::default_jobs(),
-            check: default_check(),
-            trace: default_trace(),
-            trace_path: None,
-            analyze: default_analyze(),
-            protocol: default_protocol(),
-            telemetry: default_telemetry(),
-            telemetry_out: None,
-            progress: default_progress(),
-        };
-        let mut explicit_level = false;
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--paper" | "--full" => conf.effort = Effort::Paper,
-                "--quick" => conf.effort = Effort::Quick,
-                "--jobs" | "-j" => {
-                    let v = args.next().ok_or("--jobs requires a value")?;
-                    conf.jobs = parse_jobs(&v)?;
-                }
-                "--check" => {
-                    let v = args.next().ok_or("--check requires a value")?;
-                    conf.check = parse_check(&v)?;
-                }
-                "--trace" => {
-                    let v = args.next().ok_or("--trace requires a path")?;
-                    conf.trace_path = Some(v);
-                }
-                "--trace-level" => {
-                    let v = args.next().ok_or("--trace-level requires a value")?;
-                    conf.trace = parse_trace(&v)?;
-                    explicit_level = true;
-                }
-                "--analyze" => {
-                    let v = args.next().ok_or("--analyze requires a value")?;
-                    conf.analyze = parse_analyze(&v)?;
-                }
-                "--protocol" => {
-                    let v = args.next().ok_or("--protocol requires a value")?;
-                    conf.protocol = parse_protocol(&v)?;
-                }
-                // Bare `--telemetry` turns sampling on at the default
-                // interval; explicit values use the `--telemetry=...` form
-                // so the flag composes with positional-free argv.
-                "--telemetry" => conf.telemetry = TelemetryConfig::on(),
-                "--telemetry-out" => {
-                    let v = args.next().ok_or("--telemetry-out requires a path")?;
-                    conf.telemetry_out = Some(v);
-                }
-                "--progress" => {
-                    let v = args.next().ok_or("--progress requires a value")?;
-                    conf.progress = parse_progress(&v)?;
-                }
-                other => {
-                    if let Some(v) = other.strip_prefix("--jobs=") {
-                        conf.jobs = parse_jobs(v)?;
-                    } else if let Some(v) = other.strip_prefix("--check=") {
-                        conf.check = parse_check(v)?;
-                    } else if let Some(v) = other.strip_prefix("--trace-level=") {
-                        conf.trace = parse_trace(v)?;
-                        explicit_level = true;
-                    } else if let Some(v) = other.strip_prefix("--trace=") {
-                        conf.trace_path = Some(v.to_string());
-                    } else if let Some(v) = other.strip_prefix("--analyze=") {
-                        conf.analyze = parse_analyze(v)?;
-                    } else if let Some(v) = other.strip_prefix("--protocol=") {
-                        conf.protocol = parse_protocol(v)?;
-                    } else if let Some(v) = other.strip_prefix("--telemetry=") {
-                        conf.telemetry = parse_telemetry(v)?;
-                    } else if let Some(v) = other.strip_prefix("--telemetry-out=") {
-                        conf.telemetry_out = Some(v.to_string());
-                    } else if let Some(v) = other.strip_prefix("--progress=") {
-                        conf.progress = parse_progress(v)?;
-                    } else if other == "--help" || other == "-h" {
-                        eprintln!(
-                            "usage: [--quick|--paper] [--jobs N]\n\
-                             \x20       [--check LEVEL] [--trace PATH] [--trace-level LEVEL]\n\
-                             \x20       [--analyze LEVEL] [--protocol NAME]\n\
-                             \x20       [--telemetry[=INTERVAL]] [--telemetry-out PATH] [--progress MODE]\n\
-                             \x20 quick sweeps are the default; --jobs defaults to KNL_JOBS\n\
-                             \x20 or the available parallelism (--jobs 1 runs serially;\n\
-                             \x20 results are bit-identical for every N)\n\
-                             \x20 --check off|invariants|full (default KNL_CHECK or off)\n\
-                             \x20 runs the coherence invariant checker / memory oracle;\n\
-                             \x20 it never changes results, only panics on violations\n\
-                             \x20 --trace-level off|summary|full (default KNL_TRACE or off)\n\
-                             \x20 records structured protocol events; a pure observer,\n\
-                             \x20 never changes results. --trace PATH sets the output file\n\
-                             \x20 (default results/<name>.trace) and implies --trace-level\n\
-                             \x20 full; aggregate with the knl-trace tool\n\
-                             \x20 --analyze off|error|warn|info (default KNL_ANALYZE or off)\n\
-                             \x20 statically checks workloads for races/deadlocks before\n\
-                             \x20 running; a pure pre-pass, never changes results\n\
-                             \x20 --protocol mesif|mesi|moesi|dragon (default KNL_PROTOCOL\n\
-                             \x20 or mesif) selects the coherence protocol the simulated\n\
-                             \x20 tag directories run (mesif matches the real KNL)\n\
-                             \x20 --telemetry samples time-resolved machine series at the\n\
-                             \x20 default 100us sim-time bin; --telemetry=off|on|N[ps|ns|us|ms]\n\
-                             \x20 sets an explicit interval (default KNL_TELEMETRY or off);\n\
-                             \x20 a pure observer, never changes results. --telemetry-out\n\
-                             \x20 PATH sets the series file (default results/<name>.telemetry);\n\
-                             \x20 render with the knl-report tool\n\
-                             \x20 --progress off|text|json (default KNL_PROGRESS or text)\n\
-                             \x20 selects sweep progress reporting on stderr; json emits\n\
-                             \x20 structured per-job timing, utilization, ETA, and straggler\n\
-                             \x20 records merged in canonical job order"
-                        );
-                        std::process::exit(0);
-                    } else {
-                        return Err(format!("unknown argument: {other}"));
-                    }
-                }
-            }
-        }
-        if conf.trace_path.is_some() && !explicit_level && conf.trace == TraceLevel::Off {
+    /// Parse an argument list; `env` looks up the `KNL_*` fallbacks.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<RunConf, Stop> {
+        let mut conf = RunConf::default();
+        let parsed = flags::parse(FLAGS, &mut conf, args, env, &[])?;
+        // `--trace PATH` alone asks for the full trace; a level given on
+        // the command line wins.
+        if conf.trace_path.is_some()
+            && conf.trace == TraceLevel::Off
+            && !parsed.seen.contains(&TRACE_LEVEL)
+        {
             conf.trace = TraceLevel::Full;
         }
         Ok(conf)
@@ -227,71 +250,13 @@ impl RunConf {
     }
 }
 
-fn parse_jobs(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("--jobs expects a positive integer, got {v:?}")),
-    }
-}
-
-fn parse_check(v: &str) -> Result<CheckLevel, String> {
-    CheckLevel::parse(v).ok_or_else(|| format!("--check expects off|invariants|full, got {v:?}"))
-}
-
-/// The `KNL_CHECK` environment default (`off` when unset or unparsable).
-fn default_check() -> CheckLevel {
-    std::env::var("KNL_CHECK")
-        .ok()
-        .and_then(|v| CheckLevel::parse(&v))
-        .unwrap_or(CheckLevel::Off)
-}
-
-fn parse_trace(v: &str) -> Result<TraceLevel, String> {
-    TraceLevel::parse(v).ok_or_else(|| format!("--trace-level expects off|summary|full, got {v:?}"))
-}
-
-/// The `KNL_TRACE` environment default (`off` when unset or unparsable).
-fn default_trace() -> TraceLevel {
-    std::env::var("KNL_TRACE")
-        .ok()
-        .and_then(|v| TraceLevel::parse(&v))
-        .unwrap_or(TraceLevel::Off)
-}
-
-fn parse_analyze(v: &str) -> Result<AnalyzeLevel, String> {
-    AnalyzeLevel::parse(v)
-        .ok_or_else(|| format!("--analyze expects off|error|warn|info, got {v:?}"))
-}
-
-/// The `KNL_ANALYZE` environment default (`off` when unset or unparsable).
-fn default_analyze() -> AnalyzeLevel {
-    std::env::var("KNL_ANALYZE")
-        .ok()
-        .and_then(|v| AnalyzeLevel::parse(&v))
-        .unwrap_or(AnalyzeLevel::Off)
-}
-
-fn parse_protocol(v: &str) -> Result<ProtocolKind, String> {
-    ProtocolKind::parse(v)
-        .ok_or_else(|| format!("--protocol expects mesif|mesi|moesi|dragon, got {v:?}"))
-}
-
-/// The `KNL_PROTOCOL` environment default (MESIF when unset or unparsable).
-fn default_protocol() -> ProtocolKind {
-    std::env::var("KNL_PROTOCOL")
-        .ok()
-        .and_then(|v| ProtocolKind::parse(&v))
-        .unwrap_or(ProtocolKind::Mesif)
-}
-
 /// Parse a telemetry value: `off`, `on` (default interval), or a sim-time
 /// interval with an optional `ps`/`ns`/`us`/`ms` suffix (plain numbers are
 /// picoseconds).
-fn parse_telemetry(v: &str) -> Result<TelemetryConfig, String> {
-    let err = || format!("--telemetry expects off|on|N[ps|ns|us|ms], got {v:?}");
+fn parse_telemetry(v: &str) -> Option<TelemetryConfig> {
     match v {
-        "off" | "0" => return Ok(TelemetryConfig::off()),
-        "on" => return Ok(TelemetryConfig::on()),
+        "off" | "0" => return Some(TelemetryConfig::off()),
+        "on" => return Some(TelemetryConfig::on()),
         _ => {}
     }
     let (digits, scale) = if let Some(d) = v.strip_suffix("ps") {
@@ -305,48 +270,27 @@ fn parse_telemetry(v: &str) -> Result<TelemetryConfig, String> {
     } else {
         (v, 1)
     };
-    match digits.parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(TelemetryConfig::every(n * scale)),
-        _ => Err(err()),
-    }
-}
-
-/// The `KNL_TELEMETRY` environment default (off when unset or unparsable).
-fn default_telemetry() -> TelemetryConfig {
-    std::env::var("KNL_TELEMETRY")
-        .ok()
-        .and_then(|v| parse_telemetry(&v).ok())
-        .unwrap_or_default()
-}
-
-fn parse_progress(v: &str) -> Result<ProgressMode, String> {
-    match v {
-        "off" => Ok(ProgressMode::Off),
-        "text" | "on" => Ok(ProgressMode::Text),
-        "json" => Ok(ProgressMode::Json),
-        _ => Err(format!("--progress expects off|text|json, got {v:?}")),
-    }
-}
-
-/// The `KNL_PROGRESS` environment default (text when unset or unparsable).
-fn default_progress() -> ProgressMode {
-    match std::env::var("KNL_PROGRESS") {
-        Ok(v) => parse_progress(&v).unwrap_or(ProgressMode::Text),
-        Err(_) => ProgressMode::Text,
-    }
-}
-
-/// Parse `--paper` / `--quick` from argv (quick is the default).
-pub fn effort_from_args() -> Effort {
-    RunConf::from_args().effort
+    let n = digits.parse::<u64>().ok().filter(|&n| n >= 1)?;
+    Some(TelemetryConfig::every(n.checked_mul(scale)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knl_sim::telemetry::DEFAULT_INTERVAL_PS;
+    use {AnalyzeLevel as An, CheckLevel as Ck, ProtocolKind as Pk, TraceLevel as Tr};
 
-    fn parse(args: &[&str]) -> Result<RunConf, String> {
-        RunConf::parse(args.iter().map(|s| s.to_string()))
+    /// Parse `args` (split at spaces) under the given environment.
+    fn parse_env(args: &str, env: &[(&str, &str)]) -> Result<RunConf, Stop> {
+        let lookup = |var: &str| {
+            let hit = env.iter().find(|(k, _)| *k == var);
+            hit.map(|(_, v)| v.to_string())
+        };
+        RunConf::parse(args.split_whitespace().map(str::to_string), lookup)
+    }
+
+    fn parse(args: &str) -> Result<RunConf, Stop> {
+        parse_env(args, &[])
     }
 
     #[test]
@@ -358,219 +302,149 @@ mod tests {
         assert!(Effort::Paper.suite_params().iters > Effort::Quick.suite_params().iters);
     }
 
+    /// Arguments and what they change in the defaults.
+    type Form = (&'static str, fn(&mut RunConf));
+
+    /// Every accepted form. The rows that change nothing pin the defaults.
+    const FLAG_FORMS: &[Form] = &[
+        ("", |_| {}),
+        ("--paper", |c| c.effort = Effort::Paper),
+        ("--full", |c| c.effort = Effort::Paper),
+        ("--paper --quick", |_| {}),
+        ("--jobs 4", |c| c.jobs = 4),
+        ("--jobs=2", |c| c.jobs = 2),
+        ("-j 8", |c| c.jobs = 8),
+        ("--paper --jobs 3", |c| {
+            (c.effort, c.jobs) = (Effort::Paper, 3)
+        }),
+        ("--trace-level summary", |c| c.trace = Tr::Summary),
+        ("--trace-level=full", |c| c.trace = Tr::Full),
+        ("--trace-level=off", |_| {}),
+        // `--trace` implies full; a level on the command line wins, in
+        // either order.
+        ("--trace out.trace", |c| {
+            (c.trace_path, c.trace) = (Some("out.trace".into()), Tr::Full)
+        }),
+        ("--trace=x.trace --trace-level summary", |c| {
+            (c.trace_path, c.trace) = (Some("x.trace".into()), Tr::Summary)
+        }),
+        ("--trace-level=off --trace=x.trace", |c| {
+            c.trace_path = Some("x.trace".into())
+        }),
+        ("--check invariants", |c| c.check = Ck::Invariants),
+        ("--check=full", |c| c.check = Ck::FullOracle),
+        ("--check=off", |_| {}),
+        ("--analyze error", |c| c.analyze = An::Error),
+        ("--analyze=warn", |c| c.analyze = An::Warn),
+        ("--analyze=on", |c| c.analyze = An::Warn),
+        ("--analyze=info", |c| c.analyze = An::Info),
+        ("--analyze=off", |_| {}),
+        ("--protocol moesi", |c| c.protocol = Pk::Moesi),
+        ("--protocol=dragon", |c| c.protocol = Pk::Dragon),
+        ("--protocol=MESI", |c| c.protocol = Pk::Mesi),
+        ("--protocol=mesif", |_| {}),
+        ("--telemetry", |c| c.telemetry = TelemetryConfig::on()),
+        ("--telemetry=on", |c| c.telemetry = TelemetryConfig::on()),
+        ("--telemetry=off", |_| {}),
+        ("--telemetry=250", |c| c.telemetry.interval_ps = 250),
+        ("--telemetry=10us", |c| c.telemetry.interval_ps = 10_000_000),
+        ("--telemetry=1ms", |c| {
+            c.telemetry.interval_ps = 1_000_000_000
+        }),
+        // Bare `--telemetry` leaves the next argument alone.
+        ("--telemetry --telemetry-out t.telemetry", |c| {
+            c.telemetry_out = Some("t.telemetry".into());
+            c.telemetry.interval_ps = DEFAULT_INTERVAL_PS;
+        }),
+        ("--telemetry-out=x.telemetry", |c| {
+            c.telemetry_out = Some("x.telemetry".into())
+        }),
+        ("--progress off", |c| c.progress = ProgressMode::Off),
+        ("--progress=json", |c| c.progress = ProgressMode::Json),
+        ("--progress=text", |_| {}),
+    ];
+
     #[test]
-    fn jobs_flag_forms() {
-        assert_eq!(parse(&["--jobs", "4"]).unwrap().jobs, 4);
-        assert_eq!(parse(&["--jobs=2"]).unwrap().jobs, 2);
-        assert_eq!(parse(&["-j", "8"]).unwrap().jobs, 8);
-        assert_eq!(
-            parse(&["--paper", "--jobs", "3"]).unwrap(),
-            RunConf {
-                effort: Effort::Paper,
-                jobs: 3,
-                check: CheckLevel::Off,
-                trace: TraceLevel::Off,
-                trace_path: None,
-                analyze: AnalyzeLevel::Off,
-                protocol: ProtocolKind::Mesif,
-                telemetry: TelemetryConfig::off(),
-                telemetry_out: None,
-                progress: ProgressMode::Text,
-            }
-        );
+    fn flag_forms() {
+        for (args, change) in FLAG_FORMS {
+            let mut want = RunConf::default();
+            change(&mut want);
+            assert_eq!(parse(args), Ok(want), "{args:?}");
+        }
+        let defaults = RunConf::default();
+        assert!(defaults.jobs >= 1 && !defaults.telemetry.enabled());
+        assert_eq!(defaults.observer_config(), ObserverConfig::default());
     }
 
     #[test]
-    fn trace_flag_forms() {
-        assert_eq!(parse(&[]).unwrap().trace, TraceLevel::Off);
-        assert_eq!(
-            parse(&["--trace-level", "summary"]).unwrap().trace,
-            TraceLevel::Summary
-        );
-        assert_eq!(
-            parse(&["--trace-level=full"]).unwrap().trace,
-            TraceLevel::Full
-        );
-        let c = parse(&["--trace", "out.trace"]).unwrap();
-        assert_eq!(c.trace_path.as_deref(), Some("out.trace"));
-        assert_eq!(c.trace, TraceLevel::Full, "--trace implies full");
-        let c = parse(&["--trace=x.trace", "--trace-level", "summary"]).unwrap();
-        assert_eq!(c.trace, TraceLevel::Summary, "explicit level wins");
-        assert_eq!(c.trace_path.as_deref(), Some("x.trace"));
+    fn bad_arguments_rejected() {
+        let bad = "--trace | --trace-level | --trace-level verbose | --trace-level=chatty \
+                   | --check | --check sometimes | --check=maybe \
+                   | --analyze | --analyze loudly | --analyze=deep \
+                   | --protocol | --protocol mosey | --protocol=firefly \
+                   | --telemetry=often | --telemetry=10s | --telemetry=-5 | --telemetry-out \
+                   | --telemetry=99999999999999999999ms | --progress=loud | --progress \
+                   | --jobs | --jobs 0 | --jobs many | --paper=yes | table1";
+        for args in bad.split('|') {
+            assert!(matches!(parse(args), Err(Stop::Bad(_))), "{args:?}");
+        }
+        let unknown = Stop::Bad("unknown argument: --bogus".into());
+        assert_eq!(parse("--bogus"), Err(unknown));
+        assert_eq!(parse("--jobs 2 -h"), Err(Stop::Help));
     }
 
     #[test]
-    fn bad_trace_rejected() {
-        assert!(parse(&["--trace"]).is_err());
-        assert!(parse(&["--trace-level"]).is_err());
-        assert!(parse(&["--trace-level", "verbose"]).is_err());
-        assert!(parse(&["--trace-level=chatty"]).is_err());
-    }
-
-    #[test]
-    fn check_flag_forms() {
-        assert_eq!(parse(&[]).unwrap().check, CheckLevel::Off);
-        assert_eq!(
-            parse(&["--check", "invariants"]).unwrap().check,
-            CheckLevel::Invariants
-        );
-        assert_eq!(
-            parse(&["--check=full"]).unwrap().check,
-            CheckLevel::FullOracle
-        );
-        assert_eq!(parse(&["--check=off"]).unwrap().check, CheckLevel::Off);
-    }
-
-    #[test]
-    fn bad_check_rejected() {
-        assert!(parse(&["--check"]).is_err());
-        assert!(parse(&["--check", "sometimes"]).is_err());
-        assert!(parse(&["--check=maybe"]).is_err());
-    }
-
-    #[test]
-    fn analyze_flag_forms() {
-        assert_eq!(parse(&[]).unwrap().analyze, AnalyzeLevel::Off);
-        assert_eq!(
-            parse(&["--analyze", "error"]).unwrap().analyze,
-            AnalyzeLevel::Error
-        );
-        assert_eq!(
-            parse(&["--analyze=warn"]).unwrap().analyze,
-            AnalyzeLevel::Warn
-        );
-        assert_eq!(
-            parse(&["--analyze=on"]).unwrap().analyze,
-            AnalyzeLevel::Warn
-        );
-        assert_eq!(
-            parse(&["--analyze=info"]).unwrap().analyze,
-            AnalyzeLevel::Info
-        );
-    }
-
-    #[test]
-    fn bad_analyze_rejected() {
-        assert!(parse(&["--analyze"]).is_err());
-        assert!(parse(&["--analyze", "loudly"]).is_err());
-        assert!(parse(&["--analyze=deep"]).is_err());
-    }
-
-    #[test]
-    fn protocol_flag_forms() {
-        assert_eq!(parse(&[]).unwrap().protocol, ProtocolKind::Mesif);
-        assert_eq!(
-            parse(&["--protocol", "moesi"]).unwrap().protocol,
-            ProtocolKind::Moesi
-        );
-        assert_eq!(
-            parse(&["--protocol=dragon"]).unwrap().protocol,
-            ProtocolKind::Dragon
-        );
-        assert_eq!(
-            parse(&["--protocol=MESI"]).unwrap().protocol,
-            ProtocolKind::Mesi
-        );
-    }
-
-    #[test]
-    fn bad_protocol_rejected() {
-        assert!(parse(&["--protocol"]).is_err());
-        assert!(parse(&["--protocol", "mosey"]).is_err());
-        assert!(parse(&["--protocol=firefly"]).is_err());
-    }
-
-    #[test]
-    fn telemetry_flag_forms() {
-        assert!(!parse(&[]).unwrap().telemetry.enabled());
-        assert_eq!(
-            parse(&["--telemetry"]).unwrap().telemetry,
-            TelemetryConfig::on()
-        );
-        assert_eq!(
-            parse(&["--telemetry=on"]).unwrap().telemetry,
-            TelemetryConfig::on()
-        );
-        assert_eq!(
-            parse(&["--telemetry=off"]).unwrap().telemetry,
-            TelemetryConfig::off()
-        );
-        assert_eq!(
-            parse(&["--telemetry=250"]).unwrap().telemetry.interval_ps,
-            250
-        );
-        assert_eq!(
-            parse(&["--telemetry=10us"]).unwrap().telemetry.interval_ps,
-            10_000_000
-        );
-        assert_eq!(
-            parse(&["--telemetry=1ms"]).unwrap().telemetry.interval_ps,
-            1_000_000_000
-        );
-        let c = parse(&["--telemetry", "--telemetry-out", "t.telemetry"]).unwrap();
-        assert_eq!(c.telemetry_out.as_deref(), Some("t.telemetry"));
-        assert_eq!(
-            parse(&["--telemetry-out=x.telemetry"])
-                .unwrap()
-                .telemetry_out
-                .as_deref(),
-            Some("x.telemetry")
-        );
-    }
-
-    #[test]
-    fn bad_telemetry_rejected() {
-        assert!(parse(&["--telemetry=often"]).is_err());
-        assert!(parse(&["--telemetry=10s"]).is_err());
-        assert!(parse(&["--telemetry=-5"]).is_err());
-        assert!(parse(&["--telemetry-out"]).is_err());
-    }
-
-    #[test]
-    fn progress_flag_forms() {
-        assert_eq!(parse(&[]).unwrap().progress, ProgressMode::Text);
-        assert_eq!(
-            parse(&["--progress", "off"]).unwrap().progress,
-            ProgressMode::Off
-        );
-        assert_eq!(
-            parse(&["--progress=json"]).unwrap().progress,
-            ProgressMode::Json
-        );
-        assert!(parse(&["--progress=loud"]).is_err());
-        assert!(parse(&["--progress"]).is_err());
+    fn env_values_go_through_the_flag_parsers() {
+        // (row, a good value, its flag form, a bad value)
+        let rows = [
+            ("KNL_JOBS", "3", "--jobs=3", "0"),
+            ("KNL_CHECK", "full", "--check=full", "ful"),
+            ("KNL_TRACE", "summary", "--trace-level=summary", "verbose"),
+            ("KNL_ANALYZE", "warn", "--analyze=warn", "deep"),
+            ("KNL_PROTOCOL", "dragon", "--protocol=dragon", "firefly"),
+            ("KNL_TELEMETRY", "2us", "--telemetry=2us", "often"),
+            ("KNL_PROGRESS", "json", "--progress=json", "loud"),
+        ];
+        let with_env: Vec<&str> = FLAGS.iter().filter_map(|f| f.env).collect();
+        assert_eq!(with_env, rows.map(|r| r.0), "one case per KNL_* row");
+        for (var, good, flag, bad) in rows {
+            assert_eq!(parse_env("", &[(var, good)]), parse(flag), "{var}");
+            assert_ne!(parse(flag), parse(""), "{flag} changes something");
+            let Err(Stop::Bad(msg)) = parse_env("", &[(var, bad)]) else {
+                panic!("{var}={bad} must be rejected");
+            };
+            assert!(msg.starts_with(&format!("{var}: expects ")), "{msg}");
+            assert!(msg.ends_with(&format!("got {bad:?}")), "{msg}");
+        }
+        // The command line overrides the environment; only a level given
+        // there keeps `--trace PATH` from implying full.
+        let c = parse_env("--check=off", &[("KNL_CHECK", "full")]).unwrap();
+        assert_eq!(c.check, Ck::Off);
+        let c = parse_env("--trace=t", &[("KNL_TRACE", "off")]).unwrap();
+        assert_eq!(c.trace, Tr::Full);
+        let c = parse_env("--trace=t", &[("KNL_TRACE", "summary")]).unwrap();
+        assert_eq!(c.trace, Tr::Summary);
     }
 
     #[test]
     fn observer_config_carries_telemetry() {
-        let c = parse(&["--telemetry=2us"]).unwrap();
+        let c = parse("--telemetry=2us").unwrap();
         assert_eq!(c.observer_config().telemetry.interval_ps, 2_000_000);
-        let c = parse(&[]).unwrap();
-        assert_eq!(c.observer_config(), ObserverConfig::default());
     }
 
     #[test]
-    fn shards_option_is_gone() {
-        let unset = parse(&[]).unwrap();
-        std::env::set_var("KNL_SHARDS", "4");
-        assert_eq!(parse(&[]).unwrap(), unset, "KNL_SHARDS is not read");
-        for argv in [&["--shards", "2"][..], &["--shards=2"]] {
-            let err = parse(argv).unwrap_err();
-            assert_eq!(err, format!("unknown argument: {}", argv[0]));
+    fn help_names_every_row() {
+        let text = flags::help(USAGE, FLAGS);
+        assert!(text.starts_with(USAGE));
+        for f in FLAGS {
+            let operand = match f.arg {
+                Arg::Switch => "",
+                Arg::Value(what) | Arg::OptValue(what) => what,
+            };
+            let (names, env) = (f.names.join("|"), f.env.unwrap_or(""));
+            for part in [&names, operand, env, f.help.lines().next().unwrap()] {
+                assert!(text.contains(part), "{part} missing from --help");
+            }
         }
-        std::env::remove_var("KNL_SHARDS");
-    }
-
-    #[test]
-    fn bad_jobs_rejected() {
-        assert!(parse(&["--jobs"]).is_err());
-        assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--jobs", "many"]).is_err());
-        assert!(parse(&["--bogus"]).is_err());
-    }
-
-    #[test]
-    fn default_jobs_positive() {
-        assert!(parse(&[]).unwrap().jobs >= 1);
     }
 }

@@ -1,10 +1,10 @@
-//! Shared sweep plumbing for the figure/table binaries: an executor
-//! built from the parsed command line, machines honouring the observer
-//! flags (`--check`, `--trace-level`, `--analyze`, `--telemetry`), the
-//! per-configuration hardware-counter summary every binary prints after
-//! its sweep, and the [`TraceSink`] that merges per-job trace and
-//! telemetry sections deterministically — one sink per binary, written
-//! once.
+//! Shared sweep plumbing for the experiments: an executor built from the
+//! parsed command line, machines honouring the observer flags (`--check`,
+//! `--trace-level`, `--analyze`, `--telemetry`), the per-configuration
+//! hardware-counter summary every experiment prints after its sweep, and
+//! the [`TraceSink`] that merges per-job trace and telemetry sections
+//! deterministically — one sink per experiment, written once by the
+//! driver ([`crate::experiments::run`]).
 
 use crate::output::results_dir;
 use crate::runconf::RunConf;
@@ -87,16 +87,16 @@ impl Sections {
 /// writes one merged file of each. Jobs may finish in any order on the
 /// worker pool; sections are sorted by job index before writing, so the
 /// merged files are byte-identical for every `--jobs` value (the same
-/// contract the sweep results obey). One binary owns one sink and writes
-/// it once, however many sweeps it runs (later sweeps offset their job
-/// indices by the earlier ones' point counts).
+/// contract the sweep results obey). One experiment has one sink, however
+/// many sweeps it runs (later sweeps offset their job indices by the
+/// earlier ones' point counts).
 pub struct TraceSink {
     trace: Sections,
     telemetry: Sections,
 }
 
 impl TraceSink {
-    /// Sink for one binary's run; `label` names the default output files
+    /// Sink for one experiment's run; `label` names the default output files
     /// (`results/<label>.trace`, `results/<label>.telemetry`) when
     /// `--trace PATH` / `--telemetry-out PATH` were not given.
     pub fn new(conf: &RunConf, label: &str) -> TraceSink {
@@ -162,21 +162,15 @@ pub fn print_counters(label: &str, c: &Counters) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runconf::Effort;
     use knl_sim::CheckLevel;
 
     fn conf(jobs: usize, check: CheckLevel, trace: TraceLevel) -> RunConf {
         RunConf {
-            effort: Effort::Quick,
             jobs,
             check,
             trace,
-            trace_path: None,
-            analyze: knl_sim::AnalyzeLevel::Off,
-            protocol: knl_arch::ProtocolKind::Mesif,
-            telemetry: knl_sim::TelemetryConfig::off(),
-            telemetry_out: None,
             progress: knl_benchsuite::ProgressMode::Off,
+            ..Default::default()
         }
     }
 
@@ -208,7 +202,7 @@ mod tests {
     #[test]
     fn sink_merges_sections_in_job_order() {
         use knl_arch::{ClusterMode, MemoryMode};
-        let dir = std::env::temp_dir().join("knl-trace-sink-test");
+        let dir = std::env::temp_dir().join("knl_trace_sink_test");
         let path = dir.join("out.trace");
         let mut c = conf(1, CheckLevel::Off, TraceLevel::Summary);
         c.trace_path = Some(path.to_string_lossy().into_owned());

@@ -1,11 +1,11 @@
-//! `knl-lint`: a dependency-free, line-oriented linter enforcing this
+//! `knl lint`: a dependency-free, line-oriented linter enforcing this
 //! repository's determinism and observability invariants over its own
 //! `.rs` sources — the rules that otherwise live only in review comments:
 //!
-//! * `machine-new` — figure/table binaries (`src/bin`) must build machines
-//!   through the observer-honouring `sweep::machine` helper, never raw
-//!   `Machine::new` (a raw machine silently ignores `--check`, `--trace`
-//!   and `--analyze`).
+//! * `machine-new` — experiments (`crates/bench/src/experiments/`) must
+//!   build machines through the observer-honouring `sweep::machine`
+//!   helper, never raw `Machine::new` (a raw machine silently ignores
+//!   `--check`, `--trace` and `--analyze`).
 //! * `hash-collection` — all of `crates/sim` plus result/serialization
 //!   paths elsewhere must not use `HashMap`/`HashSet`: their iteration
 //!   order is nondeterministic, which breaks the bit-identical-output
@@ -53,8 +53,8 @@
 //! `// knl-lint: allow(<rule>)` comment. Exits non-zero when any
 //! unsuppressed violation is found.
 //!
-//! Usage: `knl-lint [WORKSPACE_ROOT]` (default: the workspace containing
-//! this binary's crate).
+//! Usage: `knl lint [WORKSPACE_ROOT]` (default: the workspace containing
+//! this crate).
 
 use std::path::{Path, PathBuf};
 
@@ -110,9 +110,9 @@ fn rules() -> Vec<LintRule> {
     vec![
         LintRule {
             name: "machine-new",
-            message: "binaries must build machines via sweep::machine so \
+            message: "experiments must build machines via sweep::machine so \
                       --check/--trace/--analyze are honoured",
-            applies: |p| p.contains("/src/bin/") && !p.contains("/bin/knl_lint"),
+            applies: |p| p.contains("/crates/bench/src/experiments/"),
             matches: |l| l.contains(MACHINE_NEW),
         },
         LintRule {
@@ -368,22 +368,14 @@ fn rust_sources(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-fn main() {
-    let root = std::env::args()
-        .nth(1)
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .canonicalize()
-                .expect("workspace root")
-        });
+/// Lint every `.rs` file under `root`: (files scanned, violations).
+fn lint_tree(root: &Path) -> (usize, Vec<Violation>) {
     let rules = rules();
     let mut violations = Vec::new();
-    let files = rust_sources(&root);
+    let files = rust_sources(root);
     for file in &files {
         let rel = file
-            .strip_prefix(&root)
+            .strip_prefix(root)
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
@@ -394,6 +386,15 @@ fn main() {
         };
         violations.extend(lint_text(&rel, &text, &rules));
     }
+    (files.len(), violations)
+}
+
+pub fn run(args: impl IntoIterator<Item = String>) {
+    let root = args
+        .into_iter()
+        .next()
+        .map_or_else(crate::provenance::workspace_root, PathBuf::from);
+    let (files, violations) = lint_tree(&root);
     for v in &violations {
         println!(
             "{}:{}: [{}] {}",
@@ -404,9 +405,9 @@ fn main() {
         );
     }
     if violations.is_empty() {
-        eprintln!("knl-lint: {} files clean", files.len());
+        eprintln!("knl lint: {files} files clean");
     } else {
-        eprintln!("knl-lint: {} violation(s)", violations.len());
+        eprintln!("knl lint: {} violation(s)", violations.len());
         std::process::exit(1);
     }
 }
@@ -423,9 +424,12 @@ mod tests {
     }
 
     #[test]
-    fn raw_machine_new_flagged_in_bins_only() {
+    fn raw_machine_new_flagged_in_experiments_only() {
         let bad = format!("    let m = {}cfg);\n", MACHINE_NEW);
-        assert_eq!(find("/crates/bench/src/bin/fig9.rs", &bad), ["machine-new"]);
+        assert_eq!(
+            find("/crates/bench/src/experiments/fig9_triad.rs", &bad),
+            ["machine-new"]
+        );
         // Library and test code may construct machines directly.
         assert!(find("/crates/sim/src/machine.rs", &bad).is_empty());
         assert!(find("/tests/golden_snapshots.rs", &bad).is_empty());
@@ -556,14 +560,14 @@ mod tests {
             "    let m = {}cfg); // knl-lint: allow(machine-new)\n",
             MACHINE_NEW
         );
-        assert!(find("/crates/bench/src/bin/fig9.rs", &ok).is_empty());
+        assert!(find("/crates/bench/src/experiments/fig9_triad.rs", &ok).is_empty());
         // Suppressing a different rule does not help.
         let wrong = format!(
             "    let m = {}cfg); // knl-lint: allow(wallclock)\n",
             MACHINE_NEW
         );
         assert_eq!(
-            find("/crates/bench/src/bin/fig9.rs", &wrong),
+            find("/crates/bench/src/experiments/fig9_triad.rs", &wrong),
             ["machine-new"]
         );
     }
@@ -571,7 +575,11 @@ mod tests {
     #[test]
     fn violation_carries_line_number() {
         let bad = format!("fn x() {{}}\n\nlet m = {}cfg);\n", MACHINE_NEW);
-        let vs = lint_text("/crates/bench/src/bin/fig9.rs", &bad, &rules());
+        let vs = lint_text(
+            "/crates/bench/src/experiments/fig9_triad.rs",
+            &bad,
+            &rules(),
+        );
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].line, 3);
     }
@@ -670,25 +678,10 @@ mod tests {
 
     #[test]
     fn workspace_tree_is_clean() {
-        // The repo itself must lint clean — this is the same walk `main`
-        // does, run as a test so `cargo test` guards the invariant.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap();
-        let rules = rules();
-        let mut violations = Vec::new();
-        for file in rust_sources(&root) {
-            let rel = format!(
-                "/{}",
-                file.strip_prefix(&root)
-                    .unwrap_or(&file)
-                    .to_string_lossy()
-                    .replace('\\', "/")
-            );
-            let text = std::fs::read_to_string(&file).unwrap_or_default();
-            violations.extend(lint_text(&rel, &text, &rules));
-        }
+        // The repo itself must lint clean — the same walk `knl lint` does,
+        // run as a test so `cargo test` guards the invariant.
+        let (files, violations) = lint_tree(&crate::provenance::workspace_root());
+        assert!(files > 100, "walked the wrong directory: {files} files");
         assert!(
             violations.is_empty(),
             "workspace has lint violations: {violations:?}"

@@ -1,4 +1,4 @@
-//! `knl-mc` — exhaustive explicit-state model checker for the coherence
+//! `knl mc` — exhaustive explicit-state model checker for the coherence
 //! protocol tables (DESIGN.md §5h).
 //!
 //! Enumerates every reachable (directory entry × per-cache line state ×
@@ -14,6 +14,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::exit;
 
+use crate::flags::{self, Arg, Flag, Stop};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
 use knl_sim::fuzz::replay_trace;
 use knl_sim::modelcheck::{check, cross_protocol_equivalence, format_trace, EquivConfig, McConfig};
@@ -21,24 +22,13 @@ use knl_sim::mutation::Mutation;
 use knl_sim::CheckLevel;
 
 const USAGE: &str = "\
-usage: knl-mc [options]
+usage: knl mc [flags]
 
 Exhaustively model-check the coherence protocol tables over a bounded
 system and (optionally) the mutation-kill matrix and the cross-protocol
-observational-equivalence sweep.
+observational-equivalence sweep.";
 
-options:
-  --protocol P   mesif | mesi | moesi | dragon | all   (default all)
-  --caches N     tile caches in the bounded system, 2..=4 (default 3)
-  --lines N      directory lines, 1..=4                 (default 2)
-  --max-states N state budget per sweep (default 2000000)
-  --mutants      also run the mutation-kill matrix
-  --no-replay    with --mutants: skip the runtime counterexample replay
-  --equiv        also run the cross-protocol equivalence sweep
-  --depth D      equivalence sweep depth, 1..=8         (default 6)
-  -h, --help     this text
-";
-
+#[derive(Debug, PartialEq)]
 struct Args {
     protocols: Vec<ProtocolKind>,
     mc: McConfig,
@@ -48,8 +38,85 @@ struct Args {
     depth: usize,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+/// Numeric rows parse into their field's own type, so a value the field
+/// cannot hold is rejected here instead of wrapping into a legal one.
+const FLAGS: &[Flag<Args>] = &[
+    Flag {
+        names: &["--protocol"],
+        env: None,
+        arg: Arg::Value("mesif|mesi|moesi|dragon|all"),
+        help: "protocols to check (default all)",
+        set: |a, v| {
+            a.protocols = if v.eq_ignore_ascii_case("all") {
+                ProtocolKind::ALL.to_vec()
+            } else {
+                vec![ProtocolKind::parse(v)?]
+            };
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--caches"],
+        env: None,
+        arg: Arg::Value("N"),
+        help: "tile caches in the bounded system, 2..=4 (default 3)",
+        set: |a, v| v.parse().ok().map(|n| a.mc.caches = n),
+    },
+    Flag {
+        names: &["--lines"],
+        env: None,
+        arg: Arg::Value("N"),
+        help: "directory lines, 1..=4 (default 2)",
+        set: |a, v| v.parse().ok().map(|n| a.mc.lines = n),
+    },
+    Flag {
+        names: &["--max-states"],
+        env: None,
+        arg: Arg::Value("N"),
+        help: "state budget per sweep (default 2000000)",
+        set: |a, v| v.parse().ok().map(|n| a.mc.max_states = n),
+    },
+    Flag {
+        names: &["--mutants"],
+        env: None,
+        arg: Arg::Switch,
+        help: "also run the mutation-kill matrix",
+        set: |a, _| {
+            a.mutants = true;
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--no-replay"],
+        env: None,
+        arg: Arg::Switch,
+        help: "with --mutants: skip the runtime counterexample replay",
+        set: |a, _| {
+            a.replay = false;
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--equiv"],
+        env: None,
+        arg: Arg::Switch,
+        help: "also run the cross-protocol equivalence sweep",
+        set: |a, _| {
+            a.equiv = true;
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--depth"],
+        env: None,
+        arg: Arg::Value("D"),
+        help: "equivalence sweep depth, 1..=8 (default 6)",
+        set: |a, v| v.parse().ok().map(|n| a.depth = n),
+    },
+];
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
+    let mut a = Args {
         protocols: ProtocolKind::ALL.to_vec(),
         mc: McConfig::default(),
         mutants: false,
@@ -57,55 +124,8 @@ fn parse_args() -> Args {
         equiv: false,
         depth: EquivConfig::default().depth,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n\n{USAGE}");
-                exit(2);
-            })
-        };
-        let parse_num = |flag: &str, v: String| -> u64 {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} needs an integer, got {v:?}\n\n{USAGE}");
-                exit(2);
-            })
-        };
-        match a.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                exit(0);
-            }
-            "--protocol" => {
-                let v = value("--protocol");
-                if v.eq_ignore_ascii_case("all") {
-                    args.protocols = ProtocolKind::ALL.to_vec();
-                } else {
-                    match ProtocolKind::parse(&v) {
-                        Some(p) => args.protocols = vec![p],
-                        None => {
-                            eprintln!("unknown protocol {v:?}\n\n{USAGE}");
-                            exit(2);
-                        }
-                    }
-                }
-            }
-            "--caches" => args.mc.caches = parse_num("--caches", value("--caches")) as u16,
-            "--lines" => args.mc.lines = parse_num("--lines", value("--lines")) as u8,
-            "--max-states" => {
-                args.mc.max_states = parse_num("--max-states", value("--max-states")) as usize;
-            }
-            "--mutants" => args.mutants = true,
-            "--no-replay" => args.replay = false,
-            "--equiv" => args.equiv = true,
-            "--depth" => args.depth = parse_num("--depth", value("--depth")) as usize,
-            other => {
-                eprintln!("unknown option {other:?}\n\n{USAGE}");
-                exit(2);
-            }
-        }
-    }
-    args
+    flags::parse(FLAGS, &mut a, args, |_| None, &[])?;
+    Ok(a)
 }
 
 /// Short label for the property class a violation was caught by.
@@ -161,8 +181,8 @@ fn replay_confirms(
     Ok(())
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(args: impl IntoIterator<Item = String>) {
+    let args = flags::or_exit(parse(args), USAGE, FLAGS);
     let mut failed = false;
 
     println!(
@@ -289,4 +309,37 @@ fn main() {
         exit(1);
     }
     println!("knl-mc: all checks passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Args, Stop> {
+        super::parse(args.split_whitespace().map(str::to_string))
+    }
+
+    #[test]
+    fn numbers_that_do_not_fit_their_field_are_errors_not_wraps() {
+        let bad = "--caches 65539 | --lines 258 | --caches x | --depth | --protocol=firefly";
+        for args in bad.split('|') {
+            let Err(Stop::Bad(msg)) = parse(args) else {
+                panic!("{args:?} must be rejected");
+            };
+            let flag = args.split_whitespace().next().unwrap();
+            assert!(msg.starts_with(flag.split('=').next().unwrap()), "{msg}");
+        }
+        let mut want = parse("").unwrap();
+        assert_eq!(want.protocols, ProtocolKind::ALL);
+        assert!(!want.mutants && want.replay && !want.equiv);
+        assert_eq!(want.mc, McConfig::default());
+        assert_eq!(want.depth, EquivConfig::default().depth);
+        (want.mc.caches, want.mc.lines, want.mutants, want.replay) = (4, 2, true, false);
+        let got = parse("--caches 4 --lines 2 --mutants --no-replay");
+        assert_eq!(got, Ok(want));
+        let a = parse("--protocol ALL --equiv --depth=3").unwrap();
+        assert_eq!((a.protocols.len(), a.equiv, a.depth), (4, true, 3));
+        let a = parse("--protocol=moesi").unwrap();
+        assert_eq!(a.protocols, [ProtocolKind::Moesi]);
+    }
 }

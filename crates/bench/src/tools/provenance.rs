@@ -1,23 +1,23 @@
-//! Provenance verifier/stamper for the `results/` tree.
+//! `knl provenance` — verifier/stamper for the `results/` tree.
 //!
-//! * `knl-provenance --verify` (default): check every tracked artifact's
+//! * `knl provenance --verify` (default): check every tracked artifact's
 //!   sidecar manifest against the current source digest; exit non-zero if
 //!   any is stale, missing, or corrupt. CI runs this so a results CSV
 //!   produced by older sources can never silently survive a code change.
-//! * `knl-provenance --stamp`: re-bless the current artifacts as products
+//! * `knl provenance --stamp`: re-bless the current artifacts as products
 //!   of the current tree — refreshes each manifest's source digest and
-//!   trajectory, keeps the binary and run configuration that produced the
-//!   artifact. Run after regenerating results, before committing them.
-//! * `knl-provenance --show PATH`: print one artifact's manifest.
+//!   trajectory, keeps the experiment and run configuration that produced
+//!   the artifact. Run after regenerating results, before committing them.
+//! * `knl provenance --show PATH`: print one artifact's manifest.
 
-use knl_bench::output::results_dir;
-use knl_bench::provenance::{
+use crate::output::results_dir;
+use crate::provenance::{
     manifest_path, source_digest, stamp_manifest, tracked_artifacts, verify, Verdict,
 };
 use std::path::Path;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+pub fn run(args: impl IntoIterator<Item = String>) {
+    let args: Vec<String> = args.into_iter().collect();
     let mode = args.first().map(String::as_str).unwrap_or("--verify");
     match mode {
         "--verify" => run_verify(),
@@ -36,8 +36,8 @@ fn main() {
             }
         }
         "--help" | "-h" => {
-            eprintln!(
-                "usage: knl-provenance [--verify|--stamp|--show PATH]\n\
+            println!(
+                "usage: knl provenance [--verify|--stamp|--show PATH]\n\
                  \x20 --verify  check results/ manifests against the current\n\
                  \x20           sources (exit 1 on stale/missing; CI gate)\n\
                  \x20 --stamp   re-write manifests blessing current artifacts\n\
@@ -81,7 +81,7 @@ fn run_verify() {
     if bad > 0 {
         eprintln!(
             "{bad}/{} artifacts stale relative to the current tree; \
-             regenerate them (or bless with knl-provenance --stamp)",
+             regenerate them (or bless with `knl provenance --stamp`)",
             artifacts.len()
         );
         std::process::exit(1);

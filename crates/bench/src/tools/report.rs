@@ -1,4 +1,4 @@
-//! `knl-report` — fuse a telemetry series and an optional trace file's
+//! `knl report` — fuse a telemetry series and an optional trace file's
 //! metrics into one dashboard.
 //!
 //! The default output is a text report with unicode sparklines: queue
@@ -8,11 +8,12 @@
 //! `--html PATH` additionally writes the same dashboard as a single
 //! self-contained HTML page (no external assets).
 //!
-//! Telemetry files are the merged `results/<label>.telemetry` artifacts
-//! written by the figure binaries under `--telemetry`; `# job` section
-//! markers are skipped and metric lines merge additively, so the report
-//! is independent of how the sweep was split across jobs.
+//! Telemetry files are the merged `results/<id>.telemetry` artifacts
+//! written by `knl run` under `--telemetry`; `# job` section markers are
+//! skipped and metric lines merge additively, so the report is
+//! independent of how the sweep was split across jobs.
 
+use crate::flags::{self, Arg, Flag, Stop};
 use knl_sim::metrics::{dev_name, Metrics};
 use knl_sim::TelemetrySeries;
 use std::fmt::Write as _;
@@ -20,17 +21,10 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 const USAGE: &str = "\
-usage: knl-report TELEMETRY [options]
+usage: knl report TELEMETRY [flags]
 
-Render a telemetry series (written by the figure binaries under
---telemetry) as a text dashboard; optionally fuse a trace file.
-
-options:
-  --trace PATH     fold in a trace file's metrics (protocol totals)
-  --html PATH      also write the dashboard as self-contained HTML
-  --top N          tiles shown in the per-tile heat section (default 8)
-  -h, --help       this text
-";
+Render a telemetry series (written by `knl run` under --telemetry) as a
+text dashboard; optionally fuse a trace file.";
 
 /// Sparkline glyph ramp, lowest to highest.
 const RAMP: [char; 8] = [
@@ -47,57 +41,50 @@ struct Args {
     top: usize,
 }
 
-fn parse_args() -> Args {
-    let mut telemetry = None;
-    let mut trace = None;
-    let mut html = None;
-    let mut top = 8usize;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n\n{USAGE}");
-                exit(2);
-            })
-        };
-        match a.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                exit(0);
-            }
-            "--trace" => trace = Some(PathBuf::from(value("--trace"))),
-            "--html" => html = Some(PathBuf::from(value("--html"))),
-            "--top" => {
-                top = value("--top").parse().unwrap_or_else(|_| {
-                    eprintln!("--top needs a number\n\n{USAGE}");
-                    exit(2);
-                })
-            }
-            _ if a.starts_with('-') => {
-                eprintln!("unknown option {a}\n\n{USAGE}");
-                exit(2);
-            }
-            _ if telemetry.is_none() => telemetry = Some(PathBuf::from(a)),
-            _ => {
-                eprintln!("more than one TELEMETRY argument\n\n{USAGE}");
-                exit(2);
-            }
-        }
-    }
-    let Some(telemetry) = telemetry else {
-        eprintln!("missing TELEMETRY argument\n\n{USAGE}");
-        exit(2);
+const FLAGS: &[Flag<Args>] = &[
+    Flag {
+        names: &["--trace"],
+        env: None,
+        arg: Arg::Value("PATH"),
+        help: "fold in a trace file's metrics (protocol totals)",
+        set: |a, v| {
+            a.trace = Some(PathBuf::from(v));
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--html"],
+        env: None,
+        arg: Arg::Value("PATH"),
+        help: "also write the dashboard as self-contained HTML",
+        set: |a, v| {
+            a.html = Some(PathBuf::from(v));
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--top"],
+        env: None,
+        arg: Arg::Value("N"),
+        help: "tiles shown in the per-tile heat section (default 8)",
+        set: |a, v| v.parse().ok().map(|n| a.top = n),
+    },
+];
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
+    let mut a = Args {
+        telemetry: PathBuf::new(),
+        trace: None,
+        html: None,
+        top: 8,
     };
-    Args {
-        telemetry,
-        trace,
-        html,
-        top,
-    }
+    let parsed = flags::parse(FLAGS, &mut a, args, |_| None, &["TELEMETRY"])?;
+    a.telemetry = PathBuf::from(&parsed.positional[0]);
+    Ok(a)
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(args: impl IntoIterator<Item = String>) {
+    let args = flags::or_exit(parse(args), USAGE, FLAGS);
     let series = load_series(&args.telemetry);
     let metrics = args.trace.as_deref().map(load_metrics);
 
@@ -347,7 +334,7 @@ fn render_rates(out: &mut String, s: &TelemetrySeries) {
 
 fn render_trace(out: &mut String, path: &Path, m: &Metrics) {
     let _ = writeln!(out, "\n== trace metrics: {} ==", path.display());
-    // Reuse the knl-trace report body, minus its hot-line sections.
+    // Reuse the `knl trace` report body, minus its hot-line sections.
     for line in m.report(4).lines() {
         let _ = writeln!(out, "{line}");
     }

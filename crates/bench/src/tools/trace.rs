@@ -1,5 +1,5 @@
-//! `knl-trace` — aggregate and report a trace file written by the figure/
-//! table binaries under `--trace` / `--trace-level`.
+//! `knl trace` — aggregate and report a trace file written by an
+//! experiment under `--trace` / `--trace-level`.
 //!
 //! The default output is the text report: protocol totals, the latency
 //! histogram keyed by (MESIF supplier state, hop distance) — the paper's
@@ -14,6 +14,7 @@
 //! runner marks become begin/end ("B"/"E") slices, and device queue
 //! depths become counter ("C") tracks.
 
+use crate::flags::{self, Arg, Flag, Stop};
 use knl_sim::metrics::Metrics;
 use knl_sim::trace::{EventKind, TraceEvent, NO_THREAD};
 use std::fmt::Write as _;
@@ -21,18 +22,10 @@ use std::path::PathBuf;
 use std::process::exit;
 
 const USAGE: &str = "\
-usage: knl-trace TRACE [options]
+usage: knl trace TRACE [flags]
 
-Aggregate a knl trace file (written by the figure/table binaries under
---trace / --trace-level) and print a text report.
-
-options:
-  --top N        rows in the hot-tile / hot-line sections (default 16)
-  --csv PATH     also write the (source, hops) latency histogram as CSV
-  --chrome PATH  also write Chrome trace_event JSON from the raw event
-                 log (requires a --trace-level full trace)
-  -h, --help     this text
-";
+Aggregate a trace file (written by `knl run` under --trace /
+--trace-level) and print a text report.";
 
 struct Args {
     trace: PathBuf,
@@ -41,57 +34,51 @@ struct Args {
     chrome: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
-    let mut trace = None;
-    let mut top = 16usize;
-    let mut csv = None;
-    let mut chrome = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n\n{USAGE}");
-                exit(2);
-            })
-        };
-        match a.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                exit(0);
-            }
-            "--top" => {
-                top = value("--top").parse().unwrap_or_else(|_| {
-                    eprintln!("--top needs a number\n\n{USAGE}");
-                    exit(2);
-                })
-            }
-            "--csv" => csv = Some(PathBuf::from(value("--csv"))),
-            "--chrome" => chrome = Some(PathBuf::from(value("--chrome"))),
-            _ if a.starts_with('-') => {
-                eprintln!("unknown option {a}\n\n{USAGE}");
-                exit(2);
-            }
-            _ if trace.is_none() => trace = Some(PathBuf::from(a)),
-            _ => {
-                eprintln!("more than one TRACE argument\n\n{USAGE}");
-                exit(2);
-            }
-        }
-    }
-    let Some(trace) = trace else {
-        eprintln!("{USAGE}");
-        exit(2);
+const FLAGS: &[Flag<Args>] = &[
+    Flag {
+        names: &["--top"],
+        env: None,
+        arg: Arg::Value("N"),
+        help: "rows in the hot-tile / hot-line sections (default 16)",
+        set: |a, v| v.parse().ok().map(|n| a.top = n),
+    },
+    Flag {
+        names: &["--csv"],
+        env: None,
+        arg: Arg::Value("PATH"),
+        help: "also write the (source, hops) latency histogram as CSV",
+        set: |a, v| {
+            a.csv = Some(PathBuf::from(v));
+            Some(())
+        },
+    },
+    Flag {
+        names: &["--chrome"],
+        env: None,
+        arg: Arg::Value("PATH"),
+        help: "also write Chrome trace_event JSON from the raw event log\n\
+               (requires a --trace-level full trace)",
+        set: |a, v| {
+            a.chrome = Some(PathBuf::from(v));
+            Some(())
+        },
+    },
+];
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
+    let mut a = Args {
+        trace: PathBuf::new(),
+        top: 16,
+        csv: None,
+        chrome: None,
     };
-    Args {
-        trace,
-        top,
-        csv,
-        chrome,
-    }
+    let parsed = flags::parse(FLAGS, &mut a, args, |_| None, &["TRACE"])?;
+    a.trace = PathBuf::from(&parsed.positional[0]);
+    Ok(a)
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(args: impl IntoIterator<Item = String>) {
+    let args = flags::or_exit(parse(args), USAGE, FLAGS);
     let text = std::fs::read_to_string(&args.trace).unwrap_or_else(|e| {
         eprintln!("cannot read {}: {e}", args.trace.display());
         exit(1);
@@ -125,7 +112,7 @@ fn main() {
         }
     }
 
-    // Ignore stdout pipe errors so `knl-trace … | head` exits cleanly.
+    // Ignore stdout pipe errors so `knl trace … | head` exits cleanly.
     {
         use std::io::Write as _;
         let mut stdout = std::io::stdout().lock();

@@ -4,7 +4,7 @@
 //! file must come out byte-identical for any `--jobs` value.
 
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, ProtocolKind};
-use knl_bench::runconf::{Effort, RunConf};
+use knl_bench::runconf::RunConf;
 use knl_bench::sweep::{machine, TraceSink};
 use knl_benchsuite::pointer_chase::transfer_latency;
 use knl_benchsuite::SweepExecutor;
@@ -13,20 +13,15 @@ use std::path::{Path, PathBuf};
 
 fn conf(jobs: usize, telemetry: TelemetryConfig, out: Option<&Path>) -> RunConf {
     RunConf {
-        effort: Effort::Quick,
         jobs,
-        check: knl_sim::CheckLevel::Off,
-        trace: knl_sim::TraceLevel::Off,
-        trace_path: None,
-        analyze: knl_sim::AnalyzeLevel::Off,
-        protocol: knl_arch::ProtocolKind::Mesif,
         telemetry,
         telemetry_out: out.map(|p| p.to_string_lossy().into_owned()),
         progress: knl_benchsuite::ProgressMode::Off,
+        ..Default::default()
     }
 }
 
-/// The same shape the figure binaries use: independent machines per sweep
+/// The same shape the experiments use: independent machines per sweep
 /// point, samplers submitted under the job index, merged at the end.
 fn run_sweep(cfg: &MachineConfig, conf: &RunConf) -> (Vec<u64>, Option<String>) {
     let partners: Vec<u16> = vec![1, 2, 5, 9];

@@ -4,29 +4,24 @@
 //! had observers attached.
 
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode};
-use knl_bench::runconf::{Effort, RunConf};
+use knl_bench::runconf::RunConf;
 use knl_bench::sweep::{machine, TraceSink};
 use knl_benchsuite::pointer_chase::transfer_latency;
 use knl_benchsuite::SweepExecutor;
-use knl_sim::{CheckLevel, LineState, Machine, TraceLevel};
+use knl_sim::{LineState, Machine, TraceLevel};
 use std::path::{Path, PathBuf};
 
 fn conf(jobs: usize, trace: TraceLevel, path: &Path) -> RunConf {
     RunConf {
-        effort: Effort::Quick,
         jobs,
-        check: CheckLevel::Off,
         trace,
         trace_path: Some(path.to_string_lossy().into_owned()),
-        analyze: knl_sim::AnalyzeLevel::Off,
-        protocol: knl_arch::ProtocolKind::Mesif,
-        telemetry: knl_sim::TelemetryConfig::off(),
-        telemetry_out: None,
         progress: knl_benchsuite::ProgressMode::Off,
+        ..Default::default()
     }
 }
 
-/// The same shape the figure binaries use: independent machines per sweep
+/// The same shape the experiments use: independent machines per sweep
 /// point, traces submitted under the job index, merged at the end.
 fn run_sweep(cfg: &MachineConfig, conf: &RunConf) -> (Vec<u64>, Option<String>) {
     let partners: Vec<u16> = vec![1, 2, 5, 9];
@@ -52,7 +47,7 @@ fn run_sweep(cfg: &MachineConfig, conf: &RunConf) -> (Vec<u64>, Option<String>) 
 }
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("knl-trace-determinism");
+    let dir = std::env::temp_dir().join("knl_trace_determinism");
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir.join(name)
 }

@@ -34,7 +34,7 @@ pub mod suite;
 pub mod sync_window;
 
 pub use measurement::{BwPoint, CacheResults, LatencyStat, MemResults, SuiteResults};
-pub use parallel::{default_jobs, ProgressMode, SweepExecutor};
+pub use parallel::{ProgressMode, SweepExecutor};
 pub use params::SuiteParams;
 pub use serial::{decode_suite, encode_suite};
 pub use suite::{

@@ -24,23 +24,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Worker count used when `--jobs` is absent: the `KNL_JOBS` environment
-/// variable if set to a positive integer, otherwise the machine's available
-/// parallelism (1 if that cannot be determined).
-pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("KNL_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring invalid KNL_JOBS={v:?}");
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// How the executor reports sweep progress on stderr.
 ///
 /// Progress is *host-side* telemetry: wall-clock times and ETAs vary run
@@ -79,11 +62,6 @@ impl SweepExecutor {
             jobs: jobs.max(1),
             progress: ProgressMode::Off,
         }
-    }
-
-    /// Executor sized by [`default_jobs`] (`KNL_JOBS` or the core count).
-    pub fn with_default_jobs() -> Self {
-        Self::new(default_jobs())
     }
 
     /// Emit a text progress line to stderr as each job completes

@@ -94,7 +94,7 @@ pub fn fuzz_case(cfg: &MachineConfig, seed: u64, check: CheckLevel) -> Counters 
 
 /// Replay a model-checker counterexample (see [`crate::modelcheck`]) on a
 /// full [`Machine`] under the runtime checker — the bridge that proves the
-/// static and dynamic layers agree: a trace `knl-mc` reports against a
+/// static and dynamic layers agree: a trace `knl mc` reports against a
 /// mutant must make the [`crate::invariants::CoherenceChecker`] panic here
 /// with the same `mutation` injected, and must replay clean with `None`.
 ///

@@ -13,7 +13,7 @@
 //! exactly like `HashMap` (minus the per-process random seed). `LineMap`
 //! deliberately exposes no iterator; callers that need to walk entries use
 //! [`LineMap::sorted_keys`], which is order-stable by construction. This is
-//! what makes the replacement behaviour-identical and keeps `knl-lint`'s
+//! what makes the replacement behaviour-identical and keeps `knl lint`'s
 //! `hash-collection` rule satisfied.
 //!
 //! One key value is reserved: `u64::MAX` marks an empty slot. Line

@@ -219,7 +219,7 @@ impl Machine {
     }
 
     /// Fault injection for checker and model-checker tests: inject a
-    /// single-transition protocol defect (the `knl-mc` mutation catalog)
+    /// single-transition protocol defect (the `knl mc` mutation catalog)
     /// into this machine's directory transitions, or `None` to restore
     /// the shipped tables.
     #[doc(hidden)]

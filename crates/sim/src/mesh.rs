@@ -6,7 +6,7 @@
 //! not observe any increase in latency"), so the default fabric is the
 //! analytic hop-cost model with unlimited link capacity.
 //!
-//! For ablation (`knl-bench --bin ablation`, mesh section), a
+//! For ablation (`knl run ablation`, mesh section), a
 //! link-occupancy fabric can be enabled: every ring (one per column for the
 //! Y leg, one per row for the X leg) is a work-conserving server that a
 //! message occupies for `ring_service_ps` per traversal. With KNL-realistic

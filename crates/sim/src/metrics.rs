@@ -17,7 +17,7 @@
 //! Metrics serialize to deterministic text lines (all maps iterate in
 //! ascending key order or are sorted at serialization time) and merge
 //! additively, so per-job sections of a parallel sweep can be
-//! re-aggregated by `knl-trace` in any grouping with identical results.
+//! re-aggregated by `knl trace` in any grouping with identical results.
 //!
 //! The keyed aggregates are [`SortedVecMap`]s — iteration order identical
 //! to the `BTreeMap`s they replaced, but with dense binary-search lookups
@@ -466,7 +466,7 @@ impl Metrics {
         matches!(tag, "H" | "T" | "D" | "B" | "U" | "X" | "L" | "C" | "Z") && parse().is_some()
     }
 
-    /// Human-readable report (the `knl-trace` default output).
+    /// Human-readable report (the `knl trace` default output).
     pub fn report(&self, top: usize) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== knl trace report ==");

@@ -1,5 +1,5 @@
 //! Test scaffolding: single-transition protocol defects for the
-//! mutation-kill matrix of [`crate::modelcheck`] and `knl-mc`.
+//! mutation-kill matrix of [`crate::modelcheck`] and `knl mc`.
 //!
 //! A [`Mutation`] corrupts exactly one transition shape (a write grant, a
 //! read grant, an eviction, or an NT sweep) and leaves every other
@@ -13,7 +13,7 @@
 //! The catalog is restricted to defects the *runtime*
 //! [`crate::invariants::CoherenceChecker`] can also observe (structurally
 //! illegal entries, stale reads the memory oracle sees, or write-back
-//! counts that fail end-of-run reconciliation): `knl-mc` requires every
+//! counts that fail end-of-run reconciliation): `knl mc` requires every
 //! minimal counterexample to replay to a runtime violation, which keeps
 //! the static and dynamic layers provably aligned.
 

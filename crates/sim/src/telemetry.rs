@@ -22,7 +22,7 @@
 //! concatenated in canonical job order (the `TraceSink` contract) or
 //! re-aggregated in any grouping with identical results. Everything here
 //! is keyed by **simulated** time: host wall-clock never appears in a
-//! series (the `wall-clock-in-series` knl-lint rule pins this), so the
+//! series (the `wall-clock-in-series` `knl lint` rule pins this), so the
 //! sampler is a pure observer — telemetry-on runs are bit-identical to
 //! telemetry-off runs in every simulated result.
 

@@ -30,7 +30,7 @@
 //! ```
 //!
 //! and metric lines (see [`crate::metrics`]) start with `H`/`T`/`D`/`B`/
-//! `U`/`X`/`C`/`Z`. `knl-trace` (crates/bench) parses both: metric lines
+//! `U`/`X`/`C`/`Z`. `knl trace` (crates/bench) parses both: metric lines
 //! feed the report, event lines feed the Chrome `trace_event` export.
 
 use crate::metrics::Metrics;

@@ -2,7 +2,7 @@
 //! (`knl::sim::modelcheck`) and the dynamic runtime checker
 //! (`knl::sim::invariants`).
 //!
-//! For every protocol and every catalogued mutation, `knl-mc` must find a
+//! For every protocol and every catalogued mutation, `knl mc` must find a
 //! minimal counterexample trace — and that trace, replayed on a full
 //! [`Machine`](knl::sim::Machine) with the same mutation injected under
 //! `--check full`, must make the runtime `CoherenceChecker` panic with a
