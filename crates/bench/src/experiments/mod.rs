@@ -182,5 +182,25 @@ mod tests {
             let command = format!("-- run {}", e.id);
             assert!(quick_start.contains(&command), "README lacks `{command}`");
         }
+
+        // `cargo test` compiles the examples and nothing else lists them:
+        // the Quickstart names every file under `examples/`, and the README
+        // names no other.
+        let examples = root.join("examples");
+        let listed = between(&readme, "\n## Quickstart", "\n## ");
+        for entry in std::fs::read_dir(&examples).expect("examples/") {
+            let path = entry.expect("examples/ entry").path();
+            let name = path.file_stem().expect("file name").to_string_lossy();
+            let command = format!("--example {name} ");
+            assert!(listed.contains(&command), "README lacks `{command}`");
+        }
+        for rest in readme.split("--example ").skip(1) {
+            let name = rest.split_whitespace().next().unwrap_or_default();
+            let file = examples.join(format!("{name}.rs"));
+            assert!(
+                file.is_file(),
+                "README names example `{name}`, no such file"
+            );
+        }
     }
 }

@@ -108,25 +108,23 @@ pub fn run(args: impl IntoIterator<Item = String>) {
     }
 }
 
-fn load_series(path: &Path) -> TelemetrySeries {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {}: {e}", path.display());
-        exit(1);
-    });
+/// The series a telemetry file adds up to. Blank lines and comments (the
+/// file header) are skipped; a `# job N` section marker must carry its
+/// number and every other line must be a telemetry line.
+fn parse_series(text: &str) -> Result<TelemetrySeries, super::BadLines> {
     let mut series = TelemetrySeries::default();
-    let mut bad = 0usize;
-    for line in text.lines() {
+    super::check_lines(text, |line| {
         let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue; // file header and `# job N` section markers
+        match line.strip_prefix("# job ") {
+            Some(n) => n.trim().parse::<u32>().is_ok(),
+            None => line.is_empty() || line.starts_with('#') || series.parse_line(line),
         }
-        if !series.parse_line(line) {
-            bad += 1;
-        }
-    }
-    if bad > 0 {
-        eprintln!("warning: {bad} unparseable lines in {}", path.display());
-    }
+    })?;
+    Ok(series)
+}
+
+fn load_series(path: &Path) -> TelemetrySeries {
+    let series = super::load(path, parse_series);
     if series.events == 0 {
         eprintln!("warning: no telemetry events in {}", path.display());
     }
@@ -134,19 +132,7 @@ fn load_series(path: &Path) -> TelemetrySeries {
 }
 
 fn load_metrics(path: &Path) -> Metrics {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {}: {e}", path.display());
-        exit(1);
-    });
-    let mut m = Metrics::default();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        m.parse_line(line);
-    }
-    m
+    super::load(path, |text| super::trace::parse_trace(text, false)).metrics
 }
 
 /// Scale `vals` into a sparkline string; an all-zero series renders as a
@@ -358,4 +344,27 @@ fn html_page(text: &str) -> String {
          pre{{font:13px/1.45 monospace;}}</style>\
          </head><body><pre>{body}</pre></body></html>\n"
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn corrupt_telemetry_is_refused_at_its_first_bad_line() {
+        let text = "# knl-telemetry v1 interval_ps=1000\n# job 0\nI 1000\nQ 0 4 10 2 3 4 5\n\
+                    Z 9 99\n# job 1\nI 1000\nP 3 4 1 2 3\nZ 2 120\n";
+        let series = parse_series(text).expect("valid telemetry");
+        assert_eq!(
+            (series.interval_ps, series.events, series.end_ps),
+            (1000, 11, 120)
+        );
+
+        // The last line cut mid-number (`Z 2 12` still parses), as a killed
+        // run or a full disk leaves it.
+        let cut = text.strip_suffix("0\n").unwrap();
+        assert_eq!(parse_series(cut).unwrap_err(), (9, 0));
+        let bad_job = cut.replace("# job 1", "# job x");
+        assert_eq!(parse_series(&bad_job).unwrap_err(), (6, 1));
+    }
 }

@@ -77,40 +77,53 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
     Ok(a)
 }
 
-pub fn run(args: impl IntoIterator<Item = String>) {
-    let args = flags::or_exit(parse(args), USAGE, FLAGS);
-    let text = std::fs::read_to_string(&args.trace).unwrap_or_else(|e| {
-        eprintln!("cannot read {}: {e}", args.trace.display());
-        exit(1);
-    });
+/// What a trace file adds up to.
+pub(super) struct Trace {
+    pub(super) metrics: Metrics,
+    /// The raw event log with each event's `# job`; kept only for `--chrome`.
+    events: Vec<(u32, TraceEvent)>,
+    /// Events dropped past the cap.
+    dropped: u64,
+}
 
+/// Every line must be a comment, a marker with its number, a metric line
+/// or an event line.
+pub(super) fn parse_trace(text: &str, keep_events: bool) -> Result<Trace, super::BadLines> {
     let mut metrics = Metrics::default();
-    let mut events: Vec<(u32, TraceEvent)> = Vec::new();
+    let mut events = Vec::new();
     let mut job = 0u32;
     let mut dropped = 0u64;
-    for line in text.lines() {
+    super::check_lines(text, |line| {
         if let Some(rest) = line.strip_prefix("# job ") {
-            job = rest.trim().parse().unwrap_or(job);
-            continue;
+            return rest.trim().parse().map(|n| job = n).is_ok();
         }
         if let Some(rest) = line.strip_prefix("# events_dropped=") {
-            dropped += rest.trim().parse::<u64>().unwrap_or(0);
-            continue;
+            return rest.trim().parse().map(|n: u64| dropped += n).is_ok();
         }
-        if line.starts_with('#') || line.is_empty() {
-            continue;
+        if line.starts_with('#') || line.is_empty() || metrics.parse_line(line) {
+            return true;
         }
-        if metrics.parse_line(line) {
-            continue;
+        let ev = TraceEvent::parse(line);
+        if keep_events {
+            events.extend(ev.map(|ev| (job, ev)));
         }
-        if let Some(ev) = TraceEvent::parse(line) {
-            if args.chrome.is_some() {
-                events.push((job, ev));
-            }
-        } else {
-            eprintln!("warning: unparsed line: {line}");
-        }
-    }
+        ev.is_some()
+    })?;
+    Ok(Trace {
+        metrics,
+        events,
+        dropped,
+    })
+}
+
+pub fn run(args: impl IntoIterator<Item = String>) {
+    let args = flags::or_exit(parse(args), USAGE, FLAGS);
+    let keep_events = args.chrome.is_some();
+    let Trace {
+        metrics,
+        events,
+        dropped,
+    } = super::load(&args.trace, |text| parse_trace(text, keep_events));
 
     // Ignore stdout pipe errors so `knl trace … | head` exits cleanly.
     {
@@ -232,4 +245,26 @@ fn chrome_json(events: &[(u32, TraceEvent)]) -> String {
     }
     let _ = write!(out, "]}}");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn corrupt_trace_is_refused_at_its_first_bad_line() {
+        let text = "# knl-trace v1 level=full\n# job 0\nE 1000 0 0 40 iss R\nC issues 1\n\
+                    Z 1 1000\n# job 1\n# events_dropped=3\nE 900 1 2 80 mk 1 s\nZ 1 900\n";
+        let t = parse_trace(text, true).expect("valid trace");
+        assert_eq!((t.metrics.events, t.metrics.issues, t.dropped), (2, 1, 3));
+        assert_eq!([t.events[0].0, t.events[1].0], [0, 1]);
+
+        // The last line cut mid-number (`Z 1 90` still parses), as a killed
+        // run or a full disk leaves it.
+        let cut = text.strip_suffix("0\n").unwrap();
+        assert_eq!(parse_trace(cut, true).err(), Some((9, 0)));
+        // A marker without its number must not pass for the previous job.
+        let bad_job = cut.replace("# job 1", "# job x");
+        assert_eq!(parse_trace(&bad_job, true).err(), Some((6, 1)));
+    }
 }

@@ -1,31 +1,13 @@
-//! Model-tuned shared-memory collectives and their baselines.
+//! Model-tuned shared-memory collectives and their baselines on the
+//! simulated KNL.
 //!
-//! Two execution substrates:
-//!
-//! * **Host threads** ([`barrier`], [`broadcast`], [`reduce`], driven by
-//!   [`team::Team`]): real implementations on cache-line-padded atomic
-//!   flags, usable on any shared-memory machine. The model-tuned shapes
-//!   (trees from `knl_core::tree_opt`, radices from
-//!   `knl_core::barrier_opt`) compete against an OpenMP-like centralized
-//!   baseline and an MPI-like binomial baseline that pays the double copy
-//!   of separate address spaces.
-//! * **Simulated KNL** ([`simspec`]): the same algorithms expressed as
-//!   `knl_sim` programs over coherent flag lines, which is how the paper's
-//!   Figs. 6–8 are regenerated with KNL timing.
+//! * [`plan`]: what a tuned tree or barrier means per rank — the optimized
+//!   tree over one leader per tile, a flat subtree inside each tile.
+//! * [`simspec`]: how it executes — the tuned shapes and the OpenMP-like
+//!   and MPI-like baselines as `knl_sim` programs over coherent flag lines,
+//!   which is how the paper's Figs. 6–8 are regenerated with KNL timing.
 
-pub mod allreduce;
-pub mod barrier;
-pub mod broadcast;
-pub mod pad;
 pub mod plan;
-pub mod reduce;
 pub mod simspec;
-pub mod spin;
-pub mod team;
 
-pub use allreduce::TreeAllreduce;
-pub use barrier::{CentralizedBarrier, DisseminationBarrier};
-pub use broadcast::{FlatBroadcast, MpiBroadcast, TreeBroadcast};
 pub use plan::{PlanError, RankPlan};
-pub use reduce::{CentralReduce, MpiReduce, TreeReduce};
-pub use team::Team;

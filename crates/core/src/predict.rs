@@ -37,11 +37,6 @@ pub fn predict_reduce(model: &CapabilityModel, tiles: usize) -> MinMax {
     MinMax::new(best_plan.cost_ns.min(worst), worst)
 }
 
-/// Predicted allreduce envelope (tuned reduce followed by tuned broadcast).
-pub fn predict_allreduce(model: &CapabilityModel, tiles: usize) -> MinMax {
-    predict_reduce(model, tiles).add(predict_broadcast(model, tiles))
-}
-
 /// Predicted dissemination-barrier envelope over `threads` (ns).
 pub fn predict_barrier(model: &CapabilityModel, threads: usize) -> MinMax {
     let best = optimize_barrier(model, threads);
@@ -80,16 +75,6 @@ mod tests {
                 assert!(e.best > 0.0);
             }
         }
-    }
-
-    #[test]
-    fn allreduce_is_sum_of_phases() {
-        let m = model();
-        let a = predict_allreduce(&m, 16);
-        let r = predict_reduce(&m, 16);
-        let b = predict_broadcast(&m, 16);
-        assert!((a.best - (r.best + b.best)).abs() < 1e-9);
-        assert!((a.worst - (r.worst + b.worst)).abs() < 1e-9);
     }
 
     #[test]

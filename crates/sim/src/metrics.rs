@@ -367,13 +367,16 @@ impl Metrics {
 
     /// Parse one metric line, merging it into `self`. Returns `false` for
     /// lines that are not metric lines (events, comments, garbage, a line
-    /// with a missing or malformed field) and then leaves `self`
-    /// untouched: every field is parsed before anything is merged.
+    /// with a missing, malformed or extra field) and then leaves `self`
+    /// untouched: the line is parsed into a one-line `Metrics` of its own
+    /// and merged only once every field is in and none is left over.
     pub fn parse_line(&mut self, line: &str) -> bool {
         let mut it = line.split_ascii_whitespace();
-        let Some(tag) = it.next() else { return false };
+        let Some(tag @ ("H" | "T" | "D" | "B" | "U" | "X" | "L" | "C" | "Z")) = it.next() else {
+            return false;
+        };
+        let mut one = Metrics::default();
         let mut parse = || -> Option<()> {
-            let mut it = line.split_ascii_whitespace().skip(1);
             match tag {
                 "H" => {
                     let src = it.next()?.chars().next()?;
@@ -392,11 +395,11 @@ impl Metrics {
                     if bins.next().is_some() {
                         return None;
                     }
-                    self.hist.entry_or_default((src, hops)).merge(&h);
+                    *one.hist.entry_or_default((src, hops)) = h;
                 }
                 "T" => {
                     let tile: u16 = it.next()?.parse().ok()?;
-                    let t = TileStat {
+                    *one.tiles.entry_or_default(tile) = TileStat {
                         serves: it.next()?.parse().ok()?,
                         l1: it.next()?.parse().ok()?,
                         l2: it.next()?.parse().ok()?,
@@ -404,66 +407,55 @@ impl Metrics {
                         mem: it.next()?.parse().ok()?,
                         mcache: it.next()?.parse().ok()?,
                     };
-                    if it.next().is_some() {
-                        return None;
-                    }
-                    self.tiles.entry_or_default(tile).add(&t);
                 }
                 "D" => {
                     let dev: u8 = it.next()?.parse().ok()?;
-                    let d = DevStat {
+                    *one.devices.entry_or_default(dev) = DevStat {
                         reads: it.next()?.parse().ok()?,
                         writes: it.next()?.parse().ok()?,
                         depth_peak: it.next()?.parse().ok()?,
                         depth_sum: it.next()?.parse().ok()?,
                     };
-                    self.devices.entry_or_default(dev).add(&d);
                 }
                 "B" => {
                     let key: (u8, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    let n: u64 = it.next()?.parse().ok()?;
-                    *self.dev_bins.entry_or_default(key) += n;
+                    *one.dev_bins.entry_or_default(key) = it.next()?.parse().ok()?;
                 }
                 "U" => {
                     let key: (u16, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    let n: u64 = it.next()?.parse().ok()?;
-                    *self.tile_bins.entry_or_default(key) += n;
+                    *one.tile_bins.entry_or_default(key) = it.next()?.parse().ok()?;
                 }
                 "X" => {
                     let key = (it.next()?.chars().next()?, it.next()?.chars().next()?);
-                    let n: u64 = it.next()?.parse().ok()?;
-                    *self.dir_transitions.entry_or_default(key) += n;
+                    *one.dir_transitions.entry_or_default(key) = it.next()?.parse().ok()?;
                 }
                 "L" => {
                     let l = u64::from_str_radix(it.next()?, 16).ok()?;
-                    let n: u64 = it.next()?.parse().ok()?;
-                    *self.hot_lines.entry(l).or_default() += n;
+                    one.hot_lines.insert(l, it.next()?.parse().ok()?);
                 }
                 "C" => {
                     let field = it.next()?;
                     let n: u64 = it.next()?.parse().ok()?;
                     match field {
-                        "issues" => self.issues += n,
-                        "inv" => self.invalidations += n,
-                        "upd" => self.updates += n,
-                        "wb" => self.writebacks += n,
-                        "mc_hit" => self.mcache_hits += n,
-                        "mc_miss" => self.mcache_misses += n,
-                        "hops" => self.mesh_hops += n,
+                        "issues" => one.issues = n,
+                        "inv" => one.invalidations = n,
+                        "upd" => one.updates = n,
+                        "wb" => one.writebacks = n,
+                        "mc_hit" => one.mcache_hits = n,
+                        "mc_miss" => one.mcache_misses = n,
+                        "hops" => one.mesh_hops = n,
                         _ => return None,
                     }
                 }
                 "Z" => {
-                    let events: u64 = it.next()?.parse().ok()?;
-                    let end_time: SimTime = it.next()?.parse().ok()?;
-                    self.events += events;
-                    self.end_time = self.end_time.max(end_time);
+                    one.events = it.next()?.parse().ok()?;
+                    one.end_time = it.next()?.parse().ok()?;
                 }
                 _ => return None,
             }
-            Some(())
+            it.next().is_none().then_some(())
         };
-        matches!(tag, "H" | "T" | "D" | "B" | "U" | "X" | "L" | "C" | "Z") && parse().is_some()
+        parse().map(|()| self.merge(&one)).is_some()
     }
 
     /// Human-readable report (the `knl trace` default output).
@@ -763,6 +755,15 @@ mod tests {
             "C nosuch 2",
             "Z 9",
             "Z 9 x",
+            // One field too many, per tag.
+            "H M 4 1 2 3 4 BINS extra",
+            "D 1 5 6 7 8 9",
+            "B 1 4 9 junk",
+            "U 3 4 9 9",
+            "X S M 2 2",
+            "L 40 3 3",
+            "C inv 2 2",
+            "Z 9 99 1",
         ] {
             assert!(
                 !m.parse_line(&bad.replace("BINS", &bins)),

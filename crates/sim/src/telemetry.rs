@@ -248,52 +248,50 @@ impl TelemetrySeries {
 
     /// Parse one telemetry line, merging it into `self`. Returns `false`
     /// for anything that is not a telemetry line (comments, garbage, a
-    /// line with a missing or malformed field, an `I` line disagreeing
-    /// with an already-set interval) and then leaves `self` untouched:
-    /// every field is parsed before anything is merged.
+    /// line with a missing, malformed or extra field, an `I` line
+    /// disagreeing with an already-set interval) and then leaves `self`
+    /// untouched: the line is parsed into a one-line series of its own
+    /// and merged only once every field is in and none is left over.
     pub fn parse_line(&mut self, line: &str) -> bool {
         let mut it = line.split_ascii_whitespace();
-        let Some(tag) = it.next() else { return false };
+        let Some(tag @ ("I" | "Q" | "P" | "G" | "V" | "Z")) = it.next() else {
+            return false;
+        };
+        let mut one = TelemetrySeries::default();
         let mut parse = || -> Option<()> {
-            let mut it = line.split_ascii_whitespace().skip(1);
             match tag {
                 "I" => {
-                    let ps: SimTime = it.next()?.parse().ok()?;
-                    if self.interval_ps == 0 {
-                        self.interval_ps = ps;
-                    } else if self.interval_ps != ps {
+                    one.interval_ps = it.next()?.parse().ok()?;
+                    if self.interval_ps != 0 && self.interval_ps != one.interval_ps {
                         return None;
                     }
                 }
                 "Q" => {
                     let key: (u8, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    let b = DevBin {
+                    *one.dev_bins.entry_or_default(key) = DevBin {
                         enters: it.next()?.parse().ok()?,
                         writes: it.next()?.parse().ok()?,
                         leaves: it.next()?.parse().ok()?,
                         depth_peak: it.next()?.parse().ok()?,
                         depth_sum: it.next()?.parse().ok()?,
                     };
-                    self.dev_bins.entry_or_default(key).add(&b);
                 }
                 "P" => {
                     let key: (u16, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    let b = TileBin {
+                    *one.tile_bins.entry_or_default(key) = TileBin {
                         issues: it.next()?.parse().ok()?,
                         serves: it.next()?.parse().ok()?,
                         serve_ps: it.next()?.parse().ok()?,
                     };
-                    self.tile_bins.entry_or_default(key).add(&b);
                 }
                 "G" => {
                     let bin: u64 = it.next()?.parse().ok()?;
                     let state = it.next()?.chars().next()?;
-                    let delta: i64 = it.next()?.parse().ok()?;
-                    *self.census.entry_or_default((bin, state)) += delta;
+                    *one.census.entry_or_default((bin, state)) = it.next()?.parse().ok()?;
                 }
                 "V" => {
                     let bin: u64 = it.next()?.parse().ok()?;
-                    let b = RateBin {
+                    *one.rates.entry_or_default(bin) = RateBin {
                         inv: it.next()?.parse().ok()?,
                         upd: it.next()?.parse().ok()?,
                         wb: it.next()?.parse().ok()?,
@@ -302,19 +300,16 @@ impl TelemetrySeries {
                         mc_miss: it.next()?.parse().ok()?,
                         hops: it.next()?.parse().ok()?,
                     };
-                    self.rates.entry_or_default(bin).add(&b);
                 }
                 "Z" => {
-                    let events: u64 = it.next()?.parse().ok()?;
-                    let end_ps: SimTime = it.next()?.parse().ok()?;
-                    self.events += events;
-                    self.end_ps = self.end_ps.max(end_ps);
+                    one.events = it.next()?.parse().ok()?;
+                    one.end_ps = it.next()?.parse().ok()?;
                 }
                 _ => return None,
             }
-            Some(())
+            it.next().is_none().then_some(())
         };
-        matches!(tag, "I" | "Q" | "P" | "G" | "V" | "Z") && parse().is_some()
+        parse().map(|()| self.merge(&one)).is_some()
     }
 
     /// Cumulative census per state at the end of each bin `0..=last_bin()`
@@ -611,6 +606,13 @@ mod tests {
             "V 5 1",
             "Z 9",
             "Z 9 x",
+            // One field too many, per tag.
+            "I 1000 1",
+            "Q 0 4 10 2 3 4 5 6",
+            "P 3 4 1 2 3 4",
+            "G 4 S 1 1",
+            "V 4 1 2 3 4 5 6 7 8",
+            "Z 9 99 1",
         ] {
             assert!(!s.parse_line(bad), "accepted: {bad}");
             assert_eq!(s, before, "half-merged: {bad}");

@@ -246,6 +246,11 @@ impl TraceEvent {
             let s = it.next()?;
             (s.len() == 1).then(|| s.chars().next().unwrap())
         };
+        // A two-valued field: exactly `yes` or `no`, anything else is malformed.
+        let flag = |it: &mut std::str::SplitAsciiWhitespace, yes: char, no: char| {
+            let c = ch(it)?;
+            (c == yes || c == no).then_some(c == yes)
+        };
         let kind = match tag {
             "iss" => EventKind::Issue { op: ch(&mut it)? },
             "srv" => EventKind::Serve {
@@ -266,7 +271,7 @@ impl TraceEvent {
             },
             "dev+" => EventKind::DevEnter {
                 dev: it.next()?.parse().ok()?,
-                write: ch(&mut it)? == 'w',
+                write: flag(&mut it, 'w', 'r')?,
                 depth: it.next()?.parse().ok()?,
             },
             "dev-" => EventKind::DevLeave {
@@ -274,7 +279,7 @@ impl TraceEvent {
             },
             "mc" => EventKind::Mcache {
                 edc: it.next()?.parse().ok()?,
-                hit: ch(&mut it)? == 'h',
+                hit: flag(&mut it, 'h', 'm')?,
             },
             "inv" => EventKind::Inv {
                 n: it.next()?.parse().ok()?,
@@ -285,11 +290,11 @@ impl TraceEvent {
             "wb" => EventKind::Writeback,
             "mk" => EventKind::Mark {
                 id: it.next()?.parse().ok()?,
-                start: ch(&mut it)? == 's',
+                start: flag(&mut it, 's', 'e')?,
             },
             _ => return None,
         };
-        Some(TraceEvent {
+        it.next().is_none().then_some(TraceEvent {
             time,
             thread,
             tile,
@@ -454,9 +459,27 @@ mod tests {
             let mut s = String::new();
             ev.write_line(&mut s);
             assert_eq!(TraceEvent::parse(s.trim_end()), Some(ev), "{s}");
+            let over_long = format!("{} junk", s.trim_end());
+            assert_eq!(TraceEvent::parse(&over_long), None, "{over_long}");
         }
-        assert_eq!(TraceEvent::parse("# comment"), None);
-        assert_eq!(TraceEvent::parse("E 1 2"), None);
+        let bad = [
+            "# comment",
+            "E 1 2",
+            "E 1 0 0 40 iss RW",
+            "E 1 0 0 40 srv W M 7",
+            "E 1 0 0 40 dir U E 3 x",
+            "E 1 0 0 40 hop q -4",
+            "E 1 0 0 40 dev+ 6 x 17",
+            "E 1 0 0 40 dev- 256",
+            "E 1 0 0 40 mc 2 z",
+            "E 1 0 0 40 inv",
+            "E 1 0 0 40 upd x",
+            "E 1 0 0 40 wb junk",
+            "E 1 0 0 40 mk 1 q",
+        ];
+        for line in bad {
+            assert_eq!(TraceEvent::parse(line), None, "{line:?}");
+        }
     }
 
     #[test]

@@ -91,7 +91,6 @@ pub fn simsort_programs(m: &Machine, spec: &SimSortSpec) -> Vec<Program> {
                 );
             }
             // Phase B: active while rank % 2^j == 0.
-            let mut done_stage = 0u32;
             for j in 1..=stages {
                 if rank % (1usize << j) != 0 {
                     break;
@@ -110,9 +109,7 @@ pub fn simsort_programs(m: &Machine, spec: &SimSortSpec) -> Vec<Program> {
                     (buf_b, buf_a)
                 };
                 push_memory_pass(&mut prog, src + my_off, dst + my_off, out_lines);
-                done_stage = j;
             }
-            let _ = done_stage;
             // Signal completion of all my active work.
             prog.push(Op::SetFlag {
                 addr: flags[rank],

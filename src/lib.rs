@@ -6,7 +6,7 @@
 //! - [`sim`]: the discrete-event KNL memory-system simulator
 //! - [`benchsuite`]: the capability benchmark suite (paper §III–V)
 //! - [`model`]: capability models + model-tuned algorithm optimizers (paper core)
-//! - [`collectives`]: host + simulated collective implementations and baselines
+//! - [`collectives`]: model-tuned and baseline collectives as simulator programs
 //! - [`sort`]: the bitonic merge sort case-study application
 
 pub use knl_arch as arch;
