@@ -12,6 +12,13 @@
 //!   [...] divided in two contiguous portions that are interleaved over the
 //!   MCDRAM and DDR of the cluster"; a quadrant's DDR range "is interleaved
 //!   among the three DDR channels of the closest DDR memory controller".
+//!
+//! Cost rule: the simulator pays for this module on every access that
+//! leaves a tile, so an access makes one [`AddressMap::resolve`] call and
+//! nothing on that call allocates (each cluster's EDC list is built once,
+//! in [`AddressMap::new`]). [`AddressMap::home_directory`] and
+//! [`AddressMap::mem_target`] are views of the same rule for tests and
+//! tools.
 
 use crate::cluster::ClusterMode;
 use crate::ids::{QuadrantId, TileId};
@@ -92,8 +99,11 @@ pub struct AddressMap {
     tiles_by_cluster: Vec<Vec<TileId>>,
     /// Quadrant of each EDC.
     edc_quadrant: [u8; NUM_EDCS],
-    /// Hemisphere (west=0/east=1) of each EDC.
-    edc_hemisphere: [u8; NUM_EDCS],
+    /// Cluster of each EDC in the current mode: its hemisphere
+    /// (west=0/east=1) for two clusters, its quadrant for four.
+    edc_cluster: [u8; NUM_EDCS],
+    /// EDCs of each cluster of the current mode, ascending.
+    edcs_by_cluster: Vec<Vec<u8>>,
     /// All active tiles (for the A2A hash).
     all_tiles: Vec<TileId>,
 }
@@ -154,6 +164,18 @@ impl AddressMap {
             edc_quadrant[e as usize] = topo.quadrant_of_pos(pos).0;
             edc_hemisphere[e as usize] = (pos.0 >= crate::topology::GRID_COLS / 2) as u8;
         }
+        let edc_cluster = match cluster_mode.num_clusters() {
+            2 => edc_hemisphere,
+            4 => edc_quadrant,
+            _ => [0; NUM_EDCS],
+        };
+        let edcs_by_cluster = (0..cluster_mode.num_clusters() as u8)
+            .map(|c| {
+                (0..NUM_EDCS as u8)
+                    .filter(|&e| edc_cluster[e as usize] == c)
+                    .collect()
+            })
+            .collect();
         let all_tiles = (0..topo.num_tiles() as u16).map(TileId).collect();
 
         AddressMap {
@@ -165,7 +187,8 @@ impl AddressMap {
             nodes,
             tiles_by_cluster,
             edc_quadrant,
-            edc_hemisphere,
+            edc_cluster,
+            edcs_by_cluster,
             all_tiles,
         }
     }
@@ -210,14 +233,43 @@ impl AddressMap {
         self.nodes.iter().find(|n| n.range.contains(&paddr))
     }
 
+    /// The NUMA node containing `paddr`, which must be addressable.
+    fn expect_node(&self, paddr: u64) -> &NumaNode {
+        self.node_of(paddr)
+            .unwrap_or_else(|| panic!("address {paddr:#x} outside addressable range"))
+    }
+
+    /// Home directory and backing memory device of the line containing
+    /// `paddr`, from one node lookup: the engine's one call per access.
+    ///
+    /// # Panics
+    /// Panics if the address is outside the addressable range.
+    pub fn resolve(&self, paddr: u64) -> (TileId, MemTarget) {
+        let node = self.expect_node(paddr);
+        let target = self.target_in(node, paddr);
+        let line = paddr >> LINE_SHIFT;
+        let h = splitmix64(line ^ 0xD1CE_D1CE);
+        let home = match self.cluster_mode {
+            ClusterMode::A2A => self.all_tiles[(h as usize) % self.all_tiles.len()],
+            _ => {
+                let cluster = self.home_cluster(node, paddr, target, h);
+                let tiles = &self.tiles_by_cluster[cluster as usize];
+                tiles[(h as usize >> 8) % tiles.len()]
+            }
+        };
+        (home, target)
+    }
+
     /// Resolve a physical address to its backing memory device.
     ///
     /// # Panics
     /// Panics if the address is outside the addressable range.
     pub fn mem_target(&self, paddr: u64) -> MemTarget {
-        let node = self
-            .node_of(paddr)
-            .unwrap_or_else(|| panic!("address {paddr:#x} outside addressable range"));
+        self.target_in(self.expect_node(paddr), paddr)
+    }
+
+    /// The device `paddr` interleaves to within its node.
+    fn target_in(&self, node: &NumaNode, paddr: u64) -> MemTarget {
         let line = paddr >> LINE_SHIFT;
         let h = splitmix64(line);
         match (node.kind, self.cluster_mode.num_clusters()) {
@@ -261,10 +313,15 @@ impl AddressMap {
     /// The MCDRAM cache is direct-mapped on physical addresses; the EDC is
     /// selected by line hash, within the cluster for SNC modes.
     pub fn mcdram_cache_edc(&self, paddr: u64) -> u8 {
+        let cluster = self.node_of(paddr).map_or(0, |n| n.cluster);
+        self.cache_edc_in(cluster, paddr)
+    }
+
+    /// [`Self::mcdram_cache_edc`] for a line whose node's cluster is known.
+    fn cache_edc_in(&self, cluster: u8, paddr: u64) -> u8 {
         let line = paddr >> LINE_SHIFT;
         let h = splitmix64(line ^ 0xC0FF_EE00);
         if self.cluster_mode.software_numa() {
-            let cluster = self.node_of(paddr).map(|n| n.cluster).unwrap_or(0);
             let edcs = self.edcs_for_cluster(cluster);
             edcs[(h as usize) % edcs.len()]
         } else {
@@ -274,28 +331,20 @@ impl AddressMap {
 
     /// The tile whose CHA is the home directory for the line containing
     /// `paddr` (§II-D, Fig. 3).
+    ///
+    /// # Panics
+    /// Panics if the address is outside the addressable range.
     pub fn home_directory(&self, paddr: u64) -> TileId {
-        let line = paddr >> LINE_SHIFT;
-        let h = splitmix64(line ^ 0xD1CE_D1CE);
-        match self.cluster_mode {
-            ClusterMode::A2A => self.all_tiles[(h as usize) % self.all_tiles.len()],
-            _ => {
-                let cluster = self.home_cluster(paddr, h);
-                let tiles = &self.tiles_by_cluster[cluster as usize];
-                tiles[(h as usize >> 8) % tiles.len()]
-            }
-        }
+        self.resolve(paddr).0
     }
 
     /// Cluster in which the line is homed: the cluster of the memory device
-    /// the line is fetched from.
-    fn home_cluster(&self, paddr: u64, h: u64) -> u8 {
+    /// the line is fetched from, `target` unless the memory-side cache
+    /// fronts all of memory.
+    fn home_cluster(&self, node: &NumaNode, paddr: u64, target: MemTarget, h: u64) -> u8 {
         let device_cluster = |t: MemTarget| -> u8 {
             match t {
-                MemTarget::Mcdram { edc } => match self.cluster_mode.num_clusters() {
-                    2 => self.edc_hemisphere[edc as usize],
-                    _ => self.edc_quadrant[edc as usize],
-                },
+                MemTarget::Mcdram { edc } => self.edc_cluster[edc as usize],
                 MemTarget::Ddr { imc, .. } => match self.cluster_mode.num_clusters() {
                     // Hemispheres follow the IMC side directly.
                     2 => imc,
@@ -307,10 +356,10 @@ impl AddressMap {
         };
         if self.memory_mode.has_mcdram_cache() && !self.memory_mode.has_flat_mcdram() {
             // Pure cache mode: lines are served from the MCDRAM cache EDC.
-            let edc = self.mcdram_cache_edc(paddr);
+            let edc = self.cache_edc_in(node.cluster, paddr);
             device_cluster(MemTarget::Mcdram { edc })
         } else {
-            device_cluster(self.mem_target(paddr))
+            device_cluster(target)
         }
     }
 
@@ -324,16 +373,8 @@ impl AddressMap {
     }
 
     /// EDCs belonging to a cluster.
-    fn edcs_for_cluster(&self, cluster: u8) -> Vec<u8> {
-        match self.cluster_mode.num_clusters() {
-            2 => (0..NUM_EDCS as u8)
-                .filter(|&e| self.edc_hemisphere[e as usize] == cluster)
-                .collect(),
-            4 => (0..NUM_EDCS as u8)
-                .filter(|&e| self.edc_quadrant[e as usize] == cluster)
-                .collect(),
-            _ => (0..NUM_EDCS as u8).collect(),
-        }
+    fn edcs_for_cluster(&self, cluster: u8) -> &[u8] {
+        &self.edcs_by_cluster[cluster as usize]
     }
 
     /// Quadrant of an EDC (used by the simulator for routing distances).
@@ -477,6 +518,24 @@ mod tests {
                 let h2 = m.home_directory(a);
                 assert_eq!(h1, h2);
                 assert!((h1.0 as usize) < 32);
+            }
+        }
+    }
+
+    #[test]
+    fn resolve_agrees_with_its_views() {
+        for cm in ClusterMode::ALL {
+            for mm in MemoryMode::CANONICAL {
+                let m = map(cm, mm);
+                let step = m.addressable_bytes() / 1021;
+                for i in 0..1021u64 {
+                    let a = (i * step) & !63;
+                    assert_eq!(
+                        m.resolve(a),
+                        (m.home_directory(a), m.mem_target(a)),
+                        "{cm:?} {mm:?} {a:#x}"
+                    );
+                }
             }
         }
     }

@@ -11,8 +11,10 @@
 //! `CoherenceChecker` fires too. Exit status is non-zero on any violation,
 //! surviving mutant, failed replay, or cross-protocol divergence.
 
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::exit;
+use std::str::FromStr;
 
 use crate::flags::{self, Arg, Flag, Stop};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
@@ -38,8 +40,14 @@ struct Args {
     depth: usize,
 }
 
-/// Numeric rows parse into their field's own type, so a value the field
-/// cannot hold is rejected here instead of wrapping into a legal one.
+/// Parse a bound into its field's own type and hold it to the range the
+/// flag documents: a value the field cannot hold is rejected instead of
+/// wrapping into a legal one, and one the sweep would refuse is a usage
+/// error (exit 2), not a failed check (exit 1).
+fn bounded<T: FromStr + PartialOrd>(v: &str, range: RangeInclusive<T>) -> Option<T> {
+    v.parse().ok().filter(|n| range.contains(n))
+}
+
 const FLAGS: &[Flag<Args>] = &[
     Flag {
         names: &["--protocol"],
@@ -58,16 +66,16 @@ const FLAGS: &[Flag<Args>] = &[
     Flag {
         names: &["--caches"],
         env: None,
-        arg: Arg::Value("N"),
-        help: "tile caches in the bounded system, 2..=4 (default 3)",
-        set: |a, v| v.parse().ok().map(|n| a.mc.caches = n),
+        arg: Arg::Value("2..=4"),
+        help: "tile caches in the bounded system (default 3)",
+        set: |a, v| bounded(v, 2..=4).map(|n| a.mc.caches = n),
     },
     Flag {
         names: &["--lines"],
         env: None,
-        arg: Arg::Value("N"),
-        help: "directory lines, 1..=4 (default 2)",
-        set: |a, v| v.parse().ok().map(|n| a.mc.lines = n),
+        arg: Arg::Value("1..=4"),
+        help: "directory lines (default 2)",
+        set: |a, v| bounded(v, 1..=4).map(|n| a.mc.lines = n),
     },
     Flag {
         names: &["--max-states"],
@@ -109,9 +117,9 @@ const FLAGS: &[Flag<Args>] = &[
     Flag {
         names: &["--depth"],
         env: None,
-        arg: Arg::Value("D"),
-        help: "equivalence sweep depth, 1..=8 (default 6)",
-        set: |a, v| v.parse().ok().map(|n| a.depth = n),
+        arg: Arg::Value("1..=8"),
+        help: "equivalence sweep depth (default 6)",
+        set: |a, v| bounded(v, 1..=8).map(|n| a.depth = n),
     },
 ];
 
@@ -321,7 +329,8 @@ mod tests {
 
     #[test]
     fn numbers_that_do_not_fit_their_field_are_errors_not_wraps() {
-        let bad = "--caches 65539 | --lines 258 | --caches x | --depth | --protocol=firefly";
+        let bad = "--caches 65539 | --lines 258 | --caches x | --depth | --protocol=firefly \
+                   | --caches 0 | --caches 5 | --lines 0 | --lines 99 | --depth 0 | --depth 9";
         for args in bad.split('|') {
             let Err(Stop::Bad(msg)) = parse(args) else {
                 panic!("{args:?} must be rejected");

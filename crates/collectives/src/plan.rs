@@ -77,8 +77,8 @@ pub struct RankPlan {
 }
 
 impl RankPlan {
-    /// Flat mapping: tree node BFS id == rank (host collectives; also used
-    /// in the simulator when there is exactly one thread per tile).
+    /// Flat mapping: tree node BFS id == rank (a tree that spans every
+    /// rank, as the binomial baselines do, or one thread per tile).
     pub fn direct(tree: &Tree) -> Self {
         let parent = tree.bfs_parents();
         let children = tree.bfs_children();

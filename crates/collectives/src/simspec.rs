@@ -1,9 +1,9 @@
 //! Simulator program builders for the collectives (regenerates the
 //! measured series of Figs. 6–8 on the simulated KNL).
 //!
-//! Every algorithm is expressed with coherent flag lines exactly as the
-//! host implementations do it; the simulator charges real MESIF costs for
-//! the polling, invalidation, and contention each design implies.
+//! Every algorithm synchronises through coherent flag lines and nothing
+//! else; the simulator charges real MESIF costs for the polling,
+//! invalidation, and contention each design implies.
 //!
 //! Baseline fidelity knobs: the MPI-like baselines pay a per-message
 //! software overhead (matching, queueing — [`MPI_MSG_OVERHEAD_NS`]) and a

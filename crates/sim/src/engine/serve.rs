@@ -119,7 +119,7 @@ impl Machine {
         }
 
         // Remote path: requester -> home CHA.
-        let home = self.map.home_directory(addr);
+        let (home, target) = self.map.resolve(addr);
         let req_pos = self.topo.tile_position(tile);
         let home_pos = self.topo.tile_position(home);
         let t_req = self
@@ -185,7 +185,7 @@ impl Machine {
                 },
             }
         } else {
-            let (ready, served_by) = self.memory_read(addr, line, home_pos, t_svc);
+            let (ready, served_by) = self.memory_read(target, addr, line, home_pos, t_svc);
             let served_pos = self.served_pos(served_by);
             let complete = self.mesh.traverse(served_pos, req_pos, ready + t.inject_ps) + t.fill_ps;
             let grant = self
@@ -269,7 +269,7 @@ impl Machine {
         }
 
         // RFO through the home directory.
-        let home = self.map.home_directory(addr);
+        let (home, target) = self.map.resolve(addr);
         let req_pos = self.topo.tile_position(tile);
         let home_pos = self.topo.tile_position(home);
         let t_req = self
@@ -320,7 +320,7 @@ impl Machine {
             let ready = self.mesh.traverse(home_pos, req_pos, t_svc + t.inject_ps);
             (ready, ServedBy::TileL2(tile_state))
         } else {
-            let (ready, served) = self.memory_read(addr, line, home_pos, t_svc);
+            let (ready, served) = self.memory_read(target, addr, line, home_pos, t_svc);
             let served_pos = self.served_pos(served);
             let ready = self.mesh.traverse(served_pos, req_pos, ready + t.inject_ps);
             self.hub
@@ -410,18 +410,19 @@ impl Machine {
     // Memory paths
     // ------------------------------------------------------------------
 
-    /// Read `line` from memory; `from_pos` is where the request departs
-    /// (home CHA). Returns (data-ready-at-device time, provenance).
+    /// Read `line` from memory, whose backing device the caller's
+    /// `resolve` found to be `target`; `from_pos` is where the request
+    /// departs (home CHA). Returns (data-ready-at-device time, provenance).
     pub(crate) fn memory_read(
         &mut self,
+        target: MemTarget,
         addr: u64,
         line: u64,
         from_pos: (i32, i32),
         t0: SimTime,
     ) -> (SimTime, ServedBy) {
         let t = self.cfg.timing.clone();
-        let in_ddr = matches!(self.map.mem_target(addr), MemTarget::Ddr { .. });
-        if self.mcache.enabled() && in_ddr {
+        if self.mcache.enabled() && !target.is_mcdram() {
             // Memory-side cache flow.
             let edc = self.map.mcdram_cache_edc(addr);
             let edc_pos = self.topo.edc_position(edc);
@@ -444,7 +445,6 @@ impl Machine {
                 outcome => {
                     self.counters.mcache_misses += 1;
                     self.counters.ddr_accesses += 1;
-                    let target = self.map.mem_target(addr);
                     let ddr_pos = self.ddr_pos(target);
                     let at_ddr = self.mesh.traverse(edc_pos, ddr_pos, arrive + t.inject_ps);
                     let ddr_dev = target.device_index();
@@ -488,7 +488,6 @@ impl Machine {
                 }
             }
         } else {
-            let target = self.map.mem_target(addr);
             let pos = self.target_pos(target);
             let arrive = self.mesh.traverse(from_pos, pos, t0 + t.inject_ps);
             let dev = target.device_index();
@@ -515,8 +514,8 @@ impl Machine {
         t0: SimTime,
     ) -> SimTime {
         let t = self.cfg.timing.clone();
-        let in_ddr = matches!(self.map.mem_target(addr), MemTarget::Ddr { .. });
-        if self.mcache.enabled() && in_ddr {
+        let target = self.map.mem_target(addr);
+        if self.mcache.enabled() && !target.is_mcdram() {
             // Write-backs and NT stores land in the MCDRAM cache directly.
             let edc = self.map.mcdram_cache_edc(addr);
             let edc_pos = self.topo.edc_position(edc);
@@ -564,7 +563,6 @@ impl Machine {
                 }
             }
         } else {
-            let target = self.map.mem_target(addr);
             let pos = self.target_pos(target);
             let arrive = self.mesh.traverse(from_pos, pos, t0 + t.inject_ps);
             let dev = target.device_index();

@@ -238,13 +238,13 @@ impl Machine {
         // throttles the stream (and slice deadlines stay meaningful).
         state.last_issue = state.last_issue.max(gated);
         let line = addr >> LINE_SHIFT;
-        let home = self.map.home_directory(addr);
+        let (home, target) = self.map.resolve(addr);
         let home_pos = self.topo.tile_position(home);
         let t_svc =
             self.mesh
                 .traverse(req_pos, home_pos, gated + t.l2_miss_detect_ps + t.inject_ps)
                 + t.cha_lookup_ps;
-        let (ready, served) = self.memory_read(addr, line, home_pos, t_svc);
+        let (ready, served) = self.memory_read(target, addr, line, home_pos, t_svc);
         let served_pos = self.served_pos(served);
         let complete = self.mesh.traverse(served_pos, req_pos, ready + t.inject_ps) + t.fill_ps;
         let complete = gated + self.jitter(complete - gated, line);

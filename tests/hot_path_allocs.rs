@@ -1,0 +1,108 @@
+//! The access path does not allocate.
+//!
+//! Address resolution is once per access and table-driven
+//! (`AddressMap::resolve`); what a stream or a buffer copy may still take
+//! from the heap is the MLP rings and the doublings of the `LineMap`s
+//! behind the directory and the memory-side cache — a few dozen
+//! allocations however long it runs, never one per line.
+//!
+//! This file is its own test binary with a single `#[test]`, so no sibling
+//! test allocates inside a counting window, and it holds the workspace's
+//! only `unsafe impl`: the counting `#[global_allocator]` below, which
+//! forwards every call to `System` unchanged.
+
+use knl::arch::{ClusterMode, CoreId, HybridSplit, MachineConfig, MemoryMode, NumaKind};
+use knl::sim::machine::StreamState;
+use knl::sim::{LineState, Machine, StreamKind};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: both methods hand their arguments to `System` untouched, so its
+// `GlobalAlloc` contract is this allocator's; the counter publishes nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Heap allocations (reallocations included) `f` performs.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+fn triad_allocs(cfg: &MachineConfig, kind: NumaKind, lines: u64) -> u64 {
+    let mut m = Machine::new(cfg.clone());
+    let mut arena = m.arena();
+    let [a, b, c] = [(); 3].map(|()| arena.alloc(kind, lines * 64));
+    let mut state = StreamState::default();
+    allocs_in(|| {
+        let (_, done) = m.stream_chunk(
+            CoreId(0),
+            StreamKind::Triad,
+            a,
+            b,
+            c,
+            0,
+            lines,
+            true,
+            &mut state,
+            0,
+            u64::MAX,
+        );
+        assert_eq!(done, lines);
+    })
+}
+
+fn copy_allocs(cfg: &MachineConfig, kind: NumaKind) -> u64 {
+    const BYTES: u64 = 64 * 1024;
+    let mut m = Machine::new(cfg.clone());
+    let mut arena = m.arena();
+    let src = arena.alloc(kind, BYTES);
+    let dst = arena.alloc(kind, BYTES);
+    // The source sits modified in another tile: remote-cache reads, then
+    // RFOs served from memory.
+    for l in 0..BYTES / 64 {
+        m.prepare_line(CoreId(20), src + l * 64, LineState::Modified);
+    }
+    allocs_in(|| {
+        m.copy_buf(CoreId(0), src, dst, BYTES, true, 0);
+    })
+}
+
+#[test]
+fn streams_and_copies_allocate_a_constant_not_per_line() {
+    let flat = MemoryMode::Flat;
+    let hybrid = MemoryMode::Hybrid(HybridSplit::Half);
+    for (cluster, memory, kind) in [
+        (ClusterMode::Snc4, flat, NumaKind::Mcdram),
+        (ClusterMode::Snc4, flat, NumaKind::Ddr),
+        (ClusterMode::Snc4, MemoryMode::Cache, NumaKind::Ddr),
+        (ClusterMode::Snc2, hybrid, NumaKind::Mcdram),
+        (ClusterMode::Quadrant, flat, NumaKind::Mcdram),
+    ] {
+        let cfg = MachineConfig::knl7210(cluster, memory);
+        let label = format!("{} {kind:?}", cfg.label());
+        let short = triad_allocs(&cfg, kind, 10_000);
+        let long = triad_allocs(&cfg, kind, 40_000);
+        let copy = copy_allocs(&cfg, kind);
+        assert!(short < 64, "{label}: triad of 10 000 lines, {short} allocs");
+        assert!(
+            long <= short + 8,
+            "{label}: triad of 40 000 lines, {long} allocs against {short}"
+        );
+        assert!(copy < 64, "{label}: 64 KiB copy, {copy} allocs");
+    }
+}
