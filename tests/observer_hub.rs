@@ -4,13 +4,17 @@
 //! times, per-iteration durations, hardware counters, and (across `--jobs`
 //! worker counts) the merged trace bytes are compared against the empty-hub
 //! run — and what they write is pinned byte-for-byte in
-//! `tests/golden/observed_transfer.txt`.
+//! `tests/golden/observed_transfer.txt` (one ping-ponged line, every event
+//! kind) and `tests/golden/observed_stream.txt` (streams: many bins, many
+//! lines, a reset in the middle).
 
-use knl::arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, ProtocolKind};
-use knl::benchsuite::{pointer_chase, SweepExecutor};
+use knl::arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, ProtocolKind, Schedule};
+use knl::benchsuite::cachebw::copy_bandwidth;
+use knl::benchsuite::membw::{bandwidth_sample, Target};
+use knl::benchsuite::{pointer_chase, SuiteParams, SweepExecutor};
 use knl::sim::{
-    AnalyzeLevel, CheckLevel, Counters, Machine, ObserverConfig, Runner, TelemetryConfig,
-    TraceLevel,
+    AnalyzeLevel, CheckLevel, Counters, LineState, Machine, ObserverConfig, Runner, StreamKind,
+    TelemetryConfig, TraceLevel,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -138,9 +142,17 @@ fn observed_bytes_match_golden() {
         writeln!(got, "# telemetry").unwrap();
         got.push_str(&run.telemetry.expect("telemetry is on"));
     }
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/observed_transfer.txt");
+    assert_golden("observed_transfer.txt", &got);
+}
+
+/// Compare `got` with `tests/golden/<name>` byte for byte, or write it
+/// there under `KNL_UPDATE_GOLDEN`.
+fn assert_golden(name: &str, got: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).unwrap();
+        std::fs::write(&path, got).unwrap();
         eprintln!("updated {}", path.display());
         return;
     }
@@ -151,7 +163,106 @@ fn observed_bytes_match_golden() {
         )
     });
     for (n, (got, want)) in got.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "observed bytes drifted at line {}", n + 1);
+        assert_eq!(
+            got,
+            want,
+            "{name}: observed bytes drifted at line {}",
+            n + 1
+        );
     }
-    assert_eq!(got.len(), golden.len(), "observed bytes drifted in length");
+    assert_eq!(
+        got.len(),
+        golden.len(),
+        "{name}: observed bytes drifted in length"
+    );
+}
+
+#[test]
+fn observed_stream_bytes_match_golden() {
+    // The transfer golden ping-pongs one line inside one trace bin, so it
+    // never has more hot lines than the serialized top-N, more than a few
+    // telemetry bins, or a reset. This one streams: an 8-thread triad, a
+    // `reset_caches`, then four cache-to-cache buffer copies with a reset
+    // after each, under a `Summary` trace and a 1 µs sampler — hundreds of
+    // distinct lines with tied counts (the `L` cut and its tie-break),
+    // dozens of bins per tile and device, clocks that start over between
+    // the two workloads, the resets' compensating `G` deltas, and `V` rows
+    // with and without the memory-side cache.
+    let oc = ObserverConfig::default()
+        .check(CheckLevel::Invariants)
+        .trace(TraceLevel::Summary)
+        .telemetry(TelemetryConfig::every(1_000_000));
+    let mut params = SuiteParams::quick();
+    params.iters = 3;
+    params.mem_lines_per_thread = 96;
+    params.mem_pool_buffers = 2;
+    let mut got = String::new();
+    for (cfg, target) in [
+        (
+            MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Flat),
+            Target::Mcdram,
+        ),
+        // Plain DDR buffers behind the memory-side cache (`Target::CacheMode`
+        // would first stream a pool 2.5x the cache).
+        (
+            MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Cache),
+            Target::Ddr,
+        ),
+    ] {
+        let mut m = Machine::with_observer_config(cfg.clone(), oc);
+        let sched = Schedule::FillTiles;
+        let triad = bandwidth_sample(&mut m, StreamKind::Triad, target, 8, sched, &params);
+        m.reset_caches();
+        let (owner, reader, helper) = (CoreId(8), CoreId(0), CoreId(16));
+        let copy = copy_bandwidth(&mut m, owner, reader, helper, LineState::Shared, 8192, 3);
+        // Sixteen of those lines once more, so the top 32 mix two counts.
+        let again = copy_bandwidth(&mut m, owner, reader, helper, LineState::Modified, 1024, 1);
+        m.finish_check();
+        let (mut trace, mut telemetry) = (String::new(), String::new());
+        m.take_tracer()
+            .expect("tracing is on")
+            .serialize_into(&mut trace);
+        m.take_telemetry()
+            .expect("telemetry is on")
+            .serialize_into(&mut telemetry);
+
+        // The golden pins what this test is for only while the workload
+        // still has these properties.
+        let hot: Vec<u64> = trace
+            .lines()
+            .filter_map(|l| l.strip_prefix("L "))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(hot.len(), 32, "the hot-line section is cut at the top 32");
+        assert!(hot[0] > hot[31], "the top 32 mix counts");
+        assert_eq!(hot[31], hot[30], "the cut falls inside a run of ties");
+        let last_bin = telemetry
+            .lines()
+            .filter_map(|l| l.strip_prefix("P "))
+            .map(|l| l.split(' ').nth(1).unwrap().parse::<u64>().unwrap())
+            .max()
+            .expect("tile rows");
+        assert!(last_bin >= 20, "only {last_bin} telemetry bins crossed");
+        let census: Vec<i64> = telemetry
+            .lines()
+            .filter_map(|l| l.strip_prefix("G "))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert!(census.iter().any(|&d| d > 0), "no line was ever cached");
+        assert_eq!(
+            census.iter().sum::<i64>(),
+            0,
+            "the resets' compensating deltas return every line to Uncached"
+        );
+
+        writeln!(got, "## {} {}", cfg.label(), target.label()).unwrap();
+        writeln!(got, "triad {:?}", triad.values()).unwrap();
+        writeln!(got, "copy {:?} {:?}", copy.values(), again.values()).unwrap();
+        writeln!(got, "{:?}", m.counters()).unwrap();
+        writeln!(got, "# trace").unwrap();
+        got.push_str(&trace);
+        writeln!(got, "# telemetry").unwrap();
+        got.push_str(&telemetry);
+    }
+    assert_golden("observed_stream.txt", &got);
 }
