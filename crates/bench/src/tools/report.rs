@@ -366,5 +366,8 @@ mod tests {
         assert_eq!(parse_series(cut).unwrap_err(), (9, 0));
         let bad_job = cut.replace("# job 1", "# job x");
         assert_eq!(parse_series(&bad_job).unwrap_err(), (6, 1));
+        // A section sampled at another interval: its bins are not these bins.
+        let mixed = text.replacen("# job 1\nI 1000", "# job 1\nI 2000", 1);
+        assert_eq!(parse_series(&mixed).unwrap_err(), (7, 0));
     }
 }

@@ -214,17 +214,24 @@ impl ObserverHub {
         self.events
     }
 
-    /// Detach and return the tracer (sweep drivers serialize it per job).
+    /// Detach and return the tracer, its open bin closed (sweep drivers
+    /// serialize it per job).
     pub(crate) fn take_tracer(&mut self) -> Option<Box<Tracer>> {
-        let tracer = self.tracer.take();
+        let mut tracer = self.tracer.take();
         self.events = self.checker.is_some() || self.telemetry.is_some();
+        if let Some(t) = tracer.as_deref_mut() {
+            t.close_bin();
+        }
         tracer
     }
 
-    /// Detach and return the telemetry sampler.
+    /// Detach and return the telemetry sampler, its open bin closed.
     pub(crate) fn take_telemetry(&mut self) -> Option<Box<TelemetrySampler>> {
-        let telemetry = self.telemetry.take();
+        let mut telemetry = self.telemetry.take();
         self.events = self.checker.is_some() || self.tracer.is_some();
+        if let Some(s) = telemetry.as_deref_mut() {
+            s.close_bin();
+        }
         telemetry
     }
 

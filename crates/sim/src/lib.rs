@@ -28,6 +28,8 @@ pub mod cache;
 pub mod counters;
 pub mod directory;
 pub mod engine;
+#[cfg(test)]
+mod fold_oracle;
 pub mod fuzz;
 pub mod fxmap;
 pub mod invariants;

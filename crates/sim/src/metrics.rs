@@ -20,16 +20,27 @@
 //! re-aggregated by `knl trace` in any grouping with identical results.
 //!
 //! The keyed aggregates are [`SortedVecMap`]s — iteration order identical
-//! to the `BTreeMap`s they replaced, but with dense binary-search lookups
-//! on the per-event record path (DESIGN.md §6). The exception is
-//! [`Metrics::hot_lines`]: its keyspace is one entry per distinct line, so
-//! it stays a `BTreeMap` (a sorted vec would shift the tail on every new
-//! line of a streaming workload).
+//! to the `BTreeMap`s they replaced (DESIGN.md §6). `Metrics` is plain
+//! sparse data: what makes the per-event fold cheap lives beside it. The
+//! per-tile and per-device maps (totals and the two binned series) are not
+//! searched per event; `Metrics::fold` counts the current [`BIN_PS`] bin
+//! in an `OpenBin` of dense rows the caller keeps (the
+//! [`crate::trace::Tracer`] does) and `OpenBin::close_into` adds the
+//! touched cells to the maps when an event lands in another bin and before
+//! anything reads them.
+//!
+//! The exception is [`Metrics::hot_lines`], whose keyspace is one entry
+//! per distinct line: a [`HotLines`] profile, exact and paged. A page is
+//! eight consecutive lines' counts — one host cache line — found
+//! through a [`LineMap`] from page number to its row in one `Vec`, with
+//! the last page memoized for streams. A stream pays one table insert per
+//! eight lines; a profile of scattered lines spends at most eight counts
+//! per touched line, the price of the page.
 
-use crate::svmap::SortedVecMap;
+use crate::fxmap::LineMap;
+use crate::svmap::{BinWindow, OpenRow, SortedVecMap};
 use crate::trace::{EventKind, TraceEvent};
 use crate::SimTime;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Width of one activity time bin (100 µs of sim time).
@@ -172,6 +183,160 @@ impl DevStat {
     }
 }
 
+/// log₂ of [`PAGE_LINES`].
+const PAGE_SHIFT: u32 = 3;
+
+/// Lines per [`HotLines`] page: eight `u64` counts, one host cache line.
+const PAGE_LINES: usize = 1 << PAGE_SHIFT;
+
+/// Exact per-line access counts, paged (see the module docs). Every line
+/// it holds has a count of at least 1.
+#[derive(Debug, Clone, Default)]
+pub struct HotLines {
+    /// Page number (`line >> PAGE_SHIFT`) → offset of its row in `counts`.
+    pages: LineMap<usize>,
+    /// Rows of [`PAGE_LINES`] counts, in page-creation order.
+    counts: Vec<u64>,
+    /// The page of the last [`HotLines::add`] and its row offset.
+    last: Option<(u64, usize)>,
+}
+
+impl HotLines {
+    /// Count `n` more accesses to `line` (`n` ≥ 1).
+    #[inline]
+    pub fn add(&mut self, line: u64, n: u64) {
+        debug_assert!(n > 0, "a held line has a count");
+        let page = line >> PAGE_SHIFT;
+        let row = match self.last {
+            Some((p, row)) if p == page => row,
+            _ => {
+                let row = self.row_of(page);
+                self.last = Some((page, row));
+                row
+            }
+        };
+        self.counts[row + (line as usize & (PAGE_LINES - 1))] += n;
+    }
+
+    /// Row offset of `page`, appended zeroed on first touch.
+    fn row_of(&mut self, page: u64) -> usize {
+        if let Some(&row) = self.pages.get(page) {
+            return row;
+        }
+        let row = self.counts.len();
+        self.counts.resize(row + PAGE_LINES, 0);
+        self.pages.insert(page, row);
+        row
+    }
+
+    /// The count of `line` (0 when it was never counted).
+    pub fn get(&self, line: u64) -> u64 {
+        self.pages.get(line >> PAGE_SHIFT).map_or(0, |&row| {
+            self.counts[row + (line as usize & (PAGE_LINES - 1))]
+        })
+    }
+
+    /// Every `(line, count)`, in ascending line order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.pages.sorted_keys().into_iter().flat_map(move |page| {
+            let row = *self.pages.get(page).expect("a listed page has a row");
+            self.counts[row..row + PAGE_LINES]
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(move |(i, &n)| (page << PAGE_SHIFT | i as u64, n))
+        })
+    }
+
+    /// The `top` hottest lines, sorted by (count desc, line asc): one pass
+    /// that keeps the best `top` seen so far. Lines arrive in ascending
+    /// order, so a line displaces the current worst only with a strictly
+    /// greater count, and joins behind the lines of its own count.
+    pub fn top(&self, top: usize) -> Vec<(u64, u64)> {
+        let mut best: Vec<(u64, u64)> = Vec::new();
+        if top == 0 {
+            return best;
+        }
+        for (line, n) in self.iter() {
+            if best.len() == top {
+                if n <= best[top - 1].1 {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|&(_, m)| m >= n);
+            best.insert(at, (line, n));
+        }
+        best
+    }
+}
+
+/// Equal when they hold the same lines with the same counts, whatever the
+/// order they were counted in.
+impl PartialEq for HotLines {
+    fn eq(&self, o: &HotLines) -> bool {
+        self.iter().eq(o.iter())
+    }
+}
+
+impl Eq for HotLines {}
+
+/// The [`BIN_PS`] bin a [`Metrics`] fold is counting in, as dense rows:
+/// what each tile was served and each device took in since the bin opened.
+/// A cell is the bin's own count (`serves`, `reads + writes`) and the
+/// bin's share of the per-tile and per-device totals at once. Lives with
+/// whoever folds the events, not in `Metrics`.
+#[derive(Debug, Clone)]
+pub(crate) struct OpenBin {
+    window: BinWindow,
+    tiles: OpenRow<TileStat>,
+    devs: OpenRow<DevStat>,
+}
+
+impl Default for OpenBin {
+    fn default() -> Self {
+        OpenBin {
+            window: BinWindow::new(BIN_PS),
+            tiles: OpenRow::default(),
+            devs: OpenRow::default(),
+        }
+    }
+}
+
+impl OpenBin {
+    /// Whether [`OpenBin::close_into`] would add nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.tiles.is_empty() && self.devs.is_empty()
+    }
+
+    /// The open bin, moved (and the previous one closed into `m`) if
+    /// `time` is not in it.
+    #[inline]
+    fn at(&mut self, time: SimTime, m: &mut Metrics) -> &mut OpenBin {
+        if !self.window.holds(time) {
+            self.close_into(m);
+            self.window.move_to(time);
+        }
+        self
+    }
+
+    /// Add the open bin's touched cells to `m`'s per-tile and per-device
+    /// totals and binned series.
+    pub(crate) fn close_into(&mut self, m: &mut Metrics) {
+        let bin = self.window.index();
+        self.tiles.drain(|tile, t| {
+            let tile = tile as u16;
+            m.tiles.entry_or_default(tile).add(&t);
+            *m.tile_bins.entry_or_default((tile, bin)) += t.serves;
+        });
+        self.devs.drain(|dev, d| {
+            let dev = dev as u8;
+            m.devices.entry_or_default(dev).add(&d);
+            *m.dev_bins.entry_or_default((dev, bin)) += d.reads + d.writes;
+        });
+    }
+}
+
 /// Aggregated, mergeable trace metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
@@ -188,9 +353,7 @@ pub struct Metrics {
     /// Directory transitions by (from, to) state tag.
     pub dir_transitions: SortedVecMap<(char, char), u64>,
     /// Exact per-line access counts (pruned to a top-N on serialize).
-    /// Deliberately still a `BTreeMap`: one key per distinct line makes
-    /// this the lone unbounded, insert-heavy keyspace here.
-    pub hot_lines: BTreeMap<u64, u64>,
+    pub hot_lines: HotLines,
     /// Requests that left a tile for the home CHA.
     pub issues: u64,
     /// Invalidation messages.
@@ -212,8 +375,19 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fold one event into the aggregates.
+    /// Fold one event into the aggregates, on its own: the event's bin is
+    /// opened and closed around it. A [`crate::trace::Tracer`] keeps the
+    /// bin open from event to event instead.
     pub fn record(&mut self, ev: &TraceEvent) {
+        let mut open = OpenBin::default();
+        self.fold(ev, &mut open);
+        open.close_into(self);
+    }
+
+    /// Fold one event into the aggregates; what it adds per tile and per
+    /// device (totals and binned series) is counted in `open`, which the
+    /// caller closes into `self` before reading them.
+    pub(crate) fn fold(&mut self, ev: &TraceEvent, open: &mut OpenBin) {
         self.events += 1;
         self.end_time = self.end_time.max(ev.time);
         match ev.kind {
@@ -225,7 +399,7 @@ impl Metrics {
                 ..
             } => {
                 self.hist.entry_or_default((src, hops)).add(latency_ps);
-                let t = self.tiles.entry_or_default(ev.tile);
+                let t = open.at(ev.time, self).tiles.cell(usize::from(ev.tile));
                 t.serves += 1;
                 match src {
                     'L' => t.l1 += 1,
@@ -234,15 +408,14 @@ impl Metrics {
                     'H' => t.mcache += 1,
                     _ => t.mem += 1,
                 }
-                *self.tile_bins.entry_or_default((ev.tile, ev.time / BIN_PS)) += 1;
-                *self.hot_lines.entry(ev.line).or_default() += 1;
+                self.hot_lines.add(ev.line, 1);
             }
             EventKind::Dir { from, to, .. } => {
                 *self.dir_transitions.entry_or_default((from, to)) += 1;
             }
             EventKind::Hop { hops, .. } => self.mesh_hops += hops as u64,
             EventKind::DevEnter { dev, write, depth } => {
-                let d = self.devices.entry_or_default(dev);
+                let d = open.at(ev.time, self).devs.cell(usize::from(dev));
                 if write {
                     d.writes += 1;
                 } else {
@@ -250,7 +423,6 @@ impl Metrics {
                 }
                 d.depth_peak = d.depth_peak.max(depth);
                 d.depth_sum += depth as u64;
-                *self.dev_bins.entry_or_default((dev, ev.time / BIN_PS)) += 1;
             }
             EventKind::DevLeave { .. } => {}
             EventKind::Mcache { hit, .. } => {
@@ -287,8 +459,8 @@ impl Metrics {
         for (k, n) in &o.dir_transitions {
             *self.dir_transitions.entry_or_default(*k) += n;
         }
-        for (k, n) in &o.hot_lines {
-            *self.hot_lines.entry(*k).or_default() += n;
+        for (line, n) in o.hot_lines.iter() {
+            self.hot_lines.add(line, n);
         }
         self.issues += o.issues;
         self.invalidations += o.invalidations;
@@ -303,10 +475,7 @@ impl Metrics {
 
     /// Hot lines sorted by (count desc, line asc), truncated to `top`.
     pub fn top_lines(&self, top: usize) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.hot_lines.iter().map(|(&l, &n)| (l, n)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(top);
-        v
+        self.hot_lines.top(top)
     }
 
     /// Serialize as deterministic metric lines (see the format note in
@@ -314,6 +483,12 @@ impl Metrics {
     /// device bins, `U` tile bins, `X` directory transitions, `L` hot
     /// lines (top [`HOT_LINES_TOP`]), `C` scalar counters, `Z` trailer.
     pub fn serialize_into(&self, out: &mut String) {
+        self.serialize_with(&self.top_lines(HOT_LINES_TOP), out);
+    }
+
+    /// [`Metrics::serialize_into`] with the `L` rows handed in (the fold
+    /// oracle keeps its own line profile).
+    pub(crate) fn serialize_with(&self, hot_lines: &[(u64, u64)], out: &mut String) {
         for ((src, hops), h) in &self.hist {
             let _ = write!(
                 out,
@@ -352,7 +527,7 @@ impl Metrics {
         for ((from, to), n) in &self.dir_transitions {
             let _ = writeln!(out, "X {from} {to} {n}");
         }
-        for (line, n) in self.top_lines(HOT_LINES_TOP) {
+        for (line, n) in hot_lines {
             let _ = writeln!(out, "L {line:x} {n}");
         }
         let _ = writeln!(out, "C issues {}", self.issues);
@@ -367,7 +542,8 @@ impl Metrics {
 
     /// Parse one metric line, merging it into `self`. Returns `false` for
     /// lines that are not metric lines (events, comments, garbage, a line
-    /// with a missing, malformed or extra field) and then leaves `self`
+    /// with a missing, malformed or extra field, a `B`, `U` or `L` count of
+    /// zero) and then leaves `self`
     /// untouched: the line is parsed into a one-line `Metrics` of its own
     /// and merged only once every field is in and none is left over.
     pub fn parse_line(&mut self, line: &str) -> bool {
@@ -376,6 +552,9 @@ impl Metrics {
             return false;
         };
         let mut one = Metrics::default();
+        // A binned or per-line count: a cell exists because something was
+        // counted in it, so no writer emits a zero.
+        let count = |field: &str| field.parse().ok().filter(|&n: &u64| n > 0);
         let mut parse = || -> Option<()> {
             match tag {
                 "H" => {
@@ -419,11 +598,11 @@ impl Metrics {
                 }
                 "B" => {
                     let key: (u8, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    *one.dev_bins.entry_or_default(key) = it.next()?.parse().ok()?;
+                    *one.dev_bins.entry_or_default(key) = count(it.next()?)?;
                 }
                 "U" => {
                     let key: (u16, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    *one.tile_bins.entry_or_default(key) = it.next()?.parse().ok()?;
+                    *one.tile_bins.entry_or_default(key) = count(it.next()?)?;
                 }
                 "X" => {
                     let key = (it.next()?.chars().next()?, it.next()?.chars().next()?);
@@ -431,7 +610,7 @@ impl Metrics {
                 }
                 "L" => {
                     let l = u64::from_str_radix(it.next()?, 16).ok()?;
-                    one.hot_lines.insert(l, it.next()?.parse().ok()?);
+                    one.hot_lines.add(l, count(it.next()?)?);
                 }
                 "C" => {
                     let field = it.next()?;
@@ -647,7 +826,7 @@ mod tests {
         assert!((h.mean_ns() - 110.0).abs() < 1e-9);
         assert_eq!(m.hist.len(), 2);
         assert_eq!(m.tiles[&0].remote, 3);
-        assert_eq!(m.hot_lines[&1], 2);
+        assert_eq!(m.hot_lines.get(1), 2);
     }
 
     #[test]
@@ -750,6 +929,10 @@ mod tests {
             "L 40",
             "L 40 x",
             "L zz 3",
+            // Counts no writer emits: a cell or a line that was never counted.
+            "B 1 4 0",
+            "U 3 4 0",
+            "L 40 0",
             "C inv",
             "C inv x",
             "C nosuch 2",

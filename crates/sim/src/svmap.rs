@@ -1,18 +1,30 @@
-//! A sorted-vec map for small, ordered aggregation keyspaces.
+//! A sorted-vec map for small, ordered aggregation keyspaces, and the
+//! dense open-bin row that keeps per-event work out of it.
 //!
-//! [`crate::metrics::Metrics`] folds every traced event into half a dozen
-//! keyed aggregates. The keyspaces are small and stable — source tags ×
-//! hop distances, tile ids, device ids, time bins that grow append-mostly —
-//! so a pair of parallel sorted vectors beats a `BTreeMap`: lookups are a
-//! binary search over a dense array (no pointer chasing), iteration is a
-//! linear scan, and iteration order is ascending by key exactly like the
-//! `BTreeMap` it replaces, which keeps serialized output byte-identical
-//! (DESIGN.md §6).
+//! [`crate::metrics::Metrics`] and [`crate::telemetry::TelemetrySeries`]
+//! keep their keyed aggregates in [`SortedVecMap`]s: a pair of parallel
+//! sorted vectors. Lookups are a binary search over a dense array (no
+//! pointer chasing), iteration is a linear scan, and iteration order is
+//! ascending by key exactly like the `BTreeMap` it replaced, which keeps
+//! serialized output byte-identical (DESIGN.md §6).
+//!
+//! The keyspaces come in two kinds. Source tags × hop distances, tile ids,
+//! device ids and directory transitions are small and near-static: a few
+//! dozen keys, all present after the first microseconds of a run. The
+//! *binned* series are not: their keys are id-major `(tile | device, bin)`,
+//! so every new time bin of id `i` inserts in the middle of the vector and
+//! shifts the entries of every higher id — quadratic over a run that
+//! crosses many bins (the bin-major census and rate series do append).
+//! What keeps that affordable is that the map is not touched per event:
+//! each observer accumulates the bin it is in in an `OpenRow` indexed by
+//! id and folds the touched cells in when an event lands in another bin —
+//! one insert per touched cell per bin, not one search per event.
 //!
 //! Not suitable for large, insert-heavy keyspaces (e.g. the per-line
-//! hot-line profile): a miss inserts by shifting the tail, which is O(n)
-//! per new key.
+//! hot-line profile, which is paged instead — see [`crate::metrics`]): a
+//! miss inserts by shifting the tail, which is O(n) per new key.
 
+use crate::SimTime;
 use std::ops::Index;
 
 /// A map backed by parallel key/value vectors kept sorted by key.
@@ -90,6 +102,104 @@ impl<K: Ord + Copy, V> SortedVecMap<K, V> {
     /// Values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.vals.iter()
+    }
+
+    /// The greatest key, if any.
+    pub fn last_key(&self) -> Option<&K> {
+        self.keys.last()
+    }
+}
+
+/// The sim-time window `[start, start + interval)` of the time bin an
+/// observer is accumulating: the per-event question "same bin as the last
+/// event?" is two compares, and the division happens only when the answer
+/// is no.
+#[derive(Debug, Clone)]
+pub(crate) struct BinWindow {
+    interval: SimTime,
+    start: SimTime,
+    index: u64,
+}
+
+impl BinWindow {
+    /// The window of bin 0 at bin width `interval` (ps, nonzero).
+    pub(crate) fn new(interval: SimTime) -> Self {
+        assert!(interval > 0, "a time bin has a width");
+        BinWindow {
+            interval,
+            start: 0,
+            index: 0,
+        }
+    }
+
+    /// Does `time` fall in this bin?
+    #[inline]
+    pub(crate) fn holds(&self, time: SimTime) -> bool {
+        // Not `time < start + interval`: the last bin's end is past `u64::MAX`.
+        time >= self.start && time - self.start < self.interval
+    }
+
+    /// Move the window to the bin holding `time`.
+    pub(crate) fn move_to(&mut self, time: SimTime) {
+        self.index = time / self.interval;
+        self.start = self.index * self.interval;
+    }
+
+    /// Index of the bin (`time / interval` for every time it holds).
+    pub(crate) fn index(&self) -> u64 {
+        self.index
+    }
+}
+
+/// One binned series' cells for the open time bin, as a dense row indexed
+/// by a small id (tile, device, state tag), plus the ids touched since the
+/// last [`OpenRow::drain`]. A touched cell is drained even when its value
+/// is still `V::default()`: the sparse series it is folded into records
+/// that the cell was touched (`G 4 S 0`, an all-zero `V` row).
+///
+/// The row grows to the largest id it has seen, so ids must come from the
+/// simulator (tile and device numbers), never from a parsed file.
+#[derive(Debug, Clone)]
+pub(crate) struct OpenRow<V> {
+    cells: Vec<Option<V>>,
+    touched: Vec<usize>,
+}
+
+impl<V> Default for OpenRow<V> {
+    fn default() -> Self {
+        OpenRow {
+            cells: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+}
+
+impl<V: Default> OpenRow<V> {
+    /// The open bin's cell for `id`, touched from now on.
+    #[inline]
+    pub(crate) fn cell(&mut self, id: usize) -> &mut V {
+        if id >= self.cells.len() {
+            self.cells.resize_with(id + 1, || None);
+        }
+        let cell = &mut self.cells[id];
+        if cell.is_none() {
+            self.touched.push(id);
+        }
+        cell.get_or_insert_with(V::default)
+    }
+
+    /// Whether no cell was touched since the last drain.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.touched.is_empty()
+    }
+
+    /// Hand every touched `(id, value)` to `f`, in first-touch order, and
+    /// leave the row untouched.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(usize, V)) {
+        for id in self.touched.drain(..) {
+            let v = self.cells[id].take().expect("a touched cell holds a value");
+            f(id, v);
+        }
     }
 }
 
@@ -181,6 +291,53 @@ mod tests {
         *b.entry_or_default(2) = 2;
         *b.entry_or_default(1) = 1;
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn last_key_is_the_greatest() {
+        let mut m: SortedVecMap<(u64, char), i64> = SortedVecMap::new();
+        assert_eq!(m.last_key(), None);
+        *m.entry_or_default((7, 'S')) = 1;
+        *m.entry_or_default((2, 'M')) = 1;
+        *m.entry_or_default((7, 'E')) = 1;
+        assert_eq!(m.last_key(), Some(&(7, 'S')));
+    }
+
+    #[test]
+    fn bin_window_agrees_with_division() {
+        let mut w = BinWindow::new(100);
+        assert!(w.holds(0) && w.holds(99) && !w.holds(100));
+        assert_eq!(w.index(), 0);
+        for t in [100, 250, 249, 99, 0, u64::MAX, u64::MAX - 99, 1] {
+            if !w.holds(t) {
+                w.move_to(t);
+            }
+            assert!(w.holds(t), "{t}");
+            assert_eq!(w.index(), t / 100, "{t}");
+        }
+        // The last bin's window ends past `u64::MAX`; nothing wraps into it.
+        w.move_to(u64::MAX);
+        assert!(w.holds(u64::MAX) && !w.holds(0) && !w.holds(u64::MAX - 100));
+    }
+
+    #[test]
+    fn open_row_drains_touched_cells_once_zeros_included() {
+        let mut row: OpenRow<i64> = OpenRow::default();
+        assert!(row.is_empty());
+        *row.cell(9) += 2;
+        *row.cell(0) -= 1;
+        *row.cell(9) += 3;
+        *row.cell(0) += 1;
+        *row.cell(usize::from(u16::MAX)) += 1;
+        assert!(!row.is_empty());
+        let mut got = Vec::new();
+        row.drain(|id, v| got.push((id, v)));
+        assert_eq!(got, [(9, 5), (0, 0), (65535, 1)]);
+        assert!(row.is_empty());
+        row.drain(|id, v| panic!("drained ({id}, {v}) twice"));
+        // A drained cell starts over.
+        *row.cell(9) += 1;
+        row.drain(|id, v| assert_eq!((id, v), (9, 1)));
     }
 
     #[test]

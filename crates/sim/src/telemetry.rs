@@ -20,15 +20,20 @@
 //! serializes to deterministic line-oriented ASCII, parses back, and
 //! merges additively — so per-job sections of a parallel sweep can be
 //! concatenated in canonical job order (the `TraceSink` contract) or
-//! re-aggregated in any grouping with identical results. Everything here
+//! re-aggregated in any grouping with identical results. It is plain sparse
+//! data, one entry per touched cell; the sampler does not search it per
+//! event but accumulates the bin it is in in dense rows of its own and adds
+//! the touched cells to the series when an event lands in another bin, at a
+//! reset, and before anything reads the series. Everything here
 //! is keyed by **simulated** time: host wall-clock never appears in a
 //! series (the `wall-clock-in-series` `knl lint` rule pins this), so the
 //! sampler is a pure observer — telemetry-on runs are bit-identical to
 //! telemetry-off runs in every simulated result.
 
 use crate::engine::observe::{gstate_tag, ProtocolEvent};
-use crate::svmap::SortedVecMap;
+use crate::svmap::{BinWindow, OpenRow, SortedVecMap};
 use crate::SimTime;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Default sampling interval: 100 µs of sim time (matches
@@ -180,25 +185,27 @@ impl TelemetrySeries {
     }
 
     /// Highest populated bin index across every series (0 when empty).
+    /// The id-major device and tile series are scanned; the bin-major
+    /// census and rate series end in their highest bin.
     pub fn last_bin(&self) -> u64 {
         let q = self.dev_bins.iter().map(|(&(_, b), _)| b).max();
         let p = self.tile_bins.iter().map(|(&(_, b), _)| b).max();
-        let g = self.census.iter().map(|(&(b, _), _)| b).max();
-        let v = self.rates.iter().map(|(&b, _)| b).max();
+        let g = self.census.last_key().map(|&(b, _)| b);
+        let v = self.rates.last_key().copied();
         [q, p, g, v].into_iter().flatten().max().unwrap_or(0)
     }
 
-    /// Merge another series into this one (additive; order-free). An empty
-    /// side adopts the other's interval; merging two populated series of
-    /// different intervals is a caller bug and keeps `self`'s.
-    pub fn merge(&mut self, o: &TelemetrySeries) {
+    /// Merge another series into this one (additive; order-free). A side
+    /// without an interval (a fresh series, a single parsed line) adopts
+    /// the other's. Two different intervals do not merge — their bins mean
+    /// different things: returns `false` and leaves `self` untouched.
+    #[must_use = "a series of another interval is refused, not merged"]
+    pub fn merge(&mut self, o: &TelemetrySeries) -> bool {
         if self.interval_ps == 0 {
             self.interval_ps = o.interval_ps;
+        } else if o.interval_ps != 0 && o.interval_ps != self.interval_ps {
+            return false;
         }
-        debug_assert!(
-            o.interval_ps == 0 || o.interval_ps == self.interval_ps,
-            "merging telemetry series with different intervals"
-        );
         for (k, b) in &o.dev_bins {
             self.dev_bins.entry_or_default(*k).add(b);
         }
@@ -213,6 +220,7 @@ impl TelemetrySeries {
         }
         self.events += o.events;
         self.end_ps = self.end_ps.max(o.end_ps);
+        true
     }
 
     /// Serialize as deterministic telemetry lines. Maps iterate in
@@ -260,12 +268,7 @@ impl TelemetrySeries {
         let mut one = TelemetrySeries::default();
         let mut parse = || -> Option<()> {
             match tag {
-                "I" => {
-                    one.interval_ps = it.next()?.parse().ok()?;
-                    if self.interval_ps != 0 && self.interval_ps != one.interval_ps {
-                        return None;
-                    }
-                }
+                "I" => one.interval_ps = it.next()?.parse().ok()?,
                 "Q" => {
                     let key: (u8, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
                     *one.dev_bins.entry_or_default(key) = DevBin {
@@ -309,7 +312,7 @@ impl TelemetrySeries {
             }
             it.next().is_none().then_some(())
         };
-        parse().map(|()| self.merge(&one)).is_some()
+        parse().is_some_and(|()| self.merge(&one))
     }
 
     /// Cumulative census per state at the end of each bin `0..=last_bin()`
@@ -334,20 +337,58 @@ impl TelemetrySeries {
     }
 }
 
+/// The bin a [`TelemetrySampler`] is accumulating: every series' cells for
+/// that bin as dense rows (the census row is indexed by state tag).
+#[derive(Debug, Clone)]
+struct OpenBin {
+    window: BinWindow,
+    devs: OpenRow<DevBin>,
+    tiles: OpenRow<TileBin>,
+    census: OpenRow<i64>,
+    /// `Some` once a rate event touched the bin, all-zero or not.
+    rates: Option<RateBin>,
+}
+
+impl OpenBin {
+    fn is_empty(&self) -> bool {
+        self.devs.is_empty()
+            && self.tiles.is_empty()
+            && self.census.is_empty()
+            && self.rates.is_none()
+    }
+
+    /// Add the open bin's touched cells to `series`.
+    fn close_into(&mut self, series: &mut TelemetrySeries) {
+        let bin = self.window.index();
+        self.devs
+            .drain(|dev, b| series.dev_bins.entry_or_default((dev as u8, bin)).add(&b));
+        self.tiles.drain(|tile, b| {
+            series
+                .tile_bins
+                .entry_or_default((tile as u16, bin))
+                .add(&b)
+        });
+        self.census
+            .drain(|state, d| *series.census.entry_or_default((bin, state as u8 as char)) += d);
+        if let Some(r) = self.rates.take() {
+            series.rates.entry_or_default(bin).add(&r);
+        }
+    }
+}
+
 /// The telemetry observer: folds [`ProtocolEvent`]s into a
 /// [`TelemetrySeries`] at a fixed sim-time interval. A pure observer — it
 /// only ever reads the event stream, so simulated timings, counters, and
 /// cache state are bit-identical with or without it.
 pub struct TelemetrySampler {
-    interval_ps: SimTime,
     /// Tile context of subsequent events (set by the machine).
     tile: u16,
-    /// Running non-`U` directory census, kept so a cache/directory reset
-    /// can emit compensating deltas (the dropped entries all return to
-    /// Uncached).
-    live_census: SortedVecMap<char, i64>,
-    /// Latest event timestamp, used to place reset compensation.
-    last_ps: SimTime,
+    /// Running non-`U` directory census by state tag, kept so a
+    /// cache/directory reset can emit compensating deltas (the dropped
+    /// entries all return to Uncached).
+    live_census: OpenRow<i64>,
+    open: OpenBin,
+    /// Everything folded so far but the open bin.
     series: TelemetrySeries,
 }
 
@@ -358,51 +399,75 @@ impl TelemetrySampler {
     pub(crate) fn new(cfg: TelemetryConfig) -> Self {
         assert!(cfg.enabled(), "use no sampler instead of interval 0");
         TelemetrySampler {
-            interval_ps: cfg.interval_ps,
             tile: 0,
-            live_census: SortedVecMap::new(),
-            last_ps: 0,
+            live_census: OpenRow::default(),
+            open: OpenBin {
+                window: BinWindow::new(cfg.interval_ps),
+                devs: OpenRow::default(),
+                tiles: OpenRow::default(),
+                census: OpenRow::default(),
+                rates: None,
+            },
             series: TelemetrySeries::with_interval(cfg.interval_ps),
         }
     }
 
     /// The sampling interval (ps).
     pub fn interval_ps(&self) -> SimTime {
-        self.interval_ps
+        self.series.interval_ps
     }
 
-    /// The accumulated series.
-    pub fn series(&self) -> &TelemetrySeries {
-        &self.series
+    /// Fold the open bin into the series. The hub does this when it
+    /// detaches the sampler, so a detached sampler's
+    /// [`TelemetrySampler::series`] is a borrow.
+    pub(crate) fn close_bin(&mut self) {
+        self.open.close_into(&mut self.series);
+    }
+
+    /// The accumulated series, open bin included: a copy with the bin
+    /// closed into it while a bin is open (a sampler still attached to its
+    /// machine), the series itself otherwise.
+    pub fn series(&self) -> Cow<'_, TelemetrySeries> {
+        if self.open.is_empty() {
+            return Cow::Borrowed(&self.series);
+        }
+        let mut all = self.series.clone();
+        self.open.clone().close_into(&mut all);
+        Cow::Owned(all)
     }
 
     /// Consume the sampler, returning its series.
-    pub fn into_series(self: Box<Self>) -> TelemetrySeries {
+    pub fn into_series(mut self: Box<Self>) -> TelemetrySeries {
+        self.close_bin();
         self.series
     }
 
     /// Serialize the accumulated series (see
     /// [`TelemetrySeries::serialize_into`]).
     pub fn serialize_into(&self, out: &mut String) {
-        self.series.serialize_into(out);
+        self.series().serialize_into(out);
     }
 
+    /// Make the bin holding `time` the open one.
     #[inline]
-    fn bin(&self, time: SimTime) -> u64 {
-        time / self.interval_ps
+    fn open_at(&mut self, time: SimTime) {
+        if !self.open.window.holds(time) {
+            self.close_bin();
+            self.open.window.move_to(time);
+        }
     }
 
-    fn census_shift(&mut self, bin: u64, from: char, to: char) {
+    fn census_shift(&mut self, from: char, to: char) {
         if from == to {
             return;
         }
         if from != 'U' {
-            *self.series.census.entry_or_default((bin, from)) -= 1;
-            *self.live_census.entry_or_default(from) -= 1;
+            *self.open.census.cell(state_index(from)) -= 1;
+            *self.live_census.cell(state_index(from)) -= 1;
         }
         if to != 'U' {
-            *self.series.census.entry_or_default((bin, to)) += 1;
-            *self.live_census.entry_or_default(to) += 1;
+            *self.open.census.cell(state_index(to)) += 1;
+            *self.live_census.cell(state_index(to)) += 1;
         }
     }
 
@@ -410,30 +475,27 @@ impl TelemetrySampler {
     pub(crate) fn on_event(&mut self, time: SimTime, _line: u64, event: &ProtocolEvent<'_>) {
         self.series.events += 1;
         self.series.end_ps = self.series.end_ps.max(time);
-        self.last_ps = self.last_ps.max(time);
-        let bin = self.bin(time);
+        self.open_at(time);
+        let open = &mut self.open;
         match *event {
             ProtocolEvent::Issue { .. } => {
-                self.series
-                    .tile_bins
-                    .entry_or_default((self.tile, bin))
-                    .issues += 1;
+                open.tiles.cell(usize::from(self.tile)).issues += 1;
             }
             ProtocolEvent::Serve { latency_ps, .. } => {
-                let t = self.series.tile_bins.entry_or_default((self.tile, bin));
+                let t = open.tiles.cell(usize::from(self.tile));
                 t.serves += 1;
                 t.serve_ps += latency_ps;
             }
             // Census tracks actual directory occupancy, so uncounted
             // (state-preparation) transitions are included too.
             ProtocolEvent::Dir { from, entry, .. } => {
-                self.census_shift(bin, from, gstate_tag(&entry.state));
+                self.census_shift(from, gstate_tag(&entry.state));
             }
             ProtocolEvent::Hop { hops, .. } => {
-                self.series.rates.entry_or_default(bin).hops += hops as u64;
+                open.rates.get_or_insert_default().hops += hops as u64;
             }
             ProtocolEvent::DevEnter { dev, write, depth } => {
-                let d = self.series.dev_bins.entry_or_default((dev, bin));
+                let d = open.devs.cell(usize::from(dev));
                 d.enters += 1;
                 if write {
                     d.writes += 1;
@@ -442,10 +504,10 @@ impl TelemetrySampler {
                 d.depth_sum += depth as u64;
             }
             ProtocolEvent::DevLeave { dev } => {
-                self.series.dev_bins.entry_or_default((dev, bin)).leaves += 1;
+                open.devs.cell(usize::from(dev)).leaves += 1;
             }
             ProtocolEvent::Mcache { hit, .. } => {
-                let r = self.series.rates.entry_or_default(bin);
+                let r = open.rates.get_or_insert_default();
                 if hit {
                     r.mc_hit += 1;
                 } else {
@@ -453,13 +515,13 @@ impl TelemetrySampler {
                 }
             }
             ProtocolEvent::Inv { n } => {
-                self.series.rates.entry_or_default(bin).inv += n as u64;
+                open.rates.get_or_insert_default().inv += n as u64;
             }
             ProtocolEvent::Update { n } => {
-                self.series.rates.entry_or_default(bin).upd += n as u64;
+                open.rates.get_or_insert_default().upd += n as u64;
             }
             ProtocolEvent::Writeback { external } => {
-                let r = self.series.rates.entry_or_default(bin);
+                let r = open.rates.get_or_insert_default();
                 if external {
                     r.wb_ext += 1;
                 } else {
@@ -482,18 +544,21 @@ impl TelemetrySampler {
         // The directory was cleared: every cached line returns to
         // Uncached. Emit compensating deltas at the latest time seen so
         // census prefix sums stay exact across repetitions.
-        let bin = self.bin(self.last_ps);
-        let held: Vec<(char, i64)> = self
-            .live_census
-            .iter()
-            .map(|(&s, &n)| (s, n))
-            .filter(|&(_, n)| n != 0)
-            .collect();
-        for (s, n) in held {
-            *self.series.census.entry_or_default((bin, s)) -= n;
-        }
-        self.live_census = SortedVecMap::new();
+        self.open_at(self.series.end_ps);
+        let census = &mut self.open.census;
+        self.live_census.drain(|state, n| {
+            if n != 0 {
+                *census.cell(state) -= n;
+            }
+        });
     }
+}
+
+/// Row index of a directory state tag (the ASCII letters of
+/// [`gstate_tag`]).
+fn state_index(tag: char) -> usize {
+    debug_assert!(tag.is_ascii(), "state tags are ASCII letters");
+    usize::from(tag as u8)
 }
 
 #[cfg(test)]
@@ -562,8 +627,31 @@ mod tests {
             assert!(twice.parse_line(line));
         }
         let mut merged = a.clone();
-        merged.merge(&a);
+        assert!(merged.merge(&a));
         assert_eq!(twice, merged);
+    }
+
+    #[test]
+    fn series_of_another_interval_is_refused_whole() {
+        let parsed = |lines: &[&str]| {
+            let mut s = TelemetrySeries::default();
+            for line in lines {
+                assert!(s.parse_line(line), "{line}");
+            }
+            s
+        };
+        let mut a = parsed(&["I 1000", "Q 0 4 10 2 3 4 5", "Z 9 99"]);
+        let b = parsed(&["I 2000", "Q 0 4 1 0 0 0 0", "V 7 1 0 0 0 0 0 0", "Z 3 500"]);
+        let before = a.clone();
+        assert!(!a.merge(&b), "bins of 1000 ps and of 2000 ps do not add");
+        assert_eq!(a, before);
+        // No interval on one side is not a different interval.
+        let c = parsed(&["Q 0 4 1 0 0 0 0", "Z 3 500"]);
+        assert!(a.merge(&c));
+        assert_eq!((a.interval_ps, a.events, a.end_ps), (1000, 12, 500));
+        let mut fresh = TelemetrySeries::default();
+        assert!(fresh.merge(&b));
+        assert_eq!(fresh, b);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! `U`/`X`/`C`/`Z`. `knl trace` (crates/bench) parses both: metric lines
 //! feed the report, event lines feed the Chrome `trace_event` export.
 
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, OpenBin};
 use crate::SimTime;
+use std::borrow::Cow;
 
 /// Thread stamp used before any thread context is set (machine-internal
 /// activity such as background write-backs).
@@ -320,7 +321,9 @@ pub struct Tracer {
     level: TraceLevel,
     thread: u32,
     tile: u16,
+    /// Everything folded so far but what `open` still holds.
     metrics: Metrics,
+    open: OpenBin,
     events: Vec<TraceEvent>,
     dropped: u64,
 }
@@ -336,6 +339,7 @@ impl Tracer {
             thread: NO_THREAD,
             tile: 0,
             metrics: Metrics::default(),
+            open: OpenBin::default(),
             events: Vec::new(),
             dropped: 0,
         }
@@ -365,7 +369,7 @@ impl Tracer {
             line,
             kind,
         };
-        self.metrics.record(&ev);
+        self.metrics.fold(&ev, &mut self.open);
         if self.level == TraceLevel::Full {
             if self.events.len() < EVENT_CAP {
                 self.events.push(ev);
@@ -385,9 +389,23 @@ impl Tracer {
         self.dropped
     }
 
-    /// The aggregated metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// Fold the open bin into the metrics. The hub does this when it
+    /// detaches the tracer, so a detached tracer's [`Tracer::metrics`] is a
+    /// borrow.
+    pub(crate) fn close_bin(&mut self) {
+        self.open.close_into(&mut self.metrics);
+    }
+
+    /// The aggregated metrics, open bin included: a copy with the bin
+    /// closed into it while a bin is open (a tracer still attached to its
+    /// machine), the metrics themselves otherwise.
+    pub fn metrics(&self) -> Cow<'_, Metrics> {
+        if self.open.is_empty() {
+            return Cow::Borrowed(&self.metrics);
+        }
+        let mut all = self.metrics.clone();
+        self.open.clone().close_into(&mut all);
+        Cow::Owned(all)
     }
 
     /// Append the full serialization (header comment, event log, metric
@@ -402,7 +420,7 @@ impl Tracer {
         for ev in &self.events {
             ev.write_line(out);
         }
-        self.metrics.serialize_into(out);
+        self.metrics().serialize_into(out);
     }
 }
 

@@ -1,10 +1,15 @@
-//! The access path does not allocate.
+//! The access path does not allocate, and the observers allocate for what
+//! they saw, not for how long they watched.
 //!
 //! Address resolution is once per access and table-driven
 //! (`AddressMap::resolve`); what a stream or a buffer copy may still take
 //! from the heap is the MLP rings and the doublings of the `LineMap`s
 //! behind the directory and the memory-side cache — a few dozen
-//! allocations however long it runs, never one per line.
+//! allocations however long it runs, never one per line. Under the tracer
+//! and the telemetry sampler the hot-line profile's page table and count
+//! rows double as well, and that is all: no tree node per line, and in the
+//! series an entry per touched cell, never one per bin index — whether the
+//! far bin comes from a 1 ps sampling interval or from a file.
 //!
 //! This file is its own test binary with a single `#[test]`, so no sibling
 //! test allocates inside a counting window, and it holds the workspace's
@@ -13,11 +18,15 @@
 
 use knl::arch::{ClusterMode, CoreId, HybridSplit, MachineConfig, MemoryMode, NumaKind};
 use knl::sim::machine::StreamState;
-use knl::sim::{LineState, Machine, StreamKind};
+use knl::sim::{
+    AccessKind, LineState, Machine, Metrics, ObserverConfig, StreamKind, TelemetryConfig,
+    TelemetrySeries, TraceLevel,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -26,6 +35,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -43,8 +53,20 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Bytes requested from the heap (reallocations at their new size) while
+/// `f` runs.
+fn bytes_in(f: impl FnOnce()) -> u64 {
+    let before = BYTES.load(Ordering::Relaxed);
+    f();
+    BYTES.load(Ordering::Relaxed) - before
+}
+
 fn triad_allocs(cfg: &MachineConfig, kind: NumaKind, lines: u64) -> u64 {
-    let mut m = Machine::new(cfg.clone());
+    triad_allocs_under(ObserverConfig::default(), cfg, kind, lines)
+}
+
+fn triad_allocs_under(oc: ObserverConfig, cfg: &MachineConfig, kind: NumaKind, lines: u64) -> u64 {
+    let mut m = Machine::with_observer_config(cfg.clone(), oc);
     let mut arena = m.arena();
     let [a, b, c] = [(); 3].map(|()| arena.alloc(kind, lines * 64));
     let mut state = StreamState::default();
@@ -105,4 +127,39 @@ fn streams_and_copies_allocate_a_constant_not_per_line() {
         );
         assert!(copy < 64, "{label}: 64 KiB copy, {copy} allocs");
     }
+
+    // Watched by the tracer and the sampler, a stream four times as long
+    // costs two more doublings of each growing vector (the profile's page
+    // table and rows, the binned series), not a tree node per ten lines.
+    let observed = ObserverConfig::default()
+        .trace(TraceLevel::Summary)
+        .telemetry(TelemetryConfig::on());
+    let cfg = MachineConfig::knl7210(ClusterMode::Snc4, flat);
+    let short = triad_allocs_under(observed, &cfg, NumaKind::Mcdram, 4096);
+    let long = triad_allocs_under(observed, &cfg, NumaKind::Mcdram, 16_384);
+    assert!(short < 96, "observed triad of 4 096 lines, {short} allocs");
+    assert!(
+        long <= short + 48,
+        "observed triad of 16 384 lines, {long} allocs against {short}"
+    );
+
+    // A far bin index costs what its few cells cost: two accesses 10⁹ bins
+    // apart under a 1 ps sampler, and one line of a file naming bin 2⁶⁴ − 1.
+    let mut m = Machine::with_observer_config(
+        cfg.clone(),
+        ObserverConfig::default().telemetry(TelemetryConfig::every(1)),
+    );
+    let addr = m.arena().alloc(NumaKind::Ddr, 4096);
+    m.access(CoreId(0), addr, AccessKind::Read, 0);
+    let sampled = bytes_in(|| {
+        m.access(CoreId(0), addr + 64, AccessKind::Read, 1_000_000_000);
+    });
+    assert!(sampled < 4096, "1 ps sampler, second access: {sampled} B");
+    let (mut series, mut metrics) = (TelemetrySeries::default(), Metrics::default());
+    let parsed = bytes_in(|| {
+        assert!(series.parse_line("Q 0 18446744073709551615 1 0 0 0 0"));
+        assert!(metrics.parse_line("B 0 18446744073709551615 1"));
+        assert!(metrics.parse_line("L ffffffffffffffff 1"));
+    });
+    assert!(parsed < 4096, "three hostile lines: {parsed} B");
 }
