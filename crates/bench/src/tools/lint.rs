@@ -10,7 +10,9 @@
 //!   paths elsewhere must not use `HashMap`/`HashSet`: their iteration
 //!   order is nondeterministic, which breaks the bit-identical-output
 //!   contract. Use `BTreeMap`, the hot-path `fxmap::LineMap` (which
-//!   exposes no order-dependent iteration), or `svmap::SortedVecMap`;
+//!   exposes no order-dependent iteration: `sorted_keys` only),
+//!   `paged::PagedLines` (ascending `iter` only; the creation order of
+//!   its pages reaches no caller), or `svmap::SortedVecMap`;
 //!   sites where order provably never escapes carry a
 //!   `// knl-lint: allow(hash-collection)` justification. `fxmap.rs`
 //!   itself is exempt (it documents and model-tests against the std map
@@ -117,8 +119,8 @@ fn rules() -> Vec<LintRule> {
         },
         LintRule {
             name: "hash-collection",
-            message: "use ordered collections (BTreeMap/BTreeSet), LineMap, or \
-                      SortedVecMap for deterministic output; allow-comment \
+            message: "use ordered collections (BTreeMap/BTreeSet), LineMap, \
+                      PagedLines or SortedVecMap for deterministic output; allow-comment \
                       sites where order provably never escapes",
             applies: |p| {
                 (p.contains("crates/sim/") && !p.ends_with("/fxmap.rs"))

@@ -21,33 +21,23 @@ pub enum Insert {
     Evicted(u64),
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    /// Line address (full address >> 6), or `u64::MAX` when empty.
-    tag: u64,
-    /// Version stamp assigned by the caller (coherence epoch).
-    version: u32,
-    /// LRU stamp; larger = more recent.
-    lru: u64,
-}
-
 const EMPTY: u64 = u64::MAX;
 
-/// The state of a way that holds no line.
-const EMPTY_WAY: Way = Way {
-    tag: EMPTY,
-    version: 0,
-    lru: 0,
-};
-
-/// A set-associative tag cache.
+/// A set-associative tag cache. A way is one element of each of three
+/// parallel arrays, so the scan for a line reads the set's tags and
+/// nothing else: 128 B for a 16-way L2 set.
 #[derive(Debug, Clone)]
 pub struct TagCache {
     ways: usize,
     sets: usize,
-    slots: Vec<Way>,
-    /// One bit per set, set by `insert`: the sets that may differ from
-    /// [`EMPTY_WAY`] since the last `clear`. Only `insert` can take a way
+    /// Line address (full address >> 6) per way, `EMPTY` when it holds none.
+    tags: Vec<u64>,
+    /// Version stamp assigned by the caller (coherence epoch); 0 when empty.
+    vers: Vec<u32>,
+    /// LRU stamp, larger = more recent; 0 when empty.
+    lru: Vec<u64>,
+    /// One bit per set, set by `insert`: the sets that may differ from the
+    /// empty state since the last `clear`. Only `insert` can take a way
     /// out of the empty state (`lookup` and `remove` write only ways whose
     /// tag already matches), so `clear` has nothing to do anywhere else.
     written: Vec<u64>,
@@ -74,7 +64,9 @@ impl TagCache {
         TagCache {
             ways,
             sets,
-            slots: vec![EMPTY_WAY; lines],
+            tags: vec![EMPTY; lines],
+            vers: vec![0; lines],
+            lru: vec![0; lines],
             written: vec![0; sets.div_ceil(64)],
             tick: 0,
         }
@@ -100,88 +92,96 @@ impl TagCache {
         (line as usize) & (self.sets - 1)
     }
 
-    fn set_slots(&mut self, set: usize) -> &mut [Way] {
-        let base = set * self.ways;
-        &mut self.slots[base..base + self.ways]
+    /// Index of the first way of `line`'s set.
+    fn base_of(&self, line: u64) -> usize {
+        self.set_of(line) * self.ways
+    }
+
+    /// The way holding `line` (any version): a set never holds a line
+    /// twice, `insert` refreshes in place.
+    fn way_of(&self, line: u64) -> Option<usize> {
+        let base = self.base_of(line);
+        let tags = &self.tags[base..base + self.ways];
+        tags.iter().position(|&t| t == line).map(|w| base + w)
     }
 
     /// Look up `line`; a hit requires a matching `version`. Refreshes LRU on
     /// hit. Returns true on hit.
     pub fn lookup(&mut self, line: u64, version: u32) -> bool {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(line);
-        for w in self.set_slots(set) {
-            if w.tag == line && w.version == version {
-                w.lru = tick;
-                return true;
+        match self.way_of(line) {
+            Some(w) if self.vers[w] == version => {
+                self.lru[w] = self.tick;
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// Look up ignoring version (presence of any epoch of the line).
     pub fn present_any_version(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        self.slots[base..base + self.ways]
-            .iter()
-            .any(|w| w.tag == line)
+        self.way_of(line).is_some()
     }
 
     /// Insert `line` with `version`, evicting the LRU way if needed.
     /// A stale-version copy of the same line is refreshed in place.
     pub fn insert(&mut self, line: u64, version: u32) -> Insert {
         self.tick += 1;
-        let tick = self.tick;
         let set = self.set_of(line);
+        let base = set * self.ways;
         self.written[set / 64] |= 1 << (set % 64);
-        let slots = self.set_slots(set);
-        // Same line (any version): refresh.
-        if let Some(w) = slots.iter_mut().find(|w| w.tag == line) {
-            let was_current = w.version == version;
-            w.version = version;
-            w.lru = tick;
-            return if was_current {
-                Insert::Hit
-            } else {
-                Insert::Placed
-            };
+        // One pass over the set's tags finds the same line (any version)
+        // or else the first free way.
+        let mut free = None;
+        let mut same = None;
+        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+            if t == line {
+                same = Some(base + w);
+                break;
+            }
+            if t == EMPTY && free.is_none() {
+                free = Some(base + w);
+            }
         }
-        // Free way?
-        if let Some(w) = slots.iter_mut().find(|w| w.tag == EMPTY) {
-            *w = Way {
-                tag: line,
-                version,
-                lru: tick,
-            };
-            return Insert::Placed;
-        }
-        // Evict LRU.
-        let victim = slots
-            .iter_mut()
-            .min_by_key(|w| w.lru)
-            .expect("non-empty set");
-        let evicted = victim.tag;
-        *victim = Way {
-            tag: line,
-            version,
-            lru: tick,
+        let (w, result) = if let Some(w) = same {
+            let was_current = self.vers[w] == version;
+            (
+                w,
+                if was_current {
+                    Insert::Hit
+                } else {
+                    Insert::Placed
+                },
+            )
+        } else if let Some(w) = free {
+            (w, Insert::Placed)
+        } else {
+            // Evict the least recently used way, the first of equals.
+            let lru = &self.lru[base..base + self.ways];
+            let mut victim = 0;
+            for (w, &stamp) in lru.iter().enumerate() {
+                if stamp < lru[victim] {
+                    victim = w;
+                }
+            }
+            (base + victim, Insert::Evicted(self.tags[base + victim]))
         };
-        Insert::Evicted(evicted)
+        self.tags[w] = line;
+        self.vers[w] = version;
+        self.lru[w] = self.tick;
+        result
     }
 
     /// Remove `line` if present (e.g. after an external invalidation when the
     /// caller wants the way back immediately).
     pub fn remove(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        for w in self.set_slots(set) {
-            if w.tag == line {
-                *w = EMPTY_WAY;
-                return true;
-            }
-        }
-        false
+        let Some(w) = self.way_of(line) else {
+            return false;
+        };
+        self.tags[w] = EMPTY;
+        self.vers[w] = 0;
+        self.lru[w] = 0;
+        true
     }
 
     /// Total capacity in lines.
@@ -201,8 +201,8 @@ impl TagCache {
 
     /// Empty the cache (used between benchmark repetitions). Costs one pass
     /// over the per-set bitmap plus a rewrite of the sets inserted into
-    /// since the previous `clear` — not of the whole array, which for the
-    /// 96 tag arrays of a machine is 13.4 MB (DESIGN.md §6, "Reset cost").
+    /// since the previous `clear` — not of the whole arrays, which for the
+    /// 96 tag caches of a machine are 11.1 MB (DESIGN.md §6, "Reset cost").
     /// The result is field-for-field what a full wipe leaves: every way
     /// empty with `version` and `lru` zero, `tick` kept.
     pub fn clear(&mut self) {
@@ -210,7 +210,9 @@ impl TagCache {
             let mut bits = std::mem::take(word);
             while bits != 0 {
                 let base = (i * 64 + bits.trailing_zeros() as usize) * self.ways;
-                self.slots[base..base + self.ways].fill(EMPTY_WAY);
+                self.tags[base..base + self.ways].fill(EMPTY);
+                self.vers[base..base + self.ways].fill(0);
+                self.lru[base..base + self.ways].fill(0);
                 bits &= bits - 1;
             }
         }
@@ -299,9 +301,106 @@ mod tests {
         assert!(!c.lookup(1, 0));
     }
 
-    /// Every field `clear` promises to leave as a full wipe would.
+    /// The array-of-ways tag cache [`TagCache`] replaced, kept as the
+    /// oracle: one 24-byte record per way, a set scanned once per question
+    /// (same line? free way? least recent?).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Slot {
+        tag: u64,
+        version: u32,
+        lru: u64,
+    }
+
+    const EMPTY_SLOT: Slot = Slot {
+        tag: EMPTY,
+        version: 0,
+        lru: 0,
+    };
+
+    struct Oracle {
+        ways: usize,
+        sets: usize,
+        slots: Vec<Slot>,
+        tick: u64,
+    }
+
+    impl Oracle {
+        fn like(c: &TagCache) -> Oracle {
+            Oracle {
+                ways: c.ways,
+                sets: c.sets,
+                slots: vec![EMPTY_SLOT; c.capacity_lines()],
+                tick: c.tick,
+            }
+        }
+
+        fn set_slots(&mut self, line: u64) -> &mut [Slot] {
+            let base = ((line as usize) & (self.sets - 1)) * self.ways;
+            &mut self.slots[base..base + self.ways]
+        }
+
+        fn lookup(&mut self, line: u64, version: u32) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            for w in self.set_slots(line) {
+                if w.tag == line && w.version == version {
+                    w.lru = tick;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn insert(&mut self, line: u64, version: u32) -> Insert {
+            self.tick += 1;
+            let fresh = Slot {
+                tag: line,
+                version,
+                lru: self.tick,
+            };
+            let slots = self.set_slots(line);
+            if let Some(w) = slots.iter_mut().find(|w| w.tag == line) {
+                let was_current = w.version == version;
+                *w = fresh;
+                return if was_current {
+                    Insert::Hit
+                } else {
+                    Insert::Placed
+                };
+            }
+            if let Some(w) = slots.iter_mut().find(|w| w.tag == EMPTY) {
+                *w = fresh;
+                return Insert::Placed;
+            }
+            let victim = slots
+                .iter_mut()
+                .min_by_key(|w| w.lru)
+                .expect("non-empty set");
+            let evicted = victim.tag;
+            *victim = fresh;
+            Insert::Evicted(evicted)
+        }
+
+        fn remove(&mut self, line: u64) -> bool {
+            for w in self.set_slots(line) {
+                if w.tag == line {
+                    *w = EMPTY_SLOT;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn fields(&self) -> (Vec<(u64, u32, u64)>, u64) {
+            let ways = self.slots.iter().map(|w| (w.tag, w.version, w.lru));
+            (ways.collect(), self.tick)
+        }
+    }
+
+    /// Every field `clear` promises to leave as a full wipe would, way by
+    /// way in the oracle's layout.
     fn fields(c: &TagCache) -> (Vec<(u64, u32, u64)>, u64) {
-        let ways = c.slots.iter().map(|w| (w.tag, w.version, w.lru));
+        let ways = (c.tags.iter().zip(&c.vers).zip(&c.lru)).map(|((&t, &v), &l)| (t, v, l));
         (ways.collect(), c.tick)
     }
 
@@ -313,41 +412,89 @@ mod tests {
     enum Outcome {
         Inserted(Insert),
         Found(bool),
+        /// A removal and the insert of a conflicting line after it.
+        Refilled(bool, Insert),
     }
 
-    /// Drive `cache` and a clone with one seeded random stream of inserts,
-    /// lookups and removals (versions 0..3, so stale copies and in-place
-    /// refreshes occur) over lines drawn by `draw`. After each of three
-    /// rounds `clear()` the one and wipe every slot of the other: fields
-    /// must be equal then, and results equal at every step of the next
-    /// round. Returns how many sets a round had written before its clear.
+    /// Drive `cache` and the oracle with one seeded random stream of
+    /// inserts, lookups, removals and removal-then-insert pairs (versions
+    /// 0..3, so stale copies and in-place refreshes occur) over lines drawn
+    /// by `draw`: results must be equal at every step. After each of three
+    /// rounds `clear()` the cache and wipe every slot of the oracle: fields
+    /// must be equal then. Returns how many sets a round had written before
+    /// its clear.
     fn clear_matches_full_wipe(
         cache: TagCache,
         seed: u64,
         steps: usize,
         draw: impl Fn(&mut SplitMixRng) -> u64,
     ) -> usize {
-        let (mut a, mut b) = (cache.clone(), cache);
+        let (mut a, mut b) = (cache.clone(), Oracle::like(&cache));
+        let sets = cache.num_sets() as u64;
         let mut rng = SplitMixRng::seed_from_u64(seed);
         let mut written = 0;
         for round in 0..3 {
             for i in 0..steps {
                 let (line, version) = (draw(&mut rng), rng.range_u32(0, 3));
-                let op = rng.range_u32(0, 3);
-                let run = |c: &mut TagCache| match op {
-                    0 => Outcome::Found(c.lookup(line, version)),
-                    1 => Outcome::Found(c.remove(line)),
-                    _ => Outcome::Inserted(c.insert(line, version)),
-                };
-                assert_eq!(run(&mut a), run(&mut b), "round {round} step {i}");
+                let op = rng.range_u32(0, 4);
+                // The line `Refilled` inserts: same set, not `line`.
+                let other = line + sets * rng.range_u64(1, 4);
+                macro_rules! run {
+                    ($c:expr) => {
+                        match op {
+                            0 => Outcome::Found($c.lookup(line, version)),
+                            1 => Outcome::Found($c.remove(line)),
+                            2 => Outcome::Refilled($c.remove(line), $c.insert(other, version)),
+                            _ => Outcome::Inserted($c.insert(line, version)),
+                        }
+                    };
+                }
+                assert_eq!(run!(a), run!(b), "round {round} step {i}");
             }
+            assert_eq!(fields(&a), b.fields(), "before clear {round}");
             written = written_sets(&a);
             a.clear();
-            b.slots.fill(EMPTY_WAY);
-            assert_eq!(fields(&a), fields(&b), "after clear {round}");
+            b.slots.fill(EMPTY_SLOT);
+            assert_eq!(fields(&a), b.fields(), "after clear {round}");
             assert_eq!(written_sets(&a), 0);
         }
         written
+    }
+
+    #[test]
+    fn seventeen_conflicting_lines_in_a_sixteen_way_set() {
+        let mut a = TagCache::knl_l2();
+        let mut b = Oracle::like(&a);
+        let sets = a.num_sets() as u64;
+        let line = |k: u64| 5 + k * sets;
+        for k in 0..16 {
+            assert_eq!(a.insert(line(k), 0), Insert::Placed);
+            b.insert(line(k), 0);
+        }
+        // Touch all but line 3, stale-refresh line 9: 3 is least recent.
+        for k in (0..16).filter(|&k| k != 3) {
+            assert_eq!(a.lookup(line(k), 0), b.lookup(line(k), 0));
+        }
+        assert_eq!(a.insert(line(9), 2), Insert::Placed);
+        b.insert(line(9), 2);
+        assert_eq!(a.insert(line(16), 0), Insert::Evicted(line(3)));
+        assert_eq!(b.insert(line(16), 0), Insert::Evicted(line(3)));
+        assert_eq!(fields(&a), b.fields());
+        // A removal frees way 7; the next conflicting line lands there,
+        // not on the least recent way.
+        assert!(a.remove(line(7)) && b.remove(line(7)));
+        assert_eq!(a.insert(line(17), 1), Insert::Placed);
+        assert_eq!(b.insert(line(17), 1), Insert::Placed);
+        assert_eq!(a.tags[a.base_of(line(17)) + 7], line(17));
+        assert_eq!(fields(&a), b.fields());
+        // Equal stamps (a wiped-then-refilled set never has them, a fresh
+        // oracle can): the first of the least recent goes.
+        for w in a.base_of(line(0))..a.base_of(line(0)) + 16 {
+            a.lru[w] = 1;
+            b.slots[w].lru = 1;
+        }
+        assert_eq!(a.insert(line(18), 0), b.insert(line(18), 0));
+        assert_eq!(fields(&a), b.fields());
     }
 
     #[test]

@@ -22,8 +22,11 @@ impl Machine {
     /// The one place the engine steps a directory entry: run `request`
     /// from `tile` through the protocol table (plus the defect a test
     /// injected, if any) and emit the [`crate::ProtocolEvent::Dir`] event
-    /// carrying the entry's own pre-state tag and post-state. `None` when
-    /// the directory has no entry for `line`: nothing to transition.
+    /// carrying the entry's own pre-state tag and post-state. Returns what
+    /// the transition did and the entry's version after it (the stamp the
+    /// requester's fills carry), so no caller looks the entry up again;
+    /// `None` when the directory has no entry for `line`: nothing to
+    /// transition.
     ///
     /// Forced inline (as is `transition`, by hint): `request` is a constant
     /// at every call site, so each copy folds the table down to that
@@ -37,7 +40,7 @@ impl Machine {
         request: Request,
         tile: TileId,
         counted: bool,
-    ) -> Option<Outcome> {
+    ) -> Option<(Outcome, u32)> {
         let kind = self.cfg.protocol;
         let entry = self.dir.get_mut(line)?;
         let pre = *entry;
@@ -66,7 +69,7 @@ impl Machine {
         };
         self.hub
             .dir_transition(time, line, gstate_tag(&pre.state), event, entry, counted);
-        Some(out)
+        Some((out, entry.version))
     }
 
     pub(crate) fn read(
@@ -77,14 +80,16 @@ impl Machine {
         addr: u64,
         now: SimTime,
     ) -> AccessOutcome {
-        let t = self.cfg.timing.clone();
-        let ver = self.dir.get(line).map_or(0, |e| e.version);
+        let (ver, tile_state) = self
+            .dir
+            .get(line)
+            .map_or((0, LineState::Invalid), |e| (e.version, e.state_of(tile)));
 
         // L1 hit.
         if self.l1[core.0 as usize].lookup(line, ver) {
             self.counters.l1_hits += 1;
             self.hub.coherent_read(now, line, false);
-            let dur = self.jitter(t.l1_hit_ps, line);
+            let dur = self.jitter(self.cfg.timing.l1_hit_ps, line);
             self.hub.serve(now + dur, line, 'R', 'L', 0, dur);
             return AccessOutcome {
                 complete: now + dur,
@@ -93,19 +98,20 @@ impl Machine {
         }
 
         // Same-tile L2 hit.
-        let tile_state = self
-            .dir
-            .get(line)
-            .map_or(LineState::Invalid, |e| e.state_of(tile));
         if tile_state != LineState::Invalid && self.l2[tile.0 as usize].lookup(line, ver) {
             self.counters.l2_hits += 1;
             // A dirty copy (M, or O under the owner protocols) pays the
             // write-back-bookkeeping extra.
             let is_m = matches!(tile_state, LineState::Modified | LineState::Owned);
             let is_e = tile_state == LineState::Exclusive;
-            let lat = t.tile_l2_ps(is_m, is_e);
+            let lat = self.cfg.timing.tile_l2_ps(is_m, is_e);
             // Port occupancy bounds same-tile bandwidth.
-            let port = t.l2_port_ps_per_line + if is_m { t.l2_port_m_extra_ps } else { 0 };
+            let port = self.cfg.timing.l2_port_ps_per_line
+                + if is_m {
+                    self.cfg.timing.l2_port_m_extra_ps
+                } else {
+                    0
+                };
             let start = now.max(self.l2_port_busy[tile.0 as usize]);
             self.l2_port_busy[tile.0 as usize] = start + port;
             let complete = (start + self.jitter(lat, line)).max(start + port);
@@ -122,9 +128,11 @@ impl Machine {
         let (home, target) = self.map.resolve(addr);
         let req_pos = self.topo.tile_position(tile);
         let home_pos = self.topo.tile_position(home);
-        let t_req = self
-            .mesh
-            .traverse(req_pos, home_pos, now + t.l2_miss_detect_ps + t.inject_ps);
+        let t_req = self.mesh.traverse(
+            req_pos,
+            home_pos,
+            now + self.cfg.timing.l2_miss_detect_ps + self.cfg.timing.inject_ps,
+        );
         if self.hub.enabled() {
             self.hub.issue(now, line, 'R');
             self.hub.hop(t_req, line, 'q', hop_dist(req_pos, home_pos));
@@ -132,25 +140,31 @@ impl Machine {
 
         let entry = self.dir.get_or_insert_default(line);
         let wait = entry.busy_until.saturating_sub(t_req);
-        let t_svc = t_req + wait + t.cha_lookup_ps;
-        entry.busy_until = t_req + wait + t.cha_line_serialize_ps;
+        let t_svc = t_req + wait + self.cfg.timing.cha_lookup_ps;
+        entry.busy_until = t_req + wait + self.cfg.timing.cha_line_serialize_ps;
 
         let supplier = entry.supplier().filter(|&s| s != tile);
-        let outcome = if let Some(sup) = supplier {
+        let (outcome, ver) = if let Some(sup) = supplier {
             let st = entry.state_of(sup);
             let extra = match st {
                 // A dirty supplier (M, or O under the owner protocols) pays
                 // the same forced-readout extra.
-                LineState::Modified | LineState::Owned => t.remote_m_extra_ps,
-                LineState::Exclusive => t.remote_e_extra_ps,
+                LineState::Modified | LineState::Owned => self.cfg.timing.remote_m_extra_ps,
+                LineState::Exclusive => self.cfg.timing.remote_e_extra_ps,
                 LineState::Shared | LineState::Forward | LineState::Invalid => 0,
             };
             let sup_pos = self.topo.tile_position(sup);
-            let t_data =
-                self.mesh.traverse(home_pos, sup_pos, t_svc + t.inject_ps) + t.remote_l2_ps + extra;
-            let complete = self.mesh.traverse(sup_pos, req_pos, t_data + t.inject_ps) + t.fill_ps;
+            let t_data = self
+                .mesh
+                .traverse(home_pos, sup_pos, t_svc + self.cfg.timing.inject_ps)
+                + self.cfg.timing.remote_l2_ps
+                + extra;
+            let complete = self
+                .mesh
+                .traverse(sup_pos, req_pos, t_data + self.cfg.timing.inject_ps)
+                + self.cfg.timing.fill_ps;
             self.counters.remote_cache_hits += 1;
-            let grant = self
+            let (grant, ver) = self
                 .dir_step(t_svc, line, Request::Read, tile, true)
                 .expect("entry exists");
             if grant.writeback {
@@ -177,18 +191,22 @@ impl Machine {
                     jc - now,
                 );
             }
-            AccessOutcome {
+            let outcome = AccessOutcome {
                 complete: jc,
                 served_by: ServedBy::RemoteCache {
                     holder: sup,
                     state: st,
                 },
-            }
+            };
+            (outcome, ver)
         } else {
             let (ready, served_by) = self.memory_read(target, addr, line, home_pos, t_svc);
             let served_pos = self.served_pos(served_by);
-            let complete = self.mesh.traverse(served_pos, req_pos, ready + t.inject_ps) + t.fill_ps;
-            let grant = self
+            let complete =
+                self.mesh
+                    .traverse(served_pos, req_pos, ready + self.cfg.timing.inject_ps)
+                    + self.cfg.timing.fill_ps;
+            let (grant, ver) = self
                 .dir_step(t_svc, line, Request::Read, tile, true)
                 .expect("entry exists");
             // A dirty copy elsewhere would have been the supplier above.
@@ -207,13 +225,13 @@ impl Machine {
                     jc - now,
                 );
             }
-            AccessOutcome {
+            let outcome = AccessOutcome {
                 complete: jc,
                 served_by,
-            }
+            };
+            (outcome, ver)
         };
 
-        let ver = self.dir.get(line).map_or(0, |e| e.version);
         self.l2_fill(tile, line, ver);
         self.l1_fill(core, line, ver);
         outcome
@@ -227,7 +245,6 @@ impl Machine {
         addr: u64,
         now: SimTime,
     ) -> AccessOutcome {
-        let t = self.cfg.timing.clone();
         let (tile_state, ver) = self
             .dir
             .get(line)
@@ -240,19 +257,19 @@ impl Machine {
             let in_l1 = self.l1[core.0 as usize].lookup(line, ver);
             let lat = if in_l1 {
                 self.counters.l1_hits += 1;
-                t.l1_hit_ps
+                self.cfg.timing.l1_hit_ps
             } else {
                 self.counters.l2_hits += 1;
-                t.tile_l2_ps(
+                self.cfg.timing.tile_l2_ps(
                     tile_state == LineState::Modified,
                     tile_state == LineState::Exclusive,
                 )
             };
-            self.dir_step(now, line, Request::Write, tile, true)
-                .expect("owned line has entry");
-            // The version advanced (sibling-core L1 copies die); re-stamp
+            // The version advances (sibling-core L1 copies die); re-stamp
             // the writer's own caches.
-            let ver = self.dir.get(line).map_or(0, |e| e.version);
+            let (_, ver) = self
+                .dir_step(now, line, Request::Write, tile, true)
+                .expect("owned line has entry");
             self.l2_fill(tile, line, ver);
             self.l1_fill(core, line, ver);
             let dur = self.jitter(lat, line);
@@ -272,9 +289,11 @@ impl Machine {
         let (home, target) = self.map.resolve(addr);
         let req_pos = self.topo.tile_position(tile);
         let home_pos = self.topo.tile_position(home);
-        let t_req = self
-            .mesh
-            .traverse(req_pos, home_pos, now + t.l2_miss_detect_ps + t.inject_ps);
+        let t_req = self.mesh.traverse(
+            req_pos,
+            home_pos,
+            now + self.cfg.timing.l2_miss_detect_ps + self.cfg.timing.inject_ps,
+        );
         if self.hub.enabled() {
             self.hub.issue(now, line, 'W');
             self.hub.hop(t_req, line, 'q', hop_dist(req_pos, home_pos));
@@ -282,8 +301,8 @@ impl Machine {
 
         let entry = self.dir.get_or_insert_default(line);
         let wait = entry.busy_until.saturating_sub(t_req);
-        let t_svc = t_req + wait + t.cha_lookup_ps;
-        entry.busy_until = t_req + wait + t.cha_line_serialize_ps;
+        let t_svc = t_req + wait + self.cfg.timing.cha_lookup_ps;
+        entry.busy_until = t_req + wait + self.cfg.timing.cha_line_serialize_ps;
 
         // Under write-update (Dragon) every valid copy is current, so a
         // holder's write needs permission only — never a supplier fetch.
@@ -295,14 +314,19 @@ impl Machine {
         let (data_ready, served_by) = if let Some(sup) = supplier {
             let st = entry.state_of(sup);
             let extra = match st {
-                LineState::Modified | LineState::Owned => t.remote_m_extra_ps,
-                LineState::Exclusive => t.remote_e_extra_ps,
+                LineState::Modified | LineState::Owned => self.cfg.timing.remote_m_extra_ps,
+                LineState::Exclusive => self.cfg.timing.remote_e_extra_ps,
                 LineState::Shared | LineState::Forward | LineState::Invalid => 0,
             };
             let sup_pos = self.topo.tile_position(sup);
-            let at_sup =
-                self.mesh.traverse(home_pos, sup_pos, t_svc + t.inject_ps) + t.remote_l2_ps + extra;
-            let ready = self.mesh.traverse(sup_pos, req_pos, at_sup + t.inject_ps);
+            let at_sup = self
+                .mesh
+                .traverse(home_pos, sup_pos, t_svc + self.cfg.timing.inject_ps)
+                + self.cfg.timing.remote_l2_ps
+                + extra;
+            let ready = self
+                .mesh
+                .traverse(sup_pos, req_pos, at_sup + self.cfg.timing.inject_ps);
             self.counters.remote_cache_hits += 1;
             if self.hub.enabled() {
                 self.hub.hop(at_sup, line, 'd', hop_dist(home_pos, sup_pos));
@@ -317,27 +341,30 @@ impl Machine {
             )
         } else if tile_state != LineState::Invalid {
             // Upgrade from S/F: data already local; only permission needed.
-            let ready = self.mesh.traverse(home_pos, req_pos, t_svc + t.inject_ps);
+            let ready = self
+                .mesh
+                .traverse(home_pos, req_pos, t_svc + self.cfg.timing.inject_ps);
             (ready, ServedBy::TileL2(tile_state))
         } else {
             let (ready, served) = self.memory_read(target, addr, line, home_pos, t_svc);
             let served_pos = self.served_pos(served);
-            let ready = self.mesh.traverse(served_pos, req_pos, ready + t.inject_ps);
+            let ready = self
+                .mesh
+                .traverse(served_pos, req_pos, ready + self.cfg.timing.inject_ps);
             self.hub
                 .hop(ready, line, 'r', hop_dist(served_pos, req_pos));
             (ready, served)
         };
 
-        let grant = self
+        let (grant, ver) = self
             .dir_step(t_svc, line, Request::Write, tile, true)
             .expect("entry exists");
         self.counters.invalidations += grant.invalidated as u64;
         self.counters.updates += grant.updated as u64;
-        let inv_cost = grant.invalidated as u64 * t.invalidate_per_sharer_ps
-            + grant.updated as u64 * t.update_per_sharer_ps;
+        let inv_cost = grant.invalidated as u64 * self.cfg.timing.invalidate_per_sharer_ps
+            + grant.updated as u64 * self.cfg.timing.update_per_sharer_ps;
 
-        let complete = data_ready + inv_cost + t.fill_ps;
-        let ver = self.dir.get(line).map_or(0, |e| e.version);
+        let complete = data_ready + inv_cost + self.cfg.timing.fill_ps;
         self.l2_fill(tile, line, ver);
         self.l1_fill(core, line, ver);
         let jc = now + self.jitter(complete - now, line);
@@ -367,7 +394,6 @@ impl Machine {
         addr: u64,
         now: SimTime,
     ) -> AccessOutcome {
-        let t = self.cfg.timing.clone();
         self.counters.nt_stores += 1;
         self.hub.issue(now, line, 'N');
         // Sweep any cached copies (rare for streaming workloads). The
@@ -376,13 +402,13 @@ impl Machine {
         // reconciles exactly; Dragon refreshes each copy in place instead.
         let mut extra = 0;
         if self.dir.get(line).is_some_and(|e| e.num_holders() > 0) {
-            let sweep = self
+            let (sweep, _) = self
                 .dir_step(now, line, Request::NtStore, tile, true)
                 .expect("entry just seen");
             self.counters.invalidations += sweep.invalidated as u64;
             self.counters.updates += sweep.updated as u64;
-            extra = sweep.invalidated as u64 * t.invalidate_per_sharer_ps
-                + sweep.updated as u64 * t.update_per_sharer_ps;
+            extra = sweep.invalidated as u64 * self.cfg.timing.invalidate_per_sharer_ps
+                + sweep.updated as u64 * self.cfg.timing.update_per_sharer_ps;
             if sweep.invalidated > 0 {
                 self.hub.inv(now, line, sweep.invalidated as u32);
             }
@@ -399,7 +425,7 @@ impl Machine {
         // in the background. The accept time is returned to let callers
         // throttle on write-combining-buffer capacity.
         let req_pos = self.topo.tile_position(tile);
-        let accept = self.memory_write(addr, line, req_pos, now + t.issue_gap_ps);
+        let accept = self.memory_write(addr, line, req_pos, now + self.cfg.timing.issue_gap_ps);
         AccessOutcome {
             complete: accept + extra,
             served_by: ServedBy::Posted,
@@ -421,12 +447,14 @@ impl Machine {
         from_pos: (i32, i32),
         t0: SimTime,
     ) -> (SimTime, ServedBy) {
-        let t = self.cfg.timing.clone();
         if self.mcache.enabled() && !target.is_mcdram() {
             // Memory-side cache flow.
             let edc = self.map.mcdram_cache_edc(addr);
             let edc_pos = self.topo.edc_position(edc);
-            let arrive = self.mesh.traverse(from_pos, edc_pos, t0 + t.inject_ps) + t.mcache_tag_ps;
+            let arrive = self
+                .mesh
+                .traverse(from_pos, edc_pos, t0 + self.cfg.timing.inject_ps)
+                + self.cfg.timing.mcache_tag_ps;
             let edc_dev = 6 + edc as usize;
             match self.mcache.access(line, false) {
                 McacheOutcome::Hit => {
@@ -446,7 +474,9 @@ impl Machine {
                     self.counters.mcache_misses += 1;
                     self.counters.ddr_accesses += 1;
                     let ddr_pos = self.ddr_pos(target);
-                    let at_ddr = self.mesh.traverse(edc_pos, ddr_pos, arrive + t.inject_ps);
+                    let at_ddr =
+                        self.mesh
+                            .traverse(edc_pos, ddr_pos, arrive + self.cfg.timing.inject_ps);
                     let ddr_dev = target.device_index();
                     if self.hub.enabled() {
                         self.hub.mcache(arrive, line, edc, false);
@@ -489,7 +519,9 @@ impl Machine {
             }
         } else {
             let pos = self.target_pos(target);
-            let arrive = self.mesh.traverse(from_pos, pos, t0 + t.inject_ps);
+            let arrive = self
+                .mesh
+                .traverse(from_pos, pos, t0 + self.cfg.timing.inject_ps);
             let dev = target.device_index();
             if self.hub.enabled() {
                 let depth = self.devices[dev].backlog_lines(arrive);
@@ -513,13 +545,15 @@ impl Machine {
         from_pos: (i32, i32),
         t0: SimTime,
     ) -> SimTime {
-        let t = self.cfg.timing.clone();
         let target = self.map.mem_target(addr);
         if self.mcache.enabled() && !target.is_mcdram() {
             // Write-backs and NT stores land in the MCDRAM cache directly.
             let edc = self.map.mcdram_cache_edc(addr);
             let edc_pos = self.topo.edc_position(edc);
-            let arrive = self.mesh.traverse(from_pos, edc_pos, t0 + t.inject_ps) + t.mcache_tag_ps;
+            let arrive = self
+                .mesh
+                .traverse(from_pos, edc_pos, t0 + self.cfg.timing.inject_ps)
+                + self.cfg.timing.mcache_tag_ps;
             let edc_dev = 6 + edc as usize;
             if self.hub.enabled() {
                 let depth = self.devices[edc_dev].backlog_lines(arrive);
@@ -564,7 +598,9 @@ impl Machine {
             }
         } else {
             let pos = self.target_pos(target);
-            let arrive = self.mesh.traverse(from_pos, pos, t0 + t.inject_ps);
+            let arrive = self
+                .mesh
+                .traverse(from_pos, pos, t0 + self.cfg.timing.inject_ps);
             let dev = target.device_index();
             if self.hub.enabled() {
                 let depth = self.devices[dev].backlog_lines(arrive);
@@ -617,7 +653,7 @@ impl Machine {
         if let Insert::Evicted(victim) = self.l2[tile.0 as usize].insert(line, version) {
             let when = self.l2_port_busy[tile.0 as usize];
             let evicted = self.dir_step(when, victim, Request::Evict, tile, true);
-            if evicted.is_some_and(|e| e.writeback) {
+            if evicted.is_some_and(|(e, _)| e.writeback) {
                 // Dirty victim: write back in the background.
                 self.counters.writebacks += 1;
                 self.hub.writeback(when, victim, false);
@@ -634,7 +670,6 @@ impl Machine {
     /// the [`crate::ops::Op::Evict`] primitive the coherence fuzzer uses to
     /// exercise eviction paths without overflowing the tag arrays.
     pub fn evict_line(&mut self, core: CoreId, addr: u64, now: SimTime) -> SimTime {
-        let t = self.cfg.timing.clone();
         let line = addr >> LINE_SHIFT;
         let tile = core.tile();
         self.hub.set_tile(tile.0);
@@ -645,14 +680,14 @@ impl Machine {
         }
         self.l2[tile.0 as usize].remove(line);
         let evicted = self.dir_step(now, line, Request::Evict, tile, true);
-        if evicted.is_some_and(|e| e.writeback) {
+        if evicted.is_some_and(|(e, _)| e.writeback) {
             self.counters.writebacks += 1;
             self.hub.writeback(now, line, false);
             let pos = self.topo.tile_position(tile);
-            self.memory_write(addr, line, pos, now + t.issue_gap_ps);
+            self.memory_write(addr, line, pos, now + self.cfg.timing.issue_gap_ps);
         }
         // The core pays only the flush issue; write-backs are posted.
-        now + t.l1_hit_ps
+        now + self.cfg.timing.l1_hit_ps
     }
 
     /// Pre-load a line into a tile's caches in a given state without timing

@@ -59,6 +59,16 @@ impl StreamState {
 }
 
 impl Machine {
+    /// The machine's MLP ring for one buffer transfer: `ov` outstanding
+    /// reads (at least one), all complete at `now`. The caller hands it
+    /// back to `self.c2c_ring`, so a machine allocates it once.
+    fn take_c2c_ring(&mut self, ov: usize, now: SimTime) -> Vec<SimTime> {
+        let mut ring = std::mem::take(&mut self.c2c_ring);
+        ring.clear();
+        ring.resize(ov.max(1), now);
+        ring
+    }
+
     /// Copy `bytes` from `src` to `dst` through the cache hierarchy,
     /// overlapping up to the copy MLP cap.
     pub fn copy_buf(
@@ -70,14 +80,13 @@ impl Machine {
         vectorized: bool,
         now: SimTime,
     ) -> SimTime {
-        let t = self.cfg.timing.clone();
         let ov = if vectorized {
-            t.ov_c2c_copy_vec
+            self.cfg.timing.ov_c2c_copy_vec
         } else {
-            t.ov_c2c_copy_scalar
+            self.cfg.timing.ov_c2c_copy_scalar
         } as usize;
         let lines = knl_arch::lines_for(bytes);
-        let mut ring: Vec<SimTime> = vec![now; ov.max(1)];
+        let mut ring = self.take_c2c_ring(ov, now);
         let mut issue = now;
         let mut done = now;
         for i in 0..lines {
@@ -90,8 +99,9 @@ impl Machine {
             let w = self.access(core, dst + i * 64, AccessKind::Write, r.complete);
             ring[slot] = r.complete;
             done = w.complete;
-            issue += t.issue_gap_ps;
+            issue += self.cfg.timing.issue_gap_ps;
         }
+        self.c2c_ring = ring;
         done
     }
 
@@ -105,14 +115,13 @@ impl Machine {
         vectorized: bool,
         now: SimTime,
     ) -> SimTime {
-        let t = self.cfg.timing.clone();
         let ov = if vectorized {
-            t.ov_c2c_read_vec
+            self.cfg.timing.ov_c2c_read_vec
         } else {
-            t.ov_c2c_read_scalar
+            self.cfg.timing.ov_c2c_read_scalar
         } as usize;
         let lines = knl_arch::lines_for(bytes);
-        let mut ring: Vec<SimTime> = vec![now; ov.max(1)];
+        let mut ring = self.take_c2c_ring(ov, now);
         let mut issue = now;
         let mut done = now;
         for i in 0..lines {
@@ -121,8 +130,9 @@ impl Machine {
             let r = self.access(core, src + i * 64, AccessKind::Read, gated);
             ring[slot] = r.complete;
             done = done.max(r.complete);
-            issue += t.issue_gap_ps;
+            issue += self.cfg.timing.issue_gap_ps;
         }
+        self.c2c_ring = ring;
         done
     }
 
@@ -176,16 +186,15 @@ impl Machine {
         core_threads: u32,
     ) -> (SimTime, u64) {
         use crate::ops::StreamKind::*;
-        let t = self.cfg.timing.clone();
         let share = core_threads.max(1);
         let ov_load = ((if vectorized {
-            t.ov_mem_vec
+            self.cfg.timing.ov_mem_vec
         } else {
-            t.ov_mem_scalar
+            self.cfg.timing.ov_mem_scalar
         }) / share)
             .max(1) as usize;
-        let ov_nt = (t.max_nt_outstanding / share).max(1) as usize;
-        let issue_gap = t.issue_gap_ps * share as u64;
+        let ov_nt = (self.cfg.timing.max_nt_outstanding / share).max(1) as usize;
+        let issue_gap = self.cfg.timing.issue_gap_ps * share as u64;
         let tile = core.tile();
         let req_pos = self.topo.tile_position(tile);
         self.hub.set_tile(tile.0);
@@ -232,7 +241,6 @@ impl Machine {
         issue: SimTime,
         state: &mut StreamState,
     ) -> SimTime {
-        let t = self.cfg.timing.clone();
         let gated = state.gate_load(ov, issue);
         // The issue frontier tracks real issue times so MLP backpressure
         // throttles the stream (and slice deadlines stay meaningful).
@@ -240,13 +248,17 @@ impl Machine {
         let line = addr >> LINE_SHIFT;
         let (home, target) = self.map.resolve(addr);
         let home_pos = self.topo.tile_position(home);
-        let t_svc =
-            self.mesh
-                .traverse(req_pos, home_pos, gated + t.l2_miss_detect_ps + t.inject_ps)
-                + t.cha_lookup_ps;
+        let t_svc = self.mesh.traverse(
+            req_pos,
+            home_pos,
+            gated + self.cfg.timing.l2_miss_detect_ps + self.cfg.timing.inject_ps,
+        ) + self.cfg.timing.cha_lookup_ps;
         let (ready, served) = self.memory_read(target, addr, line, home_pos, t_svc);
         let served_pos = self.served_pos(served);
-        let complete = self.mesh.traverse(served_pos, req_pos, ready + t.inject_ps) + t.fill_ps;
+        let complete = self
+            .mesh
+            .traverse(served_pos, req_pos, ready + self.cfg.timing.inject_ps)
+            + self.cfg.timing.fill_ps;
         let complete = gated + self.jitter(complete - gated, line);
         if self.hub.enabled() {
             self.hub.serve(

@@ -1,13 +1,26 @@
-//! A dependency-free open-addressed hash map keyed by `u64`, used on the
-//! per-access hot path in place of `std::collections::HashMap`.
+//! A dependency-free open-addressed hash map keyed by `u64`, used in place
+//! of `std::collections::HashMap`.
 //!
 //! `std`'s map defaults to SipHash-1-3, a keyed hash designed to resist
 //! collision flooding from untrusted input. Simulated line addresses are
-//! not untrusted input, and the SipHash rounds dominated the directory and
-//! memory-side-cache lookups that run on *every* simulated access (see
-//! DESIGN.md §6). `LineMap` instead uses Fibonacci (golden-ratio) integer
-//! hashing with linear probing over a power-of-two table — the same design
-//! point as the well-known `FxHashMap`, specialised to `u64` keys.
+//! not untrusted input, and the SipHash rounds dominated the lookups that
+//! run on *every* simulated access (see DESIGN.md §6). `LineMap` instead
+//! uses Fibonacci (golden-ratio) integer hashing with linear probing over a
+//! power-of-two table — the same design point as the well-known
+//! `FxHashMap`, specialised to `u64` keys.
+//!
+//! **Which table for which keys.** Fibonacci hashing scatters consecutive
+//! keys over the whole table, so a walk over neighbouring lines is a walk
+//! over random host cache lines: two misses per new key (key array, value
+//! array) that no prefetcher sees. That is the price of hashing, and it is
+//! only worth paying where keys are few and sparse. The rule:
+//!
+//! * **hashed (`LineMap`) for sparse, small maps** — the runner's flags and
+//!   waiters, the checker's per-line history and shadow memory, the model
+//!   checker's state index, the page index inside `PagedLines`;
+//! * **paged ([`crate::paged::PagedLines`]) for line-dense footprints** —
+//!   the directory, the memory-side-cache tags, the hot-line profile: one
+//!   entry per line (or set) a workload touches, walked mostly in order.
 //!
 //! Determinism: iteration order of the table depends on insertion history,
 //! exactly like `HashMap` (minus the per-process random seed). `LineMap`
@@ -69,7 +82,8 @@ impl<V: Default> LineMap<V> {
     #[inline]
     fn slot_of(&self, key: u64) -> usize {
         // Fibonacci hashing: the high bits of key*φ are well mixed even for
-        // sequential keys, which line addresses typically are.
+        // sequential keys — no clustering, and no locality either: line-
+        // dense tables use `PagedLines` (module docs).
         let h = key.wrapping_mul(PHI);
         (h >> (64 - self.keys.len().trailing_zeros())) as usize
     }

@@ -42,6 +42,7 @@ pub mod modelcheck;
 #[doc(hidden)]
 pub mod mutation;
 pub mod ops;
+pub mod paged;
 pub mod program;
 pub mod protocol;
 pub mod runner;

@@ -20,12 +20,12 @@ use crate::cache::TagCache;
 use crate::counters::Counters;
 use crate::directory::{DirEntry, LineState, TileSet};
 use crate::engine::observe::{ObserverConfig, ObserverHub};
-use crate::fxmap::LineMap;
 use crate::invariants::{CheckLevel, CoherenceChecker};
 use crate::mcache::MemorySideCache;
 use crate::memdev::{DeviceParams, MemDevice};
 use crate::mesh::{Mesh, MeshConfig};
 use crate::mutation::Mutation;
+use crate::paged::PagedLines;
 use crate::program::Program;
 use crate::telemetry::TelemetrySampler;
 use crate::trace::{TraceLevel, Tracer};
@@ -91,13 +91,16 @@ pub struct Machine {
     pub(crate) l2: Vec<TagCache>,
     /// Data-port occupancy of each tile's L2.
     pub(crate) l2_port_busy: Vec<SimTime>,
-    /// Distributed tag directory, keyed by line address. A [`LineMap`]
-    /// because the directory walk is on the serve path of every access
-    /// (DESIGN.md §6); it is never iterated, so map order cannot escape.
-    pub(crate) dir: LineMap<DirEntry>,
+    /// Distributed tag directory, keyed by line address. Paged: the lines
+    /// a buffer copy or a sort pass walks are neighbours, and so are their
+    /// entries in host memory (DESIGN.md §6, "Host-memory locality"). It is
+    /// never iterated.
+    pub(crate) dir: PagedLines<DirEntry>,
     pub(crate) mesh: Mesh,
     pub(crate) devices: Vec<MemDevice>,
     pub(crate) mcache: MemorySideCache,
+    /// Outstanding-read ring of `copy_buf`/`read_buf`, kept between calls.
+    pub(crate) c2c_ring: Vec<SimTime>,
     pub(crate) counters: Counters,
     jitter_pct: u32,
     jitter_seq: u64,
@@ -181,10 +184,11 @@ impl Machine {
             l1: (0..num_cores).map(|_| TagCache::knl_l1()).collect(),
             l2: (0..num_tiles).map(|_| TagCache::knl_l2()).collect(),
             l2_port_busy: vec![0; num_tiles],
-            dir: LineMap::new(),
+            dir: PagedLines::new(),
             mesh,
             devices,
             mcache,
+            c2c_ring: Vec::new(),
             counters: Counters::default(),
             jitter_pct,
             jitter_seq: 0,
@@ -306,8 +310,10 @@ impl Machine {
     /// Empty the caches, the directory and the memory-side cache (fresh
     /// repetition). Benchmark loops call this after every iteration, so it
     /// costs what the iteration wrote — the tag-array sets inserted into
-    /// and the occupied directory and memory-side-cache slots — plus a scan
-    /// of the per-set bitmaps (4.6 KB), not a rewrite of all 96 tag arrays
+    /// and the page indexes of the directory and the memory-side-cache
+    /// tags (12 B per page of eight lines; the pages themselves are only
+    /// forgotten, and kept for the next repetition) — plus a scan of the
+    /// per-set bitmaps (4.6 KB), not a rewrite of all 96 tag arrays
     /// (DESIGN.md §6, "Reset cost").
     pub fn reset_caches(&mut self) {
         self.reset_tile_caches();

@@ -7,14 +7,14 @@
 //! evicted from MCDRAM, there is a snoop to check if a modified copy exists
 //! in L2."
 //!
-//! The tag store is sparse (keyed by set index) because the simulated
-//! capacities are large relative to touched footprints. It is a
-//! [`LineMap`], not a `std` hash map: the tag lookup runs on *every*
-//! simulated memory access in cache/hybrid modes, and SipHash dominated
-//! the profile (DESIGN.md §6). The map is never iterated, so its internal
-//! order cannot leak into observable output.
+//! The tag store is keyed by set index and sized to the sets touched, not
+//! to the simulated capacity (4 Mi sets at the default scale). It is a
+//! [`PagedLines`]: the lookup runs on *every* simulated memory access in
+//! cache/hybrid modes, streams walk the sets in order, and so eight
+//! consecutive sets share one page of host memory (DESIGN.md §6,
+//! "Host-memory locality"). The table is never iterated.
 
-use crate::fxmap::LineMap;
+use crate::paged::PagedLines;
 
 /// Outcome of a lookup/fill on the memory-side cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,7 @@ struct Entry {
 pub struct MemorySideCache {
     /// Number of 64 B sets (= capacity in lines). 0 disables the cache.
     sets: u64,
-    tags: LineMap<Entry>,
+    tags: PagedLines<Entry>,
     /// Lifetime hit count (see [`MemorySideCache::reset_stats`]).
     pub hits: u64,
     /// Lifetime miss count.
@@ -71,7 +71,7 @@ impl MemorySideCache {
     pub fn new(capacity_bytes: u64) -> Self {
         MemorySideCache {
             sets: capacity_bytes >> knl_arch::LINE_SHIFT,
-            tags: LineMap::new(),
+            tags: PagedLines::new(),
             hits: 0,
             misses: 0,
         }
@@ -99,30 +99,23 @@ impl MemorySideCache {
     pub fn access(&mut self, line: u64, dirty: bool) -> McacheOutcome {
         debug_assert!(self.enabled(), "memory-side cache disabled");
         let set = self.set_of(line);
-        match self.tags.get_mut(set) {
-            Some(e) if e.line == line => {
-                e.dirty |= dirty;
-                self.hits += 1;
-                McacheOutcome::Hit
+        let (e, filled) = self.tags.entry(set);
+        if filled && e.line == line {
+            e.dirty |= dirty;
+            self.hits += 1;
+            return McacheOutcome::Hit;
+        }
+        let victim = std::mem::replace(e, Entry { line, dirty });
+        self.misses += 1;
+        if !filled {
+            McacheOutcome::MissCold
+        } else if victim.dirty {
+            McacheOutcome::MissDirtyEvict {
+                victim_line: victim.line,
             }
-            Some(e) => {
-                let victim = *e;
-                *e = Entry { line, dirty };
-                self.misses += 1;
-                if victim.dirty {
-                    McacheOutcome::MissDirtyEvict {
-                        victim_line: victim.line,
-                    }
-                } else {
-                    McacheOutcome::MissCleanEvict {
-                        victim_line: victim.line,
-                    }
-                }
-            }
-            None => {
-                self.tags.insert(set, Entry { line, dirty });
-                self.misses += 1;
-                McacheOutcome::MissCold
+        } else {
+            McacheOutcome::MissCleanEvict {
+                victim_line: victim.line,
             }
         }
     }

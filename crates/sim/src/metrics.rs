@@ -30,14 +30,12 @@
 //! anything reads them.
 //!
 //! The exception is [`Metrics::hot_lines`], whose keyspace is one entry
-//! per distinct line: a [`HotLines`] profile, exact and paged. A page is
-//! eight consecutive lines' counts — one host cache line — found
-//! through a [`LineMap`] from page number to its row in one `Vec`, with
-//! the last page memoized for streams. A stream pays one table insert per
-//! eight lines; a profile of scattered lines spends at most eight counts
-//! per touched line, the price of the page.
+//! per distinct line: a [`HotLines`] profile, exact, stored in the
+//! simulator's shared line-dense container ([`PagedLines`], which states
+//! what a page costs a profile of scattered lines). A stream pays one
+//! index insert per page of lines, not one per line.
 
-use crate::fxmap::LineMap;
+use crate::paged::PagedLines;
 use crate::svmap::{BinWindow, OpenRow, SortedVecMap};
 use crate::trace::{EventKind, TraceEvent};
 use crate::SimTime;
@@ -183,22 +181,11 @@ impl DevStat {
     }
 }
 
-/// log₂ of [`PAGE_LINES`].
-const PAGE_SHIFT: u32 = 3;
-
-/// Lines per [`HotLines`] page: eight `u64` counts, one host cache line.
-const PAGE_LINES: usize = 1 << PAGE_SHIFT;
-
-/// Exact per-line access counts, paged (see the module docs). Every line
-/// it holds has a count of at least 1.
+/// Exact per-line access counts. Every line it holds has a count of at
+/// least 1.
 #[derive(Debug, Clone, Default)]
 pub struct HotLines {
-    /// Page number (`line >> PAGE_SHIFT`) → offset of its row in `counts`.
-    pages: LineMap<usize>,
-    /// Rows of [`PAGE_LINES`] counts, in page-creation order.
-    counts: Vec<u64>,
-    /// The page of the last [`HotLines::add`] and its row offset.
-    last: Option<(u64, usize)>,
+    counts: PagedLines<u64>,
 }
 
 impl HotLines {
@@ -206,46 +193,17 @@ impl HotLines {
     #[inline]
     pub fn add(&mut self, line: u64, n: u64) {
         debug_assert!(n > 0, "a held line has a count");
-        let page = line >> PAGE_SHIFT;
-        let row = match self.last {
-            Some((p, row)) if p == page => row,
-            _ => {
-                let row = self.row_of(page);
-                self.last = Some((page, row));
-                row
-            }
-        };
-        self.counts[row + (line as usize & (PAGE_LINES - 1))] += n;
-    }
-
-    /// Row offset of `page`, appended zeroed on first touch.
-    fn row_of(&mut self, page: u64) -> usize {
-        if let Some(&row) = self.pages.get(page) {
-            return row;
-        }
-        let row = self.counts.len();
-        self.counts.resize(row + PAGE_LINES, 0);
-        self.pages.insert(page, row);
-        row
+        *self.counts.get_or_insert_default(line) += n;
     }
 
     /// The count of `line` (0 when it was never counted).
     pub fn get(&self, line: u64) -> u64 {
-        self.pages.get(line >> PAGE_SHIFT).map_or(0, |&row| {
-            self.counts[row + (line as usize & (PAGE_LINES - 1))]
-        })
+        self.counts.get(line).copied().unwrap_or(0)
     }
 
     /// Every `(line, count)`, in ascending line order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.pages.sorted_keys().into_iter().flat_map(move |page| {
-            let row = *self.pages.get(page).expect("a listed page has a row");
-            self.counts[row..row + PAGE_LINES]
-                .iter()
-                .enumerate()
-                .filter(|&(_, &n)| n > 0)
-                .map(move |(i, &n)| (page << PAGE_SHIFT | i as u64, n))
-        })
+        self.counts.iter().map(|(line, &n)| (line, n))
     }
 
     /// The `top` hottest lines, sorted by (count desc, line asc): one pass

@@ -3,24 +3,28 @@
 //!
 //! Address resolution is once per access and table-driven
 //! (`AddressMap::resolve`); what a stream or a buffer copy may still take
-//! from the heap is the MLP rings and the doublings of the `LineMap`s
-//! behind the directory and the memory-side cache — a few dozen
-//! allocations however long it runs, never one per line. Under the tracer
-//! and the telemetry sampler the hot-line profile's page table and count
-//! rows double as well, and that is all: no tree node per line, and in the
-//! series an entry per touched cell, never one per bin index — whether the
-//! far bin comes from a 1 ps sampling interval or from a file.
+//! from the heap is the MLP rings (a stream's own, the machine's one for
+//! buffer copies) and the growth of the paged tables behind the directory
+//! and the memory-side cache — a chunk of pages at a time and a doubling
+//! of the page index, a few dozen allocations however long it runs, never
+//! one per line or per page; `reset_caches` keeps the chunks, so the same
+//! pass again takes nothing. A page per line (lines 4 KiB apart) is the
+//! most a table can cost, and is bounded against the hashed table it
+//! replaced. Under the tracer and the telemetry sampler the hot-line
+//! profile grows the same way, and that is all: no tree node per line, and
+//! in the series an entry per touched cell, never one per bin index —
+//! whether the far bin comes from a 1 ps sampling interval or from a file.
 //!
 //! This file is its own test binary with a single `#[test]`, so no sibling
 //! test allocates inside a counting window, and it holds the workspace's
 //! only `unsafe impl`: the counting `#[global_allocator]` below, which
 //! forwards every call to `System` unchanged.
 
-use knl::arch::{ClusterMode, CoreId, HybridSplit, MachineConfig, MemoryMode, NumaKind};
+use knl::arch::{ClusterMode, CoreId, HybridSplit, MachineConfig, MemoryMode, NumaKind, Schedule};
 use knl::sim::machine::StreamState;
 use knl::sim::{
-    AccessKind, LineState, Machine, Metrics, ObserverConfig, StreamKind, TelemetryConfig,
-    TelemetrySeries, TraceLevel,
+    AccessKind, LineState, Machine, Metrics, ObserverConfig, Op, Program, Runner, StreamKind,
+    TelemetryConfig, TelemetrySeries, TraceLevel,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,6 +108,43 @@ fn copy_allocs(cfg: &MachineConfig, kind: NumaKind) -> u64 {
     })
 }
 
+/// 64 threads each copying 4 096 lines through the caches: the Fig. 10
+/// sort's first pass at 16 MB, 524 288 directory entries.
+fn copy_pass(m: &mut Machine, src: u64, dst: u64) {
+    const LINES: u64 = 4096;
+    let programs = (0..64)
+        .map(|rank| {
+            let off = rank as u64 * LINES * 64;
+            let mut p = Program::new(Schedule::FillTiles.place(rank, 64));
+            p.push(Op::CopyBuf {
+                src: src + off,
+                dst: dst + off,
+                bytes: LINES * 64,
+                vectorized: true,
+            });
+            p
+        })
+        .collect();
+    Runner::new(m, programs).run();
+}
+
+/// One core reading `lines` lines 4 KiB apart: every line alone in its
+/// page of the directory, the worst case for paging.
+fn strided_walk(m: &mut Machine, base: u64, lines: u64) {
+    let mut now = 0;
+    for i in 0..lines {
+        let addr = base + i * 4096;
+        now = m.access(CoreId(0), addr, AccessKind::Read, now).complete;
+    }
+}
+
+/// `(allocations, bytes)` of `f`.
+fn heap_in(f: impl FnOnce()) -> (u64, u64) {
+    let mut allocs = 0;
+    let bytes = bytes_in(|| allocs = allocs_in(f));
+    (allocs, bytes)
+}
+
 #[test]
 fn streams_and_copies_allocate_a_constant_not_per_line() {
     let flat = MemoryMode::Flat;
@@ -125,12 +166,72 @@ fn streams_and_copies_allocate_a_constant_not_per_line() {
             long <= short + 8,
             "{label}: triad of 40 000 lines, {long} allocs against {short}"
         );
-        assert!(copy < 64, "{label}: 64 KiB copy, {copy} allocs");
+        assert!(copy < 32, "{label}: 64 KiB copy, {copy} allocs");
     }
+
+    // Line-dense footprints grow the directory and the memory-side-cache
+    // tags by the chunk, and `reset_caches` keeps what they grew to.
+    let mut m = Machine::new(MachineConfig::knl7210(ClusterMode::Snc4, flat));
+    let mut arena = m.arena();
+    let [src, dst] = [(); 2].map(|()| arena.alloc(NumaKind::Ddr, 64 * 4096 * 64));
+    let first = heap_in(|| copy_pass(&mut m, src, dst));
+    m.reset_caches();
+    m.reset_devices();
+    let again = heap_in(|| copy_pass(&mut m, src, dst));
+    // 65 536 directory pages in 14 chunks behind an index that doubled 14
+    // times; the rest, and all of the second pass, is the runner's.
+    assert!(first.0 < 256, "64 × 4 096-line copy pass: {first:?}");
+    assert!(again.1 < 64 << 10, "the same pass after a reset: {again:?}");
+
+    let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Cache);
+    let mut m = Machine::new(cfg);
+    let mut arena = m.arena();
+    let [a, b, c] = [(); 3].map(|()| arena.alloc(NumaKind::Ddr, 100_000 * 64));
+    let triad = |m: &mut Machine| {
+        let mut state = StreamState::default();
+        m.stream_chunk(
+            CoreId(0),
+            StreamKind::Triad,
+            a,
+            b,
+            c,
+            0,
+            100_000,
+            true,
+            &mut state,
+            0,
+            u64::MAX,
+        );
+    };
+    let first = heap_in(|| triad(&mut m));
+    m.reset_caches();
+    m.reset_devices();
+    let again = heap_in(|| triad(&mut m));
+    assert!(
+        first.0 < 96,
+        "Quadrant-cache triad of 100 000 lines: {first:?}"
+    );
+    // A fresh `StreamState`'s two rings, nothing for the 300 000 tags.
+    assert!(again.0 <= 8 && again.1 < 4096, "after a reset: {again:?}");
+
+    let mut m = Machine::new(MachineConfig::knl7210(ClusterMode::Quadrant, flat));
+    // A page per line is what paging can cost at most. The hashed table
+    // this walk filled before took 16 776 704 B in 30 allocations; four
+    // times that is 64 MiB less 2 KiB, half the 8 × a page of eight allows.
+    const HASHED_BYTES: u64 = 16_776_704;
+    let first = heap_in(|| strided_walk(&mut m, 1 << 22, 131_072));
+    m.reset_caches();
+    let again = heap_in(|| strided_walk(&mut m, 1 << 22, 131_072));
+    assert!(
+        first.0 < 96 && first.1 < 4 * HASHED_BYTES,
+        "131 072 lines 4 KiB apart: {first:?}"
+    );
+    assert_eq!(again, (0, 0), "the same walk after a reset");
 
     // Watched by the tracer and the sampler, a stream four times as long
     // costs two more doublings of each growing vector (the profile's page
-    // table and rows, the binned series), not a tree node per ten lines.
+    // index, the binned series) and two more chunks of its pages, not a
+    // tree node per ten lines.
     let observed = ObserverConfig::default()
         .trace(TraceLevel::Summary)
         .telemetry(TelemetryConfig::on());
