@@ -124,17 +124,13 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
         "Protocol comparison — model-tuned collectives (32 tiles)",
         &header,
     );
-    t3.row(row("Broadcast tree cost [ns]", &|i| {
-        f1(optimize_tree(&models[i], n, TreeKind::Broadcast).cost_ns)
-    }));
+    let bcast: Vec<_> = models
+        .iter()
+        .map(|m| optimize_tree(m, n, TreeKind::Broadcast))
+        .collect();
+    t3.row(row("Broadcast tree cost [ns]", &|i| f1(bcast[i].cost_ns)));
     t3.row(row("Broadcast root fan-out", &|i| {
-        format!(
-            "{}",
-            optimize_tree(&models[i], n, TreeKind::Broadcast)
-                .tree
-                .children
-                .len()
-        )
+        format!("{}", bcast[i].tree.degree())
     }));
     t3.row(row("Reduce tree cost [ns]", &|i| {
         f1(optimize_tree(&models[i], n, TreeKind::Reduce).cost_ns)

@@ -1,9 +1,11 @@
 //! The capability model: fitted parameters extracted from suite results.
 
+use crate::tree_opt::TreeTables;
 use knl_benchsuite::SuiteResults;
 use knl_sim::StreamKind;
 use knl_stats::{fit_linear, LinearFit};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Bandwidth curve: achievable GB/s as a function of thread count for one
 /// (kernel, target) pair, taken from the fill-tiles sweep (the schedule the
@@ -59,7 +61,7 @@ impl MemCapability {
 }
 
 /// The fitted capability model (paper §IV-A, §V-A).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct CapabilityModel {
     /// Configuration label the model was fitted on (e.g. "SNC4-flat").
     pub config: String,
@@ -85,6 +87,43 @@ pub struct CapabilityModel {
     pub l2_ns: f64,
     /// Memory latencies and bandwidth curves.
     pub mem: MemCapability,
+    /// Solved Eq. 1 tables, keyed by the five fields Eq. 1 reads (see
+    /// [`crate::tree_opt`]); not part of the model's value.
+    pub(crate) tree_tables: TreeTables,
+}
+
+/// What `#[derive(Debug)]` printed before the model carried its solved
+/// tables: the fitted fields and nothing else.
+impl fmt::Debug for CapabilityModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let CapabilityModel {
+            config,
+            rl_ns,
+            rr_ns,
+            ri_ns,
+            tile_ns,
+            remote_ns,
+            contention,
+            multiline,
+            l1_ns,
+            l2_ns,
+            mem,
+            tree_tables: _,
+        } = self;
+        f.debug_struct("CapabilityModel")
+            .field("config", config)
+            .field("rl_ns", rl_ns)
+            .field("rr_ns", rr_ns)
+            .field("ri_ns", ri_ns)
+            .field("tile_ns", tile_ns)
+            .field("remote_ns", remote_ns)
+            .field("contention", contention)
+            .field("multiline", multiline)
+            .field("l1_ns", l1_ns)
+            .field("l2_ns", l2_ns)
+            .field("mem", mem)
+            .finish()
+    }
 }
 
 impl CapabilityModel {
@@ -187,6 +226,7 @@ impl CapabilityModel {
             l1_ns: rl_ns,
             l2_ns,
             mem,
+            tree_tables: TreeTables::default(),
         }
     }
 
@@ -294,6 +334,7 @@ impl CapabilityModel {
             l1_ns: 3.8,
             l2_ns: 14.0,
             mem,
+            tree_tables: TreeTables::default(),
         }
     }
 }
@@ -309,6 +350,44 @@ mod tests {
         assert!(m.rr_ns > 100.0);
         assert_eq!(m.tc_ns(10), 200.0 + 34.0 * 10.0);
         assert!(m.mem_latency_ns("MCDRAM").unwrap() > m.mem_latency_ns("DRAM").unwrap());
+    }
+
+    /// `Debug` prints what `#[derive(Debug)]` printed when the model was its
+    /// eleven fitted fields, before and after a solve.
+    #[test]
+    fn debug_prints_the_fitted_fields_only() {
+        #[derive(Debug)]
+        #[allow(dead_code)] // read by the derive only
+        struct CapabilityModel {
+            config: String,
+            rl_ns: f64,
+            rr_ns: f64,
+            ri_ns: f64,
+            tile_ns: BTreeMap<char, f64>,
+            remote_ns: BTreeMap<char, f64>,
+            contention: LinearFit,
+            multiline: LinearFit,
+            l1_ns: f64,
+            l2_ns: f64,
+            mem: MemCapability,
+        }
+        let m = super::CapabilityModel::paper_reference();
+        crate::optimize_tree(&m, 16, crate::TreeKind::Reduce);
+        let derived = CapabilityModel {
+            config: m.config.clone(),
+            rl_ns: m.rl_ns,
+            rr_ns: m.rr_ns,
+            ri_ns: m.ri_ns,
+            tile_ns: m.tile_ns.clone(),
+            remote_ns: m.remote_ns.clone(),
+            contention: m.contention,
+            multiline: m.multiline,
+            l1_ns: m.l1_ns,
+            l2_ns: m.l2_ns,
+            mem: m.mem.clone(),
+        };
+        assert_eq!(format!("{m:?}"), format!("{derived:?}"));
+        assert_eq!(format!("{m:#?}"), format!("{derived:#?}"));
     }
 
     #[test]

@@ -10,37 +10,49 @@
 use crate::barrier_opt::optimize_barrier;
 use crate::minmax::MinMax;
 use crate::model::CapabilityModel;
-use crate::tree_opt::{optimize_tree, tree_cost, TreeKind};
+use crate::tree_opt::{optimize_tree, Eq1Terms, TreeKind};
 
 /// Pessimization applied to R_R and T_C for the worst case: every poll
 /// finds the flag line Modified at the writer and pays a full extra bounce
 /// (the contention intercept), and serialization is half again as bad.
-fn worst_model(model: &CapabilityModel) -> CapabilityModel {
-    let mut w = model.clone();
-    let m_state = w.remote_ns.get(&'M').copied().unwrap_or(w.rr_ns);
-    w.rr_ns = m_state + w.contention.alpha.max(0.0);
-    w.contention.beta *= 1.5;
+fn worst_terms(model: &CapabilityModel) -> Eq1Terms {
+    let mut w = Eq1Terms::of(model);
+    let m_state = model.remote_ns.get(&'M').copied().unwrap_or(w.rr_ns);
+    w.rr_ns = m_state + w.alpha.max(0.0);
+    w.beta *= 1.5;
     w
 }
 
-/// Predicted broadcast envelope over `tiles` participants (ns).
-pub fn predict_broadcast(model: &CapabilityModel, tiles: usize) -> MinMax {
-    let best_plan = optimize_tree(model, tiles, TreeKind::Broadcast);
-    let worst = tree_cost(&worst_model(model), &best_plan.tree, TreeKind::Broadcast);
+/// The tuned tree's Eq. 1 cost, and the same tree re-costed under
+/// [`worst_terms`].
+fn predict_tree(model: &CapabilityModel, tiles: usize, kind: TreeKind) -> MinMax {
+    let best_plan = optimize_tree(model, tiles, kind);
+    let worst = worst_terms(model).tree_cost(&best_plan.tree, kind);
     MinMax::new(best_plan.cost_ns.min(worst), worst)
 }
 
+/// Predicted broadcast envelope over `tiles` participants (ns).
+///
+/// # Panics
+///
+/// As [`optimize_tree`]: on a non-finite Eq. 1 term.
+pub fn predict_broadcast(model: &CapabilityModel, tiles: usize) -> MinMax {
+    predict_tree(model, tiles, TreeKind::Broadcast)
+}
+
 /// Predicted reduce envelope over `tiles` participants (ns).
+///
+/// # Panics
+///
+/// As [`optimize_tree`]: on a non-finite Eq. 1 term.
 pub fn predict_reduce(model: &CapabilityModel, tiles: usize) -> MinMax {
-    let best_plan = optimize_tree(model, tiles, TreeKind::Reduce);
-    let worst = tree_cost(&worst_model(model), &best_plan.tree, TreeKind::Reduce);
-    MinMax::new(best_plan.cost_ns.min(worst), worst)
+    predict_tree(model, tiles, TreeKind::Reduce)
 }
 
 /// Predicted dissemination-barrier envelope over `threads` (ns).
 pub fn predict_barrier(model: &CapabilityModel, threads: usize) -> MinMax {
     let best = optimize_barrier(model, threads);
-    let w = worst_model(model);
+    let w = worst_terms(model);
     let worst = best.r as f64 * (w.ri_ns + best.m as f64 * w.rr_ns);
     MinMax::new(best.cost_ns.min(worst), worst.max(best.cost_ns))
 }

@@ -11,6 +11,8 @@ use knl_core::sortmodel::{CostBasis, SortModel};
 use knl_core::tree_opt::{binomial_tree, flat_tree, optimize_tree, tree_cost, TreeKind};
 use knl_core::{CapabilityModel, MinMax};
 
+mod tree_oracle;
+
 const CASES: u64 = 64;
 
 fn range_f64(rng: &mut SplitMixRng, lo: f64, hi: f64) -> f64 {
@@ -74,6 +76,55 @@ fn tree_cost_monotone() {
             let c = optimize_tree(&model, n, TreeKind::Broadcast).cost_ns;
             assert!(c >= prev - 1e-6, "n={n}: {c} < {prev}");
             prev = c;
+        }
+    }
+}
+
+/// The solved tables answer what the table-free solver answers — the same
+/// cost bits and the same shape — whatever order the requests come in.
+#[test]
+fn tree_optimizer_matches_the_oracle_in_any_request_order() {
+    const MAX_N: usize = 64;
+    const KINDS: [TreeKind; 2] = [TreeKind::Broadcast, TreeKind::Reduce];
+    let mut rng = SplitMixRng::seed_from_u64(0xC007);
+    for case in 0..CASES {
+        let mut model = arb_model(&mut rng);
+        if case % 4 == 3 {
+            // T_C falls with the request count until it clamps at zero:
+            // child starts and level costs are not monotone in the fan-out.
+            model.contention.alpha = range_f64(&mut rng, 0.0, 20.0);
+            model.contention.beta = range_f64(&mut rng, -5.0, 0.0);
+        }
+        let want: Vec<[_; 2]> = (0..=MAX_N)
+            .map(|n| KINDS.map(|kind| tree_oracle::optimize_tree(&model, n.max(1), kind)))
+            .collect();
+        let check = |m: &CapabilityModel, n: usize, kind: TreeKind, order: &str| {
+            let plan = optimize_tree(m, n, kind);
+            let (tree, cost) = &want[n][kind as usize];
+            assert_eq!(
+                plan.cost_ns.to_bits(),
+                cost.to_bits(),
+                "case {case} {order} n={n} {kind:?}: {} vs {cost}",
+                plan.cost_ns
+            );
+            assert_eq!(&plan.tree, tree, "case {case} {order} n={n} {kind:?}");
+        };
+        // A clone starts unsolved, so each order meets cold tables.
+        let descending = model.clone();
+        let ascending = model.clone();
+        for kind in KINDS {
+            for n in (1..=MAX_N).rev() {
+                check(&descending, n, kind, "descending");
+            }
+            for n in 1..=MAX_N {
+                check(&ascending, n, kind, "ascending");
+            }
+        }
+        let mut ns: Vec<usize> = (1..=MAX_N).collect();
+        rng.shuffle(&mut ns);
+        for (i, &n) in ns.iter().enumerate() {
+            check(&model, n, KINDS[i % 2], "interleaved");
+            check(&model, n, KINDS[(i + 1) % 2], "interleaved");
         }
     }
 }

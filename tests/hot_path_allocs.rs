@@ -14,6 +14,9 @@
 //! profile grows the same way, and that is all: no tree node per line, and
 //! in the series an entry per touched cell, never one per bin index —
 //! whether the far bin comes from a 1 ps sampling interval or from a file.
+//! In the model layer a solved Eq. 1 table is read, not rebuilt: a repeated
+//! `optimize_tree` allocates the `Tree` it returns and nothing else, and a
+//! `predict_*` envelope copies no part of the model.
 //!
 //! This file is its own test binary with a single `#[test]`, so no sibling
 //! test allocates inside a counting window, and it holds the workspace's
@@ -21,6 +24,8 @@
 //! forwards every call to `System` unchanged.
 
 use knl::arch::{ClusterMode, CoreId, HybridSplit, MachineConfig, MemoryMode, NumaKind, Schedule};
+use knl::model::predict::{predict_broadcast, predict_reduce};
+use knl::model::{optimize_tree, CapabilityModel, TreeKind};
 use knl::sim::machine::StreamState;
 use knl::sim::{
     AccessKind, LineState, Machine, Metrics, ObserverConfig, Op, Program, Runner, StreamKind,
@@ -263,4 +268,24 @@ fn streams_and_copies_allocate_a_constant_not_per_line() {
         assert!(metrics.parse_line("L ffffffffffffffff 1"));
     });
     assert!(parsed < 4096, "three hostile lines: {parsed} B");
+    // Eq. 1, once its table is solved: the returned `Tree` is one vector
+    // per inner node, and that is all a repeated request or an envelope
+    // takes — no DP rows, no copy of the model's six maps.
+    let model = CapabilityModel::paper_reference();
+    for (kind, predict) in [
+        (TreeKind::Broadcast, predict_broadcast as fn(_, _) -> _),
+        (TreeKind::Reduce, predict_reduce),
+    ] {
+        let plan = optimize_tree(&model, 64, kind);
+        let tree = allocs_in(|| drop(plan.tree.clone()));
+        let again = allocs_in(|| drop(optimize_tree(&model, 64, kind)));
+        let envelope = allocs_in(|| {
+            predict(&model, 64);
+        });
+        assert!(
+            tree > 0 && again <= tree,
+            "{kind:?}: {again} against {tree}"
+        );
+        assert!(envelope <= tree, "{kind:?}: {envelope} against {tree}");
+    }
 }
