@@ -14,16 +14,20 @@
 //!   among the three DDR channels of the closest DDR memory controller".
 //!
 //! Cost rule: the simulator pays for this module on every access that
-//! leaves a tile, so an access makes one [`AddressMap::resolve`] call and
-//! nothing on that call allocates (each cluster's EDC list is built once,
-//! in [`AddressMap::new`]). [`AddressMap::home_directory`] and
-//! [`AddressMap::mem_target`] are views of the same rule for tests and
-//! tools.
+//! leaves a tile, so an access makes one [`AddressMap::resolve`] call (a
+//! memory write one [`AddressMap::backing`]) and nothing on that call
+//! allocates or divides: each cluster's tile and EDC list is built once, in
+//! [`AddressMap::new`], with an exact [`Reducer`] for its length, and the
+//! memory-side-cache EDC a line's home is hashed from is handed back with
+//! it. [`AddressMap::home_directory`], [`AddressMap::mem_target`] and
+//! [`AddressMap::mcdram_cache_edc`] are views of the same rule for tests
+//! and tools.
 
 use crate::cluster::ClusterMode;
 use crate::ids::{QuadrantId, TileId};
 use crate::memmode::MemoryMode;
-use crate::topology::{splitmix64, Topology, DDR_CHANNELS_PER_IMC, NUM_EDCS, NUM_IMCS};
+use crate::reduce::Reducer;
+use crate::topology::{splitmix64, Topology, DDR_CHANNELS_PER_IMC, NUM_EDCS, NUM_IMCS, TILE_SLOTS};
 use crate::LINE_SHIFT;
 use std::ops::Range;
 
@@ -86,6 +90,69 @@ impl MemTarget {
 /// Total number of distinct memory devices (6 DDR channels + 8 EDCs).
 pub const NUM_MEM_DEVICES: usize = NUM_IMCS * DDR_CHANNELS_PER_IMC + NUM_EDCS;
 
+/// Where a line's data lives: its memory device and, when the memory-side
+/// cache fronts that device, the EDC caching it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Backing {
+    /// The device the line interleaves to.
+    pub target: MemTarget,
+    /// The memory-side-cache EDC of the line: `Some` exactly when the
+    /// memory mode caches at least one line of DDR in MCDRAM and `target`
+    /// is DDR.
+    pub mcache_edc: Option<u8>,
+}
+
+/// A list of at most `N` items (`N` a power of two) picked from by
+/// `hash mod len`: the reduction precomputed and the items inline, so a
+/// pick is a reduction and one load, with no bounds check.
+#[derive(Debug, Clone)]
+struct Picker<T, const N: usize> {
+    items: [T; N],
+    len: Reducer,
+}
+
+impl<T: Copy, const N: usize> Picker<T, N> {
+    /// # Panics
+    /// Panics if `list` is empty (a cluster without active tiles) or
+    /// longer than `N`.
+    fn new(list: &[T]) -> Self {
+        assert!(
+            !list.is_empty() && list.len() <= N,
+            "a hash needs 1..={N} items to pick from, got {}",
+            list.len()
+        );
+        let mut items = [list[0]; N];
+        items[..list.len()].copy_from_slice(list);
+        Picker {
+            items,
+            len: Reducer::new(list.len() as u64),
+        }
+    }
+
+    #[inline]
+    fn pick(&self, hash: u64) -> T {
+        self.items[self.len.remainder(hash) as usize % N]
+    }
+}
+
+/// Room for one cluster's tiles (at most all 38 slots).
+const TILES: usize = TILE_SLOTS.next_power_of_two();
+
+/// How the lines of one NUMA node spread: the rule of §II-C for its kind
+/// and cluster, as two lists a line hash picks from.
+#[derive(Debug, Clone)]
+struct NodeRule {
+    /// The devices the node's lines interleave over: all six DDR channels,
+    /// the three of the closest IMC (SNC), all eight EDCs, or the
+    /// cluster's EDCs (SNC).
+    devices: Picker<MemTarget, 8>,
+    /// The EDCs a memory-side cache spreads the node's lines over: the
+    /// cluster's in SNC modes, all eight otherwise.
+    cache_edcs: Picker<u8, NUM_EDCS>,
+    /// A DDR node behind a memory-side cache of at least one line.
+    fronted: bool,
+}
+
 /// Address map for one machine configuration.
 #[derive(Debug, Clone)]
 pub struct AddressMap {
@@ -95,17 +162,32 @@ pub struct AddressMap {
     mcdram_flat_bytes: u64,
     mcdram_cache_bytes: u64,
     nodes: Vec<NumaNode>,
-    /// Active tiles in each cluster of the current mode.
-    tiles_by_cluster: Vec<Vec<TileId>>,
+    /// The interleave rule of each node, indexed like `nodes`.
+    rules: Vec<NodeRule>,
+    /// Divides an address by the bytes of one cluster's pair of nodes (DDR
+    /// then MCDRAM): the layout [`AddressMap::new`] lays out, so the node
+    /// of an address is arithmetic, not a search.
+    cluster_span: Reducer,
+    /// DDR bytes at the start of each cluster's span.
+    ddr_per_cluster: u64,
+    /// Nodes per cluster: 2 with flat MCDRAM, 1 without.
+    nodes_per_cluster: usize,
+    /// Active tiles in each cluster of the current mode (all of them in
+    /// cluster 0 for A2A).
+    tiles_by_cluster: Vec<Picker<TileId, TILES>>,
+    /// The cluster a line is homed in, by the device it is fetched from
+    /// (`MemTarget::device_index`) and bit 16 of its home hash: an EDC's
+    /// cluster; an IMC's hemisphere, or one of the two quadrants on its
+    /// side split by the hash bit so homes stay uniform; 0 for A2A.
+    home_cluster: [[u8; 2]; NUM_MEM_DEVICES],
+    /// Shift of the home hash before the tile pick: the whole hash over all
+    /// tiles in A2A, the hash without its low byte within a cluster.
+    home_shift: u32,
+    /// Pure cache mode: lines are fetched from, and homed by, their
+    /// memory-side-cache EDC.
+    home_by_cache_edc: bool,
     /// Quadrant of each EDC.
     edc_quadrant: [u8; NUM_EDCS],
-    /// Cluster of each EDC in the current mode: its hemisphere
-    /// (west=0/east=1) for two clusters, its quadrant for four.
-    edc_cluster: [u8; NUM_EDCS],
-    /// EDCs of each cluster of the current mode, ascending.
-    edcs_by_cluster: Vec<Vec<u8>>,
-    /// All active tiles (for the A2A hash).
-    all_tiles: Vec<TileId>,
 }
 
 impl AddressMap {
@@ -119,44 +201,17 @@ impl AddressMap {
     ) -> Self {
         let mcdram_flat = memory_mode.mcdram_flat_bytes(mcdram_bytes);
         let mcdram_cache = memory_mode.mcdram_cache_bytes(mcdram_bytes);
+        let snc = cluster_mode.software_numa();
         // Quadrant/Hemisphere are software-transparent: only SNC modes split
         // the address space into per-cluster NUMA ranges.
-        let k = if cluster_mode.software_numa() {
-            cluster_mode.num_clusters()
-        } else {
-            1
-        };
-
-        let mut nodes = Vec::new();
-        let mut cursor = 0u64;
-        let ddr_per = align_line(ddr_bytes / k as u64);
-        let mc_per = align_line(mcdram_flat / k as u64);
-        for c in 0..k as u8 {
-            nodes.push(NumaNode {
-                id: nodes.len(),
-                kind: NumaKind::Ddr,
-                cluster: c,
-                range: cursor..cursor + ddr_per,
-            });
-            cursor += ddr_per;
-            if mc_per > 0 {
-                nodes.push(NumaNode {
-                    id: nodes.len(),
-                    kind: NumaKind::Mcdram,
-                    cluster: c,
-                    range: cursor..cursor + mc_per,
-                });
-                cursor += mc_per;
-            }
-        }
-        // Non-SNC flat mode presents exactly two nodes (DDR then MCDRAM above
-        // it); with k == 1 the loop above already produced that layout.
+        let k = if snc { cluster_mode.num_clusters() } else { 1 };
+        let clusters = cluster_mode.num_clusters();
 
         // Directory affinity always follows the full cluster count, even for
         // the software-transparent modes.
-        let tiles_by_cluster = (0..cluster_mode.num_clusters() as u8)
-            .map(|c| topo.tiles_in_cluster(cluster_mode, c))
-            .collect::<Vec<_>>();
+        let tiles_by_cluster = (0..clusters as u8)
+            .map(|c| Picker::new(&topo.tiles_in_cluster(cluster_mode, c)))
+            .collect();
         let mut edc_quadrant = [0u8; NUM_EDCS];
         let mut edc_hemisphere = [0u8; NUM_EDCS];
         for e in 0..NUM_EDCS as u8 {
@@ -164,19 +219,87 @@ impl AddressMap {
             edc_quadrant[e as usize] = topo.quadrant_of_pos(pos).0;
             edc_hemisphere[e as usize] = (pos.0 >= crate::topology::GRID_COLS / 2) as u8;
         }
-        let edc_cluster = match cluster_mode.num_clusters() {
+        let edc_cluster = match clusters {
             2 => edc_hemisphere,
             4 => edc_quadrant,
             _ => [0; NUM_EDCS],
         };
-        let edcs_by_cluster = (0..cluster_mode.num_clusters() as u8)
-            .map(|c| {
-                (0..NUM_EDCS as u8)
-                    .filter(|&e| edc_cluster[e as usize] == c)
+        let cluster_edcs = |c: u8| -> Vec<u8> {
+            (0..NUM_EDCS as u8)
+                .filter(|&e| !snc || edc_cluster[e as usize] == c)
+                .collect()
+        };
+        // The IMC closest to a cluster: its hemisphere for 2 clusters, the
+        // east/west bit of its quadrant for 4.
+        let imc_of = |c: u8| if clusters == 2 { c } else { c & 1 };
+
+        let mut home_cluster = [[0u8; 2]; NUM_MEM_DEVICES];
+        if clusters > 1 {
+            for imc in 0..NUM_IMCS as u8 {
+                let side = if clusters == 2 {
+                    [imc; 2]
+                } else {
+                    [imc, imc | 2]
+                };
+                for chan in 0..DDR_CHANNELS_PER_IMC as u8 {
+                    home_cluster[MemTarget::Ddr { imc, chan }.device_index()] = side;
+                }
+            }
+            for edc in 0..NUM_EDCS as u8 {
+                let c = edc_cluster[edc as usize];
+                home_cluster[MemTarget::Mcdram { edc }.device_index()] = [c; 2];
+            }
+        }
+
+        let ddr_per = align_line(ddr_bytes / k as u64);
+        let mc_per = align_line(mcdram_flat / k as u64);
+        let fronted = mcdram_cache >> LINE_SHIFT > 0;
+        let (mut nodes, mut rules) = (Vec::new(), Vec::new());
+        let mut cursor = 0u64;
+        for c in 0..k as u8 {
+            let ddr: Vec<MemTarget> = if snc {
+                // SNC: interleave over the three channels of the closest IMC.
+                let imc = imc_of(c);
+                (0..DDR_CHANNELS_PER_IMC as u8)
+                    .map(|chan| MemTarget::Ddr { imc, chan })
                     .collect()
-            })
-            .collect();
-        let all_tiles = (0..topo.num_tiles() as u16).map(TileId).collect();
+            } else {
+                // Uniform over all six channels (Quadrant/Hemisphere's
+                // affinity shows up in the directory hash, not here).
+                (0..(NUM_IMCS * DDR_CHANNELS_PER_IMC) as u8)
+                    .map(|ch| MemTarget::Ddr {
+                        imc: ch / 3,
+                        chan: ch % 3,
+                    })
+                    .collect()
+            };
+            let mcdram: Vec<MemTarget> = cluster_edcs(c)
+                .into_iter()
+                .map(|edc| MemTarget::Mcdram { edc })
+                .collect();
+            for (kind, bytes, devices) in [
+                (NumaKind::Ddr, ddr_per, ddr),
+                (NumaKind::Mcdram, mc_per, mcdram),
+            ] {
+                if kind == NumaKind::Mcdram && mc_per == 0 {
+                    continue;
+                }
+                nodes.push(NumaNode {
+                    id: nodes.len(),
+                    kind,
+                    cluster: c,
+                    range: cursor..cursor + bytes,
+                });
+                rules.push(NodeRule {
+                    devices: Picker::new(&devices),
+                    cache_edcs: Picker::new(&cluster_edcs(c)),
+                    fronted: fronted && kind == NumaKind::Ddr,
+                });
+                cursor += bytes;
+            }
+        }
+        // Non-SNC flat mode presents exactly two nodes (DDR then MCDRAM above
+        // it); with k == 1 the loop above already produced that layout.
 
         AddressMap {
             cluster_mode,
@@ -185,11 +308,15 @@ impl AddressMap {
             mcdram_flat_bytes: mc_per * k as u64,
             mcdram_cache_bytes: mcdram_cache,
             nodes,
+            rules,
+            cluster_span: Reducer::new((ddr_per + mc_per).max(1)),
+            ddr_per_cluster: ddr_per,
+            nodes_per_cluster: if mc_per > 0 { 2 } else { 1 },
             tiles_by_cluster,
+            home_cluster,
+            home_shift: if clusters == 1 { 0 } else { 8 },
+            home_by_cache_edc: memory_mode.has_mcdram_cache() && !memory_mode.has_flat_mcdram(),
             edc_quadrant,
-            edc_cluster,
-            edcs_by_cluster,
-            all_tiles,
         }
     }
 
@@ -228,36 +355,72 @@ impl AddressMap {
             .map(|n| n.range.clone())
     }
 
-    /// The NUMA node containing `paddr`.
-    pub fn node_of(&self, paddr: u64) -> Option<&NumaNode> {
-        self.nodes.iter().find(|n| n.range.contains(&paddr))
+    /// Index into `nodes` of the node containing `paddr`.
+    #[inline]
+    fn node_index(&self, paddr: u64) -> Option<usize> {
+        if paddr >= self.addressable_bytes() {
+            return None;
+        }
+        let cluster = self.cluster_span.quotient(paddr);
+        let offset = paddr - cluster * self.cluster_span.divisor();
+        let mcdram = (offset >= self.ddr_per_cluster) as usize;
+        Some(cluster as usize * self.nodes_per_cluster + mcdram)
     }
 
-    /// The NUMA node containing `paddr`, which must be addressable.
-    fn expect_node(&self, paddr: u64) -> &NumaNode {
-        self.node_of(paddr)
+    /// The NUMA node containing `paddr`.
+    pub fn node_of(&self, paddr: u64) -> Option<&NumaNode> {
+        self.node_index(paddr).map(|i| &self.nodes[i])
+    }
+
+    /// The index of the node containing `paddr`, which must be addressable.
+    #[inline]
+    fn expect_node(&self, paddr: u64) -> usize {
+        self.node_index(paddr)
             .unwrap_or_else(|| panic!("address {paddr:#x} outside addressable range"))
     }
 
-    /// Home directory and backing memory device of the line containing
-    /// `paddr`, from one node lookup: the engine's one call per access.
+    /// Home directory and backing of the line containing `paddr`, from one
+    /// node lookup: the engine's one call per access.
     ///
     /// # Panics
     /// Panics if the address is outside the addressable range.
-    pub fn resolve(&self, paddr: u64) -> (TileId, MemTarget) {
-        let node = self.expect_node(paddr);
-        let target = self.target_in(node, paddr);
+    #[inline(always)]
+    pub fn resolve(&self, paddr: u64) -> (TileId, Backing) {
+        let rule = &self.rules[self.expect_node(paddr)];
         let line = paddr >> LINE_SHIFT;
+        let backing = self.backing_in(rule, line);
         let h = splitmix64(line ^ 0xD1CE_D1CE);
-        let home = match self.cluster_mode {
-            ClusterMode::A2A => self.all_tiles[(h as usize) % self.all_tiles.len()],
-            _ => {
-                let cluster = self.home_cluster(node, paddr, target, h);
-                let tiles = &self.tiles_by_cluster[cluster as usize];
-                tiles[(h as usize >> 8) % tiles.len()]
-            }
+        // The device the line is fetched from: its memory-side-cache EDC
+        // in pure cache mode (hashed here only if the cache is under a
+        // line), its target otherwise.
+        let source = if self.home_by_cache_edc {
+            let edc = backing.mcache_edc.unwrap_or_else(|| cache_edc(rule, line));
+            MemTarget::Mcdram { edc }
+        } else {
+            backing.target
         };
-        (home, target)
+        let cluster = self.home_cluster[source.device_index()][(h >> 16) as usize & 1];
+        let home = self.tiles_by_cluster[cluster as usize].pick(h >> self.home_shift);
+        (home, backing)
+    }
+
+    /// The backing of the line containing `paddr`, without its home: what
+    /// a write to memory needs.
+    ///
+    /// # Panics
+    /// Panics if the address is outside the addressable range.
+    #[inline(always)]
+    pub fn backing(&self, paddr: u64) -> Backing {
+        let rule = &self.rules[self.expect_node(paddr)];
+        self.backing_in(rule, paddr >> LINE_SHIFT)
+    }
+
+    #[inline(always)]
+    fn backing_in(&self, rule: &NodeRule, line: u64) -> Backing {
+        Backing {
+            target: rule.devices.pick(splitmix64(line)),
+            mcache_edc: rule.fronted.then(|| cache_edc(rule, line)),
+        }
     }
 
     /// Resolve a physical address to its backing memory device.
@@ -265,68 +428,16 @@ impl AddressMap {
     /// # Panics
     /// Panics if the address is outside the addressable range.
     pub fn mem_target(&self, paddr: u64) -> MemTarget {
-        self.target_in(self.expect_node(paddr), paddr)
-    }
-
-    /// The device `paddr` interleaves to within its node.
-    fn target_in(&self, node: &NumaNode, paddr: u64) -> MemTarget {
-        let line = paddr >> LINE_SHIFT;
-        let h = splitmix64(line);
-        match (node.kind, self.cluster_mode.num_clusters()) {
-            (NumaKind::Ddr, 1) => {
-                // Uniform over all six channels.
-                let ch = (h % 6) as u8;
-                MemTarget::Ddr {
-                    imc: ch / 3,
-                    chan: ch % 3,
-                }
-            }
-            (NumaKind::Ddr, 2 | 4) if self.cluster_mode.software_numa() => {
-                // SNC: interleave over the three channels of the closest IMC.
-                let imc = self.imc_for_cluster(node.cluster);
-                MemTarget::Ddr {
-                    imc,
-                    chan: (h % 3) as u8,
-                }
-            }
-            (NumaKind::Ddr, _) => {
-                // Quadrant/Hemisphere: uniform over all channels (the
-                // affinity shows up in the directory hash, not here).
-                let ch = (h % 6) as u8;
-                MemTarget::Ddr {
-                    imc: ch / 3,
-                    chan: ch % 3,
-                }
-            }
-            (NumaKind::Mcdram, 1) => MemTarget::Mcdram { edc: (h % 8) as u8 },
-            (NumaKind::Mcdram, _) if self.cluster_mode.software_numa() => {
-                let edcs = self.edcs_for_cluster(node.cluster);
-                MemTarget::Mcdram {
-                    edc: edcs[(h as usize) % edcs.len()],
-                }
-            }
-            (NumaKind::Mcdram, _) => MemTarget::Mcdram { edc: (h % 8) as u8 },
-        }
+        self.backing(paddr).target
     }
 
     /// The EDC acting as memory-side cache for `paddr` (cache/hybrid modes).
     /// The MCDRAM cache is direct-mapped on physical addresses; the EDC is
-    /// selected by line hash, within the cluster for SNC modes.
+    /// selected by line hash, within the cluster for SNC modes (cluster 0
+    /// for an address outside every node).
     pub fn mcdram_cache_edc(&self, paddr: u64) -> u8 {
-        let cluster = self.node_of(paddr).map_or(0, |n| n.cluster);
-        self.cache_edc_in(cluster, paddr)
-    }
-
-    /// [`Self::mcdram_cache_edc`] for a line whose node's cluster is known.
-    fn cache_edc_in(&self, cluster: u8, paddr: u64) -> u8 {
-        let line = paddr >> LINE_SHIFT;
-        let h = splitmix64(line ^ 0xC0FF_EE00);
-        if self.cluster_mode.software_numa() {
-            let edcs = self.edcs_for_cluster(cluster);
-            edcs[(h as usize) % edcs.len()]
-        } else {
-            (h % 8) as u8
-        }
+        let rule = &self.rules[self.node_index(paddr).unwrap_or(0)];
+        cache_edc(rule, paddr >> LINE_SHIFT)
     }
 
     /// The tile whose CHA is the home directory for the line containing
@@ -338,49 +449,16 @@ impl AddressMap {
         self.resolve(paddr).0
     }
 
-    /// Cluster in which the line is homed: the cluster of the memory device
-    /// the line is fetched from, `target` unless the memory-side cache
-    /// fronts all of memory.
-    fn home_cluster(&self, node: &NumaNode, paddr: u64, target: MemTarget, h: u64) -> u8 {
-        let device_cluster = |t: MemTarget| -> u8 {
-            match t {
-                MemTarget::Mcdram { edc } => self.edc_cluster[edc as usize],
-                MemTarget::Ddr { imc, .. } => match self.cluster_mode.num_clusters() {
-                    // Hemispheres follow the IMC side directly.
-                    2 => imc,
-                    // An IMC serves the two quadrants on its side; split them
-                    // by hash so homes stay uniform.
-                    _ => imc | ((h >> 16) as u8 & 1) << 1,
-                },
-            }
-        };
-        if self.memory_mode.has_mcdram_cache() && !self.memory_mode.has_flat_mcdram() {
-            // Pure cache mode: lines are served from the MCDRAM cache EDC.
-            let edc = self.cache_edc_in(node.cluster, paddr);
-            device_cluster(MemTarget::Mcdram { edc })
-        } else {
-            device_cluster(target)
-        }
-    }
-
-    /// IMC closest to a cluster: hemisphere index for 2 clusters; east/west
-    /// bit of the quadrant for 4.
-    fn imc_for_cluster(&self, cluster: u8) -> u8 {
-        match self.cluster_mode.num_clusters() {
-            2 => cluster,
-            _ => cluster & 1,
-        }
-    }
-
-    /// EDCs belonging to a cluster.
-    fn edcs_for_cluster(&self, cluster: u8) -> &[u8] {
-        &self.edcs_by_cluster[cluster as usize]
-    }
-
     /// Quadrant of an EDC (used by the simulator for routing distances).
     pub fn edc_quadrant(&self, edc: u8) -> QuadrantId {
         QuadrantId(self.edc_quadrant[edc as usize])
     }
+}
+
+/// The memory-side-cache EDC of `line` under a node's rule.
+#[inline]
+fn cache_edc(rule: &NodeRule, line: u64) -> u8 {
+    rule.cache_edcs.pick(splitmix64(line ^ 0xC0FF_EE00))
 }
 
 fn align_line(b: u64) -> u64 {
@@ -530,9 +608,17 @@ mod tests {
                 let step = m.addressable_bytes() / 1021;
                 for i in 0..1021u64 {
                     let a = (i * step) & !63;
+                    let (home, backing) = m.resolve(a);
+                    let fronted = mm.has_mcdram_cache() && !backing.target.is_mcdram();
                     assert_eq!(
-                        m.resolve(a),
-                        (m.home_directory(a), m.mem_target(a)),
+                        (home, backing),
+                        (m.home_directory(a), m.backing(a)),
+                        "{cm:?} {mm:?} {a:#x}"
+                    );
+                    assert_eq!(backing.target, m.mem_target(a));
+                    assert_eq!(
+                        backing.mcache_edc,
+                        fronted.then(|| m.mcdram_cache_edc(a)),
                         "{cm:?} {mm:?} {a:#x}"
                     );
                 }

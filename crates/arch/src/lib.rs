@@ -25,17 +25,19 @@ pub mod config;
 pub mod ids;
 pub mod memmode;
 pub mod protocol;
+pub mod reduce;
 pub mod rng;
 pub mod schedule;
 pub mod timing;
 pub mod topology;
 
-pub use address::{AddressMap, MemTarget, NumaKind, NumaNode};
+pub use address::{AddressMap, Backing, MemTarget, NumaKind, NumaNode};
 pub use cluster::ClusterMode;
 pub use config::MachineConfig;
 pub use ids::{CoreId, HwThreadId, QuadrantId, TileId};
 pub use memmode::{HybridSplit, MemoryMode};
 pub use protocol::ProtocolKind;
+pub use reduce::Reducer;
 pub use rng::SplitMixRng;
 pub use schedule::Schedule;
 pub use timing::TimingParams;

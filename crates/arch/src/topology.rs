@@ -17,7 +17,8 @@
 //! Routing is Y-first-then-X. Each row and column is a pair of half rings
 //! traversed in both directions ("when a message goes off the ring, it gets
 //! injected back in the opposite direction"), so the effective hop distance
-//! between two stops is `|Δy| + |Δx|`.
+//! between two stops is `|Δy| + |Δx|`. The simulator's mesh tabulates it
+//! once per machine (`knl_sim::mesh::Mesh`); this crate only places stops.
 
 use crate::cluster::ClusterMode;
 use crate::ids::{CoreId, QuadrantId, TileId};
@@ -192,17 +193,6 @@ impl Topology {
         self.imc_pos[imc as usize]
     }
 
-    /// Mesh hop distance between two grid positions (Y-then-X over
-    /// bidirectional half rings ⇒ Manhattan distance).
-    pub fn hops(&self, a: (i32, i32), b: (i32, i32)) -> u32 {
-        ((a.0 - b.0).abs() + (a.1 - b.1).abs()) as u32
-    }
-
-    /// Hop distance between two active tiles.
-    pub fn tile_hops(&self, a: TileId, b: TileId) -> u32 {
-        self.hops(self.tile_position(a), self.tile_position(b))
-    }
-
     /// Which geometric quadrant a grid position belongs to. Quadrants are
     /// the four die quarters: (west/east) × (north/south).
     pub fn quadrant_of_pos(&self, pos: (i32, i32)) -> QuadrantId {
@@ -343,24 +333,6 @@ mod tests {
         assert_eq!(imcs, 2);
         assert!(t.stops().iter().any(|s| matches!(s.kind, StopKind::Iio)));
         assert!(t.stops().iter().any(|s| matches!(s.kind, StopKind::Misc)));
-    }
-
-    #[test]
-    fn hops_symmetric_and_triangle() {
-        let t = topo();
-        for a in 0..t.num_tiles() as u16 {
-            for b in 0..t.num_tiles() as u16 {
-                let ab = t.tile_hops(TileId(a), TileId(b));
-                let ba = t.tile_hops(TileId(b), TileId(a));
-                assert_eq!(ab, ba);
-                if a == b {
-                    assert_eq!(ab, 0);
-                }
-            }
-        }
-        // Triangle inequality on a few triples.
-        let (a, b, c) = (TileId(0), TileId(10), TileId(25));
-        assert!(t.tile_hops(a, c) <= t.tile_hops(a, b) + t.tile_hops(b, c));
     }
 
     #[test]

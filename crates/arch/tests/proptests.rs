@@ -5,9 +5,10 @@
 //! fixed seeds (the workspace builds offline with no external crates, so
 //! these are hand-rolled property loops rather than `proptest` macros).
 
+use knl_arch::topology::{NUM_EDCS, TILE_SLOTS};
 use knl_arch::{
-    ClusterMode, HybridSplit, MachineConfig, MemoryMode, NumaKind, Schedule, SplitMixRng, TileId,
-    Topology,
+    ClusterMode, HybridSplit, MachineConfig, MemoryMode, NumaKind, Reducer, Schedule, SplitMixRng,
+    TileId, Topology,
 };
 
 const CASES: u64 = 64;
@@ -92,8 +93,9 @@ fn schedules_injective() {
     }
 }
 
-/// Any active-tile count up to 38 yields a consistent topology:
-/// quadrants partition the tiles and hop distances are a metric.
+/// Any active-tile count up to 38 yields a consistent topology: quadrants
+/// partition the tiles. (Hop distances are the simulator mesh's table,
+/// held to a metric by `crates/sim/tests/proptests.rs`.)
 #[test]
 fn topology_consistent() {
     let mut rng = SplitMixRng::seed_from_u64(0xA004);
@@ -107,12 +109,6 @@ fn topology_consistent() {
             per_quadrant[topo.tile_quadrant(TileId(t)).0 as usize] += 1;
         }
         assert_eq!(per_quadrant.iter().sum::<usize>(), tiles);
-        // Metric properties on a random triple.
-        let a = TileId((seed % tiles as u64) as u16);
-        let b = TileId(((seed / 7) % tiles as u64) as u16);
-        let c = TileId(((seed / 49) % tiles as u64) as u16);
-        assert_eq!(topo.tile_hops(a, b), topo.tile_hops(b, a));
-        assert!(topo.tile_hops(a, c) <= topo.tile_hops(a, b) + topo.tile_hops(b, c));
     }
 }
 
@@ -167,6 +163,35 @@ fn address_decode_roundtrips_to_containing_node() {
                 MemTarget::Ddr { .. } => assert_eq!(node.kind, NumaKind::Ddr),
                 MemTarget::Mcdram { .. } => assert_eq!(node.kind, NumaKind::Mcdram),
             }
+        }
+    }
+}
+
+/// Every [`Reducer`] the simulator builds agrees with `%`: at each divisor
+/// a per-cluster tile list (1..=38), an EDC list (1..=8) or a jitter span
+/// (`2·pct + 1` for pct 0..=50) can have, on random numerators and on the
+/// edges — 0, d − 1, d, k·d ± 1 and the largest value each call site
+/// passes (2⁵⁶ − 1 after the home hash's `>> 8`, `u64::MAX` for a full
+/// hash).
+#[test]
+fn reducers_agree_with_the_remainder_operator() {
+    const FULL: u64 = u64::MAX;
+    const SHIFTED: u64 = (1 << 56) - 1;
+    let mut rng = SplitMixRng::seed_from_u64(0xA007);
+    let tiles = 1..=TILE_SLOTS as u64;
+    let edcs = 1..=NUM_EDCS as u64;
+    let spans = (0..=50u64).map(|pct| 2 * pct + 1);
+    for d in tiles.chain(edcs).chain(spans) {
+        let r = Reducer::new(d);
+        let mut edges = vec![0, d - 1, d, FULL, FULL - 1, SHIFTED, SHIFTED - 1];
+        // The largest multiples of d in range, and their neighbours.
+        for top in [FULL, SHIFTED] {
+            let k = top / d;
+            edges.extend([k * d - 1, k * d, (k - 1) * d + 1, (k / 2) * d + 1]);
+        }
+        for n in edges.into_iter().chain((0..4096).map(|_| rng.next_u64())) {
+            assert_eq!(r.remainder(n), n % d, "{n} mod {d}");
+            assert_eq!(r.remainder(n >> 8), (n >> 8) % d, "{n} >> 8 mod {d}");
         }
     }
 }

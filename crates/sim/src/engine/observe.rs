@@ -236,7 +236,9 @@ impl ObserverHub {
     }
 
     /// Hand one event to every attached consumer (the outlined slow path
-    /// of every emitter).
+    /// of every emitter: kept out of line so each emission site in the
+    /// engine is a flag test and a call).
+    #[inline(never)]
     fn emit(&mut self, time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
         if let Some(c) = self.checker.as_deref_mut() {
             c.on_event(time, line, event);
@@ -694,7 +696,7 @@ mod tests {
     #[test]
     fn remote_serve_traced_with_state_and_hops() {
         use crate::directory::LineState;
-        use crate::trace::hop_dist;
+        use crate::mesh::StopId;
         let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
         let mut m =
             Machine::with_observer_config(cfg, ObserverConfig::default().trace(TraceLevel::Full));
@@ -711,10 +713,9 @@ mod tests {
             }
             other => panic!("expected remote-cache serve, got {other:?}"),
         };
-        let want_hops = hop_dist(
-            m.topology().tile_position(reader.tile()),
-            m.topology().tile_position(holder),
-        );
+        let want_hops = m
+            .mesh
+            .hops(StopId::tile(reader.tile()), StopId::tile(holder));
         let tr = m.tracer().expect("tracer attached");
         let srv = tr
             .events()

@@ -13,10 +13,30 @@ use crate::engine::observe::{gstate_tag, src_tag};
 use crate::invariants::ProtoEvent;
 use crate::machine::{AccessOutcome, Machine, ServedBy};
 use crate::mcache::McacheOutcome;
+use crate::mesh::StopId;
 use crate::protocol::{self, Outcome, Request};
-use crate::trace::hop_dist;
 use crate::SimTime;
-use knl_arch::{CoreId, MemTarget, TileId, LINE_SHIFT};
+use knl_arch::{Backing, CoreId, MemTarget, TileId, LINE_SHIFT};
+
+/// A read from memory: when the data is ready at the device, the stop it
+/// leaves from, and whether the memory-side cache supplied it. Sixteen
+/// bytes, so even the out-of-line cache flow returns it in registers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemRead {
+    pub(crate) ready: SimTime,
+    pub(crate) from: StopId,
+    pub(crate) mcache_hit: bool,
+}
+
+impl MemRead {
+    /// The provenance of this read of a line with `backing`.
+    pub(crate) fn served_by(self, backing: Backing) -> ServedBy {
+        match backing.mcache_edc {
+            Some(edc) if self.mcache_hit => ServedBy::McacheHit { edc },
+            _ => ServedBy::Memory(backing.target),
+        }
+    }
+}
 
 impl Machine {
     /// The one place the engine steps a directory entry: run `request`
@@ -125,17 +145,17 @@ impl Machine {
         }
 
         // Remote path: requester -> home CHA.
-        let (home, target) = self.map.resolve(addr);
-        let req_pos = self.topo.tile_position(tile);
-        let home_pos = self.topo.tile_position(home);
+        let (home, backing) = self.map.resolve(addr);
+        let req = StopId::tile(tile);
+        let home = StopId::tile(home);
         let t_req = self.mesh.traverse(
-            req_pos,
-            home_pos,
+            req,
+            home,
             now + self.cfg.timing.l2_miss_detect_ps + self.cfg.timing.inject_ps,
         );
         if self.hub.enabled() {
             self.hub.issue(now, line, 'R');
-            self.hub.hop(t_req, line, 'q', hop_dist(req_pos, home_pos));
+            self.hub.hop(t_req, line, 'q', self.mesh.hops(req, home));
         }
 
         let entry = self.dir.get_or_insert_default(line);
@@ -153,15 +173,15 @@ impl Machine {
                 LineState::Exclusive => self.cfg.timing.remote_e_extra_ps,
                 LineState::Shared | LineState::Forward | LineState::Invalid => 0,
             };
-            let sup_pos = self.topo.tile_position(sup);
+            let sup_stop = StopId::tile(sup);
             let t_data = self
                 .mesh
-                .traverse(home_pos, sup_pos, t_svc + self.cfg.timing.inject_ps)
+                .traverse(home, sup_stop, t_svc + self.cfg.timing.inject_ps)
                 + self.cfg.timing.remote_l2_ps
                 + extra;
             let complete = self
                 .mesh
-                .traverse(sup_pos, req_pos, t_data + self.cfg.timing.inject_ps)
+                .traverse(sup_stop, req, t_data + self.cfg.timing.inject_ps)
                 + self.cfg.timing.fill_ps;
             self.counters.remote_cache_hits += 1;
             let (grant, ver) = self
@@ -176,20 +196,14 @@ impl Machine {
             self.hub.coherent_read(t_svc, line, false);
             let jc = now + self.jitter(complete - now, line);
             if self.hub.enabled() {
-                self.hub.hop(t_data, line, 'd', hop_dist(home_pos, sup_pos));
+                let hops = self.mesh.hops(req, sup_stop);
                 self.hub
-                    .hop(complete, line, 'r', hop_dist(sup_pos, req_pos));
+                    .hop(t_data, line, 'd', self.mesh.hops(home, sup_stop));
+                self.hub.hop(complete, line, 'r', hops);
                 if grant.writeback {
                     self.hub.writeback(complete, line, false);
                 }
-                self.hub.serve(
-                    jc,
-                    line,
-                    'R',
-                    st.letter(),
-                    hop_dist(req_pos, sup_pos),
-                    jc - now,
-                );
+                self.hub.serve(jc, line, 'R', st.letter(), hops, jc - now);
             }
             let outcome = AccessOutcome {
                 complete: jc,
@@ -200,11 +214,10 @@ impl Machine {
             };
             (outcome, ver)
         } else {
-            let (ready, served_by) = self.memory_read(target, addr, line, home_pos, t_svc);
-            let served_pos = self.served_pos(served_by);
+            let read = self.memory_read(backing, line, home, t_svc);
             let complete =
                 self.mesh
-                    .traverse(served_pos, req_pos, ready + self.cfg.timing.inject_ps)
+                    .traverse(read.from, req, read.ready + self.cfg.timing.inject_ps)
                     + self.cfg.timing.fill_ps;
             let (grant, ver) = self
                 .dir_step(t_svc, line, Request::Read, tile, true)
@@ -213,17 +226,12 @@ impl Machine {
             debug_assert!(!grant.writeback, "memory served a line cached dirty");
             self.hub.coherent_read(t_svc, line, true);
             let jc = now + self.jitter(complete - now, line);
+            let served_by = read.served_by(backing);
             if self.hub.enabled() {
+                let hops = self.mesh.hops(req, read.from);
+                self.hub.hop(complete, line, 'r', hops);
                 self.hub
-                    .hop(complete, line, 'r', hop_dist(served_pos, req_pos));
-                self.hub.serve(
-                    jc,
-                    line,
-                    'R',
-                    src_tag(served_by),
-                    hop_dist(req_pos, served_pos),
-                    jc - now,
-                );
+                    .serve(jc, line, 'R', src_tag(served_by), hops, jc - now);
             }
             let outcome = AccessOutcome {
                 complete: jc,
@@ -286,17 +294,17 @@ impl Machine {
         }
 
         // RFO through the home directory.
-        let (home, target) = self.map.resolve(addr);
-        let req_pos = self.topo.tile_position(tile);
-        let home_pos = self.topo.tile_position(home);
+        let (home, backing) = self.map.resolve(addr);
+        let req = StopId::tile(tile);
+        let home = StopId::tile(home);
         let t_req = self.mesh.traverse(
-            req_pos,
-            home_pos,
+            req,
+            home,
             now + self.cfg.timing.l2_miss_detect_ps + self.cfg.timing.inject_ps,
         );
         if self.hub.enabled() {
             self.hub.issue(now, line, 'W');
-            self.hub.hop(t_req, line, 'q', hop_dist(req_pos, home_pos));
+            self.hub.hop(t_req, line, 'q', self.mesh.hops(req, home));
         }
 
         let entry = self.dir.get_or_insert_default(line);
@@ -311,49 +319,52 @@ impl Machine {
         let fetches = self.cfg.protocol.invalidation_based() || tile_state == LineState::Invalid;
         let supplier = entry.supplier().filter(|&s| s != tile && fetches);
 
-        let (data_ready, served_by) = if let Some(sup) = supplier {
+        // `from`: the stop the data (or, for an upgrade, the permission)
+        // comes back from.
+        let (data_ready, served_by, from) = if let Some(sup) = supplier {
             let st = entry.state_of(sup);
             let extra = match st {
                 LineState::Modified | LineState::Owned => self.cfg.timing.remote_m_extra_ps,
                 LineState::Exclusive => self.cfg.timing.remote_e_extra_ps,
                 LineState::Shared | LineState::Forward | LineState::Invalid => 0,
             };
-            let sup_pos = self.topo.tile_position(sup);
+            let sup_stop = StopId::tile(sup);
             let at_sup = self
                 .mesh
-                .traverse(home_pos, sup_pos, t_svc + self.cfg.timing.inject_ps)
+                .traverse(home, sup_stop, t_svc + self.cfg.timing.inject_ps)
                 + self.cfg.timing.remote_l2_ps
                 + extra;
             let ready = self
                 .mesh
-                .traverse(sup_pos, req_pos, at_sup + self.cfg.timing.inject_ps);
+                .traverse(sup_stop, req, at_sup + self.cfg.timing.inject_ps);
             self.counters.remote_cache_hits += 1;
             if self.hub.enabled() {
-                self.hub.hop(at_sup, line, 'd', hop_dist(home_pos, sup_pos));
-                self.hub.hop(ready, line, 'r', hop_dist(sup_pos, req_pos));
+                self.hub
+                    .hop(at_sup, line, 'd', self.mesh.hops(home, sup_stop));
+                self.hub
+                    .hop(ready, line, 'r', self.mesh.hops(sup_stop, req));
             }
-            (
-                ready,
-                ServedBy::RemoteCache {
-                    holder: sup,
-                    state: st,
-                },
-            )
+            let served = ServedBy::RemoteCache {
+                holder: sup,
+                state: st,
+            };
+            (ready, served, sup_stop)
         } else if tile_state != LineState::Invalid {
             // Upgrade from S/F: data already local; only permission needed.
             let ready = self
                 .mesh
-                .traverse(home_pos, req_pos, t_svc + self.cfg.timing.inject_ps);
-            (ready, ServedBy::TileL2(tile_state))
+                .traverse(home, req, t_svc + self.cfg.timing.inject_ps);
+            (ready, ServedBy::TileL2(tile_state), home)
         } else {
-            let (ready, served) = self.memory_read(target, addr, line, home_pos, t_svc);
-            let served_pos = self.served_pos(served);
+            let read = self.memory_read(backing, line, home, t_svc);
             let ready = self
                 .mesh
-                .traverse(served_pos, req_pos, ready + self.cfg.timing.inject_ps);
-            self.hub
-                .hop(ready, line, 'r', hop_dist(served_pos, req_pos));
-            (ready, served)
+                .traverse(read.from, req, read.ready + self.cfg.timing.inject_ps);
+            if self.hub.enabled() {
+                self.hub
+                    .hop(ready, line, 'r', self.mesh.hops(read.from, req));
+            }
+            (ready, read.served_by(backing), read.from)
         };
 
         let (grant, ver) = self
@@ -375,11 +386,9 @@ impl Machine {
             if grant.updated > 0 {
                 self.hub.update(t_svc, line, grant.updated as u32);
             }
-            let (src, hops) = match served_by {
-                ServedBy::TileL2(_) => ('T', hop_dist(req_pos, home_pos)),
-                other => (src_tag(other), hop_dist(req_pos, self.served_pos(other))),
-            };
-            self.hub.serve(jc, line, 'W', src, hops, jc - now);
+            let hops = self.mesh.hops(req, from);
+            self.hub
+                .serve(jc, line, 'W', src_tag(served_by), hops, jc - now);
         }
         AccessOutcome {
             complete: jc,
@@ -424,8 +433,8 @@ impl Machine {
         // Posted: the core only pays the issue cost; the device is occupied
         // in the background. The accept time is returned to let callers
         // throttle on write-combining-buffer capacity.
-        let req_pos = self.topo.tile_position(tile);
-        let accept = self.memory_write(addr, line, req_pos, now + self.cfg.timing.issue_gap_ps);
+        let req = StopId::tile(tile);
+        let accept = self.memory_write(addr, line, req, now + self.cfg.timing.issue_gap_ps);
         AccessOutcome {
             complete: accept + extra,
             served_by: ServedBy::Posted,
@@ -436,207 +445,210 @@ impl Machine {
     // Memory paths
     // ------------------------------------------------------------------
 
-    /// Read `line` from memory, whose backing device the caller's
-    /// `resolve` found to be `target`; `from_pos` is where the request
-    /// departs (home CHA). Returns (data-ready-at-device time, provenance).
+    /// Read `line` from memory, whose backing the caller's `resolve`
+    /// found; `from` is where the request departs (home CHA).
+    ///
+    /// Inlined into every caller: a line no memory-side cache fronts is a
+    /// traversal and a device read; the cache flow is out of line.
+    #[inline(always)]
     pub(crate) fn memory_read(
         &mut self,
-        target: MemTarget,
-        addr: u64,
+        backing: Backing,
         line: u64,
-        from_pos: (i32, i32),
+        from: StopId,
         t0: SimTime,
-    ) -> (SimTime, ServedBy) {
-        if self.mcache.enabled() && !target.is_mcdram() {
-            // Memory-side cache flow.
-            let edc = self.map.mcdram_cache_edc(addr);
-            let edc_pos = self.topo.edc_position(edc);
-            let arrive = self
-                .mesh
-                .traverse(from_pos, edc_pos, t0 + self.cfg.timing.inject_ps)
-                + self.cfg.timing.mcache_tag_ps;
-            let edc_dev = 6 + edc as usize;
-            match self.mcache.access(line, false) {
-                McacheOutcome::Hit => {
-                    self.counters.mcache_hits += 1;
-                    self.counters.mcdram_accesses += 1;
-                    if self.hub.enabled() {
-                        let depth = self.devices[edc_dev].backlog_lines(arrive);
-                        self.hub.mcache(arrive, line, edc, true);
-                        self.hub
-                            .dev_enter(arrive, line, edc_dev as u8, false, depth);
-                    }
-                    let ready = self.devices[edc_dev].read(arrive);
-                    self.hub.dev_leave(ready, line, edc_dev as u8);
-                    (ready, ServedBy::McacheHit { edc })
-                }
-                outcome => {
-                    self.counters.mcache_misses += 1;
-                    self.counters.ddr_accesses += 1;
-                    let ddr_pos = self.ddr_pos(target);
-                    let at_ddr =
-                        self.mesh
-                            .traverse(edc_pos, ddr_pos, arrive + self.cfg.timing.inject_ps);
-                    let ddr_dev = target.device_index();
-                    if self.hub.enabled() {
-                        self.hub.mcache(arrive, line, edc, false);
-                        self.hub.hop(at_ddr, line, 'd', hop_dist(edc_pos, ddr_pos));
-                        let depth = self.devices[ddr_dev].backlog_lines(at_ddr);
-                        self.hub
-                            .dev_enter(at_ddr, line, ddr_dev as u8, false, depth);
-                    }
-                    let ready = self.devices[ddr_dev].read(at_ddr);
-                    self.hub.dev_leave(ready, line, ddr_dev as u8);
-                    // Fill the cache line in the background ("data read from
-                    // DDR is sent to MCDRAM and the requesting tile
-                    // simultaneously").
-                    if self.hub.enabled() {
-                        let depth = self.devices[edc_dev].backlog_lines(ready);
-                        self.hub.dev_enter(ready, line, edc_dev as u8, true, depth);
-                    }
-                    self.devices[edc_dev].write(ready);
-                    if let McacheOutcome::MissDirtyEvict { victim_line } = outcome {
-                        // Victim write-back to DDR (plus the L2 snoop the
-                        // paper describes; both happen off the critical path).
-                        let victim_addr = victim_line << LINE_SHIFT;
-                        let vt = self.map.mem_target(victim_addr);
-                        if self.hub.enabled() {
-                            let depth = self.devices[vt.device_index()].backlog_lines(ready);
-                            self.hub.dev_enter(
-                                ready,
-                                victim_line,
-                                vt.device_index() as u8,
-                                true,
-                                depth,
-                            );
-                        }
-                        self.hub.writeback(ready, victim_line, true);
-                        self.devices[vt.device_index()].write(ready);
-                        self.counters.writebacks += 1;
-                    }
-                    (ready, ServedBy::Memory(target))
-                }
-            }
-        } else {
-            let pos = self.target_pos(target);
-            let arrive = self
-                .mesh
-                .traverse(from_pos, pos, t0 + self.cfg.timing.inject_ps);
-            let dev = target.device_index();
-            if self.hub.enabled() {
-                let depth = self.devices[dev].backlog_lines(arrive);
-                self.hub.dev_enter(arrive, line, dev as u8, false, depth);
-            }
-            let ready = self.devices[dev].read(arrive);
-            self.hub.dev_leave(ready, line, dev as u8);
-            match target {
-                MemTarget::Ddr { .. } => self.counters.ddr_accesses += 1,
-                MemTarget::Mcdram { .. } => self.counters.mcdram_accesses += 1,
-            }
-            (ready, ServedBy::Memory(target))
+    ) -> MemRead {
+        let target = backing.target;
+        if let Some(edc) = backing.mcache_edc {
+            return self.mcache_read(target, edc, line, from, t0);
+        }
+        let stop = StopId::device(target);
+        let arrive = self
+            .mesh
+            .traverse(from, stop, t0 + self.cfg.timing.inject_ps);
+        let dev = target.device_index();
+        if self.hub.enabled() {
+            let depth = self.devices[dev].backlog_lines(arrive);
+            self.hub.dev_enter(arrive, line, dev as u8, false, depth);
+        }
+        let ready = self.devices[dev].read(arrive);
+        self.hub.dev_leave(ready, line, dev as u8);
+        match target {
+            MemTarget::Ddr { .. } => self.counters.ddr_accesses += 1,
+            MemTarget::Mcdram { .. } => self.counters.mcdram_accesses += 1,
+        }
+        MemRead {
+            ready,
+            from: stop,
+            mcache_hit: false,
         }
     }
 
-    /// Write one line to memory (write-back or NT store). Returns accept time.
-    pub(crate) fn memory_write(
+    /// [`Machine::memory_read`] of a DDR line `target` whose memory-side
+    /// cache is EDC `edc`.
+    #[inline(never)]
+    fn mcache_read(
         &mut self,
-        addr: u64,
+        target: MemTarget,
+        edc: u8,
         line: u64,
-        from_pos: (i32, i32),
+        from: StopId,
         t0: SimTime,
-    ) -> SimTime {
-        let target = self.map.mem_target(addr);
-        if self.mcache.enabled() && !target.is_mcdram() {
-            // Write-backs and NT stores land in the MCDRAM cache directly.
-            let edc = self.map.mcdram_cache_edc(addr);
-            let edc_pos = self.topo.edc_position(edc);
-            let arrive = self
-                .mesh
-                .traverse(from_pos, edc_pos, t0 + self.cfg.timing.inject_ps)
-                + self.cfg.timing.mcache_tag_ps;
-            let edc_dev = 6 + edc as usize;
-            if self.hub.enabled() {
-                let depth = self.devices[edc_dev].backlog_lines(arrive);
-                self.hub.dev_enter(arrive, line, edc_dev as u8, true, depth);
-            }
-            match self.mcache.access(line, true) {
-                McacheOutcome::Hit
-                | McacheOutcome::MissCold
-                | McacheOutcome::MissCleanEvict { .. } => {
-                    self.counters.mcdram_accesses += 1;
-                    let accept = self.devices[edc_dev].write(arrive);
-                    self.hub.dev_leave(accept, line, edc_dev as u8);
-                    accept
+    ) -> MemRead {
+        let edc_stop = StopId::edc(edc);
+        let arrive = self
+            .mesh
+            .traverse(from, edc_stop, t0 + self.cfg.timing.inject_ps)
+            + self.cfg.timing.mcache_tag_ps;
+        let edc_dev = 6 + edc as usize;
+        match self.mcache.access(line, false) {
+            McacheOutcome::Hit => {
+                self.counters.mcache_hits += 1;
+                self.counters.mcdram_accesses += 1;
+                if self.hub.enabled() {
+                    let depth = self.devices[edc_dev].backlog_lines(arrive);
+                    self.hub.mcache(arrive, line, edc, true);
+                    self.hub
+                        .dev_enter(arrive, line, edc_dev as u8, false, depth);
                 }
-                McacheOutcome::MissDirtyEvict { victim_line } => {
-                    self.counters.mcdram_accesses += 1;
-                    let accept = self.devices[edc_dev].write(arrive);
-                    self.hub.dev_leave(accept, line, edc_dev as u8);
+                let ready = self.devices[edc_dev].read(arrive);
+                self.hub.dev_leave(ready, line, edc_dev as u8);
+                MemRead {
+                    ready,
+                    from: edc_stop,
+                    mcache_hit: true,
+                }
+            }
+            outcome => {
+                self.counters.mcache_misses += 1;
+                self.counters.ddr_accesses += 1;
+                // The memory-side cache fronts DDR only.
+                let ddr_stop = StopId::device(target);
+                let at_ddr =
+                    self.mesh
+                        .traverse(edc_stop, ddr_stop, arrive + self.cfg.timing.inject_ps);
+                let ddr_dev = target.device_index();
+                if self.hub.enabled() {
+                    self.hub.mcache(arrive, line, edc, false);
+                    self.hub
+                        .hop(at_ddr, line, 'd', self.mesh.hops(edc_stop, ddr_stop));
+                    let depth = self.devices[ddr_dev].backlog_lines(at_ddr);
+                    self.hub
+                        .dev_enter(at_ddr, line, ddr_dev as u8, false, depth);
+                }
+                let ready = self.devices[ddr_dev].read(at_ddr);
+                self.hub.dev_leave(ready, line, ddr_dev as u8);
+                // Fill the cache line in the background ("data read from
+                // DDR is sent to MCDRAM and the requesting tile
+                // simultaneously").
+                if self.hub.enabled() {
+                    let depth = self.devices[edc_dev].backlog_lines(ready);
+                    self.hub.dev_enter(ready, line, edc_dev as u8, true, depth);
+                }
+                self.devices[edc_dev].write(ready);
+                if let McacheOutcome::MissDirtyEvict { victim_line } = outcome {
+                    // Victim write-back to DDR (plus the L2 snoop the
+                    // paper describes; both happen off the critical path).
                     let victim_addr = victim_line << LINE_SHIFT;
                     let vt = self.map.mem_target(victim_addr);
-                    // The dirty victim must drain to DDR before the cache
-                    // can accept the new line: evictions backpressure the
-                    // write stream (this is why cache-mode write bandwidth
-                    // collapses toward the DDR write rate in Table II).
                     if self.hub.enabled() {
-                        let depth = self.devices[vt.device_index()].backlog_lines(accept);
+                        let depth = self.devices[vt.device_index()].backlog_lines(ready);
                         self.hub.dev_enter(
-                            accept,
+                            ready,
                             victim_line,
                             vt.device_index() as u8,
                             true,
                             depth,
                         );
                     }
-                    self.hub.writeback(accept, victim_line, true);
-                    let drained = self.devices[vt.device_index()].write(accept);
-                    self.hub
-                        .dev_leave(drained, victim_line, vt.device_index() as u8);
+                    self.hub.writeback(ready, victim_line, true);
+                    self.devices[vt.device_index()].write(ready);
                     self.counters.writebacks += 1;
-                    drained
+                }
+                MemRead {
+                    ready,
+                    from: ddr_stop,
+                    mcache_hit: false,
                 }
             }
-        } else {
-            let pos = self.target_pos(target);
-            let arrive = self
-                .mesh
-                .traverse(from_pos, pos, t0 + self.cfg.timing.inject_ps);
-            let dev = target.device_index();
-            if self.hub.enabled() {
-                let depth = self.devices[dev].backlog_lines(arrive);
-                self.hub.dev_enter(arrive, line, dev as u8, true, depth);
-            }
-            match target {
-                MemTarget::Ddr { .. } => self.counters.ddr_accesses += 1,
-                MemTarget::Mcdram { .. } => self.counters.mcdram_accesses += 1,
-            }
-            let accept = self.devices[dev].write(arrive);
-            self.hub.dev_leave(accept, line, dev as u8);
-            accept
         }
     }
 
-    pub(crate) fn target_pos(&self, target: MemTarget) -> (i32, i32) {
+    /// Write one line to memory (write-back or NT store) from stop `from`.
+    /// Returns accept time. Inlined like [`Machine::memory_read`], the
+    /// memory-side cache flow out of line.
+    #[inline(always)]
+    pub(crate) fn memory_write(
+        &mut self,
+        addr: u64,
+        line: u64,
+        from: StopId,
+        t0: SimTime,
+    ) -> SimTime {
+        let Backing { target, mcache_edc } = self.map.backing(addr);
+        if let Some(edc) = mcache_edc {
+            return self.mcache_write(edc, line, from, t0);
+        }
+        let arrive =
+            self.mesh
+                .traverse(from, StopId::device(target), t0 + self.cfg.timing.inject_ps);
+        let dev = target.device_index();
+        if self.hub.enabled() {
+            let depth = self.devices[dev].backlog_lines(arrive);
+            self.hub.dev_enter(arrive, line, dev as u8, true, depth);
+        }
         match target {
-            MemTarget::Ddr { imc, .. } => self.topo.imc_position(imc),
-            MemTarget::Mcdram { edc } => self.topo.edc_position(edc),
+            MemTarget::Ddr { .. } => self.counters.ddr_accesses += 1,
+            MemTarget::Mcdram { .. } => self.counters.mcdram_accesses += 1,
         }
+        let accept = self.devices[dev].write(arrive);
+        self.hub.dev_leave(accept, line, dev as u8);
+        accept
     }
 
-    pub(crate) fn ddr_pos(&self, target: MemTarget) -> (i32, i32) {
-        match target {
-            MemTarget::Ddr { imc, .. } => self.topo.imc_position(imc),
-            MemTarget::Mcdram { .. } => unreachable!("mcache backing store must be DDR"),
+    /// [`Machine::memory_write`] of a DDR line whose memory-side cache is
+    /// EDC `edc`: write-backs and NT stores land in the MCDRAM cache
+    /// directly.
+    #[inline(never)]
+    fn mcache_write(&mut self, edc: u8, line: u64, from: StopId, t0: SimTime) -> SimTime {
+        let arrive = self
+            .mesh
+            .traverse(from, StopId::edc(edc), t0 + self.cfg.timing.inject_ps)
+            + self.cfg.timing.mcache_tag_ps;
+        let edc_dev = 6 + edc as usize;
+        if self.hub.enabled() {
+            let depth = self.devices[edc_dev].backlog_lines(arrive);
+            self.hub.dev_enter(arrive, line, edc_dev as u8, true, depth);
         }
-    }
-
-    pub(crate) fn served_pos(&self, served: ServedBy) -> (i32, i32) {
-        match served {
-            ServedBy::Memory(t) => self.target_pos(t),
-            ServedBy::McacheHit { edc } => self.topo.edc_position(edc),
-            ServedBy::RemoteCache { holder, .. } => self.topo.tile_position(holder),
-            // L1/L2/Posted never route a reply across the mesh.
-            _ => (0, 0),
+        match self.mcache.access(line, true) {
+            McacheOutcome::Hit | McacheOutcome::MissCold | McacheOutcome::MissCleanEvict { .. } => {
+                self.counters.mcdram_accesses += 1;
+                let accept = self.devices[edc_dev].write(arrive);
+                self.hub.dev_leave(accept, line, edc_dev as u8);
+                accept
+            }
+            McacheOutcome::MissDirtyEvict { victim_line } => {
+                self.counters.mcdram_accesses += 1;
+                let accept = self.devices[edc_dev].write(arrive);
+                self.hub.dev_leave(accept, line, edc_dev as u8);
+                let victim_addr = victim_line << LINE_SHIFT;
+                let vt = self.map.mem_target(victim_addr);
+                // The dirty victim must drain to DDR before the cache
+                // can accept the new line: evictions backpressure the
+                // write stream (this is why cache-mode write bandwidth
+                // collapses toward the DDR write rate in Table II).
+                if self.hub.enabled() {
+                    let depth = self.devices[vt.device_index()].backlog_lines(accept);
+                    self.hub
+                        .dev_enter(accept, victim_line, vt.device_index() as u8, true, depth);
+                }
+                self.hub.writeback(accept, victim_line, true);
+                let drained = self.devices[vt.device_index()].write(accept);
+                self.hub
+                    .dev_leave(drained, victim_line, vt.device_index() as u8);
+                self.counters.writebacks += 1;
+                drained
+            }
         }
     }
 
@@ -658,8 +670,7 @@ impl Machine {
                 self.counters.writebacks += 1;
                 self.hub.writeback(when, victim, false);
                 let victim_addr = victim << LINE_SHIFT;
-                let pos = self.topo.tile_position(tile);
-                self.memory_write(victim_addr, victim, pos, when);
+                self.memory_write(victim_addr, victim, StopId::tile(tile), when);
             }
         }
     }
@@ -683,8 +694,8 @@ impl Machine {
         if evicted.is_some_and(|(e, _)| e.writeback) {
             self.counters.writebacks += 1;
             self.hub.writeback(now, line, false);
-            let pos = self.topo.tile_position(tile);
-            self.memory_write(addr, line, pos, now + self.cfg.timing.issue_gap_ps);
+            let at = now + self.cfg.timing.issue_gap_ps;
+            self.memory_write(addr, line, StopId::tile(tile), at);
         }
         // The core pays only the flush issue; write-backs are posted.
         now + self.cfg.timing.l1_hit_ps
@@ -969,11 +980,11 @@ mod tests {
 
     #[test]
     fn flat_mode_never_touches_disabled_mcache() {
-        // In flat mode the memory-side cache has sets == 0. Every serve
+        // In flat mode the memory-side cache has no sets. Every serve
         // path (reads, writes, NT stores, evictions — DDR and MCDRAM
-        // targets alike) must stay behind the `mcache.enabled()` guards:
-        // an unguarded access would trip the disabled-cache debug assert
-        // (or `set_of`'s modulo-by-zero) right here.
+        // targets alike) must take the cache flow only for a backing with
+        // a memory-side-cache EDC, which the flat address map never hands
+        // out: an access to the disabled cache would panic right here.
         let mut m = machine(ClusterMode::Quadrant, MemoryMode::Flat);
         assert!(!m.mcache.enabled());
         let mut a = m.arena();

@@ -6,69 +6,72 @@
 
 use crate::engine::observe::src_tag;
 use crate::machine::{AccessKind, Machine};
-use crate::trace::hop_dist;
+use crate::mesh::StopId;
 use crate::SimTime;
 use knl_arch::{CoreId, LINE_SHIFT};
 
-/// State carried across the chunks of one streaming kernel: rings of
-/// outstanding load/store completions implementing bounded MLP.
+/// Bounded memory-level parallelism: a fixed-size wrap-around ring of the
+/// completion times of the requests in flight. A request waits for the
+/// slot it reuses ([`MlpRing::gate`]) and then occupies it
+/// ([`MlpRing::record`]); nothing divides, and refilling keeps the
+/// allocation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MlpRing {
+    slots: Vec<SimTime>,
+    next: usize,
+}
+
+impl MlpRing {
+    /// `ov` slots (at least one), all free from `t`.
+    pub(crate) fn fill(&mut self, ov: usize, t: SimTime) {
+        self.slots.clear();
+        self.slots.resize(ov.max(1), t);
+        self.next = 0;
+    }
+
+    /// When a request issued at `issue` may go: once the slot it reuses
+    /// is free.
+    fn gate(&self, issue: SimTime) -> SimTime {
+        issue.max(self.slots[self.next])
+    }
+
+    /// The gated request completes at `complete`; the next one takes the
+    /// following slot.
+    fn record(&mut self, complete: SimTime) {
+        self.slots[self.next] = complete;
+        self.next += 1;
+        if self.next == self.slots.len() {
+            self.next = 0;
+        }
+    }
+
+    /// Time when every request in flight has completed.
+    fn drain(&self) -> SimTime {
+        self.slots.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// State carried across the chunks of one streaming kernel: the rings of
+/// outstanding load and NT-store completions implementing bounded MLP,
+/// sized on the kernel's first chunk, and the issue frontier.
 #[derive(Debug, Clone, Default)]
 pub struct StreamState {
-    load_ring: Vec<SimTime>,
-    load_idx: usize,
-    nt_ring: Vec<SimTime>,
-    nt_idx: usize,
+    load: MlpRing,
+    nt: MlpRing,
     last_issue: SimTime,
 }
 
 impl StreamState {
-    fn gate_load(&mut self, ov: usize, issue: SimTime) -> SimTime {
-        if self.load_ring.len() < ov {
-            self.load_ring.push(0);
-        }
-        let slot = self.load_idx % self.load_ring.len().max(1);
-        self.load_idx += 1;
-        issue.max(self.load_ring[slot])
-    }
-
-    fn record_load(&mut self, complete: SimTime) {
-        let slot = (self.load_idx - 1) % self.load_ring.len().max(1);
-        self.load_ring[slot] = complete;
-    }
-
-    fn gate_nt(&mut self, ov: usize, issue: SimTime) -> SimTime {
-        if self.nt_ring.len() < ov {
-            self.nt_ring.push(0);
-        }
-        let slot = self.nt_idx % self.nt_ring.len().max(1);
-        self.nt_idx += 1;
-        issue.max(self.nt_ring[slot])
-    }
-
-    fn record_nt(&mut self, accept: SimTime) {
-        let slot = (self.nt_idx - 1) % self.nt_ring.len().max(1);
-        self.nt_ring[slot] = accept;
-    }
-
-    /// Time when every outstanding request has completed.
-    fn drain_time(&self) -> SimTime {
-        let l = self.load_ring.iter().copied().max().unwrap_or(0);
-        let n = self.nt_ring.iter().copied().max().unwrap_or(0);
-        l.max(n)
+    /// Ready the state for the next kernel, keeping the rings' storage
+    /// (the runner calls this when a thread's stream op completes).
+    pub(crate) fn reset(&mut self) {
+        self.load.slots.clear();
+        self.nt.slots.clear();
+        self.last_issue = 0;
     }
 }
 
 impl Machine {
-    /// The machine's MLP ring for one buffer transfer: `ov` outstanding
-    /// reads (at least one), all complete at `now`. The caller hands it
-    /// back to `self.c2c_ring`, so a machine allocates it once.
-    fn take_c2c_ring(&mut self, ov: usize, now: SimTime) -> Vec<SimTime> {
-        let mut ring = std::mem::take(&mut self.c2c_ring);
-        ring.clear();
-        ring.resize(ov.max(1), now);
-        ring
-    }
-
     /// Copy `bytes` from `src` to `dst` through the cache hierarchy,
     /// overlapping up to the copy MLP cap.
     pub fn copy_buf(
@@ -86,18 +89,18 @@ impl Machine {
             self.cfg.timing.ov_c2c_copy_scalar
         } as usize;
         let lines = knl_arch::lines_for(bytes);
-        let mut ring = self.take_c2c_ring(ov, now);
+        let mut ring = std::mem::take(&mut self.c2c_ring);
+        ring.fill(ov, now);
         let mut issue = now;
         let mut done = now;
         for i in 0..lines {
-            let slot = (i as usize) % ring.len();
-            let gated = issue.max(ring[slot]);
+            let gated = ring.gate(issue);
             let r = self.access(core, src + i * 64, AccessKind::Read, gated);
             // The local store is buffered; it costs a write access that is
             // overlapped with subsequent reads, so only its ownership fetch
             // (first touch) shows up via the cache state.
             let w = self.access(core, dst + i * 64, AccessKind::Write, r.complete);
-            ring[slot] = r.complete;
+            ring.record(r.complete);
             done = w.complete;
             issue += self.cfg.timing.issue_gap_ps;
         }
@@ -121,14 +124,14 @@ impl Machine {
             self.cfg.timing.ov_c2c_read_scalar
         } as usize;
         let lines = knl_arch::lines_for(bytes);
-        let mut ring = self.take_c2c_ring(ov, now);
+        let mut ring = std::mem::take(&mut self.c2c_ring);
+        ring.fill(ov, now);
         let mut issue = now;
         let mut done = now;
         for i in 0..lines {
-            let slot = (i as usize) % ring.len();
-            let gated = issue.max(ring[slot]);
+            let gated = ring.gate(issue);
             let r = self.access(core, src + i * 64, AccessKind::Read, gated);
-            ring[slot] = r.complete;
+            ring.record(r.complete);
             done = done.max(r.complete);
             issue += self.cfg.timing.issue_gap_ps;
         }
@@ -196,8 +199,12 @@ impl Machine {
         let ov_nt = (self.cfg.timing.max_nt_outstanding / share).max(1) as usize;
         let issue_gap = self.cfg.timing.issue_gap_ps * share as u64;
         let tile = core.tile();
-        let req_pos = self.topo.tile_position(tile);
+        let req = StopId::tile(tile);
         self.hub.set_tile(tile.0);
+        if state.load.slots.is_empty() {
+            state.load.fill(ov_load, 0);
+            state.nt.fill(ov_nt, 0);
+        }
         state.last_issue = state.last_issue.max(now);
         let mut lines_done = 0u64;
         for i in start_line..start_line + max_lines {
@@ -205,20 +212,20 @@ impl Machine {
             let issue = state.last_issue;
             match kind {
                 Read => {
-                    self.stream_load(b + i * 64, req_pos, ov_load, issue, state);
+                    self.stream_load(b + i * 64, req, issue, state);
                 }
                 Write => {
-                    self.stream_nt(a + i * 64, req_pos, ov_nt, issue, state);
+                    self.stream_nt(a + i * 64, req, issue, state);
                 }
                 Copy => {
-                    self.stream_load(b + i * 64, req_pos, ov_load, issue, state);
-                    self.stream_nt(a + i * 64, req_pos, ov_nt, issue, state);
+                    self.stream_load(b + i * 64, req, issue, state);
+                    self.stream_nt(a + i * 64, req, issue, state);
                 }
                 Triad => {
-                    self.stream_load(b + i * 64, req_pos, ov_load, issue, state);
+                    self.stream_load(b + i * 64, req, issue, state);
                     state.last_issue += issue_gap;
-                    self.stream_load(c + i * 64, req_pos, ov_load, state.last_issue, state);
-                    self.stream_nt(a + i * 64, req_pos, ov_nt, state.last_issue, state);
+                    self.stream_load(c + i * 64, req, state.last_issue, state);
+                    self.stream_nt(a + i * 64, req, state.last_issue, state);
                 }
             }
             lines_done += 1;
@@ -227,37 +234,37 @@ impl Machine {
             }
         }
         if lines_done == max_lines {
-            (state.drain_time().max(state.last_issue), lines_done)
+            let drain = state.load.drain().max(state.nt.drain());
+            (drain.max(state.last_issue), lines_done)
         } else {
             (state.last_issue, lines_done)
         }
     }
 
+    #[inline(always)]
     fn stream_load(
         &mut self,
         addr: u64,
-        req_pos: (i32, i32),
-        ov: usize,
+        req: StopId,
         issue: SimTime,
         state: &mut StreamState,
     ) -> SimTime {
-        let gated = state.gate_load(ov, issue);
+        let gated = state.load.gate(issue);
         // The issue frontier tracks real issue times so MLP backpressure
         // throttles the stream (and slice deadlines stay meaningful).
         state.last_issue = state.last_issue.max(gated);
         let line = addr >> LINE_SHIFT;
-        let (home, target) = self.map.resolve(addr);
-        let home_pos = self.topo.tile_position(home);
+        let (home, backing) = self.map.resolve(addr);
+        let home = StopId::tile(home);
         let t_svc = self.mesh.traverse(
-            req_pos,
-            home_pos,
+            req,
+            home,
             gated + self.cfg.timing.l2_miss_detect_ps + self.cfg.timing.inject_ps,
         ) + self.cfg.timing.cha_lookup_ps;
-        let (ready, served) = self.memory_read(target, addr, line, home_pos, t_svc);
-        let served_pos = self.served_pos(served);
+        let read = self.memory_read(backing, line, home, t_svc);
         let complete = self
             .mesh
-            .traverse(served_pos, req_pos, ready + self.cfg.timing.inject_ps)
+            .traverse(read.from, req, read.ready + self.cfg.timing.inject_ps)
             + self.cfg.timing.fill_ps;
         let complete = gated + self.jitter(complete - gated, line);
         if self.hub.enabled() {
@@ -265,29 +272,29 @@ impl Machine {
                 complete,
                 line,
                 'R',
-                src_tag(served),
-                hop_dist(req_pos, served_pos),
+                src_tag(read.served_by(backing)),
+                self.mesh.hops(req, read.from),
                 complete - gated,
             );
         }
-        state.record_load(complete);
+        state.load.record(complete);
         complete
     }
 
+    #[inline(always)]
     fn stream_nt(
         &mut self,
         addr: u64,
-        req_pos: (i32, i32),
-        ov: usize,
+        req: StopId,
         issue: SimTime,
         state: &mut StreamState,
     ) -> SimTime {
-        let gated = state.gate_nt(ov, issue);
+        let gated = state.nt.gate(issue);
         state.last_issue = state.last_issue.max(gated);
         let line = addr >> LINE_SHIFT;
         self.counters.nt_stores += 1;
-        let accept = self.memory_write(addr, line, req_pos, gated);
-        state.record_nt(accept);
+        let accept = self.memory_write(addr, line, req, gated);
+        state.nt.record(accept);
         // The core moves on immediately; the gate above models WC-buffer
         // backpressure.
         gated.max(issue)

@@ -20,6 +20,7 @@ use crate::cache::TagCache;
 use crate::counters::Counters;
 use crate::directory::{DirEntry, LineState, TileSet};
 use crate::engine::observe::{ObserverConfig, ObserverHub};
+use crate::engine::transfer::MlpRing;
 use crate::invariants::{CheckLevel, CoherenceChecker};
 use crate::mcache::MemorySideCache;
 use crate::memdev::{DeviceParams, MemDevice};
@@ -32,7 +33,9 @@ use crate::trace::{TraceLevel, Tracer};
 use crate::SimTime;
 use knl_arch::address::NUM_MEM_DEVICES;
 use knl_arch::topology::splitmix64;
-use knl_arch::{AddressMap, CoreId, MachineConfig, MemTarget, TileId, Topology, LINE_SHIFT};
+use knl_arch::{
+    AddressMap, CoreId, MachineConfig, MemTarget, Reducer, TileId, Topology, LINE_SHIFT,
+};
 
 pub use crate::engine::transfer::StreamState;
 
@@ -100,9 +103,11 @@ pub struct Machine {
     pub(crate) devices: Vec<MemDevice>,
     pub(crate) mcache: MemorySideCache,
     /// Outstanding-read ring of `copy_buf`/`read_buf`, kept between calls.
-    pub(crate) c2c_ring: Vec<SimTime>,
+    pub(crate) c2c_ring: MlpRing,
     pub(crate) counters: Counters,
     jitter_pct: u32,
+    /// `2 · jitter_pct + 1`, the span a jitter hash is reduced by.
+    jitter_span: Reducer,
     jitter_seq: u64,
     /// The event spine: the four observers (coherence checker, tracer,
     /// telemetry sampler, analyzer pre-pass) are this hub's four fields.
@@ -171,10 +176,13 @@ impl Machine {
             });
         }
         let mcache = MemorySideCache::new(map.mcdram_cache_bytes());
-        let mesh = Mesh::new(MeshConfig {
-            hop_ps: t.hop_ps,
-            ring_service_ps: (t.mesh_ring_service_ps > 0).then_some(t.mesh_ring_service_ps),
-        });
+        let mesh = Mesh::new(
+            MeshConfig {
+                hop_ps: t.hop_ps,
+                ring_service_ps: (t.mesh_ring_service_ps > 0).then_some(t.mesh_ring_service_ps),
+            },
+            &topo,
+        );
         let jitter_pct = t.jitter_for(cfg.cluster);
         let hub = ObserverHub::from_config(oc, cfg.protocol);
         Machine {
@@ -188,9 +196,10 @@ impl Machine {
             mesh,
             devices,
             mcache,
-            c2c_ring: Vec::new(),
+            c2c_ring: MlpRing::default(),
             counters: Counters::default(),
             jitter_pct,
+            jitter_span: jitter_span(jitter_pct),
             jitter_seq: 0,
             hub,
             mutation: None,
@@ -305,6 +314,7 @@ impl Machine {
     /// benchmark realism wants jitter on).
     pub fn set_jitter(&mut self, pct: u32) {
         self.jitter_pct = pct;
+        self.jitter_span = jitter_span(pct);
     }
 
     /// Empty the caches, the directory and the memory-side cache (fresh
@@ -382,10 +392,15 @@ impl Machine {
         }
         self.jitter_seq = self.jitter_seq.wrapping_add(1);
         let h = splitmix64(self.jitter_seq ^ line.rotate_left(17));
-        let span = 2 * self.jitter_pct as u64 + 1;
-        let pct = (h % span) as i64 - self.jitter_pct as i64;
+        let pct = self.jitter_span.remainder(h) as i64 - self.jitter_pct as i64;
         ((dur as i64) + (dur as i64 * pct) / 100).max(0) as SimTime
     }
+}
+
+/// The reducer for jitter's `h mod (2·pct + 1)`: a percentage drawn
+/// uniformly from `-pct..=pct`.
+fn jitter_span(pct: u32) -> Reducer {
+    Reducer::new(2 * pct as u64 + 1)
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 //! "Host-memory locality"). The table is never iterated.
 
 use crate::paged::PagedLines;
+use knl_arch::Reducer;
 
 /// Outcome of a lookup/fill on the memory-side cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,20 +46,19 @@ struct Entry {
 ///
 /// # Disabled-cache contract
 ///
-/// A cache built with zero capacity (`sets == 0`, the flat mode) has no
-/// sets, so a set index cannot even be computed for it. Callers must gate
-/// every [`MemorySideCache::access`] on [`MemorySideCache::enabled`] —
-/// exactly what the `engine/serve.rs` call sites do with their
-/// `self.mcache.enabled() && in_ddr` guards. Calling `access` while
-/// disabled is a caller bug: it is caught by a `debug_assert` in debug
-/// builds (and would divide by zero in release, so the assert is not load-
-/// bearing for memory safety — it exists to give the bug a name). The
-/// read-only [`MemorySideCache::contains`] probe is total and simply
-/// reports `false` when disabled.
+/// A cache built with less than a line of capacity (the flat mode) has no
+/// sets, so a set index cannot even be computed for it. Callers must only
+/// [`MemorySideCache::access`] it for a line whose `knl_arch::Backing`
+/// names a memory-side-cache EDC, which the address map hands out exactly
+/// when [`MemorySideCache::enabled`] — what the `engine/serve.rs` call
+/// sites do. Calling `access` while disabled is a caller bug and panics,
+/// naming it. The read-only [`MemorySideCache::contains`] probe is total
+/// and simply reports `false` when disabled.
 #[derive(Debug, Clone)]
 pub struct MemorySideCache {
-    /// Number of 64 B sets (= capacity in lines). 0 disables the cache.
-    sets: u64,
+    /// `line mod sets` for the number of 64 B sets (= capacity in lines);
+    /// `None` disables the cache.
+    sets: Option<Reducer>,
     tags: PagedLines<Entry>,
     /// Lifetime hit count (see [`MemorySideCache::reset_stats`]).
     pub hits: u64,
@@ -69,8 +69,9 @@ pub struct MemorySideCache {
 impl MemorySideCache {
     /// Build with `capacity_bytes` of MCDRAM operating as cache.
     pub fn new(capacity_bytes: u64) -> Self {
+        let sets = capacity_bytes >> knl_arch::LINE_SHIFT;
         MemorySideCache {
-            sets: capacity_bytes >> knl_arch::LINE_SHIFT,
+            sets: (sets > 0).then(|| Reducer::new(sets)),
             tags: PagedLines::new(),
             hits: 0,
             misses: 0,
@@ -79,15 +80,15 @@ impl MemorySideCache {
 
     /// Whether any capacity is configured.
     pub fn enabled(&self) -> bool {
-        self.sets > 0
+        self.sets.is_some()
     }
 
-    /// Set index of `line`. Only meaningful when [`Self::enabled`]; the
-    /// `debug_assert` keeps the `% 0` case from ever reaching the modulo
-    /// silently (see the disabled-cache contract on the type).
+    /// Set index of `line`. Only meaningful when [`Self::enabled`] (see
+    /// the disabled-cache contract on the type).
     fn set_of(&self, line: u64) -> u64 {
-        debug_assert!(self.enabled(), "set_of on a disabled memory-side cache");
-        line % self.sets
+        self.sets
+            .expect("set_of on a disabled memory-side cache")
+            .remainder(line)
     }
 
     /// Access `line` (a physical address >> 6). On miss the line is filled
@@ -97,7 +98,6 @@ impl MemorySideCache {
     /// Callers must check [`Self::enabled`] first — see the disabled-cache
     /// contract on the type.
     pub fn access(&mut self, line: u64, dirty: bool) -> McacheOutcome {
-        debug_assert!(self.enabled(), "memory-side cache disabled");
         let set = self.set_of(line);
         let (e, filled) = self.tags.entry(set);
         if filled && e.line == line {
@@ -213,19 +213,18 @@ mod tests {
     #[test]
     fn sub_line_capacity_is_disabled() {
         // Fewer than 64 bytes rounds down to zero sets: the flat-mode
-        // contract applies, `set_of`'s modulo can never see zero.
+        // contract applies.
         let c = MemorySideCache::new(63);
         assert!(!c.enabled());
         assert!(!c.contains(0));
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "disabled")]
-    fn access_disabled_panics_in_debug() {
-        // The contract violation is named in debug builds; release builds
-        // would hit the modulo-by-zero instead (callers must gate on
-        // `enabled()`, as every engine/serve.rs site does).
+    fn access_disabled_panics() {
+        // The contract violation is named in every build (callers take the
+        // cache flow only for a backing with a memory-side-cache EDC, as
+        // every engine/serve.rs site does).
         MemorySideCache::new(0).access(0, false);
     }
 

@@ -296,10 +296,8 @@ impl<'m> Runner<'m> {
                 lines,
                 vectorized,
             } => {
-                let done = self.threads[tid].bulk_done;
-                // Split borrows: take the stream state out during the call.
-                let mut st = std::mem::take(&mut self.threads[tid].stream);
-                let share = self.core_threads[tid];
+                let thread = &mut self.threads[tid];
+                let done = thread.bulk_done;
                 let (t, n) = self.machine.stream_chunk_shared(
                     core,
                     kind,
@@ -309,17 +307,17 @@ impl<'m> Runner<'m> {
                     done,
                     lines - done,
                     vectorized,
-                    &mut st,
+                    &mut thread.stream,
                     now,
                     now + STREAM_SLICE_PS,
-                    share,
+                    self.core_threads[tid],
                 );
-                self.threads[tid].stream = st;
-                self.threads[tid].now = t;
-                self.threads[tid].bulk_done += n;
-                advance = self.threads[tid].bulk_done >= lines;
+                thread.now = t;
+                thread.bulk_done += n;
+                advance = thread.bulk_done >= lines;
                 if advance {
-                    self.threads[tid].stream = StreamState::default();
+                    // The thread's next stream op reuses the rings' storage.
+                    thread.stream.reset();
                 }
             }
             Op::Compute(d) => {

@@ -305,11 +305,6 @@ impl TraceEvent {
     }
 }
 
-/// Manhattan hop distance between two mesh positions.
-pub fn hop_dist(a: (i32, i32), b: (i32, i32)) -> u32 {
-    ((a.0 - b.0).abs() + (a.1 - b.1).abs()) as u32
-}
-
 /// The event recorder attached to a [`crate::Machine`].
 ///
 /// Context (current thread/tile) is set by the runner and the machine's
@@ -517,12 +512,5 @@ mod tests {
     #[should_panic(expected = "no tracer")]
     fn off_level_tracer_rejected() {
         let _ = Tracer::new(TraceLevel::Off);
-    }
-
-    #[test]
-    fn hop_distance_is_manhattan() {
-        assert_eq!(hop_dist((0, 0), (3, 4)), 7);
-        assert_eq!(hop_dist((2, 5), (2, 5)), 0);
-        assert_eq!(hop_dist((5, 1), (1, 2)), 5);
     }
 }

@@ -212,17 +212,18 @@ fn stream_time_lower_bounded() {
 /// (Manhattan Y-then-X routing on the analytic contention-free fabric).
 #[test]
 fn mesh_hop_cost_is_a_metric() {
-    use knl_sim::mesh::{Mesh, MeshConfig};
+    use knl_sim::mesh::{Mesh, MeshConfig, StopId};
     let mut rng = SplitMixRng::seed_from_u64(0xB006);
     for cm in ClusterMode::ALL {
         let cfg = MachineConfig::knl7210(cm, MemoryMode::Flat);
-        let topo = cfg.topology();
-        let mut mesh = Mesh::new(MeshConfig {
-            hop_ps: 1_000,
-            ring_service_ps: None,
-        });
-        let mut d =
-            |a: TileId, b: TileId| mesh.traverse(topo.tile_position(a), topo.tile_position(b), 0);
+        let mut mesh = Mesh::new(
+            MeshConfig {
+                hop_ps: 1_000,
+                ring_service_ps: None,
+            },
+            &cfg.topology(),
+        );
+        let mut d = |a: TileId, b: TileId| mesh.traverse(StopId::tile(a), StopId::tile(b), 0);
         for _ in 0..CASES {
             let a = TileId(rng.range_u32(0, cfg.active_tiles as u32) as u16);
             let b = TileId(rng.range_u32(0, cfg.active_tiles as u32) as u16);
@@ -241,22 +242,26 @@ fn mesh_hop_cost_is_a_metric() {
 /// the grid diameter.
 #[test]
 fn mesh_hop_cost_bounded_by_diameter() {
-    use knl_sim::mesh::{Mesh, MeshConfig};
+    use knl_sim::mesh::{Mesh, MeshConfig, StopId};
     let mut rng = SplitMixRng::seed_from_u64(0xB007);
     let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
     let topo = cfg.topology();
     for _ in 0..CASES {
         let hop = rng.range_u64(100, 5_000);
-        let mut mesh = Mesh::new(MeshConfig {
-            hop_ps: hop,
-            ring_service_ps: None,
-        });
+        let mut mesh = Mesh::new(
+            MeshConfig {
+                hop_ps: hop,
+                ring_service_ps: None,
+            },
+            &topo,
+        );
         let a = TileId(rng.range_u32(0, cfg.active_tiles as u32) as u16);
         let b = TileId(rng.range_u32(0, cfg.active_tiles as u32) as u16);
         let (ax, ay) = topo.tile_position(a);
         let (bx, by) = topo.tile_position(b);
         let hops = ((ax - bx).unsigned_abs() + (ay - by).unsigned_abs()) as u64;
-        let t = mesh.traverse((ax, ay), (bx, by), 0);
+        let t = mesh.traverse(StopId::tile(a), StopId::tile(b), 0);
+        assert_eq!(mesh.hops(StopId::tile(a), StopId::tile(b)) as u64, hops);
         assert_eq!(t, hops * hop, "analytic fabric is exactly Manhattan");
         // KNL's die is a 6x7 grid (+ EDC/IMC rows): diameter bound.
         assert!(hops <= 13, "{a:?}->{b:?}: {hops} hops exceeds the die");

@@ -143,6 +143,41 @@ fn strided_walk(m: &mut Machine, base: u64, lines: u64) {
     }
 }
 
+/// Heap allocations of one `Runner::run`: 64 threads, each running `iters`
+/// measured 64-line triads (all under one mark id, so a thread's interval
+/// list grows by doubling, not by an entry per iteration).
+fn triad_run_allocs(iters: usize) -> u64 {
+    const THREADS: usize = 64;
+    const LINES: u64 = 64;
+    let mut m = Machine::new(MachineConfig::knl7210(
+        ClusterMode::Quadrant,
+        MemoryMode::Flat,
+    ));
+    let mut arena = m.arena();
+    let programs: Vec<Program> = (0..THREADS)
+        .map(|rank| {
+            let base = arena.alloc(NumaKind::Ddr, 3 * LINES * 64);
+            let mut p = Program::new(Schedule::FillTiles.place(rank, 64));
+            for _ in 0..iters {
+                p.push(Op::MarkStart(0))
+                    .push(Op::Stream {
+                        kind: StreamKind::Triad,
+                        a: base,
+                        b: base + LINES * 64,
+                        c: base + 2 * LINES * 64,
+                        lines: LINES,
+                        vectorized: true,
+                    })
+                    .push(Op::MarkEnd(0));
+            }
+            p
+        })
+        .collect();
+    allocs_in(|| {
+        Runner::new(&mut m, programs).run();
+    })
+}
+
 /// `(allocations, bytes)` of `f`.
 fn heap_in(f: impl FnOnce()) -> (u64, u64) {
     let mut allocs = 0;
@@ -218,6 +253,16 @@ fn streams_and_copies_allocate_a_constant_not_per_line() {
     );
     // A fresh `StreamState`'s two rings, nothing for the 300 000 tags.
     assert!(again.0 <= 8 && again.1 < 4096, "after a reset: {again:?}");
+
+    // The runner keeps each thread's MLP rings across its stream ops: four
+    // more triads per thread cost each thread one doubling of its interval
+    // list (at the fifth), not two rings per op.
+    let (one, five) = (triad_run_allocs(1), triad_run_allocs(5));
+    eprintln!("runner triads: {one} allocs for one per thread, {five} for five");
+    assert!(
+        five <= one + 64 + 8,
+        "64 threads × 5 triads: {five} allocs against {one} for one triad each"
+    );
 
     let mut m = Machine::new(MachineConfig::knl7210(ClusterMode::Quadrant, flat));
     // A page per line is what paging can cost at most. The hashed table
