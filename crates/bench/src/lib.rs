@@ -1,12 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! One executable, `knl` (the root package's `src/main.rs`), is the front
-//! door: `knl run <id>|all`, `knl list`, `knl trace|report|mc|provenance|lint`.
+//! door: `knl run <id>|all`, `knl list`, `knl trace|report|mc|provenance`.
 //! Behind it:
 //!
 //! * [`experiments`] — the registry: one row per regenerator, and the
 //!   driver that runs a row under a parsed command line,
-//! * [`tools`] — the trace, report, model-check, provenance and lint
+//! * [`tools`] — the trace, report, model-check and provenance
 //!   subcommands as functions over an argument list,
 //! * [`flags`] — the flag table type and the one argument loop,
 //! * [`runconf`] — the flags every experiment shares (`--quick` /

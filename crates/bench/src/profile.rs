@@ -2,10 +2,10 @@
 //!
 //! This is the *other half* of the observability layer: simulated time
 //! lives in `knl_sim::telemetry` (and must never touch the host clock —
-//! the `wall-clock-in-series` lint pins that); how long the *simulator
-//! itself* takes lives here. A [`Profiler`] accumulates named phases
-//! (serve, transfer, observe dispatch, whole sweep jobs) across threads
-//! and reports wall time and simulated-events-per-second throughput,
+//! `knl-sim`'s `clippy.toml` bans the host-time types); how long the
+//! *simulator itself* takes lives here. A [`Profiler`] accumulates named
+//! phases (serve, transfer, observe dispatch, whole sweep jobs) across
+//! threads and reports wall time and simulated-events-per-second throughput,
 //! clearly separated from every simulated result.
 
 use std::sync::Mutex;

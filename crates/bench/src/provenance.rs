@@ -91,15 +91,14 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every `.rs` file under `dir`, skipping `target/` build directories.
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
     for e in entries.flatten() {
         let p = e.path();
         if p.is_dir() {
-            // Build artifacts never live under crates/*/src, but guard
-            // against a stray target dir anyway.
             if p.file_name().is_some_and(|n| n == "target") {
                 continue;
             }

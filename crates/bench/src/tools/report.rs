@@ -88,12 +88,7 @@ pub fn run(args: impl IntoIterator<Item = String>) {
     let series = load_series(&args.telemetry);
     let metrics = args.trace.as_deref().map(load_metrics);
 
-    let mut out = String::new();
-    render_header(&mut out, &args.telemetry, &series);
-    render_queues(&mut out, &series);
-    render_tiles(&mut out, &series, args.top);
-    render_census(&mut out, &series);
-    render_rates(&mut out, &series);
+    let mut out = dashboard(&args.telemetry, &series, args.top);
     if let Some(m) = &metrics {
         render_trace(&mut out, args.trace.as_deref().unwrap(), m);
     }
@@ -135,27 +130,49 @@ fn load_metrics(path: &Path) -> Metrics {
     super::load(path, |text| super::trace::parse_trace(text, false)).metrics
 }
 
-/// Scale `vals` into a sparkline string; an all-zero series renders as a
-/// flat run of the lowest glyph. Series longer than [`MAX_WIDTH`] are
-/// bucketed, keeping each bucket's max (peaks must stay visible).
-fn sparkline(vals: &[f64]) -> String {
-    if vals.is_empty() {
-        return String::new();
+/// The text dashboard of one series, read from `path`.
+fn dashboard(path: &Path, s: &TelemetrySeries, top: usize) -> String {
+    let mut out = String::new();
+    render_header(&mut out, path, s);
+    render_queues(&mut out, s);
+    render_tiles(&mut out, s, top);
+    render_census(&mut out, s);
+    render_rates(&mut out, s);
+    out
+}
+
+/// The sparkline columns of a series' bins `0..=last_bin`: one per bin up
+/// to [`MAX_WIDTH`] bins, else [`MAX_WIDTH`] runs of consecutive bins, each
+/// keeping its max (peaks must stay visible). Rows are filled straight from
+/// the sparse series, so no buffer grows with a bin index a file names.
+struct Columns {
+    bins: u128,
+    width: usize,
+}
+
+impl Columns {
+    fn new(s: &TelemetrySeries) -> Columns {
+        let bins = u128::from(s.last_bin()) + 1;
+        let width = bins.min(MAX_WIDTH as u128) as usize;
+        Columns { bins, width }
     }
-    let bucketed: Vec<f64> = if vals.len() > MAX_WIDTH {
-        (0..MAX_WIDTH)
-            .map(|i| {
-                let lo = i * vals.len() / MAX_WIDTH;
-                let hi = ((i + 1) * vals.len() / MAX_WIDTH).max(lo + 1);
-                vals[lo..hi].iter().cloned().fold(f64::MIN, f64::max)
-            })
-            .collect()
-    } else {
-        vals.to_vec()
-    };
-    let max = bucketed.iter().cloned().fold(0.0f64, f64::max);
-    bucketed
-        .iter()
+
+    /// Column `i` holds bins `⌊i·bins/width⌋` up to the next column's first.
+    fn of(&self, bin: u64) -> usize {
+        (((u128::from(bin) + 1) * self.width as u128 - 1) / self.bins) as usize
+    }
+
+    fn put(&self, row: &mut [f64], bin: u64, v: f64) {
+        let c = &mut row[self.of(bin)];
+        *c = c.max(v);
+    }
+}
+
+/// Scale a row of [`Columns`] into a sparkline string; an all-zero row
+/// renders as a flat run of the lowest glyph.
+fn sparkline(vals: &[f64]) -> String {
+    let max = vals.iter().cloned().fold(0.0f64, f64::max);
+    vals.iter()
         .map(|&v| {
             if max <= 0.0 || v <= 0.0 {
                 RAMP[0]
@@ -168,7 +185,7 @@ fn sparkline(vals: &[f64]) -> String {
 }
 
 fn render_header(out: &mut String, path: &Path, s: &TelemetrySeries) {
-    let bins = s.last_bin() + 1;
+    let bins = Columns::new(s).bins;
     let _ = writeln!(out, "== knl-report: {} ==", path.display());
     let _ = writeln!(
         out,
@@ -185,12 +202,12 @@ fn render_queues(out: &mut String, s: &TelemetrySeries) {
         let _ = writeln!(out, "(no device activity sampled)");
         return;
     }
-    let bins = s.last_bin() as usize + 1;
+    let cols = Columns::new(s);
     let mut devs: Vec<u8> = s.dev_bins.iter().map(|(&(d, _), _)| d).collect();
     devs.sort_unstable();
     devs.dedup();
     for dev in devs {
-        let mut mean_depth = vec![0.0f64; bins];
+        let mut mean_depth = vec![0.0; cols.width];
         let mut peak = 0u32;
         let mut enters = 0u64;
         let mut writes = 0u64;
@@ -199,7 +216,7 @@ fn render_queues(out: &mut String, s: &TelemetrySeries) {
                 continue;
             }
             if b.enters > 0 {
-                mean_depth[bin as usize] = b.depth_sum as f64 / b.enters as f64;
+                cols.put(&mut mean_depth, bin, b.depth_sum as f64 / b.enters as f64);
             }
             peak = peak.max(b.depth_peak);
             enters += b.enters;
@@ -223,20 +240,20 @@ fn render_tiles(out: &mut String, s: &TelemetrySeries, top: usize) {
         let _ = writeln!(out, "(no tile activity sampled)");
         return;
     }
-    let bins = s.last_bin() as usize + 1;
+    let cols = Columns::new(s);
     let mut tiles: Vec<u16> = s.tile_bins.iter().map(|(&(t, _), _)| t).collect();
     tiles.sort_unstable();
     tiles.dedup();
     let mut rows: Vec<(u16, u64, u64, u64, Vec<f64>)> = tiles
         .into_iter()
         .map(|tile| {
-            let mut serves_per_bin = vec![0.0f64; bins];
+            let mut serves_per_bin = vec![0.0; cols.width];
             let (mut issues, mut serves, mut serve_ps) = (0u64, 0u64, 0u64);
             for (&(t, bin), b) in s.tile_bins.iter() {
                 if t != tile {
                     continue;
                 }
-                serves_per_bin[bin as usize] = b.serves as f64;
+                cols.put(&mut serves_per_bin, bin, b.serves as f64);
                 issues += b.issues;
                 serves += b.serves;
                 serve_ps += b.serve_ps;
@@ -270,16 +287,31 @@ fn render_census(out: &mut String, s: &TelemetrySeries) {
         let _ = writeln!(out, "(no directory transitions sampled)");
         return;
     }
-    for (state, line) in timeline {
-        let vals: Vec<f64> = line.iter().map(|&v| v.max(0) as f64).collect();
-        let last = line.last().copied().unwrap_or(0);
-        let peak = line.iter().copied().max().unwrap_or(0);
+    let cols = Columns::new(s);
+    for (state, steps) in timeline {
+        let mut vals = vec![0.0f64; cols.width];
+        let mut peak = i64::MIN;
+        // A level holds over the bins `from..=to`; each column keeps its max.
+        let mut hold = |from: u64, to: u64, level: i64| {
+            peak = peak.max(level);
+            for c in &mut vals[cols.of(from)..=cols.of(to)] {
+                *c = c.max(level.max(0) as f64);
+            }
+        };
+        let (mut from, mut level) = (0, 0);
+        for (bin, next) in steps {
+            if bin > from {
+                hold(from, bin - 1, level);
+            }
+            (from, level) = (bin, next);
+        }
+        hold(from, s.last_bin(), level);
         let _ = writeln!(
             out,
             "state {state} {} peak {:>8}  final {:>8}",
             sparkline(&vals),
             peak,
-            last
+            level
         );
     }
 }
@@ -290,7 +322,7 @@ fn render_rates(out: &mut String, s: &TelemetrySeries) {
         let _ = writeln!(out, "(no coherence traffic sampled)");
         return;
     }
-    let bins = s.last_bin() as usize + 1;
+    let cols = Columns::new(s);
     let mut rows: Vec<(&str, Vec<f64>, u64)> = [
         "invalidations",
         "updates",
@@ -301,12 +333,12 @@ fn render_rates(out: &mut String, s: &TelemetrySeries) {
         "mesh hops",
     ]
     .into_iter()
-    .map(|name| (name, vec![0.0f64; bins], 0u64))
+    .map(|name| (name, vec![0.0; cols.width], 0u64))
     .collect();
     for (&bin, r) in s.rates.iter() {
         let vals = [r.inv, r.upd, r.wb, r.wb_ext, r.mc_hit, r.mc_miss, r.hops];
         for (row, v) in rows.iter_mut().zip(vals) {
-            row.1[bin as usize] = v as f64;
+            cols.put(&mut row.1, bin, v as f64);
             row.2 += v;
         }
     }
@@ -369,5 +401,25 @@ mod tests {
         // A section sampled at another interval: its bins are not these bins.
         let mixed = text.replacen("# job 1\nI 1000", "# job 1\nI 2000", 1);
         assert_eq!(parse_series(&mixed).unwrap_err(), (7, 0));
+    }
+
+    #[test]
+    fn any_bin_index_that_parses_renders() {
+        // Bin indexes at the top of u64, or whose dense rows would need
+        // terabytes: each renders in MAX_WIDTH columns, its peak in the last.
+        let last = |tail| format!("{}█{tail}", "▁".repeat(MAX_WIDTH - 1));
+        let top = "I 100000000\nV 18446744073709551615 1 0 0 0 0 0 0\nZ 1 18446744073709551615\n";
+        let huge = "Q 0 4000000000000 1 0 0 1 1\nZ 1 400000000000000000\n";
+        let census = "G 7 S 2\nG 18446744073709551615 S -1\n";
+        let final_level = "peak        2  final        1".to_string();
+        for (text, want) in [
+            (top, last(" total")),
+            (huge, last(" peak   1")),
+            (census, final_level),
+        ] {
+            let s = parse_series(text).expect("valid telemetry");
+            let out = dashboard(Path::new("x.telemetry"), &s, 8);
+            assert!(out.contains(&want), "{out}");
+        }
     }
 }

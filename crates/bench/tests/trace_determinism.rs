@@ -88,6 +88,7 @@ fn trace_off_is_bit_identical_to_untraced_machine() {
     let reference: Vec<u64> = [1u16, 2, 5, 9]
         .iter()
         .map(|&p| {
+            #[expect(clippy::disallowed_methods, reason = "a machine with no observer hub")]
             let mut m = Machine::new(cfg.clone());
             let owner = CoreId(p);
             let helper = (0..m.config().num_cores() as u16)

@@ -153,8 +153,7 @@ mod tests {
         let cfg = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Flat);
         let topo = cfg.topology();
         let map = cfg.address_map(&topo);
-        // Set used only for a cardinality assertion; order never escapes.
-        let clusters: std::collections::HashSet<u8> = (0..4) // knl-lint: allow(hash-collection)
+        let clusters: std::collections::BTreeSet<u8> = (0..4)
             .map(|_| {
                 let x = a.alloc(NumaKind::Ddr, 4096);
                 map.node_of(x).unwrap().cluster

@@ -333,7 +333,13 @@ fn footprint(op: &Op) -> Vec<(u64, u64, bool, bool)> {
                 ],
             }
         }
-        _ => Vec::new(),
+        Op::Evict(_)
+        | Op::Compute(_)
+        | Op::SetFlag { .. }
+        | Op::WaitFlag { .. }
+        | Op::WaitUntil(_)
+        | Op::MarkStart(_)
+        | Op::MarkEnd(_) => Vec::new(),
     }
 }
 
@@ -438,6 +444,7 @@ fn duplicate_pins(programs: &[Program], findings: &mut Vec<Finding>) {
     }
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "only the mark ops pair")]
 fn mark_pairing(programs: &[Program], findings: &mut Vec<Finding>) {
     for (t, p) in programs.iter().enumerate() {
         let mut open: BTreeMap<usize, usize> = BTreeMap::new();
@@ -569,6 +576,7 @@ fn happens_before(programs: &[Program], initial_flags: &[(u64, u64)]) -> Vec<Vec
 /// maximal run decides liveness exactly. Threads still blocked at the end
 /// are deadlocked — either waiting on a value nobody ever publishes, or on
 /// a cyclic chain among the stuck threads.
+#[expect(clippy::wildcard_enum_match_arm, reason = "other ops always advance")]
 fn liveness(programs: &[Program], initial_flags: &[(u64, u64)], findings: &mut Vec<Finding>) {
     let n = programs.len();
     let mut flags: BTreeMap<u64, u64> = BTreeMap::new();

@@ -265,10 +265,7 @@ mod tests {
         c.insert(0, 0);
         c.insert(16, 0);
         c.lookup(0, 0); // 0 now more recent than 16
-        match c.insert(32, 0) {
-            Insert::Evicted(v) => assert_eq!(v, 16),
-            other => panic!("expected eviction, got {other:?}"),
-        }
+        assert_eq!(c.insert(32, 0), Insert::Evicted(16));
         assert!(c.lookup(0, 0));
         assert!(!c.lookup(16, 0));
         assert!(c.lookup(32, 0));

@@ -706,13 +706,10 @@ mod tests {
         let reader = CoreId(10);
         let t = m.access(owner, addr, AccessKind::Write, 0).complete;
         let out = m.access(reader, addr, AccessKind::Read, t);
-        let holder = match out.served_by {
-            ServedBy::RemoteCache { holder, state } => {
-                assert_eq!(state, LineState::Modified);
-                holder
-            }
-            other => panic!("expected remote-cache serve, got {other:?}"),
+        let ServedBy::RemoteCache { holder, state } = out.served_by else {
+            panic!("expected remote-cache serve, got {:?}", out.served_by);
         };
+        assert_eq!(state, LineState::Modified);
         let want_hops = m
             .mesh
             .hops(StopId::tile(reader.tile()), StopId::tile(holder));
@@ -721,11 +718,14 @@ mod tests {
             .events()
             .iter()
             .rev()
-            .find_map(|e| match e.kind {
-                EventKind::Serve {
+            .find_map(|e| {
+                let EventKind::Serve {
                     op: 'R', src, hops, ..
-                } => Some((src, hops, e.tile)),
-                _ => None,
+                } = e.kind
+                else {
+                    return None;
+                };
+                Some((src, hops, e.tile))
             })
             .expect("remote read recorded a Serve event");
         assert_eq!(srv.0, 'M', "supplier held the line Modified");

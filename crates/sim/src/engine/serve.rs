@@ -519,7 +519,9 @@ impl Machine {
                     mcache_hit: true,
                 }
             }
-            outcome => {
+            outcome @ (McacheOutcome::MissCold
+            | McacheOutcome::MissCleanEvict { .. }
+            | McacheOutcome::MissDirtyEvict { .. }) => {
                 self.counters.mcache_misses += 1;
                 self.counters.ddr_accesses += 1;
                 // The memory-side cache fronts DDR only.

@@ -26,8 +26,8 @@
 //! exactly like `HashMap` (minus the per-process random seed). `LineMap`
 //! deliberately exposes no iterator; callers that need to walk entries use
 //! [`LineMap::sorted_keys`], which is order-stable by construction. This is
-//! what makes the replacement behaviour-identical and keeps `knl lint`'s
-//! `hash-collection` rule satisfied.
+//! what makes the replacement behaviour-identical; the crate's `clippy.toml`
+//! bans the std map itself.
 //!
 //! One key value is reserved: `u64::MAX` marks an empty slot. Line
 //! addresses are physical addresses shifted right by 6, so the sentinel is
@@ -403,6 +403,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "std map as the reference model")]
     fn matches_std_hashmap_on_random_workload() {
         // Deterministic xorshift exercise mixing inserts/removes/lookups.
         let mut model = std::collections::HashMap::new();

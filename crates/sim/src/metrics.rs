@@ -37,7 +37,7 @@
 
 use crate::paged::PagedLines;
 use crate::svmap::{BinWindow, OpenRow, SortedVecMap};
-use crate::trace::{EventKind, TraceEvent};
+use crate::trace::{one_char, EventKind, TraceEvent};
 use crate::SimTime;
 use std::fmt::Write as _;
 
@@ -516,7 +516,7 @@ impl Metrics {
         let mut parse = || -> Option<()> {
             match tag {
                 "H" => {
-                    let src = it.next()?.chars().next()?;
+                    let src = one_char(&mut it)?;
                     let hops: u32 = it.next()?.parse().ok()?;
                     let mut h = Hist {
                         count: it.next()?.parse().ok()?,
@@ -563,7 +563,7 @@ impl Metrics {
                     *one.tile_bins.entry_or_default(key) = count(it.next()?)?;
                 }
                 "X" => {
-                    let key = (it.next()?.chars().next()?, it.next()?.chars().next()?);
+                    let key = (one_char(&mut it)?, one_char(&mut it)?);
                     *one.dir_transitions.entry_or_default(key) = it.next()?.parse().ok()?;
                 }
                 "L" => {
@@ -896,6 +896,10 @@ mod tests {
             "C nosuch 2",
             "Z 9",
             "Z 9 x",
+            // A one-character field holding a longer token.
+            "H MX 4 1 2 3 4 BINS",
+            "X SM Mq 2",
+            "X S Mq 2",
             // One field too many, per tag.
             "H M 4 1 2 3 4 BINS extra",
             "D 1 5 6 7 8 9",

@@ -224,7 +224,7 @@ impl Mutation {
                 };
             }
             // Every other (defect, request) pair is the shipped transition.
-            _ => {} // knl-lint: allow(wildcard-state-match)
+            _ => {}
         }
     }
 }

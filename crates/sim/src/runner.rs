@@ -546,9 +546,11 @@ mod tests {
         let marks: Vec<(u32, u32, bool)> = tr
             .events()
             .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Mark { id, start } => Some((e.thread, id, start)),
-                _ => None,
+            .filter_map(|e| {
+                let EventKind::Mark { id, start } = e.kind else {
+                    return None;
+                };
+                Some((e.thread, id, start))
             })
             .collect();
         // Each thread contributes one start and one end of mark 7.

@@ -26,14 +26,16 @@
 //! the touched cells to the series when an event lands in another bin, at a
 //! reset, and before anything reads the series. Everything here
 //! is keyed by **simulated** time: host wall-clock never appears in a
-//! series (the `wall-clock-in-series` `knl lint` rule pins this), so the
+//! series (the crate's `clippy.toml` bans the host-time types), so the
 //! sampler is a pure observer — telemetry-on runs are bit-identical to
 //! telemetry-off runs in every simulated result.
 
 use crate::engine::observe::{gstate_tag, ProtocolEvent};
 use crate::svmap::{BinWindow, OpenRow, SortedVecMap};
+use crate::trace::one_char;
 use crate::SimTime;
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Default sampling interval: 100 µs of sim time (matches
@@ -289,7 +291,7 @@ impl TelemetrySeries {
                 }
                 "G" => {
                     let bin: u64 = it.next()?.parse().ok()?;
-                    let state = it.next()?.chars().next()?;
+                    let state = one_char(&mut it)?;
                     *one.census.entry_or_default((bin, state)) = it.next()?.parse().ok()?;
                 }
                 "V" => {
@@ -315,25 +317,18 @@ impl TelemetrySeries {
         parse().is_some_and(|()| self.merge(&one))
     }
 
-    /// Cumulative census per state at the end of each bin `0..=last_bin()`
-    /// — the prefix sums of the `G` deltas, in ascending state-tag order.
-    pub fn census_timeline(&self) -> Vec<(char, Vec<i64>)> {
-        let bins = self.last_bin() as usize + 1;
-        let mut states: Vec<char> = self.census.iter().map(|(&(_, s), _)| s).collect();
-        states.sort_unstable();
-        states.dedup();
-        states
-            .into_iter()
-            .map(|s| {
-                let mut acc = 0i64;
-                let mut line = Vec::with_capacity(bins);
-                for b in 0..bins as u64 {
-                    acc += self.census.get(&(b, s)).copied().unwrap_or(0);
-                    line.push(acc);
-                }
-                (s, line)
-            })
-            .collect()
+    /// Cumulative census per state, in ascending state-tag order — the
+    /// prefix sums of the `G` deltas as `(bin, level after it)` for each
+    /// bin holding a delta, in bin order. A level holds until the next
+    /// entry; before the first it is zero.
+    pub fn census_timeline(&self) -> Vec<(char, Vec<(u64, i64)>)> {
+        let mut states: BTreeMap<char, Vec<(u64, i64)>> = BTreeMap::new();
+        for (&(bin, s), &d) in self.census.iter() {
+            let steps = states.entry(s).or_default();
+            let level = steps.last().map_or(0, |&(_, l)| l);
+            steps.push((bin, level.saturating_add(d)));
+        }
+        states.into_iter().collect()
     }
 }
 
@@ -689,6 +684,7 @@ mod tests {
             "G 4 S",
             "G 4 S x",
             "G 4",
+            "G 4 SX 1",
             "V 4 1 2 3 4 5 6",
             "V 4 1 2 3 x 5 6 7",
             "V 5 1",
@@ -714,9 +710,9 @@ mod tests {
         drive(&mut m, 64);
         m.reset_caches();
         let series = m.take_telemetry().expect("sampler attached").into_series();
-        for (state, line) in series.census_timeline() {
+        for (state, steps) in series.census_timeline() {
             assert_eq!(
-                *line.last().expect("nonempty timeline"),
+                steps.last().expect("nonempty timeline").1,
                 0,
                 "state {state} census must return to 0 after a reset"
             );
@@ -743,7 +739,7 @@ mod tests {
             let census: Vec<(char, i64)> = series
                 .census_timeline()
                 .into_iter()
-                .map(|(s, line)| (s, *line.last().expect("nonempty timeline")))
+                .map(|(s, steps)| (s, steps.last().expect("nonempty timeline").1))
                 .filter(|&(_, n)| n != 0)
                 .collect();
             assert_eq!(census, [(tag, 1)], "prepared {state:?}");

@@ -9,9 +9,10 @@
 //! each stamped with sim time, thread, tile, and line address.
 //!
 //! Tracing follows the same zero-cost-when-off gating pattern as
-//! [`crate::invariants`]: the machine holds an `Option<Box<Tracer>>` that
-//! is `None` at [`TraceLevel::Off`], so hot paths pay one never-taken
-//! branch. Like the coherence checker, the tracer is a pure observer —
+//! [`crate::invariants`]: the machine's [`crate::ObserverHub`] holds an
+//! `Option<Box<Tracer>>` that is `None` at [`TraceLevel::Off`], and a hub
+//! with no observer attached keeps the engine on its event-free fast
+//! path. Like the coherence checker, the tracer is a pure observer —
 //! results are bit-identical at every level.
 //!
 //! At [`TraceLevel::Summary`] only the [`crate::metrics::Metrics`]
@@ -30,8 +31,8 @@
 //! ```
 //!
 //! and metric lines (see [`crate::metrics`]) start with `H`/`T`/`D`/`B`/
-//! `U`/`X`/`C`/`Z`. `knl trace` (crates/bench) parses both: metric lines
-//! feed the report, event lines feed the Chrome `trace_event` export.
+//! `U`/`X`/`L`/`C`/`Z`. `knl trace` (crates/bench) parses both: metric
+//! lines feed the report, event lines feed the Chrome `trace_event` export.
 
 use crate::metrics::{Metrics, OpenBin};
 use crate::SimTime;
@@ -189,6 +190,13 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
+/// The next field of a serialized line as one character: a longer token is
+/// malformed, not its first character. Shared by every line reader.
+pub(crate) fn one_char<'a>(it: &mut impl Iterator<Item = &'a str>) -> Option<char> {
+    let s = it.next()?;
+    (s.len() == 1).then(|| char::from(s.as_bytes()[0]))
+}
+
 impl TraceEvent {
     /// Append the one-line serialization of this event to `out`.
     pub fn write_line(&self, out: &mut String) {
@@ -243,31 +251,29 @@ impl TraceEvent {
         let tile = it.next()?.parse().ok()?;
         let line_addr = u64::from_str_radix(it.next()?, 16).ok()?;
         let tag = it.next()?;
-        let ch = |it: &mut std::str::SplitAsciiWhitespace| -> Option<char> {
-            let s = it.next()?;
-            (s.len() == 1).then(|| s.chars().next().unwrap())
-        };
         // A two-valued field: exactly `yes` or `no`, anything else is malformed.
         let flag = |it: &mut std::str::SplitAsciiWhitespace, yes: char, no: char| {
-            let c = ch(it)?;
+            let c = one_char(it)?;
             (c == yes || c == no).then_some(c == yes)
         };
         let kind = match tag {
-            "iss" => EventKind::Issue { op: ch(&mut it)? },
+            "iss" => EventKind::Issue {
+                op: one_char(&mut it)?,
+            },
             "srv" => EventKind::Serve {
-                op: ch(&mut it)?,
-                src: ch(&mut it)?,
+                op: one_char(&mut it)?,
+                src: one_char(&mut it)?,
                 hops: it.next()?.parse().ok()?,
                 latency_ps: it.next()?.parse().ok()?,
             },
             "dir" => EventKind::Dir {
-                from: ch(&mut it)?,
-                to: ch(&mut it)?,
+                from: one_char(&mut it)?,
+                to: one_char(&mut it)?,
                 forwarder: it.next()?.parse().ok()?,
                 sharers: it.next()?.parse().ok()?,
             },
             "hop" => EventKind::Hop {
-                leg: ch(&mut it)?,
+                leg: one_char(&mut it)?,
                 hops: it.next()?.parse().ok()?,
             },
             "dev+" => EventKind::DevEnter {

@@ -1,6 +1,6 @@
 //! `knl` — the one front door: `knl run <id>|all [flags]` regenerates the
 //! paper's tables and figures from the experiment registry, `knl list`
-//! prints it, and `knl trace|report|mc|provenance|lint` are the tools.
+//! prints it, and `knl trace|report|mc|provenance` are the tools.
 
 use knl_bench::experiments::{self, EXPERIMENTS};
 use knl_bench::runconf::RunConf;
@@ -15,7 +15,6 @@ usage: knl run <id>|all [flags]   regenerate one table/figure, or all in order
        knl report TELEMETRY [flags]   render a telemetry series as a dashboard
        knl mc [flags]             model-check the coherence protocol tables
        knl provenance [--verify|--stamp|--show PATH]   results/ manifests
-       knl lint [WORKSPACE_ROOT]  the determinism linter
 `knl <subcommand> --help` lists a subcommand's flags.";
 
 /// Exit 2 with `problem`, the usage and the experiment ids.
@@ -41,7 +40,6 @@ fn main() {
         "report" => tools::report::run(args),
         "mc" => tools::mc::run(args),
         "provenance" => tools::provenance::run(args),
-        "lint" => tools::lint::run(args),
         "-h" | "--help" => println!("{USAGE}"),
         other => usage_error(&format!("unknown subcommand: {other}")),
     }
