@@ -1,5 +1,5 @@
 //! Deterministic pseudo-random number generation built on the repo's
-//! [`splitmix64`](crate::topology::splitmix64) mixing function.
+//! [`splitmix64`] mixing function.
 //!
 //! The workspace builds with no external crates, so tests, benches and the
 //! sweep executor use this generator instead of `rand`. It is a plain

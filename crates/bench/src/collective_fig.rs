@@ -235,7 +235,7 @@ pub fn run(name: &str, kind: CollectiveKind, conf: &RunConf, sink: &TraceSink) {
     let effort = conf.effort;
     let cfg = crate::modelfit::snc4_flat();
     eprintln!("fitting capability model on {} ...", cfg.label());
-    let model = crate::modelfit::fit_model(&cfg, &effort.suite_params(), true);
+    let model = crate::modelfit::fit_model(&cfg, &effort.suite_params());
     let threads = effort.collective_threads();
     let iters = effort.collective_iters();
     eprintln!(

@@ -24,7 +24,7 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
     let exec = executor(conf);
     let cfg = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Flat);
     eprintln!("fitting capability model on {} ...", cfg.label());
-    let model = fit_model(&cfg, &effort.suite_params(), true);
+    let model = fit_model(&cfg, &effort.suite_params());
 
     let threads: Vec<usize> = match effort {
         Effort::Paper => vec![1, 2, 4, 8, 16, 32, 64, 128, 256],

@@ -13,7 +13,7 @@ use knl_core::{optimize_tree, TreeKind};
 pub fn run(conf: &RunConf, sink: &TraceSink) {
     let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Cache);
     eprintln!("fitting capability model on {} ...", cfg.label());
-    let model = fit_model_observed(&cfg, &conf.effort.suite_params(), true, conf, sink);
+    let model = fit_model_observed(&cfg, &conf.effort.suite_params(), conf, sink);
 
     // 64 cores, one thread per core (fill-tiles): 32 tile groups of 2; the
     // inter-tile tree spans the 32 tile leaders.

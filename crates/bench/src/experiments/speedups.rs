@@ -13,7 +13,7 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
     let effort = conf.effort;
     let cfg = snc4_flat();
     eprintln!("fitting capability model on {} ...", cfg.label());
-    let model = fit_model(&cfg, &effort.suite_params(), true);
+    let model = fit_model(&cfg, &effort.suite_params());
     let threads = effort.collective_threads();
     let iters = effort.collective_iters();
     // One sink for the whole experiment: the three sweeps' points, then

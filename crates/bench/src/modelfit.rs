@@ -8,12 +8,11 @@ use knl_core::CapabilityModel;
 use knl_sim::ObserverConfig;
 use std::path::PathBuf;
 
-/// Run the capability suite for `cfg` and fit the model. When `cache_path`
-/// is given, results are cached as JSON (rerunning an experiment skips
-/// the simulation pass).
-pub fn fit_model(cfg: &MachineConfig, params: &SuiteParams, cache: bool) -> CapabilityModel {
-    let results = suite_results(cfg, params, cache);
-    CapabilityModel::from_suite(&results)
+/// Run the capability suite for `cfg` and fit the model. Results are
+/// cached as JSON under `results/suite-cache/` (rerunning an experiment
+/// skips the simulation pass).
+pub fn fit_model(cfg: &MachineConfig, params: &SuiteParams) -> CapabilityModel {
+    CapabilityModel::from_suite(&suite_results(cfg, params))
 }
 
 /// [`fit_model`] honouring a parsed command line: the suite run executes
@@ -26,40 +25,31 @@ pub fn fit_model(cfg: &MachineConfig, params: &SuiteParams, cache: bool) -> Capa
 pub fn fit_model_observed(
     cfg: &MachineConfig,
     params: &SuiteParams,
-    cache: bool,
     conf: &RunConf,
     sink: &TraceSink,
 ) -> CapabilityModel {
     let observers = conf.observer_config();
     if observers == ObserverConfig::default() {
-        return fit_model(cfg, params, cache);
+        return fit_model(cfg, params);
     }
     let mut runs = run_configs_with(std::slice::from_ref(cfg), params, conf.jobs, observers);
     let run = runs.remove(0);
     print_counters(&cfg.label(), &run.counters);
     sink.submit_detached(0, run.tracer, run.telemetry);
-    if cache {
-        write_cache(cfg, params, &run.results);
-    }
+    write_cache(cfg, params, &run.results);
     CapabilityModel::from_suite(&run.results)
 }
 
-/// Suite results with optional JSON caching under `results/suite-cache/`.
-pub fn suite_results(cfg: &MachineConfig, params: &SuiteParams, cache: bool) -> SuiteResults {
-    let path = cache_path(cfg, params);
-    if cache {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            // Unreadable or old-format files fall through to a re-run that
-            // overwrites them.
-            if let Some(r) = knl_benchsuite::decode_suite(&text) {
-                return r;
-            }
-        }
+/// Suite results, cached as JSON under `results/suite-cache/`.
+pub fn suite_results(cfg: &MachineConfig, params: &SuiteParams) -> SuiteResults {
+    // Unreadable or old-format files fall through to a re-run that
+    // overwrites them.
+    let cached = std::fs::read_to_string(cache_path(cfg, params)).ok();
+    if let Some(r) = cached.and_then(|text| knl_benchsuite::decode_suite(&text)) {
+        return r;
     }
     let r = run_full_suite(cfg, params);
-    if cache {
-        write_cache(cfg, params, &r);
-    }
+    write_cache(cfg, params, &r);
     r
 }
 
@@ -103,10 +93,10 @@ mod tests {
         p.mem_threads = vec![1, 8];
         p.mem_lines_per_thread = 256;
         p.memlat_lines = 8 << 10;
-        let m1 = fit_model(&cfg, &p, true);
+        let m1 = fit_model(&cfg, &p);
         assert!(m1.rr_ns > 50.0);
         // Second call hits the cache (must produce identical numbers).
-        let m2 = fit_model(&cfg, &p, true);
+        let m2 = fit_model(&cfg, &p);
         assert_eq!(m1.rr_ns, m2.rr_ns);
         assert_eq!(m1.contention.beta, m2.contention.beta);
     }

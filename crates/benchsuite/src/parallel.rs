@@ -64,16 +64,6 @@ impl SweepExecutor {
         }
     }
 
-    /// Emit a text progress line to stderr as each job completes
-    /// (shorthand for [`ProgressMode::Text`]; kept for existing callers).
-    pub fn progress(self, on: bool) -> Self {
-        self.progress_mode(if on {
-            ProgressMode::Text
-        } else {
-            ProgressMode::Off
-        })
-    }
-
     /// Select a progress reporting mode.
     pub fn progress_mode(mut self, mode: ProgressMode) -> Self {
         self.progress = mode;

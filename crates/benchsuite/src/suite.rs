@@ -273,7 +273,7 @@ pub fn run_configs_with(
     observers: ObserverConfig,
 ) -> Vec<ObservedRun> {
     crate::parallel::SweepExecutor::new(jobs)
-        .progress(true)
+        .progress_mode(crate::ProgressMode::Text)
         .run("suite", configs, |_i, cfg| {
             run_full_suite_with(cfg, params, observers)
         })

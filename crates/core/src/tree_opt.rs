@@ -29,11 +29,11 @@
 //! and `T_lev(1..m−1)`, so the table solved for `n` *is* the table for every
 //! smaller `n`, and a larger `n` only appends rows. Each
 //! [`CapabilityModel`] therefore keeps one table per [`TreeKind`]
-//! ([`TreeTables`]) and [`optimize_tree`] only rebuilds the [`Tree`] from
+//! (`TreeTables`) and [`optimize_tree`] only rebuilds the [`Tree`] from
 //! it for any `n` already reached.
 //!
 //! **Memo key.** Eq. 1 reads five numbers of the model — `R_I`, `R_L`,
-//! `R_R` and the contention law's `α`, `β` ([`Eq1Terms`]). A table is
+//! `R_R` and the contention law's `α`, `β` (`Eq1Terms`). A table is
 //! stamped with their bit patterns and the stamp is compared on every
 //! call, so editing a field in place, or cloning a model and editing the
 //! clone, can never serve a stale plan; editing anything else keeps it.

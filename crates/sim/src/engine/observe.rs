@@ -1,29 +1,28 @@
-//! The event spine: one [`ProtocolEvent`] stream, emitted exactly once per
-//! protocol action by the engine, handed by the [`ObserverHub`] to the
-//! observers an [`ObserverConfig`] asked for — coherence checker, tracer,
-//! telemetry sampler, in that order — plus the analyzer pre-pass at run
-//! start. There are four observers and the hub has four fields; every call
-//! below is static.
+//! The event spine: the engine emits each protocol action exactly once as
+//! a [`ProtocolEvent`], and the [`ObserverHub`] hands it to the observers
+//! an [`ObserverConfig`] asked for — checker, tracer, telemetry sampler, in
+//! that order — with the one event context (runner thread, requesting
+//! tile) the hub keeps. The analyzer pre-pass runs at run start. Every
+//! call is static.
 //!
-//! Observers are *pure*: they may panic (the checker's whole job) but must
-//! never change simulated timings, counters, or cache state — the
-//! equivalence tests (`checked ≡ unchecked`, `traced ≡ untraced`,
-//! `analyzer-on ≡ off`) pin this bit-for-bit, and
-//! `tests/golden/observed_transfer.txt` pins what they write. The hub
-//! caches whether any event consumer is attached; when none is, every
-//! emission helper is a single `#[inline]` flag test, so an unobserved
-//! machine pays one never-taken branch per emission point.
+//! Observers are *pure*: they may panic (the checker's whole job) but never
+//! change simulated timings, counters or cache state (`checked ≡
+//! unchecked`, `traced ≡ untraced`, `analyzer-on ≡ off` pin it), and
+//! `tests/golden/observed_{transfer,stream}.txt` pin what they write. With
+//! no event consumer attached every emission helper is one `#[inline]`
+//! flag test.
 
 use crate::analyze::AnalyzeLevel;
 use crate::counters::Counters;
 use crate::directory::{DirEntry, GlobalState};
-use crate::invariants::{CheckLevel, CoherenceChecker, ProtoEvent};
+use crate::invariants::{CheckLevel, CoherenceChecker};
 use crate::machine::ServedBy;
 use crate::program::Program;
+use crate::protocol::{Outcome, Request};
 use crate::telemetry::{TelemetryConfig, TelemetrySampler};
-use crate::trace::{EventKind, TraceLevel, Tracer, NO_TILE};
+use crate::trace::{TraceLevel, Tracer, NO_THREAD};
 use crate::SimTime;
-use knl_arch::{MemTarget, ProtocolKind};
+use knl_arch::{MemTarget, ProtocolKind, TileId};
 
 /// One observable protocol action, tagged with everything the engine has
 /// already computed at the emission point (supplier state, hop counts,
@@ -40,22 +39,27 @@ pub enum ProtocolEvent<'a> {
     Serve {
         /// Operation tag (`R`/`W`).
         op: char,
-        /// Source tag (see [`src_tag`]).
+        /// Source tag (see `src_tag`).
         src: char,
         /// Mesh distance between requester and server.
         hops: u32,
         /// End-to-end latency of the access.
         latency_ps: SimTime,
     },
-    /// A directory transition, after the entry was updated. `counted`
-    /// mirrors the protocol/preparation split: state preparation
-    /// ([`crate::machine::Machine::prepare_line`]) transitions are
-    /// uncounted and do not appear in traces.
+    /// A directory step, after the entry was updated: what `tile` asked
+    /// and what [`crate::protocol::transition`] answered. `counted` mirrors
+    /// the protocol/preparation split: state preparation
+    /// ([`crate::machine::Machine::prepare_line`]) steps are uncounted and
+    /// do not appear in traces.
     Dir {
-        /// Global state tag before the transition (see [`gstate_tag`]).
+        /// Global state tag before the step (see `gstate_tag`).
         from: char,
-        /// The protocol action that caused the transition.
-        proto: ProtoEvent,
+        /// What the requesting tile asked of the directory.
+        request: Request,
+        /// The requesting tile.
+        tile: TileId,
+        /// What the transition did.
+        out: Outcome,
         /// The directory entry, already in its post-transition state.
         entry: &'a DirEntry,
         /// False for timing-free state preparation.
@@ -168,12 +172,31 @@ impl ObserverConfig {
     }
 }
 
+/// Who the next events come from: the runner thread ([`NO_THREAD`] outside
+/// runner context) and the tile of the access being served. The hub keeps
+/// the one copy and hands it to the tracer and the sampler with every
+/// event.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventContext {
+    pub(crate) thread: u32,
+    pub(crate) tile: u16,
+}
+
+impl Default for EventContext {
+    fn default() -> Self {
+        EventContext {
+            thread: NO_THREAD,
+            tile: 0,
+        }
+    }
+}
+
 /// The observer bus: the four things an [`ObserverConfig`] can ask for,
-/// one field each. Emission helpers are the *single* construction site of
-/// each [`ProtocolEvent`] variant; `emit` and the lifecycle
-/// hooks call exactly the observers that implement them, in the fixed
-/// order checker, tracer, telemetry — observers are pure (see the module
-/// docs), so the order is unobservable in simulated results.
+/// one field each, and the event context. Emission helpers are the
+/// *single* construction site of each [`ProtocolEvent`] variant; `emit`
+/// and the lifecycle hooks call exactly the observers that implement them,
+/// in the fixed order checker, tracer, telemetry — observers are pure (see
+/// the module docs), so the order is unobservable in simulated results.
 pub struct ObserverHub {
     pub(crate) checker: Option<Box<CoherenceChecker>>,
     pub(crate) tracer: Option<Box<Tracer>>,
@@ -184,6 +207,7 @@ pub struct ObserverHub {
     /// Cached "checker, tracer or telemetry attached" — the empty-hub fast
     /// path.
     events: bool,
+    ctx: EventContext,
 }
 
 impl ObserverHub {
@@ -204,6 +228,7 @@ impl ObserverHub {
             tracer,
             telemetry,
             analyze: oc.analyze,
+            ctx: EventContext::default(),
         }
     }
 
@@ -217,22 +242,18 @@ impl ObserverHub {
     /// Detach and return the tracer, its open bin closed (sweep drivers
     /// serialize it per job).
     pub(crate) fn take_tracer(&mut self) -> Option<Box<Tracer>> {
-        let mut tracer = self.tracer.take();
+        let mut tracer = self.tracer.take()?;
         self.events = self.checker.is_some() || self.telemetry.is_some();
-        if let Some(t) = tracer.as_deref_mut() {
-            t.close_bin();
-        }
-        tracer
+        tracer.close_bin();
+        Some(tracer)
     }
 
     /// Detach and return the telemetry sampler, its open bin closed.
     pub(crate) fn take_telemetry(&mut self) -> Option<Box<TelemetrySampler>> {
-        let mut telemetry = self.telemetry.take();
+        let mut telemetry = self.telemetry.take()?;
         self.events = self.checker.is_some() || self.tracer.is_some();
-        if let Some(s) = telemetry.as_deref_mut() {
-            s.close_bin();
-        }
-        telemetry
+        telemetry.close_bin();
+        Some(telemetry)
     }
 
     /// Hand one event to every attached consumer (the outlined slow path
@@ -241,13 +262,13 @@ impl ObserverHub {
     #[inline(never)]
     fn emit(&mut self, time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
         if let Some(c) = self.checker.as_deref_mut() {
-            c.on_event(time, line, event);
+            c.on_event(line, event);
         }
         if let Some(t) = self.tracer.as_deref_mut() {
-            t.on_event(time, line, event);
+            t.on_event(self.ctx, time, line, event);
         }
         if let Some(s) = self.telemetry.as_deref_mut() {
-            s.on_event(time, line, event);
+            s.on_event(self.ctx.tile, time, event);
         }
     }
 
@@ -293,12 +314,15 @@ impl ObserverHub {
     /// Emit [`ProtocolEvent::Dir`] for an entry already in its
     /// post-transition state.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn dir_transition(
         &mut self,
         time: SimTime,
         line: u64,
         from: char,
-        proto: ProtoEvent,
+        request: Request,
+        tile: TileId,
+        out: Outcome,
         entry: &DirEntry,
         counted: bool,
     ) {
@@ -308,7 +332,9 @@ impl ObserverHub {
                 line,
                 &ProtocolEvent::Dir {
                     from,
-                    proto,
+                    request,
+                    tile,
+                    out,
                     entry,
                     counted,
                 },
@@ -403,24 +429,13 @@ impl ObserverHub {
     /// The runner switched execution context to `thread`.
     #[inline]
     pub(crate) fn set_thread(&mut self, thread: u32) {
-        if self.events {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.set_thread(thread);
-            }
-        }
+        self.ctx.thread = thread;
     }
 
     /// Subsequent events originate from `tile`.
     #[inline]
     pub(crate) fn set_tile(&mut self, tile: u16) {
-        if self.events {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.set_tile(tile);
-            }
-            if let Some(s) = self.telemetry.as_deref_mut() {
-                s.set_tile(tile);
-            }
-        }
+        self.ctx.tile = tile;
     }
 
     /// The on-die caches and directory were cleared (fresh repetition).
@@ -447,95 +462,6 @@ impl ObserverHub {
         if let Some(c) = self.checker.as_deref() {
             c.finish(counters);
         }
-    }
-}
-
-impl CoherenceChecker {
-    /// Route one event to the checker's transition / oracle hooks.
-    pub(crate) fn on_event(&mut self, _time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
-        match *event {
-            ProtocolEvent::Dir {
-                proto,
-                entry,
-                counted,
-                ..
-            } => self.on_transition(line, proto, entry, counted),
-            ProtocolEvent::CoherentRead { from_memory } => self.observe_read(line, from_memory),
-            ProtocolEvent::NtStore => self.on_nt_store(line),
-            // Directory-implied write-backs are inferred from `Dir`
-            // transitions; only the mcache victim evictions need notice.
-            ProtocolEvent::Writeback { external: true } => self.note_external_writeback(),
-            // Timing/topology events carry no coherence state; listed out
-            // so a new event variant forces a decision here.
-            ProtocolEvent::Issue { .. }
-            | ProtocolEvent::Serve { .. }
-            | ProtocolEvent::Hop { .. }
-            | ProtocolEvent::DevEnter { .. }
-            | ProtocolEvent::DevLeave { .. }
-            | ProtocolEvent::Mcache { .. }
-            | ProtocolEvent::Inv { .. }
-            | ProtocolEvent::Update { .. }
-            | ProtocolEvent::Writeback { external: false }
-            | ProtocolEvent::Mark { .. } => {}
-        }
-    }
-}
-
-impl Tracer {
-    /// Translate one event into its trace record (checker-oracle events
-    /// and state preparation are not part of the trace format).
-    pub(crate) fn on_event(&mut self, time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
-        let kind = match *event {
-            ProtocolEvent::Issue { op } => EventKind::Issue { op },
-            ProtocolEvent::Serve {
-                op,
-                src,
-                hops,
-                latency_ps,
-            } => EventKind::Serve {
-                op,
-                src,
-                hops,
-                latency_ps,
-            },
-            ProtocolEvent::Dir {
-                from,
-                entry,
-                counted,
-                ..
-            } => {
-                // State preparation is timing-free and never traced.
-                if !counted {
-                    return;
-                }
-                let forwarder = match &entry.state {
-                    GlobalState::Uncached => NO_TILE,
-                    GlobalState::Exclusive { owner }
-                    | GlobalState::Modified { owner }
-                    | GlobalState::Owned { owner } => owner.0,
-                    GlobalState::Shared { forward } => forward.map_or(NO_TILE, |t| t.0),
-                };
-                EventKind::Dir {
-                    from,
-                    to: gstate_tag(&entry.state),
-                    forwarder,
-                    sharers: entry.num_holders() as u16,
-                }
-            }
-            ProtocolEvent::Hop { leg, hops } => EventKind::Hop { leg, hops },
-            ProtocolEvent::DevEnter { dev, write, depth } => {
-                EventKind::DevEnter { dev, write, depth }
-            }
-            ProtocolEvent::DevLeave { dev } => EventKind::DevLeave { dev },
-            ProtocolEvent::Mcache { edc, hit } => EventKind::Mcache { edc, hit },
-            ProtocolEvent::Inv { n } => EventKind::Inv { n },
-            ProtocolEvent::Update { n } => EventKind::Update { n },
-            ProtocolEvent::Writeback { .. } => EventKind::Writeback,
-            ProtocolEvent::Mark { id, start } => EventKind::Mark { id, start },
-            // Checker-oracle events; not part of the trace format.
-            ProtocolEvent::CoherentRead { .. } | ProtocolEvent::NtStore => return,
-        };
-        self.record(time, line, kind);
     }
 }
 
@@ -567,6 +493,7 @@ pub(crate) fn src_tag(served: ServedBy) -> char {
 mod tests {
     use super::*;
     use crate::machine::{AccessKind, Machine};
+    use crate::trace::EventKind;
     use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, NumaKind};
 
     fn ddr_addr(m: &Machine) -> u64 {

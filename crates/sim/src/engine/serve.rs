@@ -10,7 +10,6 @@
 use crate::cache::Insert;
 use crate::directory::LineState;
 use crate::engine::observe::{gstate_tag, src_tag};
-use crate::invariants::ProtoEvent;
 use crate::machine::{AccessOutcome, Machine, ServedBy};
 use crate::mcache::McacheOutcome;
 use crate::mesh::StopId;
@@ -42,7 +41,8 @@ impl Machine {
     /// The one place the engine steps a directory entry: run `request`
     /// from `tile` through the protocol table (plus the defect a test
     /// injected, if any) and emit the [`crate::ProtocolEvent::Dir`] event
-    /// carrying the entry's own pre-state tag and post-state. Returns what
+    /// carrying the request, the tile, the outcome, and the entry's own
+    /// pre-state tag and post-state. Returns what
     /// the transition did and the entry's version after it (the stamp the
     /// requester's fills carry), so no caller looks the entry up again;
     /// `None` when the directory has no entry for `line`: nothing to
@@ -68,27 +68,9 @@ impl Machine {
         if let Some(defect) = self.mutation {
             defect.corrupt(kind, request, tile, &pre, entry, &mut out);
         }
-        let event = match request {
-            Request::Read => ProtoEvent::GrantRead { tile },
-            Request::Write => ProtoEvent::GrantWrite {
-                tile,
-                invalidated: out.invalidated,
-                updated: out.updated,
-            },
-            Request::Evict => ProtoEvent::Evict {
-                tile,
-                dirty: out.writeback,
-            },
-            Request::NtStore if kind.invalidation_based() => ProtoEvent::InvalidateAll {
-                holders: out.invalidated,
-                dirty: out.writeback,
-            },
-            Request::NtStore => ProtoEvent::UpdateAll {
-                holders: out.updated,
-            },
-        };
+        let from = gstate_tag(&pre.state);
         self.hub
-            .dir_transition(time, line, gstate_tag(&pre.state), event, entry, counted);
+            .dir_transition(time, line, from, request, tile, out, entry, counted);
         Some((out, entry.version))
     }
 
@@ -717,10 +699,15 @@ impl Machine {
         if !state.dirty() {
             if let Some(entry) = self.dir.get_mut(line) {
                 let from = gstate_tag(&entry.state);
-                let holders = entry.num_holders();
-                let dirty = entry.invalidate_all();
-                let flush = ProtoEvent::InvalidateAll { holders, dirty };
-                self.hub.dir_transition(0, line, from, flush, entry, false);
+                let flush = Outcome {
+                    requester: LineState::Invalid,
+                    invalidated: entry.num_holders(),
+                    writeback: entry.invalidate_all(),
+                    updated: 0,
+                };
+                let nt = Request::NtStore;
+                self.hub
+                    .dir_transition(0, line, from, nt, tile, flush, entry, false);
             }
         }
         let steps: &[(Request, TileId)] = match state {

@@ -4,15 +4,16 @@
 //! tracer and the telemetry sampler did before they kept an open bin: one
 //! `entry_or_default((id, bin))` search per event straight into the sparse
 //! series, one division per event, hot lines in a `BTreeMap` that is
-//! collected and sorted to find the top N. Slow and obviously right. The
-//! tests feed seeded random event streams to an oracle and to the real
-//! observer and require the same serialized bytes — mid-stream, while a
-//! bin is open, and at the end.
+//! collected and sorted to find the top N; the metrics oracle also takes
+//! each event through its `EventKind` translation first. Slow and
+//! obviously right. The tests feed seeded random spine events to an oracle
+//! and to the real observer and require the same serialized bytes —
+//! mid-stream, while a bin is open, and at the end.
 
-use crate::directory::{DirEntry, GlobalState};
-use crate::engine::observe::{gstate_tag, ProtocolEvent};
-use crate::invariants::ProtoEvent;
+use crate::directory::{DirEntry, GlobalState, LineState};
+use crate::engine::observe::{gstate_tag, EventContext, ProtocolEvent};
 use crate::metrics::{Metrics, BIN_PS, HOT_LINES_TOP};
+use crate::protocol::{Outcome, Request};
 use crate::svmap::SortedVecMap;
 use crate::telemetry::{TelemetryConfig, TelemetrySampler, TelemetrySeries};
 use crate::trace::{EventKind, TraceEvent, TraceLevel, Tracer};
@@ -241,8 +242,92 @@ fn pick<T: Copy>(rng: &mut SplitMixRng, of: &[T]) -> T {
 const TILES: [u16; 5] = [0, 1, 18, 37, u16::MAX];
 const DEVS: [u8; 5] = [0, 5, 6, 13, u8::MAX];
 
+/// A directory entry in each global state.
+fn entries() -> [DirEntry; 5] {
+    let owner = TileId(3);
+    [
+        GlobalState::Uncached,
+        GlobalState::Exclusive { owner },
+        GlobalState::Modified { owner },
+        GlobalState::Shared { forward: None },
+        GlobalState::Owned { owner },
+    ]
+    .map(|state| DirEntry {
+        state,
+        ..DirEntry::default()
+    })
+}
+
+/// A `Dir` step into `entry` from state `from`; the tracer and the sampler
+/// read the two state tags and `counted`, nothing else.
+fn dir(from: char, entry: &DirEntry, counted: bool) -> ProtocolEvent<'_> {
+    ProtocolEvent::Dir {
+        from,
+        request: Request::Read,
+        tile: TileId(3),
+        out: Outcome {
+            requester: LineState::Shared,
+            writeback: false,
+            invalidated: 0,
+            updated: 0,
+        },
+        entry,
+        counted,
+    }
+}
+
+/// A random spine event of every kind, each field over the values that
+/// matter to a fold: every source class, zero hops and counts, ids at the
+/// `u8` extreme, `Dir` steps between any two states (`U → U` and `S → S`
+/// included, uncounted ones too), and the checker's oracle events.
+fn random_event<'a>(rng: &mut SplitMixRng, entries: &'a [DirEntry]) -> ProtocolEvent<'a> {
+    match rng.next_u64() % 16 {
+        0 => ProtocolEvent::Issue { op: 'R' },
+        1..=4 => ProtocolEvent::Serve {
+            op: 'R',
+            src: pick(rng, &['L', 'T', 'M', 'S', 'O', 'H', 'C', 'D']),
+            hops: rng.next_u32() % 4,
+            latency_ps: rng.next_u64() % 300_000,
+        },
+        5..=6 => dir(
+            pick(rng, &['U', 'E', 'M', 'S', 'O']),
+            &entries[(rng.next_u64() % 5) as usize],
+            rng.next_u64().is_multiple_of(2),
+        ),
+        7 => ProtocolEvent::Hop {
+            leg: 'q',
+            hops: rng.next_u32() % 2 * 5,
+        },
+        8 => ProtocolEvent::DevEnter {
+            dev: pick(rng, &DEVS),
+            write: rng.next_u64().is_multiple_of(2),
+            depth: rng.next_u32() % 40,
+        },
+        9 => ProtocolEvent::DevLeave {
+            dev: pick(rng, &DEVS),
+        },
+        10 => ProtocolEvent::Mcache {
+            edc: 1,
+            hit: rng.next_u64().is_multiple_of(2),
+        },
+        11 => ProtocolEvent::Inv {
+            n: rng.next_u32() % 2 * 3,
+        },
+        12 => ProtocolEvent::Update {
+            n: rng.next_u32() % 2,
+        },
+        13 => ProtocolEvent::Writeback {
+            external: rng.next_u64().is_multiple_of(2),
+        },
+        14 => ProtocolEvent::Mark { id: 1, start: true },
+        _ if rng.next_u64().is_multiple_of(2) => ProtocolEvent::NtStore,
+        _ => ProtocolEvent::CoherentRead { from_memory: true },
+    }
+}
+
 #[test]
 fn tracer_fold_serializes_like_the_per_event_oracle() {
+    let entries = entries();
     for seed in 0..8u64 {
         let mut rng = SplitMixRng::seed_from_u64(0x7ace + seed);
         let mut clock = Clock {
@@ -259,48 +344,18 @@ fn tracer_fold_serializes_like_the_per_event_oracle() {
         };
         for step in 0..4000 {
             let (tile, thread) = (pick(&mut rng, &TILES), rng.next_u32() % 4);
-            let kind = match rng.next_u64() % 12 {
-                0 => EventKind::Issue { op: 'R' },
-                1..=4 => EventKind::Serve {
-                    op: 'R',
-                    src: pick(&mut rng, &['L', 'T', 'M', 'S', 'O', 'H', 'C', 'D']),
-                    hops: rng.next_u32() % 4,
-                    latency_ps: rng.next_u64() % 300_000,
-                },
-                5 => EventKind::Dir {
-                    from: pick(&mut rng, &['U', 'E', 'S']),
-                    to: pick(&mut rng, &['E', 'M', 'S']),
-                    forwarder: tile,
-                    sharers: 1,
-                },
-                6 => EventKind::Hop {
-                    leg: 'q',
-                    hops: rng.next_u32() % 3,
-                },
-                7..=8 => EventKind::DevEnter {
-                    dev: pick(&mut rng, &DEVS),
-                    write: rng.next_u64().is_multiple_of(2),
-                    depth: rng.next_u32() % 40,
-                },
-                9 => EventKind::DevLeave {
-                    dev: pick(&mut rng, &DEVS),
-                },
-                10 => EventKind::Inv {
-                    n: rng.next_u32() % 2,
-                },
-                _ => EventKind::Writeback,
-            };
+            let event = random_event(&mut rng, &entries);
             let (time, line) = (clock.next(&mut rng), line_of(&mut rng));
-            tracer.set_thread(thread);
-            tracer.set_tile(tile);
-            tracer.record(time, line, kind);
-            oracle.record(&TraceEvent {
-                time,
-                thread,
-                tile,
-                line,
-                kind,
-            });
+            tracer.on_event(EventContext { thread, tile }, time, line, &event);
+            if let Some(kind) = EventKind::of(&event) {
+                oracle.record(&TraceEvent {
+                    time,
+                    thread,
+                    tile,
+                    line,
+                    kind,
+                });
+            }
             // Read through the still-attached tracer: the open bin counts.
             if step % 500 == 499 {
                 let mut got = String::new();
@@ -324,25 +379,26 @@ fn top_lines_cut_inside_a_run_of_ties_keeps_the_lowest_lines() {
     // line down: the cut at 32 falls among the ties and keeps the lowest.
     let mut tracer = Tracer::new(TraceLevel::Summary);
     let mut oracle = MetricsOracle::default();
-    let serve = EventKind::Serve {
+    let serve = ProtocolEvent::Serve {
         op: 'R',
         src: 'D',
         hops: 1,
         latency_ps: 90_000,
     };
+    let ctx = EventContext::default();
     let lines = (0..40u64).rev().map(|i| 0x1000 + 3 * i);
     for line in lines
         .clone()
         .chain(lines)
         .chain([0x1000 + 39 * 3, 0x1003, 0x2000])
     {
-        tracer.record(7, line, serve);
+        tracer.on_event(ctx, 7, line, &serve);
         oracle.record(&TraceEvent {
             time: 7,
-            thread: crate::trace::NO_THREAD,
-            tile: 0,
+            thread: ctx.thread,
+            tile: ctx.tile,
             line,
-            kind: serve,
+            kind: EventKind::of(&serve).expect("a serve is traced"),
         });
     }
     let top = tracer.metrics().top_lines(HOT_LINES_TOP);
@@ -361,19 +417,7 @@ fn top_lines_cut_inside_a_run_of_ties_keeps_the_lowest_lines() {
 
 #[test]
 fn sampler_fold_serializes_like_the_per_event_oracle() {
-    let entry_in = |state: GlobalState| DirEntry {
-        state,
-        ..DirEntry::default()
-    };
-    let owner = TileId(3);
-    let entries = [
-        entry_in(GlobalState::Uncached),
-        entry_in(GlobalState::Exclusive { owner }),
-        entry_in(GlobalState::Modified { owner }),
-        entry_in(GlobalState::Shared { forward: None }),
-        entry_in(GlobalState::Owned { owner }),
-    ];
-    let proto = ProtoEvent::GrantRead { tile: owner };
+    let entries = entries();
     for (seed, interval) in [
         (0u64, 1),
         (1, 7),
@@ -393,80 +437,20 @@ fn sampler_fold_serializes_like_the_per_event_oracle() {
         // so their rows are written, `G 19 S 0` and `V 20 0 0 0 0 0 0 0`.
         let (to_s, to_u) = (&entries[3], &entries[0]);
         for (bin, event) in [
-            (
-                19,
-                ProtocolEvent::Dir {
-                    from: 'U',
-                    proto,
-                    entry: to_s,
-                    counted: true,
-                },
-            ),
-            (
-                19,
-                ProtocolEvent::Dir {
-                    from: 'S',
-                    proto,
-                    entry: to_u,
-                    counted: true,
-                },
-            ),
+            (19, dir('U', to_s, true)),
+            (19, dir('S', to_u, true)),
             (20, ProtocolEvent::Hop { leg: 'q', hops: 0 }),
             (20, ProtocolEvent::Inv { n: 0 }),
         ] {
-            sampler.on_event(bin * interval, 0x40, &event);
+            sampler.on_event(0, bin * interval, &event);
             oracle.on_event(bin * interval, &event);
         }
         for step in 0..4000 {
-            let event = match rng.next_u64() % 16 {
-                0 => ProtocolEvent::Issue { op: 'R' },
-                1..=2 => ProtocolEvent::Serve {
-                    op: 'R',
-                    src: 'D',
-                    hops: 2,
-                    latency_ps: rng.next_u64() % 300_000,
-                },
-                // Every from → to, `U → U` and `S → S` included; a pair of
-                // opposite shifts inside one bin leaves a touched zero.
-                3..=6 => ProtocolEvent::Dir {
-                    from: pick(&mut rng, &['U', 'E', 'M', 'S', 'O']),
-                    proto,
-                    entry: &entries[(rng.next_u64() % 5) as usize],
-                    counted: rng.next_u64().is_multiple_of(2),
-                },
-                7 => ProtocolEvent::Hop {
-                    leg: 'q',
-                    hops: rng.next_u32() % 2 * 5,
-                },
-                8 => ProtocolEvent::DevEnter {
-                    dev: pick(&mut rng, &DEVS),
-                    write: rng.next_u64().is_multiple_of(2),
-                    depth: rng.next_u32() % 40,
-                },
-                9 => ProtocolEvent::DevLeave {
-                    dev: pick(&mut rng, &DEVS),
-                },
-                10 => ProtocolEvent::Mcache {
-                    edc: 1,
-                    hit: rng.next_u64().is_multiple_of(2),
-                },
-                11 => ProtocolEvent::Inv {
-                    n: rng.next_u32() % 2 * 3,
-                },
-                12 => ProtocolEvent::Update {
-                    n: rng.next_u32() % 2,
-                },
-                13 => ProtocolEvent::Writeback {
-                    external: rng.next_u64().is_multiple_of(2),
-                },
-                14 => ProtocolEvent::Mark { id: 1, start: true },
-                _ => ProtocolEvent::NtStore,
-            };
+            let event = random_event(&mut rng, &entries);
             let tile = pick(&mut rng, &TILES);
-            sampler.set_tile(tile);
             oracle.tile = tile;
             let time = clock.next(&mut rng);
-            sampler.on_event(time, 0x40, &event);
+            sampler.on_event(tile, time, &event);
             oracle.on_event(time, &event);
             // A reset wherever the clock happens to be, mid-bin.
             if rng.next_u64().is_multiple_of(97) {

@@ -33,8 +33,9 @@
 
 use crate::counters::Counters;
 use crate::directory::{DirEntry, LineState};
+use crate::engine::observe::ProtocolEvent;
 use crate::fxmap::LineMap;
-use crate::protocol;
+use crate::protocol::{self, Outcome, Request};
 use knl_arch::{ProtocolKind, TileId};
 use std::collections::VecDeque;
 
@@ -83,53 +84,13 @@ impl CheckLevel {
     }
 }
 
-/// One observed directory transition (what happened; the entry snapshot is
-/// recorded separately).
-#[derive(Debug, Clone, Copy)]
-pub enum ProtoEvent {
-    /// A read by `tile` was granted (E fill, F takeover, or S join).
-    GrantRead {
-        /// The requesting tile.
-        tile: TileId,
-    },
-    /// A write by `tile` gained ownership, invalidating `invalidated`
-    /// other copies (or, under update-based protocols, refreshing `updated`
-    /// of them in place).
-    GrantWrite {
-        /// The writing tile.
-        tile: TileId,
-        /// Copies invalidated at other tiles.
-        invalidated: usize,
-        /// Copies refreshed in place at other tiles (Dragon).
-        updated: usize,
-    },
-    /// `tile` dropped its copy (capacity eviction or explicit flush).
-    Evict {
-        /// The evicting tile.
-        tile: TileId,
-        /// Whether the dropped copy was dirty (a write-back is due).
-        dirty: bool,
-    },
-    /// Every copy was invalidated (NT store overwrote memory).
-    InvalidateAll {
-        /// Holders before the invalidation.
-        holders: usize,
-        /// Whether a dirty copy was destroyed (write-back first).
-        dirty: bool,
-    },
-    /// Every copy was refreshed in place (NT store under an update-based
-    /// protocol); the copies survive, clean.
-    UpdateAll {
-        /// Holders at the time of the update.
-        holders: usize,
-    },
-}
-
-/// A recorded event plus the entry *after* the transition.
+/// A recorded directory step plus the entry *after* it.
 #[derive(Debug, Clone, Copy)]
 struct EventRecord {
     seq: u64,
-    event: ProtoEvent,
+    request: Request,
+    tile: TileId,
+    out: Outcome,
     entry: DirEntry,
 }
 
@@ -181,8 +142,7 @@ pub struct CoherenceChecker {
     /// updated on every directory transition (hot at any check level) and
     /// only ever read back per line, never iterated.
     history: LineMap<VecDeque<EventRecord>>,
-    seq: u64,
-    /// Total transitions observed.
+    /// Total transitions observed (a record's sequence number).
     pub events: u64,
     /// Invalidation messages implied by counted transitions.
     pub invalidations: u64,
@@ -210,7 +170,6 @@ impl CoherenceChecker {
             level,
             protocol,
             history: LineMap::new(),
-            seq: 0,
             events: 0,
             invalidations: 0,
             updates: 0,
@@ -230,13 +189,21 @@ impl CoherenceChecker {
         self.shadow.as_ref()
     }
 
-    /// Observe one directory transition on `line`; `entry` is the state
-    /// *after* the transition. `counted` transitions accumulate message
-    /// counters (state-preparation shortcuts pass `false`: they mutate the
-    /// directory without the machine counting messages).
-    pub fn on_transition(&mut self, line: u64, event: ProtoEvent, entry: &DirEntry, counted: bool) {
+    /// Observe one directory step on `line`: `tile` asked `request` and
+    /// the transition answered `out`; `entry` is the state *after* it.
+    /// `counted` steps accumulate message counters (state-preparation
+    /// shortcuts pass `false`: they mutate the directory without the
+    /// machine counting messages).
+    pub fn on_transition(
+        &mut self,
+        line: u64,
+        request: Request,
+        tile: TileId,
+        out: Outcome,
+        entry: &DirEntry,
+        counted: bool,
+    ) {
         self.events += 1;
-        self.seq += 1;
         let prev = self
             .history
             .get(line)
@@ -247,37 +214,17 @@ impl CoherenceChecker {
         // answers a read and the line ends *clean*), a dirty eviction, or a
         // dirty invalidation; ownership transfer by write moves the value
         // instead, and the O protocols keep the dirty value cached across
-        // read downgrades (M→O), which `DirEntry::dirty` reflects. This
-        // inference is protocol-neutral: it only asks whether dirtiness was
-        // lost without a write.
-        let downgrade_writeback =
-            matches!(event, ProtoEvent::GrantRead { .. }) && prev.dirty() && !entry.dirty();
-        let writeback = downgrade_writeback
-            || matches!(
-                event,
-                ProtoEvent::Evict { dirty: true, .. }
-                    | ProtoEvent::InvalidateAll { dirty: true, .. }
-            );
+        // read downgrades (M→O), which `DirEntry::dirty` reflects. The read
+        // case is inferred, protocol-neutrally, from whether dirtiness was
+        // lost, never taken from `out.writeback`.
+        let writeback = match request {
+            Request::Read => prev.dirty() && !entry.dirty(),
+            Request::Evict | Request::NtStore => out.writeback,
+            Request::Write => false,
+        };
         if counted {
-            match event {
-                ProtoEvent::GrantWrite {
-                    invalidated,
-                    updated,
-                    ..
-                } => {
-                    self.invalidations += invalidated as u64;
-                    self.updates += updated as u64;
-                }
-                ProtoEvent::InvalidateAll { holders, .. } => {
-                    self.invalidations += holders as u64;
-                }
-                ProtoEvent::UpdateAll { holders } => {
-                    self.updates += holders as u64;
-                }
-                // Read grants and evictions carry no message ledger; their
-                // write-backs are inferred below.
-                ProtoEvent::GrantRead { .. } | ProtoEvent::Evict { .. } => {}
-            }
+            self.invalidations += out.invalidated as u64;
+            self.updates += out.updated as u64;
             if writeback {
                 self.writebacks += 1;
             }
@@ -286,15 +233,17 @@ impl CoherenceChecker {
             if writeback {
                 shadow.writeback(line);
             }
-            if let ProtoEvent::GrantWrite { .. } = event {
+            if request == Request::Write {
                 shadow.on_write(line);
             }
         }
 
         self.validate(line, entry, prev.version, prev.busy_until);
         let record = EventRecord {
-            seq: self.seq,
-            event,
+            seq: self.events,
+            request,
+            tile,
+            out,
             entry: *entry,
         };
         let ring = self.history.get_or_insert_default(line);
@@ -339,19 +288,15 @@ impl CoherenceChecker {
             return;
         };
         shadow.reads_checked += 1;
-        if from_memory && shadow.cached.contains_key(line) {
-            let detail = "read served from memory while a dirty cached copy exists".to_string();
-            self.oracle_fail(line, &detail);
+        let stale = from_memory && shadow.cached.contains_key(line);
+        let visible = shadow.visible(line);
+        let expected = shadow.flat.get(line).copied().unwrap_or(0);
+        if stale {
+            self.oracle_fail(
+                line,
+                "read served from memory while a dirty cached copy exists",
+            );
         }
-        let visible = self.shadow.as_ref().expect("shadow").visible(line);
-        let expected = self
-            .shadow
-            .as_ref()
-            .expect("shadow")
-            .flat
-            .get(line)
-            .copied()
-            .unwrap_or(0);
         if visible != expected {
             let detail =
                 format!("read observed value {visible}, sequential reference says {expected}");
@@ -359,18 +304,41 @@ impl CoherenceChecker {
         }
     }
 
-    /// A non-temporal store overwrote `line` in memory (any cached copies
-    /// were invalidated via [`ProtoEvent::InvalidateAll`] first).
-    pub fn on_nt_store(&mut self, line: u64) {
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_nt_store(line);
+    /// Route one spine event to the transition and oracle hooks.
+    pub(crate) fn on_event(&mut self, line: u64, event: &ProtocolEvent<'_>) {
+        match *event {
+            ProtocolEvent::Dir {
+                request,
+                tile,
+                out,
+                entry,
+                counted,
+                ..
+            } => self.on_transition(line, request, tile, out, entry, counted),
+            ProtocolEvent::CoherentRead { from_memory } => self.observe_read(line, from_memory),
+            // An NT store overwrote `line` in memory; its directory step
+            // already swept the cached copies.
+            ProtocolEvent::NtStore => {
+                if let Some(shadow) = self.shadow.as_mut() {
+                    shadow.on_nt_store(line);
+                }
+            }
+            // Directory-implied write-backs are inferred from `Dir` steps;
+            // only the memory-side-cache victim evictions need notice.
+            ProtocolEvent::Writeback { external: true } => self.external_writebacks += 1,
+            // Timing/topology events carry no coherence state; listed out
+            // so a new event variant forces a decision here.
+            ProtocolEvent::Issue { .. }
+            | ProtocolEvent::Serve { .. }
+            | ProtocolEvent::Hop { .. }
+            | ProtocolEvent::DevEnter { .. }
+            | ProtocolEvent::DevLeave { .. }
+            | ProtocolEvent::Mcache { .. }
+            | ProtocolEvent::Inv { .. }
+            | ProtocolEvent::Update { .. }
+            | ProtocolEvent::Writeback { external: false }
+            | ProtocolEvent::Mark { .. } => {}
         }
-    }
-
-    /// The machine wrote back a line outside the directory protocol
-    /// (memory-side cache victim).
-    pub fn note_external_writeback(&mut self) {
-        self.external_writebacks += 1;
     }
 
     /// The machine dropped all on-die cache state (fresh repetition): start
@@ -433,8 +401,15 @@ impl CoherenceChecker {
                 for r in ring {
                     let e = &r.entry;
                     out.push_str(&format!(
-                        "    #{:06} {:?} -> {:?} sharers={:?} v={} busy={}\n",
-                        r.seq, r.event, e.state, e.sharers, e.version, e.busy_until
+                        "    #{:06} {:?} by {:?} {:?} -> {:?} sharers={:?} v={} busy={}\n",
+                        r.seq,
+                        r.request,
+                        r.tile,
+                        r.out,
+                        e.state,
+                        e.sharers,
+                        e.version,
+                        e.busy_until
                     ));
                 }
             }
@@ -539,7 +514,7 @@ impl ShadowMemory {
 mod tests {
     use super::*;
     use crate::directory::{GlobalState, TileSet};
-    use crate::protocol::{transition, Request};
+    use crate::protocol::transition;
 
     const T0: TileId = TileId(0);
     const T1: TileId = TileId(1);
@@ -548,32 +523,26 @@ mod tests {
         CoherenceChecker::new(CheckLevel::Invariants, ProtocolKind::Mesif)
     }
 
-    /// MESIF read grant to `t`; returns the event the engine reports for it.
-    fn read(e: &mut DirEntry, t: TileId) -> ProtoEvent {
-        transition(ProtocolKind::Mesif, e, Request::Read, t);
-        ProtoEvent::GrantRead { tile: t }
+    /// One MESIF directory step, as the engine reports it to the checker.
+    struct Step(Request, TileId, Outcome);
+
+    impl Step {
+        fn seen_by(self, ck: &mut CoherenceChecker, line: u64, e: &DirEntry, counted: bool) {
+            ck.on_transition(line, self.0, self.1, self.2, e, counted);
+        }
     }
 
-    /// MESIF write grant to `t`; returns the event the engine reports for it.
-    fn write(e: &mut DirEntry, t: TileId) -> ProtoEvent {
-        let g = transition(ProtocolKind::Mesif, e, Request::Write, t);
-        ProtoEvent::GrantWrite {
-            tile: t,
-            invalidated: g.invalidated,
-            updated: g.updated,
-        }
+    fn step(e: &mut DirEntry, request: Request, t: TileId) -> Step {
+        Step(request, t, transition(ProtocolKind::Mesif, e, request, t))
     }
 
     #[test]
     fn clean_transitions_pass() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        let granted = read(&mut e, T0);
-        ck.on_transition(0, granted, &e, true);
-        let granted = read(&mut e, T1);
-        ck.on_transition(0, granted, &e, true);
-        let granted = write(&mut e, T0);
-        ck.on_transition(0, granted, &e, true);
+        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e, true);
         assert_eq!(ck.invalidations, 1);
         assert_eq!(ck.events, 3);
     }
@@ -583,9 +552,9 @@ mod tests {
     fn owner_with_sharers_is_caught() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        let granted = write(&mut e, T0);
+        let granted = step(&mut e, Request::Write, T0);
         e.sharers.insert(T1); // corrupt: M state with a residual sharer
-        ck.on_transition(0, granted, &e, true);
+        granted.seen_by(&mut ck, 0, &e, true);
     }
 
     #[test]
@@ -593,12 +562,11 @@ mod tests {
     fn version_regression_is_caught() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        let granted = write(&mut e, T0);
-        ck.on_transition(0, granted, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e, true);
         e.version = 0; // regress the epoch
-        let granted = read(&mut e, T1);
+        let granted = step(&mut e, Request::Read, T1);
         e.version = 0;
-        ck.on_transition(0, granted, &e, true);
+        granted.seen_by(&mut ck, 0, &e, true);
     }
 
     #[test]
@@ -609,11 +577,9 @@ mod tests {
             busy_until: 10_000,
             ..Default::default()
         };
-        let granted = read(&mut e, T0);
-        ck.on_transition(0, granted, &e, true);
+        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e, true);
         e.busy_until = 5_000;
-        let granted = read(&mut e, T1);
-        ck.on_transition(0, granted, &e, true);
+        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e, true);
     }
 
     #[test]
@@ -632,10 +598,8 @@ mod tests {
     fn downgrade_counts_one_writeback() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        let granted = write(&mut e, T0);
-        ck.on_transition(0, granted, &e, true);
-        let granted = read(&mut e, T1);
-        ck.on_transition(0, granted, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e, true);
         assert_eq!(ck.writebacks, 1, "M->S downgrade implies one write-back");
     }
 
@@ -643,11 +607,10 @@ mod tests {
     fn uncounted_events_validate_but_do_not_count() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        read(&mut e, T0);
-        read(&mut e, T1);
-        let holders = e.num_holders();
-        let dirty = e.invalidate_all();
-        ck.on_transition(0, ProtoEvent::InvalidateAll { holders, dirty }, &e, false);
+        step(&mut e, Request::Read, T0);
+        step(&mut e, Request::Read, T1);
+        // Preparation's flush: every copy dropped, nothing counted.
+        step(&mut e, Request::NtStore, T0).seen_by(&mut ck, 0, &e, false);
         assert_eq!(ck.invalidations, 0);
         assert_eq!(ck.events, 1);
     }
@@ -656,10 +619,8 @@ mod tests {
     fn reconcile_passes_on_matching_counters() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        let granted = read(&mut e, T0);
-        ck.on_transition(0, granted, &e, true);
-        let granted = write(&mut e, T1);
-        ck.on_transition(0, granted, &e, true);
+        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Write, T1).seen_by(&mut ck, 0, &e, true);
         let counters = Counters {
             invalidations: 1,
             ..Default::default()
@@ -672,8 +633,7 @@ mod tests {
     fn reconcile_catches_counter_drift() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        let granted = write(&mut e, T0);
-        ck.on_transition(0, granted, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e, true);
         let counters = Counters {
             invalidations: 7,
             ..Default::default()
@@ -685,13 +645,10 @@ mod tests {
     fn shadow_tracks_write_then_nt_store() {
         let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, ProtocolKind::Mesif);
         let mut e = DirEntry::default();
-        let granted = write(&mut e, T0);
-        ck.on_transition(7, granted, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 7, &e, true);
         ck.observe_read(7, false);
-        let holders = e.num_holders();
-        let dirty = e.invalidate_all();
-        ck.on_transition(7, ProtoEvent::InvalidateAll { holders, dirty }, &e, true);
-        ck.on_nt_store(7);
+        step(&mut e, Request::NtStore, T0).seen_by(&mut ck, 7, &e, true);
+        ck.on_event(7, &ProtocolEvent::NtStore);
         ck.observe_read(7, true);
         let shadow = ck.shadow().unwrap();
         assert_eq!(shadow.tracked_lines(), 1);
@@ -709,8 +666,7 @@ mod tests {
     fn oracle_catches_read_past_dirty_copy() {
         let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, ProtocolKind::Mesif);
         let mut e = DirEntry::default();
-        let granted = write(&mut e, T0);
-        ck.on_transition(3, granted, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 3, &e, true);
         // A read served straight from memory while T0 still holds the line
         // dirty: the stale-supply case the oracle exists to catch.
         ck.observe_read(3, true);
@@ -735,8 +691,7 @@ mod tests {
         let mut e = DirEntry::default();
         for i in 0..(EVENT_WINDOW + 9) {
             let t = TileId((i % 2) as u16);
-            let granted = read(&mut e, t);
-            ck.on_transition(0, granted, &e, true);
+            step(&mut e, Request::Read, t).seen_by(&mut ck, 0, &e, true);
         }
         assert_eq!(ck.history.get(0).unwrap().len(), EVENT_WINDOW);
     }

@@ -8,8 +8,8 @@
 //! in cache mode — the memory-side cache behaviour.
 //!
 //! This file is the facade: state, construction, and the public accessor
-//! surface. The protocol paths live in [`crate::engine::serve`], bulk
-//! transfers in [`crate::engine::transfer`], and all instrumentation flows
+//! surface. The protocol paths live in `engine/serve.rs`, bulk
+//! transfers in `engine/transfer.rs`, and all instrumentation flows
 //! through the [`ObserverHub`] defined in [`crate::engine::observe`] — a
 //! plain struct of the four observers, built from an [`ObserverConfig`] at
 //! construction; the observer accessors below read its fields.

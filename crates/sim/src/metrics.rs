@@ -1,43 +1,26 @@
-//! Aggregated metrics over the trace event stream.
-//!
-//! Every event recorded by [`crate::trace::Tracer`] flows through
-//! [`Metrics::record`], which maintains
+//! Aggregated, mergeable metrics over the traced events:
 //!
 //! * latency histograms keyed by **(source tag, hop distance)** — the
-//!   decomposition of the paper's Fig. 4 latency map by supplier MESIF
-//!   state and mesh distance,
-//! * per-tile serve counts broken down by source class, with time-binned
-//!   activity ([`BIN_PS`] bins),
-//! * per-device queue statistics (lines in/out, peak and mean estimated
-//!   queue depth) with time-binned line counts (→ bandwidth),
-//! * a hot-line profile, and
+//!   paper's Fig. 4 latency map decomposed by supplier MESIF state and
+//!   mesh distance,
+//! * per-tile serve counts by source class and per-device queue
+//!   statistics (lines in/out, peak and mean estimated depth), each with
+//!   [`BIN_PS`]-binned activity,
+//! * a hot-line profile ([`HotLines`], exact, in the line-dense
+//!   [`PagedLines`]), and
 //! * protocol totals (directory transitions by `from→to` pair,
-//!   invalidations, update messages, write-backs, mcache hits/misses).
+//!   invalidations, updates, write-backs, mcache hits/misses).
 //!
-//! Metrics serialize to deterministic text lines (all maps iterate in
-//! ascending key order or are sorted at serialization time) and merge
-//! additively, so per-job sections of a parallel sweep can be
-//! re-aggregated by `knl trace` in any grouping with identical results.
-//!
-//! The keyed aggregates are [`SortedVecMap`]s — iteration order identical
-//! to the `BTreeMap`s they replaced (DESIGN.md §6). `Metrics` is plain
-//! sparse data: what makes the per-event fold cheap lives beside it. The
-//! per-tile and per-device maps (totals and the two binned series) are not
-//! searched per event; `Metrics::fold` counts the current [`BIN_PS`] bin
-//! in an `OpenBin` of dense rows the caller keeps (the
-//! [`crate::trace::Tracer`] does) and `OpenBin::close_into` adds the
-//! touched cells to the maps when an event lands in another bin and before
-//! anything reads them.
-//!
-//! The exception is [`Metrics::hot_lines`], whose keyspace is one entry
-//! per distinct line: a [`HotLines`] profile, exact, stored in the
-//! simulator's shared line-dense container ([`PagedLines`], which states
-//! what a page costs a profile of scattered lines). A stream pays one
-//! index insert per page of lines, not one per line.
+//! `Metrics` is plain sparse data ([`SortedVecMap`]s); the tracer counts
+//! the per-tile and per-device rows of its current bin in the shared open
+//! bin of [`crate::svmap`]. Serialization is deterministic (ascending key
+//! order) and merging additive, so `knl trace` can re-aggregate per-job
+//! sections in any grouping with identical results.
 
+use crate::engine::observe::{gstate_tag, ProtocolEvent};
 use crate::paged::PagedLines;
-use crate::svmap::{BinWindow, OpenRow, SortedVecMap};
-use crate::trace::{one_char, EventKind, TraceEvent};
+use crate::svmap::{BinCells, OpenBin, OpenRow, SortedVecMap};
+use crate::trace::{num, one_char, strict_line};
 use crate::SimTime;
 use std::fmt::Write as _;
 
@@ -239,49 +222,22 @@ impl PartialEq for HotLines {
 
 impl Eq for HotLines {}
 
-/// The [`BIN_PS`] bin a [`Metrics`] fold is counting in, as dense rows:
-/// what each tile was served and each device took in since the bin opened.
-/// A cell is the bin's own count (`serves`, `reads + writes`) and the
-/// bin's share of the per-tile and per-device totals at once. Lives with
-/// whoever folds the events, not in `Metrics`.
-#[derive(Debug, Clone)]
-pub(crate) struct OpenBin {
-    window: BinWindow,
+/// The tracer's open [`BIN_PS`] bin: what each tile was served and each
+/// device took in since the bin opened. A cell is the bin's own count
+/// (`serves`, `reads + writes`) and the bin's share of the per-tile and
+/// per-device totals at once.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MetricsCells {
     tiles: OpenRow<TileStat>,
     devs: OpenRow<DevStat>,
 }
 
-impl Default for OpenBin {
-    fn default() -> Self {
-        OpenBin {
-            window: BinWindow::new(BIN_PS),
-            tiles: OpenRow::default(),
-            devs: OpenRow::default(),
-        }
-    }
-}
-
-impl OpenBin {
-    /// Whether [`OpenBin::close_into`] would add nothing.
-    pub(crate) fn is_empty(&self) -> bool {
+impl BinCells<Metrics> for MetricsCells {
+    fn is_empty(&self) -> bool {
         self.tiles.is_empty() && self.devs.is_empty()
     }
 
-    /// The open bin, moved (and the previous one closed into `m`) if
-    /// `time` is not in it.
-    #[inline]
-    fn at(&mut self, time: SimTime, m: &mut Metrics) -> &mut OpenBin {
-        if !self.window.holds(time) {
-            self.close_into(m);
-            self.window.move_to(time);
-        }
-        self
-    }
-
-    /// Add the open bin's touched cells to `m`'s per-tile and per-device
-    /// totals and binned series.
-    pub(crate) fn close_into(&mut self, m: &mut Metrics) {
-        let bin = self.window.index();
+    fn close_into(&mut self, bin: u64, m: &mut Metrics) {
         self.tiles.drain(|tile, t| {
             let tile = tile as u16;
             m.tiles.entry_or_default(tile).add(&t);
@@ -292,6 +248,75 @@ impl OpenBin {
             m.devices.entry_or_default(dev).add(&d);
             *m.dev_bins.entry_or_default((dev, bin)) += d.reads + d.writes;
         });
+    }
+}
+
+impl OpenBin<MetricsCells, Metrics> {
+    /// Fold one event from `tile`. Returns `false`, counting nothing, for
+    /// what the trace format leaves out: state preparation and the
+    /// checker's oracle events.
+    pub(crate) fn fold(
+        &mut self,
+        tile: u16,
+        time: SimTime,
+        line: u64,
+        event: &ProtocolEvent<'_>,
+    ) -> bool {
+        let m = &mut self.closed;
+        match *event {
+            ProtocolEvent::Issue { .. } => m.issues += 1,
+            ProtocolEvent::Serve {
+                src,
+                hops,
+                latency_ps,
+                ..
+            } => {
+                m.hist.entry_or_default((src, hops)).add(latency_ps);
+                m.hot_lines.add(line, 1);
+                let t = self.at(time).tiles.cell(usize::from(tile));
+                t.serves += 1;
+                match src {
+                    'L' => t.l1 += 1,
+                    'T' => t.l2 += 1,
+                    'M' | 'E' | 'S' | 'F' | 'O' => t.remote += 1,
+                    'H' => t.mcache += 1,
+                    _ => t.mem += 1,
+                }
+            }
+            ProtocolEvent::Dir {
+                from,
+                entry,
+                counted: true,
+                ..
+            } => {
+                *m.dir_transitions
+                    .entry_or_default((from, gstate_tag(&entry.state))) += 1
+            }
+            ProtocolEvent::Hop { hops, .. } => m.mesh_hops += hops as u64,
+            ProtocolEvent::DevEnter { dev, write, depth } => {
+                let d = self.at(time).devs.cell(usize::from(dev));
+                if write {
+                    d.writes += 1;
+                } else {
+                    d.reads += 1;
+                }
+                d.depth_peak = d.depth_peak.max(depth);
+                d.depth_sum += depth as u64;
+            }
+            ProtocolEvent::Mcache { hit: true, .. } => m.mcache_hits += 1,
+            ProtocolEvent::Mcache { hit: false, .. } => m.mcache_misses += 1,
+            ProtocolEvent::Inv { n } => m.invalidations += n as u64,
+            ProtocolEvent::Update { n } => m.updates += n as u64,
+            ProtocolEvent::Writeback { .. } => m.writebacks += 1,
+            ProtocolEvent::DevLeave { .. } | ProtocolEvent::Mark { .. } => {}
+            ProtocolEvent::Dir { counted: false, .. }
+            | ProtocolEvent::CoherentRead { .. }
+            | ProtocolEvent::NtStore => return false,
+        }
+        let m = &mut self.closed;
+        m.events += 1;
+        m.end_time = m.end_time.max(time);
+        true
     }
 }
 
@@ -333,70 +358,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fold one event into the aggregates, on its own: the event's bin is
-    /// opened and closed around it. A [`crate::trace::Tracer`] keeps the
-    /// bin open from event to event instead.
-    pub fn record(&mut self, ev: &TraceEvent) {
-        let mut open = OpenBin::default();
-        self.fold(ev, &mut open);
-        open.close_into(self);
-    }
-
-    /// Fold one event into the aggregates; what it adds per tile and per
-    /// device (totals and binned series) is counted in `open`, which the
-    /// caller closes into `self` before reading them.
-    pub(crate) fn fold(&mut self, ev: &TraceEvent, open: &mut OpenBin) {
-        self.events += 1;
-        self.end_time = self.end_time.max(ev.time);
-        match ev.kind {
-            EventKind::Issue { .. } => self.issues += 1,
-            EventKind::Serve {
-                src,
-                hops,
-                latency_ps,
-                ..
-            } => {
-                self.hist.entry_or_default((src, hops)).add(latency_ps);
-                let t = open.at(ev.time, self).tiles.cell(usize::from(ev.tile));
-                t.serves += 1;
-                match src {
-                    'L' => t.l1 += 1,
-                    'T' => t.l2 += 1,
-                    'M' | 'E' | 'S' | 'F' | 'O' => t.remote += 1,
-                    'H' => t.mcache += 1,
-                    _ => t.mem += 1,
-                }
-                self.hot_lines.add(ev.line, 1);
-            }
-            EventKind::Dir { from, to, .. } => {
-                *self.dir_transitions.entry_or_default((from, to)) += 1;
-            }
-            EventKind::Hop { hops, .. } => self.mesh_hops += hops as u64,
-            EventKind::DevEnter { dev, write, depth } => {
-                let d = open.at(ev.time, self).devs.cell(usize::from(dev));
-                if write {
-                    d.writes += 1;
-                } else {
-                    d.reads += 1;
-                }
-                d.depth_peak = d.depth_peak.max(depth);
-                d.depth_sum += depth as u64;
-            }
-            EventKind::DevLeave { .. } => {}
-            EventKind::Mcache { hit, .. } => {
-                if hit {
-                    self.mcache_hits += 1;
-                } else {
-                    self.mcache_misses += 1;
-                }
-            }
-            EventKind::Inv { n } => self.invalidations += n as u64,
-            EventKind::Update { n } => self.updates += n as u64,
-            EventKind::Writeback => self.writebacks += 1,
-            EventKind::Mark { .. } => {}
-        }
-    }
-
     /// Merge another aggregation into this one (additive; order-free).
     pub fn merge(&mut self, o: &Metrics) {
         for (k, h) in &o.hist {
@@ -500,99 +461,100 @@ impl Metrics {
 
     /// Parse one metric line, merging it into `self`. Returns `false` for
     /// lines that are not metric lines (events, comments, garbage, a line
-    /// with a missing, malformed or extra field, a `B`, `U` or `L` count of
-    /// zero) and then leaves `self`
-    /// untouched: the line is parsed into a one-line `Metrics` of its own
-    /// and merged only once every field is in and none is left over.
+    /// with a missing, malformed or extra field) or rows no writer emits
+    /// (a `B`, `U` or `L` count of zero; an `H` row whose bins do not sum
+    /// to its nonzero count or whose minimum exceeds its maximum; a `T` row
+    /// whose serves are not the sum of its sources; a `D` row whose peak
+    /// depth exceeds its depth sum), and then leaves `self` untouched.
     pub fn parse_line(&mut self, line: &str) -> bool {
-        let mut it = line.split_ascii_whitespace();
-        let Some(tag @ ("H" | "T" | "D" | "B" | "U" | "X" | "L" | "C" | "Z")) = it.next() else {
-            return false;
-        };
-        let mut one = Metrics::default();
         // A binned or per-line count: a cell exists because something was
         // counted in it, so no writer emits a zero.
-        let count = |field: &str| field.parse().ok().filter(|&n: &u64| n > 0);
-        let mut parse = || -> Option<()> {
+        fn count<'a>(it: &mut impl Iterator<Item = &'a str>) -> Option<u64> {
+            num(it).filter(|&n| n > 0)
+        }
+        strict_line(line, |tag, it, one: &mut Metrics| {
             match tag {
                 "H" => {
-                    let src = one_char(&mut it)?;
-                    let hops: u32 = it.next()?.parse().ok()?;
+                    let key = (one_char(it)?, num(it)?);
                     let mut h = Hist {
-                        count: it.next()?.parse().ok()?,
-                        sum_ps: it.next()?.parse().ok()?,
-                        min_ps: it.next()?.parse().ok()?,
-                        max_ps: it.next()?.parse().ok()?,
+                        count: num(it)?,
+                        sum_ps: num(it)?,
+                        min_ps: num(it)?,
+                        max_ps: num(it)?,
                         bins: [0; HIST_BINS],
                     };
                     let mut bins = it.next()?.split(',');
                     for b in &mut h.bins {
                         *b = bins.next()?.parse().ok()?;
                     }
-                    if bins.next().is_some() {
-                        return None;
-                    }
-                    *one.hist.entry_or_default((src, hops)) = h;
+                    let whole = h.count > 0 && h.min_ps <= h.max_ps && sums_to(&h.bins, h.count);
+                    (bins.next().is_none() && whole).then_some(())?;
+                    *one.hist.entry_or_default(key) = h;
                 }
                 "T" => {
-                    let tile: u16 = it.next()?.parse().ok()?;
-                    *one.tiles.entry_or_default(tile) = TileStat {
-                        serves: it.next()?.parse().ok()?,
-                        l1: it.next()?.parse().ok()?,
-                        l2: it.next()?.parse().ok()?,
-                        remote: it.next()?.parse().ok()?,
-                        mem: it.next()?.parse().ok()?,
-                        mcache: it.next()?.parse().ok()?,
+                    let tile: u16 = num(it)?;
+                    let t = TileStat {
+                        serves: num(it)?,
+                        l1: num(it)?,
+                        l2: num(it)?,
+                        remote: num(it)?,
+                        mem: num(it)?,
+                        mcache: num(it)?,
                     };
+                    sums_to(&[t.l1, t.l2, t.remote, t.mem, t.mcache], t.serves).then_some(())?;
+                    *one.tiles.entry_or_default(tile) = t;
                 }
                 "D" => {
-                    let dev: u8 = it.next()?.parse().ok()?;
-                    *one.devices.entry_or_default(dev) = DevStat {
-                        reads: it.next()?.parse().ok()?,
-                        writes: it.next()?.parse().ok()?,
-                        depth_peak: it.next()?.parse().ok()?,
-                        depth_sum: it.next()?.parse().ok()?,
+                    let dev: u8 = num(it)?;
+                    let d = DevStat {
+                        reads: num(it)?,
+                        writes: num(it)?,
+                        depth_peak: num(it)?,
+                        depth_sum: num(it)?,
                     };
+                    (u64::from(d.depth_peak) <= d.depth_sum).then_some(())?;
+                    *one.devices.entry_or_default(dev) = d;
                 }
                 "B" => {
-                    let key: (u8, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    *one.dev_bins.entry_or_default(key) = count(it.next()?)?;
+                    let key = (num(it)?, num(it)?);
+                    *one.dev_bins.entry_or_default(key) = count(it)?;
                 }
                 "U" => {
-                    let key: (u16, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    *one.tile_bins.entry_or_default(key) = count(it.next()?)?;
+                    let key = (num(it)?, num(it)?);
+                    *one.tile_bins.entry_or_default(key) = count(it)?;
                 }
                 "X" => {
-                    let key = (one_char(&mut it)?, one_char(&mut it)?);
-                    *one.dir_transitions.entry_or_default(key) = it.next()?.parse().ok()?;
+                    let key = (one_char(it)?, one_char(it)?);
+                    *one.dir_transitions.entry_or_default(key) = num(it)?;
                 }
                 "L" => {
                     let l = u64::from_str_radix(it.next()?, 16).ok()?;
-                    one.hot_lines.add(l, count(it.next()?)?);
+                    one.hot_lines.add(l, count(it)?);
                 }
                 "C" => {
                     let field = it.next()?;
-                    let n: u64 = it.next()?.parse().ok()?;
-                    match field {
-                        "issues" => one.issues = n,
-                        "inv" => one.invalidations = n,
-                        "upd" => one.updates = n,
-                        "wb" => one.writebacks = n,
-                        "mc_hit" => one.mcache_hits = n,
-                        "mc_miss" => one.mcache_misses = n,
-                        "hops" => one.mesh_hops = n,
+                    let n = num(it)?;
+                    *match field {
+                        "issues" => &mut one.issues,
+                        "inv" => &mut one.invalidations,
+                        "upd" => &mut one.updates,
+                        "wb" => &mut one.writebacks,
+                        "mc_hit" => &mut one.mcache_hits,
+                        "mc_miss" => &mut one.mcache_misses,
+                        "hops" => &mut one.mesh_hops,
                         _ => return None,
-                    }
+                    } = n;
                 }
                 "Z" => {
-                    one.events = it.next()?.parse().ok()?;
-                    one.end_time = it.next()?.parse().ok()?;
+                    one.events = num(it)?;
+                    one.end_time = num(it)?;
                 }
                 _ => return None,
             }
-            it.next().is_none().then_some(())
-        };
-        parse().map(|()| self.merge(&one)).is_some()
+            Some(())
+        })
+        .map(|one| self.merge(&one))
+        .is_some()
     }
 
     /// Human-readable report (the `knl trace` default output).
@@ -742,6 +704,11 @@ pub fn src_name(src: char) -> &'static str {
     }
 }
 
+/// Whether `parts` add up to `total` (without overflowing).
+fn sums_to(parts: &[u64], total: u64) -> bool {
+    parts.iter().try_fold(0u64, |a, &b| a.checked_add(b)) == Some(total)
+}
+
 /// Human name of a device index (0–5 DDR channels, 6+ EDCs).
 pub fn dev_name(dev: u8) -> String {
     if dev < 6 {
@@ -754,29 +721,42 @@ pub fn dev_name(dev: u8) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
+    use crate::directory::DirEntry;
+    use crate::engine::observe::EventContext;
+    use crate::protocol::{transition, Request};
+    use crate::trace::{TraceLevel, Tracer};
+    use knl_arch::{ProtocolKind, TileId};
 
-    fn serve(time: u64, tile: u16, line: u64, src: char, hops: u32, lat: u64) -> TraceEvent {
-        TraceEvent {
-            time,
-            thread: 0,
-            tile,
-            line,
-            kind: EventKind::Serve {
-                op: 'R',
-                src,
-                hops,
-                latency_ps: lat,
-            },
+    /// Fold `(time, tile, line, event)`s through a tracer, as the hub hands
+    /// them over.
+    fn folded(events: &[(SimTime, u16, u64, ProtocolEvent<'_>)]) -> Metrics {
+        let mut tracer = Tracer::new(TraceLevel::Summary);
+        for (time, tile, line, event) in events {
+            let ctx = EventContext {
+                thread: 0,
+                tile: *tile,
+            };
+            tracer.on_event(ctx, *time, *line, event);
+        }
+        tracer.metrics().into_owned()
+    }
+
+    fn serve(src: char, hops: u32, latency_ps: u64) -> ProtocolEvent<'static> {
+        ProtocolEvent::Serve {
+            op: 'R',
+            src,
+            hops,
+            latency_ps,
         }
     }
 
     #[test]
     fn histogram_moments() {
-        let mut m = Metrics::default();
-        m.record(&serve(0, 0, 1, 'M', 4, 100_000));
-        m.record(&serve(10, 0, 1, 'M', 4, 120_000));
-        m.record(&serve(20, 0, 2, 'E', 4, 80_000));
+        let m = folded(&[
+            (0, 0, 1, serve('M', 4, 100_000)),
+            (10, 0, 1, serve('M', 4, 120_000)),
+            (20, 0, 2, serve('E', 4, 80_000)),
+        ]);
         let h = &m.hist[&('M', 4)];
         assert_eq!(h.count, 2);
         assert_eq!(h.min_ps, 100_000);
@@ -789,38 +769,32 @@ mod tests {
 
     #[test]
     fn serialize_parse_merge_round_trip() {
-        let mut a = Metrics::default();
-        a.record(&serve(1_000, 3, 0x40, 'M', 6, 107_000));
-        a.record(&TraceEvent {
-            time: 2_000,
-            thread: 1,
-            tile: 3,
-            line: 0x40,
-            kind: EventKind::DevEnter {
-                dev: 7,
-                write: false,
-                depth: 5,
-            },
-        });
-        a.record(&TraceEvent {
-            time: 2_500,
-            thread: 1,
-            tile: 3,
-            line: 0x40,
-            kind: EventKind::Dir {
-                from: 'U',
-                to: 'E',
-                forwarder: 3,
-                sharers: 1,
-            },
-        });
-        a.record(&TraceEvent {
-            time: 3_000,
-            thread: 1,
-            tile: 3,
-            line: 0x41,
-            kind: EventKind::Inv { n: 2 },
-        });
+        let mut e = DirEntry::default();
+        let out = transition(ProtocolKind::Mesif, &mut e, Request::Read, TileId(3));
+        let dir = ProtocolEvent::Dir {
+            from: 'U',
+            request: Request::Read,
+            tile: TileId(3),
+            out,
+            entry: &e,
+            counted: true,
+        };
+        let a = folded(&[
+            (1_000, 3, 0x40, serve('M', 6, 107_000)),
+            (
+                2_000,
+                3,
+                0x40,
+                ProtocolEvent::DevEnter {
+                    dev: 7,
+                    write: false,
+                    depth: 5,
+                },
+            ),
+            (2_500, 3, 0x40, dir),
+            (3_000, 3, 0x41, ProtocolEvent::Inv { n: 2 }),
+        ]);
+        assert_eq!(a.dir_transitions[&('U', 'E')], 1);
         let mut s = String::new();
         a.serialize_into(&mut s);
         let mut b = Metrics::default();
@@ -850,10 +824,13 @@ mod tests {
 
         // A line of every tag cut short or holding a non-number, as the
         // last line of a truncated file would: rejected, nothing merged.
-        // `BINS` stands for a full list of histogram bins.
-        let bins = ["0"; HIST_BINS].join(",");
+        // `BINS` stands for a full list of histogram bins holding one
+        // sample in bin 0, `ZEROS` for one holding none.
+        let bins = format!("1{}", ",0".repeat(HIST_BINS - 1));
+        let zeros = ["0"; HIST_BINS].join(",");
+        let line = |row: &str| row.replace("BINS", &bins).replace("ZEROS", &zeros);
         for good in [
-            "H M 4 1 2 3 4 BINS",
+            "H M 4 1 900 900 900 BINS",
             "T 3 7 1 2 3 1 0",
             "D 1 5 6 7 8",
             "B 1 4 9",
@@ -863,7 +840,7 @@ mod tests {
             "C inv 2",
             "Z 9 99",
         ] {
-            assert!(m.parse_line(&good.replace("BINS", &bins)), "{good}");
+            assert!(m.parse_line(&line(good)), "{good}");
         }
         let before = m.clone();
         for bad in [
@@ -891,17 +868,28 @@ mod tests {
             "B 1 4 0",
             "U 3 4 0",
             "L 40 0",
+            // Rows no writer emits: bins that do not add up to the count,
+            // an empty histogram, a minimum above the maximum, serves that
+            // are not the sum of their sources, a peak depth above the sum
+            // of depths.
+            "H M 4 1 2 3 4 ZEROS",
+            "H M 4 2 900 900 900 BINS",
+            "H M 4 0 0 0 0 ZEROS",
+            "H M 4 1 900 901 900 BINS",
+            "T 3 7 1 2 3 0 0",
+            "T 3 18446744073709551615 1 18446744073709551615 0 0 0",
+            "D 1 5 6 9 8",
             "C inv",
             "C inv x",
             "C nosuch 2",
             "Z 9",
             "Z 9 x",
             // A one-character field holding a longer token.
-            "H MX 4 1 2 3 4 BINS",
+            "H MX 4 1 900 900 900 BINS",
             "X SM Mq 2",
             "X S Mq 2",
             // One field too many, per tag.
-            "H M 4 1 2 3 4 BINS extra",
+            "H M 4 1 900 900 900 BINS extra",
             "D 1 5 6 7 8 9",
             "B 1 4 9 junk",
             "U 3 4 9 9",
@@ -910,18 +898,14 @@ mod tests {
             "C inv 2 2",
             "Z 9 99 1",
         ] {
-            assert!(
-                !m.parse_line(&bad.replace("BINS", &bins)),
-                "accepted: {bad}"
-            );
+            assert!(!m.parse_line(&line(bad)), "accepted: {bad}");
             assert_eq!(m, before, "half-merged: {bad}");
         }
     }
 
     #[test]
     fn report_and_csv_nonempty() {
-        let mut m = Metrics::default();
-        m.record(&serve(5_000, 1, 0x99, 'S', 3, 55_000));
+        let m = folded(&[(5_000, 1, 0x99, serve('S', 3, 55_000))]);
         let rep = m.report(8);
         assert!(rep.contains("latency by (source, hops)"));
         assert!(rep.contains("c2c-S"));
@@ -936,15 +920,10 @@ mod tests {
         // reports must name the state correctly and count it as a remote
         // cache-to-cache serve, not fall through to the "?" bucket.
         assert_eq!(src_name('O'), "c2c-O");
-        let mut m = Metrics::default();
-        m.record(&serve(5_000, 2, 0x77, 'O', 3, 80_000));
-        m.record(&TraceEvent {
-            time: 6_000,
-            thread: 0,
-            tile: 2,
-            line: 0x77,
-            kind: EventKind::Update { n: 3 },
-        });
+        let m = folded(&[
+            (5_000, 2, 0x77, serve('O', 3, 80_000)),
+            (6_000, 2, 0x77, ProtocolEvent::Update { n: 3 }),
+        ]);
         assert_eq!(m.tiles.get(&2).unwrap().remote, 1);
         assert_eq!(m.updates, 3);
         let rep = m.report(4);
@@ -961,11 +940,12 @@ mod tests {
 
     #[test]
     fn top_lines_order_is_deterministic() {
-        let mut m = Metrics::default();
-        m.record(&serve(0, 0, 7, 'L', 0, 1_000));
-        m.record(&serve(1, 0, 5, 'L', 0, 1_000));
-        m.record(&serve(2, 0, 5, 'L', 0, 1_000));
-        m.record(&serve(3, 0, 9, 'L', 0, 1_000));
+        let m = folded(&[
+            (0, 0, 7, serve('L', 0, 1_000)),
+            (1, 0, 5, serve('L', 0, 1_000)),
+            (2, 0, 5, serve('L', 0, 1_000)),
+            (3, 0, 9, serve('L', 0, 1_000)),
+        ]);
         assert_eq!(m.top_lines(3), vec![(5, 2), (7, 1), (9, 1)]);
     }
 }

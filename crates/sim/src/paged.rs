@@ -2,10 +2,10 @@
 //! in which neighbouring keys are neighbours in host memory.
 //!
 //! A key's high bits (`key >> PAGE_SHIFT`) name a *page* of
-//! [`PAGE_LINES`] consecutive keys: the slots themselves plus one presence
+//! `PAGE_LINES` (8) consecutive keys: the slots themselves plus one presence
 //! bit each, stored together. Pages are appended in creation order to
-//! chunked storage — chunk sizes double from [`FIRST_CHUNK_PAGES`] up to
-//! [`MAX_CHUNK_PAGES`] and then stay there — so a page never moves once it
+//! chunked storage — chunk sizes double from `FIRST_CHUNK_PAGES` up to
+//! `MAX_CHUNK_PAGES` and then stay there — so a page never moves once it
 //! exists: growing the table copies nothing, costs one allocation per
 //! chunk and never holds the old and the new table at once. A small
 //! [`LineMap`] takes a page number to where its page lives, with the last
@@ -13,7 +13,7 @@
 //! hashed index once per page and reads each page's host cache lines once.
 //!
 //! The price is the page: a lone key in its page (a 4 KiB-strided walk)
-//! spends [`PAGE_LINES`] slots on one entry, the bound stated once here
+//! spends `PAGE_LINES` slots on one entry, the bound stated once here
 //! for every user — the directory, the memory-side-cache tags and the
 //! hot-line profile.
 //!

@@ -1,30 +1,22 @@
-//! A sorted-vec map for small, ordered aggregation keyspaces, and the
-//! dense open-bin row that keeps per-event work out of it.
+//! A sorted-vec map for small, ordered aggregation keyspaces, and the one
+//! open time bin both binning observers fold through.
 //!
-//! [`crate::metrics::Metrics`] and [`crate::telemetry::TelemetrySeries`]
-//! keep their keyed aggregates in [`SortedVecMap`]s: a pair of parallel
-//! sorted vectors. Lookups are a binary search over a dense array (no
-//! pointer chasing), iteration is a linear scan, and iteration order is
-//! ascending by key exactly like the `BTreeMap` it replaced, which keeps
-//! serialized output byte-identical (DESIGN.md §6).
+//! [`SortedVecMap`] is a pair of parallel sorted vectors: a lookup is a
+//! binary search over a dense array, iteration a linear scan in ascending
+//! key order, exactly like the `BTreeMap` it replaced, so serialized output
+//! is byte-identical (DESIGN.md §6). A miss inserts by shifting the tail —
+//! fine for a few dozen near-static keys, quadratic for the id-major
+//! `(tile | device, bin)` series if they were searched per event.
 //!
-//! The keyspaces come in two kinds. Source tags × hop distances, tile ids,
-//! device ids and directory transitions are small and near-static: a few
-//! dozen keys, all present after the first microseconds of a run. The
-//! *binned* series are not: their keys are id-major `(tile | device, bin)`,
-//! so every new time bin of id `i` inserts in the middle of the vector and
-//! shifts the entries of every higher id — quadratic over a run that
-//! crosses many bins (the bin-major census and rate series do append).
-//! What keeps that affordable is that the map is not touched per event:
-//! each observer accumulates the bin it is in in an `OpenRow` indexed by
-//! id and folds the touched cells in when an event lands in another bin —
-//! one insert per touched cell per bin, not one search per event.
-//!
-//! Not suitable for large, insert-heavy keyspaces (e.g. the per-line
-//! hot-line profile, which is paged instead — see [`crate::metrics`]): a
-//! miss inserts by shifting the tail, which is O(n) per new key.
+//! So they are not: the tracer and the sampler each count the bin they are
+//! in through an `OpenBin` — a window (two compares per event, a division
+//! only on a bin change) and the observer's `BinCells`, dense `OpenRow`s
+//! indexed by id — and add the touched cells to their series when an event
+//! lands in another bin, at a reset, and before anything reads the series.
+//! The per-line hot-line profile is paged instead ([`crate::metrics`]).
 
 use crate::SimTime;
+use std::borrow::Cow;
 use std::ops::Index;
 
 /// A map backed by parallel key/value vectors kept sorted by key.
@@ -148,6 +140,66 @@ impl BinWindow {
     /// Index of the bin (`time / interval` for every time it holds).
     pub(crate) fn index(&self) -> u64 {
         self.index
+    }
+}
+
+/// What an observer counts for its open time bin, and how those counts
+/// are added to its sparse series `S` when the bin closes.
+pub(crate) trait BinCells<S>: Clone {
+    /// Whether [`BinCells::close_into`] would add nothing.
+    fn is_empty(&self) -> bool;
+    /// Add the touched cells to `series` as bin `bin`, and empty them.
+    fn close_into(&mut self, bin: u64, series: &mut S);
+}
+
+/// An observer's fold: the series of every closed bin, and the open bin's
+/// cells behind the [`BinWindow`] that says which bin is open. The
+/// observer counts into [`OpenBin::at`] and into `closed` directly for
+/// what is not binned.
+#[derive(Debug, Clone)]
+pub(crate) struct OpenBin<C, S> {
+    window: BinWindow,
+    cells: C,
+    /// Everything folded so far but what `cells` still holds.
+    pub(crate) closed: S,
+}
+
+impl<C: BinCells<S>, S: Clone> OpenBin<C, S> {
+    /// Bin 0 open and empty, at bin width `interval` (ps).
+    pub(crate) fn new(interval: SimTime, cells: C, closed: S) -> Self {
+        OpenBin {
+            window: BinWindow::new(interval),
+            cells,
+            closed,
+        }
+    }
+
+    /// The open bin's cells, after closing the open bin and opening the
+    /// one holding `time` if `time` is not in it.
+    #[inline]
+    pub(crate) fn at(&mut self, time: SimTime) -> &mut C {
+        if !self.window.holds(time) {
+            self.close();
+            self.window.move_to(time);
+        }
+        &mut self.cells
+    }
+
+    /// Add the open bin's cells to `closed`.
+    pub(crate) fn close(&mut self) {
+        self.cells.close_into(self.window.index(), &mut self.closed);
+    }
+
+    /// The series, open bin included: a copy with the bin closed into it
+    /// while a bin is open (an observer still attached to its machine),
+    /// `closed` itself otherwise.
+    pub(crate) fn view(&self) -> Cow<'_, S> {
+        if self.cells.is_empty() {
+            return Cow::Borrowed(&self.closed);
+        }
+        let mut all = self.closed.clone();
+        self.cells.clone().close_into(self.window.index(), &mut all);
+        Cow::Owned(all)
     }
 }
 

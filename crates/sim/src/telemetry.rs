@@ -1,38 +1,24 @@
-//! Time-resolved telemetry: sampled machine time series.
+//! Time-resolved telemetry: where the metrics answer "how much happened",
+//! a [`TelemetrySeries`] answers "when". The [`TelemetrySampler`] folds
+//! every [`crate::ProtocolEvent`] into series binned at a configurable
+//! **simulated** interval:
 //!
-//! The aggregate observers ([`crate::metrics::Metrics`], the counters)
-//! answer "how much happened"; this module answers "when". A
-//! [`TelemetrySampler`] rides the same [`crate::ProtocolEvent`] bus as the
-//! checker and tracer and folds every event into *time-binned* series at a
-//! configurable sim-time interval:
+//! * per-device queue activity (arrivals, departures, observed depth),
+//! * per-tile activity (issues, serves, summed serve latency),
+//! * a directory-state census as signed per-bin occupancy *deltas*
+//!   (prefix sums give each state's occupancy at every bin boundary), and
+//! * protocol message rates (invalidations, updates, write-backs, mcache
+//!   hits/misses, mesh hops).
 //!
-//! * per-device queue activity per bin (arrivals, departures, observed
-//!   queue depth from the engine's `backlog_lines` sample on every
-//!   `DevEnter`),
-//! * per-tile activity per bin (issues, serves, summed serve latency),
-//! * a directory protocol-state census as signed per-bin occupancy
-//!   *deltas* (prefix-summing a series reproduces how many lines each
-//!   global state held at every bin boundary), and
-//! * protocol message rates per bin (invalidations, updates, write-backs,
-//!   mcache hits/misses, mesh hops).
-//!
-//! Like `Metrics`, a [`TelemetrySeries`] is [`SortedVecMap`]-backed,
-//! serializes to deterministic line-oriented ASCII, parses back, and
-//! merges additively — so per-job sections of a parallel sweep can be
-//! concatenated in canonical job order (the `TraceSink` contract) or
-//! re-aggregated in any grouping with identical results. It is plain sparse
-//! data, one entry per touched cell; the sampler does not search it per
-//! event but accumulates the bin it is in in dense rows of its own and adds
-//! the touched cells to the series when an event lands in another bin, at a
-//! reset, and before anything reads the series. Everything here
-//! is keyed by **simulated** time: host wall-clock never appears in a
-//! series (the crate's `clippy.toml` bans the host-time types), so the
-//! sampler is a pure observer — telemetry-on runs are bit-identical to
-//! telemetry-off runs in every simulated result.
+//! Like `Metrics`, a series is plain sparse data that serializes to
+//! deterministic lines, parses back and merges additively; the sampler
+//! counts its current bin in the shared open bin of [`crate::svmap`].
+//! Host time never enters a series (the crate's `clippy.toml` bans the
+//! host-time types), so sampling is a pure observer.
 
 use crate::engine::observe::{gstate_tag, ProtocolEvent};
-use crate::svmap::{BinWindow, OpenRow, SortedVecMap};
-use crate::trace::one_char;
+use crate::svmap::{BinCells, OpenBin, OpenRow, SortedVecMap};
+use crate::trace::{num, one_char, strict_line};
 use crate::SimTime;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -259,62 +245,59 @@ impl TelemetrySeries {
     /// Parse one telemetry line, merging it into `self`. Returns `false`
     /// for anything that is not a telemetry line (comments, garbage, a
     /// line with a missing, malformed or extra field, an `I` line
-    /// disagreeing with an already-set interval) and then leaves `self`
-    /// untouched: the line is parsed into a one-line series of its own
-    /// and merged only once every field is in and none is left over.
+    /// disagreeing with an already-set interval) or a row no writer emits
+    /// (a `Q` row with more writes than enters or a peak depth above its
+    /// depth sum), and then leaves `self` untouched.
     pub fn parse_line(&mut self, line: &str) -> bool {
-        let mut it = line.split_ascii_whitespace();
-        let Some(tag @ ("I" | "Q" | "P" | "G" | "V" | "Z")) = it.next() else {
-            return false;
-        };
-        let mut one = TelemetrySeries::default();
-        let mut parse = || -> Option<()> {
+        strict_line(line, |tag, it, one: &mut TelemetrySeries| {
             match tag {
-                "I" => one.interval_ps = it.next()?.parse().ok()?,
+                "I" => one.interval_ps = num(it)?,
                 "Q" => {
-                    let key: (u8, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-                    *one.dev_bins.entry_or_default(key) = DevBin {
-                        enters: it.next()?.parse().ok()?,
-                        writes: it.next()?.parse().ok()?,
-                        leaves: it.next()?.parse().ok()?,
-                        depth_peak: it.next()?.parse().ok()?,
-                        depth_sum: it.next()?.parse().ok()?,
+                    let key = (num(it)?, num(it)?);
+                    let q = DevBin {
+                        enters: num(it)?,
+                        writes: num(it)?,
+                        leaves: num(it)?,
+                        depth_peak: num(it)?,
+                        depth_sum: num(it)?,
                     };
+                    let whole = q.writes <= q.enters && u64::from(q.depth_peak) <= q.depth_sum;
+                    whole.then_some(())?;
+                    *one.dev_bins.entry_or_default(key) = q;
                 }
                 "P" => {
-                    let key: (u16, u64) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?);
+                    let key = (num(it)?, num(it)?);
                     *one.tile_bins.entry_or_default(key) = TileBin {
-                        issues: it.next()?.parse().ok()?,
-                        serves: it.next()?.parse().ok()?,
-                        serve_ps: it.next()?.parse().ok()?,
+                        issues: num(it)?,
+                        serves: num(it)?,
+                        serve_ps: num(it)?,
                     };
                 }
                 "G" => {
-                    let bin: u64 = it.next()?.parse().ok()?;
-                    let state = one_char(&mut it)?;
-                    *one.census.entry_or_default((bin, state)) = it.next()?.parse().ok()?;
+                    let key = (num(it)?, one_char(it)?);
+                    *one.census.entry_or_default(key) = num(it)?;
                 }
                 "V" => {
-                    let bin: u64 = it.next()?.parse().ok()?;
+                    let bin = num(it)?;
                     *one.rates.entry_or_default(bin) = RateBin {
-                        inv: it.next()?.parse().ok()?,
-                        upd: it.next()?.parse().ok()?,
-                        wb: it.next()?.parse().ok()?,
-                        wb_ext: it.next()?.parse().ok()?,
-                        mc_hit: it.next()?.parse().ok()?,
-                        mc_miss: it.next()?.parse().ok()?,
-                        hops: it.next()?.parse().ok()?,
+                        inv: num(it)?,
+                        upd: num(it)?,
+                        wb: num(it)?,
+                        wb_ext: num(it)?,
+                        mc_hit: num(it)?,
+                        mc_miss: num(it)?,
+                        hops: num(it)?,
                     };
                 }
                 "Z" => {
-                    one.events = it.next()?.parse().ok()?;
-                    one.end_ps = it.next()?.parse().ok()?;
+                    one.events = num(it)?;
+                    one.end_ps = num(it)?;
                 }
                 _ => return None,
             }
-            it.next().is_none().then_some(())
-        };
-        parse().is_some_and(|()| self.merge(&one))
+            Some(())
+        })
+        .is_some_and(|one| self.merge(&one))
     }
 
     /// Cumulative census per state, in ascending state-tag order — the
@@ -332,11 +315,10 @@ impl TelemetrySeries {
     }
 }
 
-/// The bin a [`TelemetrySampler`] is accumulating: every series' cells for
-/// that bin as dense rows (the census row is indexed by state tag).
-#[derive(Debug, Clone)]
-struct OpenBin {
-    window: BinWindow,
+/// The sampler's open bin: every series' cells for that bin as dense rows
+/// (the census row is indexed by state tag).
+#[derive(Debug, Clone, Default)]
+struct SeriesCells {
     devs: OpenRow<DevBin>,
     tiles: OpenRow<TileBin>,
     census: OpenRow<i64>,
@@ -344,7 +326,7 @@ struct OpenBin {
     rates: Option<RateBin>,
 }
 
-impl OpenBin {
+impl BinCells<TelemetrySeries> for SeriesCells {
     fn is_empty(&self) -> bool {
         self.devs.is_empty()
             && self.tiles.is_empty()
@@ -352,9 +334,7 @@ impl OpenBin {
             && self.rates.is_none()
     }
 
-    /// Add the open bin's touched cells to `series`.
-    fn close_into(&mut self, series: &mut TelemetrySeries) {
-        let bin = self.window.index();
+    fn close_into(&mut self, bin: u64, series: &mut TelemetrySeries) {
         self.devs
             .drain(|dev, b| series.dev_bins.entry_or_default((dev as u8, bin)).add(&b));
         self.tiles.drain(|tile, b| {
@@ -376,15 +356,11 @@ impl OpenBin {
 /// only ever reads the event stream, so simulated timings, counters, and
 /// cache state are bit-identical with or without it.
 pub struct TelemetrySampler {
-    /// Tile context of subsequent events (set by the machine).
-    tile: u16,
     /// Running non-`U` directory census by state tag, kept so a
     /// cache/directory reset can emit compensating deltas (the dropped
     /// entries all return to Uncached).
     live_census: OpenRow<i64>,
-    open: OpenBin,
-    /// Everything folded so far but the open bin.
-    series: TelemetrySeries,
+    series: OpenBin<SeriesCells, TelemetrySeries>,
 }
 
 impl TelemetrySampler {
@@ -394,47 +370,38 @@ impl TelemetrySampler {
     pub(crate) fn new(cfg: TelemetryConfig) -> Self {
         assert!(cfg.enabled(), "use no sampler instead of interval 0");
         TelemetrySampler {
-            tile: 0,
             live_census: OpenRow::default(),
-            open: OpenBin {
-                window: BinWindow::new(cfg.interval_ps),
-                devs: OpenRow::default(),
-                tiles: OpenRow::default(),
-                census: OpenRow::default(),
-                rates: None,
-            },
-            series: TelemetrySeries::with_interval(cfg.interval_ps),
+            series: OpenBin::new(
+                cfg.interval_ps,
+                SeriesCells::default(),
+                TelemetrySeries::with_interval(cfg.interval_ps),
+            ),
         }
     }
 
     /// The sampling interval (ps).
     pub fn interval_ps(&self) -> SimTime {
-        self.series.interval_ps
+        self.series.closed.interval_ps
     }
 
     /// Fold the open bin into the series. The hub does this when it
     /// detaches the sampler, so a detached sampler's
     /// [`TelemetrySampler::series`] is a borrow.
     pub(crate) fn close_bin(&mut self) {
-        self.open.close_into(&mut self.series);
+        self.series.close();
     }
 
     /// The accumulated series, open bin included: a copy with the bin
     /// closed into it while a bin is open (a sampler still attached to its
     /// machine), the series itself otherwise.
     pub fn series(&self) -> Cow<'_, TelemetrySeries> {
-        if self.open.is_empty() {
-            return Cow::Borrowed(&self.series);
-        }
-        let mut all = self.series.clone();
-        self.open.clone().close_into(&mut all);
-        Cow::Owned(all)
+        self.series.view()
     }
 
     /// Consume the sampler, returning its series.
     pub fn into_series(mut self: Box<Self>) -> TelemetrySeries {
         self.close_bin();
-        self.series
+        self.series.closed
     }
 
     /// Serialize the accumulated series (see
@@ -443,48 +410,31 @@ impl TelemetrySampler {
         self.series().serialize_into(out);
     }
 
-    /// Make the bin holding `time` the open one.
-    #[inline]
-    fn open_at(&mut self, time: SimTime) {
-        if !self.open.window.holds(time) {
-            self.close_bin();
-            self.open.window.move_to(time);
-        }
-    }
-
-    fn census_shift(&mut self, from: char, to: char) {
-        if from == to {
-            return;
-        }
-        if from != 'U' {
-            *self.open.census.cell(state_index(from)) -= 1;
-            *self.live_census.cell(state_index(from)) -= 1;
-        }
-        if to != 'U' {
-            *self.open.census.cell(state_index(to)) += 1;
-            *self.live_census.cell(state_index(to)) += 1;
-        }
-    }
-
-    /// Fold one event into its time bin.
-    pub(crate) fn on_event(&mut self, time: SimTime, _line: u64, event: &ProtocolEvent<'_>) {
-        self.series.events += 1;
-        self.series.end_ps = self.series.end_ps.max(time);
-        self.open_at(time);
-        let open = &mut self.open;
+    /// Fold one event from `tile` into its time bin.
+    pub(crate) fn on_event(&mut self, tile: u16, time: SimTime, event: &ProtocolEvent<'_>) {
+        let s = &mut self.series.closed;
+        s.events += 1;
+        s.end_ps = s.end_ps.max(time);
+        let open = self.series.at(time);
         match *event {
-            ProtocolEvent::Issue { .. } => {
-                open.tiles.cell(usize::from(self.tile)).issues += 1;
-            }
+            ProtocolEvent::Issue { .. } => open.tiles.cell(usize::from(tile)).issues += 1,
             ProtocolEvent::Serve { latency_ps, .. } => {
-                let t = open.tiles.cell(usize::from(self.tile));
+                let t = open.tiles.cell(usize::from(tile));
                 t.serves += 1;
                 t.serve_ps += latency_ps;
             }
             // Census tracks actual directory occupancy, so uncounted
             // (state-preparation) transitions are included too.
+            // The line leaves one state's census for another's; the
+            // unbounded `U` pool is not counted.
             ProtocolEvent::Dir { from, entry, .. } => {
-                self.census_shift(from, gstate_tag(&entry.state));
+                let to = gstate_tag(&entry.state);
+                for (tag, d) in [(from, -1), (to, 1)] {
+                    if from != to && tag != 'U' {
+                        *open.census.cell(state_index(tag)) += d;
+                        *self.live_census.cell(state_index(tag)) += d;
+                    }
+                }
             }
             ProtocolEvent::Hop { hops, .. } => {
                 open.rates.get_or_insert_default().hops += hops as u64;
@@ -498,9 +448,7 @@ impl TelemetrySampler {
                 d.depth_peak = d.depth_peak.max(depth);
                 d.depth_sum += depth as u64;
             }
-            ProtocolEvent::DevLeave { dev } => {
-                open.devs.cell(usize::from(dev)).leaves += 1;
-            }
+            ProtocolEvent::DevLeave { dev } => open.devs.cell(usize::from(dev)).leaves += 1,
             ProtocolEvent::Mcache { hit, .. } => {
                 let r = open.rates.get_or_insert_default();
                 if hit {
@@ -509,12 +457,8 @@ impl TelemetrySampler {
                     r.mc_miss += 1;
                 }
             }
-            ProtocolEvent::Inv { n } => {
-                open.rates.get_or_insert_default().inv += n as u64;
-            }
-            ProtocolEvent::Update { n } => {
-                open.rates.get_or_insert_default().upd += n as u64;
-            }
+            ProtocolEvent::Inv { n } => open.rates.get_or_insert_default().inv += n as u64,
+            ProtocolEvent::Update { n } => open.rates.get_or_insert_default().upd += n as u64,
             ProtocolEvent::Writeback { external } => {
                 let r = open.rates.get_or_insert_default();
                 if external {
@@ -529,18 +473,12 @@ impl TelemetrySampler {
         }
     }
 
-    /// Subsequent events originate from `tile`.
-    pub(crate) fn set_tile(&mut self, tile: u16) {
-        self.tile = tile;
-    }
-
     /// The on-die caches and directory were cleared (fresh repetition).
     pub(crate) fn on_reset(&mut self) {
         // The directory was cleared: every cached line returns to
         // Uncached. Emit compensating deltas at the latest time seen so
         // census prefix sums stay exact across repetitions.
-        self.open_at(self.series.end_ps);
-        let census = &mut self.open.census;
+        let census = &mut self.series.at(self.series.closed.end_ps).census;
         self.live_census.drain(|state, n| {
             if n != 0 {
                 *census.cell(state) -= n;
@@ -690,6 +628,11 @@ mod tests {
             "V 5 1",
             "Z 9",
             "Z 9 x",
+            // Rows no writer emits: more writes than enters, a peak depth
+            // above the sum of depths.
+            "Q 0 4 1 9 0 50 3",
+            "Q 0 4 1 2 0 0 0",
+            "Q 0 4 10 2 3 6 5",
             // One field too many, per tag.
             "I 1000 1",
             "Q 0 4 10 2 3 4 5 6",

@@ -1,24 +1,14 @@
-//! Structured protocol-event tracing.
+//! Structured protocol-event tracing: the paper's *attribution* (which
+//! supplier state, how many hops, which device queue) as data.
 //!
-//! The paper's methodology is *attribution*: explaining a latency or a
-//! bandwidth number by the component that produced it (supplier MESIF
-//! state, hop distance, device queue). This module records the protocol
-//! events [`crate::Machine`] already computes — request issue/serve, L1/L2
-//! hits, directory transitions, mesh hops, device queue enter/leave with
-//! queue depth, memory-side-cache hits, invalidations and write-backs —
-//! each stamped with sim time, thread, tile, and line address.
-//!
-//! Tracing follows the same zero-cost-when-off gating pattern as
-//! [`crate::invariants`]: the machine's [`crate::ObserverHub`] holds an
-//! `Option<Box<Tracer>>` that is `None` at [`TraceLevel::Off`], and a hub
-//! with no observer attached keeps the engine on its event-free fast
-//! path. Like the coherence checker, the tracer is a pure observer —
-//! results are bit-identical at every level.
-//!
-//! At [`TraceLevel::Summary`] only the [`crate::metrics::Metrics`]
-//! aggregation is kept; [`TraceLevel::Full`] additionally retains the
-//! per-event log (capped at [`EVENT_CAP`] events; overflow is counted,
-//! never silently dropped from the accounting).
+//! The [`Tracer`] folds each [`crate::ProtocolEvent`] the engine emits
+//! straight into [`crate::metrics::Metrics`], one `match` per event, binned
+//! by the tile in the hub's event context. At [`TraceLevel::Full`] it also
+//! translates the event into a [`TraceEvent`] (sim time, thread, tile, line,
+//! [`EventKind`]) for the event log, capped at [`EVENT_CAP`] events
+//! (overflow is counted). [`TraceLevel::Off`] means no tracer at all: the
+//! hub stays on its event-free fast path. Like every observer the tracer
+//! is pure; results are bit-identical at every level.
 //!
 //! # Serialized format
 //!
@@ -34,9 +24,12 @@
 //! `U`/`X`/`L`/`C`/`Z`. `knl trace` (crates/bench) parses both: metric
 //! lines feed the report, event lines feed the Chrome `trace_event` export.
 
-use crate::metrics::{Metrics, OpenBin};
+use crate::engine::observe::{gstate_tag, EventContext, ProtocolEvent};
+use crate::metrics::{Metrics, MetricsCells, BIN_PS};
+use crate::svmap::OpenBin;
 use crate::SimTime;
 use std::borrow::Cow;
+use std::str::{FromStr, SplitAsciiWhitespace};
 
 /// Thread stamp used before any thread context is set (machine-internal
 /// activity such as background write-backs).
@@ -190,11 +183,77 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
+impl EventKind {
+    /// The trace record of one spine event; `None` for what the trace
+    /// format leaves out (state preparation, the checker's oracle events).
+    pub(crate) fn of(event: &ProtocolEvent<'_>) -> Option<EventKind> {
+        Some(match *event {
+            ProtocolEvent::Issue { op } => EventKind::Issue { op },
+            ProtocolEvent::Serve {
+                op,
+                src,
+                hops,
+                latency_ps,
+            } => EventKind::Serve {
+                op,
+                src,
+                hops,
+                latency_ps,
+            },
+            ProtocolEvent::Dir {
+                from,
+                entry,
+                counted: true,
+                ..
+            } => EventKind::Dir {
+                from,
+                to: gstate_tag(&entry.state),
+                forwarder: entry.supplier().map_or(NO_TILE, |t| t.0),
+                sharers: entry.num_holders() as u16,
+            },
+            ProtocolEvent::Hop { leg, hops } => EventKind::Hop { leg, hops },
+            ProtocolEvent::DevEnter { dev, write, depth } => {
+                EventKind::DevEnter { dev, write, depth }
+            }
+            ProtocolEvent::DevLeave { dev } => EventKind::DevLeave { dev },
+            ProtocolEvent::Mcache { edc, hit } => EventKind::Mcache { edc, hit },
+            ProtocolEvent::Inv { n } => EventKind::Inv { n },
+            ProtocolEvent::Update { n } => EventKind::Update { n },
+            ProtocolEvent::Writeback { .. } => EventKind::Writeback,
+            ProtocolEvent::Mark { id, start } => EventKind::Mark { id, start },
+            ProtocolEvent::Dir { counted: false, .. }
+            | ProtocolEvent::CoherentRead { .. }
+            | ProtocolEvent::NtStore => return None,
+        })
+    }
+}
+
 /// The next field of a serialized line as one character: a longer token is
 /// malformed, not its first character. Shared by every line reader.
 pub(crate) fn one_char<'a>(it: &mut impl Iterator<Item = &'a str>) -> Option<char> {
     let s = it.next()?;
     (s.len() == 1).then(|| char::from(s.as_bytes()[0]))
+}
+
+/// The next field of a serialized line as a number.
+pub(crate) fn num<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a str>) -> Option<T> {
+    it.next()?.parse().ok()
+}
+
+/// The strict-line skeleton every metric and telemetry reader shares:
+/// `fields` parses the fields after the tag into a one-line value of its
+/// own (refusing an unknown tag, a missing or malformed field, or a row
+/// no writer emits), and the value is returned only when every field is
+/// in and none is left over — so the caller merges all of a line or none.
+pub(crate) fn strict_line<'a, T: Default>(
+    line: &'a str,
+    fields: impl FnOnce(&'a str, &mut SplitAsciiWhitespace<'a>, &mut T) -> Option<()>,
+) -> Option<T> {
+    let mut it = line.split_ascii_whitespace();
+    let tag = it.next()?;
+    let mut one = T::default();
+    fields(tag, &mut it, &mut one)?;
+    it.next().is_none().then_some(one)
 }
 
 impl TraceEvent {
@@ -238,9 +297,9 @@ impl TraceEvent {
         out.push('\n');
     }
 
-    /// Parse one serialized event line (inverse of [`write_line`]
-    /// (Self::write_line)). Returns `None` for non-event or malformed
-    /// lines.
+    /// Parse one serialized event line (inverse of
+    /// [`write_line`](Self::write_line)). Returns `None` for non-event or
+    /// malformed lines.
     pub fn parse(line: &str) -> Option<TraceEvent> {
         let mut it = line.split_ascii_whitespace();
         if it.next()? != "E" {
@@ -311,20 +370,13 @@ impl TraceEvent {
     }
 }
 
-/// The event recorder attached to a [`crate::Machine`].
-///
-/// Context (current thread/tile) is set by the runner and the machine's
-/// access entry points; every recorded event is stamped with it. All
-/// events flow through the [`Metrics`] aggregation; at
-/// [`TraceLevel::Full`] they are additionally retained verbatim.
+/// The event recorder attached to a [`crate::Machine`]: every traced
+/// event folds into the [`Metrics`]; at [`TraceLevel::Full`] it is also
+/// logged verbatim.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     level: TraceLevel,
-    thread: u32,
-    tile: u16,
-    /// Everything folded so far but what `open` still holds.
-    metrics: Metrics,
-    open: OpenBin,
+    metrics: OpenBin<MetricsCells, Metrics>,
     events: Vec<TraceEvent>,
     dropped: u64,
 }
@@ -337,10 +389,7 @@ impl Tracer {
         assert_ne!(level, TraceLevel::Off, "TraceLevel::Off means no tracer");
         Tracer {
             level,
-            thread: NO_THREAD,
-            tile: 0,
-            metrics: Metrics::default(),
-            open: OpenBin::default(),
+            metrics: OpenBin::new(BIN_PS, MetricsCells::default(), Metrics::default()),
             events: Vec::new(),
             dropped: 0,
         }
@@ -351,32 +400,28 @@ impl Tracer {
         self.level
     }
 
-    /// Set the executing-thread context for subsequent events.
-    pub fn set_thread(&mut self, thread: u32) {
-        self.thread = thread;
-    }
-
-    /// Set the executing-tile context for subsequent events.
-    pub fn set_tile(&mut self, tile: u16) {
-        self.tile = tile;
-    }
-
-    /// Record one event at `time` for `line`.
-    pub fn record(&mut self, time: SimTime, line: u64, kind: EventKind) {
-        let ev = TraceEvent {
-            time,
-            thread: self.thread,
-            tile: self.tile,
-            line,
-            kind,
-        };
-        self.metrics.fold(&ev, &mut self.open);
-        if self.level == TraceLevel::Full {
-            if self.events.len() < EVENT_CAP {
-                self.events.push(ev);
-            } else {
-                self.dropped += 1;
-            }
+    /// Fold one event from `ctx` into the metrics and, at
+    /// [`TraceLevel::Full`], log it.
+    pub(crate) fn on_event(
+        &mut self,
+        ctx: EventContext,
+        time: SimTime,
+        line: u64,
+        event: &ProtocolEvent<'_>,
+    ) {
+        if !self.metrics.fold(ctx.tile, time, line, event) || self.level != TraceLevel::Full {
+            return;
+        }
+        if self.events.len() == EVENT_CAP {
+            self.dropped += 1;
+        } else if let Some(kind) = EventKind::of(event) {
+            self.events.push(TraceEvent {
+                time,
+                thread: ctx.thread,
+                tile: ctx.tile,
+                line,
+                kind,
+            });
         }
     }
 
@@ -394,19 +439,14 @@ impl Tracer {
     /// detaches the tracer, so a detached tracer's [`Tracer::metrics`] is a
     /// borrow.
     pub(crate) fn close_bin(&mut self) {
-        self.open.close_into(&mut self.metrics);
+        self.metrics.close();
     }
 
     /// The aggregated metrics, open bin included: a copy with the bin
     /// closed into it while a bin is open (a tracer still attached to its
     /// machine), the metrics themselves otherwise.
     pub fn metrics(&self) -> Cow<'_, Metrics> {
-        if self.open.is_empty() {
-            return Cow::Borrowed(&self.metrics);
-        }
-        let mut all = self.metrics.clone();
-        self.open.clone().close_into(&mut all);
-        Cow::Owned(all)
+        self.metrics.view()
     }
 
     /// Append the full serialization (header comment, event log, metric
@@ -503,15 +543,19 @@ mod tests {
 
     #[test]
     fn full_level_retains_events_summary_does_not() {
-        let ev = EventKind::Issue { op: 'R' };
+        let ev = ProtocolEvent::Issue { op: 'R' };
+        let ctx = EventContext::default();
         let mut full = Tracer::new(TraceLevel::Full);
-        full.record(10, 1, ev);
+        full.on_event(ctx, 10, 1, &ev);
         assert_eq!(full.events().len(), 1);
         let mut sum = Tracer::new(TraceLevel::Summary);
-        sum.record(10, 1, ev);
+        sum.on_event(ctx, 10, 1, &ev);
         assert!(sum.events().is_empty());
         assert_eq!(sum.metrics().issues, 1);
         assert_eq!(full.metrics().issues, 1);
+        // The checker's oracle events are neither counted nor logged.
+        full.on_event(ctx, 11, 1, &ProtocolEvent::NtStore);
+        assert_eq!((full.events().len(), full.metrics().events), (1, 1));
     }
 
     #[test]

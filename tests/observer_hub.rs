@@ -6,15 +6,16 @@
 //! run — and what they write is pinned byte-for-byte in
 //! `tests/golden/observed_transfer.txt` (one ping-ponged line, every event
 //! kind) and `tests/golden/observed_stream.txt` (streams: many bins, many
-//! lines, a reset in the middle).
+//! lines, a reset in the middle). On both workloads the tracer's and the
+//! sampler's totals must reconcile: they fold the same events.
 
 use knl::arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, ProtocolKind, Schedule};
 use knl::benchsuite::cachebw::copy_bandwidth;
 use knl::benchsuite::membw::{bandwidth_sample, Target};
 use knl::benchsuite::{pointer_chase, SuiteParams, SweepExecutor};
 use knl::sim::{
-    AnalyzeLevel, CheckLevel, Counters, LineState, Machine, ObserverConfig, Runner, StreamKind,
-    TelemetryConfig, TraceLevel,
+    AnalyzeLevel, CheckLevel, Counters, LineState, Machine, Metrics, ObserverConfig, Runner,
+    StreamKind, TelemetryConfig, TelemetrySeries, TraceLevel,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -134,15 +135,77 @@ fn observed_bytes_match_golden() {
         let cfg =
             MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat).with_protocol(kind);
         let run = run_case(&cfg, oc);
+        let (trace, telemetry) = (run.trace.expect("tracing is on"), run.telemetry.unwrap());
+        assert_totals_reconcile(&kind.to_string(), &trace, &telemetry);
         writeln!(got, "## {kind} end={}", run.end_time).unwrap();
         writeln!(got, "durations {:?}", run.durations).unwrap();
         writeln!(got, "{:?}", run.counters).unwrap();
         writeln!(got, "# trace").unwrap();
-        got.push_str(&run.trace.expect("tracing is on"));
+        got.push_str(&trace);
         writeln!(got, "# telemetry").unwrap();
-        got.push_str(&run.telemetry.expect("telemetry is on"));
+        got.push_str(&telemetry);
     }
     assert_golden("observed_transfer.txt", &got);
+}
+
+/// The tracer and the sampler fold the same events, each into its own
+/// container at its own bin width, so their totals must agree: serves and
+/// issues, device enters and writes, and every message rate against the
+/// trace's `C` counters.
+fn assert_totals_reconcile(label: &str, trace: &str, telemetry: &str) {
+    let mut m = Metrics::default();
+    for line in trace.lines().filter(|l| !l.starts_with(['#', 'E'])) {
+        assert!(m.parse_line(line), "{label}: trace line {line:?}");
+    }
+    let mut s = TelemetrySeries::default();
+    for line in telemetry.lines() {
+        assert!(s.parse_line(line), "{label}: telemetry line {line:?}");
+    }
+    let p = s
+        .tile_bins
+        .values()
+        .fold((0, 0), |(i, n), b| (i + b.issues, n + b.serves));
+    let t: u64 = m.tiles.values().map(|t| t.serves).sum();
+    assert!(t > 0, "{label}: nothing served");
+    assert_eq!(
+        p,
+        (m.issues, t),
+        "{label}: P (issues, serves) vs C issues, T serves"
+    );
+    let q = s
+        .dev_bins
+        .values()
+        .fold((0, 0), |(e, w), b| (e + b.enters, w + b.writes));
+    let d = m
+        .devices
+        .values()
+        .fold((0, 0), |(e, w), d| (e + d.reads + d.writes, w + d.writes));
+    assert_eq!(
+        q, d,
+        "{label}: Q (enters, writes) vs D (reads + writes, writes)"
+    );
+    let v = s.rates.values().fold([0; 6], |a, r| {
+        [
+            a[0] + r.inv,
+            a[1] + r.upd,
+            a[2] + r.wb + r.wb_ext,
+            a[3] + r.mc_hit,
+            a[4] + r.mc_miss,
+            a[5] + r.hops,
+        ]
+    });
+    let c = [
+        m.invalidations,
+        m.updates,
+        m.writebacks,
+        m.mcache_hits,
+        m.mcache_misses,
+        m.mesh_hops,
+    ];
+    assert_eq!(
+        v, c,
+        "{label}: V (inv, upd, wb, mc_hit, mc_miss, hops) vs C"
+    );
 }
 
 /// Compare `got` with `tests/golden/<name>` byte for byte, or write it
@@ -225,6 +288,7 @@ fn observed_stream_bytes_match_golden() {
         m.take_telemetry()
             .expect("telemetry is on")
             .serialize_into(&mut telemetry);
+        assert_totals_reconcile(&cfg.label(), &trace, &telemetry);
 
         // The golden pins what this test is for only while the workload
         // still has these properties.
