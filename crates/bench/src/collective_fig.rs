@@ -9,7 +9,7 @@ use knl_collectives::simspec::{self, SimLayout};
 use knl_core::predict::{intra_tile_stage, predict_barrier, predict_broadcast, predict_reduce};
 use knl_core::tree_opt::binomial_tree;
 use knl_core::{optimize_barrier, optimize_tree, CapabilityModel, MinMax, TreeKind};
-use knl_sim::Machine;
+use knl_sim::Program;
 use knl_stats::{boxplot, median, BoxplotSummary, Sample};
 
 /// Which collective the figure shows.
@@ -92,11 +92,15 @@ pub fn run_figure(
         let mut arena = m.arena();
         let layout = SimLayout::alloc(&mut arena, NumaKind::Mcdram, n);
 
-        let tuned_vals = run_tuned(&mut m, model, kind, n, sched, num_cores, &layout, iters);
-        m.reset_caches();
-        let openmp = run_openmp(&mut m, kind, n, sched, num_cores, &layout, iters);
-        m.reset_caches();
-        let mpi = run_mpi(&mut m, kind, n, sched, num_cores, &layout, iters);
+        let mut first = true;
+        let [tuned_vals, openmp, mpi] = programs(model, kind, n, sched, num_cores, &layout, iters)
+            .map(|progs| {
+                // Reset between runs only: a reset emits observer events.
+                if !std::mem::take(&mut first) {
+                    m.reset_caches();
+                }
+                simspec::run_collective(&mut m, progs, iters)
+            });
 
         let envelope = model_envelope(model, kind, n, sched, num_cores);
         let sample = Sample::from_values(tuned_vals.clone());
@@ -115,32 +119,39 @@ pub fn run_figure(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_tuned(
-    m: &mut Machine,
+/// The three implementations of `kind` at one point, in the order they
+/// run: model-tuned, OpenMP-like, MPI-like (over a binomial tree).
+fn programs(
     model: &CapabilityModel,
     kind: CollectiveKind,
     n: usize,
     sched: Schedule,
-    num_cores: usize,
-    layout: &SimLayout,
+    cores: usize,
+    lay: &SimLayout,
     iters: usize,
-) -> Vec<f64> {
-    let progs = match kind {
+) -> [Vec<Program>; 3] {
+    let plan = |tree| tuned_tree_plan(model, tree, n, sched, cores);
+    let binomial = RankPlan::direct(&binomial_tree(n));
+    match kind {
         CollectiveKind::Barrier => {
-            let plan = optimize_barrier(model, n);
-            simspec::dissemination_barrier_programs(n, plan.m, layout, sched, num_cores, iters)
+            let m = optimize_barrier(model, n).m;
+            [
+                simspec::dissemination_barrier_programs(n, m, lay, sched, cores, iters),
+                simspec::central_barrier_programs(n, lay, sched, cores, iters),
+                simspec::mpi_barrier_programs(&binomial, lay, sched, cores, iters),
+            ]
         }
-        CollectiveKind::Broadcast => {
-            let plan = tuned_tree_plan(model, TreeKind::Broadcast, n, sched, num_cores);
-            simspec::tree_broadcast_programs(&plan, layout, sched, num_cores, iters)
-        }
-        CollectiveKind::Reduce => {
-            let plan = tuned_tree_plan(model, TreeKind::Reduce, n, sched, num_cores);
-            simspec::tree_reduce_programs(&plan, layout, sched, num_cores, iters)
-        }
-    };
-    simspec::run_collective(m, progs, iters)
+        CollectiveKind::Broadcast => [
+            simspec::tree_broadcast_programs(&plan(TreeKind::Broadcast), lay, sched, cores, iters),
+            simspec::flat_broadcast_programs(n, lay, sched, cores, iters),
+            simspec::mpi_broadcast_programs(&binomial, lay, sched, cores, iters),
+        ],
+        CollectiveKind::Reduce => [
+            simspec::tree_reduce_programs(&plan(TreeKind::Reduce), lay, sched, cores, iters),
+            simspec::central_reduce_programs(n, lay, sched, cores, iters),
+            simspec::mpi_reduce_programs(&binomial, lay, sched, cores, iters),
+        ],
+    }
 }
 
 /// Model-tuned hierarchical plan: inter-tile tree over tile-leader ranks,
@@ -155,53 +166,6 @@ pub fn tuned_tree_plan(
     let groups = tile_groups(n, sched, num_cores);
     let tree = optimize_tree(model, groups.len(), kind).tree;
     RankPlan::hierarchical(&tree, n, sched, num_cores)
-}
-
-fn run_openmp(
-    m: &mut Machine,
-    kind: CollectiveKind,
-    n: usize,
-    sched: Schedule,
-    num_cores: usize,
-    layout: &SimLayout,
-    iters: usize,
-) -> Vec<f64> {
-    let progs = match kind {
-        CollectiveKind::Barrier => {
-            simspec::central_barrier_programs(n, layout, sched, num_cores, iters)
-        }
-        CollectiveKind::Broadcast => {
-            simspec::flat_broadcast_programs(n, layout, sched, num_cores, iters)
-        }
-        CollectiveKind::Reduce => {
-            simspec::central_reduce_programs(n, layout, sched, num_cores, iters)
-        }
-    };
-    simspec::run_collective(m, progs, iters)
-}
-
-fn run_mpi(
-    m: &mut Machine,
-    kind: CollectiveKind,
-    n: usize,
-    sched: Schedule,
-    num_cores: usize,
-    layout: &SimLayout,
-    iters: usize,
-) -> Vec<f64> {
-    let plan = RankPlan::direct(&binomial_tree(n));
-    let progs = match kind {
-        CollectiveKind::Barrier => {
-            simspec::mpi_barrier_programs(&plan, layout, sched, num_cores, iters)
-        }
-        CollectiveKind::Broadcast => {
-            simspec::mpi_broadcast_programs(&plan, layout, sched, num_cores, iters)
-        }
-        CollectiveKind::Reduce => {
-            simspec::mpi_reduce_programs(&plan, layout, sched, num_cores, iters)
-        }
-    };
-    simspec::run_collective(m, progs, iters)
 }
 
 fn model_envelope(

@@ -2,7 +2,7 @@
 //! provide speedups of up to 7x (barrier) and 5x (reduce) over OpenMP, and
 //! up to 24x (barrier), 13x (broadcast) and 14x (reduce) over Intel's MPI".
 
-use crate::collective_fig::{run_figure, CollectiveKind, SeriesPoint};
+use crate::collective_fig::{run_figure, CollectiveKind};
 use crate::modelfit::{fit_model, snc4_flat};
 use crate::output::Table;
 use crate::runconf::RunConf;
@@ -57,7 +57,6 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
             format!("{:.1}x", best_mpi.mpi_speedup()),
             best_mpi.threads.to_string(),
         ]);
-        let _: &SeriesPoint = best_omp;
     }
     table.print();
     let path = table.write_csv("speedups");

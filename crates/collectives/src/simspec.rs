@@ -13,6 +13,7 @@
 
 use crate::plan::RankPlan;
 use knl_arch::{NumaKind, Schedule};
+use knl_core::Tree;
 use knl_sim::analyze::{AnalysisReport, Finding, Rule, Severity};
 use knl_sim::{Arena, Machine, Op, Program, RunResult, Runner, SimTime};
 
@@ -80,8 +81,91 @@ impl SimLayout {
     }
 }
 
-fn base_program(rank: usize, schedule: Schedule, num_cores: usize) -> Program {
-    Program::new(schedule.place(rank, num_cores))
+fn set(addr: u64, val: u64) -> Op {
+    Op::SetFlag { addr, val }
+}
+
+fn wait(addr: u64, val: u64) -> Op {
+    Op::WaitFlag { addr, val }
+}
+
+fn compute_ns(ns: u64) -> Op {
+    Op::Compute(ns * 1000)
+}
+
+/// The iteration frame every collective shares: rank `r` of `n` is pinned
+/// by `schedule`, and each iteration `it` waits for its window, marks its
+/// start, runs `body(program, r, gen)` with generation `gen = it + 1` (the
+/// value every flag of the iteration publishes), and marks its end.
+fn per_rank(
+    n: usize,
+    schedule: Schedule,
+    num_cores: usize,
+    iters: usize,
+    mut body: impl FnMut(&mut Program, usize, u64),
+) -> Vec<Program> {
+    (0..n)
+        .map(|rank| {
+            let mut p = Program::new(schedule.place(rank, num_cores));
+            for it in 0..iters {
+                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
+                p.push(Op::MarkStart(it));
+                body(&mut p, rank, it as u64 + 1);
+                p.push(Op::MarkEnd(it));
+            }
+            p
+        })
+        .collect()
+}
+
+/// `plan`'s rank count, after checking it is a well-formed tree.
+fn ranks(plan: &RankPlan) -> usize {
+    plan.assert_valid();
+    plan.num_ranks()
+}
+
+/// Collect the subtree's acknowledgements, then ack upward.
+fn ack_up(p: &mut Program, plan: &RankPlan, layout: &SimLayout, rank: usize, gen: u64) {
+    for &c in &plan.children[rank] {
+        p.push(wait(layout.ack[c], gen));
+    }
+    if rank != plan.root {
+        p.push(set(layout.ack[rank], gen));
+    }
+}
+
+/// Gather up `plan`, then release from the central line: every rank waits
+/// for its children's flags (folding each in for `fold_ns` when it is a
+/// reduce), a non-root publishes its own flag and polls the release, and
+/// the root sets it. `dispatch_ns` is a runtime overhead paid first.
+fn gather_release(
+    plan: &RankPlan,
+    layout: &SimLayout,
+    schedule: Schedule,
+    num_cores: usize,
+    iters: usize,
+    dispatch_ns: Option<u64>,
+    fold_ns: Option<u64>,
+) -> Vec<Program> {
+    per_rank(ranks(plan), schedule, num_cores, iters, |p, rank, gen| {
+        p.ops.extend(dispatch_ns.map(compute_ns));
+        for &c in &plan.children[rank] {
+            p.push(wait(layout.flag[c], gen));
+            p.ops.extend(fold_ns.map(compute_ns));
+        }
+        if rank == plan.root {
+            p.push(set(layout.central, gen));
+        } else {
+            p.push(set(layout.flag[rank], gen));
+            p.push(wait(layout.central, gen));
+        }
+    })
+}
+
+/// Rank 0 over `n - 1` leaves (n ≥ 1): the OpenMP-like baselines' central
+/// plan.
+fn flat_plan(n: usize) -> RankPlan {
+    RankPlan::direct(&Tree::new(vec![Tree::leaf(); n - 1]))
 }
 
 /// Model-tuned (or any) tree broadcast over `plan`.
@@ -92,52 +176,16 @@ pub fn tree_broadcast_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    plan.assert_valid();
-    let n = plan.num_ranks();
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                if rank == plan.root {
-                    // Publish data + flag (same line): R_I + R_L.
-                    p.push(Op::SetFlag {
-                        addr: layout.flag[rank],
-                        val: gen,
-                    });
-                } else {
-                    let parent = plan.parent[rank].expect("non-root");
-                    // Poll the parent's line (contention among siblings).
-                    p.push(Op::WaitFlag {
-                        addr: layout.flag[parent],
-                        val: gen,
-                    });
-                    // Copy into own structure & notify own children.
-                    p.push(Op::SetFlag {
-                        addr: layout.flag[rank],
-                        val: gen,
-                    });
-                }
-                // Collect subtree acknowledgements, then ack upward.
-                for &c in &plan.children[rank] {
-                    p.push(Op::WaitFlag {
-                        addr: layout.ack[c],
-                        val: gen,
-                    });
-                }
-                if rank != plan.root {
-                    p.push(Op::SetFlag {
-                        addr: layout.ack[rank],
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
-            }
-            p
-        })
-        .collect()
+    per_rank(ranks(plan), schedule, num_cores, iters, |p, rank, gen| {
+        // A non-root polls its parent's line (contention among siblings);
+        // then every rank publishes data + flag in one line (R_I + R_L),
+        // which notifies its own children.
+        if let Some(parent) = plan.parent[rank] {
+            p.push(wait(layout.flag[parent], gen));
+        }
+        p.push(set(layout.flag[rank], gen));
+        ack_up(p, plan, layout, rank, gen);
+    })
 }
 
 /// Model-tuned tree reduce over `plan` (sum of one line per rank).
@@ -148,43 +196,8 @@ pub fn tree_reduce_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    plan.assert_valid();
-    let n = plan.num_ranks();
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                for &c in &plan.children[rank] {
-                    // Wait for the child's partial sum and fold it in.
-                    p.push(Op::WaitFlag {
-                        addr: layout.flag[c],
-                        val: gen,
-                    });
-                    p.push(Op::Compute(REDOP_NS * 1000));
-                }
-                if rank == plan.root {
-                    p.push(Op::SetFlag {
-                        addr: layout.central,
-                        val: gen,
-                    }); // release
-                } else {
-                    p.push(Op::SetFlag {
-                        addr: layout.flag[rank],
-                        val: gen,
-                    });
-                    p.push(Op::WaitFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
-            }
-            p
-        })
-        .collect()
+    let fold = Some(REDOP_NS);
+    gather_release(plan, layout, schedule, num_cores, iters, None, fold)
 }
 
 /// Model-tuned dissemination barrier (radix m+1 over n ranks).
@@ -197,35 +210,20 @@ pub fn dissemination_barrier_programs(
     iters: usize,
 ) -> Vec<Program> {
     let rounds = knl_core::barrier_opt::rounds(n, m);
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                let mut stride = 1usize;
-                for round in 0..rounds {
-                    let val = (it * rounds + round) as u64 + 1;
-                    p.push(Op::SetFlag {
-                        addr: layout.flag[rank],
-                        val,
-                    });
-                    for j in 1..=m {
-                        let partner = (rank + n - (j * stride) % n) % n;
-                        if partner != rank {
-                            p.push(Op::WaitFlag {
-                                addr: layout.flag[partner],
-                                val,
-                            });
-                        }
-                    }
-                    stride *= m + 1;
+    per_rank(n, schedule, num_cores, iters, |p, rank, gen| {
+        let mut stride = 1usize;
+        for round in 0..rounds {
+            let val = (gen - 1) * rounds as u64 + round as u64 + 1;
+            p.push(set(layout.flag[rank], val));
+            for j in 1..=m {
+                let partner = (rank + n - (j * stride) % n) % n;
+                if partner != rank {
+                    p.push(wait(layout.flag[partner], val));
                 }
-                p.push(Op::MarkEnd(it));
             }
-            p
-        })
-        .collect()
+            stride *= m + 1;
+        }
+    })
 }
 
 /// Centralized gather–release barrier (OpenMP-like baseline).
@@ -236,40 +234,9 @@ pub fn central_barrier_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                p.push(Op::Compute(OMP_DISPATCH_OVERHEAD_NS * 1000));
-                if rank == 0 {
-                    for r in 1..n {
-                        p.push(Op::WaitFlag {
-                            addr: layout.flag[r],
-                            val: gen,
-                        });
-                    }
-                    p.push(Op::SetFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                } else {
-                    p.push(Op::SetFlag {
-                        addr: layout.flag[rank],
-                        val: gen,
-                    });
-                    p.push(Op::WaitFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
-            }
-            p
-        })
-        .collect()
+    let plan = flat_plan(n);
+    let dispatch = Some(OMP_DISPATCH_OVERHEAD_NS);
+    gather_release(&plan, layout, schedule, num_cores, iters, dispatch, None)
 }
 
 /// Flat broadcast + completion gather (OpenMP-like baseline).
@@ -280,41 +247,17 @@ pub fn flat_broadcast_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                p.push(Op::Compute(OMP_DISPATCH_OVERHEAD_NS * 1000));
-                if rank == 0 {
-                    p.push(Op::SetFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                    for r in 1..n {
-                        p.push(Op::WaitFlag {
-                            addr: layout.ack[r],
-                            val: gen,
-                        });
-                    }
-                } else {
-                    // All n−1 ranks poll one line: maximal contention.
-                    p.push(Op::WaitFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                    p.push(Op::SetFlag {
-                        addr: layout.ack[rank],
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
-            }
-            p
-        })
-        .collect()
+    per_rank(n, schedule, num_cores, iters, |p, rank, gen| {
+        p.push(compute_ns(OMP_DISPATCH_OVERHEAD_NS));
+        if rank == 0 {
+            p.push(set(layout.central, gen));
+            p.ops.extend((1..n).map(|r| wait(layout.ack[r], gen)));
+        } else {
+            // All n−1 ranks poll one line: maximal contention.
+            p.push(wait(layout.central, gen));
+            p.push(set(layout.ack[rank], gen));
+        }
+    })
 }
 
 /// Linear reduce at the root (OpenMP-like baseline): rank 0 folds every
@@ -326,41 +269,47 @@ pub fn central_reduce_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                p.push(Op::Compute(OMP_DISPATCH_OVERHEAD_NS * 1000));
-                if rank == 0 {
-                    for r in 1..n {
-                        p.push(Op::WaitFlag {
-                            addr: layout.flag[r],
-                            val: gen,
-                        });
-                        p.push(Op::Compute(REDOP_NS * 1000));
-                    }
-                    p.push(Op::SetFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                } else {
-                    p.push(Op::SetFlag {
-                        addr: layout.flag[rank],
-                        val: gen,
-                    });
-                    p.push(Op::WaitFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
+    let plan = flat_plan(n);
+    let (dispatch, fold) = (Some(OMP_DISPATCH_OVERHEAD_NS), Some(REDOP_NS));
+    gather_release(&plan, layout, schedule, num_cores, iters, dispatch, fold)
+}
+
+/// The MPI-like broadcast down `plan`: each hop pays the per-message
+/// overhead on both sides. With `double_copy` the sender copies into the
+/// child's staging line and the receiver copies out of its own; without,
+/// the receiver reads the sender's buffer directly.
+fn mpi_broadcast(
+    plan: &RankPlan,
+    layout: &SimLayout,
+    schedule: Schedule,
+    num_cores: usize,
+    iters: usize,
+    double_copy: bool,
+) -> Vec<Program> {
+    per_rank(ranks(plan), schedule, num_cores, iters, |p, rank, gen| {
+        if let Some(parent) = plan.parent[rank] {
+            // Match + receive into the private buffer.
+            p.push(wait(layout.envelope[rank], gen));
+            p.push(compute_ns(MPI_MSG_OVERHEAD_NS));
+            let src = if double_copy {
+                layout.staging[rank]
+            } else {
+                layout.flag[parent]
+            };
+            p.push(Op::Read(src));
+            p.push(Op::Write(layout.flag[rank]));
+        }
+        for &c in &plan.children[rank] {
+            // Send: envelope, after copying into the child's staging line.
+            p.push(compute_ns(MPI_MSG_OVERHEAD_NS));
+            if double_copy {
+                p.push(Op::Read(layout.flag[rank]));
+                p.push(Op::Write(layout.staging[c]));
             }
-            p
-        })
-        .collect()
+            p.push(set(layout.envelope[c], gen));
+        }
+        ack_up(p, plan, layout, rank, gen);
+    })
 }
 
 /// MPI-like binomial broadcast: double copy through staging + envelope,
@@ -372,52 +321,7 @@ pub fn mpi_broadcast_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    plan.assert_valid();
-    let n = plan.num_ranks();
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                if rank != plan.root {
-                    // Match + receive: staging → private buffer (2nd copy).
-                    p.push(Op::WaitFlag {
-                        addr: layout.envelope[rank],
-                        val: gen,
-                    });
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                    p.push(Op::Read(layout.staging[rank]));
-                    p.push(Op::Write(layout.flag[rank])); // private recv buffer
-                }
-                for &c in &plan.children[rank] {
-                    // Send: user buffer → child staging (1st copy) + envelope.
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                    p.push(Op::Read(layout.flag[rank]));
-                    p.push(Op::Write(layout.staging[c]));
-                    p.push(Op::SetFlag {
-                        addr: layout.envelope[c],
-                        val: gen,
-                    });
-                }
-                for &c in &plan.children[rank] {
-                    p.push(Op::WaitFlag {
-                        addr: layout.ack[c],
-                        val: gen,
-                    });
-                }
-                if rank != plan.root {
-                    p.push(Op::SetFlag {
-                        addr: layout.ack[rank],
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
-            }
-            p
-        })
-        .collect()
+    mpi_broadcast(plan, layout, schedule, num_cores, iters, true)
 }
 
 /// Single-copy variant of the MPI-like broadcast: the paper argues MPI's
@@ -433,51 +337,7 @@ pub fn mpi_broadcast_single_copy_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    plan.assert_valid();
-    let n = plan.num_ranks();
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                if rank != plan.root {
-                    let parent = plan.parent[rank].expect("non-root");
-                    p.push(Op::WaitFlag {
-                        addr: layout.envelope[rank],
-                        val: gen,
-                    });
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                    // Single copy: read straight from the sender's mapped
-                    // buffer into the user buffer.
-                    p.push(Op::Read(layout.flag[parent]));
-                    p.push(Op::Write(layout.flag[rank]));
-                }
-                for &c in &plan.children[rank] {
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                    p.push(Op::SetFlag {
-                        addr: layout.envelope[c],
-                        val: gen,
-                    });
-                }
-                for &c in &plan.children[rank] {
-                    p.push(Op::WaitFlag {
-                        addr: layout.ack[c],
-                        val: gen,
-                    });
-                }
-                if rank != plan.root {
-                    p.push(Op::SetFlag {
-                        addr: layout.ack[rank],
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
-            }
-            p
-        })
-        .collect()
+    mpi_broadcast(plan, layout, schedule, num_cores, iters, false)
 }
 
 /// MPI-like binomial reduce (gather up the tree with staging + envelopes).
@@ -488,47 +348,23 @@ pub fn mpi_reduce_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    plan.assert_valid();
-    let n = plan.num_ranks();
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                for &c in &plan.children[rank] {
-                    p.push(Op::WaitFlag {
-                        addr: layout.envelope[c],
-                        val: gen,
-                    });
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                    p.push(Op::Read(layout.staging[c]));
-                    p.push(Op::Write(layout.flag[rank]));
-                    p.push(Op::Compute(REDOP_NS * 1000));
-                }
-                if rank == plan.root {
-                    p.push(Op::SetFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                } else {
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                    p.push(Op::Write(layout.staging[rank]));
-                    p.push(Op::SetFlag {
-                        addr: layout.envelope[rank],
-                        val: gen,
-                    });
-                    p.push(Op::WaitFlag {
-                        addr: layout.central,
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
-            }
-            p
-        })
-        .collect()
+    per_rank(ranks(plan), schedule, num_cores, iters, |p, rank, gen| {
+        for &c in &plan.children[rank] {
+            p.push(wait(layout.envelope[c], gen));
+            p.push(compute_ns(MPI_MSG_OVERHEAD_NS));
+            p.push(Op::Read(layout.staging[c]));
+            p.push(Op::Write(layout.flag[rank]));
+            p.push(compute_ns(REDOP_NS));
+        }
+        if rank == plan.root {
+            p.push(set(layout.central, gen));
+        } else {
+            p.push(compute_ns(MPI_MSG_OVERHEAD_NS));
+            p.push(Op::Write(layout.staging[rank]));
+            p.push(set(layout.envelope[rank], gen));
+            p.push(wait(layout.central, gen));
+        }
+    })
 }
 
 /// MPI-like barrier: binomial gather followed by binomial release, each hop
@@ -540,50 +376,24 @@ pub fn mpi_barrier_programs(
     num_cores: usize,
     iters: usize,
 ) -> Vec<Program> {
-    plan.assert_valid();
-    let n = plan.num_ranks();
-    (0..n)
-        .map(|rank| {
-            let mut p = base_program(rank, schedule, num_cores);
-            for it in 0..iters {
-                let gen = it as u64 + 1;
-                p.push(Op::WaitUntil((it as SimTime + 1) * ITER_PERIOD_PS));
-                p.push(Op::MarkStart(it));
-                // Gather phase.
-                for &c in &plan.children[rank] {
-                    p.push(Op::WaitFlag {
-                        addr: layout.envelope[c],
-                        val: gen,
-                    });
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                }
-                if rank != plan.root {
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                    p.push(Op::SetFlag {
-                        addr: layout.envelope[rank],
-                        val: gen,
-                    });
-                }
-                // Release phase.
-                if rank != plan.root {
-                    p.push(Op::WaitFlag {
-                        addr: layout.staging[rank],
-                        val: gen,
-                    });
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                }
-                for &c in &plan.children[rank] {
-                    p.push(Op::Compute(MPI_MSG_OVERHEAD_NS * 1000));
-                    p.push(Op::SetFlag {
-                        addr: layout.staging[c],
-                        val: gen,
-                    });
-                }
-                p.push(Op::MarkEnd(it));
-            }
-            p
-        })
-        .collect()
+    per_rank(ranks(plan), schedule, num_cores, iters, |p, rank, gen| {
+        // Gather the children's envelopes and send ours up; then wait for
+        // the parent's release and pass it down.
+        for &c in &plan.children[rank] {
+            p.push(wait(layout.envelope[c], gen));
+            p.push(compute_ns(MPI_MSG_OVERHEAD_NS));
+        }
+        if rank != plan.root {
+            p.push(compute_ns(MPI_MSG_OVERHEAD_NS));
+            p.push(set(layout.envelope[rank], gen));
+            p.push(wait(layout.staging[rank], gen));
+            p.push(compute_ns(MPI_MSG_OVERHEAD_NS));
+        }
+        for &c in &plan.children[rank] {
+            p.push(compute_ns(MPI_MSG_OVERHEAD_NS));
+            p.push(set(layout.staging[c], gen));
+        }
+    })
 }
 
 /// Run programs and return the per-iteration maxima (ns), the paper's

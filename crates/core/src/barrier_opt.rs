@@ -27,10 +27,17 @@ pub struct BarrierPlan {
 }
 
 /// Rounds needed for radix `m+1` over `n` threads.
+///
+/// # Panics
+/// If `m == 0` and `n ≥ 2`: radix 1 never reaches a second thread.
 pub fn rounds(n: usize, m: usize) -> usize {
     if n <= 1 {
         return 0;
     }
+    assert!(
+        m >= 1,
+        "dissemination radix m+1 must be at least 2 to reach {n} threads (m = 0)"
+    );
     let mut r = 0usize;
     let mut reach = 1u128;
     while reach < n as u128 {
@@ -93,6 +100,13 @@ mod tests {
         assert_eq!(rounds(64, 3), 3); // log4
         assert_eq!(rounds(65, 3), 4);
         assert_eq!(rounds(64, 63), 1);
+        assert_eq!(rounds(1, 0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "radix m+1 must be at least 2")]
+    fn radix_one_is_refused() {
+        rounds(2, 0);
     }
 
     #[test]

@@ -22,9 +22,12 @@
 //!
 //! and review the diff like source.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use knl::arch::{MachineConfig, MemTarget, SplitMixRng, LINE_SHIFT};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const SAMPLES_PER_NODE: usize = 32;
 
@@ -64,25 +67,5 @@ fn rows() -> String {
 
 #[test]
 fn address_map_matches_the_golden_file() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/address_map.txt");
-    let rows = rows();
-    if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &rows).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `KNL_UPDATE_GOLDEN=1 cargo test --test address_map` to create it",
-            path.display()
-        )
-    });
-    for (n, (got, want)) in rows.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "address map drifted at line {}", n + 1);
-    }
-    assert_eq!(
-        rows.lines().count(),
-        golden.lines().count(),
-        "row count drifted"
-    );
+    assert_golden("address_map.txt", &rows());
 }

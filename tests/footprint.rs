@@ -27,11 +27,14 @@
 //!
 //! and review the diff like source.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use knl::arch::{ClusterMode, HybridSplit, MachineConfig, MemoryMode, NumaKind, Schedule};
 use knl::sim::{CheckLevel, Machine, ObserverConfig, Op, Program, RunResult, Runner, StreamKind};
 use knl::sort::simsort::{simsort_programs, SimSortSpec};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const MB: u64 = 1 << 20;
 
@@ -126,27 +129,8 @@ fn wrap_rows(out: &mut String) {
 
 #[test]
 fn footprints_match_the_golden_file() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/footprint.txt");
     let mut rows = String::new();
     sort_rows(&mut rows);
     wrap_rows(&mut rows);
-    if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &rows).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `KNL_UPDATE_GOLDEN=1 cargo test --test footprint` to create it",
-            path.display()
-        )
-    });
-    for (n, (got, want)) in rows.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "footprint drifted at line {}", n + 1);
-    }
-    assert_eq!(
-        rows.lines().count(),
-        golden.lines().count(),
-        "row count drifted"
-    );
+    assert_golden("footprint.txt", &rows);
 }

@@ -14,9 +14,12 @@
 //! and review the JSON diff like source: every changed number is a
 //! changed claim about the modeled KNL.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use knl::arch::{ClusterMode, MachineConfig, MemoryMode};
 use knl::benchsuite::{decode_suite, encode_suite, run_full_suite, SuiteParams};
-use std::path::PathBuf;
 
 /// Tiny but full-coverage sweep parameters: every suite section runs, in
 /// seconds, and the output shape matches the real calibration runs.
@@ -32,12 +35,6 @@ fn golden_params() -> SuiteParams {
     p
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"))
-}
-
 fn check_golden(cfg: MachineConfig, name: &str) {
     let results = run_full_suite(&cfg, &golden_params());
     let encoded = encode_suite(&results);
@@ -51,24 +48,7 @@ fn check_golden(cfg: MachineConfig, name: &str) {
         "{name}: encode/decode round-trip drifts"
     );
 
-    let path = golden_path(name);
-    if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &encoded).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `KNL_UPDATE_GOLDEN=1 cargo test --test golden_snapshots` to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        encoded, golden,
-        "{name}: calibration output drifted from tests/golden/{name}.json \
-         (KNL_UPDATE_GOLDEN=1 regenerates after an intentional change)"
-    );
+    assert_golden(&format!("{name}.json"), &encoded);
 }
 
 #[test]

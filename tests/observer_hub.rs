@@ -9,6 +9,10 @@
 //! lines, a reset in the middle). On both workloads the tracer's and the
 //! sampler's totals must reconcile: they fold the same events.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use knl::arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, ProtocolKind, Schedule};
 use knl::benchsuite::cachebw::copy_bandwidth;
 use knl::benchsuite::membw::{bandwidth_sample, Target};
@@ -18,7 +22,6 @@ use knl::sim::{
     StreamKind, TelemetryConfig, TelemetrySeries, TraceLevel,
 };
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const ITERS: usize = 5;
 
@@ -205,38 +208,6 @@ fn assert_totals_reconcile(label: &str, trace: &str, telemetry: &str) {
     assert_eq!(
         v, c,
         "{label}: V (inv, upd, wb, mc_hit, mc_miss, hops) vs C"
-    );
-}
-
-/// Compare `got` with `tests/golden/<name>` byte for byte, or write it
-/// there under `KNL_UPDATE_GOLDEN`.
-fn assert_golden(name: &str, got: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, got).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `KNL_UPDATE_GOLDEN=1 cargo test --test observer_hub` to create it",
-            path.display()
-        )
-    });
-    for (n, (got, want)) in got.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(
-            got,
-            want,
-            "{name}: observed bytes drifted at line {}",
-            n + 1
-        );
-    }
-    assert_eq!(
-        got.len(),
-        golden.len(),
-        "{name}: observed bytes drifted in length"
     );
 }
 

@@ -30,11 +30,14 @@
 //!
 //! and review the diff like source.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use knl::arch::{ProtocolKind, TileId};
 use knl::sim::protocol::transition;
 use knl::sim::{DirEntry, GlobalState, Request};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const TILES: u16 = 3;
 
@@ -109,25 +112,5 @@ fn tables() -> String {
 
 #[test]
 fn transition_tables_match_the_golden_file() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/protocol_tables.txt");
-    let tables = tables();
-    if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &tables).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `KNL_UPDATE_GOLDEN=1 cargo test --test protocol_tables` to create it",
-            path.display()
-        )
-    });
-    for (n, (got, want)) in tables.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "transition table drifted at line {}", n + 1);
-    }
-    assert_eq!(
-        tables.lines().count(),
-        golden.lines().count(),
-        "row count drifted"
-    );
+    assert_golden("protocol_tables.txt", &tables());
 }

@@ -28,10 +28,13 @@
 //!
 //! and review the diff like source.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use knl::arch::{ClusterMode, MachineConfig, MemoryMode, NumaKind, Schedule};
 use knl::sim::{Machine, Op, Program, Runner, StreamKind};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const LINES: u64 = 256;
 const ITERS: usize = 3;
@@ -127,25 +130,5 @@ fn rows() -> String {
 
 #[test]
 fn stream_kernels_match_the_golden_file() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/stream_kernels.txt");
-    let rows = rows();
-    if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &rows).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `KNL_UPDATE_GOLDEN=1 cargo test --test stream_kernels` to create it",
-            path.display()
-        )
-    });
-    for (n, (got, want)) in rows.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "stream kernel drifted at line {}", n + 1);
-    }
-    assert_eq!(
-        rows.lines().count(),
-        golden.lines().count(),
-        "row count drifted"
-    );
+    assert_golden("stream_kernels.txt", &rows());
 }

@@ -22,6 +22,10 @@
 //!
 //! and review the diff like source.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use knl::benchsuite::decode_suite;
 use knl::model::predict::{predict_broadcast, predict_reduce};
 use knl::model::{optimize_tree, CapabilityModel, TreeKind};
@@ -77,25 +81,5 @@ fn plans() -> String {
 
 #[test]
 fn tree_plans_match_the_golden_file() {
-    let path = golden("tree_plans.txt");
-    let plans = plans();
-    if std::env::var_os("KNL_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &plans).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `KNL_UPDATE_GOLDEN=1 cargo test --test tree_plans` to create it",
-            path.display()
-        )
-    });
-    for (n, (got, want)) in plans.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "tree plan drifted at line {}", n + 1);
-    }
-    assert_eq!(
-        plans.lines().count(),
-        golden.lines().count(),
-        "row count drifted"
-    );
+    assert_golden("tree_plans.txt", &plans());
 }
