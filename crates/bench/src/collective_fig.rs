@@ -92,15 +92,13 @@ pub fn run_figure(
         let mut arena = m.arena();
         let layout = SimLayout::alloc(&mut arena, NumaKind::Mcdram, n);
 
-        let mut first = true;
-        let [tuned_vals, openmp, mpi] = programs(model, kind, n, sched, num_cores, &layout, iters)
-            .map(|progs| {
-                // Reset between runs only: a reset emits observer events.
-                if !std::mem::take(&mut first) {
-                    m.reset_caches();
-                }
-                simspec::run_collective(&mut m, progs, iters)
-            });
+        // Caches are reset between runs only: a reset emits observer events.
+        let [tuned, openmp, mpi] = programs(model, kind, n, sched, num_cores, &layout, iters);
+        let tuned_vals = simspec::run_collective(&mut m, tuned, iters);
+        m.reset_caches();
+        let openmp = simspec::run_collective(&mut m, openmp, iters);
+        m.reset_caches();
+        let mpi = simspec::run_collective(&mut m, mpi, iters);
 
         let envelope = model_envelope(model, kind, n, sched, num_cores);
         let sample = Sample::from_values(tuned_vals.clone());
