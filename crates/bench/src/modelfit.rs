@@ -58,8 +58,10 @@ fn write_cache(cfg: &MachineConfig, params: &SuiteParams, r: &SuiteResults) {
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    let _ = std::fs::write(&path, knl_benchsuite::encode_suite(r));
-    crate::provenance::write_manifest(&path);
+    // A cache that could not be written gets no manifest.
+    if crate::output::write_if_changed(&path, knl_benchsuite::encode_suite(r).as_bytes()).is_ok() {
+        crate::provenance::write_manifest(&path);
+    }
 }
 
 fn cache_path(cfg: &MachineConfig, params: &SuiteParams) -> PathBuf {
@@ -99,5 +101,19 @@ mod tests {
         let m2 = fit_model(&cfg, &p);
         assert_eq!(m1.rr_ns, m2.rr_ns);
         assert_eq!(m1.contention.beta, m2.contention.beta);
+
+        // A cache file that cannot be written (a directory is in its way)
+        // gets no manifest.
+        let results = suite_results(&cfg, &p);
+        drop(_dir);
+        let dir = std::env::temp_dir().join("knl_modelfit_unwritable_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _dir = crate::output::ResultsDirGuard::set(&dir);
+        let path = cache_path(&cfg, &p);
+        std::fs::create_dir_all(&path).unwrap();
+        write_cache(&cfg, &p, &results);
+        assert!(path.is_dir());
+        assert!(!crate::provenance::manifest_path(&path).exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

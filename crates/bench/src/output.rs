@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 use std::fs;
-use std::io::Write;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// A simple aligned text table.
@@ -62,17 +62,37 @@ impl Table {
 
     /// Write as CSV under `results/<name>.csv` (creating the directory),
     /// with a provenance sidecar manifest (see [`crate::provenance`]).
+    /// Either file is left alone when it already holds the same bytes
+    /// (`write_if_changed`).
     pub fn write_csv(&self, name: &str) -> PathBuf {
         let dir = results_dir();
         fs::create_dir_all(&dir).expect("create results dir");
         let path = dir.join(format!("{name}.csv"));
-        let mut f = fs::File::create(&path).expect("create csv");
+        let mut text = String::new();
         for record in std::iter::once(&self.header).chain(&self.rows) {
-            writeln!(f, "{}", csv_record(record)).unwrap();
+            text.push_str(&csv_record(record));
+            text.push('\n');
         }
+        write_if_changed(&path, text.as_bytes()).expect("write csv");
         crate::provenance::write_manifest(&path);
         path
     }
+}
+
+/// Make `path` hold exactly `bytes`, writing only when it does not already:
+/// the file's length is compared first and its bytes second. Returns
+/// whether it wrote. Rewriting identical bytes is not free — on ext4,
+/// truncating and refilling a file (or renaming a fresh one over it)
+/// forces the data to disk — and every regeneration of an unchanged
+/// artifact would pay that (DESIGN.md §6, "the observed run's second
+/// pass").
+pub(crate) fn write_if_changed(path: &Path, bytes: &[u8]) -> io::Result<bool> {
+    let same_len = fs::metadata(path).is_ok_and(|md| md.len() == bytes.len() as u64);
+    if same_len && fs::read(path).is_ok_and(|old| old == bytes) {
+        return Ok(false);
+    }
+    fs::write(path, bytes)?;
+    Ok(true)
 }
 
 /// One CSV record. A cell is quoted (RFC 4180: wrapped in `"`, embedded
@@ -192,6 +212,75 @@ mod tests {
         let p = t.write_csv("unit_test_table");
         let s = std::fs::read_to_string(p).unwrap();
         assert_eq!(s, "x,y\n1,2\n");
+    }
+
+    /// A modification time no write in this test run can produce.
+    fn backdate(path: &Path) -> std::time::SystemTime {
+        let old = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
+        let f = fs::File::options().write(true).open(path).unwrap();
+        f.set_modified(old).unwrap();
+        old
+    }
+
+    fn mtime(path: &Path) -> std::time::SystemTime {
+        fs::metadata(path).unwrap().modified().unwrap()
+    }
+
+    #[test]
+    fn write_if_changed_writes_only_differing_bytes() {
+        let dir = std::env::temp_dir().join("knl_write_if_changed_test");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("a.txt");
+
+        // Missing: written.
+        assert!(write_if_changed(&p, b"abc,1\n").unwrap());
+        assert_eq!(fs::read(&p).unwrap(), b"abc,1\n");
+
+        // Identical: not written, content and mtime intact.
+        let old = backdate(&p);
+        assert!(!write_if_changed(&p, b"abc,1\n").unwrap());
+        assert_eq!(fs::read(&p).unwrap(), b"abc,1\n");
+        assert_eq!(mtime(&p), old);
+
+        // Same length, one byte different; then longer; then shorter.
+        for next in [&b"abc,2\n"[..], b"abc,22\n", b"ab\n", b""] {
+            backdate(&p);
+            assert!(write_if_changed(&p, next).unwrap(), "{next:?}");
+            assert_eq!(fs::read(&p).unwrap(), next);
+        }
+        assert!(!write_if_changed(&p, b"").unwrap());
+
+        // A directory in the way is an error, not a skipped write.
+        assert!(write_if_changed(&dir, b"x").is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn csv_written_twice_is_written_once() {
+        let dir = std::env::temp_dir().join("knl_test_results_twice");
+        let _ = fs::remove_dir_all(&dir);
+        let _dir = ResultsDirGuard::set(&dir);
+        let mut t = Table::new("t", &["x", "y"]);
+        t.row(vec!["1".into(), "2".into()]);
+        let csv = t.write_csv("unit_test_twice");
+        let manifest = crate::provenance::manifest_path(&csv);
+        let (csv_bytes, manifest_bytes) = (fs::read(&csv).unwrap(), fs::read(&manifest).unwrap());
+        let (csv_old, manifest_old) = (backdate(&csv), backdate(&manifest));
+
+        // The same table again: neither file is touched.
+        assert_eq!(t.write_csv("unit_test_twice"), csv);
+        assert_eq!((mtime(&csv), mtime(&manifest)), (csv_old, manifest_old));
+        assert_eq!(fs::read(&csv).unwrap(), csv_bytes);
+        assert_eq!(fs::read(&manifest).unwrap(), manifest_bytes);
+
+        // Another row: the CSV is rewritten, the manifest still says the same.
+        t.row(vec!["3".into(), "4".into()]);
+        t.write_csv("unit_test_twice");
+        assert_eq!(fs::read_to_string(&csv).unwrap(), "x,y\n1,2\n3,4\n");
+        assert_ne!(mtime(&csv), csv_old);
+        assert_eq!(fs::read(&manifest).unwrap(), manifest_bytes);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// RFC 4180 reader for the round-trip test: records of cells.

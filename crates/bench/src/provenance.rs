@@ -172,8 +172,9 @@ pub fn manifest_for(artifact: &Path) -> Json {
     ])
 }
 
-/// Write (or refresh) the sidecar manifest for `artifact`. Failures are
-/// silent: provenance must never break a results run.
+/// Write (or refresh) the sidecar manifest for `artifact`, unless it
+/// already holds these bytes. Failures are silent: provenance must never
+/// break a results run.
 pub fn write_manifest(artifact: &Path) {
     write_doc(artifact, &manifest_for(artifact));
 }
@@ -201,7 +202,7 @@ pub fn stamp_manifest(artifact: &Path) {
 fn write_doc(artifact: &Path, doc: &Json) {
     let mut text = doc.render();
     text.push('\n');
-    let _ = std::fs::write(manifest_path(artifact), text);
+    let _ = crate::output::write_if_changed(&manifest_path(artifact), text.as_bytes());
 }
 
 /// Verification outcome of one artifact.

@@ -6,7 +6,7 @@
 //! deterministically — one sink per experiment, written once by the
 //! driver ([`crate::experiments::run`]).
 
-use crate::output::results_dir;
+use crate::output::{results_dir, write_if_changed};
 use crate::runconf::RunConf;
 use knl_arch::MachineConfig;
 use knl_benchsuite::SweepExecutor;
@@ -77,8 +77,12 @@ impl Sections {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        std::fs::write(path, out)?;
-        eprintln!("wrote {}", path.display());
+        let verb = if write_if_changed(path, out.as_bytes())? {
+            "wrote"
+        } else {
+            "unchanged"
+        };
+        eprintln!("{verb} {}", path.display());
         Ok(Some(path.clone()))
     }
 }
@@ -224,6 +228,13 @@ mod tests {
         let jobs: Vec<&str> = text.lines().filter(|l| l.starts_with("# job ")).collect();
         assert_eq!(jobs, ["# job 0", "# job 1", "# job 2"]);
         assert!(text.starts_with("# knl-trace v1 level=summary\n"));
+        // Written again, the same bytes leave the file alone.
+        let old = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
+        let f = std::fs::File::options().write(true).open(&written).unwrap();
+        f.set_modified(old).unwrap();
+        assert_eq!(sink.write().unwrap(), Some(written.clone()));
+        let mtime = std::fs::metadata(&written).unwrap().modified().unwrap();
+        assert_eq!(mtime, old);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

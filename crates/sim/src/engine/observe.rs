@@ -262,7 +262,14 @@ impl ObserverHub {
     #[inline(never)]
     fn emit(&mut self, time: SimTime, line: u64, event: &ProtocolEvent<'_>) {
         if let Some(c) = self.checker.as_deref_mut() {
-            c.on_event(line, event);
+            // The kinds the checker folds; its `on_event` lists the rest.
+            if let ProtocolEvent::Dir { .. }
+            | ProtocolEvent::CoherentRead { .. }
+            | ProtocolEvent::NtStore
+            | ProtocolEvent::Writeback { external: true } = event
+            {
+                c.on_event(line, event);
+            }
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             t.on_event(self.ctx, time, line, event);
@@ -476,6 +483,32 @@ pub(crate) fn gstate_tag(s: &GlobalState) -> char {
     }
 }
 
+/// Every source tag a [`ProtocolEvent::Serve`] carries: what [`src_tag`]
+/// returns, the letter of each [`crate::directory::LineState`] included.
+/// The order is the tracer's dense histogram row's.
+pub(crate) const SRC_TAGS: [char; 12] =
+    ['L', 'T', 'M', 'E', 'S', 'F', 'O', 'I', 'D', 'C', 'H', 'N'];
+
+/// Position of `src` in [`SRC_TAGS`].
+#[inline]
+pub(crate) fn src_index(src: char) -> usize {
+    match src {
+        'L' => 0,
+        'T' => 1,
+        'M' => 2,
+        'E' => 3,
+        'S' => 4,
+        'F' => 5,
+        'O' => 6,
+        'I' => 7,
+        'D' => 8,
+        'C' => 9,
+        'H' => 10,
+        'N' => 11,
+        _ => panic!("{src:?} is not a source tag"),
+    }
+}
+
 /// Trace source tag for a [`ServedBy`] provenance.
 pub(crate) fn src_tag(served: ServedBy) -> char {
     match served {
@@ -503,6 +536,44 @@ mod tests {
 
     fn hub(oc: ObserverConfig) -> ObserverHub {
         ObserverHub::from_config(oc, ProtocolKind::Mesif)
+    }
+
+    #[test]
+    fn every_source_tag_has_a_row_position() {
+        use crate::directory::LineState;
+        use knl_arch::MemTarget;
+        let states = [
+            LineState::Modified,
+            LineState::Exclusive,
+            LineState::Shared,
+            LineState::Forward,
+            LineState::Owned,
+            LineState::Invalid,
+        ];
+        let served = [
+            ServedBy::L1,
+            ServedBy::Memory(MemTarget::Ddr { imc: 0, chan: 0 }),
+            ServedBy::Memory(MemTarget::Mcdram { edc: 0 }),
+            ServedBy::McacheHit { edc: 0 },
+            ServedBy::Posted,
+        ]
+        .into_iter()
+        .chain(states.iter().flat_map(|&state| {
+            [
+                ServedBy::TileL2(state),
+                ServedBy::RemoteCache {
+                    holder: TileId(1),
+                    state,
+                },
+            ]
+        }));
+        for by in served {
+            let tag = src_tag(by);
+            assert_eq!(SRC_TAGS[src_index(tag)], tag, "{by:?}");
+        }
+        for (i, &tag) in SRC_TAGS.iter().enumerate() {
+            assert_eq!(src_index(tag), i);
+        }
     }
 
     #[test]

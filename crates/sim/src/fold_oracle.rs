@@ -11,7 +11,8 @@
 //! mid-stream, while a bin is open, and at the end.
 
 use crate::directory::{DirEntry, GlobalState, LineState};
-use crate::engine::observe::{gstate_tag, EventContext, ProtocolEvent};
+use crate::engine::observe::{gstate_tag, EventContext, ProtocolEvent, SRC_TAGS};
+use crate::mesh::MAX_HOPS;
 use crate::metrics::{Metrics, BIN_PS, HOT_LINES_TOP};
 use crate::protocol::{Outcome, Request};
 use crate::svmap::SortedVecMap;
@@ -277,16 +278,22 @@ fn dir(from: char, entry: &DirEntry, counted: bool) -> ProtocolEvent<'_> {
 }
 
 /// A random spine event of every kind, each field over the values that
-/// matter to a fold: every source class, zero hops and counts, ids at the
-/// `u8` extreme, `Dir` steps between any two states (`U → U` and `S → S`
-/// included, uncounted ones too), and the checker's oracle events.
+/// matter to a fold: every source tag, hop counts over the whole die with
+/// its two ends drawn often (the corners of the tracer's dense histogram
+/// row), zero counts, ids at the `u8` extreme, `Dir` steps between any two
+/// states (`U → U` and `S → S` included, uncounted ones too), and the
+/// checker's oracle events.
 fn random_event<'a>(rng: &mut SplitMixRng, entries: &'a [DirEntry]) -> ProtocolEvent<'a> {
     match rng.next_u64() % 16 {
         0 => ProtocolEvent::Issue { op: 'R' },
         1..=4 => ProtocolEvent::Serve {
             op: 'R',
-            src: pick(rng, &['L', 'T', 'M', 'S', 'O', 'H', 'C', 'D']),
-            hops: rng.next_u32() % 4,
+            src: pick(rng, &SRC_TAGS),
+            hops: match rng.next_u64() % 4 {
+                0 => 0,
+                1 => MAX_HOPS,
+                _ => rng.next_u32() % (MAX_HOPS + 1),
+            },
             latency_ps: rng.next_u64() % 300_000,
         },
         5..=6 => dir(
@@ -364,6 +371,13 @@ fn tracer_fold_serializes_like_the_per_event_oracle() {
             }
         }
         assert!(oracle.hot_lines.len() > HOT_LINES_TOP);
+        let first_and_last = [SRC_TAGS[0], SRC_TAGS[SRC_TAGS.len() - 1]];
+        for key in first_and_last
+            .map(|src| [(src, 0), (src, MAX_HOPS)])
+            .concat()
+        {
+            assert!(oracle.m.hist.get(&key).is_some(), "seed {seed}: {key:?}");
+        }
         tracer.close_bin();
         assert!(matches!(tracer.metrics(), Cow::Borrowed(_)));
         let mut got = String::new();

@@ -27,7 +27,9 @@
 //! deliberately exposes no iterator; callers that need to walk entries use
 //! [`LineMap::sorted_keys`], which is order-stable by construction. This is
 //! what makes the replacement behaviour-identical; the crate's `clippy.toml`
-//! bans the std map itself.
+//! bans the std map itself. The one slot-order walk,
+//! `LineMap::for_each_unordered`, serves `PagedLines`' order-free
+//! reduction and nothing else.
 //!
 //! One key value is reserved: `u64::MAX` marks an empty slot. Line
 //! addresses are physical addresses shifted right by 6, so the sentinel is
@@ -232,6 +234,17 @@ impl<V: Default> LineMap<V> {
         let mut out: Vec<u64> = self.keys.iter().copied().filter(|&k| k != EMPTY).collect();
         out.sort_unstable();
         out
+    }
+
+    /// Hand every `(key, &value)` to `f` in slot order, which depends on
+    /// the insertion history. Only for
+    /// [`crate::paged::PagedLines::for_each_unordered`].
+    pub(crate) fn for_each_unordered(&self, mut f: impl FnMut(u64, &V)) {
+        for (&k, v) in self.keys.iter().zip(&self.vals) {
+            if k != EMPTY {
+                f(k, v);
+            }
+        }
     }
 
     /// Double (or initially allocate) the table and re-seat every entry.

@@ -31,6 +31,10 @@ use knl_arch::{MemTarget, TileId, Topology};
 /// a wider window would swallow genuine short bursts of ring backlog.
 const RING_REORDER_WINDOW_PS: SimTime = 450_000;
 
+/// The most hops between two stops of a die: corner to corner of the
+/// grid. Bounds the tracer's dense latency-histogram row.
+pub(crate) const MAX_HOPS: u32 = (GRID_COLS - 1 + GRID_ROWS - 1) as u32;
+
 /// Fabric configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MeshConfig {
@@ -238,13 +242,17 @@ mod tests {
             .chain((0..NUM_IMCS as u8).map(|i| (StopId::imc(i), t.imc_position(i))))
             .chain((0..32).map(|i| (StopId::tile(TileId(i)), t.tile_position(TileId(i)))))
             .collect::<Vec<_>>();
+        let mut longest = 0;
         for &(a, pa) in &named {
             for &(b, pb) in &named {
                 let hops = pa.0.abs_diff(pb.0) + pa.1.abs_diff(pb.1);
                 assert_eq!(m.hops(a, b), hops, "{a:?} -> {b:?}");
                 assert_eq!(m.traverse(a, b, 100), 100 + hops as u64 * 1_500);
+                longest = longest.max(hops);
             }
         }
+        // EDC 0 and EDC 7 sit in opposite corners.
+        assert_eq!(longest, MAX_HOPS);
         assert_eq!(
             StopId::device(MemTarget::Ddr { imc: 1, chan: 2 }),
             StopId::imc(1)

@@ -12,12 +12,14 @@
 //!   invalidations, updates, write-backs, mcache hits/misses).
 //!
 //! `Metrics` is plain sparse data ([`SortedVecMap`]s); the tracer counts
-//! the per-tile and per-device rows of its current bin in the shared open
-//! bin of [`crate::svmap`]. Serialization is deterministic (ascending key
-//! order) and merging additive, so `knl trace` can re-aggregate per-job
-//! sections in any grouping with identical results.
+//! the per-tile and per-device rows of its current bin, and the latency
+//! histograms served in it, in the shared open bin of [`crate::svmap`].
+//! Serialization is deterministic (ascending key order) and merging
+//! additive, so `knl trace` can re-aggregate per-job sections in any
+//! grouping with identical results.
 
-use crate::engine::observe::{gstate_tag, ProtocolEvent};
+use crate::engine::observe::{gstate_tag, src_index, ProtocolEvent, SRC_TAGS};
+use crate::mesh::MAX_HOPS;
 use crate::paged::PagedLines;
 use crate::svmap::{BinCells, OpenBin, OpenRow, SortedVecMap};
 use crate::trace::{num, one_char, strict_line};
@@ -190,24 +192,27 @@ impl HotLines {
     }
 
     /// The `top` hottest lines, sorted by (count desc, line asc): one pass
-    /// that keeps the best `top` seen so far. Lines arrive in ascending
-    /// order, so a line displaces the current worst only with a strictly
-    /// greater count, and joins behind the lines of its own count.
+    /// that keeps the best `top` seen so far. No two lines tie in that
+    /// order, so the best `top` are the same lines whatever order they are
+    /// visited in, and the pass walks the profile in storage order rather
+    /// than sorting it by line first.
     pub fn top(&self, top: usize) -> Vec<(u64, u64)> {
         let mut best: Vec<(u64, u64)> = Vec::new();
         if top == 0 {
             return best;
         }
-        for (line, n) in self.iter() {
+        let rank = |line: u64, n: u64| (std::cmp::Reverse(n), line);
+        self.counts.for_each_unordered(|line, &n| {
             if best.len() == top {
-                if n <= best[top - 1].1 {
-                    continue;
+                let (worst, m) = best[top - 1];
+                if rank(line, n) > rank(worst, m) {
+                    return;
                 }
                 best.pop();
             }
-            let at = best.partition_point(|&(_, m)| m >= n);
+            let at = best.partition_point(|&(l, m)| rank(l, m) < rank(line, n));
             best.insert(at, (line, n));
-        }
+        });
         best
     }
 }
@@ -223,21 +228,40 @@ impl PartialEq for HotLines {
 impl Eq for HotLines {}
 
 /// The tracer's open [`BIN_PS`] bin: what each tile was served and each
-/// device took in since the bin opened. A cell is the bin's own count
-/// (`serves`, `reads + writes`) and the bin's share of the per-tile and
-/// per-device totals at once.
+/// device took in since the bin opened, and the latencies served. A tile
+/// or device cell is the bin's own count (`serves`, `reads + writes`) and
+/// the bin's share of the per-tile and per-device totals at once; a
+/// histogram cell is the bin's share of one (source tag, hops) histogram.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MetricsCells {
     tiles: OpenRow<TileStat>,
     devs: OpenRow<DevStat>,
+    /// Indexed by [`hist_cell`]: at most [`SRC_TAGS`] × ([`MAX_HOPS`] + 1)
+    /// cells.
+    hist: OpenRow<Hist>,
+}
+
+/// The [`MetricsCells::hist`] cell of `(src, hops)`, hop-major so that no
+/// hop count can alias another source tag.
+#[inline]
+fn hist_cell(src: char, hops: u32) -> usize {
+    debug_assert!(hops <= MAX_HOPS, "{hops} hops is off the die");
+    hops as usize * SRC_TAGS.len() + src_index(src)
 }
 
 impl BinCells<Metrics> for MetricsCells {
     fn is_empty(&self) -> bool {
-        self.tiles.is_empty() && self.devs.is_empty()
+        self.tiles.is_empty() && self.devs.is_empty() && self.hist.is_empty()
     }
 
     fn close_into(&mut self, bin: u64, m: &mut Metrics) {
+        self.hist.drain(|cell, h| {
+            let key = (
+                SRC_TAGS[cell % SRC_TAGS.len()],
+                (cell / SRC_TAGS.len()) as u32,
+            );
+            m.hist.entry_or_default(key).merge(&h);
+        });
         self.tiles.drain(|tile, t| {
             let tile = tile as u16;
             m.tiles.entry_or_default(tile).add(&t);
@@ -271,9 +295,10 @@ impl OpenBin<MetricsCells, Metrics> {
                 latency_ps,
                 ..
             } => {
-                m.hist.entry_or_default((src, hops)).add(latency_ps);
                 m.hot_lines.add(line, 1);
-                let t = self.at(time).tiles.cell(usize::from(tile));
+                let cells = self.at(time);
+                cells.hist.cell(hist_cell(src, hops)).add(latency_ps);
+                let t = cells.tiles.cell(usize::from(tile));
                 t.serves += 1;
                 match src {
                     'L' => t.l1 += 1,
@@ -936,6 +961,64 @@ mod tests {
             assert!(back.parse_line(line), "unparsed: {line}");
         }
         assert_eq!(back.updates, 3);
+    }
+
+    /// The reference top-k for [`HotLines::top`], an ascending scan: lines
+    /// arrive in ascending order, so a line displaces the current worst
+    /// only with a strictly greater count, and joins behind the lines of
+    /// its own count.
+    fn top_by_ascending_scan(hot: &HotLines, top: usize) -> Vec<(u64, u64)> {
+        let mut best: Vec<(u64, u64)> = Vec::new();
+        if top == 0 {
+            return best;
+        }
+        for (line, n) in hot.iter() {
+            if best.len() == top {
+                if n <= best[top - 1].1 {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|&(_, m)| m >= n);
+            best.insert(at, (line, n));
+        }
+        best
+    }
+
+    #[test]
+    fn order_free_top_equals_the_ascending_scan() {
+        use knl_arch::SplitMixRng;
+        for seed in [3u64, 0x70_9A, 0xDEAD_BEEF] {
+            let mut rng = SplitMixRng::seed_from_u64(seed);
+            let mut hot = HotLines::default();
+            // Pages 0–8 created in order, so page 8 opens the second chunk;
+            // lines 63 and 64 tie across that page and chunk boundary, as do
+            // 7 and 8 across a page boundary inside the first chunk.
+            for page in 0..9u64 {
+                hot.add(page << 3 | 3, 1);
+            }
+            for line in [7, 8, 63, 64] {
+                hot.add(line, 40);
+            }
+            // Then ~60 more pages in random order (three more chunks),
+            // counts drawn from a narrow range so that ties straddle every
+            // cut, and a few lines far away.
+            for _ in 0..3000 {
+                let line = match rng.range_u32(0, 20) {
+                    0 => rng.next_u64() >> 8,
+                    _ => rng.range_u64(9 * 8, 70 * 8),
+                };
+                hot.add(line, rng.range_u64(1, 3));
+            }
+            let held = hot.iter().count();
+            assert!(held > 2 * HOT_LINES_TOP, "seed {seed}");
+            assert_eq!(hot.top(4), [(7, 40), (8, 40), (63, 40), (64, 40)]);
+            for top in [0, 1, 2, 3, 4, HOT_LINES_TOP, held, held + 1, usize::MAX] {
+                let want = top_by_ascending_scan(&hot, top);
+                assert_eq!(hot.top(top), want, "seed {seed}, top {top}");
+                assert_eq!(want.len(), top.min(held));
+            }
+        }
     }
 
     #[test]

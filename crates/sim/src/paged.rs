@@ -9,16 +9,22 @@
 //! exists: growing the table copies nothing, costs one allocation per
 //! chunk and never holds the old and the new table at once. A small
 //! [`LineMap`] takes a page number to where its page lives, with the last
-//! page touched memoized, so a stream that walks lines in order probes the
-//! hashed index once per page and reads each page's host cache lines once.
+//! two pages touched memoized, so a stream that walks lines in order probes
+//! the hashed index once per page and reads each page's host cache lines
+//! once — and so do two streams walked in lockstep (a triad's `b` and `c`,
+//! a copy's source and destination), which a one-page memo would miss on
+//! every access.
 //!
 //! The price is the page: a lone key in its page (a 4 KiB-strided walk)
 //! spends `PAGE_LINES` slots on one entry, the bound stated once here
 //! for every user — the directory, the memory-side-cache tags and the
 //! hot-line profile.
 //!
-//! Determinism: the only way to walk a `PagedLines` is [`PagedLines::iter`],
-//! ascending by key; creation order never reaches a caller.
+//! Determinism: the way to walk a `PagedLines` is [`PagedLines::iter`],
+//! ascending by key. The one exception, `PagedLines::for_each_unordered`,
+//! visits in page-creation order for a reduction whose result cannot
+//! depend on the order (the hot-line top-k, under a total order); no other
+//! caller.
 
 use crate::fxmap::LineMap;
 
@@ -62,9 +68,9 @@ pub struct PagedLines<V> {
     /// The chunk new pages are pushed to (`clear` rewinds it to 0 and the
     /// chunks keep their capacity).
     filling: usize,
-    /// Page number and index value of the last page a `&mut self` lookup
-    /// touched; `NO_PAGE` when there is none.
-    last: (u64, u32),
+    /// Page number and index value of the last two pages a `&mut self`
+    /// lookup touched, the latest first; `NO_PAGE` where there is none.
+    last: [(u64, u32); 2],
 }
 
 /// Above every page number (`u64::MAX >> PAGE_SHIFT`).
@@ -98,7 +104,7 @@ impl<V: Default> PagedLines<V> {
             index: LineMap::new(),
             chunks: Vec::new(),
             filling: 0,
-            last: (NO_PAGE, 0),
+            last: [(NO_PAGE, 0); 2],
         }
     }
 
@@ -110,10 +116,23 @@ impl<V: Default> PagedLines<V> {
     /// Index value of `page`, if it exists.
     #[inline]
     fn find(&self, page: u64) -> Option<u32> {
-        if self.last.0 == page {
-            Some(self.last.1)
+        let [latest, older] = self.last;
+        if latest.0 == page {
+            Some(latest.1)
+        } else if older.0 == page {
+            Some(older.1)
         } else {
             self.index.get(page).copied()
+        }
+    }
+
+    /// Make `page` (at index value `at`) the latest memoized page; the
+    /// older of the two memoized pages leaves unless it is `page`.
+    #[inline]
+    fn touch(&mut self, page: u64, at: u32) {
+        if self.last[0].0 != page {
+            self.last[1] = self.last[0];
+            self.last[0] = (page, at);
         }
     }
 
@@ -136,7 +155,7 @@ impl<V: Default> PagedLines<V> {
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
         let (page, slot) = Self::split(key);
         let at = self.find(page)?;
-        self.last = (page, at);
+        self.touch(page, at);
         let (chunk, offset) = locate(at);
         let p = &mut self.chunks[chunk][offset];
         if p.present >> slot & 1 != 0 {
@@ -162,7 +181,7 @@ impl<V: Default> PagedLines<V> {
             Some(at) => at,
             None => self.new_page(page),
         };
-        self.last = (page, at);
+        self.touch(page, at);
         let (chunk, offset) = locate(at);
         let p = &mut self.chunks[chunk][offset];
         let was_present = p.present >> slot & 1 != 0;
@@ -205,7 +224,7 @@ impl<V: Default> PagedLines<V> {
         }
         self.index.clear();
         self.filling = 0;
-        self.last = (NO_PAGE, 0);
+        self.last = [(NO_PAGE, 0); 2];
     }
 
     /// Every `(key, &value)`, in ascending key order.
@@ -218,6 +237,30 @@ impl<V: Default> PagedLines<V> {
                 .map(move |slot| (page << PAGE_SHIFT | slot as u64, &p.slots[slot]))
         })
     }
+
+    /// Hand every `(key, &value)` to `f` in page-creation order, which
+    /// depends on the table's history: for a reduction whose result does
+    /// not depend on the order, which then skips [`PagedLines::iter`]'s
+    /// sort of the page index and reads the pages front to back. Its one
+    /// caller is `metrics::HotLines::top`.
+    pub(crate) fn for_each_unordered(&self, mut f: impl FnMut(u64, &V)) {
+        // Each page's number, where the page sits in its chunk.
+        let mut numbers: Vec<Vec<u64>> = self.chunks.iter().map(|c| vec![0; c.len()]).collect();
+        self.index.for_each_unordered(|page, &at| {
+            let (chunk, offset) = locate(at);
+            numbers[chunk][offset] = page;
+        });
+        for (chunk, numbers) in self.chunks.iter().zip(&numbers) {
+            for (p, &page) in chunk.iter().zip(numbers) {
+                let mut present = p.present;
+                while present != 0 {
+                    let slot = present.trailing_zeros() as usize;
+                    present &= present - 1;
+                    f(page << PAGE_SHIFT | slot as u64, &p.slots[slot]);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -225,8 +268,8 @@ mod tests {
     use super::*;
     use knl_arch::SplitMixRng;
 
-    /// Keys the streams draw from: dense runs, one slot per page (the
-    /// 4 KiB stride is 64 lines), and both ends of pages far apart.
+    /// Keys drawn at random: dense runs, one slot per page (the 4 KiB
+    /// stride is 64 lines), and both ends of pages far apart.
     fn draw(rng: &mut SplitMixRng) -> u64 {
         match rng.range_u32(0, 4) {
             0 => rng.range_u64(1 << 20, (1 << 20) + 600),
@@ -236,6 +279,38 @@ mod tests {
                 page << PAGE_SHIFT | [0, PAGE_LINES as u64 - 1][rng.range_usize(0, 2)]
             }
             _ => rng.range_u64(0, 1 << 12),
+        }
+    }
+
+    /// Keys of one to three streams walked in lockstep, each line by line
+    /// from its own base: two streams alternate between the two memoized
+    /// pages (a triad's `b` and `c`), three evict the older one on every
+    /// access. `width` and the bases change every `PHASE` keys.
+    struct Lockstep {
+        cursors: [u64; 3],
+        width: usize,
+        turn: usize,
+    }
+
+    const PHASE: u64 = 1500;
+
+    impl Lockstep {
+        fn next(&mut self, rng: &mut SplitMixRng, step: u64) -> u64 {
+            if step.is_multiple_of(PHASE) {
+                self.width = rng.range_usize(1, 4);
+                // Bases a few pages apart (the pages may already exist) or
+                // far apart.
+                for c in &mut self.cursors {
+                    *c = match rng.range_u32(0, 2) {
+                        0 => (1 << 20) + rng.range_u64(0, 64),
+                        _ => rng.range_u64(0, 1 << 30) << 8,
+                    };
+                }
+            }
+            self.turn = (self.turn + 1) % self.width;
+            let c = &mut self.cursors[self.turn];
+            *c += 1;
+            *c
         }
     }
 
@@ -253,8 +328,18 @@ mod tests {
             let mut rng = SplitMixRng::seed_from_u64(seed);
             let mut paged: PagedLines<u64> = PagedLines::new();
             let mut oracle: LineMap<u64> = LineMap::new();
+            let mut lockstep = Lockstep {
+                cursors: [0; 3],
+                width: 1,
+                turn: 0,
+            };
             for step in 0..60_000 {
-                let key = draw(&mut rng);
+                // Random keys and lockstep streams, phase by phase.
+                let key = if (step / PHASE).is_multiple_of(2) {
+                    draw(&mut rng)
+                } else {
+                    lockstep.next(&mut rng, step)
+                };
                 let ctx = format!("seed {seed:#x} step {step} key {key:#x}");
                 match rng.range_u32(0, 100) {
                     0 if step % 7 == 0 => {
@@ -291,6 +376,39 @@ mod tests {
                 }
             }
             assert_same(&paged, &oracle);
+        }
+    }
+
+    #[test]
+    fn the_memo_holds_the_last_two_pages_until_clear() {
+        let mut t: PagedLines<u64> = PagedLines::new();
+        let pages = |t: &PagedLines<u64>| t.last.map(|(page, _)| page);
+        let (a, b, c) = (0u64, 5u64, 9u64);
+        *t.get_or_insert_default(a << PAGE_SHIFT) += 1;
+        *t.get_or_insert_default(b << PAGE_SHIFT) += 2;
+        assert_eq!(pages(&t), [b, a]);
+        // Alternating between the two: both stay.
+        for _ in 0..3 {
+            *t.get_mut(a << PAGE_SHIFT).unwrap() += 1;
+            assert_eq!(pages(&t), [a, b]);
+            // An absent slot of a present page touches the page too.
+            assert_eq!(t.get_mut(b << PAGE_SHIFT | 1), None);
+            assert_eq!(pages(&t), [b, a]);
+        }
+        // A third page evicts the older one; a shared lookup moves nothing.
+        t.get_or_insert_default(c << PAGE_SHIFT | 7);
+        assert_eq!(pages(&t), [c, b]);
+        assert_eq!(t.get(a << PAGE_SHIFT), Some(&4));
+        assert_eq!(pages(&t), [c, b]);
+        // Clear forgets both: the pages are gone, and the chunk slots they
+        // named now hold other pages.
+        t.clear();
+        assert_eq!(pages(&t), [NO_PAGE; 2]);
+        t.get_or_insert_default(1 << 40);
+        t.get_or_insert_default(2 << 40);
+        for key in [b << PAGE_SHIFT, c << PAGE_SHIFT | 7] {
+            assert_eq!(t.get(key), None);
+            assert_eq!(t.get_mut(key), None);
         }
     }
 
