@@ -20,8 +20,8 @@ mod table2;
 /// One regenerator.
 pub struct Experiment {
     /// Name on the command line; also the progress label, the stem of the
-    /// default `results/<id>.trace` / `.telemetry` files and the `binary`
-    /// value of the manifests it writes.
+    /// default `results/<id>.trace` / `.telemetry` files and the first
+    /// word of the command its `results/INDEX` lines record.
     pub id: &'static str,
     /// What it regenerates in the paper.
     pub paper_ref: &'static str,
@@ -129,10 +129,11 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
 /// writes to `(id, conf)`, give it its one sink, write the sink's trace
 /// and telemetry files once the body returns.
 pub fn run(exp: &Experiment, conf: &RunConf) {
-    crate::provenance::set_producer(exp.id, conf);
-    let sink = TraceSink::new(conf, exp.id);
-    (exp.run)(conf, &sink);
-    sink.write().expect("write trace");
+    crate::provenance::producing(exp.id, conf, || {
+        let sink = TraceSink::new(conf, exp.id);
+        (exp.run)(conf, &sink);
+        sink.write().expect("write trace");
+    });
 }
 
 #[cfg(test)]
@@ -158,7 +159,7 @@ mod tests {
 
     #[test]
     fn every_id_is_in_the_design_index_and_the_readme_quick_start() {
-        let root = crate::provenance::workspace_root();
+        let root = crate::output::workspace_root();
         let read = |name: &str| std::fs::read_to_string(root.join(name)).expect(name);
         let between = |text: &str, from: &str, to: &str| {
             let (_, rest) = text

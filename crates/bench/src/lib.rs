@@ -19,7 +19,8 @@
 //!   OpenMP-like vs MPI-like, with the min–max model band),
 //! * [`output`] — aligned console tables + CSV dumps under `results/`,
 //! * [`plot`] — ASCII charts beside the tables,
-//! * [`provenance`] — the `<artifact>.manifest.json` sidecars,
+//! * [`provenance`] — `results/INDEX`: each artifact's digest and the
+//!   command that wrote it,
 //! * [`profile`] — host-side wall-clock phase timers.
 //!
 //! How fast the simulator itself runs is measured by the separate

@@ -58,10 +58,8 @@ fn write_cache(cfg: &MachineConfig, params: &SuiteParams, r: &SuiteResults) {
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    // A cache that could not be written gets no manifest.
-    if crate::output::write_if_changed(&path, knl_benchsuite::encode_suite(r).as_bytes()).is_ok() {
-        crate::provenance::write_manifest(&path);
-    }
+    // A cache that could not be written gets no INDEX line.
+    let _ = crate::provenance::write_artifact(&path, knl_benchsuite::encode_suite(r).as_bytes());
 }
 
 fn cache_path(cfg: &MachineConfig, params: &SuiteParams) -> PathBuf {
@@ -103,7 +101,7 @@ mod tests {
         assert_eq!(m1.contention.beta, m2.contention.beta);
 
         // A cache file that cannot be written (a directory is in its way)
-        // gets no manifest.
+        // gets no INDEX line, even under a producer.
         let results = suite_results(&cfg, &p);
         drop(_dir);
         let dir = std::env::temp_dir().join("knl_modelfit_unwritable_test");
@@ -111,9 +109,21 @@ mod tests {
         let _dir = crate::output::ResultsDirGuard::set(&dir);
         let path = cache_path(&cfg, &p);
         std::fs::create_dir_all(&path).unwrap();
-        write_cache(&cfg, &p, &results);
+        let write = || {
+            let conf = Default::default();
+            crate::provenance::producing("fig6_barrier", &conf, || write_cache(&cfg, &p, &results))
+        };
+        write();
         assert!(path.is_dir());
-        assert!(!crate::provenance::manifest_path(&path).exists());
+        assert!(!dir.join(crate::provenance::INDEX).exists());
+        // Once it can be written, it gets its line.
+        std::fs::remove_dir(&path).unwrap();
+        write();
+        let index = std::fs::read_to_string(dir.join(crate::provenance::INDEX)).unwrap();
+        assert!(
+            index.starts_with("suite-cache/SNC4-flat-i3.json "),
+            "{index}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -60,10 +60,10 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Write as CSV under `results/<name>.csv` (creating the directory),
-    /// with a provenance sidecar manifest (see [`crate::provenance`]).
-    /// Either file is left alone when it already holds the same bytes
-    /// (`write_if_changed`).
+    /// Write as CSV under `results/<name>.csv` (creating the directory)
+    /// through [`crate::provenance::write_artifact`]: the file is left
+    /// alone when it already holds the same bytes, and a `knl run` gives it
+    /// its INDEX line.
     pub fn write_csv(&self, name: &str) -> PathBuf {
         let dir = results_dir();
         fs::create_dir_all(&dir).expect("create results dir");
@@ -73,8 +73,7 @@ impl Table {
             text.push_str(&csv_record(record));
             text.push('\n');
         }
-        write_if_changed(&path, text.as_bytes()).expect("write csv");
-        crate::provenance::write_manifest(&path);
+        crate::provenance::write_artifact(&path, text.as_bytes()).expect("write csv");
         path
     }
 }
@@ -112,16 +111,20 @@ fn csv_record(cells: &[String]) -> String {
     cells.join(",")
 }
 
-/// `results/` at the workspace root (env override: `KNL_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("KNL_RESULTS_DIR") {
-        return PathBuf::from(d);
-    }
-    // Walk up from the crate dir to the workspace root.
+/// The workspace root (two levels above this crate's manifest dir).
+pub fn workspace_root() -> PathBuf {
     let mut p = Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf();
     p.pop();
     p.pop();
-    p.join("results")
+    p
+}
+
+/// `results/` at the workspace root (env override: `KNL_RESULTS_DIR`).
+pub fn results_dir() -> PathBuf {
+    match std::env::var("KNL_RESULTS_DIR") {
+        Ok(d) => PathBuf::from(d),
+        Err(_) => workspace_root().join("results"),
+    }
 }
 
 /// Test support: `KNL_RESULTS_DIR` points at `dir` while the guard lives.
@@ -263,23 +266,41 @@ mod tests {
         let _dir = ResultsDirGuard::set(&dir);
         let mut t = Table::new("t", &["x", "y"]);
         t.row(vec!["1".into(), "2".into()]);
+        // No producer: the CSV and no INDEX.
         let csv = t.write_csv("unit_test_twice");
-        let manifest = crate::provenance::manifest_path(&csv);
-        let (csv_bytes, manifest_bytes) = (fs::read(&csv).unwrap(), fs::read(&manifest).unwrap());
-        let (csv_old, manifest_old) = (backdate(&csv), backdate(&manifest));
+        let index = dir.join(crate::provenance::INDEX);
+        assert!(csv.is_file() && !index.exists());
+
+        let line = |bytes: &[u8]| {
+            let digest = crate::provenance::digest(bytes);
+            format!("unit_test_twice.csv {digest} table1 --quick --protocol=mesif --telemetry=0\n")
+        };
+        let write = |t: &Table| {
+            crate::provenance::producing("table1", &Default::default(), || {
+                t.write_csv("unit_test_twice")
+            })
+        };
+        write(&t);
+        let (csv_bytes, index_text) =
+            (fs::read(&csv).unwrap(), fs::read_to_string(&index).unwrap());
+        assert_eq!(index_text, line(&csv_bytes));
+        let (csv_old, index_old) = (backdate(&csv), backdate(&index));
 
         // The same table again: neither file is touched.
-        assert_eq!(t.write_csv("unit_test_twice"), csv);
-        assert_eq!((mtime(&csv), mtime(&manifest)), (csv_old, manifest_old));
+        assert_eq!(write(&t), csv);
+        assert_eq!((mtime(&csv), mtime(&index)), (csv_old, index_old));
         assert_eq!(fs::read(&csv).unwrap(), csv_bytes);
-        assert_eq!(fs::read(&manifest).unwrap(), manifest_bytes);
+        assert_eq!(fs::read_to_string(&index).unwrap(), index_text);
 
-        // Another row: the CSV is rewritten, the manifest still says the same.
+        // Another row: the CSV is rewritten and its line names the new bytes.
         t.row(vec!["3".into(), "4".into()]);
-        t.write_csv("unit_test_twice");
+        write(&t);
         assert_eq!(fs::read_to_string(&csv).unwrap(), "x,y\n1,2\n3,4\n");
         assert_ne!(mtime(&csv), csv_old);
-        assert_eq!(fs::read(&manifest).unwrap(), manifest_bytes);
+        assert_eq!(
+            fs::read_to_string(&index).unwrap(),
+            line(b"x,y\n1,2\n3,4\n")
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

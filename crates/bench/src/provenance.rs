@@ -1,399 +1,237 @@
-//! Run provenance: sidecar manifests tying every results artifact to the
-//! sources, run configuration, and bench trajectory that produced it.
-//!
-//! Three of the last six PRs burned effort hand-diagnosing stale
-//! `results/*.csv`; this module makes staleness mechanical. Every CSV a
-//! [`crate::output::Table`] writes and every suite-cache JSON gains an
-//! `<artifact>.manifest.json` sidecar recording:
-//!
-//! * a FNV-1a-64 digest over every `.rs` source in the workspace (any
-//!   code change — simulator, suite, harness — changes the digest),
-//! * the producing experiment's id and its parsed [`RunConf`] (effort,
-//!   jobs, protocol, observer levels, telemetry interval), and
-//! * the newest checked-in `BENCH_<n>.json` trajectory at stamping time.
-//!
-//! Manifests render through [`knl_stats::json::Json`], whose object keys
-//! are sorted — re-stamping an unchanged tree is byte-stable. `knl
-//! provenance` verifies (`--verify`, CI) or re-blesses (`--stamp`) the
-//! whole `results/` tree; a re-bless refreshes the digest and trajectory
-//! only, so an artifact stays attributed to the experiment and run
-//! configuration that produced it.
+//! Run provenance: `results/INDEX`, one sorted line `<path> <digest> <id>
+//! <flags>` per tracked artifact — the FNV-1a-64 digest of its bytes and the
+//! `knl run` command that wrote them, with only the flags that decide bytes
+//! (effort, protocol, telemetry interval). The driver names the producer
+//! ([`producing`]); each artifact writer updates its line ([`write_artifact`]).
+//! No producer (the repo benchmark, unit tests), no INDEX.
 
+use crate::experiments::{self, Experiment};
+use crate::output::{results_dir, write_if_changed};
 use crate::runconf::RunConf;
-use knl_stats::json::Json;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-/// Manifest format tag.
-pub const FORMAT: &str = "knl-provenance-v1";
+/// The index file's name inside a results dir.
+pub const INDEX: &str = "INDEX";
 
-static SOURCE_DIGEST: OnceLock<String> = OnceLock::new();
-/// Who is writing artifacts right now: the manifests' `binary` and `run`.
-static PRODUCER: Mutex<Option<(String, Json)>> = Mutex::new(None);
+/// `<id> <flags>` of the run writing artifacts now, if any.
+static PRODUCER: Mutex<Option<String>> = Mutex::new(None);
 
-/// Attribute every manifest written from now on to experiment `id` run
-/// under `conf`, until the next call (the experiment driver calls this
-/// before each experiment, so one process can produce many). A process
-/// that never calls it writes its executable's name and `run: null`.
-pub fn set_producer(id: &str, conf: &RunConf) {
-    let effort = match conf.effort {
-        crate::runconf::Effort::Quick => "quick",
-        crate::runconf::Effort::Paper => "paper",
-    };
-    let run = Json::obj(vec![
-        ("effort", Json::Str(effort.into())),
-        ("jobs", Json::Num(conf.jobs as f64)),
-        ("protocol", Json::Str(conf.protocol.name().into())),
-        ("check", Json::Str(conf.check.name().into())),
-        ("trace", Json::Str(conf.trace.name().into())),
-        ("analyze", Json::Str(conf.analyze.name().into())),
-        (
-            "telemetry_interval_ps",
-            Json::Num(conf.telemetry.interval_ps as f64),
-        ),
-    ]);
-    *PRODUCER.lock().expect("producer poisoned") = Some((id.to_string(), run));
-}
-
-/// The workspace root (two levels above this crate's manifest dir).
-pub fn workspace_root() -> PathBuf {
-    let mut p = Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf();
-    p.pop();
-    p.pop();
-    p
-}
-
-/// FNV-1a-64 digest over every `.rs` file under `crates/`, in sorted
-/// relative-path order (path bytes and contents both fold in). Cached for
-/// the process lifetime.
-pub fn source_digest() -> &'static str {
-    SOURCE_DIGEST.get_or_init(|| {
-        let root = workspace_root().join("crates");
-        let mut files = Vec::new();
-        collect_rs(&root, &mut files);
-        files.sort();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for f in &files {
-            let rel = f.strip_prefix(&root).unwrap_or(f);
-            fnv(&mut h, rel.to_string_lossy().as_bytes());
-            if let Ok(bytes) = std::fs::read(f) {
-                fnv(&mut h, &bytes);
-            }
-        }
-        format!("fnv1a64:{h:016x}")
-    })
-}
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// Every `.rs` file under `dir`, skipping `target/` build directories.
-pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for e in entries.flatten() {
-        let p = e.path();
-        if p.is_dir() {
-            if p.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            collect_rs(&p, out);
-        } else if p.extension().is_some_and(|x| x == "rs") {
-            out.push(p);
-        }
-    }
-}
-
-/// The newest checked-in bench trajectory at the workspace root
-/// (`BENCH_<n>.json` with the highest `n`), if any.
-pub fn latest_trajectory() -> Option<String> {
-    let root = workspace_root();
-    let mut best: Option<(u32, String)> = None;
-    for e in std::fs::read_dir(root).ok()?.flatten() {
-        let name = e.file_name().to_string_lossy().into_owned();
-        if let Some(n) = name
-            .strip_prefix("BENCH_")
-            .and_then(|s| s.strip_suffix(".json"))
-            .and_then(|s| s.parse::<u32>().ok())
-        {
-            if best.as_ref().is_none_or(|(b, _)| n > *b) {
-                best = Some((n, name));
-            }
-        }
-    }
-    best.map(|(_, name)| name)
-}
-
-/// Sidecar manifest path of an artifact (`x.csv` → `x.csv.manifest.json`).
-pub fn manifest_path(artifact: &Path) -> PathBuf {
-    let mut name = artifact
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    name.push_str(".manifest.json");
-    artifact.with_file_name(name)
-}
-
-/// Build the manifest document for `artifact` as produced right now.
-pub fn manifest_for(artifact: &Path) -> Json {
-    let argv0_stem = || {
-        let exe = std::env::args().next().unwrap_or_else(|| "unknown".into());
-        let stem = Path::new(&exe).file_stem();
-        stem.map_or(exe.clone(), |s| s.to_string_lossy().into_owned())
-    };
-    let (binary, run) = PRODUCER
-        .lock()
-        .expect("producer poisoned")
-        .clone()
-        .unwrap_or_else(|| (argv0_stem(), Json::Null));
-    Json::obj(vec![
-        ("format", Json::Str(FORMAT.into())),
-        (
-            "artifact",
-            Json::Str(
-                artifact
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default(),
-            ),
-        ),
-        ("binary", Json::Str(binary)),
-        ("source_digest", Json::Str(source_digest().into())),
-        (
-            "trajectory",
-            latest_trajectory().map_or(Json::Null, Json::Str),
-        ),
-        ("run", run),
-    ])
-}
-
-/// Write (or refresh) the sidecar manifest for `artifact`, unless it
-/// already holds these bytes. Failures are silent: provenance must never
-/// break a results run.
-pub fn write_manifest(artifact: &Path) {
-    write_doc(artifact, &manifest_for(artifact));
-}
-
-/// Re-bless `artifact` as a product of the current tree: refresh its
-/// manifest's `source_digest` and `trajectory` and keep who produced it
-/// (`binary`, `run`). Only an artifact without a readable manifest is
-/// attributed to the stamping process.
-pub fn stamp_manifest(artifact: &Path) {
-    let mut doc = manifest_for(artifact);
-    let old = std::fs::read_to_string(manifest_path(artifact))
-        .ok()
-        .and_then(|text| Json::parse(&text))
-        .filter(|old| old.get("format").and_then(Json::as_str) == Some(FORMAT));
-    if let (Json::Obj(new), Some(Json::Obj(mut old))) = (&mut doc, old) {
-        for key in ["binary", "run"] {
-            if let Some(kept) = old.remove(key) {
-                new.insert(key.into(), kept);
-            }
-        }
-    }
-    write_doc(artifact, &doc);
-}
-
-fn write_doc(artifact: &Path, doc: &Json) {
-    let mut text = doc.render();
-    text.push('\n');
-    let _ = crate::output::write_if_changed(&manifest_path(artifact), text.as_bytes());
-}
-
-/// Verification outcome of one artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// Manifest present, source digest matches the current tree.
-    Fresh,
-    /// Manifest present but the tree changed since stamping.
-    Stale {
-        /// Digest recorded in the manifest.
-        recorded: String,
-    },
-    /// No sidecar manifest next to the artifact.
-    Missing,
-    /// Sidecar exists but is unreadable/unparsable.
-    Corrupt,
-}
-
-/// Verify one artifact's sidecar against the current source digest.
-pub fn verify(artifact: &Path) -> Verdict {
-    let Ok(text) = std::fs::read_to_string(manifest_path(artifact)) else {
-        return Verdict::Missing;
-    };
-    let Some(doc) = Json::parse(&text) else {
-        return Verdict::Corrupt;
-    };
-    if doc.get("format").and_then(Json::as_str) != Some(FORMAT) {
-        return Verdict::Corrupt;
-    }
-    match doc.get("source_digest").and_then(Json::as_str) {
-        Some(d) if d == source_digest() => Verdict::Fresh,
-        Some(d) => Verdict::Stale {
-            recorded: d.to_string(),
-        },
-        None => Verdict::Corrupt,
-    }
-}
-
-/// All provenance-tracked artifacts under a results dir: `*.csv` and
-/// `*.telemetry` at the top level plus `suite-cache/*.json`, manifests and
-/// logs excluded, in sorted order.
-pub fn tracked_artifacts(results: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let is_manifest = |p: &Path| p.to_string_lossy().ends_with(".manifest.json");
-    if let Ok(entries) = std::fs::read_dir(results) {
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_file()
-                && !is_manifest(&p)
-                && p.extension()
-                    .is_some_and(|x| x == "csv" || x == "telemetry")
-            {
-                out.push(p);
-            }
-        }
-    }
-    if let Ok(entries) = std::fs::read_dir(results.join("suite-cache")) {
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_file() && !is_manifest(&p) && p.extension().is_some_and(|x| x == "json") {
-                out.push(p);
-            }
-        }
-    }
-    out.sort();
+/// Run `body` with what it writes attributed to `knl run <id>` under `conf`.
+pub fn producing<R>(id: &str, conf: &RunConf, body: impl FnOnce() -> R) -> R {
+    *PRODUCER.lock().expect("producer poisoned") = Some(command(id, conf));
+    let out = body();
+    *PRODUCER.lock().expect("producer poisoned") = None;
     out
+}
+
+/// An INDEX line's `<id> <flags>` (telemetry in ps, 0 = off); see [`parse_command`].
+pub fn command(id: &str, conf: &RunConf) -> String {
+    let (effort, protocol) = (conf.effort.flag(), conf.protocol.name());
+    let ps = conf.telemetry.interval_ps;
+    format!("{id} {effort} --protocol={protocol} --telemetry={ps}")
+}
+
+/// The experiment and run configuration of a recorded command.
+pub fn parse_command(command: &str) -> Option<(&'static Experiment, RunConf)> {
+    let mut words = command.split(' ').map(str::to_string);
+    let exp = experiments::find(&words.next()?)?;
+    Some((exp, RunConf::parse(words, |_| None).ok()?))
+}
+
+/// FNV-1a-64 of `bytes`, as 16 hex digits.
+pub fn digest(bytes: &[u8]) -> String {
+    let fnv = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    format!("{:016x}", bytes.iter().fold(0xcbf2_9ce4_8422_2325, fnv))
+}
+
+/// Is `rel` a tracked artifact: `*.csv` or `*.telemetry` at the top of
+/// the results dir, or `suite-cache/*.json`?
+fn is_tracked(rel: &str) -> bool {
+    match rel.split_once('/') {
+        None => rel.ends_with(".csv") || rel.ends_with(".telemetry"),
+        Some((dir, file)) => dir == "suite-cache" && file.ends_with(".json") && !file.contains('/'),
+    }
+}
+
+/// `output::write_if_changed`, then, while a producer is set and `path` is a
+/// tracked artifact under the results dir, make its INDEX line name these
+/// bytes and that producer (a failed write touches no line).
+pub fn write_artifact(path: &Path, bytes: &[u8]) -> std::io::Result<bool> {
+    let wrote = write_if_changed(path, bytes)?;
+    let producer = PRODUCER.lock().expect("producer poisoned");
+    let results = results_dir();
+    let rel = path.strip_prefix(&results).ok().and_then(Path::to_str);
+    if let (Some(command), Some(rel)) = (producer.as_ref(), rel.filter(|r| is_tracked(r))) {
+        let index = results.join(INDEX);
+        let old = std::fs::read_to_string(&index).unwrap_or_default();
+        let mut lines: BTreeMap<&str, String> = old
+            .lines()
+            .filter_map(|l| Some((l.split(' ').next()?, format!("{l}\n"))))
+            .collect();
+        lines.insert(rel, format!("{rel} {} {command}\n", digest(bytes)));
+        write_if_changed(&index, lines.into_values().collect::<String>().as_bytes())?;
+    }
+    Ok(wrote)
+}
+
+/// The INDEX: path → (digest, `<id> <flags>`).
+pub type Index = BTreeMap<String, (String, String)>;
+
+/// Parse the INDEX at `index`: one message for a missing file or the first
+/// line that does not parse or sort strictly after the one before.
+pub fn read_index(index: &Path) -> Result<Index, String> {
+    let text = std::fs::read_to_string(index)
+        .map_err(|e| format!("{}: cannot read: {e}", index.display()))?;
+    let mut lines = Index::new();
+    for (n, raw) in (1..).zip(text.lines()) {
+        match parse_line(raw) {
+            Some((path, line)) if lines.last_key_value().is_none_or(|(prev, _)| *prev < path) => {
+                lines.insert(path, line);
+            }
+            _ => return Err(format!("{}:{n}: unparsable line {raw:?}", index.display())),
+        }
+    }
+    Ok(lines)
+}
+
+/// `<tracked path> <digest> <command>` as an [`Index`] entry.
+fn parse_line(raw: &str) -> Option<(String, (String, String))> {
+    let mut words = raw.splitn(3, ' ');
+    let (path, digest, command) = (words.next()?, words.next()?, words.next()?);
+    let hex = digest.len() == 16 && digest.bytes().all(|b| b.is_ascii_hexdigit());
+    let ok = hex && is_tracked(path) && parse_command(command).is_some();
+    ok.then(|| (path.into(), (digest.into(), command.into())))
+}
+
+/// One message per disagreement between `lines` and the tracked files under
+/// `dir`: a digest not the file's, a line naming no file, a file with no line.
+pub fn problems(lines: &Index, dir: &Path) -> Vec<String> {
+    let mut out = Vec::new();
+    for (path, (want, _)) in lines {
+        match std::fs::read(dir.join(path)).map(|bytes| digest(&bytes)) {
+            Ok(got) if got == *want => {}
+            Ok(got) => out.push(format!("{path}: digest {got}, INDEX says {want}")),
+            Err(_) => out.push(format!("{path}: INDEX line names no file")),
+        }
+    }
+    for sub in ["", "suite-cache/"] {
+        for entry in std::fs::read_dir(dir.join(sub)).into_iter().flatten() {
+            let Ok(entry) = entry else { continue };
+            let rel = format!("{sub}{}", entry.file_name().to_string_lossy());
+            if entry.path().is_file() && is_tracked(&rel) && !lines.contains_key(&rel) {
+                out.push(format!("{rel}: tracked file has no INDEX line"));
+            }
+        }
+    }
+    out
+}
+
+/// Where the retired sidecar manifest of `artifact` was: nothing is written
+/// there now, so a caller sizing it counts 0 bytes (the repo benchmark).
+pub fn manifest_path(artifact: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.manifest.json", artifact.display()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runconf::Effort;
+    use knl_arch::ProtocolKind;
+    use knl_sim::TelemetryConfig;
 
-    #[test]
-    fn digest_is_stable_and_nonempty() {
-        let d1 = source_digest();
-        let d2 = source_digest();
-        assert_eq!(d1, d2);
-        assert!(d1.starts_with("fnv1a64:"));
-        assert_eq!(d1.len(), "fnv1a64:".len() + 16);
-    }
-
-    #[test]
-    fn manifest_round_trip_and_verdicts() {
-        let dir = std::env::temp_dir().join("knl_provenance_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("table.csv");
-        std::fs::write(&artifact, "a,b\n1,2\n").unwrap();
-
-        assert_eq!(verify(&artifact), Verdict::Missing);
-        write_manifest(&artifact);
-        assert_eq!(verify(&artifact), Verdict::Fresh);
-
-        // Tamper with the recorded digest → stale.
-        let mp = manifest_path(&artifact);
-        let text = std::fs::read_to_string(&mp).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(doc.get("format").and_then(Json::as_str), Some(FORMAT));
-        let tampered = text.replace("fnv1a64:", "fnv1a64:0");
-        std::fs::write(&mp, tampered).unwrap();
-        assert!(matches!(verify(&artifact), Verdict::Stale { .. }));
-
-        std::fs::write(&mp, "not json").unwrap();
-        assert_eq!(verify(&artifact), Verdict::Corrupt);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifests_name_the_producer_set_last() {
-        // Under the lock every test that runs an experiment holds, so no
-        // one else sets a producer meanwhile.
-        let dir = std::env::temp_dir().join("knl_provenance_producer_test");
-        let _serial = crate::output::ResultsDirGuard::set(&dir);
-        *PRODUCER.lock().unwrap() = None;
-        let field = |key: &str| manifest_for(Path::new("x.csv")).get(key).cloned();
-        // Nothing set — what a foreign process (the repo benchmark) writes.
-        let exe = std::env::args().next().unwrap();
-        let stem = Path::new(&exe).file_stem().unwrap().to_string_lossy();
-        assert_eq!(field("binary"), Some(Json::Str(stem.into_owned())));
-        assert_eq!(field("run"), Some(Json::Null));
-        let conf = RunConf {
-            jobs: 3,
-            ..Default::default()
-        };
-        for id in ["a", "b"] {
-            set_producer(id, &conf);
-            assert_eq!(field("binary"), Some(Json::Str(id.into())));
-            let run = field("run").unwrap();
-            assert_eq!(run.get("jobs"), Some(&Json::Num(3.0)));
-            assert_eq!(run.get("effort").and_then(Json::as_str), Some("quick"));
-        }
-        *PRODUCER.lock().unwrap() = None;
-    }
-
-    #[test]
-    fn stamp_refreshes_the_digest_and_keeps_the_producer() {
-        let dir = std::env::temp_dir().join("knl_provenance_stamp_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = dir.join("table1.csv");
-        std::fs::write(&artifact, "a,b\n1,2\n").unwrap();
-        // A manifest another binary wrote against an older tree.
-        let run = Json::obj(vec![("effort", Json::Str("quick".into()))]);
-        let foreign = Json::obj(vec![
-            ("format", Json::Str(FORMAT.into())),
-            ("artifact", Json::Str("table1.csv".into())),
-            ("binary", Json::Str("table1".into())),
-            (
-                "source_digest",
-                Json::Str("fnv1a64:0000000000000000".into()),
-            ),
-            ("trajectory", Json::Str("BENCH_0.json".into())),
-            ("run", run.clone()),
-        ]);
-        std::fs::write(manifest_path(&artifact), foreign.render()).unwrap();
-        assert!(matches!(verify(&artifact), Verdict::Stale { .. }));
-
-        stamp_manifest(&artifact);
-        assert_eq!(verify(&artifact), Verdict::Fresh);
-        let text = std::fs::read_to_string(manifest_path(&artifact)).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(doc.get("binary").and_then(Json::as_str), Some("table1"));
-        assert_eq!(doc.get("run"), Some(&run));
-        assert_eq!(
-            doc.get("trajectory")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            latest_trajectory()
-        );
-
-        // Nothing to keep: the stamping process becomes the producer.
-        std::fs::write(manifest_path(&artifact), "not json").unwrap();
-        stamp_manifest(&artifact);
-        assert_eq!(verify(&artifact), Verdict::Fresh);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tracked_artifacts_skips_manifests_and_logs() {
-        let dir = std::env::temp_dir().join("knl_provenance_tracked_test");
+    /// A results dir (named apart per test) that checks clean: 2 artifacts, 2 untracked files.
+    fn results(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("knl_provenance_{name}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("suite-cache")).unwrap();
-        std::fs::write(dir.join("a.csv"), "x\n").unwrap();
-        std::fs::write(dir.join("a.csv.manifest.json"), "{}\n").unwrap();
-        std::fs::write(dir.join("b.telemetry"), "I 1\n").unwrap();
-        std::fs::write(dir.join("run.log"), "log\n").unwrap();
-        std::fs::write(dir.join("suite-cache/c.json"), "{}\n").unwrap();
-        std::fs::write(dir.join("suite-cache/c.json.manifest.json"), "{}\n").unwrap();
-        let names: Vec<String> = tracked_artifacts(&dir)
-            .into_iter()
-            .map(|p| p.strip_prefix(&dir).unwrap().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, ["a.csv", "b.telemetry", "suite-cache/c.json"]);
-        let _ = std::fs::remove_dir_all(&dir);
+        let mut index = String::new();
+        for (path, bytes) in [("a.csv", "x,y\n1,2\n"), ("suite-cache/c.json", "{}\n")] {
+            std::fs::write(dir.join(path), bytes).unwrap();
+            let run = "table1 --quick --protocol=mesif --telemetry=0";
+            index += &format!("{path} {} {run}\n", digest(bytes.as_bytes()));
+        }
+        for (path, bytes) in [(INDEX, index.as_str()), ("run.log", ""), ("a.trace", "")] {
+            std::fs::write(dir.join(path), bytes).unwrap();
+        }
+        assert_eq!(check(&dir), Vec::<String>::new());
+        dir
+    }
+
+    fn check(dir: &Path) -> Vec<String> {
+        read_index(&dir.join(INDEX)).map_or_else(|e| vec![e], |lines| problems(&lines, dir))
+    }
+
+    /// `check` finds exactly one problem, and its message contains `what`.
+    fn fails_naming(dir: &Path, what: &str) {
+        let found = check(dir);
+        assert!(found.len() == 1 && found[0].contains(what), "{found:?}");
+    }
+
+    #[test]
+    fn missing_index_fails() {
+        let dir = results("missing");
+        std::fs::remove_file(dir.join(INDEX)).unwrap();
+        fails_naming(&dir, "INDEX: cannot read");
+        fails_naming(Path::new("/nonexistent/results"), "INDEX: cannot read");
+    }
+
+    #[test]
+    fn unparsable_line_fails() {
+        let dir = results("unparsable");
+        let good = std::fs::read_to_string(dir.join(INDEX)).unwrap();
+        let (first, second) = good.split_once('\n').unwrap();
+        let bad_indexes = [
+            ("a.csv\n".to_string(), 1),
+            (good.replacen(' ', " zz", 1), 1),
+            (good.replacen("table1", "table9", 1), 1),
+            (good.replacen("--quick", "--jobs=0", 1), 1),
+            (good.replacen("a.csv", "a.log", 1), 1),
+            (format!("{second}{first}\n"), 2),
+            (format!("{good}{second}"), 3),
+        ];
+        for (bad, n) in bad_indexes {
+            std::fs::write(dir.join(INDEX), &bad).unwrap();
+            fails_naming(&dir, &format!("INDEX:{n}: unparsable line"));
+        }
+    }
+
+    #[test]
+    fn digest_mismatch_fails() {
+        let dir = results("mismatch");
+        std::fs::write(dir.join("a.csv"), "x,y\n1,3\n").unwrap();
+        fails_naming(&dir, "a.csv: digest ");
+    }
+
+    #[test]
+    fn line_without_file_fails() {
+        let dir = results("no_file");
+        std::fs::remove_file(dir.join("suite-cache/c.json")).unwrap();
+        fails_naming(&dir, "suite-cache/c.json: INDEX line names no file");
+    }
+
+    #[test]
+    fn file_without_line_fails() {
+        let dir = results("no_line");
+        std::fs::write(dir.join("b.telemetry"), "# knl-telemetry v1\n").unwrap();
+        fails_naming(&dir, "b.telemetry: tracked file has no INDEX line");
+    }
+
+    #[test]
+    fn recorded_flags_parse_back_to_the_same_run() {
+        let key = |c: &RunConf| (c.effort, c.protocol, c.telemetry);
+        for effort in [Effort::Quick, Effort::Paper] {
+            for protocol in ProtocolKind::ALL {
+                for ps in [0, 250, 100_000_000, 1_000_000_000] {
+                    let mut conf = RunConf::default();
+                    (conf.effort, conf.protocol) = (effort, protocol);
+                    conf.telemetry = TelemetryConfig::every(ps);
+                    let line = command("fig9_triad", &conf);
+                    let (exp, back) = parse_command(&line).expect(&line);
+                    assert_eq!((exp.id, key(&back)), ("fig9_triad", key(&conf)), "{line}");
+                }
+            }
+        }
     }
 }

@@ -16,6 +16,14 @@ pub enum Effort {
 }
 
 impl Effort {
+    /// The flag that selects this effort.
+    pub fn flag(self) -> &'static str {
+        match self {
+            Effort::Quick => "--quick",
+            Effort::Paper => "--paper",
+        }
+    }
+
     pub fn suite_params(self) -> SuiteParams {
         match self {
             Effort::Quick => SuiteParams::quick(),

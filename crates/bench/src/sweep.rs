@@ -6,7 +6,8 @@
 //! deterministically — one sink per experiment, written once by the
 //! driver ([`crate::experiments::run`]).
 
-use crate::output::{results_dir, write_if_changed};
+use crate::output::results_dir;
+use crate::provenance::write_artifact;
 use crate::runconf::RunConf;
 use knl_arch::MachineConfig;
 use knl_benchsuite::SweepExecutor;
@@ -77,7 +78,7 @@ impl Sections {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let verb = if write_if_changed(path, out.as_bytes())? {
+        let verb = if write_artifact(path, out.as_bytes())? {
             "wrote"
         } else {
             "unchanged"

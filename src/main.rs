@@ -14,7 +14,7 @@ usage: knl run <id>|all [flags]   regenerate one table/figure, or all in order
        knl trace TRACE [flags]    aggregate a trace file into a text report
        knl report TELEMETRY [flags]   render a telemetry series as a dashboard
        knl mc [flags]             model-check the coherence protocol tables
-       knl provenance [--verify|--stamp|--show PATH]   results/ manifests
+       knl provenance [--regen]   check results/ against results/INDEX
 `knl <subcommand> --help` lists a subcommand's flags.";
 
 /// Exit 2 with `problem`, the usage and the experiment ids.

@@ -3,7 +3,26 @@
 //! to float only where a number is reported. Clippy has no lint for a naming
 //! rule, so this test scans every `.rs` file of the repository.
 
-use knl_bench::provenance::{collect_rs, workspace_root};
+use knl_bench::output::workspace_root;
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file under `dir`, skipping `target/` build directories.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for e in entries.flatten() {
+        let p = e.path();
+        if p.is_dir() {
+            if p.file_name().is_some_and(|n| n == "target") {
+                continue;
+            }
+            collect_rs(&p, out);
+        } else if p.extension().is_some_and(|x| x == "rs") {
+            out.push(p);
+        }
+    }
+}
 
 #[test]
 fn picosecond_quantities_are_not_floats() {
