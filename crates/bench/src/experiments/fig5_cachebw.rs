@@ -21,7 +21,7 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
     };
     let cfg = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Cache);
     let reader = CoreId(0);
-    let partners = fig5_partners(&machine(conf, cfg.clone()), reader);
+    let partners = fig5_partners(&cfg.topology(), reader);
 
     let series: Vec<(String, CoreId, LineState)> = partners
         .iter()

@@ -3,7 +3,7 @@
 //! into a local buffer, sizes 64 B – 256 KB, vectorized.
 
 use crate::state_prep::prep_lines;
-use knl_arch::{CoreId, QuadrantId};
+use knl_arch::{CoreId, QuadrantId, Topology};
 use knl_sim::{LineState, Machine, Op, Program, SimTime};
 use knl_stats::Sample;
 
@@ -150,9 +150,8 @@ fn read_latency_sample(
 
 /// Partner cores for the three locations of Fig. 5, relative to `reader`:
 /// same tile, same quadrant (different tile), remote quadrant.
-pub fn fig5_partners(m: &Machine, reader: CoreId) -> Vec<(&'static str, CoreId)> {
-    let topo = m.topology();
-    let num_cores = m.config().num_cores() as u16;
+pub fn fig5_partners(topo: &Topology, reader: CoreId) -> Vec<(&'static str, CoreId)> {
+    let num_cores = topo.num_cores() as u16;
     let reader_q = topo.tile_quadrant(reader.tile());
     let same_tile = CoreId(reader.0 ^ 1);
     let same_quad = (0..num_cores)
@@ -280,11 +279,10 @@ mod tests {
 
     #[test]
     fn fig5_partner_locations() {
-        let m = machine();
-        let p = fig5_partners(&m, CoreId(0));
+        let topo = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Flat).topology();
+        let p = fig5_partners(&topo, CoreId(0));
         assert_eq!(p.len(), 3);
         assert_eq!(p[0].1, CoreId(1));
-        let topo = m.topology();
         let q0 = topo.tile_quadrant(CoreId(0).tile());
         assert_eq!(topo.tile_quadrant(p[1].1.tile()), q0);
         assert_ne!(p[1].1.tile(), CoreId(0).tile());

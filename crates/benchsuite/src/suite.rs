@@ -100,7 +100,7 @@ pub fn run_cache_suite(m: &mut Machine, params: &SuiteParams) -> CacheResults {
     }
 
     // Fig. 5 sweep over the three locations.
-    for (loc, owner) in cachebw::fig5_partners(m, reader) {
+    for (loc, owner) in cachebw::fig5_partners(m.topology(), reader) {
         for st in [LineState::Modified, LineState::Exclusive] {
             for &bytes in &params.c2c_sizes {
                 let s = cachebw::copy_bandwidth(

@@ -90,6 +90,8 @@ pub struct Machine {
     pub(crate) cfg: MachineConfig,
     pub(crate) topo: Topology,
     pub(crate) map: AddressMap,
+    /// Per-core L1 and per-tile L2 tags. Each cache takes its storage at
+    /// its first fill, so a machine holds only the ones its run touched.
     pub(crate) l1: Vec<TagCache>,
     pub(crate) l2: Vec<TagCache>,
     /// Data-port occupancy of each tile's L2.
@@ -323,8 +325,9 @@ impl Machine {
     /// and the page indexes of the directory and the memory-side-cache
     /// tags (12 B per page of eight lines; the pages themselves are only
     /// forgotten, and kept for the next repetition) — plus a scan of the
-    /// per-set bitmaps (4.6 KB), not a rewrite of all 96 tag arrays
-    /// (DESIGN.md §6, "Reset cost").
+    /// per-set bitmaps of the caches filled so far (at most 4.6 KB), not a
+    /// rewrite of their tag arrays (DESIGN.md §6, "Reset cost"). A cache
+    /// keeps its storage, so the next repetition allocates no tags.
     pub fn reset_caches(&mut self) {
         self.reset_tile_caches();
         if self.mcache.enabled() {

@@ -8,9 +8,12 @@
 //! and the memory-side cache — a chunk of pages at a time and a doubling
 //! of the page index, a few dozen allocations however long it runs, never
 //! one per line or per page; `reset_caches` keeps the chunks, so the same
-//! pass again takes nothing. A page per line (lines 4 KiB apart) is the
-//! most a table can cost, and is bounded against the hashed table it
-//! replaced. Under the tracer and the telemetry sampler the hot-line
+//! pass again takes nothing. A tile cache takes its tag storage in one
+//! allocation at its first fill and keeps it the same way (and a thread
+//! keeps a dropped machine's for its next one), so a fresh machine is
+//! small and a run that fills no tile cache holds no tags. A page per line
+//! (lines 4 KiB apart) is the most a table can cost, and is bounded
+//! against the hashed table it replaced. Under the tracer and the telemetry sampler the hot-line
 //! profile grows the same way, and that is all: no tree node per line, and
 //! in the series an entry per touched cell, never one per bin index —
 //! whether the far bin comes from a 1 ps sampling interval or from a file.
@@ -24,8 +27,11 @@
 //! forwards every call to `System` unchanged.
 
 use knl::arch::{ClusterMode, CoreId, HybridSplit, MachineConfig, MemoryMode, NumaKind, Schedule};
+use knl::benchsuite::membw::{bandwidth_sample, Target};
+use knl::benchsuite::SuiteParams;
 use knl::model::predict::{predict_broadcast, predict_reduce};
 use knl::model::{optimize_tree, CapabilityModel, TreeKind};
+use knl::sim::cache::TagCache;
 use knl::sim::machine::StreamState;
 use knl::sim::{
     AccessKind, LineState, Machine, Metrics, ObserverConfig, Op, Program, Runner, StreamKind,
@@ -209,15 +215,39 @@ fn streams_and_copies_allocate_a_constant_not_per_line() {
         assert!(copy < 32, "{label}: 64 KiB copy, {copy} allocs");
     }
 
+    // A fresh machine holds no tag array: each of its 96 caches takes its
+    // storage, 20 B a way, at its first fill. A stream-only triad fills
+    // none, so a fresh machine and a sample on it take fewer bytes than the
+    // tags of the one tile the thread runs on would. The sample runs on a
+    // thread of its own: this one keeps the storage of the caches dropped
+    // above, which a fill would take without asking the heap.
+    let cfg = MachineConfig::knl7210(ClusterMode::Snc4, flat);
+    let fresh = heap_in(|| drop(Machine::new(cfg.clone())));
+    assert!(fresh.1 < 64 << 10, "fresh SNC4-flat machine: {fresh:?}");
+    let tile_tags = 20 * (TagCache::KNL_L1_LINES + TagCache::KNL_L2_LINES) as u64;
+    let sample = || {
+        let mut m = Machine::new(cfg.clone());
+        let (kind, target, params) = (StreamKind::Triad, Target::Mcdram, SuiteParams::quick());
+        bandwidth_sample(&mut m, kind, target, 1, Schedule::FillTiles, &params);
+    };
+    let sampled =
+        std::thread::scope(|s| s.spawn(|| bytes_in(sample)).join()).expect("the sample thread");
+    assert!(
+        sampled < tile_tags,
+        "fresh machine and a stream-only triad sample: {sampled} B"
+    );
+
     // Line-dense footprints grow the directory and the memory-side-cache
     // tags by the chunk, and `reset_caches` keeps what they grew to.
-    let mut m = Machine::new(MachineConfig::knl7210(ClusterMode::Snc4, flat));
+    let mut m = Machine::new(cfg);
     let mut arena = m.arena();
     let [src, dst] = [(); 2].map(|()| arena.alloc(NumaKind::Ddr, 64 * 4096 * 64));
     let first = heap_in(|| copy_pass(&mut m, src, dst));
     m.reset_caches();
     m.reset_devices();
     let again = heap_in(|| copy_pass(&mut m, src, dst));
+    // 96 first fills (the 64 L1s and 32 L2s of the 64 threads' tiles),
+    // one allocation each unless it reuses a dropped machine's storage, and
     // 65 536 directory pages in 14 chunks behind an index that doubled 14
     // times; the rest, and all of the second pass, is the runner's.
     assert!(first.0 < 256, "64 × 4 096-line copy pass: {first:?}");
