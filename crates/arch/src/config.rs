@@ -61,14 +61,6 @@ impl MachineConfig {
         self
     }
 
-    /// Override capacities (bytes are rounded down to line multiples by the
-    /// address map).
-    pub fn with_capacities(mut self, ddr_bytes: u64, mcdram_bytes: u64) -> Self {
-        self.ddr_bytes = ddr_bytes;
-        self.mcdram_bytes = mcdram_bytes;
-        self
-    }
-
     /// All fifteen configurations of the paper (5 cluster × 3 memory modes).
     pub fn all_fifteen() -> Vec<MachineConfig> {
         let mut v = Vec::with_capacity(15);

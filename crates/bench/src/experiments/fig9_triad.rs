@@ -3,7 +3,6 @@
 //! filling-cores (compact, 4 HT/core) and filling-tiles schedules.
 
 use crate::output::{f1, Table};
-use crate::profile::Profiler;
 use crate::runconf::{Effort, RunConf};
 use crate::sweep::{executor, machine, print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, Schedule};
@@ -39,37 +38,24 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
         points.len(),
         conf.jobs
     );
-    let prof = Profiler::new();
-    let results = {
-        let _sweep = prof.phase("sweep");
-        executor(conf).run("fig9", &points, |i, &(sched, t)| {
-            let _job = prof.phase("job");
-            let mut m = {
-                let _build = prof.phase("machine-build");
-                machine(conf, cfg.clone())
-            };
-            let mc = bandwidth_sample(&mut m, StreamKind::Triad, Target::Mcdram, t, sched, &params);
-            m.reset_devices();
-            m.reset_caches();
-            let dd = bandwidth_sample(&mut m, StreamKind::Triad, Target::Ddr, t, sched, &params);
-            m.finish_check();
-            sink.submit(i, &mut m);
-            (mc.median(), dd.median(), m.counters())
-        })
-    };
+    let results = executor(conf).run("fig9", &points, |i, &(sched, t)| {
+        let mut m = machine(conf, cfg.clone());
+        let mc = bandwidth_sample(&mut m, StreamKind::Triad, Target::Mcdram, t, sched, &params);
+        m.reset_devices();
+        m.reset_caches();
+        let dd = bandwidth_sample(&mut m, StreamKind::Triad, Target::Ddr, t, sched, &params);
+        m.finish_check();
+        sink.submit(i, &mut m);
+        (mc.median(), dd.median(), m.counters())
+    });
 
     let mut table = Table::new(
         "Fig. 9 — triad bandwidth, SNC4-flat [GB/s]",
         &["schedule", "threads", "cores", "MCDRAM", "DRAM"],
     );
-    let mut accesses = 0u64;
     for (&(sched, t), (mc, dd, counters)) in points.iter().zip(results) {
         let cores = sched.cores_used(t, cfg.num_cores());
         print_counters(&format!("{}-{t}", sched.name()), &counters);
-        accesses += counters.l1_hits
-            + counters.l2_hits
-            + counters.remote_cache_hits
-            + counters.memory_accesses();
         table.row(vec![
             sched.name().to_string(),
             t.to_string(),
@@ -81,5 +67,4 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
     table.print();
     let path = table.write_csv("fig9_triad");
     eprintln!("csv: {}", path.display());
-    prof.report("sweep", Some(accesses));
 }

@@ -20,8 +20,7 @@
 //! * [`output`] — aligned console tables + CSV dumps under `results/`,
 //! * [`plot`] — ASCII charts beside the tables,
 //! * [`provenance`] — `results/INDEX`: each artifact's digest and the
-//!   command that wrote it,
-//! * [`profile`] — host-side wall-clock phase timers.
+//!   command that wrote it.
 //!
 //! How fast the simulator itself runs is measured by the separate
 //! `benchmark/` package at the repository root, not from here.
@@ -36,7 +35,6 @@ pub mod flags;
 pub mod modelfit;
 pub mod output;
 pub mod plot;
-pub mod profile;
 pub mod provenance;
 pub mod runconf;
 pub mod sweep;

@@ -211,6 +211,7 @@ fn render_queues(out: &mut String, s: &TelemetrySeries) {
         let mut peak = 0u32;
         let mut enters = 0u64;
         let mut writes = 0u64;
+        let mut peak_enters = 0u64;
         for (&(d, bin), b) in s.dev_bins.iter() {
             if d != dev {
                 continue;
@@ -221,15 +222,24 @@ fn render_queues(out: &mut String, s: &TelemetrySeries) {
             peak = peak.max(b.depth_peak);
             enters += b.enters;
             writes += b.writes;
+            peak_enters = peak_enters.max(b.enters);
         }
+        // The busiest bin's lines at 64 B each, over the bin width: B/ps is
+        // TB/s. A series with no interval has no rate.
+        let peak_gbps = if s.interval_ps == 0 {
+            0.0
+        } else {
+            peak_enters as f64 * 64.0 / s.interval_ps as f64 * 1e3
+        };
         let _ = writeln!(
             out,
-            "{:<6} {} peak {:>3}  enters {:>8}  writes {:>8}",
+            "{:<6} {} peak {:>3}  enters {:>8}  writes {:>8}  peak {:>7.1} GB/s",
             dev_name(dev),
             sparkline(&mean_depth),
             peak,
             enters,
-            writes
+            writes,
+            peak_gbps
         );
     }
 }
@@ -412,10 +422,14 @@ mod tests {
         let huge = "Q 0 4000000000000 1 0 0 1 1\nZ 1 400000000000000000\n";
         let census = "G 7 S 2\nG 18446744073709551615 S -1\n";
         let final_level = "peak        2  final        1".to_string();
+        // And the busiest bin's bandwidth: 20 lines of 64 B in 1 000 ps.
+        let rate = "I 1000\nQ 0 4 10 2 3 4 5\nQ 0 5 20 0 0 0 0\nZ 30 5999\n";
+        let gbps = "enters       30  writes        2  peak  1280.0 GB/s".to_string();
         for (text, want) in [
             (top, last(" total")),
             (huge, last(" peak   1")),
             (census, final_level),
+            (rate, gbps),
         ] {
             let s = parse_series(text).expect("valid telemetry");
             let out = dashboard(Path::new("x.telemetry"), &s, 8);

@@ -266,10 +266,11 @@ mod tests {
         // A marker without its number must not pass for the previous job.
         let bad_job = cut.replace("# job 1", "# job x");
         assert_eq!(parse_trace(&bad_job, true).err(), Some((6, 1)));
-        // Counts of zero: cells and lines no writer emits.
-        for zero in ["B 6 0 0", "U 3 0 0", "L 40 0"] {
-            let bad = text.replace("C issues 1", zero);
-            assert_eq!(parse_trace(&bad, true).err(), Some((4, 0)), "{zero}");
+        // A count of zero, a line no writer emits, and the per-bin rows of
+        // older traces, which hold time-binned counts a trace no longer has.
+        for bad_row in ["L 40 0", "B 6 0 1", "U 3 0 1"] {
+            let bad = text.replace("C issues 1", bad_row);
+            assert_eq!(parse_trace(&bad, true).err(), Some((4, 0)), "{bad_row}");
         }
     }
 }

@@ -239,12 +239,12 @@ impl ObserverHub {
         self.events
     }
 
-    /// Detach and return the tracer, its open bin closed (sweep drivers
-    /// serialize it per job).
+    /// Detach and return the tracer, its rows folded into its metrics
+    /// (sweep drivers serialize it per job).
     pub(crate) fn take_tracer(&mut self) -> Option<Box<Tracer>> {
         let mut tracer = self.tracer.take()?;
         self.events = self.checker.is_some() || self.telemetry.is_some();
-        tracer.close_bin();
+        tracer.fold_rows();
         Some(tracer)
     }
 

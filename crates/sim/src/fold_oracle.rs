@@ -1,19 +1,19 @@
 //! The reference the observers' fold is tested against.
 //!
 //! [`MetricsOracle`] and [`SamplerOracle`] fold an event the way the
-//! tracer and the telemetry sampler did before they kept an open bin: one
-//! `entry_or_default((id, bin))` search per event straight into the sparse
-//! series, one division per event, hot lines in a `BTreeMap` that is
-//! collected and sorted to find the top N; the metrics oracle also takes
-//! each event through its `EventKind` translation first. Slow and
-//! obviously right. The tests feed seeded random spine events to an oracle
-//! and to the real observer and require the same serialized bytes —
-//! mid-stream, while a bin is open, and at the end.
+//! tracer and the telemetry sampler did before they counted in dense rows:
+//! one `entry_or_default` search per event straight into the sparse maps
+//! (the sampler's keyed by bin, one division per event), hot lines in a
+//! `BTreeMap` that is collected and sorted to find the top N; the metrics
+//! oracle also takes each event through its `EventKind` translation
+//! first. Slow and obviously right. The tests feed seeded random spine
+//! events to an oracle and to the real observer and require the same
+//! serialized bytes — mid-stream, while rows hold counts, and at the end.
 
 use crate::directory::{DirEntry, GlobalState, LineState};
 use crate::engine::observe::{gstate_tag, EventContext, ProtocolEvent, SRC_TAGS};
 use crate::mesh::MAX_HOPS;
-use crate::metrics::{Metrics, BIN_PS, HOT_LINES_TOP};
+use crate::metrics::{Metrics, HOT_LINES_TOP};
 use crate::protocol::{Outcome, Request};
 use crate::svmap::SortedVecMap;
 use crate::telemetry::{TelemetryConfig, TelemetrySampler, TelemetrySeries};
@@ -54,7 +54,6 @@ impl MetricsOracle {
                     'H' => t.mcache += 1,
                     _ => t.mem += 1,
                 }
-                *m.tile_bins.entry_or_default((ev.tile, ev.time / BIN_PS)) += 1;
                 *self.hot_lines.entry(ev.line).or_default() += 1;
             }
             EventKind::Dir { from, to, .. } => {
@@ -70,7 +69,6 @@ impl MetricsOracle {
                 }
                 d.depth_peak = d.depth_peak.max(depth);
                 d.depth_sum += depth as u64;
-                *m.dev_bins.entry_or_default((dev, ev.time / BIN_PS)) += 1;
             }
             EventKind::DevLeave { .. } => {}
             EventKind::Mcache { hit, .. } => {
@@ -334,56 +332,71 @@ fn random_event<'a>(rng: &mut SplitMixRng, entries: &'a [DirEntry]) -> ProtocolE
 
 #[test]
 fn tracer_fold_serializes_like_the_per_event_oracle() {
+    // The trace holds run totals, so when a run happened is not in it: the
+    // same events a million 100 µs bins later serialize to the same bytes.
+    // A last event at the top of the clock in both runs makes their
+    // trailers' end times agree too.
+    const SHIFT: SimTime = 1_000_000 * 100_000_000;
     let entries = entries();
     for seed in 0..8u64 {
-        let mut rng = SplitMixRng::seed_from_u64(0x7ace + seed);
-        let mut clock = Clock {
-            interval: BIN_PS,
-            boundary: BIN_PS,
-        };
-        let mut tracer = Tracer::new(TraceLevel::Summary);
-        let mut oracle = MetricsOracle::default();
-        // Sixty lines over a few pages, so counts tie far past the top 32,
-        // and the occasional line anywhere in the address space.
-        let line_of = |rng: &mut SplitMixRng| match rng.next_u64() % 16 {
-            0 => rng.next_u64() >> 6,
-            _ => 0x4_0000 + rng.next_u64() % 60,
-        };
-        for step in 0..4000 {
-            let (tile, thread) = (pick(&mut rng, &TILES), rng.next_u32() % 4);
-            let event = random_event(&mut rng, &entries);
-            let (time, line) = (clock.next(&mut rng), line_of(&mut rng));
-            tracer.on_event(EventContext { thread, tile }, time, line, &event);
-            if let Some(kind) = EventKind::of(&event) {
-                oracle.record(&TraceEvent {
-                    time,
-                    thread,
-                    tile,
-                    line,
-                    kind,
-                });
+        let [drawn, shifted] = [0, SHIFT].map(|shift| {
+            let mut rng = SplitMixRng::seed_from_u64(0x7ace + seed);
+            let mut tracer = Tracer::new(TraceLevel::Summary);
+            let mut oracle = MetricsOracle::default();
+            // Sixty lines over a few pages, so counts tie far past the top 32,
+            // and the occasional line anywhere in the address space.
+            let line_of = |rng: &mut SplitMixRng| match rng.next_u64() % 16 {
+                0 => rng.next_u64() >> 6,
+                _ => 0x4_0000 + rng.next_u64() % 60,
+            };
+            let last = ProtocolEvent::Mark {
+                id: 1,
+                start: false,
+            };
+            for step in 0..=4000 {
+                let (tile, thread) = (pick(&mut rng, &TILES), rng.next_u32() % 4);
+                let mut event = random_event(&mut rng, &entries);
+                let (mut time, line) = ((rng.next_u64() >> 24) + shift, line_of(&mut rng));
+                if step == 4000 {
+                    (time, event) = (SimTime::MAX, last);
+                }
+                tracer.on_event(EventContext { thread, tile }, time, line, &event);
+                if let Some(kind) = EventKind::of(&event) {
+                    oracle.record(&TraceEvent {
+                        time,
+                        thread,
+                        tile,
+                        line,
+                        kind,
+                    });
+                }
+                // Read through the still-attached tracer: the rows count.
+                if step % 500 == 499 {
+                    let mut got = String::new();
+                    tracer.metrics().serialize_into(&mut got);
+                    assert_eq!(got, oracle.serialized(), "seed {seed}, step {step}");
+                }
             }
-            // Read through the still-attached tracer: the open bin counts.
-            if step % 500 == 499 {
-                let mut got = String::new();
-                tracer.metrics().serialize_into(&mut got);
-                assert_eq!(got, oracle.serialized(), "seed {seed}, step {step}");
+            assert!(oracle.hot_lines.len() > HOT_LINES_TOP);
+            let first_and_last = [SRC_TAGS[0], SRC_TAGS[SRC_TAGS.len() - 1]];
+            for key in first_and_last
+                .map(|src| [(src, 0), (src, MAX_HOPS)])
+                .concat()
+            {
+                assert!(oracle.m.hist.get(&key).is_some(), "seed {seed}: {key:?}");
             }
-        }
-        assert!(oracle.hot_lines.len() > HOT_LINES_TOP);
-        let first_and_last = [SRC_TAGS[0], SRC_TAGS[SRC_TAGS.len() - 1]];
-        for key in first_and_last
-            .map(|src| [(src, 0), (src, MAX_HOPS)])
-            .concat()
-        {
-            assert!(oracle.m.hist.get(&key).is_some(), "seed {seed}: {key:?}");
-        }
-        tracer.close_bin();
-        assert!(matches!(tracer.metrics(), Cow::Borrowed(_)));
-        let mut got = String::new();
-        tracer.serialize_into(&mut got);
-        let want = format!("# level=summary\n{}", oracle.serialized());
-        assert_eq!(got, want, "seed {seed}");
+            tracer.fold_rows();
+            assert!(matches!(tracer.metrics(), Cow::Borrowed(_)));
+            let mut got = String::new();
+            tracer.serialize_into(&mut got);
+            let want = format!("# level=summary\n{}", oracle.serialized());
+            assert_eq!(got, want, "seed {seed}");
+            got
+        });
+        assert_eq!(
+            drawn, shifted,
+            "seed {seed}: the trace moved with the clock"
+        );
     }
 }
 

@@ -4,16 +4,17 @@
 //!   paper's Fig. 4 latency map decomposed by supplier MESIF state and
 //!   mesh distance,
 //! * per-tile serve counts by source class and per-device queue
-//!   statistics (lines in/out, peak and mean estimated depth), each with
-//!   [`BIN_PS`]-binned activity,
+//!   statistics (lines in/out, peak and mean estimated depth),
 //! * a hot-line profile ([`HotLines`], exact, in the line-dense
 //!   [`PagedLines`]), and
 //! * protocol totals (directory transitions by `from→to` pair,
 //!   invalidations, updates, write-backs, mcache hits/misses).
 //!
+//! Every row is a total over the whole run: when things happened is the
+//! telemetry sampler's question ([`crate::telemetry`]), not this one's.
 //! `Metrics` is plain sparse data ([`SortedVecMap`]s); the tracer counts
-//! the per-tile and per-device rows of its current bin, and the latency
-//! histograms served in it, in the shared open bin of [`crate::svmap`].
+//! the per-tile, per-device and latency-histogram rows densely by id
+//! (`MetricsFold`) and adds them to its `Metrics` when they are read.
 //! Serialization is deterministic (ascending key order) and merging
 //! additive, so `knl trace` can re-aggregate per-job sections in any
 //! grouping with identical results.
@@ -21,13 +22,11 @@
 use crate::engine::observe::{gstate_tag, src_index, ProtocolEvent, SRC_TAGS};
 use crate::mesh::MAX_HOPS;
 use crate::paged::PagedLines;
-use crate::svmap::{BinCells, OpenBin, OpenRow, SortedVecMap};
+use crate::svmap::{OpenRow, SortedVecMap};
 use crate::trace::{num, one_char, strict_line};
 use crate::SimTime;
+use std::borrow::Cow;
 use std::fmt::Write as _;
-
-/// Width of one activity time bin (100 µs of sim time).
-pub const BIN_PS: SimTime = 100_000_000;
 
 /// Log₂ latency-histogram bins (bin `k` covers `[2^(k-1), 2^k)` ns).
 pub const HIST_BINS: usize = 28;
@@ -227,21 +226,24 @@ impl PartialEq for HotLines {
 
 impl Eq for HotLines {}
 
-/// The tracer's open [`BIN_PS`] bin: what each tile was served and each
-/// device took in since the bin opened, and the latencies served. A tile
-/// or device cell is the bin's own count (`serves`, `reads + writes`) and
-/// the bin's share of the per-tile and per-device totals at once; a
-/// histogram cell is the bin's share of one (source tag, hops) histogram.
+/// The tracer's fold: what each tile was served, what each device took
+/// in and the latencies served, counted in dense rows indexed by id, and
+/// everything else straight in `closed`. A histogram cell is one (source
+/// tag, hops) histogram. The rows are run totals; they are added to
+/// `closed` when the tracer is detached ([`MetricsFold::fold_rows`]) and
+/// to a copy of it when an attached tracer is read ([`MetricsFold::view`]).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MetricsCells {
+pub(crate) struct MetricsFold {
     tiles: OpenRow<TileStat>,
     devs: OpenRow<DevStat>,
     /// Indexed by [`hist_cell`]: at most [`SRC_TAGS`] × ([`MAX_HOPS`] + 1)
     /// cells.
     hist: OpenRow<Hist>,
+    /// Everything folded so far but what the rows still hold.
+    closed: Metrics,
 }
 
-/// The [`MetricsCells::hist`] cell of `(src, hops)`, hop-major so that no
+/// The [`MetricsFold::hist`] cell of `(src, hops)`, hop-major so that no
 /// hop count can alias another source tag.
 #[inline]
 fn hist_cell(src: char, hops: u32) -> usize {
@@ -249,33 +251,7 @@ fn hist_cell(src: char, hops: u32) -> usize {
     hops as usize * SRC_TAGS.len() + src_index(src)
 }
 
-impl BinCells<Metrics> for MetricsCells {
-    fn is_empty(&self) -> bool {
-        self.tiles.is_empty() && self.devs.is_empty() && self.hist.is_empty()
-    }
-
-    fn close_into(&mut self, bin: u64, m: &mut Metrics) {
-        self.hist.drain(|cell, h| {
-            let key = (
-                SRC_TAGS[cell % SRC_TAGS.len()],
-                (cell / SRC_TAGS.len()) as u32,
-            );
-            m.hist.entry_or_default(key).merge(&h);
-        });
-        self.tiles.drain(|tile, t| {
-            let tile = tile as u16;
-            m.tiles.entry_or_default(tile).add(&t);
-            *m.tile_bins.entry_or_default((tile, bin)) += t.serves;
-        });
-        self.devs.drain(|dev, d| {
-            let dev = dev as u8;
-            m.devices.entry_or_default(dev).add(&d);
-            *m.dev_bins.entry_or_default((dev, bin)) += d.reads + d.writes;
-        });
-    }
-}
-
-impl OpenBin<MetricsCells, Metrics> {
+impl MetricsFold {
     /// Fold one event from `tile`. Returns `false`, counting nothing, for
     /// what the trace format leaves out: state preparation and the
     /// checker's oracle events.
@@ -296,9 +272,8 @@ impl OpenBin<MetricsCells, Metrics> {
                 ..
             } => {
                 m.hot_lines.add(line, 1);
-                let cells = self.at(time);
-                cells.hist.cell(hist_cell(src, hops)).add(latency_ps);
-                let t = cells.tiles.cell(usize::from(tile));
+                self.hist.cell(hist_cell(src, hops)).add(latency_ps);
+                let t = self.tiles.cell(usize::from(tile));
                 t.serves += 1;
                 match src {
                     'L' => t.l1 += 1,
@@ -319,7 +294,7 @@ impl OpenBin<MetricsCells, Metrics> {
             }
             ProtocolEvent::Hop { hops, .. } => m.mesh_hops += hops as u64,
             ProtocolEvent::DevEnter { dev, write, depth } => {
-                let d = self.at(time).devs.cell(usize::from(dev));
+                let d = self.devs.cell(usize::from(dev));
                 if write {
                     d.writes += 1;
                 } else {
@@ -343,6 +318,34 @@ impl OpenBin<MetricsCells, Metrics> {
         m.end_time = m.end_time.max(time);
         true
     }
+
+    /// Add the rows to `closed`, leaving them empty.
+    pub(crate) fn fold_rows(&mut self) {
+        let m = &mut self.closed;
+        self.hist.drain(|cell, h| {
+            let key = (
+                SRC_TAGS[cell % SRC_TAGS.len()],
+                (cell / SRC_TAGS.len()) as u32,
+            );
+            m.hist.entry_or_default(key).merge(&h);
+        });
+        self.tiles
+            .drain(|tile, t| m.tiles.entry_or_default(tile as u16).add(&t));
+        self.devs
+            .drain(|dev, d| m.devices.entry_or_default(dev as u8).add(&d));
+    }
+
+    /// The metrics, rows included: a copy with the rows added while any
+    /// row holds a count (a tracer still attached to its machine),
+    /// `closed` itself otherwise.
+    pub(crate) fn view(&self) -> Cow<'_, Metrics> {
+        if self.tiles.is_empty() && self.devs.is_empty() && self.hist.is_empty() {
+            return Cow::Borrowed(&self.closed);
+        }
+        let mut rows = self.clone();
+        rows.fold_rows();
+        Cow::Owned(rows.closed)
+    }
 }
 
 /// Aggregated, mergeable trace metrics.
@@ -354,10 +357,6 @@ pub struct Metrics {
     pub tiles: SortedVecMap<u16, TileStat>,
     /// Per-device queue statistics.
     pub devices: SortedVecMap<u8, DevStat>,
-    /// Lines entering each device per time bin.
-    pub dev_bins: SortedVecMap<(u8, u64), u64>,
-    /// Serves per tile per time bin.
-    pub tile_bins: SortedVecMap<(u16, u64), u64>,
     /// Directory transitions by (from, to) state tag.
     pub dir_transitions: SortedVecMap<(char, char), u64>,
     /// Exact per-line access counts (pruned to a top-N on serialize).
@@ -394,12 +393,6 @@ impl Metrics {
         for (k, s) in &o.devices {
             self.devices.entry_or_default(*k).add(s);
         }
-        for (k, n) in &o.dev_bins {
-            *self.dev_bins.entry_or_default(*k) += n;
-        }
-        for (k, n) in &o.tile_bins {
-            *self.tile_bins.entry_or_default(*k) += n;
-        }
         for (k, n) in &o.dir_transitions {
             *self.dir_transitions.entry_or_default(*k) += n;
         }
@@ -423,9 +416,9 @@ impl Metrics {
     }
 
     /// Serialize as deterministic metric lines (see the format note in
-    /// [`crate::trace`]): `H` histograms, `T` tiles, `D` devices, `B`
-    /// device bins, `U` tile bins, `X` directory transitions, `L` hot
-    /// lines (top [`HOT_LINES_TOP`]), `C` scalar counters, `Z` trailer.
+    /// [`crate::trace`]): `H` histograms, `T` tiles, `D` devices, `X`
+    /// directory transitions, `L` hot lines (top [`HOT_LINES_TOP`]), `C`
+    /// scalar counters, `Z` trailer.
     pub fn serialize_into(&self, out: &mut String) {
         self.serialize_with(&self.top_lines(HOT_LINES_TOP), out);
     }
@@ -462,12 +455,6 @@ impl Metrics {
                 d.reads, d.writes, d.depth_peak, d.depth_sum
             );
         }
-        for ((dev, bin), n) in &self.dev_bins {
-            let _ = writeln!(out, "B {dev} {bin} {n}");
-        }
-        for ((tile, bin), n) in &self.tile_bins {
-            let _ = writeln!(out, "U {tile} {bin} {n}");
-        }
         for ((from, to), n) in &self.dir_transitions {
             let _ = writeln!(out, "X {from} {to} {n}");
         }
@@ -485,18 +472,14 @@ impl Metrics {
     }
 
     /// Parse one metric line, merging it into `self`. Returns `false` for
-    /// lines that are not metric lines (events, comments, garbage, a line
-    /// with a missing, malformed or extra field) or rows no writer emits
-    /// (a `B`, `U` or `L` count of zero; an `H` row whose bins do not sum
+    /// lines that are not metric lines (events, comments, garbage, an
+    /// unknown tag such as the time-binned `B` and `U` rows of older
+    /// traces, a line with a missing, malformed or extra field) or rows no
+    /// writer emits (an `L` count of zero; an `H` row whose bins do not sum
     /// to its nonzero count or whose minimum exceeds its maximum; a `T` row
     /// whose serves are not the sum of its sources; a `D` row whose peak
     /// depth exceeds its depth sum), and then leaves `self` untouched.
     pub fn parse_line(&mut self, line: &str) -> bool {
-        // A binned or per-line count: a cell exists because something was
-        // counted in it, so no writer emits a zero.
-        fn count<'a>(it: &mut impl Iterator<Item = &'a str>) -> Option<u64> {
-            num(it).filter(|&n| n > 0)
-        }
         strict_line(line, |tag, it, one: &mut Metrics| {
             match tag {
                 "H" => {
@@ -540,21 +523,15 @@ impl Metrics {
                     (u64::from(d.depth_peak) <= d.depth_sum).then_some(())?;
                     *one.devices.entry_or_default(dev) = d;
                 }
-                "B" => {
-                    let key = (num(it)?, num(it)?);
-                    *one.dev_bins.entry_or_default(key) = count(it)?;
-                }
-                "U" => {
-                    let key = (num(it)?, num(it)?);
-                    *one.tile_bins.entry_or_default(key) = count(it)?;
-                }
                 "X" => {
                     let key = (one_char(it)?, one_char(it)?);
                     *one.dir_transitions.entry_or_default(key) = num(it)?;
                 }
                 "L" => {
+                    // A line is held because it was counted, so no writer
+                    // emits a zero.
                     let l = u64::from_str_radix(it.next()?, 16).ok()?;
-                    one.hot_lines.add(l, count(it)?);
+                    one.hot_lines.add(l, num(it).filter(|&n| n > 0)?);
                 }
                 "C" => {
                     let field = it.next()?;
@@ -644,8 +621,8 @@ impl Metrics {
             let _ = writeln!(out, "\n-- devices --");
             let _ = writeln!(
                 out,
-                "{:<8} {:>10} {:>10} {:>10} {:>10} {:>12}",
-                "device", "reads", "writes", "peak_q", "mean_q", "peak_GB/s"
+                "{:<8} {:>10} {:>10} {:>10} {:>10}",
+                "device", "reads", "writes", "peak_q", "mean_q"
             );
             for (dev, d) in &self.devices {
                 let total = d.reads + d.writes;
@@ -654,23 +631,14 @@ impl Metrics {
                 } else {
                     d.depth_sum as f64 / total as f64
                 };
-                let peak_lines = self
-                    .dev_bins
-                    .iter()
-                    .filter(|((dv, _), _)| dv == dev)
-                    .map(|(_, &n)| n)
-                    .max()
-                    .unwrap_or(0);
-                let peak_gbps = peak_lines as f64 * 64.0 / (BIN_PS as f64 / 1e12) / 1e9;
                 let _ = writeln!(
                     out,
-                    "{:<8} {:>10} {:>10} {:>10} {:>10.1} {:>12.1}",
+                    "{:<8} {:>10} {:>10} {:>10} {:>10.1}",
                     dev_name(*dev),
                     d.reads,
                     d.writes,
                     d.depth_peak,
-                    mean_q,
-                    peak_gbps
+                    mean_q
                 );
             }
         }
@@ -858,8 +826,6 @@ mod tests {
             "H M 4 1 900 900 900 BINS",
             "T 3 7 1 2 3 1 0",
             "D 1 5 6 7 8",
-            "B 1 4 9",
-            "U 3 4 9",
             "X S M 2",
             "L 40 3",
             "C inv 2",
@@ -880,19 +846,17 @@ mod tests {
             "D 1 5 6 7",
             "D 1 5 x 7 8",
             "D 2 5",
-            "B 1 4",
-            "B 1 4 x",
-            "U 3 4",
-            "U 3 4 x",
             "X S M",
             "X S M x",
             "L 40",
             "L 40 x",
             "L zz 3",
-            // Counts no writer emits: a cell or a line that was never counted.
-            "B 1 4 0",
-            "U 3 4 0",
+            // A count no writer emits: a line that was never counted.
             "L 40 0",
+            // The per-bin device and tile rows of older traces: time
+            // resolution is the telemetry's, a trace holds run totals.
+            "B 1 4 9",
+            "U 3 4 9",
             // Rows no writer emits: bins that do not add up to the count,
             // an empty histogram, a minimum above the maximum, serves that
             // are not the sum of their sources, a peak depth above the sum
@@ -916,8 +880,6 @@ mod tests {
             // One field too many, per tag.
             "H M 4 1 900 900 900 BINS extra",
             "D 1 5 6 7 8 9",
-            "B 1 4 9 junk",
-            "U 3 4 9 9",
             "X S M 2 2",
             "L 40 3 3",
             "C inv 2 2",

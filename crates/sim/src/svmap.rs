@@ -1,5 +1,5 @@
-//! A sorted-vec map for small, ordered aggregation keyspaces, and the one
-//! open time bin both binning observers fold through.
+//! A sorted-vec map for small, ordered aggregation keyspaces, and the
+//! dense per-id rows the observers count in before adding to one.
 //!
 //! [`SortedVecMap`] is a pair of parallel sorted vectors: a lookup is a
 //! binary search over a dense array, iteration a linear scan in ascending
@@ -8,15 +8,13 @@
 //! fine for a few dozen near-static keys, quadratic for the id-major
 //! `(tile | device, bin)` series if they were searched per event.
 //!
-//! So they are not: the tracer and the sampler each count the bin they are
-//! in through an `OpenBin` — a window (two compares per event, a division
-//! only on a bin change) and the observer's `BinCells`, dense `OpenRow`s
-//! indexed by id — and add the touched cells to their series when an event
-//! lands in another bin, at a reset, and before anything reads the series.
-//! The per-line hot-line profile is paged instead ([`crate::metrics`]).
+//! So they are not: the observers count per tile, device or state tag in
+//! an `OpenRow` indexed by id and add its touched cells to their sparse
+//! maps in one pass — the tracer when it is read or detached, the
+//! telemetry sampler when an event lands in another time bin
+//! ([`crate::telemetry`]). The per-line hot-line profile is paged instead
+//! ([`crate::metrics`]).
 
-use crate::SimTime;
-use std::borrow::Cow;
 use std::ops::Index;
 
 /// A map backed by parallel key/value vectors kept sorted by key.
@@ -102,112 +100,11 @@ impl<K: Ord + Copy, V> SortedVecMap<K, V> {
     }
 }
 
-/// The sim-time window `[start, start + interval)` of the time bin an
-/// observer is accumulating: the per-event question "same bin as the last
-/// event?" is two compares, and the division happens only when the answer
-/// is no.
-#[derive(Debug, Clone)]
-pub(crate) struct BinWindow {
-    interval: SimTime,
-    start: SimTime,
-    index: u64,
-}
-
-impl BinWindow {
-    /// The window of bin 0 at bin width `interval` (ps, nonzero).
-    pub(crate) fn new(interval: SimTime) -> Self {
-        assert!(interval > 0, "a time bin has a width");
-        BinWindow {
-            interval,
-            start: 0,
-            index: 0,
-        }
-    }
-
-    /// Does `time` fall in this bin?
-    #[inline]
-    pub(crate) fn holds(&self, time: SimTime) -> bool {
-        // Not `time < start + interval`: the last bin's end is past `u64::MAX`.
-        time >= self.start && time - self.start < self.interval
-    }
-
-    /// Move the window to the bin holding `time`.
-    pub(crate) fn move_to(&mut self, time: SimTime) {
-        self.index = time / self.interval;
-        self.start = self.index * self.interval;
-    }
-
-    /// Index of the bin (`time / interval` for every time it holds).
-    pub(crate) fn index(&self) -> u64 {
-        self.index
-    }
-}
-
-/// What an observer counts for its open time bin, and how those counts
-/// are added to its sparse series `S` when the bin closes.
-pub(crate) trait BinCells<S>: Clone {
-    /// Whether [`BinCells::close_into`] would add nothing.
-    fn is_empty(&self) -> bool;
-    /// Add the touched cells to `series` as bin `bin`, and empty them.
-    fn close_into(&mut self, bin: u64, series: &mut S);
-}
-
-/// An observer's fold: the series of every closed bin, and the open bin's
-/// cells behind the [`BinWindow`] that says which bin is open. The
-/// observer counts into [`OpenBin::at`] and into `closed` directly for
-/// what is not binned.
-#[derive(Debug, Clone)]
-pub(crate) struct OpenBin<C, S> {
-    window: BinWindow,
-    cells: C,
-    /// Everything folded so far but what `cells` still holds.
-    pub(crate) closed: S,
-}
-
-impl<C: BinCells<S>, S: Clone> OpenBin<C, S> {
-    /// Bin 0 open and empty, at bin width `interval` (ps).
-    pub(crate) fn new(interval: SimTime, cells: C, closed: S) -> Self {
-        OpenBin {
-            window: BinWindow::new(interval),
-            cells,
-            closed,
-        }
-    }
-
-    /// The open bin's cells, after closing the open bin and opening the
-    /// one holding `time` if `time` is not in it.
-    #[inline]
-    pub(crate) fn at(&mut self, time: SimTime) -> &mut C {
-        if !self.window.holds(time) {
-            self.close();
-            self.window.move_to(time);
-        }
-        &mut self.cells
-    }
-
-    /// Add the open bin's cells to `closed`.
-    pub(crate) fn close(&mut self) {
-        self.cells.close_into(self.window.index(), &mut self.closed);
-    }
-
-    /// The series, open bin included: a copy with the bin closed into it
-    /// while a bin is open (an observer still attached to its machine),
-    /// `closed` itself otherwise.
-    pub(crate) fn view(&self) -> Cow<'_, S> {
-        if self.cells.is_empty() {
-            return Cow::Borrowed(&self.closed);
-        }
-        let mut all = self.closed.clone();
-        self.cells.clone().close_into(self.window.index(), &mut all);
-        Cow::Owned(all)
-    }
-}
-
-/// One binned series' cells for the open time bin, as a dense row indexed
-/// by a small id (tile, device, state tag), plus the ids touched since the
-/// last [`OpenRow::drain`]. A touched cell is drained even when its value
-/// is still `V::default()`: the sparse series it is folded into records
-/// that the cell was touched (`G 4 S 0`, an all-zero `V` row).
+/// Counts not yet added to a sparse map, as a dense row indexed by a small
+/// id (tile, device, state tag), plus the ids touched since the last
+/// [`OpenRow::drain`]. A touched cell is drained even when its value is
+/// still `V::default()`: the sparse map it is folded into records that
+/// the cell was touched (`G 4 S 0`, an all-zero `V` row).
 ///
 /// The row grows to the largest id it has seen, so ids must come from the
 /// simulator (tile and device numbers), never from a parsed file.
@@ -227,7 +124,7 @@ impl<V> Default for OpenRow<V> {
 }
 
 impl<V: Default> OpenRow<V> {
-    /// The open bin's cell for `id`, touched from now on.
+    /// The cell for `id`, touched from now on.
     #[inline]
     pub(crate) fn cell(&mut self, id: usize) -> &mut V {
         if id >= self.cells.len() {
@@ -353,23 +250,6 @@ mod tests {
         *m.entry_or_default((2, 'M')) = 1;
         *m.entry_or_default((7, 'E')) = 1;
         assert_eq!(m.last_key(), Some(&(7, 'S')));
-    }
-
-    #[test]
-    fn bin_window_agrees_with_division() {
-        let mut w = BinWindow::new(100);
-        assert!(w.holds(0) && w.holds(99) && !w.holds(100));
-        assert_eq!(w.index(), 0);
-        for t in [100, 250, 249, 99, 0, u64::MAX, u64::MAX - 99, 1] {
-            if !w.holds(t) {
-                w.move_to(t);
-            }
-            assert!(w.holds(t), "{t}");
-            assert_eq!(w.index(), t / 100, "{t}");
-        }
-        // The last bin's window ends past `u64::MAX`; nothing wraps into it.
-        w.move_to(u64::MAX);
-        assert!(w.holds(u64::MAX) && !w.holds(0) && !w.holds(u64::MAX - 100));
     }
 
     #[test]

@@ -10,22 +10,24 @@
 //! * protocol message rates (invalidations, updates, write-backs, mcache
 //!   hits/misses, mesh hops).
 //!
-//! Like `Metrics`, a series is plain sparse data that serializes to
-//! deterministic lines, parses back and merges additively; the sampler
-//! counts its current bin in the shared open bin of [`crate::svmap`].
+//! It is the only observer that bins time: the tracer's metrics are run
+//! totals. Like `Metrics`, a series is plain sparse data that serializes
+//! to deterministic lines, parses back and merges additively; the sampler
+//! counts the bin it is in densely by id (`svmap::OpenRow`) and adds the
+//! touched cells to the series when an event lands in another bin, at a
+//! reset, and before anything reads the series.
 //! Host time never enters a series (the crate's `clippy.toml` bans the
 //! host-time types), so sampling is a pure observer.
 
 use crate::engine::observe::{gstate_tag, ProtocolEvent};
-use crate::svmap::{BinCells, OpenBin, OpenRow, SortedVecMap};
+use crate::svmap::{OpenRow, SortedVecMap};
 use crate::trace::{num, one_char, strict_line};
 use crate::SimTime;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default sampling interval: 100 µs of sim time (matches
-/// [`crate::metrics::BIN_PS`]).
+/// Default sampling interval: 100 µs of sim time.
 pub const DEFAULT_INTERVAL_PS: SimTime = 100_000_000;
 
 /// Telemetry knob carried by [`crate::ObserverConfig`]: the sampling
@@ -315,6 +317,42 @@ impl TelemetrySeries {
     }
 }
 
+/// The sim-time window `[start, start + interval)` of the time bin the
+/// sampler is accumulating: the per-event question "same bin as the last
+/// event?" is two compares, and the division happens only when the answer
+/// is no.
+#[derive(Debug, Clone)]
+struct BinWindow {
+    interval: SimTime,
+    start: SimTime,
+    index: u64,
+}
+
+impl BinWindow {
+    /// The window of bin 0 at bin width `interval` (ps, nonzero).
+    fn new(interval: SimTime) -> Self {
+        assert!(interval > 0, "a time bin has a width");
+        BinWindow {
+            interval,
+            start: 0,
+            index: 0,
+        }
+    }
+
+    /// Does `time` fall in this bin?
+    #[inline]
+    fn holds(&self, time: SimTime) -> bool {
+        // Not `time < start + interval`: the last bin's end is past `u64::MAX`.
+        time >= self.start && time - self.start < self.interval
+    }
+
+    /// Move the window to the bin holding `time`.
+    fn move_to(&mut self, time: SimTime) {
+        self.index = time / self.interval;
+        self.start = self.index * self.interval;
+    }
+}
+
 /// The sampler's open bin: every series' cells for that bin as dense rows
 /// (the census row is indexed by state tag).
 #[derive(Debug, Clone, Default)]
@@ -326,7 +364,8 @@ struct SeriesCells {
     rates: Option<RateBin>,
 }
 
-impl BinCells<TelemetrySeries> for SeriesCells {
+impl SeriesCells {
+    /// Whether [`SeriesCells::close_into`] would add nothing.
     fn is_empty(&self) -> bool {
         self.devs.is_empty()
             && self.tiles.is_empty()
@@ -334,6 +373,7 @@ impl BinCells<TelemetrySeries> for SeriesCells {
             && self.rates.is_none()
     }
 
+    /// Add the touched cells to `series` as bin `bin`, and empty them.
     fn close_into(&mut self, bin: u64, series: &mut TelemetrySeries) {
         self.devs
             .drain(|dev, b| series.dev_bins.entry_or_default((dev as u8, bin)).add(&b));
@@ -351,6 +391,56 @@ impl BinCells<TelemetrySeries> for SeriesCells {
     }
 }
 
+/// The series of every closed bin, and the open bin's cells behind the
+/// [`BinWindow`] that says which bin is open. The sampler counts into
+/// [`OpenBin::at`] and into `closed` directly for what is not binned.
+#[derive(Debug, Clone)]
+struct OpenBin {
+    window: BinWindow,
+    cells: SeriesCells,
+    /// Everything folded so far but what `cells` still holds.
+    closed: TelemetrySeries,
+}
+
+impl OpenBin {
+    /// Bin 0 open and empty, at bin width `interval` (ps).
+    fn new(interval: SimTime) -> Self {
+        OpenBin {
+            window: BinWindow::new(interval),
+            cells: SeriesCells::default(),
+            closed: TelemetrySeries::with_interval(interval),
+        }
+    }
+
+    /// The open bin's cells, after closing the open bin and opening the
+    /// one holding `time` if `time` is not in it.
+    #[inline]
+    fn at(&mut self, time: SimTime) -> &mut SeriesCells {
+        if !self.window.holds(time) {
+            self.close();
+            self.window.move_to(time);
+        }
+        &mut self.cells
+    }
+
+    /// Add the open bin's cells to `closed`.
+    fn close(&mut self) {
+        self.cells.close_into(self.window.index, &mut self.closed);
+    }
+
+    /// The series, open bin included: a copy with the bin closed into it
+    /// while a bin is open (a sampler still attached to its machine),
+    /// `closed` itself otherwise.
+    fn view(&self) -> Cow<'_, TelemetrySeries> {
+        if self.cells.is_empty() {
+            return Cow::Borrowed(&self.closed);
+        }
+        let mut all = self.closed.clone();
+        self.cells.clone().close_into(self.window.index, &mut all);
+        Cow::Owned(all)
+    }
+}
+
 /// The telemetry observer: folds [`ProtocolEvent`]s into a
 /// [`TelemetrySeries`] at a fixed sim-time interval. A pure observer — it
 /// only ever reads the event stream, so simulated timings, counters, and
@@ -360,7 +450,7 @@ pub struct TelemetrySampler {
     /// cache/directory reset can emit compensating deltas (the dropped
     /// entries all return to Uncached).
     live_census: OpenRow<i64>,
-    series: OpenBin<SeriesCells, TelemetrySeries>,
+    series: OpenBin,
 }
 
 impl TelemetrySampler {
@@ -371,11 +461,7 @@ impl TelemetrySampler {
         assert!(cfg.enabled(), "use no sampler instead of interval 0");
         TelemetrySampler {
             live_census: OpenRow::default(),
-            series: OpenBin::new(
-                cfg.interval_ps,
-                SeriesCells::default(),
-                TelemetrySeries::with_interval(cfg.interval_ps),
-            ),
+            series: OpenBin::new(cfg.interval_ps),
         }
     }
 
@@ -521,6 +607,23 @@ mod tests {
             t = m.access(c, a, kind, t).complete;
         }
         t
+    }
+
+    #[test]
+    fn bin_window_agrees_with_division() {
+        let mut w = BinWindow::new(100);
+        assert!(w.holds(0) && w.holds(99) && !w.holds(100));
+        assert_eq!(w.index, 0);
+        for t in [100, 250, 249, 99, 0, u64::MAX, u64::MAX - 99, 1] {
+            if !w.holds(t) {
+                w.move_to(t);
+            }
+            assert!(w.holds(t), "{t}");
+            assert_eq!(w.index, t / 100, "{t}");
+        }
+        // The last bin's window ends past `u64::MAX`; nothing wraps into it.
+        w.move_to(u64::MAX);
+        assert!(w.holds(u64::MAX) && !w.holds(0) && !w.holds(u64::MAX - 100));
     }
 
     #[test]

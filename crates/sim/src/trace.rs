@@ -2,13 +2,15 @@
 //! supplier state, how many hops, which device queue) as data.
 //!
 //! The [`Tracer`] folds each [`crate::ProtocolEvent`] the engine emits
-//! straight into [`crate::metrics::Metrics`], one `match` per event, binned
-//! by the tile in the hub's event context. At [`TraceLevel::Full`] it also
-//! translates the event into a [`TraceEvent`] (sim time, thread, tile, line,
-//! [`EventKind`]) for the event log, capped at [`EVENT_CAP`] events
-//! (overflow is counted). [`TraceLevel::Off`] means no tracer at all: the
-//! hub stays on its event-free fast path. Like every observer the tracer
-//! is pure; results are bit-identical at every level.
+//! straight into [`crate::metrics::Metrics`], one `match` per event, keyed
+//! by the tile in the hub's event context. The metrics are run totals; the
+//! telemetry sampler is the only observer that bins time. At
+//! [`TraceLevel::Full`] the tracer also translates the event into a
+//! [`TraceEvent`] (sim time, thread, tile, line, [`EventKind`]) for the
+//! event log, capped at [`EVENT_CAP`] events (overflow is counted).
+//! [`TraceLevel::Off`] means no tracer at all: the hub stays on its
+//! event-free fast path. Like every observer the tracer is pure; results
+//! are bit-identical at every level.
 //!
 //! # Serialized format
 //!
@@ -20,13 +22,12 @@
 //! E <time_ps> <thread> <tile> <line_hex> <kind> [kind fields...]
 //! ```
 //!
-//! and metric lines (see [`crate::metrics`]) start with `H`/`T`/`D`/`B`/
-//! `U`/`X`/`L`/`C`/`Z`. `knl trace` (crates/bench) parses both: metric
-//! lines feed the report, event lines feed the Chrome `trace_event` export.
+//! and metric lines (see [`crate::metrics`]) start with `H`/`T`/`D`/`X`/
+//! `L`/`C`/`Z`. `knl trace` (crates/bench) parses both: metric lines feed
+//! the report, event lines feed the Chrome `trace_event` export.
 
 use crate::engine::observe::{gstate_tag, EventContext, ProtocolEvent};
-use crate::metrics::{Metrics, MetricsCells, BIN_PS};
-use crate::svmap::OpenBin;
+use crate::metrics::{Metrics, MetricsFold};
 use crate::SimTime;
 use std::borrow::Cow;
 use std::str::{FromStr, SplitAsciiWhitespace};
@@ -376,7 +377,7 @@ impl TraceEvent {
 #[derive(Debug, Clone)]
 pub struct Tracer {
     level: TraceLevel,
-    metrics: OpenBin<MetricsCells, Metrics>,
+    metrics: MetricsFold,
     events: Vec<TraceEvent>,
     dropped: u64,
 }
@@ -389,7 +390,7 @@ impl Tracer {
         assert_ne!(level, TraceLevel::Off, "TraceLevel::Off means no tracer");
         Tracer {
             level,
-            metrics: OpenBin::new(BIN_PS, MetricsCells::default(), Metrics::default()),
+            metrics: MetricsFold::default(),
             events: Vec::new(),
             dropped: 0,
         }
@@ -435,15 +436,15 @@ impl Tracer {
         self.dropped
     }
 
-    /// Fold the open bin into the metrics. The hub does this when it
-    /// detaches the tracer, so a detached tracer's [`Tracer::metrics`] is a
-    /// borrow.
-    pub(crate) fn close_bin(&mut self) {
-        self.metrics.close();
+    /// Add the per-tile, per-device and histogram rows to the metrics. The
+    /// hub does this when it detaches the tracer, so a detached tracer's
+    /// [`Tracer::metrics`] is a borrow.
+    pub(crate) fn fold_rows(&mut self) {
+        self.metrics.fold_rows();
     }
 
-    /// The aggregated metrics, open bin included: a copy with the bin
-    /// closed into it while a bin is open (a tracer still attached to its
+    /// The aggregated metrics, rows included: a copy with the rows added
+    /// to it while they hold counts (a tracer still attached to its
     /// machine), the metrics themselves otherwise.
     pub fn metrics(&self) -> Cow<'_, Metrics> {
         self.metrics.view()

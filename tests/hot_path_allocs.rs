@@ -339,10 +339,9 @@ fn streams_and_copies_allocate_a_constant_not_per_line() {
     let (mut series, mut metrics) = (TelemetrySeries::default(), Metrics::default());
     let parsed = bytes_in(|| {
         assert!(series.parse_line("Q 0 18446744073709551615 1 0 0 0 0"));
-        assert!(metrics.parse_line("B 0 18446744073709551615 1"));
         assert!(metrics.parse_line("L ffffffffffffffff 1"));
     });
-    assert!(parsed < 4096, "three hostile lines: {parsed} B");
+    assert!(parsed < 4096, "two hostile lines: {parsed} B");
     // Eq. 1, once its table is solved: the returned `Tree` is one vector
     // per inner node, and that is all a repeated request or an envelope
     // takes — no DP rows, no copy of the model's six maps.

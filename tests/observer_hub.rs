@@ -151,8 +151,8 @@ fn observed_bytes_match_golden() {
     assert_golden("observed_transfer.txt", &got);
 }
 
-/// The tracer and the sampler fold the same events, each into its own
-/// container at its own bin width, so their totals must agree: serves and
+/// The tracer and the sampler fold the same events, the tracer into run
+/// totals and the sampler into time bins, so their totals must agree: serves and
 /// issues, device enters and writes, and every message rate against the
 /// trace's `C` counters.
 fn assert_totals_reconcile(label: &str, trace: &str, telemetry: &str) {
@@ -213,8 +213,8 @@ fn assert_totals_reconcile(label: &str, trace: &str, telemetry: &str) {
 
 #[test]
 fn observed_stream_bytes_match_golden() {
-    // The transfer golden ping-pongs one line inside one trace bin, so it
-    // never has more hot lines than the serialized top-N, more than a few
+    // The transfer golden ping-pongs one line, so it never has more hot
+    // lines than the serialized top-N, more than a few
     // telemetry bins, or a reset. This one streams: an 8-thread triad, a
     // `reset_caches`, then four cache-to-cache buffer copies with a reset
     // after each, under a `Summary` trace and a 1 µs sampler — hundreds of
