@@ -4,24 +4,24 @@
 //! Enumerates every reachable (directory entry × per-cache line state ×
 //! symbolic currency) configuration of a bounded system and checks the
 //! shipped transition table — the *same* `protocol::transition` the
-//! simulator executes — under each protocol for structural soundness, SWMR, data-value currency, and quiescence. With `--mutants`
-//! it injects every catalogued single-transition defect and requires the
-//! sweep to kill each one with a minimal counterexample, then replays that
-//! counterexample on a full `Machine` to confirm the runtime
-//! `CoherenceChecker` fires too. Exit status is non-zero on any violation,
+//! simulator executes — under each protocol for structural soundness, SWMR,
+//! data-value currency, and quiescence. With `--mutants` it runs the
+//! mutation-kill gate (`modelcheck::kill`) on every catalogued
+//! single-transition defect: the sweep must kill it with a minimal
+//! counterexample that replays on a full `Machine` to a runtime
+//! `CoherenceChecker` panic. Exit status is non-zero on any violation,
 //! surviving mutant, failed replay, or cross-protocol divergence.
 
 use std::ops::RangeInclusive;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::exit;
 use std::str::FromStr;
 
 use crate::flags::{self, Arg, Flag, Stop};
-use knl_arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
-use knl_sim::fuzz::replay_trace;
-use knl_sim::modelcheck::{check, cross_protocol_equivalence, format_trace, EquivConfig, McConfig};
+use knl_arch::ProtocolKind;
+use knl_sim::modelcheck::{
+    check, cross_protocol_equivalence, format_trace, kill, EquivConfig, KillFailure, McConfig,
+};
 use knl_sim::mutation::Mutation;
-use knl_sim::CheckLevel;
 
 const USAGE: &str = "\
 usage: knl mc [flags]
@@ -35,7 +35,6 @@ struct Args {
     protocols: Vec<ProtocolKind>,
     mc: McConfig,
     mutants: bool,
-    replay: bool,
     equiv: bool,
     depth: usize,
 }
@@ -95,16 +94,6 @@ const FLAGS: &[Flag<Args>] = &[
         },
     },
     Flag {
-        names: &["--no-replay"],
-        env: None,
-        arg: Arg::Switch,
-        help: "with --mutants: skip the runtime counterexample replay",
-        set: |a, _| {
-            a.replay = false;
-            Some(())
-        },
-    },
-    Flag {
         names: &["--equiv"],
         env: None,
         arg: Arg::Switch,
@@ -128,7 +117,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
         protocols: ProtocolKind::ALL.to_vec(),
         mc: McConfig::default(),
         mutants: false,
-        replay: true,
         equiv: false,
         depth: EquivConfig::default().depth,
     };
@@ -136,57 +124,40 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
     Ok(a)
 }
 
-/// Short label for the property class a violation was caught by.
-fn property_class(property: &str) -> &'static str {
-    if property.starts_with("structural") {
-        "structural"
-    } else if property.starts_with("swmr") {
-        "swmr"
-    } else if property.starts_with("version") {
-        "version"
-    } else if property.starts_with("value") {
-        "value"
-    } else {
-        "liveness"
-    }
-}
-
-fn replay_cfg(kind: ProtocolKind) -> MachineConfig {
-    MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat).with_protocol(kind)
-}
-
-/// Replay a counterexample on the full machine: the mutated run must panic
-/// with a coherence violation and the shipped tables must run it clean.
-fn replay_confirms(
-    kind: ProtocolKind,
-    mu: Mutation,
-    trace: &[knl_sim::modelcheck::McOp],
-) -> Result<(), String> {
-    let cfg = replay_cfg(kind);
-    let t = trace.to_vec();
-    let mutated = catch_unwind(AssertUnwindSafe(move || {
-        replay_trace(&cfg, &t, CheckLevel::FullOracle, Some(mu));
-    }));
-    match mutated {
-        Ok(_) => return Err("runtime checker did not fire on the mutated replay".into()),
-        Err(err) => {
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_default();
-            if !msg.contains("coherence violation") {
-                return Err(format!("mutated replay panicked off-oracle: {msg}"));
-            }
-        }
-    }
-    let cfg = replay_cfg(kind);
-    let t = trace.to_vec();
-    catch_unwind(AssertUnwindSafe(move || {
-        replay_trace(&cfg, &t, CheckLevel::FullOracle, None);
-    }))
-    .map_err(|_| String::from("shipped tables also panicked on this trace"))?;
-    Ok(())
+/// Say why the mutant `label` was not killed: one line, two for a
+/// counterexample whose replay failed.
+fn print_failure(label: &str, failure: KillFailure) {
+    let (v, why) = match failure {
+        KillFailure::CheckerError(e) => return println!("{label} ERROR {e}"),
+        KillFailure::Survived {
+            states,
+            transitions,
+        } => return println!("{label} SURVIVED ({states} states, {transitions} transitions)"),
+        KillFailure::ReplayDidNotFire {
+            violation,
+            panic: None,
+        } => (
+            violation,
+            "runtime checker did not fire on the mutated replay".to_string(),
+        ),
+        KillFailure::ReplayDidNotFire {
+            violation,
+            panic: Some(msg),
+        } => (
+            violation,
+            format!("mutated replay panicked off-oracle: {msg}"),
+        ),
+        KillFailure::NotMutationSpecific { violation, panic } => (
+            violation,
+            format!("shipped tables also panicked on this trace: {panic}"),
+        ),
+    };
+    println!(
+        "{label} KILLED step={} by={} REPLAY-FAILED: {why}",
+        v.trace.len(),
+        v.class()
+    );
+    println!("  trace: {}", format_trace(&v.trace));
 }
 
 pub fn run(args: impl IntoIterator<Item = String>) {
@@ -224,58 +195,27 @@ pub fn run(args: impl IntoIterator<Item = String>) {
     }
 
     // Mutation-kill matrix: every catalogued defect must die with a
-    // minimal counterexample, and (unless --no-replay) that trace must
-    // reproduce a runtime coherence violation on the full machine.
+    // minimal counterexample that reproduces a runtime coherence
+    // violation on the full machine.
     if args.mutants {
         // Replays panic on purpose; keep the hook from spraying traces.
         let hook = std::panic::take_hook();
-        if args.replay {
-            std::panic::set_hook(Box::new(|_| {}));
-        }
+        std::panic::set_hook(Box::new(|_| {}));
         let (mut killed, mut total) = (0u32, 0u32);
         for &kind in &args.protocols {
             for mu in Mutation::catalog(kind) {
                 total += 1;
                 let label = format!("{kind}/{}", mu.name());
-                match check(kind, &args.mc, Some(mu)) {
-                    Ok(r) => match r.violation {
-                        Some(v) => {
-                            let replay = if args.replay {
-                                match replay_confirms(kind, mu, &v.trace) {
-                                    Ok(()) => "confirmed",
-                                    Err(e) => {
-                                        failed = true;
-                                        println!(
-                                            "{label} KILLED step={} by={} REPLAY-FAILED: {e}",
-                                            v.trace.len(),
-                                            property_class(&v.property)
-                                        );
-                                        println!("  trace: {}", format_trace(&v.trace));
-                                        continue;
-                                    }
-                                }
-                            } else {
-                                "skipped"
-                            };
-                            killed += 1;
-                            println!(
-                                "{label} KILLED step={} by={} replay={replay}",
-                                v.trace.len(),
-                                property_class(&v.property)
-                            );
-                        }
-                        None => {
-                            failed = true;
-                            println!(
-                                "{label} SURVIVED ({} states, {} transitions)",
-                                r.states, r.transitions
-                            );
-                        }
-                    },
-                    Err(e) => {
-                        failed = true;
-                        println!("{label} ERROR {e}");
+                match kill(kind, &args.mc, mu) {
+                    Ok(v) => {
+                        killed += 1;
+                        println!(
+                            "{label} KILLED step={} by={} replay=confirmed",
+                            v.trace.len(),
+                            v.class()
+                        );
                     }
+                    Err(f) => print_failure(&label, f),
                 }
             }
         }
@@ -340,12 +280,14 @@ mod tests {
         }
         let mut want = parse("").unwrap();
         assert_eq!(want.protocols, ProtocolKind::ALL);
-        assert!(!want.mutants && want.replay && !want.equiv);
+        assert!(!want.mutants && !want.equiv);
         assert_eq!(want.mc, McConfig::default());
         assert_eq!(want.depth, EquivConfig::default().depth);
-        (want.mc.caches, want.mc.lines, want.mutants, want.replay) = (4, 2, true, false);
-        let got = parse("--caches 4 --lines 2 --mutants --no-replay");
+        (want.mc.caches, want.mc.lines, want.mutants) = (4, 2, true);
+        let got = parse("--caches 4 --lines 2 --mutants");
         assert_eq!(got, Ok(want));
+        let gone = Stop::Bad("unknown argument: --no-replay".into());
+        assert_eq!(parse("--mutants --no-replay"), Err(gone));
         let a = parse("--protocol ALL --equiv --depth=3").unwrap();
         assert_eq!((a.protocols.len(), a.equiv, a.depth), (4, true, 3));
         let a = parse("--protocol=moesi").unwrap();

@@ -30,7 +30,6 @@ pub mod directory;
 pub mod engine;
 #[cfg(test)]
 mod fold_oracle;
-pub mod fuzz;
 pub mod fxmap;
 pub mod invariants;
 pub mod machine;

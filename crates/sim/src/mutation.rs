@@ -1,5 +1,5 @@
 //! Test scaffolding: single-transition protocol defects for the
-//! mutation-kill matrix of [`crate::modelcheck`] and `knl mc`.
+//! mutation-kill gate, [`crate::modelcheck::kill`].
 //!
 //! A [`Mutation`] corrupts exactly one transition shape (a write grant, a
 //! read grant, an eviction, or an NT sweep) and leaves every other
@@ -13,9 +13,12 @@
 //! The catalog is restricted to defects the *runtime*
 //! [`crate::invariants::CoherenceChecker`] can also observe (structurally
 //! illegal entries, stale reads the memory oracle sees, or write-back
-//! counts that fail end-of-run reconciliation): `knl mc` requires every
+//! counts that fail end-of-run reconciliation): the gate requires every
 //! minimal counterexample to replay to a runtime violation, which keeps
-//! the static and dynamic layers provably aligned.
+//! the static and dynamic layers provably aligned. Conversely every
+//! defect left out of a protocol's catalog survives that protocol's
+//! sweep at 3 caches × 1 line (`tests/modelcheck_replay.rs`), so the
+//! catalog is exactly the killable set there.
 
 use crate::directory::{DirEntry, GlobalState, TileSet};
 use crate::protocol::{Outcome, Request};
