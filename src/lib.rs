@@ -16,3 +16,9 @@ pub use knl_core as model;
 pub use knl_sim as sim;
 pub use knl_sort as sort;
 pub use knl_stats as stats;
+
+/// The coherence fuzz driver `tests/coherence_fuzz.rs` runs, built here
+/// only for tests so its own unit test runs with the facade's.
+#[cfg(test)]
+#[path = "../tests/common/fuzz.rs"]
+mod fuzz;
