@@ -10,7 +10,7 @@ use crate::output::{f1, Table};
 use crate::runconf::{Effort, RunConf};
 use crate::sweep::{executor, machine, TraceSink};
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode};
-use knl_benchsuite::pointer_chase::{invalid_latency_salted, transfer_latency};
+use knl_benchsuite::pointer_chase::{invalid_latency, transfer_latency};
 use knl_sim::LineState;
 
 pub fn run(conf: &RunConf, sink: &TraceSink) {
@@ -42,7 +42,7 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
         let row = states
             .map(|st| {
                 let sample = if st == LineState::Invalid {
-                    invalid_latency_salted(&mut m, origin, iters, partner as u64)
+                    invalid_latency(&mut m, origin, iters, partner as u64)
                 } else {
                     transfer_latency(&mut m, owner, origin, helper, st, iters)
                 };

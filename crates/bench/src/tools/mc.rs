@@ -10,7 +10,11 @@
 //! single-transition defect: the sweep must kill it with a minimal
 //! counterexample that replays on a full `Machine` to a runtime
 //! `CoherenceChecker` panic. Exit status is non-zero on any violation,
-//! surviving mutant, failed replay, or cross-protocol divergence.
+//! surviving mutant, or failed replay.
+//!
+//! The data-value property makes every read observe the latest write under
+//! each protocol, so a clean sweep also proves that all four protocols
+//! observe identical read values.
 
 use std::ops::RangeInclusive;
 use std::process::exit;
@@ -18,25 +22,22 @@ use std::str::FromStr;
 
 use crate::flags::{self, Arg, Flag, Stop};
 use knl_arch::ProtocolKind;
-use knl_sim::modelcheck::{
-    check, cross_protocol_equivalence, format_trace, kill, EquivConfig, KillFailure, McConfig,
-};
+use knl_sim::modelcheck::{check, format_trace, kill, KillFailure, McConfig};
 use knl_sim::mutation::Mutation;
 
 const USAGE: &str = "\
 usage: knl mc [flags]
 
 Exhaustively model-check the coherence protocol tables over a bounded
-system and (optionally) the mutation-kill matrix and the cross-protocol
-observational-equivalence sweep.";
+system, and (optionally) run the mutation-kill matrix. A clean sweep proves
+every read observes the latest write, so all protocols observe identical
+values.";
 
 #[derive(Debug, PartialEq)]
 struct Args {
     protocols: Vec<ProtocolKind>,
     mc: McConfig,
     mutants: bool,
-    equiv: bool,
-    depth: usize,
 }
 
 /// Parse a bound into its field's own type and hold it to the range the
@@ -93,23 +94,6 @@ const FLAGS: &[Flag<Args>] = &[
             Some(())
         },
     },
-    Flag {
-        names: &["--equiv"],
-        env: None,
-        arg: Arg::Switch,
-        help: "also run the cross-protocol equivalence sweep",
-        set: |a, _| {
-            a.equiv = true;
-            Some(())
-        },
-    },
-    Flag {
-        names: &["--depth"],
-        env: None,
-        arg: Arg::Value("1..=8"),
-        help: "equivalence sweep depth (default 6)",
-        set: |a, v| bounded(v, 1..=8).map(|n| a.depth = n),
-    },
 ];
 
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
@@ -117,8 +101,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
         protocols: ProtocolKind::ALL.to_vec(),
         mc: McConfig::default(),
         mutants: false,
-        equiv: false,
-        depth: EquivConfig::default().depth,
     };
     flags::parse(FLAGS, &mut a, args, |_| None, &[])?;
     Ok(a)
@@ -226,32 +208,6 @@ pub fn run(args: impl IntoIterator<Item = String>) {
         }
     }
 
-    // Cross-protocol observational equivalence: all four protocols must
-    // observe identical read values on every bounded op sequence.
-    if args.equiv {
-        let ec = EquivConfig {
-            depth: args.depth,
-            ..EquivConfig::default()
-        };
-        match cross_protocol_equivalence(&ec) {
-            Ok(r) => match r.divergence {
-                None => println!(
-                    "equivalence: depth={} paths={} reads={} divergence=none",
-                    ec.depth, r.paths, r.reads
-                ),
-                Some(v) => {
-                    failed = true;
-                    println!("equivalence: DIVERGENCE [{}]", v.property);
-                    println!("  trace: {}", format_trace(&v.trace));
-                }
-            },
-            Err(e) => {
-                failed = true;
-                println!("equivalence: ERROR {e}");
-            }
-        }
-    }
-
     if failed {
         eprintln!("knl-mc: FAILED");
         exit(1);
@@ -269,8 +225,9 @@ mod tests {
 
     #[test]
     fn numbers_that_do_not_fit_their_field_are_errors_not_wraps() {
-        let bad = "--caches 65539 | --lines 258 | --caches x | --depth | --protocol=firefly \
-                   | --caches 0 | --caches 5 | --lines 0 | --lines 99 | --depth 0 | --depth 9";
+        let bad = "--caches 65539 | --lines 258 | --caches x | --protocol=firefly \
+                   | --caches 0 | --caches 5 | --lines 0 | --lines 99 \
+                   | --max-states -1 | --lines";
         for args in bad.split('|') {
             let Err(Stop::Bad(msg)) = parse(args) else {
                 panic!("{args:?} must be rejected");
@@ -280,16 +237,17 @@ mod tests {
         }
         let mut want = parse("").unwrap();
         assert_eq!(want.protocols, ProtocolKind::ALL);
-        assert!(!want.mutants && !want.equiv);
+        assert!(!want.mutants);
         assert_eq!(want.mc, McConfig::default());
-        assert_eq!(want.depth, EquivConfig::default().depth);
         (want.mc.caches, want.mc.lines, want.mutants) = (4, 2, true);
         let got = parse("--caches 4 --lines 2 --mutants");
         assert_eq!(got, Ok(want));
-        let gone = Stop::Bad("unknown argument: --no-replay".into());
-        assert_eq!(parse("--mutants --no-replay"), Err(gone));
-        let a = parse("--protocol ALL --equiv --depth=3").unwrap();
-        assert_eq!((a.protocols.len(), a.equiv, a.depth), (4, true, 3));
+        for gone in ["--no-replay", "--equiv", "--depth"] {
+            let want = Stop::Bad(format!("unknown argument: {gone}"));
+            assert_eq!(parse(&format!("--mutants {gone} 3")), Err(want));
+        }
+        let a = parse("--protocol ALL").unwrap();
+        assert_eq!(a.protocols, ProtocolKind::ALL);
         let a = parse("--protocol=moesi").unwrap();
         assert_eq!(a.protocols, [ProtocolKind::Moesi]);
     }

@@ -96,7 +96,7 @@ pub fn latency_map(
             let sample = if st == LineState::Invalid {
                 // I: the line comes from memory regardless of the partner;
                 // salt by partner id so no region is ever re-read.
-                invalid_latency_salted(m, origin, iters, partner as u64)
+                invalid_latency(m, origin, iters, partner as u64)
             } else {
                 transfer_latency(m, owner, origin, helper, st, iters)
             };
@@ -106,15 +106,10 @@ pub fn latency_map(
     out
 }
 
-/// Latency of reading lines nobody caches (served by memory).
-pub fn invalid_latency(m: &mut Machine, reader: CoreId, iters: usize) -> Sample {
-    invalid_latency_salted(m, reader, iters, 0)
-}
-
-/// [`invalid_latency`] over a disjoint address region per `salt`, so
-/// repeated sweeps (e.g. one per partner core in Fig. 4) never re-touch
-/// cached lines.
-pub fn invalid_latency_salted(m: &mut Machine, reader: CoreId, iters: usize, salt: u64) -> Sample {
+/// Latency of reading lines nobody caches (served by memory), over a
+/// disjoint address region per `salt`, so repeated sweeps (e.g. one per
+/// partner core in Fig. 4) never re-touch cached lines.
+pub fn invalid_latency(m: &mut Machine, reader: CoreId, iters: usize, salt: u64) -> Sample {
     let mut s = Sample::new();
     let mut now: SimTime = 0;
     let region = (1u64 << 25) + salt * (iters as u64 + 1) * 4096;
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn invalid_is_memory_latency() {
         let mut m = machine();
-        let s = invalid_latency(&mut m, CoreId(0), 9);
+        let s = invalid_latency(&mut m, CoreId(0), 9, 0);
         assert!((110.0..190.0).contains(&s.median()), "{}", s.median());
     }
 

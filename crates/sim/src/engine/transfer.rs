@@ -146,34 +146,15 @@ impl Machine {
     /// bookkeeping is bypassed (fresh lines, no reuse); device queueing and
     /// the memory-side cache are fully modelled.
     ///
+    /// `core_threads` HyperThreads share the core: MLP caps and issue
+    /// bandwidth are divided among co-resident threads (they share MSHRs
+    /// and load ports).
+    ///
     /// Returns `(time, lines_done)`: when the kernel finished (`lines_done
     /// == max_lines`), `time` is the drain time of all outstanding requests;
     /// otherwise it is the issue frontier where the slice stopped.
     #[allow(clippy::too_many_arguments)]
     pub fn stream_chunk(
-        &mut self,
-        core: CoreId,
-        kind: crate::ops::StreamKind,
-        a: u64,
-        b: u64,
-        c: u64,
-        start_line: u64,
-        max_lines: u64,
-        vectorized: bool,
-        state: &mut StreamState,
-        now: SimTime,
-        deadline: SimTime,
-    ) -> (SimTime, u64) {
-        self.stream_chunk_shared(
-            core, kind, a, b, c, start_line, max_lines, vectorized, state, now, deadline, 1,
-        )
-    }
-
-    /// [`Machine::stream_chunk`] with `core_threads` HyperThreads sharing
-    /// the core: MLP caps and issue bandwidth are divided among co-resident
-    /// threads (they share MSHRs and load ports).
-    #[allow(clippy::too_many_arguments)]
-    pub fn stream_chunk_shared(
         &mut self,
         core: CoreId,
         kind: crate::ops::StreamKind,
@@ -361,6 +342,7 @@ mod tests {
             &mut st,
             0,
             u64::MAX,
+            1,
         );
         assert_eq!(n, 8192);
         let gbps = (8192.0 * 64.0 / 1e9) / (done as f64 / 1e12);
@@ -386,6 +368,7 @@ mod tests {
             &mut st,
             0,
             100_000, // 100 ns slice
+            1,
         );
         assert!(n < 1_000_000, "slice must stop early, did {n} lines");
         assert!(

@@ -58,7 +58,7 @@ pub use invariants::{CheckLevel, CoherenceChecker};
 pub use machine::{AccessKind, Machine};
 
 pub use metrics::Metrics;
-pub use modelcheck::{EquivConfig, EquivReport, McConfig, McOp, McOpKind, McReport, McViolation};
+pub use modelcheck::{McConfig, McOp, McOpKind, McReport, McViolation};
 pub use ops::{Op, StreamKind};
 pub use program::Program;
 pub use protocol::{Outcome, Request};

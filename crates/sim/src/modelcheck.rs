@@ -14,10 +14,14 @@
 //! ([`protocol::validate`]), version-epoch monotonicity
 //! ([`version_regressed`]) — plus two it can prove only by exhaustion:
 //! SWMR ([`swmr_violation`]) over every reachable configuration, and a
-//! data-value property via symbolic last-writer tracking (no read is ever
-//! served from a stale source). After a violation-free sweep a backward
-//! reachability pass proves quiescence: every reachable state can reach a
-//! stable all-Invalid-or-clean configuration.
+//! data-value property via symbolic last-writer tracking: no read is ever
+//! served from a stale source, and no holder keeps a stale copy. Holders
+//! hit their own copy, so the two clauses together prove that every read
+//! observes the latest write on op sequences of any length — under each
+//! protocol, hence all four observe identical values: the protocol changes
+//! latencies, never which value a read returns. After a violation-free
+//! sweep a backward reachability pass proves quiescence: every reachable
+//! state can reach a stable all-Invalid-or-clean configuration.
 //!
 //! States are canonicalized (version and `busy_until` zeroed, currency
 //! masked to holders — the sharer set is a bitmask, canonical as stored),
@@ -394,6 +398,17 @@ fn apply(
         }
     }
 
+    // Holders read their own copy without a transition, so each one must
+    // hold the latest value.
+    let stale = holders_mask(&lm.entry, cfg.caches) & !lm.current;
+    if stale != 0 && value_err.is_none() {
+        value_err = Some(format!(
+            "tile {} holds a stale copy of line {}",
+            stale.trailing_zeros(),
+            op.line
+        ));
+    }
+
     let violation = if transitioned {
         // Same order as the runtime: the structural predicate first (the
         // checker validates every `dir_transition`), then the exhaustive-
@@ -665,242 +680,6 @@ fn replay_panic(kind: ProtocolKind, trace: &[McOp], mutation: Option<Mutation>) 
     )
 }
 
-// ---------------------------------------------------------------------------
-// Cross-protocol observational equivalence.
-// ---------------------------------------------------------------------------
-
-/// Bounds of the lockstep equivalence sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EquivConfig {
-    /// Tile caches.
-    pub caches: u16,
-    /// Distinct lines.
-    pub lines: u8,
-    /// Op-sequence depth (every sequence up to this length is driven).
-    pub depth: usize,
-}
-
-impl Default for EquivConfig {
-    fn default() -> Self {
-        EquivConfig {
-            caches: 2,
-            lines: 1,
-            depth: 6,
-        }
-    }
-}
-
-/// Outcome of the equivalence sweep.
-#[derive(Debug, Clone)]
-pub struct EquivReport {
-    /// Op sequences driven.
-    pub paths: u64,
-    /// Read observations compared across the four protocols.
-    pub reads: u64,
-    /// First divergence, if any: the op trace plus per-protocol values.
-    pub divergence: Option<McViolation>,
-}
-
-/// Per-protocol lockstep state with full symbolic values: each copy and
-/// memory carry the id of the write that produced them (0 = initial).
-#[derive(Clone)]
-struct EquivLine {
-    entry: DirEntry,
-    tile_val: Vec<u32>,
-    mem_val: u32,
-}
-
-#[derive(Clone)]
-struct EquivState {
-    lines: Vec<EquivLine>,
-}
-
-fn equiv_read(st: &mut EquivState, kind: ProtocolKind, op: McOp) -> u32 {
-    let lm = &mut st.lines[op.line as usize];
-    let t = TileId(op.tile);
-    if lm.entry.state_of(t) != LineState::Invalid {
-        // Holder: L1/L2 hit, no directory transition.
-        return lm.tile_val[op.tile as usize];
-    }
-    let supplier = lm.entry.supplier().filter(|&sup| sup != t);
-    let observed = match supplier {
-        Some(sup) => lm.tile_val[sup.0 as usize],
-        None => lm.mem_val,
-    };
-    if protocol::transition(kind, &mut lm.entry, Request::Read, t).writeback {
-        lm.mem_val = observed;
-    }
-    lm.tile_val[op.tile as usize] = observed;
-    observed
-}
-
-fn equiv_step(st: &mut EquivState, kind: ProtocolKind, op: McOp, val: u32, caches: u16) {
-    let lm = &mut st.lines[op.line as usize];
-    let t = TileId(op.tile);
-    match op.kind {
-        McOpKind::Write => {
-            protocol::transition(kind, &mut lm.entry, Request::Write, t);
-            lm.tile_val[op.tile as usize] = val;
-            if !kind.invalidation_based() {
-                for i in 0..caches {
-                    if lm.entry.state_of(TileId(i)) != LineState::Invalid {
-                        lm.tile_val[i as usize] = val;
-                    }
-                }
-            }
-        }
-        McOpKind::NtStore => {
-            if lm.entry.num_holders() > 0 {
-                protocol::transition(kind, &mut lm.entry, Request::NtStore, t);
-                if !kind.invalidation_based() {
-                    for i in 0..caches {
-                        if lm.entry.state_of(TileId(i)) != LineState::Invalid {
-                            lm.tile_val[i as usize] = val;
-                        }
-                    }
-                }
-            }
-            lm.mem_val = val;
-        }
-        McOpKind::Evict => {
-            if lm.entry.state_of(t) != LineState::Invalid
-                && protocol::transition(kind, &mut lm.entry, Request::Evict, t).writeback
-            {
-                lm.mem_val = lm.tile_val[op.tile as usize];
-            }
-        }
-        McOpKind::Read => unreachable!("reads go through equiv_read"),
-    }
-}
-
-/// Drive all four protocols in lockstep through every op sequence up to
-/// `cfg.depth` and compare what each read observes. With correct tables
-/// every protocol serves the latest write, so the observable read values
-/// must be identical across MESIF/MESI/MOESI/Dragon even though their
-/// directory states differ.
-pub fn cross_protocol_equivalence(cfg: &EquivConfig) -> Result<EquivReport, String> {
-    if !(2..=4).contains(&cfg.caches) || !(1..=4).contains(&cfg.lines) {
-        return Err(format!(
-            "equivalence bounds out of range: {} caches x {} lines",
-            cfg.caches, cfg.lines
-        ));
-    }
-    if cfg.depth > 8 {
-        return Err(format!("equivalence depth {} too deep (max 8)", cfg.depth));
-    }
-    let mut alphabet = Vec::new();
-    for line in 0..cfg.lines {
-        for t in 0..cfg.caches {
-            alphabet.push(McOp {
-                kind: McOpKind::Read,
-                tile: t,
-                line,
-            });
-            alphabet.push(McOp {
-                kind: McOpKind::Write,
-                tile: t,
-                line,
-            });
-            alphabet.push(McOp {
-                kind: McOpKind::Evict,
-                tile: t,
-                line,
-            });
-        }
-        alphabet.push(McOp {
-            kind: McOpKind::NtStore,
-            tile: 0,
-            line,
-        });
-    }
-    let init = |caches: u16, lines: u8| EquivState {
-        lines: (0..lines)
-            .map(|_| EquivLine {
-                entry: DirEntry::default(),
-                tile_val: vec![0; caches as usize],
-                mem_val: 0,
-            })
-            .collect(),
-    };
-    let mut report = EquivReport {
-        paths: 0,
-        reads: 0,
-        divergence: None,
-    };
-    // Iterative DFS over op sequences: each stack frame re-derives the
-    // four-protocol state by replaying the prefix (depth ≤ 8 keeps this
-    // cheap and the code allocation-light).
-    let mut prefix: Vec<McOp> = Vec::new();
-    fn walk(
-        prefix: &mut Vec<McOp>,
-        alphabet: &[McOp],
-        cfg: &EquivConfig,
-        init: &dyn Fn(u16, u8) -> EquivState,
-        report: &mut EquivReport,
-    ) {
-        if report.divergence.is_some() {
-            return;
-        }
-        report.paths += 1;
-        // Replay the prefix on all four protocols, comparing reads.
-        let mut sts: Vec<(ProtocolKind, EquivState)> = ProtocolKind::ALL
-            .into_iter()
-            .map(|k| (k, init(cfg.caches, cfg.lines)))
-            .collect();
-        let mut next_val = 1u32;
-        for (i, &op) in prefix.iter().enumerate() {
-            match op.kind {
-                McOpKind::Read => {
-                    let mut seen: Option<u32> = None;
-                    let mut detail = Vec::new();
-                    for (k, st) in sts.iter_mut() {
-                        let v = equiv_read(st, *k, op);
-                        detail.push(format!("{k}={v}"));
-                        if *seen.get_or_insert(v) != v {
-                            report.divergence = Some(McViolation {
-                                property: format!(
-                                    "equivalence: read {op} observes different values ({})",
-                                    detail.join(" ")
-                                ),
-                                trace: prefix[..=i].to_vec(),
-                            });
-                            return;
-                        }
-                    }
-                    if i == prefix.len() - 1 {
-                        report.reads += 1;
-                    }
-                }
-                McOpKind::Write | McOpKind::NtStore => {
-                    let val = next_val;
-                    next_val += 1;
-                    for (k, st) in sts.iter_mut() {
-                        equiv_step(st, *k, op, val, cfg.caches);
-                    }
-                }
-                McOpKind::Evict => {
-                    for (k, st) in sts.iter_mut() {
-                        equiv_step(st, *k, op, 0, cfg.caches);
-                    }
-                }
-            }
-        }
-        if prefix.len() == cfg.depth {
-            return;
-        }
-        for &op in alphabet {
-            prefix.push(op);
-            walk(prefix, alphabet, cfg, init, report);
-            prefix.pop();
-            if report.divergence.is_some() {
-                return;
-            }
-        }
-    }
-    walk(&mut prefix, &alphabet, cfg, &init, &mut report);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,10 +711,17 @@ mod tests {
 
     #[test]
     fn shipped_tables_are_violation_free_at_the_acceptance_bound() {
-        // ISSUE 9 acceptance: ≥ 3 caches × 2 lines, all four protocols.
-        for kind in ProtocolKind::ALL {
+        // ISSUE 9 acceptance: ≥ 3 caches × 2 lines, all four protocols; the
+        // explored space is the one EXPERIMENTS.md quotes.
+        for (kind, states, transitions) in [
+            (ProtocolKind::Mesif, 625, 8750),
+            (ProtocolKind::Mesi, 196, 2744),
+            (ProtocolKind::Moesi, 529, 7406),
+            (ProtocolKind::Dragon, 529, 7406),
+        ] {
             let r = check(kind, &McConfig::default(), None).expect("within budget");
             assert!(r.violation.is_none(), "{kind}: {:?}", r.violation);
+            assert_eq!((r.states, r.transitions), (states, transitions), "{kind}");
         }
     }
 
@@ -1001,13 +787,50 @@ mod tests {
 
     #[test]
     fn cross_protocol_reads_observe_identical_values() {
-        let r = cross_protocol_equivalence(&EquivConfig::default()).expect("bounds ok");
-        assert!(
-            r.divergence.is_none(),
-            "{:?}",
-            r.divergence.map(|d| (d.property, format_trace(&d.trace)))
+        // Every read under each protocol observes the latest write, so all
+        // four observe identical values.
+        for caches in [2, 3] {
+            let cfg = McConfig {
+                caches,
+                lines: 1,
+                max_states: 100_000,
+            };
+            for kind in ProtocolKind::ALL {
+                let r = check(kind, &cfg, None).expect("within budget");
+                assert!(
+                    r.violation.is_none(),
+                    "{kind} {caches}x1: {:?}",
+                    r.violation
+                );
+            }
+        }
+        // The holder clause: a stale cached copy is a value violation even
+        // when the op does not read it.
+        let entry = DirEntry {
+            state: GlobalState::Shared { forward: None },
+            sharers: [TileId(0), TileId(1)].into_iter().collect(),
+            ..DirEntry::default()
+        };
+        let s = State {
+            lines: vec![LineModel {
+                entry,
+                current: 0b01,
+                mem_current: true,
+            }],
+        };
+        let read = McOp {
+            kind: McOpKind::Read,
+            tile: 2,
+            line: 0,
+        };
+        let cfg = McConfig {
+            caches: 3,
+            ..quick()
+        };
+        let (_, v) = apply(&s, read, ProtocolKind::Mesi, None, &cfg);
+        assert_eq!(
+            v.as_deref(),
+            Some("value: tile 1 holds a stale copy of line 0")
         );
-        assert!(r.paths > 1_000, "paths={}", r.paths);
-        assert!(r.reads > 0);
     }
 }

@@ -298,7 +298,7 @@ impl<'m> Runner<'m> {
             } => {
                 let thread = &mut self.threads[tid];
                 let done = thread.bulk_done;
-                let (t, n) = self.machine.stream_chunk_shared(
+                let (t, n) = self.machine.stream_chunk(
                     core,
                     kind,
                     a,

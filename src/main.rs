@@ -32,6 +32,7 @@ fn main() {
     match command.as_str() {
         "run" => run(args),
         "list" => {
+            no_more(args);
             for e in EXPERIMENTS {
                 println!("{:<18}{:<19}{}", e.id, e.paper_ref, e.about);
             }
@@ -40,8 +41,18 @@ fn main() {
         "report" => tools::report::run(args),
         "mc" => tools::mc::run(args),
         "provenance" => tools::provenance::run(args),
-        "-h" | "--help" => println!("{USAGE}"),
+        "-h" | "--help" => {
+            no_more(args);
+            println!("{USAGE}");
+        }
         other => usage_error(&format!("unknown subcommand: {other}")),
+    }
+}
+
+/// A subcommand that takes no arguments refuses any it is given.
+fn no_more(mut args: impl Iterator<Item = String>) {
+    if let Some(extra) = args.next() {
+        usage_error(&format!("unknown argument: {extra}"));
     }
 }
 

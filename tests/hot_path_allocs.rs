@@ -98,6 +98,7 @@ fn triad_allocs_under(oc: ObserverConfig, cfg: &MachineConfig, kind: NumaKind, l
             &mut state,
             0,
             u64::MAX,
+            1,
         );
         assert_eq!(done, lines);
     })
@@ -271,6 +272,7 @@ fn streams_and_copies_allocate_a_constant_not_per_line() {
             &mut state,
             0,
             u64::MAX,
+            1,
         );
     };
     let first = heap_in(|| triad(&mut m));
