@@ -14,9 +14,11 @@
 //!   among the three DDR channels of the closest DDR memory controller".
 //!
 //! Cost rule: the simulator pays for this module on every access that
-//! leaves a tile, so an access makes one [`AddressMap::resolve`] call (a
-//! memory write one [`AddressMap::backing`]) and nothing on that call
-//! allocates or divides: each cluster's tile and EDC list is built once, in
+//! leaves a tile, so a coherent access makes one [`AddressMap::resolve`]
+//! call (a memory write one [`AddressMap::backing`]), a stream kernel one
+//! [`AddressMap::resolve_run`] or [`AddressMap::backing_run`] per run of
+//! lines, and nothing on those calls allocates or divides. All four are
+//! the one per-line rule. Each cluster's tile and EDC list is built once, in
 //! [`AddressMap::new`], with an exact [`Reducer`] for its length, and the
 //! memory-side-cache EDC a line's home is hashed from is handed back with
 //! it. [`AddressMap::home_directory`], [`AddressMap::mem_target`] and
@@ -372,22 +374,79 @@ impl AddressMap {
         self.node_index(paddr).map(|i| &self.nodes[i])
     }
 
-    /// The index of the node containing `paddr`, which must be addressable.
+    /// The rule of the node containing `paddr`, which must be addressable.
     #[inline]
-    fn expect_node(&self, paddr: u64) -> usize {
-        self.node_index(paddr)
-            .unwrap_or_else(|| panic!("address {paddr:#x} outside addressable range"))
+    fn rule_of(&self, paddr: u64) -> &NodeRule {
+        let node = self
+            .node_index(paddr)
+            .unwrap_or_else(|| panic!("address {paddr:#x} outside addressable range"));
+        &self.rules[node]
     }
 
     /// Home directory and backing of the line containing `paddr`, from one
-    /// node lookup: the engine's one call per access.
+    /// node lookup: the engine's one call per coherent access.
     ///
     /// # Panics
     /// Panics if the address is outside the addressable range.
     #[inline(always)]
     pub fn resolve(&self, paddr: u64) -> (TileId, Backing) {
-        let rule = &self.rules[self.expect_node(paddr)];
-        let line = paddr >> LINE_SHIFT;
+        self.resolve_in(self.rule_of(paddr), paddr >> LINE_SHIFT)
+    }
+
+    /// The backing of the line containing `paddr`, without its home: what
+    /// a write to memory needs.
+    ///
+    /// # Panics
+    /// Panics if the address is outside the addressable range.
+    #[inline(always)]
+    pub fn backing(&self, paddr: u64) -> Backing {
+        self.backing_in(self.rule_of(paddr), paddr >> LINE_SHIFT)
+    }
+
+    /// [`AddressMap::resolve`] of `out.len()` consecutive lines, the first
+    /// the one containing `paddr`: one node lookup for a run inside one
+    /// node, one per line for a run that straddles a node. What a stream
+    /// kernel asks for its loaded operands.
+    ///
+    /// # Panics
+    /// Panics if a line of the run is outside the addressable range.
+    pub fn resolve_run(&self, paddr: u64, out: &mut [(TileId, Backing)]) {
+        self.run(paddr, out, Self::resolve_in)
+    }
+
+    /// [`AddressMap::backing`] of `out.len()` consecutive lines, the first
+    /// the one containing `paddr`, with the node lookups of
+    /// [`AddressMap::resolve_run`]: what a stream kernel asks for its
+    /// stored operand.
+    ///
+    /// # Panics
+    /// Panics if a line of the run is outside the addressable range.
+    pub fn backing_run(&self, paddr: u64, out: &mut [Backing]) {
+        self.run(paddr, out, Self::backing_in)
+    }
+
+    /// Fill `out` with `line_fn` of consecutive lines from `paddr`'s. Nodes
+    /// are contiguous ranges, so a run whose first and last lines share a
+    /// node lies inside it and takes that node's rule; a run across a
+    /// node's end (or out of the map) looks each line's node up.
+    #[inline(always)]
+    fn run<T>(&self, paddr: u64, out: &mut [T], line_fn: impl Fn(&Self, &NodeRule, u64) -> T) {
+        let first = paddr >> LINE_SHIFT;
+        let last = first + (out.len() as u64).saturating_sub(1);
+        let node = self.node_index(paddr);
+        let one_rule = node
+            .filter(|_| self.node_index(last << LINE_SHIFT) == node)
+            .map(|n| &self.rules[n]);
+        for (line, slot) in (first..).zip(out) {
+            let rule = one_rule.unwrap_or_else(|| self.rule_of(line << LINE_SHIFT));
+            *slot = line_fn(self, rule, line);
+        }
+    }
+
+    /// The §II-C/D rule for one line of a node: its backing, and its home
+    /// derived from the device it is fetched from.
+    #[inline(always)]
+    fn resolve_in(&self, rule: &NodeRule, line: u64) -> (TileId, Backing) {
         let backing = self.backing_in(rule, line);
         let h = splitmix64(line ^ 0xD1CE_D1CE);
         // The device the line is fetched from: its memory-side-cache EDC
@@ -402,17 +461,6 @@ impl AddressMap {
         let cluster = self.home_cluster[source.device_index()][(h >> 16) as usize & 1];
         let home = self.tiles_by_cluster[cluster as usize].pick(h >> self.home_shift);
         (home, backing)
-    }
-
-    /// The backing of the line containing `paddr`, without its home: what
-    /// a write to memory needs.
-    ///
-    /// # Panics
-    /// Panics if the address is outside the addressable range.
-    #[inline(always)]
-    pub fn backing(&self, paddr: u64) -> Backing {
-        let rule = &self.rules[self.expect_node(paddr)];
-        self.backing_in(rule, paddr >> LINE_SHIFT)
     }
 
     #[inline(always)]

@@ -14,13 +14,9 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingParams {
     // ---- core ----
-    /// Core clock period (1.3 GHz ⇒ ~769 ps).
-    pub cycle_ps: u64,
     /// Minimum gap between consecutive memory-op issues from one core
     /// (two load ports ⇒ half a cycle when vectorized).
     pub issue_gap_ps: u64,
-    /// Maximum outstanding line requests per core (MSHR-like cap).
-    pub max_outstanding: u32,
     /// Maximum outstanding non-temporal stores (write-combining buffers).
     pub max_nt_outstanding: u32,
 
@@ -137,9 +133,7 @@ impl TimingParams {
     /// (64 cores @ 1.30 GHz, 16 GB MCDRAM, 96 GB DDR4-2133).
     pub fn knl7210() -> Self {
         TimingParams {
-            cycle_ps: 769,
             issue_gap_ps: 400,
-            max_outstanding: 14,
             max_nt_outstanding: 10,
 
             l1_hit_ps: 3_800,

@@ -416,7 +416,8 @@ impl Machine {
         // in the background. The accept time is returned to let callers
         // throttle on write-combining-buffer capacity.
         let req = StopId::tile(tile);
-        let accept = self.memory_write(addr, line, req, now + self.cfg.timing.issue_gap_ps);
+        let at = now + self.cfg.timing.issue_gap_ps;
+        let accept = self.memory_write(self.map.backing(addr), line, req, at);
         AccessOutcome {
             complete: accept + extra,
             served_by: ServedBy::Posted,
@@ -558,18 +559,19 @@ impl Machine {
         }
     }
 
-    /// Write one line to memory (write-back or NT store) from stop `from`.
-    /// Returns accept time. Inlined like [`Machine::memory_read`], the
-    /// memory-side cache flow out of line.
+    /// Write `line` to memory (write-back or NT store) from stop `from`;
+    /// its backing is the caller's [`knl_arch::AddressMap::backing`] or a
+    /// stream's run. Returns accept time. Inlined like
+    /// [`Machine::memory_read`], the memory-side cache flow out of line.
     #[inline(always)]
     pub(crate) fn memory_write(
         &mut self,
-        addr: u64,
+        backing: Backing,
         line: u64,
         from: StopId,
         t0: SimTime,
     ) -> SimTime {
-        let Backing { target, mcache_edc } = self.map.backing(addr);
+        let Backing { target, mcache_edc } = backing;
         if let Some(edc) = mcache_edc {
             return self.mcache_write(edc, line, from, t0);
         }
@@ -653,8 +655,8 @@ impl Machine {
                 // Dirty victim: write back in the background.
                 self.counters.writebacks += 1;
                 self.hub.writeback(when, victim, false);
-                let victim_addr = victim << LINE_SHIFT;
-                self.memory_write(victim_addr, victim, StopId::tile(tile), when);
+                let backing = self.map.backing(victim << LINE_SHIFT);
+                self.memory_write(backing, victim, StopId::tile(tile), when);
             }
         }
     }
@@ -679,7 +681,7 @@ impl Machine {
             self.counters.writebacks += 1;
             self.hub.writeback(now, line, false);
             let at = now + self.cfg.timing.issue_gap_ps;
-            self.memory_write(addr, line, StopId::tile(tile), at);
+            self.memory_write(self.map.backing(addr), line, StopId::tile(tile), at);
         }
         // The core pays only the flush issue; write-backs are posted.
         now + self.cfg.timing.l1_hit_ps

@@ -8,7 +8,7 @@ use crate::engine::observe::src_tag;
 use crate::machine::{AccessKind, Machine};
 use crate::mesh::StopId;
 use crate::SimTime;
-use knl_arch::{CoreId, LINE_SHIFT};
+use knl_arch::{Backing, CoreId, MemTarget, TileId, LINE_SHIFT};
 
 /// Bounded memory-level parallelism: a fixed-size wrap-around ring of the
 /// completion times of the requests in flight. A request waits for the
@@ -51,14 +51,83 @@ impl MlpRing {
     }
 }
 
+/// Lines of one stream operand resolved at a time.
+const RUN_LINES: usize = 16;
+
+/// The routes of the next lines of one stream operand: lines `first ..
+/// first + len` (`len ≤ RUN_LINES`, and none past the kernel's last line).
+/// Keyed by line, so a run left over from another kernel or another
+/// operand is never served.
+#[derive(Debug, Clone)]
+struct RouteRun<T> {
+    first: u64,
+    len: u64,
+    routes: [T; RUN_LINES],
+}
+
+impl<T: Copy> RouteRun<T> {
+    fn empty(fill: T) -> Self {
+        RouteRun {
+            first: 0,
+            len: 0,
+            routes: [fill; RUN_LINES],
+        }
+    }
+
+    /// The route of the line at `addr`, `left` lines (it included) before
+    /// the kernel's end. When the run does not hold it, `resolve(addr,
+    /// out)` fills the run from that line on, never past the end.
+    #[inline(always)]
+    fn route(&mut self, addr: u64, left: u64, resolve: impl FnOnce(u64, &mut [T])) -> T {
+        let k = (addr >> LINE_SHIFT).wrapping_sub(self.first);
+        if k < self.len {
+            return self.routes[k as usize];
+        }
+        self.refill(addr, left, resolve)
+    }
+
+    #[inline(never)]
+    fn refill(&mut self, addr: u64, left: u64, resolve: impl FnOnce(u64, &mut [T])) -> T {
+        let len = left.min(RUN_LINES as u64);
+        resolve(addr, &mut self.routes[..len as usize]);
+        self.first = addr >> LINE_SHIFT;
+        self.len = len;
+        self.routes[0]
+    }
+}
+
 /// State carried across the chunks of one streaming kernel: the rings of
 /// outstanding load and NT-store completions implementing bounded MLP,
-/// sized on the kernel's first chunk, and the issue frontier.
-#[derive(Debug, Clone, Default)]
+/// sized on the kernel's first chunk, the issue frontier, and the resolved
+/// routes of the next 16 lines of each operand (the home and backing of a
+/// loaded one, the backing of the stored one), held inline so they outlive
+/// the runner's slices without an allocation. A state serves the kernels
+/// of one machine.
+#[derive(Debug, Clone)]
 pub struct StreamState {
     load: MlpRing,
     nt: MlpRing,
     last_issue: SimTime,
+    /// Routes of the loaded operands `b` and `c`.
+    loads: [RouteRun<(TileId, Backing)>; 2],
+    /// Backings of the stored operand `a`.
+    stores: RouteRun<Backing>,
+}
+
+impl Default for StreamState {
+    fn default() -> Self {
+        let none = Backing {
+            target: MemTarget::Mcdram { edc: 0 },
+            mcache_edc: None,
+        };
+        StreamState {
+            load: MlpRing::default(),
+            nt: MlpRing::default(),
+            last_issue: 0,
+            loads: [(); 2].map(|()| RouteRun::empty((TileId(0), none))),
+            stores: RouteRun::empty(none),
+        }
+    }
 }
 
 impl StreamState {
@@ -146,6 +215,12 @@ impl Machine {
     /// bookkeeping is bypassed (fresh lines, no reuse); device queueing and
     /// the memory-side cache are fully modelled.
     ///
+    /// `start_line + max_lines` is the kernel's end: a line's home and
+    /// backing come from its operand's run in `state`, resolved 16 lines
+    /// at a time ([`knl_arch::AddressMap::resolve_run`],
+    /// [`knl_arch::AddressMap::backing_run`]) and never past that end, so
+    /// no address-map call sits on a line's timing chain.
+    ///
     /// `core_threads` HyperThreads share the core: MLP caps and issue
     /// bandwidth are divided among co-resident threads (they share MSHRs
     /// and load ports).
@@ -187,26 +262,28 @@ impl Machine {
             state.nt.fill(ov_nt, 0);
         }
         state.last_issue = state.last_issue.max(now);
+        let end = start_line + max_lines;
         let mut lines_done = 0u64;
-        for i in start_line..start_line + max_lines {
+        for i in start_line..end {
             state.last_issue += issue_gap;
             let issue = state.last_issue;
+            let left = end - i;
             match kind {
                 Read => {
-                    self.stream_load(b + i * 64, req, issue, state);
+                    self.stream_load(b + i * 64, left, 0, req, issue, state);
                 }
                 Write => {
-                    self.stream_nt(a + i * 64, req, issue, state);
+                    self.stream_nt(a + i * 64, left, req, issue, state);
                 }
                 Copy => {
-                    self.stream_load(b + i * 64, req, issue, state);
-                    self.stream_nt(a + i * 64, req, issue, state);
+                    self.stream_load(b + i * 64, left, 0, req, issue, state);
+                    self.stream_nt(a + i * 64, left, req, issue, state);
                 }
                 Triad => {
-                    self.stream_load(b + i * 64, req, issue, state);
+                    self.stream_load(b + i * 64, left, 0, req, issue, state);
                     state.last_issue += issue_gap;
-                    self.stream_load(c + i * 64, req, state.last_issue, state);
-                    self.stream_nt(a + i * 64, req, state.last_issue, state);
+                    self.stream_load(c + i * 64, left, 1, req, state.last_issue, state);
+                    self.stream_nt(a + i * 64, left, req, state.last_issue, state);
                 }
             }
             lines_done += 1;
@@ -222,20 +299,25 @@ impl Machine {
         }
     }
 
+    /// Load the line at `addr`, `left` lines before the kernel's end, its
+    /// route from run `operand` of `state`.
     #[inline(always)]
     fn stream_load(
         &mut self,
         addr: u64,
+        left: u64,
+        operand: usize,
         req: StopId,
         issue: SimTime,
         state: &mut StreamState,
     ) -> SimTime {
+        let (home, backing) =
+            state.loads[operand].route(addr, left, |addr, out| self.map.resolve_run(addr, out));
         let gated = state.load.gate(issue);
         // The issue frontier tracks real issue times so MLP backpressure
         // throttles the stream (and slice deadlines stay meaningful).
         state.last_issue = state.last_issue.max(gated);
         let line = addr >> LINE_SHIFT;
-        let (home, backing) = self.map.resolve(addr);
         let home = StopId::tile(home);
         let t_svc = self.mesh.traverse(
             req,
@@ -262,19 +344,24 @@ impl Machine {
         complete
     }
 
+    /// NT-store the line at `addr`, `left` lines before the kernel's end.
     #[inline(always)]
     fn stream_nt(
         &mut self,
         addr: u64,
+        left: u64,
         req: StopId,
         issue: SimTime,
         state: &mut StreamState,
     ) -> SimTime {
+        let backing = state
+            .stores
+            .route(addr, left, |addr, out| self.map.backing_run(addr, out));
         let gated = state.nt.gate(issue);
         state.last_issue = state.last_issue.max(gated);
         let line = addr >> LINE_SHIFT;
         self.counters.nt_stores += 1;
-        let accept = self.memory_write(addr, line, req, gated);
+        let accept = self.memory_write(backing, line, req, gated);
         state.nt.record(accept);
         // The core moves on immediately; the gate above models WC-buffer
         // backpressure.

@@ -25,6 +25,7 @@
 //! ordering.
 
 use crate::SimTime;
+use knl_arch::Reducer;
 
 /// Direction of the last serviced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +56,8 @@ pub struct DeviceParams {
 #[derive(Debug, Clone)]
 pub struct MemDevice {
     p: DeviceParams,
+    /// Divides by the read service (at least 1 ps): the backlog's line size.
+    read_slot: Reducer,
     /// Virtual service clock for reads (and, when half-duplex, writes too).
     vclock: SimTime,
     /// Write-direction virtual clock (duplex devices only).
@@ -75,6 +78,7 @@ impl MemDevice {
     pub fn new(p: DeviceParams) -> Self {
         MemDevice {
             p,
+            read_slot: Reducer::new(p.read_service_ps.max(1)),
             vclock: 0,
             wclock: 0,
             window_ps: DEFAULT_REORDER_WINDOW_PS,
@@ -167,7 +171,7 @@ impl MemDevice {
     /// channel). A pure observer for the trace layer's queue-depth events.
     pub fn backlog_lines(&self, arrival: SimTime) -> u32 {
         let pending = self.vclock.saturating_sub(arrival);
-        (pending / self.p.read_service_ps.max(1)).min(u32::MAX as u64) as u32
+        self.read_slot.quotient(pending).min(u32::MAX as u64) as u32
     }
 
     /// Forget all queueing state (between benchmark repetitions).

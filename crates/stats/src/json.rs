@@ -242,36 +242,35 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         let mut out = String::new();
         loop {
-            let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-            let mut chars = rest.char_indices();
-            let (i, c) = chars.next()?;
-            debug_assert_eq!(i, 0);
-            self.pos += c.len_utf8();
-            match c {
-                '"' => return Some(out),
-                '\\' => {
-                    let (_, esc) = chars.next()?;
-                    self.pos += esc.len_utf8();
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
+            // Copy the run up to the next quote or backslash. Both are
+            // ASCII, which never occurs inside a multi-byte character, so
+            // the run is whole characters and each byte is validated once.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')?;
+            out.push_str(std::str::from_utf8(&self.bytes[self.pos..self.pos + run]).ok()?);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Some(out);
+            }
+            let esc = self.peek()?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self.bytes.get(self.pos..self.pos + 4)?;
+                    let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                    self.pos += 4;
+                    out.push(char::from_u32(code)?);
                 }
-                c => out.push(c),
+                _ => return None,
             }
         }
     }
@@ -362,6 +361,56 @@ mod tests {
     fn escapes_roundtrip() {
         let v = Json::Str("tab\there \"quoted\" back\\slash \u{1}".into());
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses() {
+        let long = "ab\u{e9}\u{1f600}\"\\".repeat(1 << 17);
+        assert!(long.len() >= 1 << 20);
+        let doc = Json::obj(vec![("k", Json::Str(long.clone()))]).render();
+        assert_eq!(
+            Json::parse(&doc).unwrap().get("k").unwrap().as_str(),
+            Some(&long[..])
+        );
+    }
+
+    #[test]
+    fn random_strings_roundtrip() {
+        // Multi-byte characters of every width, the escaped characters and
+        // every control character.
+        let alphabet: Vec<char> = [
+            'a',
+            '"',
+            '\\',
+            '/',
+            '\u{7f}',
+            '\u{e9}',
+            '\u{20ac}',
+            '\u{1f600}',
+        ]
+        .into_iter()
+        .chain((0..0x20).filter_map(char::from_u32))
+        .collect();
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..2_000 {
+            let len = next() % 40;
+            let s: String = (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect();
+            let v = Json::Arr(vec![
+                Json::Str(s.clone()),
+                Json::obj(vec![(&s, Json::Null)]),
+            ]);
+            assert_eq!(Json::parse(&v.render()), Some(v), "{s:?}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The access path does not allocate, and the observers allocate for what
 //! they saw, not for how long they watched.
 //!
-//! Address resolution is once per access and table-driven
-//! (`AddressMap::resolve`); what a stream or a buffer copy may still take
-//! from the heap is the MLP rings (a stream's own, the machine's one for
-//! buffer copies) and the growth of the paged tables behind the directory
-//! and the memory-side cache — a chunk of pages at a time and a doubling
+//! Address resolution is once per access (a stream's once per run of
+//! lines, held inline in its `StreamState`) and table-driven
+//! (`AddressMap::resolve`, `AddressMap::resolve_run`); what a stream or a
+//! buffer copy may still take from the heap is the MLP rings (a stream's
+//! own, the machine's one for buffer copies) and the growth of the paged
+//! tables behind the directory and the memory-side cache — a chunk of
+//! pages at a time and a doubling
 //! of the page index, a few dozen allocations however long it runs, never
 //! one per line or per page; `reset_caches` keeps the chunks, so the same
 //! pass again takes nothing. A tile cache takes its tag storage in one
