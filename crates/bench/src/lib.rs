@@ -8,6 +8,9 @@
 //!   driver that runs a row under a parsed command line,
 //! * [`tools`] — the trace, report, model-check and provenance
 //!   subcommands as functions over an argument list,
+//! * [`modelcheck`] — `knl mc`'s exhaustive checker of the protocol
+//!   tables, and [`mutation`], the defect catalog its kill gate injects
+//!   through the simulator's one transition hook,
 //! * [`flags`] — the flag table type and the one argument loop,
 //! * [`runconf`] — the flags every experiment shares (`--quick` /
 //!   `--paper`, `--jobs`, `--protocol`, the observer flags),
@@ -32,7 +35,9 @@
 pub mod collective_fig;
 pub mod experiments;
 pub mod flags;
+pub mod modelcheck;
 pub mod modelfit;
+pub mod mutation;
 pub mod output;
 pub mod plot;
 pub mod provenance;

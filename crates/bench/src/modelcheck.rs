@@ -5,15 +5,15 @@
 //! {read, RFO, NT store, evict} events — against one [`ProtocolKind`],
 //! driving the *same* [`protocol::transition`] table the engine executes
 //! (`engine/serve.rs`). Nothing is re-modeled: the checked artifact is the
-//! shipped code, and an injected [`Mutation`] is applied by the same
-//! post-hook the [`crate::machine::Machine`] applies, so it corrupts both
-//! layers identically.
+//! shipped code, and an injected [`Mutation`] runs as the same closure,
+//! [`Mutation::hook`], that [`inject`] installs in a [`Machine`], so it
+//! corrupts both layers identically.
 //!
 //! Per transition the checker verifies the safety properties the runtime
-//! [`crate::invariants::CoherenceChecker`] enforces — structural legality
+//! [`knl_sim::CoherenceChecker`] enforces — structural legality
 //! ([`protocol::validate`]), version-epoch monotonicity
 //! ([`version_regressed`]) — plus two it can prove only by exhaustion:
-//! SWMR ([`swmr_violation`]) over every reachable configuration, and a
+//! SWMR (`swmr_violation`) over every reachable configuration, and a
 //! data-value property via symbolic last-writer tracking: no read is ever
 //! served from a stale source, and no holder keeps a stale copy. Holders
 //! hit their own copy, so the two clauses together prove that every read
@@ -30,22 +30,23 @@
 //! is a FIFO over states in discovery order with a canonical per-state
 //! event order, so the sweep is deterministic and BFS yields a *shortest*
 //! counterexample: a [`Vec<McOp>`] that [`replay_trace`] replays on a full
-//! [`crate::machine::Machine`] to confirm the runtime checker fires on the
-//! same defect.
+//! [`Machine`] to confirm the runtime checker fires on the same defect.
 //!
 //! [`kill`] is the mutation-kill gate for one catalogued mutant: the sweep
 //! with the defect injected, then both replays (mutated must panic, shipped
 //! must run clean). `knl mc --mutants` and `tests/modelcheck_replay.rs` are
 //! its two callers.
 
-use crate::directory::{DirEntry, GlobalState, LineState};
-use crate::engine::observe::ObserverConfig;
-use crate::fxmap::LineMap;
-use crate::invariants::{swmr_violation, version_regressed, CheckLevel};
-use crate::machine::{AccessKind, Machine};
-use crate::mutation::Mutation;
-use crate::protocol::{self, Outcome, Request};
+// A `_` arm swallows the variants a protocol grows later (DESIGN.md §5d).
+#![warn(clippy::wildcard_enum_match_arm)]
+
+use crate::mutation::{inject, Mutation};
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, NumaKind, ProtocolKind, TileId};
+use knl_sim::fxmap::LineMap;
+use knl_sim::invariants::version_regressed;
+use knl_sim::machine::TransitionHook;
+use knl_sim::protocol::{self, Outcome, Request};
+use knl_sim::{AccessKind, CheckLevel, DirEntry, GlobalState, LineState, Machine, ObserverConfig};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -62,7 +63,7 @@ pub struct McConfig {
 
 impl Default for McConfig {
     fn default() -> Self {
-        // The acceptance bound of ISSUE 9: ≥ 3 caches × 2 lines.
+        // The acceptance bound: ≥ 3 caches × 2 lines.
         McConfig {
             caches: 3,
             lines: 2,
@@ -85,7 +86,7 @@ impl McConfig {
 }
 
 /// One step of a counterexample trace — the op alphabet of the bounded
-/// system, chosen to map 1:1 onto [`crate::machine::Machine`] entry points
+/// system, chosen to map 1:1 onto [`Machine`] entry points
 /// (`access` with Read/Write/NtStore, `evict_line`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McOp {
@@ -155,10 +156,6 @@ impl McViolation {
 /// Outcome of one exhaustive sweep.
 #[derive(Debug, Clone)]
 pub struct McReport {
-    /// The protocol checked.
-    pub protocol: ProtocolKind,
-    /// The injected defect, if any.
-    pub mutation: Option<Mutation>,
     /// Distinct reachable states.
     pub states: usize,
     /// Transitions explored (including self-loops).
@@ -251,58 +248,34 @@ fn ops(s: &State, cfg: &McConfig) -> Vec<McOp> {
     let mut out = Vec::new();
     for (l, lm) in s.lines.iter().enumerate() {
         let line = l as u8;
-        for t in 0..cfg.caches {
-            // Holders read their own L1/L2 copy without a directory
-            // transition (the engine's hit paths); only non-holder reads
-            // reach the home directory.
-            if lm.entry.state_of(TileId(t)) == LineState::Invalid {
-                out.push(McOp {
-                    kind: McOpKind::Read,
-                    tile: t,
-                    line,
-                });
-            }
-        }
-        for t in 0..cfg.caches {
-            // Every write transitions the directory — the engine grants
-            // silent upgrades through the same `Request::Write` arm.
-            out.push(McOp {
-                kind: McOpKind::Write,
-                tile: t,
-                line,
-            });
-        }
-        out.push(McOp {
-            kind: McOpKind::NtStore,
-            tile: 0,
-            line,
-        });
-        for t in 0..cfg.caches {
-            if lm.entry.state_of(TileId(t)) != LineState::Invalid {
-                out.push(McOp {
-                    kind: McOpKind::Evict,
-                    tile: t,
-                    line,
-                });
-            }
-        }
+        let op = |kind, tile| McOp { kind, tile, line };
+        let holds = |&t: &u16| lm.entry.state_of(TileId(t)) != LineState::Invalid;
+        // Holders read their own L1/L2 copy without a directory transition
+        // (the engine's hit paths); only non-holder reads reach the home
+        // directory. Every write transitions it — the engine grants silent
+        // upgrades through the same `Request::Write` arm.
+        let tiles = || 0..cfg.caches;
+        out.extend(tiles().filter(|t| !holds(t)).map(|t| op(McOpKind::Read, t)));
+        out.extend(tiles().map(|t| op(McOpKind::Write, t)));
+        out.push(op(McOpKind::NtStore, 0));
+        out.extend(tiles().filter(holds).map(|t| op(McOpKind::Evict, t)));
     }
     out
 }
 
 /// The directory step as the engine takes it: the shipped transition plus
-/// the injected defect, if any.
+/// the injected defect's hook, if any.
 fn step(
     kind: ProtocolKind,
-    mu: Option<Mutation>,
+    hook: Option<&TransitionHook>,
     entry: &mut DirEntry,
     request: Request,
     t: TileId,
 ) -> Outcome {
     let pre = *entry;
     let mut out = protocol::transition(kind, entry, request, t);
-    if let Some(defect) = mu {
-        defect.corrupt(kind, request, t, &pre, entry, &mut out);
+    if let Some(hook) = hook {
+        hook(kind, request, t, &pre, entry, &mut out);
     }
     out
 }
@@ -314,7 +287,7 @@ fn apply(
     s: &State,
     op: McOp,
     kind: ProtocolKind,
-    mu: Option<Mutation>,
+    hook: Option<&TransitionHook>,
     cfg: &McConfig,
 ) -> (State, Option<String>) {
     let mut next = s.clone();
@@ -334,7 +307,7 @@ fn apply(
                 Some(sup) => lm.current & 1 << sup.0 != 0,
                 None => lm.mem_current,
             };
-            let g = step(kind, mu, &mut lm.entry, Request::Read, t);
+            let g = step(kind, hook, &mut lm.entry, Request::Read, t);
             if g.writeback {
                 // A forced downgrade flushes the (pre-transition) owner's
                 // data, which under every table is the supplier's copy.
@@ -362,7 +335,7 @@ fn apply(
             }
         }
         McOpKind::Write => {
-            step(kind, mu, &mut lm.entry, Request::Write, t);
+            step(kind, hook, &mut lm.entry, Request::Write, t);
             // The writer defines the new value; memory goes stale. Under
             // write-update every surviving holder is refreshed in place;
             // under invalidation any surviving copy is stale by definition.
@@ -377,7 +350,7 @@ fn apply(
             // The engine sweeps the directory only when copies exist; the
             // posted store itself always lands in memory.
             if lm.entry.num_holders() > 0 {
-                step(kind, mu, &mut lm.entry, Request::NtStore, t);
+                step(kind, hook, &mut lm.entry, Request::NtStore, t);
                 lm.current = if dragon {
                     holders_mask(&lm.entry, cfg.caches)
                 } else {
@@ -390,7 +363,7 @@ fn apply(
         }
         McOpKind::Evict => {
             let evictor_current = lm.current & 1 << t.0 != 0;
-            if step(kind, mu, &mut lm.entry, Request::Evict, t).writeback {
+            if step(kind, hook, &mut lm.entry, Request::Evict, t).writeback {
                 // The flush lands the evictor's data in memory.
                 lm.mem_current = evictor_current;
             }
@@ -431,6 +404,35 @@ fn apply(
 
     canonicalize(&mut next, cfg.caches);
     (next, violation)
+}
+
+/// Single-writer/multiple-reader over the first `tiles` tiles: at most one
+/// tile may hold a writable (M/E) copy, and never alongside any other
+/// holder. Returns a description of the offending pair, if any.
+fn swmr_violation(entry: &DirEntry, tiles: u16) -> Option<String> {
+    let mut writer = None;
+    let mut holders = 0u32;
+    for i in 0..tiles {
+        let t = TileId(i);
+        let st = entry.state_of(t);
+        if st == LineState::Invalid {
+            continue;
+        }
+        holders += 1;
+        if matches!(st, LineState::Modified | LineState::Exclusive) {
+            if let Some(w) = writer {
+                return Some(format!("two writable copies: {w:?} and {t:?}"));
+            }
+            writer = Some(t);
+        }
+    }
+    match writer {
+        Some(w) if holders > 1 => Some(format!(
+            "writable copy at {w:?} coexists with {} other holder(s)",
+            holders - 1
+        )),
+        _ => None,
+    }
 }
 
 /// Reconstruct the BFS-shortest trace to `sid` and append `last`.
@@ -475,17 +477,16 @@ pub fn check(
     // Forward edges, kept for the backward quiescence pass.
     let mut edges: Vec<Vec<u32>> = vec![Vec::new()];
     let mut transitions = 0u64;
+    let hook = mutation.map(Mutation::hook);
 
     let mut i = 0usize;
     while i < states.len() {
         let sid = i as u32;
         for op in ops(&states[i], cfg) {
             transitions += 1;
-            let (next, violation) = apply(&states[i], op, kind, mutation, cfg);
+            let (next, violation) = apply(&states[i], op, kind, hook.as_deref(), cfg);
             if let Some(property) = violation {
                 return Ok(McReport {
-                    protocol: kind,
-                    mutation,
                     states: states.len(),
                     transitions,
                     violation: Some(McViolation {
@@ -528,8 +529,6 @@ pub fn check(
     };
 
     Ok(McReport {
-        protocol: kind,
-        mutation,
         states: states.len(),
         transitions,
         violation,
@@ -582,7 +581,7 @@ fn quiescence_violation(
 /// [`CheckLevel::FullOracle`], with `mutation` injected — the bridge that
 /// proves the static and dynamic layers agree: a trace [`check`] reports
 /// against a mutant must make the runtime
-/// [`crate::invariants::CoherenceChecker`] panic here, and must replay
+/// [`knl_sim::CoherenceChecker`] panic here, and must replay
 /// clean with `None`.
 ///
 /// Model tile `t` maps to core `2t` (the first core of tile `t`) of a
@@ -596,7 +595,7 @@ pub fn replay_trace(kind: ProtocolKind, trace: &[McOp], mutation: Option<Mutatio
     let mut m =
         Machine::with_observer_config(cfg, ObserverConfig::default().check(CheckLevel::FullOracle));
     m.set_jitter(0);
-    m.debug_mutation(mutation);
+    inject(&mut m, mutation);
     // One arena line per model line (`McConfig::lines` ≤ 4).
     let base = m.arena().alloc(NumaKind::Ddr, 4 * 64);
     for (i, op) in trace.iter().enumerate() {
@@ -711,7 +710,7 @@ mod tests {
 
     #[test]
     fn shipped_tables_are_violation_free_at_the_acceptance_bound() {
-        // ISSUE 9 acceptance: ≥ 3 caches × 2 lines, all four protocols; the
+        // The acceptance bound, ≥ 3 caches × 2 lines, all four protocols; the
         // explored space is the one EXPERIMENTS.md quotes.
         for (kind, states, transitions) in [
             (ProtocolKind::Mesif, 625, 8750),

@@ -4,32 +4,36 @@
 //! A [`Mutation`] corrupts exactly one transition shape (a write grant, a
 //! read grant, an eviction, or an NT sweep) and leaves every other
 //! transition the shipped one, so a surviving mutant means the checker has
-//! a blind spot on that transition. It is applied as a post-hook,
-//! [`Mutation::corrupt`], on what [`crate::protocol::transition`] just
-//! produced — by the model checker and, through
-//! [`crate::Machine::debug_mutation`], by the engine's one directory step,
-//! so a defect corrupts the shipped table identically in both.
+//! a blind spot on that transition. It is applied as a post-hook on what
+//! [`knl_sim::protocol::transition`] just produced: [`Mutation::hook`] is
+//! the one closure the model checker's directory step runs and [`inject`]
+//! installs into a [`Machine`]'s, so a defect corrupts the shipped table
+//! identically in both.
 //!
 //! The catalog is restricted to defects the *runtime*
-//! [`crate::invariants::CoherenceChecker`] can also observe (structurally
-//! illegal entries, stale reads the memory oracle sees, or write-back
-//! counts that fail end-of-run reconciliation): the gate requires every
-//! minimal counterexample to replay to a runtime violation, which keeps
-//! the static and dynamic layers provably aligned. Conversely every
-//! defect left out of a protocol's catalog survives that protocol's
-//! sweep at 3 caches × 1 line (`tests/modelcheck_replay.rs`), so the
-//! catalog is exactly the killable set there.
+//! [`knl_sim::CoherenceChecker`] can also observe (structurally illegal
+//! entries, stale reads the memory oracle sees, or write-back counts that
+//! fail end-of-run reconciliation): the gate requires every minimal
+//! counterexample to replay to a runtime violation, which keeps the static
+//! and dynamic layers provably aligned. Conversely every defect left out
+//! of a protocol's catalog survives that protocol's sweep at 3 caches × 1
+//! line (`tests/modelcheck_replay.rs`), so the catalog is exactly the
+//! killable set there.
 
-use crate::directory::{DirEntry, GlobalState, TileSet};
-use crate::protocol::{Outcome, Request};
+// A `_` arm swallows the variants a protocol grows later (DESIGN.md §5d).
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use knl_arch::{ProtocolKind, TileId};
+use knl_sim::machine::TransitionHook;
+use knl_sim::{DirEntry, GlobalState, Machine, Outcome, Request, TileSet};
 
 /// A single-transition defect injected into the protocol table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// RFO leaves the writer on the sharer list next to its M grant.
     WriteLeavesWriterInSharers,
-    /// RFO forgets to invalidate one remote holder (the PR 2 fault).
+    /// RFO forgets to invalidate one remote holder (the skipped invalidation
+    /// `tests/coherence_fuzz.rs` injects).
     WriteKeepsStaleSharer,
     /// RFO demotes the result to clean Shared instead of Modified.
     WriteLeavesEntryShared,
@@ -82,7 +86,7 @@ impl Mutation {
         Mutation::NtStoreCreatesForward,
     ];
 
-    /// Stable kebab-case name (CLI and reports).
+    /// Stable kebab-case name (reports and `tests/golden/mutation_kills.txt`).
     pub fn name(self) -> &'static str {
         match self {
             Mutation::WriteLeavesWriterInSharers => "write-leaves-writer-in-sharers",
@@ -102,11 +106,6 @@ impl Mutation {
             Mutation::NtStoreDropsSharers => "nt-store-drops-sharers",
             Mutation::NtStoreCreatesForward => "nt-store-creates-forward",
         }
-    }
-
-    /// Parse a [`Mutation::name`] back (CLI).
-    pub fn parse(s: &str) -> Option<Mutation> {
-        Mutation::ALL.into_iter().find(|m| m.name() == s)
     }
 
     /// The defects applicable to (and required to be killed under) `kind`
@@ -137,11 +136,18 @@ impl Mutation {
         })
     }
 
-    /// Corrupt the transition [`crate::protocol::transition`] just made for
-    /// `request` from tile `t`: `pre` is the entry before it, `entry` and
-    /// `out` what it produced. Only the (defect, request) pairs listed do
-    /// anything.
-    pub fn corrupt(
+    /// This defect as a directory post-transition hook.
+    pub fn hook(self) -> Box<TransitionHook> {
+        Box::new(move |kind, request, t, pre, entry, out| {
+            self.corrupt(kind, request, t, pre, entry, out)
+        })
+    }
+
+    /// Corrupt the transition [`knl_sim::protocol::transition`] just made
+    /// for `request` from tile `t`: `pre` is the entry before it, `entry`
+    /// and `out` what it produced. Only the (defect, request) pairs listed
+    /// do anything.
+    fn corrupt(
         self,
         kind: ProtocolKind,
         request: Request,
@@ -232,10 +238,16 @@ impl Mutation {
     }
 }
 
+/// Inject `mutation` into `m`'s directory transitions, or `None` to
+/// restore the shipped tables.
+pub fn inject(m: &mut Machine, mutation: Option<Mutation>) {
+    m.set_transition_hook(mutation.map(Mutation::hook));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{transition, validate};
+    use knl_sim::protocol::{transition, validate};
 
     #[test]
     fn every_catalog_has_eleven_killable_mutants() {
@@ -250,7 +262,12 @@ mod tests {
                     .any(|k| Mutation::catalog(k).any(|c| c == m)),
                 "{m:?} catalogued nowhere"
             );
-            assert_eq!(Mutation::parse(m.name()), Some(m));
+            // The names key the kill golden, so no two may collide.
+            let name = m.name();
+            assert!(
+                Mutation::ALL[..i].iter().all(|p| p.name() != name),
+                "duplicate name {name}"
+            );
         }
     }
 

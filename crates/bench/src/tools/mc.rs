@@ -21,9 +21,9 @@ use std::process::exit;
 use std::str::FromStr;
 
 use crate::flags::{self, Arg, Flag, Stop};
+use crate::modelcheck::{check, format_trace, kill, KillFailure, McConfig};
+use crate::mutation::Mutation;
 use knl_arch::ProtocolKind;
-use knl_sim::modelcheck::{check, format_trace, kill, KillFailure, McConfig};
-use knl_sim::mutation::Mutation;
 
 const USAGE: &str = "\
 usage: knl mc [flags]

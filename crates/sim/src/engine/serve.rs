@@ -39,8 +39,8 @@ impl MemRead {
 
 impl Machine {
     /// The one place the engine steps a directory entry: run `request`
-    /// from `tile` through the protocol table (plus the defect a test
-    /// injected, if any) and emit the [`crate::ProtocolEvent::Dir`] event
+    /// from `tile` through the protocol table (plus the transition hook,
+    /// if one is set) and emit the [`crate::ProtocolEvent::Dir`] event
     /// carrying the request, the tile, the outcome, and the entry's own
     /// pre-state tag and post-state. Returns what
     /// the transition did and the entry's version after it (the stamp the
@@ -65,8 +65,8 @@ impl Machine {
         let entry = self.dir.get_mut(line)?;
         let pre = *entry;
         let mut out = protocol::transition(kind, entry, request, tile);
-        if let Some(defect) = self.mutation {
-            defect.corrupt(kind, request, tile, &pre, entry, &mut out);
+        if let Some(hook) = &self.transition_hook {
+            hook(kind, request, tile, &pre, entry, &mut out);
         }
         let from = gstate_tag(&pre.state);
         self.hub

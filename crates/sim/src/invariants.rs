@@ -32,7 +32,7 @@
 //! enough to reproduce and debug a failure.
 
 use crate::counters::Counters;
-use crate::directory::{DirEntry, LineState};
+use crate::directory::DirEntry;
 use crate::engine::observe::ProtocolEvent;
 use crate::fxmap::LineMap;
 use crate::protocol::{self, Outcome, Request};
@@ -95,40 +95,11 @@ struct EventRecord {
 }
 
 /// Did the version epoch step backwards between two observations? Shared
-/// by the runtime checker and the model checker; wrapping tolerant (a huge
+/// by the runtime checker and the model checker (`knl mc`); wrapping tolerant (a huge
 /// forward jump reads as a regression, which is the point — epochs advance
 /// by one).
 pub fn version_regressed(prev: u32, cur: u32) -> bool {
     cur.wrapping_sub(prev) >= u32::MAX / 2
-}
-
-/// Single-writer/multiple-reader over the first `tiles` tiles: at most one
-/// tile may hold a writable (M/E) copy, and never alongside any other
-/// holder. Returns a description of the offending pair, if any.
-pub fn swmr_violation(entry: &DirEntry, tiles: u16) -> Option<String> {
-    let mut writer = None;
-    let mut holders = 0u32;
-    for i in 0..tiles {
-        let t = TileId(i);
-        let st = entry.state_of(t);
-        if st == LineState::Invalid {
-            continue;
-        }
-        holders += 1;
-        if matches!(st, LineState::Modified | LineState::Exclusive) {
-            if let Some(w) = writer {
-                return Some(format!("two writable copies: {w:?} and {t:?}"));
-            }
-            writer = Some(t);
-        }
-    }
-    match writer {
-        Some(w) if holders > 1 => Some(format!(
-            "writable copy at {w:?} coexists with {} other holder(s)",
-            holders - 1
-        )),
-        _ => None,
-    }
 }
 
 /// Directory invariant checker; see the module docs.
@@ -513,7 +484,7 @@ impl ShadowMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::{GlobalState, TileSet};
+    use crate::directory::{GlobalState, LineState, TileSet};
     use crate::protocol::transition;
 
     const T0: TileId = TileId(0);

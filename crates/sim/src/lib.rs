@@ -37,9 +37,6 @@ pub mod mcache;
 pub mod memdev;
 pub mod mesh;
 pub mod metrics;
-pub mod modelcheck;
-#[doc(hidden)]
-pub mod mutation;
 pub mod ops;
 pub mod paged;
 pub mod program;
@@ -58,7 +55,6 @@ pub use invariants::{CheckLevel, CoherenceChecker};
 pub use machine::{AccessKind, Machine};
 
 pub use metrics::Metrics;
-pub use modelcheck::{McConfig, McOp, McOpKind, McReport, McViolation};
 pub use ops::{Op, StreamKind};
 pub use program::Program;
 pub use protocol::{Outcome, Request};

@@ -25,16 +25,17 @@ use crate::invariants::{CheckLevel, CoherenceChecker};
 use crate::mcache::MemorySideCache;
 use crate::memdev::{DeviceParams, MemDevice};
 use crate::mesh::{Mesh, MeshConfig};
-use crate::mutation::Mutation;
 use crate::paged::PagedLines;
 use crate::program::Program;
+use crate::protocol::{Outcome, Request};
 use crate::telemetry::TelemetrySampler;
 use crate::trace::{TraceLevel, Tracer};
 use crate::SimTime;
 use knl_arch::address::NUM_MEM_DEVICES;
 use knl_arch::topology::splitmix64;
 use knl_arch::{
-    AddressMap, CoreId, MachineConfig, MemTarget, Reducer, TileId, Topology, LINE_SHIFT,
+    AddressMap, CoreId, MachineConfig, MemTarget, ProtocolKind, Reducer, TileId, Topology,
+    LINE_SHIFT,
 };
 
 pub use crate::engine::transfer::StreamState;
@@ -116,12 +117,18 @@ pub struct Machine {
     /// Empty by default, in which case each emission point is a single
     /// never-taken branch.
     pub(crate) hub: ObserverHub,
-    /// Fault injection for checker and model-checker tests: a single
-    /// transition defect the directory step applies on top of the shipped
-    /// table (see [`Machine::debug_mutation`]). `None` is the only
-    /// production value.
-    pub(crate) mutation: Option<Mutation>,
+    /// Run after every directory transition (see
+    /// [`Machine::set_transition_hook`]). `None` is the only production
+    /// value.
+    pub(crate) transition_hook: Option<Box<TransitionHook>>,
 }
+
+/// A post-transition hook: handed the protocol, the request, the
+/// requesting tile, the entry before the transition, and the entry and
+/// [`Outcome`] the shipped table produced, which it may rewrite.
+#[doc(hidden)]
+pub type TransitionHook =
+    dyn Fn(ProtocolKind, Request, TileId, &DirEntry, &mut DirEntry, &mut Outcome) + Send;
 
 // Sweep workers (knl-benchsuite's executor) each own a fresh Machine on a
 // scoped thread; keep the type `Send` so a future field (Rc, RefCell over
@@ -204,7 +211,7 @@ impl Machine {
             jitter_span: jitter_span(jitter_pct),
             jitter_seq: 0,
             hub,
-            mutation: None,
+            transition_hook: None,
         }
     }
 
@@ -233,13 +240,12 @@ impl Machine {
         self.hub.finish(&self.counters);
     }
 
-    /// Fault injection for checker and model-checker tests: inject a
-    /// single-transition protocol defect (the `knl mc` mutation catalog)
-    /// into this machine's directory transitions, or `None` to restore
-    /// the shipped tables.
+    /// Fault injection for verification tools: run `hook` after every
+    /// directory transition, on what the shipped table just produced, or
+    /// `None` to restore the shipped tables alone.
     #[doc(hidden)]
-    pub fn debug_mutation(&mut self, mutation: Option<Mutation>) {
-        self.mutation = mutation;
+    pub fn set_transition_hook(&mut self, hook: Option<Box<TransitionHook>>) {
+        self.transition_hook = hook;
     }
 
     /// The active tracing level.

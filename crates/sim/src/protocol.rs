@@ -5,9 +5,9 @@
 //! a [`ProtocolKind`]: how the line's [`GlobalState`] and sharer set change,
 //! and what that cost ([`Outcome`]: the requester's resulting state, a
 //! forced write-back, invalidation or update messages sent). The engine
-//! (`engine/serve.rs`), the model checker ([`crate::modelcheck`]), the
-//! conformance harness and the table golden (`tests/protocol_tables.rs`)
-//! all call this one function; [`validate`] is the matching legality
+//! (`engine/serve.rs`), the model checker (`knl mc`), the conformance
+//! harness and the table golden (`tests/protocol_tables.rs`) all call this
+//! one function; [`validate`] is the matching legality
 //! predicate the runtime checker and the model checker share.
 //!
 //! The four protocols differ in three policy bits, all read off the
@@ -217,11 +217,11 @@ pub fn transition(
 
 /// Structural legality of `entry` under `kind` — the exact predicate the
 /// runtime [`crate::invariants::CoherenceChecker`] applies after every
-/// directory transition and the model checker ([`crate::modelcheck`])
-/// proves over every reachable state: owner states carry no sharer set,
-/// shared states a non-empty one that lists the designated supplier, and
-/// no state foreign to the protocol appears (O without `has_owned`, an F
-/// holder without `has_forward`).
+/// directory transition and the model checker (`knl mc`) proves over
+/// every reachable state: owner states carry no sharer set, shared states
+/// a non-empty one that lists the designated supplier, and no state
+/// foreign to the protocol appears (O without `has_owned`, an F holder
+/// without `has_forward`).
 pub fn validate(kind: ProtocolKind, entry: &DirEntry) -> Result<(), String> {
     let DirEntry { state, sharers, .. } = *entry;
     match state {

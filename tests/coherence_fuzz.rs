@@ -12,8 +12,8 @@
 //! reproduce (see DESIGN.md "Correctness checking").
 
 use knl::arch::{CoreId, MachineConfig, ProtocolKind};
-use knl::sim::mutation::Mutation;
 use knl::sim::{AccessKind, CheckLevel, Machine, ObserverConfig};
+use knl_bench::mutation::{inject, Mutation};
 // The driver names the stack `crate::{arch, sim}`, as inside the facade.
 use knl::{arch, sim};
 
@@ -110,7 +110,7 @@ fn skipped_invalidation(proto: ProtocolKind) {
     m.set_jitter(0);
     let t = m.access(CoreId(0), 4096, AccessKind::Read, 0).complete;
     let t = m.access(CoreId(4), 4096, AccessKind::Read, t).complete;
-    m.debug_mutation(Some(Mutation::WriteKeepsStaleSharer));
+    inject(&mut m, Some(Mutation::WriteKeepsStaleSharer));
     m.access(CoreId(8), 4096, AccessKind::Write, t);
 }
 
@@ -144,7 +144,7 @@ fn skip_invalidation_flag_is_inert_under_dragon() {
     m.set_jitter(0);
     let t = m.access(CoreId(0), 4096, AccessKind::Read, 0).complete;
     let t = m.access(CoreId(4), 4096, AccessKind::Read, t).complete;
-    m.debug_mutation(Some(Mutation::WriteKeepsStaleSharer));
+    inject(&mut m, Some(Mutation::WriteKeepsStaleSharer));
     let t = m.access(CoreId(8), 4096, AccessKind::Write, t).complete;
     let _ = m.access(CoreId(0), 4096, AccessKind::Read, t);
     m.finish_check();

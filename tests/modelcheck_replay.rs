@@ -1,5 +1,5 @@
 //! Counterexample replay: the bridge between the static model checker
-//! (`knl::sim::modelcheck`) and the dynamic runtime checker
+//! (`knl_bench::modelcheck`) and the dynamic runtime checker
 //! (`knl::sim::invariants`).
 //!
 //! For every protocol and every catalogued mutation, the mutation-kill
@@ -10,8 +10,9 @@
 //! coherence violation. The identical trace replayed with the shipped
 //! (unmutated) tables must run clean: the model checker found a defect,
 //! not a quirk of its own encoding. Every kill's step and property class
-//! is pinned in `tests/golden/mutation_kills.txt`; re-bless after an
-//! intentional change with
+//! is pinned in `tests/golden/mutation_kills.txt`, the same at each bound
+//! CI runs `knl mc --mutants` at; re-bless after an intentional change
+//! with
 //!
 //! ```text
 //! KNL_UPDATE_GOLDEN=1 cargo test --test modelcheck_replay
@@ -20,21 +21,27 @@
 use std::fmt::Write;
 
 use knl::arch::ProtocolKind;
-use knl::sim::modelcheck::{kill, replay_trace, KillFailure, McConfig};
-use knl::sim::mutation::Mutation;
+use knl_bench::modelcheck::{kill, replay_trace, KillFailure, McConfig};
+use knl_bench::mutation::Mutation;
 
 #[path = "common/golden.rs"]
 mod golden;
 
-/// The bound the kill matrix is pinned at: 3 caches × 1 line.
-const KILL_BOUND: McConfig = McConfig {
-    caches: 3,
-    lines: 1,
-    max_states: 500_000,
-};
+/// A bounded system of `caches` caches × `lines` lines.
+const fn bound(caches: u16, lines: u8) -> McConfig {
+    McConfig {
+        caches,
+        lines,
+        max_states: 500_000,
+    }
+}
 
-#[test]
-fn every_mutant_counterexample_replays_to_a_runtime_violation() {
+/// The smallest bound every catalogued mutant dies at: 3 caches × 1 line.
+const KILL_BOUND: McConfig = bound(3, 1);
+
+/// Kill every catalogued mutant at `bound` and compare each kill's step
+/// and property class with the golden.
+fn assert_kills_match_golden(bound: McConfig) {
     // Replaying 11 mutants × 4 protocols panics on purpose 44 times; keep
     // the default hook from spraying backtraces over the test output.
     let prev_hook = std::panic::take_hook();
@@ -43,7 +50,7 @@ fn every_mutant_counterexample_replays_to_a_runtime_violation() {
     let mut failures = Vec::new();
     for kind in ProtocolKind::ALL {
         for mu in Mutation::catalog(kind) {
-            match kill(kind, &KILL_BOUND, mu) {
+            match kill(kind, &bound, mu) {
                 Ok(v) => writeln!(
                     kills,
                     "{kind}/{} step={} by={}",
@@ -57,8 +64,19 @@ fn every_mutant_counterexample_replays_to_a_runtime_violation() {
         }
     }
     std::panic::set_hook(prev_hook);
+    // Shown only if the comparison below fails.
+    eprintln!("kill matrix at {} x {}", bound.caches, bound.lines);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     golden::assert_golden("mutation_kills.txt", &kills);
+}
+
+#[test]
+fn every_mutant_counterexample_replays_to_a_runtime_violation() {
+    // The bounds CI's `knl mc --mutants` steps run: a larger system finds
+    // no shorter counterexample and no other property class.
+    for b in [KILL_BOUND, bound(3, 2), bound(4, 2)] {
+        assert_kills_match_golden(b);
+    }
 }
 
 #[test]
@@ -87,7 +105,7 @@ fn shipped_tables_replay_sample_traces_clean() {
     // A handful of hand-picked trace shapes (upgrade, migratory sharing,
     // write-back, NT-store sweep) replay clean under the full oracle for
     // every protocol — no mutation, no violation.
-    use knl::sim::modelcheck::{McOp, McOpKind};
+    use knl_bench::modelcheck::{McOp, McOpKind};
     let op = |kind, tile, line| McOp { kind, tile, line };
     let traces: Vec<Vec<McOp>> = vec![
         vec![
