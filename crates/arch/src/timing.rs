@@ -94,8 +94,6 @@ pub struct TimingParams {
     // ---- MCDRAM memory-side cache (cache/hybrid modes) ----
     /// Tag check added to every memory access in cache mode.
     pub mcache_tag_ps: u64,
-    /// Extra occupancy on the EDC for a fill after a cache miss.
-    pub mcache_fill_ps_per_line: u64,
 
     // ---- memory-level parallelism caps ----
     /// Outstanding line reads a core sustains on cache-to-cache transfers,
@@ -171,7 +169,6 @@ impl TimingParams {
             rw_turnaround_ps: 400,
 
             mcache_tag_ps: 28_000,
-            mcache_fill_ps_per_line: 1_000,
 
             ov_c2c_read_vec: 4,
             ov_c2c_read_scalar: 2,

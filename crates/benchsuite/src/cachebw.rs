@@ -1,63 +1,13 @@
 //! Multi-line cache-to-cache transfers (§IV-A.4, Table I bandwidth rows,
 //! Fig. 5): one thread copies (or reads) a message lying in a remote cache
-//! into a local buffer, sizes 64 B – 256 KB, vectorized.
+//! into a local buffer, sizes 64 B – 256 KB, vectorized. Each benchmark
+//! calls [`Machine::copy_buf`] or [`Machine::read_buf`] directly, with no
+//! Op-IR form.
 
 use crate::state_prep::prep_lines;
 use knl_arch::{CoreId, QuadrantId, Topology};
-use knl_sim::{LineState, Machine, Op, Program, SimTime};
+use knl_sim::{LineState, Machine, SimTime};
 use knl_stats::Sample;
-
-/// The cache-to-cache copy workload as flag-synchronized Op-IR programs:
-/// the owner materializes a fresh `bytes`-sized message in its cache each
-/// iteration (a bulk copy from a private scratch region, leaving the
-/// message lines dirty) and publishes it; the reader waits, then copies
-/// the message into a disjoint local buffer and acknowledges. Every
-/// cross-thread access is flag-ordered, so the workload analyzes
-/// race-free.
-pub fn copy_programs(owner: CoreId, reader: CoreId, bytes: u64, iters: usize) -> Vec<Program> {
-    let flag = 1u64 << 30;
-    let ack = flag + 2048;
-    let stride = bytes + 4096;
-    let mut po = Program::on_core(owner);
-    let mut pr = Program::on_core(reader);
-    for it in 0..iters {
-        let gen = it as u64 + 1;
-        let scratch = (1u64 << 26) + (it as u64) * stride;
-        let src = (1u64 << 27) + (it as u64) * stride;
-        let dst = (1u64 << 28) + (it as u64) * stride;
-        po.push(Op::CopyBuf {
-            src: scratch,
-            dst: src,
-            bytes,
-            vectorized: true,
-        })
-        .push(Op::SetFlag {
-            addr: flag,
-            val: gen,
-        });
-        pr.push(Op::WaitFlag {
-            addr: flag,
-            val: gen,
-        })
-        .push(Op::MarkStart(it))
-        .push(Op::CopyBuf {
-            src,
-            dst,
-            bytes,
-            vectorized: true,
-        })
-        .push(Op::MarkEnd(it))
-        .push(Op::SetFlag {
-            addr: ack,
-            val: gen,
-        });
-        po.push(Op::WaitFlag {
-            addr: ack,
-            val: gen,
-        });
-    }
-    vec![po, pr]
-}
 
 /// Median copy bandwidth (GB/s) for a message of `bytes` held by `owner`'s
 /// tile in `state`, copied by `reader` into a local buffer.

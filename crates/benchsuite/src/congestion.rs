@@ -2,53 +2,12 @@
 //! of cores ping-pong simultaneously. The paper "did not observe any
 //! increase in latency" — mesh congestion is absent — and Table I reports
 //! "None". The benchmark exists to *check* that, so we run it faithfully.
+//! [`congestion_with_pairs`] drives [`Machine::access`] directly, with no
+//! Op-IR form.
 
 use crate::state_prep::prep_lines;
 use knl_arch::CoreId;
-use knl_sim::{AccessKind, LineState, Machine, Op, Program, SimTime};
-
-/// The congestion workload as flag-synchronized Op-IR programs: each pair
-/// ping-pongs a private line, every handoff ordered by its own flag pair
-/// (B dirties and publishes; A reads, dirties, publishes back; B reads).
-/// Pairs touch disjoint lines, so the only cross-thread traffic is the
-/// intended mesh crossing and the workload analyzes race-free.
-pub fn congestion_programs(pairs: &[(CoreId, CoreId)], iters: usize) -> Vec<Program> {
-    let mut programs = Vec::with_capacity(pairs.len() * 2);
-    for (pi, &(a, b)) in pairs.iter().enumerate() {
-        let addr = |it: usize| (1u64 << 26) + ((it * pairs.len() + pi) as u64) * 64;
-        let flag_b = (1u64 << 30) + (pi as u64) * 4096;
-        let flag_a = flag_b + 2048;
-        let mut pa = Program::on_core(a);
-        let mut pb = Program::on_core(b);
-        for it in 0..iters {
-            let gen = it as u64 + 1;
-            pb.push(Op::Write(addr(it))).push(Op::SetFlag {
-                addr: flag_b,
-                val: gen,
-            });
-            pa.push(Op::WaitFlag {
-                addr: flag_b,
-                val: gen,
-            })
-            .push(Op::MarkStart(it))
-            .push(Op::Read(addr(it)))
-            .push(Op::Write(addr(it)))
-            .push(Op::SetFlag {
-                addr: flag_a,
-                val: gen,
-            })
-            .push(Op::MarkEnd(it));
-            pb.push(Op::WaitFlag {
-                addr: flag_a,
-                val: gen,
-            })
-            .push(Op::Read(addr(it)));
-        }
-        programs.push(pa);
-        programs.push(pb);
-    }
-    programs
-}
+use knl_sim::{AccessKind, LineState, Machine, SimTime};
 
 /// For each pair count, run simultaneous one-line ping-pongs and return the
 /// median per-pair round latency (ns). Pairs are (core 2k, core 2k+1 of a

@@ -1,53 +1,12 @@
 //! The contention benchmark (§IV-A.2): one thread on core 0 owns a one-line
 //! buffer; N other threads access it simultaneously and copy it into a local
 //! buffer. The paper fits `T_C(N) = α + β·N` (Table I: α ≈ 200, β ≈ 34).
+//! [`contention`] drives [`Machine::access`] directly, with no Op-IR form.
 
 use crate::state_prep::prep_lines;
 use knl_arch::{CoreId, Schedule};
-use knl_sim::{AccessKind, LineState, Machine, Op, Program, SimTime};
+use knl_sim::{AccessKind, LineState, Machine, SimTime};
 use knl_stats::Sample;
-
-/// The 1:N contention workload as flag-synchronized Op-IR programs: the
-/// owner (core 0) dirties a fresh line each iteration and publishes it;
-/// the `n` readers wait for the publication, read the contended line, and
-/// copy it into disjoint local buffers. Every cross-thread access is
-/// ordered through the flag, so the workload analyzes race-free — the
-/// contention being measured is directory serialization, not data racing.
-pub fn contention_programs(
-    n: usize,
-    schedule: Schedule,
-    num_cores: usize,
-    iters: usize,
-) -> Vec<Program> {
-    assert!(n < num_cores, "need a free core per reader");
-    let flag = 1u64 << 30;
-    let addr = |it: usize| (1u64 << 24) + (it as u64) * 64;
-    let mut owner = Program::on_core(CoreId(0));
-    for it in 0..iters {
-        owner.push(Op::Write(addr(it))).push(Op::SetFlag {
-            addr: flag,
-            val: it as u64 + 1,
-        });
-    }
-    let mut programs = vec![owner];
-    for r in 0..n {
-        // Skip placement slot 0 (the owner's core).
-        let mut p = Program::on_core(schedule.core(r + 1, num_cores));
-        for it in 0..iters {
-            let local_buf = (1u64 << 29) + (r as u64) * 4096 + (it as u64) * 64;
-            p.push(Op::WaitFlag {
-                addr: flag,
-                val: it as u64 + 1,
-            })
-            .push(Op::MarkStart(it))
-            .push(Op::Read(addr(it)))
-            .push(Op::Write(local_buf))
-            .push(Op::MarkEnd(it));
-        }
-        programs.push(p);
-    }
-    programs
-}
 
 /// Run the 1:N contention benchmark for each N in `ns` with the given
 /// reader schedule ("each new thread runs in a different tile" = Scatter,

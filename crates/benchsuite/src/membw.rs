@@ -145,10 +145,10 @@ pub fn bandwidth_sample(
     let programs = bandwidth_programs(m, kind, target, threads, schedule, params);
     let result = Runner::new(m, programs).run();
     let mut s = Sample::new();
-    let counted = threads as u64 * lines * kind.bytes_per_line();
+    let bytes = threads as u64 * lines * kind.bytes_per_line();
     for it in 0..params.iters {
         if let Some(max_ns) = result.iteration_max_ns(it) {
-            s.push((counted as f64 / 1e9) / (max_ns / 1e9));
+            s.push((bytes as f64 / 1e9) / (max_ns / 1e9));
         }
     }
     s

@@ -1,26 +1,12 @@
 //! Memory latency (Table II latency rows): BenchIT-style pointer chasing
 //! over a buffer far larger than the caches, allocated in DDR or MCDRAM
-//! (flat modes) or wherever the cache mode puts it.
+//! (flat modes) or wherever the cache mode puts it. [`chase_latency`]
+//! drives [`Machine::access`] directly, with no Op-IR form.
 
 use knl_arch::topology::splitmix64;
 use knl_arch::{CoreId, NumaKind};
-use knl_sim::{AccessKind, Machine, Op, Program, SimTime};
+use knl_sim::{AccessKind, Machine, SimTime};
 use knl_stats::Sample;
-
-/// The latency workload as an Op-IR program (one thread chasing `lines`
-/// lines from `base`), the shape [`chase_latency`] measures directly.
-/// Exposed so the static analyzer can validate the workload; the capacity
-/// pass will (correctly) note that the buffer exceeds L1/L2 — that is the
-/// point of the benchmark.
-pub fn chase_program(core: CoreId, base: u64, lines: u64, passes: usize) -> Program {
-    let mut p = Program::on_core(core);
-    for it in 0..passes {
-        p.push(Op::MarkStart(it))
-            .push(Op::Chase { base, lines })
-            .push(Op::MarkEnd(it));
-    }
-    p
-}
 
 /// Median-ready sample of dependent-load latencies (ns) over a `lines`-line
 /// buffer at `base`. Accesses visit lines in a hash-scrambled order so

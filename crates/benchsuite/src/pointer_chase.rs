@@ -1,40 +1,15 @@
 //! Single-cache-line transfer latency by state and placement (Table I
 //! latency rows, Fig. 4), BenchIT-style: dependent accesses, medians.
+//! Fig. 4 runs [`transfer_latency`] and [`invalid_latency`] per partner
+//! core; each drives [`Machine::access`] directly, with no Op-IR form.
 
 use crate::state_prep::prep_lines;
 use knl_arch::CoreId;
-use knl_sim::{AccessKind, LineState, Machine, Op, Program, SimTime};
+use knl_sim::{AccessKind, LineState, Machine, SimTime};
 use knl_stats::Sample;
 
 /// Gap between iterations (lets shared resources drain).
 const ITER_GAP_PS: SimTime = 5_000_000;
-
-/// The single-line transfer workload as flag-synchronized Op-IR programs:
-/// the owner dirties a fresh line each iteration and publishes it; the
-/// reader waits for the publication and performs the measured dependent
-/// load. The cross-thread handoff is flag-ordered, so the workload
-/// analyzes race-free.
-pub fn transfer_programs(owner: CoreId, reader: CoreId, iters: usize) -> Vec<Program> {
-    let flag = 1u64 << 30;
-    let mut po = Program::on_core(owner);
-    let mut pr = Program::on_core(reader);
-    for it in 0..iters {
-        let gen = it as u64 + 1;
-        let addr = (1u64 << 23) + (it as u64) * 64;
-        po.push(Op::Write(addr)).push(Op::SetFlag {
-            addr: flag,
-            val: gen,
-        });
-        pr.push(Op::WaitFlag {
-            addr: flag,
-            val: gen,
-        })
-        .push(Op::MarkStart(it))
-        .push(Op::Read(addr))
-        .push(Op::MarkEnd(it));
-    }
-    vec![po, pr]
-}
 
 /// Local (L1) load latency: warm line, dependent re-reads.
 pub fn local_latency(m: &mut Machine, core: CoreId, iters: usize) -> Sample {
@@ -70,40 +45,6 @@ pub fn transfer_latency(
         now = out.complete + ITER_GAP_PS;
     }
     s
-}
-
-/// Fig. 4: latency from `origin` to every other core, for each state.
-/// Returns (partner core, state letter, median ns).
-pub fn latency_map(
-    m: &mut Machine,
-    origin: CoreId,
-    states: &[LineState],
-    iters: usize,
-) -> Vec<(u16, char, f64)> {
-    let num_cores = m.config().num_cores() as u16;
-    let mut out = Vec::new();
-    for partner in 0..num_cores {
-        if partner == origin.0 {
-            continue;
-        }
-        let owner = CoreId(partner);
-        // Helper: any tile different from both owner and origin.
-        let helper = (0..num_cores)
-            .map(CoreId)
-            .find(|c| c.tile() != owner.tile() && c.tile() != origin.tile())
-            .expect("machine has ≥3 tiles");
-        for &st in states {
-            let sample = if st == LineState::Invalid {
-                // I: the line comes from memory regardless of the partner;
-                // salt by partner id so no region is ever re-read.
-                invalid_latency(m, origin, iters, partner as u64)
-            } else {
-                transfer_latency(m, owner, origin, helper, st, iters)
-            };
-            out.push((partner, st.letter(), sample.median()));
-        }
-    }
-    out
 }
 
 /// Latency of reading lines nobody caches (served by memory), over a
@@ -176,12 +117,24 @@ mod tests {
 
     #[test]
     fn latency_map_covers_all_partners() {
+        // Fig. 4's loop: core 0 reads an M line from every other core.
         let mut m = machine();
-        let map = latency_map(&mut m, CoreId(0), &[LineState::Modified], 3);
+        let origin = CoreId(0);
+        let map: Vec<(u16, f64)> = (1..64u16)
+            .map(|partner| {
+                let owner = CoreId(partner);
+                let helper = (0..64)
+                    .map(CoreId)
+                    .find(|c| c.tile() != owner.tile() && c.tile() != origin.tile())
+                    .expect("machine has ≥3 tiles");
+                let s = transfer_latency(&mut m, owner, origin, helper, LineState::Modified, 3);
+                (partner, s.median())
+            })
+            .collect();
         assert_eq!(map.len(), 63);
         // Same-tile partner (core 1) must be the fastest M transfer.
-        let tile_lat = map.iter().find(|(c, _, _)| *c == 1).unwrap().2;
-        for (c, _, l) in &map {
+        let tile_lat = map.iter().find(|(c, _)| *c == 1).unwrap().1;
+        for (c, l) in &map {
             if *c != 1 {
                 assert!(*l > tile_lat, "core {c}: {l} vs tile {tile_lat}");
             }

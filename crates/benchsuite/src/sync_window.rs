@@ -4,11 +4,11 @@
 //! the use of the TSC counter", after measuring the TSC skew among cores.
 //! We model a per-core TSC skew (deterministic from a seed) and compute, for
 //! each iteration, the absolute window start each thread should wait for —
-//! i.e. the `WaitUntil` times fed to the simulator.
+//! i.e. the `WaitUntil` times fed to the simulator. [`crate::membw`] puts
+//! them in its Op-IR programs.
 
 use knl_arch::topology::splitmix64;
-use knl_arch::Schedule;
-use knl_sim::{Op, Program, SimTime, StreamKind};
+use knl_sim::SimTime;
 
 /// Per-core TSC skew model plus window schedule.
 #[derive(Debug, Clone)]
@@ -43,45 +43,6 @@ impl WindowSync {
     /// The window period.
     pub fn period_ps(&self) -> SimTime {
         self.period_ps
-    }
-
-    /// A window-synchronized streaming workload over disjoint per-thread
-    /// buffers: each thread waits for its (skewed) view of window `k`,
-    /// then streams `lines` lines of its own region. The shape every
-    /// window-started benchmark uses; threads share nothing, so the
-    /// workload analyzes race-free and any conflict a caller introduces
-    /// on top is its own.
-    pub fn window_programs(
-        &self,
-        threads: usize,
-        schedule: Schedule,
-        num_cores: usize,
-        lines: u64,
-        iters: usize,
-    ) -> Vec<Program> {
-        let stride = lines * 64 * 3;
-        (0..threads)
-            .map(|ti| {
-                let hw = schedule.place(ti, num_cores);
-                let base = (1u64 << 27) + (ti as u64) * stride;
-                let (a, b, c) = (base, base + lines * 64, base + 2 * lines * 64);
-                let mut p = Program::new(hw);
-                for it in 0..iters {
-                    p.push(Op::WaitUntil(self.window_start(hw.core().0 as usize, it)))
-                        .push(Op::MarkStart(it))
-                        .push(Op::Stream {
-                            kind: StreamKind::Triad,
-                            a,
-                            b,
-                            c,
-                            lines,
-                            vectorized: true,
-                        })
-                        .push(Op::MarkEnd(it));
-                }
-                p
-            })
-            .collect()
     }
 }
 

@@ -6,15 +6,14 @@
 //! DDR" or "in MCDRAM" simply by allocating from the corresponding region —
 //! exactly the `numactl`/`hbwmalloc` choice the paper makes. The paper does
 //! *not* use NUMA-aware per-cluster allocation in SNC modes, so the default
-//! allocation spreads over clusters round-robin; an explicit cluster can be
-//! requested where an experiment needs it.
+//! allocation spreads over clusters round-robin.
 
 use knl_arch::{AddressMap, NumaKind, LINE_BYTES};
 
 /// Bump allocator over a machine's NUMA regions.
 #[derive(Debug, Clone)]
 pub struct Arena {
-    /// (kind, cluster, next free address, end).
+    /// (kind, next free address, end), one per NUMA node in cluster order.
     regions: Vec<Region>,
     /// Round-robin cursor per kind for cluster-less allocation.
     rr: [usize; 2],
@@ -23,7 +22,6 @@ pub struct Arena {
 #[derive(Debug, Clone)]
 struct Region {
     kind: NumaKind,
-    cluster: u8,
     next: u64,
     end: u64,
 }
@@ -43,7 +41,6 @@ impl Arena {
             .iter()
             .map(|n| Region {
                 kind: n.kind,
-                cluster: n.cluster,
                 next: n.range.start,
                 end: n.range.end,
             })
@@ -86,23 +83,6 @@ impl Arena {
             }
         }
         panic!("simulated {kind:?} exhausted allocating {bytes} bytes");
-    }
-
-    /// Allocate from a specific cluster's region of `kind`.
-    pub fn alloc_in_cluster(&mut self, kind: NumaKind, cluster: u8, bytes: u64) -> u64 {
-        let need = bytes.div_ceil(LINE_BYTES) * LINE_BYTES;
-        let r = self
-            .regions
-            .iter_mut()
-            .find(|r| r.kind == kind && r.cluster == cluster)
-            .unwrap_or_else(|| panic!("no {kind:?} region in cluster {cluster}"));
-        assert!(
-            r.end - r.next >= need,
-            "cluster {cluster} {kind:?} exhausted"
-        );
-        let addr = r.next;
-        r.next += need;
-        addr
     }
 
     /// Remaining bytes of `kind` across all clusters.
@@ -172,8 +152,14 @@ mod tests {
         let cfg = MachineConfig::knl7210(ClusterMode::Snc4, MemoryMode::Flat);
         let topo = cfg.topology();
         let map = cfg.address_map(&topo);
-        let x = a.alloc_in_cluster(NumaKind::Mcdram, 2, 64);
-        assert_eq!(map.node_of(x).unwrap().cluster, 2);
+        // Round-robin visits the clusters in order: the third MCDRAM
+        // allocation lands in cluster 2.
+        let x = (0..3)
+            .map(|_| a.alloc(NumaKind::Mcdram, 64))
+            .last()
+            .unwrap();
+        let node = map.node_of(x).unwrap();
+        assert_eq!((node.kind, node.cluster), (NumaKind::Mcdram, 2));
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //!   `SetFlag`/`WaitFlag` release–acquire edges (monotone-max flag
 //!   semantics: a wait for `v` is ordered after the *meet* of every
 //!   publisher that could have satisfied it), and `WaitUntil` windows,
-//! * expands every op to its **line footprint** (`Chase`, `ReadBuf`,
-//!   `CopyBuf` and `Stream` become line ranges) and reports conflicting,
-//!   happens-before-unordered accesses as **data races** — flag lines
-//!   touched by flag ops are intended sharing and exempt, streaming
-//!   (NT-store) overlap and window-separated conflicts are downgraded to
-//!   warnings,
+//! * expands every op to its **line footprint** (`CopyBuf` and `Stream`
+//!   become line ranges) and reports conflicting, happens-before-unordered
+//!   accesses as **data races** — flag lines touched by flag ops are
+//!   intended sharing and exempt, streaming (NT-store) overlap and
+//!   window-separated conflicts are downgraded to warnings,
 //! * replays an **abstract scheduler** over the flag ops to prove every
 //!   `WaitFlag` is eventually satisfied (monotone flags make this exact:
 //!   executing any enabled op never disables another, so one maximal run
@@ -299,11 +298,6 @@ fn footprint(op: &Op) -> Vec<(u64, u64, bool, bool)> {
         Op::Read(a) => vec![(line_of(a), 1, false, false)],
         Op::Write(a) => vec![(line_of(a), 1, true, false)],
         Op::NtStore(a) => vec![(line_of(a), 1, true, true)],
-        Op::Chase { base, lines } => vec![(line_of(base), lines.max(1), false, false)],
-        Op::ReadBuf { src, bytes, .. } => {
-            let (s, n) = span_lines(src, bytes);
-            vec![(s, n, false, false)]
-        }
         Op::CopyBuf {
             src, dst, bytes, ..
         } => {
@@ -1057,9 +1051,12 @@ mod tests {
         // stay below Error — the suite runs under `--analyze error`.
         let reader = prog(
             0,
-            vec![Op::ReadBuf {
-                src: 1 << 20,
-                bytes: 16 * 64,
+            vec![Op::Stream {
+                kind: StreamKind::Read,
+                a: 0,
+                b: 1 << 20,
+                c: 0,
+                lines: 16,
                 vectorized: true,
             }],
         );
@@ -1109,7 +1106,7 @@ mod tests {
 
     #[test]
     fn footprint_expansion_catches_buffer_overlap() {
-        // CopyBuf destination overlaps another thread's chase buffer.
+        // CopyBuf destination overlaps another thread's read stream.
         let mut a = Program::new(HwThreadId(0));
         a.push(Op::CopyBuf {
             src: 0,
@@ -1118,9 +1115,13 @@ mod tests {
             vectorized: true,
         });
         let mut b = Program::new(HwThreadId(4));
-        b.push(Op::Chase {
-            base: (1 << 20) + 32 * 64,
+        b.push(Op::Stream {
+            kind: StreamKind::Read,
+            a: 0,
+            b: (1 << 20) + 32 * 64,
+            c: 0,
             lines: 64,
+            vectorized: true,
         });
         let r = analyze(&[a, b], &[]);
         assert_eq!(r.count(Severity::Error), 1, "{r}");
@@ -1132,9 +1133,13 @@ mod tests {
     fn capacity_diagnostics_are_info_only() {
         let p = prog(
             0,
-            vec![Op::Chase {
-                base: 1 << 22,
+            vec![Op::Stream {
+                kind: StreamKind::Read,
+                a: 0,
+                b: 1 << 22,
+                c: 0,
                 lines: 4096,
+                vectorized: true,
             }],
         );
         let r = analyze(&[p], &[]);

@@ -47,10 +47,7 @@ pub enum ProtocolEvent<'a> {
         latency_ps: SimTime,
     },
     /// A directory step, after the entry was updated: what `tile` asked
-    /// and what [`crate::protocol::transition`] answered. `counted` mirrors
-    /// the protocol/preparation split: state preparation
-    /// ([`crate::machine::Machine::prepare_line`]) steps are uncounted and
-    /// do not appear in traces.
+    /// and what [`crate::protocol::transition`] answered.
     Dir {
         /// Global state tag before the step (see `gstate_tag`).
         from: char,
@@ -62,8 +59,6 @@ pub enum ProtocolEvent<'a> {
         out: Outcome,
         /// The directory entry, already in its post-transition state.
         entry: &'a DirEntry,
-        /// False for timing-free state preparation.
-        counted: bool,
     },
     /// A message finished one mesh leg (`q`uery/`d`ata/`r`eply).
     Hop {
@@ -331,7 +326,6 @@ impl ObserverHub {
         tile: TileId,
         out: Outcome,
         entry: &DirEntry,
-        counted: bool,
     ) {
         if self.events {
             self.emit(
@@ -343,7 +337,6 @@ impl ObserverHub {
                     tile,
                     out,
                     entry,
-                    counted,
                 },
             );
         }

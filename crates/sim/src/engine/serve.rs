@@ -1,5 +1,5 @@
 //! Coherent protocol paths: single-line reads, writes (RFO), NT stores,
-//! the memory/mcache flows, and fills/evictions/state preparation.
+//! the memory/mcache flows, and fills/evictions.
 //!
 //! Every observable action is emitted exactly once through the
 //! [`crate::engine::observe::ObserverHub`] at the point the engine has
@@ -59,7 +59,6 @@ impl Machine {
         line: u64,
         request: Request,
         tile: TileId,
-        counted: bool,
     ) -> Option<(Outcome, u32)> {
         let kind = self.cfg.protocol;
         let entry = self.dir.get_mut(line)?;
@@ -70,7 +69,7 @@ impl Machine {
         }
         let from = gstate_tag(&pre.state);
         self.hub
-            .dir_transition(time, line, from, request, tile, out, entry, counted);
+            .dir_transition(time, line, from, request, tile, out, entry);
         Some((out, entry.version))
     }
 
@@ -167,7 +166,7 @@ impl Machine {
                 + self.cfg.timing.fill_ps;
             self.counters.remote_cache_hits += 1;
             let (grant, ver) = self
-                .dir_step(t_svc, line, Request::Read, tile, true)
+                .dir_step(t_svc, line, Request::Read, tile)
                 .expect("entry exists");
             if grant.writeback {
                 // Forced write-back downgrades M to a clean state (MESIF:
@@ -202,7 +201,7 @@ impl Machine {
                     .traverse(read.from, req, read.ready + self.cfg.timing.inject_ps)
                     + self.cfg.timing.fill_ps;
             let (grant, ver) = self
-                .dir_step(t_svc, line, Request::Read, tile, true)
+                .dir_step(t_svc, line, Request::Read, tile)
                 .expect("entry exists");
             // A dirty copy elsewhere would have been the supplier above.
             debug_assert!(!grant.writeback, "memory served a line cached dirty");
@@ -258,7 +257,7 @@ impl Machine {
             // The version advances (sibling-core L1 copies die); re-stamp
             // the writer's own caches.
             let (_, ver) = self
-                .dir_step(now, line, Request::Write, tile, true)
+                .dir_step(now, line, Request::Write, tile)
                 .expect("owned line has entry");
             self.l2_fill(tile, line, ver);
             self.l1_fill(core, line, ver);
@@ -350,7 +349,7 @@ impl Machine {
         };
 
         let (grant, ver) = self
-            .dir_step(t_svc, line, Request::Write, tile, true)
+            .dir_step(t_svc, line, Request::Write, tile)
             .expect("entry exists");
         self.counters.invalidations += grant.invalidated as u64;
         self.counters.updates += grant.updated as u64;
@@ -394,7 +393,7 @@ impl Machine {
         let mut extra = 0;
         if self.dir.get(line).is_some_and(|e| e.num_holders() > 0) {
             let (sweep, _) = self
-                .dir_step(now, line, Request::NtStore, tile, true)
+                .dir_step(now, line, Request::NtStore, tile)
                 .expect("entry just seen");
             self.counters.invalidations += sweep.invalidated as u64;
             self.counters.updates += sweep.updated as u64;
@@ -650,7 +649,7 @@ impl Machine {
     pub(crate) fn l2_fill(&mut self, tile: TileId, line: u64, version: u32) {
         if let Insert::Evicted(victim) = self.l2[tile.0 as usize].insert(line, version) {
             let when = self.l2_port_busy[tile.0 as usize];
-            let evicted = self.dir_step(when, victim, Request::Evict, tile, true);
+            let evicted = self.dir_step(when, victim, Request::Evict, tile);
             if evicted.is_some_and(|(e, _)| e.writeback) {
                 // Dirty victim: write back in the background.
                 self.counters.writebacks += 1;
@@ -676,7 +675,7 @@ impl Machine {
             }
         }
         self.l2[tile.0 as usize].remove(line);
-        let evicted = self.dir_step(now, line, Request::Evict, tile, true);
+        let evicted = self.dir_step(now, line, Request::Evict, tile);
         if evicted.is_some_and(|(e, _)| e.writeback) {
             self.counters.writebacks += 1;
             self.hub.writeback(now, line, false);
@@ -686,56 +685,12 @@ impl Machine {
         // The core pays only the flush issue; write-backs are posted.
         now + self.cfg.timing.l1_hit_ps
     }
-
-    /// Pre-load a line into a tile's caches in a given state without timing
-    /// (benchmark state preparation). `core` receives an L1 copy too. Every
-    /// step is an uncounted directory transition with its own event, so
-    /// occupancy observers see the line arrive exactly once.
-    pub fn prepare_line(&mut self, core: CoreId, addr: u64, state: LineState) {
-        let line = addr >> LINE_SHIFT;
-        let tile = core.tile();
-        let helper = TileId((tile.0 + 1) % self.cfg.active_tiles as u16);
-        // Every state but the dirty ones is built up from a line nobody
-        // caches: drop all copies first (under any protocol — this is a
-        // flush, not an NT store, which Dragon would answer by updating).
-        if !state.dirty() {
-            if let Some(entry) = self.dir.get_mut(line) {
-                let from = gstate_tag(&entry.state);
-                let flush = Outcome {
-                    requester: LineState::Invalid,
-                    invalidated: entry.num_holders(),
-                    writeback: entry.invalidate_all(),
-                    updated: 0,
-                };
-                let nt = Request::NtStore;
-                self.hub
-                    .dir_transition(0, line, from, nt, tile, flush, entry, false);
-            }
-        }
-        let steps: &[(Request, TileId)] = match state {
-            LineState::Invalid => return,
-            LineState::Modified | LineState::Owned => &[(Request::Write, tile)],
-            // First reader ⇒ E.
-            LineState::Exclusive => &[(Request::Read, tile)],
-            // Owner reads, then a helper tile reads, leaving the owner S
-            // and the helper F; for an F request the roles swap.
-            LineState::Shared => &[(Request::Read, tile), (Request::Read, helper)],
-            LineState::Forward => &[(Request::Read, helper), (Request::Read, tile)],
-        };
-        self.dir.get_or_insert_default(line);
-        for &(request, by) in steps {
-            self.dir_step(0, line, request, by, false);
-        }
-        let ver = self.dir.get(line).map_or(0, |e| e.version);
-        self.l2_fill(tile, line, ver);
-        self.l1_fill(core, line, ver);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::directory::LineState;
-    use crate::machine::{AccessKind, Machine, ServedBy};
+    use crate::machine::{prep_line, AccessKind, Machine, ServedBy};
     use knl_arch::{
         ClusterMode, CoreId, MachineConfig, MemTarget, MemoryMode, NumaKind, ProtocolKind, Schedule,
     };
@@ -810,6 +765,8 @@ mod tests {
         let mut m = machine(ClusterMode::Quadrant, MemoryMode::Flat);
         let owner = CoreId(0);
         let reader = CoreId(1); // same tile
+        let helper = CoreId(20);
+        let mut now = 0;
         for (state, expect_ns) in [
             (LineState::Modified, 34.0),
             (LineState::Exclusive, 18.0),
@@ -817,9 +774,10 @@ mod tests {
         ] {
             let addr = 1 << 16;
             m.reset_caches();
-            m.prepare_line(owner, addr, state);
-            let out = m.access(reader, addr, AccessKind::Read, 1_000_000);
-            let ns = (out.complete - 1_000_000) as f64 / 1000.0;
+            let t = prep_line(&mut m, owner, helper, addr, state, now);
+            let out = m.access(reader, addr, AccessKind::Read, t);
+            now = out.complete;
+            let ns = (out.complete - t) as f64 / 1000.0;
             assert!(
                 (ns - expect_ns).abs() < expect_ns * 0.35 + 2.0,
                 "state {state:?}: got {ns} ns, expected ~{expect_ns}"
@@ -838,10 +796,10 @@ mod tests {
         let owner = CoreId(10); // tile 5
         let reader = CoreId(0); // tile 0
         let addr = 1 << 16;
-        m.prepare_line(owner, addr, LineState::Modified);
-        let out = m.access(reader, addr, AccessKind::Read, 0);
+        let t = prep_line(&mut m, owner, CoreId(20), addr, LineState::Modified, 0);
+        let out = m.access(reader, addr, AccessKind::Read, t);
         assert!(matches!(out.served_by, ServedBy::RemoteCache { .. }));
-        let ns = out.complete as f64 / 1000.0;
+        let ns = (out.complete - t) as f64 / 1000.0;
         assert!((80.0..170.0).contains(&ns), "remote M latency {ns} ns");
     }
 
@@ -852,13 +810,12 @@ mod tests {
         let reader = CoreId(0);
         let addr_m = 1 << 16;
         let addr_s = 2 << 16;
-        m.prepare_line(owner, addr_m, LineState::Modified);
-        m.prepare_line(owner, addr_s, LineState::Forward);
-        let tm = m.access(reader, addr_m, AccessKind::Read, 0).complete;
-        let ts = m
-            .access(reader, addr_s, AccessKind::Read, 10_000_000)
-            .complete
-            - 10_000_000;
+        let helper = CoreId(20);
+        let t = prep_line(&mut m, owner, helper, addr_m, LineState::Modified, 0);
+        let t = prep_line(&mut m, owner, helper, addr_s, LineState::Forward, t);
+        let tm = m.access(reader, addr_m, AccessKind::Read, t).complete - t;
+        let t = t + 10_000_000;
+        let ts = m.access(reader, addr_s, AccessKind::Read, t).complete - t;
         assert!(tm > ts, "M {tm} must exceed S/F {ts}");
     }
 
@@ -869,8 +826,8 @@ mod tests {
         let b = CoreId(10);
         let addr = 1 << 16;
         // b owns; a reads (both share); b writes (invalidates a); a reads again.
-        m.prepare_line(b, addr, LineState::Modified);
-        let r1 = m.access(a, addr, AccessKind::Read, 0);
+        let t = prep_line(&mut m, b, CoreId(20), addr, LineState::Modified, 0);
+        let r1 = m.access(a, addr, AccessKind::Read, t);
         assert!(matches!(r1.served_by, ServedBy::RemoteCache { .. }));
         let w = m.access(b, addr, AccessKind::Write, r1.complete);
         let c0 = m.counters();
@@ -914,19 +871,19 @@ mod tests {
         let mut m = machine(ClusterMode::Quadrant, MemoryMode::Flat);
         let owner = CoreId(0);
         let addr = 1 << 16;
-        let last_for = |m: &mut Machine, n: usize| -> u64 {
+        let last_for = |m: &mut Machine, n: usize, now: u64| -> u64 {
             m.reset_caches();
-            m.prepare_line(owner, addr, LineState::Modified);
+            let t = prep_line(m, owner, CoreId(62), addr, LineState::Modified, now);
             let mut worst = 0;
             for i in 0..n {
                 let reader = Schedule::Scatter.core(i + 1, 64);
-                let out = m.access(reader, addr, AccessKind::Read, 0);
-                worst = worst.max(out.complete);
+                let out = m.access(reader, addr, AccessKind::Read, t);
+                worst = worst.max(out.complete - t);
             }
             worst
         };
-        let t8 = last_for(&mut m, 8);
-        let t32 = last_for(&mut m, 32);
+        let t8 = last_for(&mut m, 8, 0);
+        let t32 = last_for(&mut m, 32, 10_000_000);
         let slope = (t32 - t8) as f64 / 24.0 / 1000.0;
         assert!(
             (20.0..50.0).contains(&slope),

@@ -142,7 +142,8 @@ impl StreamState {
 
 impl Machine {
     /// Copy `bytes` from `src` to `dst` through the cache hierarchy,
-    /// overlapping up to the copy MLP cap.
+    /// overlapping up to the copy MLP cap. Returns the last write's
+    /// completion.
     pub fn copy_buf(
         &mut self,
         core: CoreId,
@@ -157,28 +158,12 @@ impl Machine {
         } else {
             self.cfg.timing.ov_c2c_copy_scalar
         } as usize;
-        let lines = knl_arch::lines_for(bytes);
-        let mut ring = std::mem::take(&mut self.c2c_ring);
-        ring.fill(ov, now);
-        let mut issue = now;
-        let mut done = now;
-        for i in 0..lines {
-            let gated = ring.gate(issue);
-            let r = self.access(core, src + i * 64, AccessKind::Read, gated);
-            // The local store is buffered; it costs a write access that is
-            // overlapped with subsequent reads, so only its ownership fetch
-            // (first touch) shows up via the cache state.
-            let w = self.access(core, dst + i * 64, AccessKind::Write, r.complete);
-            ring.record(r.complete);
-            done = w.complete;
-            issue += self.cfg.timing.issue_gap_ps;
-        }
-        self.c2c_ring = ring;
-        done
+        self.buf_lines(core, src, Some(dst), bytes, ov, now)
     }
 
     /// Read `bytes` from `src` into registers (no destination buffer),
-    /// overlapping up to the read MLP cap.
+    /// overlapping up to the read MLP cap. Returns the latest read's
+    /// completion.
     pub fn read_buf(
         &mut self,
         core: CoreId,
@@ -192,16 +177,41 @@ impl Machine {
         } else {
             self.cfg.timing.ov_c2c_read_scalar
         } as usize;
-        let lines = knl_arch::lines_for(bytes);
+        self.buf_lines(core, src, None, bytes, ov, now)
+    }
+
+    /// The loop of [`Machine::copy_buf`] and [`Machine::read_buf`]: line
+    /// `i`'s read issues `i` issue gaps after `now`, once one of the `ov`
+    /// MLP slots is free. With a `dst`, each read is followed by the write
+    /// of its line there, and the last write's completion is returned;
+    /// without one, the latest read's.
+    fn buf_lines(
+        &mut self,
+        core: CoreId,
+        src: u64,
+        dst: Option<u64>,
+        bytes: u64,
+        ov: usize,
+        now: SimTime,
+    ) -> SimTime {
         let mut ring = std::mem::take(&mut self.c2c_ring);
         ring.fill(ov, now);
         let mut issue = now;
         let mut done = now;
-        for i in 0..lines {
+        for i in 0..knl_arch::lines_for(bytes) {
             let gated = ring.gate(issue);
             let r = self.access(core, src + i * 64, AccessKind::Read, gated);
             ring.record(r.complete);
-            done = done.max(r.complete);
+            done = match dst {
+                // The local store is buffered; it costs a write access that
+                // is overlapped with subsequent reads, so only its ownership
+                // fetch (first touch) shows up via the cache state.
+                Some(dst) => {
+                    self.access(core, dst + i * 64, AccessKind::Write, r.complete)
+                        .complete
+                }
+                None => done.max(r.complete),
+            };
             issue += self.cfg.timing.issue_gap_ps;
         }
         self.c2c_ring = ring;
@@ -373,7 +383,7 @@ impl Machine {
 mod tests {
     use super::StreamState;
     use crate::directory::LineState;
-    use crate::machine::Machine;
+    use crate::machine::{prep_line, Machine};
     use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, NumaKind, Schedule};
 
     fn machine(cm: ClusterMode, mm: MemoryMode) -> Machine {
@@ -505,11 +515,13 @@ mod tests {
         let bytes = 64 * 1024u64;
         let src = 1 << 20;
         let dst = 8 << 20;
+        let helper = CoreId(40);
+        let mut t = 0;
         for l in 0..knl_arch::lines_for(bytes) {
-            m.prepare_line(owner, src + l * 64, LineState::Modified);
+            t = prep_line(&mut m, owner, helper, src + l * 64, LineState::Modified, t);
         }
-        let done = m.copy_buf(reader, src, dst, bytes, true, 0);
-        let gbps = (bytes as f64 / 1e9) / (done as f64 / 1e12);
+        let done = m.copy_buf(reader, src, dst, bytes, true, t);
+        let gbps = (bytes as f64 / 1e9) / ((done - t) as f64 / 1e12);
         assert!((4.0..12.0).contains(&gbps), "remote copy {gbps} GB/s");
     }
 }

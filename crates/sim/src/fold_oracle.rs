@@ -1,7 +1,7 @@
 //! The reference the observers' fold is tested against.
 //!
 //! [`MetricsOracle`] and [`SamplerOracle`] fold an event the way the
-//! tracer and the telemetry sampler did before they counted in dense rows:
+//! tracer and the telemetry sampler did before they tallied in dense rows:
 //! one `entry_or_default` search per event straight into the sparse maps
 //! (the sampler's keyed by bin, one division per event), hot lines in a
 //! `BTreeMap` that is collected and sorted to find the top N; the metrics
@@ -258,8 +258,8 @@ fn entries() -> [DirEntry; 5] {
 }
 
 /// A `Dir` step into `entry` from state `from`; the tracer and the sampler
-/// read the two state tags and `counted`, nothing else.
-fn dir(from: char, entry: &DirEntry, counted: bool) -> ProtocolEvent<'_> {
+/// read the two state tags, nothing else.
+fn dir(from: char, entry: &DirEntry) -> ProtocolEvent<'_> {
     ProtocolEvent::Dir {
         from,
         request: Request::Read,
@@ -271,7 +271,6 @@ fn dir(from: char, entry: &DirEntry, counted: bool) -> ProtocolEvent<'_> {
             updated: 0,
         },
         entry,
-        counted,
     }
 }
 
@@ -279,8 +278,7 @@ fn dir(from: char, entry: &DirEntry, counted: bool) -> ProtocolEvent<'_> {
 /// matter to a fold: every source tag, hop counts over the whole die with
 /// its two ends drawn often (the corners of the tracer's dense histogram
 /// row), zero counts, ids at the `u8` extreme, `Dir` steps between any two
-/// states (`U → U` and `S → S` included, uncounted ones too), and the
-/// checker's oracle events.
+/// states (`U → U` and `S → S` included), and the checker's oracle events.
 fn random_event<'a>(rng: &mut SplitMixRng, entries: &'a [DirEntry]) -> ProtocolEvent<'a> {
     match rng.next_u64() % 16 {
         0 => ProtocolEvent::Issue { op: 'R' },
@@ -297,7 +295,6 @@ fn random_event<'a>(rng: &mut SplitMixRng, entries: &'a [DirEntry]) -> ProtocolE
         5..=6 => dir(
             pick(rng, &['U', 'E', 'M', 'S', 'O']),
             &entries[(rng.next_u64() % 5) as usize],
-            rng.next_u64().is_multiple_of(2),
         ),
         7 => ProtocolEvent::Hop {
             leg: 'q',
@@ -402,7 +399,7 @@ fn tracer_fold_serializes_like_the_per_event_oracle() {
 
 #[test]
 fn top_lines_cut_inside_a_run_of_ties_keeps_the_lowest_lines() {
-    // Forty lines of count 2 and three of count 3, counted from the highest
+    // Forty lines of count 2 and three of count 3, added from the highest
     // line down: the cut at 32 falls among the ties and keeps the lowest.
     let mut tracer = Tracer::new(TraceLevel::Summary);
     let mut oracle = MetricsOracle::default();
@@ -464,8 +461,8 @@ fn sampler_fold_serializes_like_the_per_event_oracle() {
         // so their rows are written, `G 19 S 0` and `V 20 0 0 0 0 0 0 0`.
         let (to_s, to_u) = (&entries[3], &entries[0]);
         for (bin, event) in [
-            (19, dir('U', to_s, true)),
-            (19, dir('S', to_u, true)),
+            (19, dir('U', to_s)),
+            (19, dir('S', to_u)),
             (20, ProtocolEvent::Hop { leg: 'q', hops: 0 }),
             (20, ProtocolEvent::Inv { n: 0 }),
         ] {

@@ -115,15 +115,15 @@ pub struct CoherenceChecker {
     history: LineMap<VecDeque<EventRecord>>,
     /// Total transitions observed (a record's sequence number).
     pub events: u64,
-    /// Invalidation messages implied by counted transitions.
+    /// Invalidation messages implied by directory transitions.
     pub invalidations: u64,
-    /// Update messages implied by counted transitions (Dragon).
+    /// Update messages implied by directory transitions (Dragon).
     pub updates: u64,
-    /// Coherence write-backs implied by counted transitions (dirty
+    /// Coherence write-backs implied by directory transitions (dirty
     /// evictions, M→S downgrades, NT-store invalidations of dirty lines).
     pub writebacks: u64,
     /// Write-backs the machine performs outside the directory protocol
-    /// (memory-side-cache victim evictions); counted so reconciliation
+    /// (memory-side-cache victim evictions); tallied so reconciliation
     /// against [`Counters::writebacks`] is exact.
     pub external_writebacks: u64,
     shadow: Option<ShadowMemory>,
@@ -162,9 +162,6 @@ impl CoherenceChecker {
 
     /// Observe one directory step on `line`: `tile` asked `request` and
     /// the transition answered `out`; `entry` is the state *after* it.
-    /// `counted` steps accumulate message counters (state-preparation
-    /// shortcuts pass `false`: they mutate the directory without the
-    /// machine counting messages).
     pub fn on_transition(
         &mut self,
         line: u64,
@@ -172,7 +169,6 @@ impl CoherenceChecker {
         tile: TileId,
         out: Outcome,
         entry: &DirEntry,
-        counted: bool,
     ) {
         self.events += 1;
         let prev = self
@@ -193,12 +189,10 @@ impl CoherenceChecker {
             Request::Evict | Request::NtStore => out.writeback,
             Request::Write => false,
         };
-        if counted {
-            self.invalidations += out.invalidated as u64;
-            self.updates += out.updated as u64;
-            if writeback {
-                self.writebacks += 1;
-            }
+        self.invalidations += out.invalidated as u64;
+        self.updates += out.updated as u64;
+        if writeback {
+            self.writebacks += 1;
         }
         if let Some(shadow) = self.shadow.as_mut() {
             if writeback {
@@ -283,9 +277,8 @@ impl CoherenceChecker {
                 tile,
                 out,
                 entry,
-                counted,
                 ..
-            } => self.on_transition(line, request, tile, out, entry, counted),
+            } => self.on_transition(line, request, tile, out, entry),
             ProtocolEvent::CoherentRead { from_memory } => self.observe_read(line, from_memory),
             // An NT store overwrote `line` in memory; its directory step
             // already swept the cached copies.
@@ -327,21 +320,21 @@ impl CoherenceChecker {
     pub fn finish(&self, counters: &Counters) {
         if self.invalidations != counters.invalidations {
             panic!(
-                "coherence violation: checker counted {} invalidation messages, \
+                "coherence violation: checker saw {} invalidation messages, \
                  machine counters say {}",
                 self.invalidations, counters.invalidations
             );
         }
         if self.updates != counters.updates {
             panic!(
-                "coherence violation: checker counted {} update messages, \
+                "coherence violation: checker saw {} update messages, \
                  machine counters say {}",
                 self.updates, counters.updates
             );
         }
         if self.writebacks + self.external_writebacks != counters.writebacks {
             panic!(
-                "coherence violation: checker counted {} coherence + {} external \
+                "coherence violation: checker saw {} coherence + {} external \
                  write-backs, machine counters say {}",
                 self.writebacks, self.external_writebacks, counters.writebacks
             );
@@ -448,11 +441,6 @@ impl ShadowMemory {
             .unwrap_or(0)
     }
 
-    /// Lines the sequential reference has values for.
-    pub fn tracked_lines(&self) -> usize {
-        self.flat.len()
-    }
-
     fn on_write(&mut self, line: u64) {
         self.next_val += 1;
         self.cached.insert(line, self.next_val);
@@ -498,8 +486,8 @@ mod tests {
     struct Step(Request, TileId, Outcome);
 
     impl Step {
-        fn seen_by(self, ck: &mut CoherenceChecker, line: u64, e: &DirEntry, counted: bool) {
-            ck.on_transition(line, self.0, self.1, self.2, e, counted);
+        fn seen_by(self, ck: &mut CoherenceChecker, line: u64, e: &DirEntry) {
+            ck.on_transition(line, self.0, self.1, self.2, e);
         }
     }
 
@@ -511,9 +499,9 @@ mod tests {
     fn clean_transitions_pass() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e, true);
-        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e, true);
-        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e);
+        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e);
         assert_eq!(ck.invalidations, 1);
         assert_eq!(ck.events, 3);
     }
@@ -525,7 +513,7 @@ mod tests {
         let mut e = DirEntry::default();
         let granted = step(&mut e, Request::Write, T0);
         e.sharers.insert(T1); // corrupt: M state with a residual sharer
-        granted.seen_by(&mut ck, 0, &e, true);
+        granted.seen_by(&mut ck, 0, &e);
     }
 
     #[test]
@@ -533,11 +521,11 @@ mod tests {
     fn version_regression_is_caught() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e);
         e.version = 0; // regress the epoch
         let granted = step(&mut e, Request::Read, T1);
         e.version = 0;
-        granted.seen_by(&mut ck, 0, &e, true);
+        granted.seen_by(&mut ck, 0, &e);
     }
 
     #[test]
@@ -548,9 +536,9 @@ mod tests {
             busy_until: 10_000,
             ..Default::default()
         };
-        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e);
         e.busy_until = 5_000;
-        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e);
     }
 
     #[test]
@@ -569,29 +557,17 @@ mod tests {
     fn downgrade_counts_one_writeback() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e, true);
-        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e);
+        step(&mut e, Request::Read, T1).seen_by(&mut ck, 0, &e);
         assert_eq!(ck.writebacks, 1, "M->S downgrade implies one write-back");
-    }
-
-    #[test]
-    fn uncounted_events_validate_but_do_not_count() {
-        let mut ck = checker();
-        let mut e = DirEntry::default();
-        step(&mut e, Request::Read, T0);
-        step(&mut e, Request::Read, T1);
-        // Preparation's flush: every copy dropped, nothing counted.
-        step(&mut e, Request::NtStore, T0).seen_by(&mut ck, 0, &e, false);
-        assert_eq!(ck.invalidations, 0);
-        assert_eq!(ck.events, 1);
     }
 
     #[test]
     fn reconcile_passes_on_matching_counters() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e, true);
-        step(&mut e, Request::Write, T1).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Read, T0).seen_by(&mut ck, 0, &e);
+        step(&mut e, Request::Write, T1).seen_by(&mut ck, 0, &e);
         let counters = Counters {
             invalidations: 1,
             ..Default::default()
@@ -604,7 +580,7 @@ mod tests {
     fn reconcile_catches_counter_drift() {
         let mut ck = checker();
         let mut e = DirEntry::default();
-        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 0, &e);
         let counters = Counters {
             invalidations: 7,
             ..Default::default()
@@ -616,13 +592,13 @@ mod tests {
     fn shadow_tracks_write_then_nt_store() {
         let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, ProtocolKind::Mesif);
         let mut e = DirEntry::default();
-        step(&mut e, Request::Write, T0).seen_by(&mut ck, 7, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 7, &e);
         ck.observe_read(7, false);
-        step(&mut e, Request::NtStore, T0).seen_by(&mut ck, 7, &e, true);
+        step(&mut e, Request::NtStore, T0).seen_by(&mut ck, 7, &e);
         ck.on_event(7, &ProtocolEvent::NtStore);
         ck.observe_read(7, true);
         let shadow = ck.shadow().unwrap();
-        assert_eq!(shadow.tracked_lines(), 1);
+        assert_eq!(shadow.flat.len(), 1);
         assert_eq!(shadow.reads_checked, 2);
         assert_eq!(shadow.visible(7), 2);
         ck.finish(&Counters {
@@ -637,7 +613,7 @@ mod tests {
     fn oracle_catches_read_past_dirty_copy() {
         let mut ck = CoherenceChecker::new(CheckLevel::FullOracle, ProtocolKind::Mesif);
         let mut e = DirEntry::default();
-        step(&mut e, Request::Write, T0).seen_by(&mut ck, 3, &e, true);
+        step(&mut e, Request::Write, T0).seen_by(&mut ck, 3, &e);
         // A read served straight from memory while T0 still holds the line
         // dirty: the stale-supply case the oracle exists to catch.
         ck.observe_read(3, true);
@@ -662,7 +638,7 @@ mod tests {
         let mut e = DirEntry::default();
         for i in 0..(EVENT_WINDOW + 9) {
             let t = TileId((i % 2) as u16);
-            step(&mut e, Request::Read, t).seen_by(&mut ck, 0, &e, true);
+            step(&mut e, Request::Read, t).seen_by(&mut ck, 0, &e);
         }
         assert_eq!(ck.history.get(0).unwrap().len(), EVENT_WINDOW);
     }

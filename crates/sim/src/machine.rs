@@ -412,6 +412,44 @@ fn jitter_span(pct: u32) -> Reducer {
     Reducer::new(2 * pct as u64 + 1)
 }
 
+/// Put `addr`'s line into `state` in `owner`'s tile by real coherent
+/// accesses from `now`, as the benchmarks' state preparation does;
+/// `helper`, on another tile, builds S and F. Returns a time after the
+/// preparation traffic has drained.
+#[cfg(test)]
+pub(crate) fn prep_line(
+    m: &mut Machine,
+    owner: CoreId,
+    helper: CoreId,
+    addr: u64,
+    state: LineState,
+    now: SimTime,
+) -> SimTime {
+    assert_ne!(
+        owner.tile(),
+        helper.tile(),
+        "helper must be on another tile"
+    );
+    let steps: &[(CoreId, AccessKind)] = match state {
+        LineState::Modified => &[(owner, AccessKind::Write)],
+        LineState::Exclusive => &[(owner, AccessKind::NtStore), (owner, AccessKind::Read)],
+        LineState::Shared | LineState::Owned => {
+            &[(owner, AccessKind::Write), (helper, AccessKind::Read)]
+        }
+        LineState::Forward => &[
+            (helper, AccessKind::NtStore),
+            (helper, AccessKind::Read),
+            (owner, AccessKind::Read),
+        ],
+        LineState::Invalid => &[(owner, AccessKind::NtStore)],
+    };
+    let mut t = now;
+    for &(core, kind) in steps {
+        t = m.access(core, addr, kind, t).complete;
+    }
+    t + 2_000_000
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -187,11 +187,6 @@ impl Mesh {
         arrive
     }
 
-    /// Whether occupancy modeling is on.
-    pub fn models_occupancy(&self) -> bool {
-        self.cfg.ring_service_ps.is_some()
-    }
-
     /// Reset ring queues (between benchmark repetitions).
     pub fn reset(&mut self) {
         for r in &mut self.rings {
@@ -258,7 +253,6 @@ mod tests {
             StopId::imc(1)
         );
         assert_eq!(StopId::device(MemTarget::Mcdram { edc: 5 }), StopId::edc(5));
-        assert!(!m.models_occupancy());
     }
 
     #[test]

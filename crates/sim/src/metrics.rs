@@ -180,7 +180,7 @@ impl HotLines {
         *self.counts.get_or_insert_default(line) += n;
     }
 
-    /// The count of `line` (0 when it was never counted).
+    /// The count of `line` (0 for a line never added).
     pub fn get(&self, line: u64) -> u64 {
         self.counts.get(line).copied().unwrap_or(0)
     }
@@ -217,7 +217,7 @@ impl HotLines {
 }
 
 /// Equal when they hold the same lines with the same counts, whatever the
-/// order they were counted in.
+/// order they were added in.
 impl PartialEq for HotLines {
     fn eq(&self, o: &HotLines) -> bool {
         self.iter().eq(o.iter())
@@ -227,7 +227,7 @@ impl PartialEq for HotLines {
 impl Eq for HotLines {}
 
 /// The tracer's fold: what each tile was served, what each device took
-/// in and the latencies served, counted in dense rows indexed by id, and
+/// in and the latencies served, tallied in dense rows indexed by id, and
 /// everything else straight in `closed`. A histogram cell is one (source
 /// tag, hops) histogram. The rows are run totals; they are added to
 /// `closed` when the tracer is detached ([`MetricsFold::fold_rows`]) and
@@ -283,12 +283,7 @@ impl MetricsFold {
                     _ => t.mem += 1,
                 }
             }
-            ProtocolEvent::Dir {
-                from,
-                entry,
-                counted: true,
-                ..
-            } => {
+            ProtocolEvent::Dir { from, entry, .. } => {
                 *m.dir_transitions
                     .entry_or_default((from, gstate_tag(&entry.state))) += 1
             }
@@ -309,9 +304,7 @@ impl MetricsFold {
             ProtocolEvent::Update { n } => m.updates += n as u64,
             ProtocolEvent::Writeback { .. } => m.writebacks += 1,
             ProtocolEvent::DevLeave { .. } | ProtocolEvent::Mark { .. } => {}
-            ProtocolEvent::Dir { counted: false, .. }
-            | ProtocolEvent::CoherentRead { .. }
-            | ProtocolEvent::NtStore => return false,
+            ProtocolEvent::CoherentRead { .. } | ProtocolEvent::NtStore => return false,
         }
         let m = &mut self.closed;
         m.events += 1;
@@ -528,7 +521,7 @@ impl Metrics {
                     *one.dir_transitions.entry_or_default(key) = num(it)?;
                 }
                 "L" => {
-                    // A line is held because it was counted, so no writer
+                    // A line is held because it was added, so no writer
                     // emits a zero.
                     let l = u64::from_str_radix(it.next()?, 16).ok()?;
                     one.hot_lines.add(l, num(it).filter(|&n| n > 0)?);
@@ -770,7 +763,6 @@ mod tests {
             tile: TileId(3),
             out,
             entry: &e,
-            counted: true,
         };
         let a = folded(&[
             (1_000, 3, 0x40, serve('M', 6, 107_000)),
@@ -851,7 +843,7 @@ mod tests {
             "L 40",
             "L 40 x",
             "L zz 3",
-            // A count no writer emits: a line that was never counted.
+            // A count no writer emits: a line that was never added.
             "L 40 0",
             // The per-bin device and tile rows of older traces: time
             // resolution is the telemetry's, a trace holds run totals.

@@ -26,7 +26,7 @@ impl StreamKind {
         StreamKind::Triad,
     ];
 
-    /// Bytes moved per line-iteration as counted by the paper (reads +
+    /// Bytes moved per line-iteration as the paper counts them (reads +
     /// writes): copy 2, read 1, write 1, triad 3.
     pub fn bytes_per_line(self) -> u64 {
         match self {
@@ -65,24 +65,6 @@ pub enum Op {
     /// (clflush-style): the tile drops the line from L1/L2, surrenders its
     /// directory slot, and writes back if dirty.
     Evict(u64),
-    /// Dependent pointer-chase: `count` serialized reads over the lines of
-    /// `[base, base + count*64)` in a hash-scrambled order (models BenchIT's
-    /// pointer chasing — no overlap).
-    Chase {
-        /// Buffer base address.
-        base: u64,
-        /// Buffer length in lines (also the chase length).
-        lines: u64,
-    },
-    /// Vectorized read of a buffer into registers (overlapped).
-    ReadBuf {
-        /// Source base address.
-        src: u64,
-        /// Bytes to read.
-        bytes: u64,
-        /// Vectorized access (deeper MLP).
-        vectorized: bool,
-    },
     /// Vectorized copy through the caches (overlapped).
     CopyBuf {
         /// Source base address.

@@ -21,7 +21,6 @@ use crate::ops::Op;
 use crate::program::Program;
 use crate::svmap::SortedVecMap;
 use crate::SimTime;
-use knl_arch::topology::splitmix64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -29,8 +28,6 @@ use std::collections::BinaryHeap;
 /// stay below the memory devices' reorder window so cross-thread arrival
 /// disorder is bounded (see `memdev`).
 const STREAM_SLICE_PS: SimTime = 400_000;
-/// Lines per slice of a dependent pointer chase (each ~100+ ns).
-const CHASE_CHUNK_LINES: u64 = 8;
 
 /// Result of one run: per-thread measured intervals.
 #[derive(Debug, Clone, Default)]
@@ -95,14 +92,6 @@ impl RunResult {
             .flat_map(|t| self.occurrence_durations_ps(t, k))
             .map(|ps| ps as f64 / 1000.0)
             .collect()
-    }
-
-    /// Number of distinct interval ids measured by `thread`.
-    pub fn intervals_of(&self, thread: usize) -> usize {
-        self.intervals
-            .iter()
-            .filter(|&(&(t, _), _)| t == thread)
-            .count()
     }
 }
 
@@ -253,30 +242,6 @@ impl<'m> Runner<'m> {
             }
             Op::Evict(addr) => {
                 self.threads[tid].now = self.machine.evict_line(core, addr, now);
-            }
-            Op::Chase { base, lines } => {
-                let done = self.threads[tid].bulk_done;
-                let n = CHASE_CHUNK_LINES.min(lines - done);
-                let mut t = now;
-                for i in done..done + n {
-                    // Hash-scrambled visiting order defeats prefetching, as
-                    // in BenchIT's pointer chasing.
-                    let idx = splitmix64(i ^ base) % lines;
-                    t = self
-                        .machine
-                        .access(core, base + idx * 64, AccessKind::Read, t)
-                        .complete;
-                }
-                self.threads[tid].now = t;
-                self.threads[tid].bulk_done += n;
-                advance = self.threads[tid].bulk_done >= lines;
-            }
-            Op::ReadBuf {
-                src,
-                bytes,
-                vectorized,
-            } => {
-                self.threads[tid].now = self.machine.read_buf(core, src, bytes, vectorized, now);
             }
             Op::CopyBuf {
                 src,
@@ -442,7 +407,6 @@ mod tests {
             (1_000..=8_000).contains(&d1),
             "L1 hit latency out of band: {d1} ps"
         );
-        assert_eq!(r.intervals_of(0), 2);
     }
 
     #[test]
@@ -655,29 +619,6 @@ mod tests {
             worst > solo * 3 / 2,
             "24 streams must queue at DDR: worst {worst} vs solo {solo}"
         );
-    }
-
-    #[test]
-    fn chase_op_is_latency_bound() {
-        let mut m = machine();
-        let mut p = Program::on_core(CoreId(0));
-        let lines = 512u64;
-        p.push(Op::MarkStart(0))
-            .push(Op::Chase {
-                base: 1 << 22,
-                lines,
-            })
-            .push(Op::MarkEnd(0));
-        let r = run_programs(&mut m, vec![p]);
-        let d = r.duration_ps(0, 0).unwrap();
-        // Dependent accesses: no overlap, so ≥ lines × (DDR-ish latency,
-        // minus the share that hits caches on revisits).
-        assert!(
-            d > lines * 60_000,
-            "chase too fast: {d} ps for {lines} lines"
-        );
-        let per = d as f64 / lines as f64 / 1000.0;
-        assert!(per < 200.0, "chase too slow: {per} ns/line");
     }
 
     #[test]

@@ -509,10 +509,8 @@ impl TelemetrySampler {
                 t.serves += 1;
                 t.serve_ps += latency_ps;
             }
-            // Census tracks actual directory occupancy, so uncounted
-            // (state-preparation) transitions are included too.
             // The line leaves one state's census for another's; the
-            // unbounded `U` pool is not counted.
+            // unbounded `U` pool is not tracked.
             ProtocolEvent::Dir { from, entry, .. } => {
                 let to = gstate_tag(&entry.state);
                 for (tag, d) in [(from, -1), (to, 1)] {
@@ -767,10 +765,11 @@ mod tests {
 
     #[test]
     fn prepared_lines_count_once_in_the_census() {
-        // State preparation takes several uncounted directory steps (flush,
-        // first reader, second reader); each must shift the census by its
-        // own from → to, so one prepared line is one line in the census.
+        // State preparation takes several directory steps (flush, first
+        // reader, second reader); each must shift the census by its own
+        // from → to, so one prepared line is one line in the census.
         use crate::directory::LineState;
+        use crate::machine::prep_line;
         for (state, tag) in [
             (LineState::Modified, 'M'),
             (LineState::Exclusive, 'E'),
@@ -779,8 +778,9 @@ mod tests {
         ] {
             let mut m = sampled_machine(1_000_000);
             // A previous holder, so the preparation really has to flush.
-            m.prepare_line(CoreId(8), 1 << 16, LineState::Exclusive);
-            m.prepare_line(CoreId(0), 1 << 16, state);
+            let helper = CoreId(20);
+            let t = prep_line(&mut m, CoreId(8), helper, 1 << 16, LineState::Exclusive, 0);
+            prep_line(&mut m, CoreId(0), helper, 1 << 16, state, t);
             let series = m.take_telemetry().expect("sampler attached").into_series();
             let census: Vec<(char, i64)> = series
                 .census_timeline()

@@ -7,7 +7,7 @@
 //! telemetry sampler is the only observer that bins time. At
 //! [`TraceLevel::Full`] the tracer also translates the event into a
 //! [`TraceEvent`] (sim time, thread, tile, line, [`EventKind`]) for the
-//! event log, capped at [`EVENT_CAP`] events (overflow is counted).
+//! event log, capped at [`EVENT_CAP`] events (overflow is tallied).
 //! [`TraceLevel::Off`] means no tracer at all: the hub stays on its
 //! event-free fast path. Like every observer the tracer is pure; results
 //! are bit-identical at every level.
@@ -201,12 +201,7 @@ impl EventKind {
                 hops,
                 latency_ps,
             },
-            ProtocolEvent::Dir {
-                from,
-                entry,
-                counted: true,
-                ..
-            } => EventKind::Dir {
+            ProtocolEvent::Dir { from, entry, .. } => EventKind::Dir {
                 from,
                 to: gstate_tag(&entry.state),
                 forwarder: entry.supplier().map_or(NO_TILE, |t| t.0),
@@ -222,9 +217,7 @@ impl EventKind {
             ProtocolEvent::Update { n } => EventKind::Update { n },
             ProtocolEvent::Writeback { .. } => EventKind::Writeback,
             ProtocolEvent::Mark { id, start } => EventKind::Mark { id, start },
-            ProtocolEvent::Dir { counted: false, .. }
-            | ProtocolEvent::CoherentRead { .. }
-            | ProtocolEvent::NtStore => return None,
+            ProtocolEvent::CoherentRead { .. } | ProtocolEvent::NtStore => return None,
         })
     }
 }
@@ -554,7 +547,7 @@ mod tests {
         assert!(sum.events().is_empty());
         assert_eq!(sum.metrics().issues, 1);
         assert_eq!(full.metrics().issues, 1);
-        // The checker's oracle events are neither counted nor logged.
+        // The checker's oracle events are neither folded nor logged.
         full.on_event(ctx, 11, 1, &ProtocolEvent::NtStore);
         assert_eq!((full.events().len(), full.metrics().events), (1, 1));
     }

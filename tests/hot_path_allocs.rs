@@ -36,8 +36,8 @@ use knl::model::{optimize_tree, CapabilityModel, TreeKind};
 use knl::sim::cache::TagCache;
 use knl::sim::machine::StreamState;
 use knl::sim::{
-    AccessKind, LineState, Machine, Metrics, ObserverConfig, Op, Program, Runner, StreamKind,
-    TelemetryConfig, TelemetrySeries, TraceLevel,
+    AccessKind, Machine, Metrics, ObserverConfig, Op, Program, Runner, StreamKind, TelemetryConfig,
+    TelemetrySeries, TraceLevel,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,11 +114,14 @@ fn copy_allocs(cfg: &MachineConfig, kind: NumaKind) -> u64 {
     let dst = arena.alloc(kind, BYTES);
     // The source sits modified in another tile: remote-cache reads, then
     // RFOs served from memory.
+    let mut t = 0;
     for l in 0..BYTES / 64 {
-        m.prepare_line(CoreId(20), src + l * 64, LineState::Modified);
+        t = m
+            .access(CoreId(20), src + l * 64, AccessKind::Write, t)
+            .complete;
     }
     allocs_in(|| {
-        m.copy_buf(CoreId(0), src, dst, BYTES, true, 0);
+        m.copy_buf(CoreId(0), src, dst, BYTES, true, t + 2_000_000);
     })
 }
 

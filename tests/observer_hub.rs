@@ -11,17 +11,20 @@
 
 #[path = "common/golden.rs"]
 mod golden;
+#[path = "common/transfer.rs"]
+mod transfer;
 
 use golden::assert_golden;
 use knl::arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, ProtocolKind, Schedule};
 use knl::benchsuite::cachebw::copy_bandwidth;
 use knl::benchsuite::membw::{bandwidth_sample, Target};
-use knl::benchsuite::{pointer_chase, SuiteParams, SweepExecutor};
+use knl::benchsuite::{SuiteParams, SweepExecutor};
 use knl::sim::{
     AnalyzeLevel, CheckLevel, Counters, LineState, Machine, Metrics, ObserverConfig, Runner,
     StreamKind, TelemetryConfig, TelemetrySeries, TraceLevel,
 };
 use std::fmt::Write as _;
+use transfer::transfer_programs;
 
 const ITERS: usize = 5;
 
@@ -55,7 +58,7 @@ struct Observed {
 /// Run the ownership-transfer workload on a fresh machine under `oc`.
 fn run_case(cfg: &MachineConfig, oc: ObserverConfig) -> Observed {
     let mut m = Machine::with_observer_config(cfg.clone(), oc);
-    let programs = pointer_chase::transfer_programs(CoreId(8), CoreId(0), ITERS);
+    let programs = transfer_programs(CoreId(8), CoreId(0), ITERS);
     let result = Runner::new(&mut m, programs).run();
     let durations: Vec<_> = (0..ITERS).map(|k| result.duration_ps(1, k)).collect();
     m.finish_check();
