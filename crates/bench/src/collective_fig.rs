@@ -1,6 +1,7 @@
 //! Shared driver for Figs. 6–8: model-tuned collectives vs OpenMP-like and
 //! MPI-like baselines on the simulated KNL, with the min–max model band.
 
+use crate::output::{f1, x1, Table};
 use crate::runconf::RunConf;
 use crate::sweep::{executor, machine, TraceSink};
 use knl_arch::{MachineConfig, NumaKind, Schedule};
@@ -10,7 +11,7 @@ use knl_core::predict::{intra_tile_stage, predict_barrier, predict_broadcast, pr
 use knl_core::tree_opt::binomial_tree;
 use knl_core::{optimize_barrier, optimize_tree, CapabilityModel, MinMax, TreeKind};
 use knl_sim::Program;
-use knl_stats::{boxplot, median, BoxplotSummary, Sample};
+use knl_stats::{boxplot, median, BoxplotSummary};
 
 /// Which collective the figure shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,14 +31,13 @@ impl CollectiveKind {
     }
 }
 
-/// One point of the figure.
+/// One point of the figure, one row of its table.
 #[derive(Debug, Clone)]
 pub struct SeriesPoint {
     pub threads: usize,
     pub schedule: Schedule,
     /// Model-tuned implementation, per-iteration maxima (ns).
     pub tuned: BoxplotSummary,
-    pub tuned_sample: Sample,
     /// OpenMP-like baseline median (ns).
     pub openmp_ns: f64,
     /// MPI-like baseline median (ns).
@@ -54,6 +54,15 @@ impl SeriesPoint {
     pub fn mpi_speedup(&self) -> f64 {
         self.mpi_ns / self.tuned.median
     }
+}
+
+/// The point of `pts` with the largest `speedup` (the last of equals).
+/// Every "max speedup" number is this fold: each figure's summary line and
+/// `speedups`' table.
+pub(crate) fn best(pts: &[SeriesPoint], speedup: fn(&SeriesPoint) -> f64) -> &SeriesPoint {
+    pts.iter()
+        .max_by(|a, b| speedup(a).total_cmp(&speedup(b)))
+        .expect("a figure has points")
 }
 
 /// Run one collective figure on `cfg` (the paper: SNC4-flat, MCDRAM).
@@ -100,16 +109,13 @@ pub fn run_figure(
         m.reset_caches();
         let mpi = simspec::run_collective(&mut m, mpi, iters);
 
-        let envelope = model_envelope(model, kind, n, sched, num_cores);
-        let sample = Sample::from_values(tuned_vals.clone());
         let point = SeriesPoint {
             threads: n,
             schedule: sched,
             tuned: boxplot(&tuned_vals),
-            tuned_sample: sample,
             openmp_ns: median(&openmp),
             mpi_ns: median(&mpi),
-            model: envelope,
+            model: model_envelope(model, kind, n, sched, num_cores),
         };
         m.finish_check();
         sink.submit(base + i, &mut m);
@@ -193,7 +199,6 @@ fn model_envelope(
 /// fit the model, run both schedules, print the table, dump the CSV,
 /// summarize speedups.
 pub fn run(name: &str, kind: CollectiveKind, conf: &RunConf, sink: &TraceSink) {
-    use crate::output::{f1, Table};
     let effort = conf.effort;
     let cfg = crate::modelfit::snc4_flat();
     eprintln!("fitting capability model on {} ...", cfg.label());
@@ -217,7 +222,41 @@ pub fn run(name: &str, kind: CollectiveKind, conf: &RunConf, sink: &TraceSink) {
         sink,
         0,
     );
+    table(name, kind, &pts).emit(name);
 
+    // Terminal chart of the scatter-schedule series (threads vs ns).
+    let scatter: Vec<&SeriesPoint> = pts
+        .iter()
+        .filter(|p| p.schedule == Schedule::Scatter)
+        .collect();
+    if scatter.len() >= 2 {
+        let line = |label: &str, y: fn(&SeriesPoint) -> f64| {
+            let points = scatter.iter().map(|p| (p.threads as f64, y(p))).collect();
+            crate::plot::Series::new(label, points)
+        };
+        let series = [
+            line("model-tuned (median)", |p| p.tuned.median),
+            line("OpenMP-like", |p| p.openmp_ns),
+            line("MPI-like", |p| p.mpi_ns),
+            line("model worst", |p| p.model.worst),
+        ];
+        println!();
+        print!(
+            "{}",
+            crate::plot::ascii_plot(
+                &format!("{} latency [ns] vs threads (scatter)", kind.name()),
+                &series,
+                56,
+                14,
+            )
+        );
+    }
+    println!();
+    println!("{}", summary(kind, &pts));
+}
+
+/// The figure's table: one row per point, in sweep order.
+pub(crate) fn table(name: &str, kind: CollectiveKind, pts: &[SeriesPoint]) -> Table {
     let mut table = Table::new(
         &format!("{name} — {} in SNC4-flat (MCDRAM) [ns]", kind.name()),
         &[
@@ -234,7 +273,7 @@ pub fn run(name: &str, kind: CollectiveKind, conf: &RunConf, sink: &TraceSink) {
             "x MPI",
         ],
     );
-    for p in &pts {
+    for p in pts {
         table.row(vec![
             p.schedule.name().to_string(),
             p.threads.to_string(),
@@ -245,72 +284,21 @@ pub fn run(name: &str, kind: CollectiveKind, conf: &RunConf, sink: &TraceSink) {
             f1(p.mpi_ns),
             f1(p.model.best),
             f1(p.model.worst),
-            format!("{:.1}x", p.openmp_speedup()),
-            format!("{:.1}x", p.mpi_speedup()),
+            x1(p.openmp_speedup()),
+            x1(p.mpi_speedup()),
         ]);
     }
-    table.print();
-    let path = table.write_csv(name);
-    eprintln!("csv: {}", path.display());
+    table
+}
 
-    // Terminal chart of the scatter-schedule series (threads vs ns).
-    let scatter: Vec<&SeriesPoint> = pts
-        .iter()
-        .filter(|p| p.schedule == Schedule::Scatter)
-        .collect();
-    if scatter.len() >= 2 {
-        let series = vec![
-            crate::plot::Series::new(
-                "model-tuned (median)",
-                scatter
-                    .iter()
-                    .map(|p| (p.threads as f64, p.tuned.median))
-                    .collect(),
-            ),
-            crate::plot::Series::new(
-                "OpenMP-like",
-                scatter
-                    .iter()
-                    .map(|p| (p.threads as f64, p.openmp_ns))
-                    .collect(),
-            ),
-            crate::plot::Series::new(
-                "MPI-like",
-                scatter
-                    .iter()
-                    .map(|p| (p.threads as f64, p.mpi_ns))
-                    .collect(),
-            ),
-            crate::plot::Series::new(
-                "model worst",
-                scatter
-                    .iter()
-                    .map(|p| (p.threads as f64, p.model.worst))
-                    .collect(),
-            ),
-        ];
-        println!();
-        print!(
-            "{}",
-            crate::plot::ascii_plot(
-                &format!("{} latency [ns] vs threads (scatter)", kind.name()),
-                &series,
-                56,
-                14,
-            )
-        );
-    }
-
-    let best_omp = pts
-        .iter()
-        .map(SeriesPoint::openmp_speedup)
-        .fold(0.0, f64::max);
-    let best_mpi = pts.iter().map(SeriesPoint::mpi_speedup).fold(0.0, f64::max);
-    println!();
-    println!(
-        "max speedup of model-tuned {} over OpenMP-like: {best_omp:.1}x, over MPI-like: {best_mpi:.1}x",
-        kind.name()
-    );
+/// The figure's last line: its best speedup over each baseline.
+pub(crate) fn summary(kind: CollectiveKind, pts: &[SeriesPoint]) -> String {
+    format!(
+        "max speedup of model-tuned {} over OpenMP-like: {}, over MPI-like: {}",
+        kind.name(),
+        x1(best(pts, SeriesPoint::openmp_speedup).openmp_speedup()),
+        x1(best(pts, SeriesPoint::mpi_speedup).mpi_speedup()),
+    )
 }
 
 #[cfg(test)]
@@ -400,6 +388,62 @@ mod tests {
         let jobs: Vec<&str> = text.lines().filter(|l| l.starts_with("# job ")).collect();
         assert_eq!(jobs, ["# job 0", "# job 1", "# job 2", "# job 3"]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn series_points_render_exactly() {
+        let point =
+            |schedule, threads, tuned: &[f64], openmp_ns, mpi_ns, best, worst| SeriesPoint {
+                threads,
+                schedule,
+                tuned: boxplot(tuned),
+                openmp_ns,
+                mpi_ns,
+                model: MinMax { best, worst },
+            };
+        let pts = [
+            point(
+                Schedule::FillTiles,
+                4,
+                &[40.0, 45.0, 50.0, 60.0, 70.0],
+                125.0,
+                1234.56,
+                38.25,
+                80.0,
+            ),
+            point(
+                Schedule::Scatter,
+                64,
+                &[300.0],
+                2100.0,
+                7350.0,
+                250.0,
+                410.04,
+            ),
+        ];
+        let t = table("fig7_broadcast", CollectiveKind::Broadcast, &pts);
+        assert_eq!(
+            t.render(),
+            concat!(
+                "== fig7_broadcast — broadcast in SNC4-flat (MCDRAM) [ns] ==\n",
+                "schedule    threads  tuned q1  tuned med  tuned q3  OpenMP-like  MPI-like  model best  model worst  x OpenMP  x MPI  \n",
+                "---------------------------------------------------------------------------------------------------------------------\n",
+                "fill-tiles  4        45.0      50.0       60.0      125.0        1234.6    38.2        80.0         2.5x      24.7x  \n",
+                "scatter     64       300.0     300.0      300.0     2100.0       7350.0    250.0       410.0        7.0x      24.5x  \n",
+            )
+        );
+        assert_eq!(
+            t.csv(),
+            concat!(
+                "schedule,threads,tuned q1,tuned med,tuned q3,OpenMP-like,MPI-like,model best,model worst,x OpenMP,x MPI\n",
+                "fill-tiles,4,45.0,50.0,60.0,125.0,1234.6,38.2,80.0,2.5x,24.7x\n",
+                "scatter,64,300.0,300.0,300.0,2100.0,7350.0,250.0,410.0,7.0x,24.5x\n",
+            )
+        );
+        assert_eq!(
+            summary(CollectiveKind::Broadcast, &pts),
+            "max speedup of model-tuned broadcast over OpenMP-like: 7.0x, over MPI-like: 24.7x"
+        );
     }
 
     #[test]

@@ -12,13 +12,12 @@ use crate::runconf::RunConf;
 use crate::sweep::{executor, machine, TraceSink};
 use knl_arch::{ClusterMode, CoreId, MachineConfig, MemoryMode, Schedule};
 use knl_benchsuite::congestion::{congestion, congestion_with_pairs};
-use knl_benchsuite::contention::contention;
+use knl_benchsuite::contention::{self, contention};
 use knl_benchsuite::membw::{bandwidth_sample, Target};
 use knl_benchsuite::{SuiteParams, SweepExecutor};
 use knl_core::tree_opt::{optimize_tree, tree_cost, TreeKind};
 use knl_core::CapabilityModel;
 use knl_sim::{Machine, StreamKind};
-use knl_stats::fit_linear;
 
 pub fn run(conf: &RunConf, sink: &TraceSink) {
     let exec = executor(conf);
@@ -45,29 +44,30 @@ fn ablate_directory_serialization(
         &["cha_line_serialize", "α [ns]", "β [ns/thread]", "r²"],
     );
     let variants = [34_000u64, 17_000, 0];
-    let rows = exec.run("ablation_directory", &variants, |i, &serialize_ps| {
+    let fits = exec.run("ablation_directory", &variants, |i, &serialize_ps| {
         let mut cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
         cfg.timing.cha_line_serialize_ps = serialize_ps;
         let mut m = machine(conf, cfg);
         m.set_jitter(0);
-        let pts = contention(&mut m, &[1, 4, 8, 16, 24, 31], Schedule::Scatter, 5);
-        let xs: Vec<f64> = pts.iter().map(|(n, _)| *n as f64).collect();
-        let ys: Vec<f64> = pts.iter().map(|(_, s)| s.median()).collect();
-        let fit = fit_linear(&xs, &ys);
+        let fit = contention::fit(&contention(
+            &mut m,
+            &[1, 4, 8, 16, 24, 31],
+            Schedule::Scatter,
+            5,
+        ));
         m.finish_check();
         sink.submit(base + i, &mut m);
-        vec![
+        fit
+    });
+    for (serialize_ps, fit) in variants.iter().zip(fits) {
+        table.row(vec![
             format!("{} ns", serialize_ps / 1000),
             f1(fit.alpha),
             f1(fit.beta),
             format!("{:.3}", fit.r2),
-        ]
-    });
-    for row in rows {
-        table.row(row);
+        ]);
     }
-    table.print();
-    table.write_csv("ablation_directory");
+    table.emit("ablation_directory");
     println!();
     variants.len()
 }
@@ -93,28 +93,24 @@ fn ablate_ddr_write_mixing(
         cfg.timing.ddr_write_mixed_ps_per_line = mixed_ps;
         let mut m = machine(conf, cfg);
         m.set_jitter(0);
-        let cell = |kind: StreamKind, m: &mut Machine| {
+        let gbps = [StreamKind::Copy, StreamKind::Triad, StreamKind::Write].map(|kind| {
             m.reset_devices();
             m.reset_caches();
-            bandwidth_sample(m, kind, Target::Ddr, 32, Schedule::FillTiles, &params).median()
-        };
-        let copy = cell(StreamKind::Copy, &mut m);
-        let triad = cell(StreamKind::Triad, &mut m);
-        let write = cell(StreamKind::Write, &mut m);
+            bandwidth_sample(&mut m, kind, Target::Ddr, 32, Schedule::FillTiles, &params).median()
+        });
         m.finish_check();
         sink.submit(base + i, &mut m);
-        vec![
-            format!("{:.1} ns/line", mixed_ps as f64 / 1000.0),
+        gbps
+    });
+    for (mixed_ps, [copy, triad, write]) in variants.iter().zip(rows) {
+        table.row(vec![
+            format!("{:.1} ns/line", *mixed_ps as f64 / 1000.0),
             f1(copy),
             f1(triad),
             f1(write),
-        ]
-    });
-    for row in rows {
-        table.row(row);
+        ]);
     }
-    table.print();
-    table.write_csv("ablation_write_mixing");
+    table.emit("ablation_write_mixing");
     println!("(write-only stays at its ceiling; copy/triad collapse without the discount)\n");
     variants.len()
 }
@@ -157,13 +153,12 @@ fn ablate_mlp_caps(conf: &RunConf, exec: &SweepExecutor, sink: &TraceSink, base:
         .median();
         m.finish_check();
         sink.submit(base + i, &mut m);
-        vec![ov.to_string(), f1(one), f1(many)]
+        (one, many)
     });
-    for row in rows {
-        table.row(row);
+    for (ov, (one, many)) in variants.iter().zip(rows) {
+        table.row(vec![ov.to_string(), f1(one), f1(many)]);
     }
-    table.print();
-    table.write_csv("ablation_mlp");
+    table.emit("ablation_mlp");
     println!("(single-thread scales with MLP; saturated aggregate does not)\n");
     variants.len()
 }
@@ -199,8 +194,7 @@ fn ablate_tree_staggering() {
             format!("{:.1}%", (recost / staggered.cost_ns - 1.0) * 100.0),
         ]);
     }
-    table.print();
-    table.write_csv("ablation_stagger");
+    table.emit("ablation_stagger");
 }
 
 /// Ablation 5: mesh link occupancy and the congestion benchmark. Two
@@ -223,7 +217,7 @@ fn ablate_mesh_occupancy(conf: &RunConf, exec: &SweepExecutor, sink: &TraceSink,
         ("occupancy, KNL rings (0.5 ns)", 500),
         ("occupancy, 100x slower rings", 50_000),
     ];
-    let rows = exec.run("ablation_mesh", &variants, |i, &(label, service)| {
+    let rows = exec.run("ablation_mesh", &variants, |i, &(_, service)| {
         let mut cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Flat);
         cfg.timing.mesh_ring_service_ps = service;
         let mut m = machine(conf, cfg);
@@ -231,35 +225,30 @@ fn ablate_mesh_occupancy(conf: &RunConf, exec: &SweepExecutor, sink: &TraceSink,
 
         // Paper placement: blind spread.
         let pts = congestion(&mut m, &[1, 8], 5);
-        let blind = vec![
-            label.to_string(),
-            "blind (paper)".to_string(),
-            f1(pts[0].1),
-            f1(pts[1].1),
-            format!("{:.2}x", pts[1].1 / pts[0].1),
-        ];
+        let blind = [pts[0].1, pts[1].1];
 
         // Adversarial placement: every pair along one grid column.
         let col_pairs = same_column_pairs(&m, 8);
-        let one = congestion_with_pairs(&mut m, &col_pairs[..1], 5);
-        let eight = congestion_with_pairs(&mut m, &col_pairs, 5);
-        let column = vec![
-            label.to_string(),
-            "same-column".to_string(),
-            f1(one),
-            f1(eight),
-            format!("{:.2}x", eight / one),
-        ];
+        let column =
+            [&col_pairs[..1], &col_pairs[..]].map(|pairs| congestion_with_pairs(&mut m, pairs, 5));
         m.finish_check();
         sink.submit(base + i, &mut m);
         [blind, column]
     });
-    for [blind, column] in rows {
-        table.row(blind);
-        table.row(column);
+    for ((label, _), placements) in variants.iter().zip(rows) {
+        for (placement, [one, eight]) in
+            ["blind (paper)", "same-column"].into_iter().zip(placements)
+        {
+            table.row(vec![
+                label.to_string(),
+                placement.to_string(),
+                f1(one),
+                f1(eight),
+                format!("{:.2}x", eight / one),
+            ]);
+        }
     }
-    table.print();
-    table.write_csv("ablation_mesh");
+    table.emit("ablation_mesh");
 }
 
 /// Pairs whose both endpoints sit in one grid column (stressing a single

@@ -5,16 +5,16 @@
 //! DRAM comparison the paper's headline insight rests on.
 //!
 //! Capacity note: the simulated machine scales capacities by 1/64 (1 GiB
-//! DDR, 256 MiB MCDRAM), so the paper's 1 GB panel is regenerated at
-//! 128 MiB ("1GB/8" label) unless --paper is given (256 MiB); shapes are
-//! size-relative so the crossovers are preserved.
+//! DDR, 256 MiB MCDRAM), so `--paper` regenerates the paper's 1 GB panel at
+//! 256 MiB ("1GB/4" label) and `--quick` runs a 64 MiB panel ("64MB") in
+//! its place; shapes are size-relative so the crossovers are preserved.
 
 use crate::modelfit::fit_model;
-use crate::output::{secs, Table};
+use crate::output::{cell, secs, Table};
 use crate::runconf::{Effort, RunConf};
 use crate::sweep::{executor, machine, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, NumaKind, Schedule};
-use knl_core::efficiency::{efficiency_sweep, EFFICIENCY_THRESHOLD};
+use knl_core::efficiency::{efficiency_sweep, Efficiency, EFFICIENCY_THRESHOLD};
 use knl_core::overhead::OverheadModel;
 use knl_core::sortmodel::{CostBasis, SortModel};
 use knl_sort::simsort::{run_simsort, SimSortSpec};
@@ -55,15 +55,16 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
     let mut next_job = 0usize;
 
     let dram_model = SortModel::new(&model, "DRAM");
-    // Fit on one measurement per distinct worker count (beyond 64 the sort
-    // uses 64 workers; duplicating those points would flatten the slope).
-    let fit_threads: Vec<usize> = threads.iter().copied().filter(|&t| t <= 64).collect();
+    // Beyond 64 threads the sort uses 64 workers, so every sweep (and the
+    // fit: duplicated points would flatten its slope) runs one point per
+    // distinct worker count.
+    let usable: Vec<usize> = threads.iter().copied().filter(|&t| t <= 64).collect();
     let fit_base = next_job;
-    next_job += fit_threads.len();
-    let fit_secs = exec.run("fig10_fit", &fit_threads, |i, &t| {
+    next_job += usable.len();
+    let fit_secs = exec.run("fig10_fit", &usable, |i, &t| {
         measure(fit_base + i, 1 << 10, t, NumaKind::Ddr)
     });
-    let small: Vec<(usize, f64)> = fit_threads.iter().copied().zip(fit_secs).collect();
+    let small: Vec<(usize, f64)> = usable.iter().copied().zip(fit_secs).collect();
     let overhead = OverheadModel::fit(&small, |t| {
         dram_model.sort_seconds(1 << 10, t.next_power_of_two(), CostBasis::Bandwidth)
     });
@@ -75,57 +76,27 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
     );
 
     for (label, bytes) in &sizes {
-        let mut table = Table::new(
-            &format!("Fig. 10 — sorting {label} of integers, SNC4-flat"),
-            &[
-                "threads",
-                "measured DRAM",
-                "measured MCDRAM",
-                "mem model (lat)",
-                "mem model (BW)",
-                "full model (BW)",
-                "overhead/mem",
-                "efficient?",
-            ],
-        );
-        let usable: Vec<usize> = threads.iter().copied().filter(|&t| t <= 64).collect();
         let mem_model = |t: usize| dram_model.sort_seconds(*bytes, t, CostBasis::Bandwidth);
         let (effs, last_eff) = efficiency_sweep(mem_model, &overhead, &usable);
         let base = next_job;
         next_job += usable.len();
         let measured = exec.run(&format!("fig10_{label}"), &usable, |i, &t| {
-            let meas_d = measure(base + i, *bytes, t, NumaKind::Ddr);
-            let meas_m = if (*bytes as u128) < (200u128 << 20) {
-                measure(base + i, *bytes, t, NumaKind::Mcdram)
-            } else {
-                f64::NAN // exceeds scaled MCDRAM capacity
-            };
-            (meas_d, meas_m)
+            let ddr_s = measure(base + i, *bytes, t, NumaKind::Ddr);
+            let mcdram_s = (2 * bytes < cfg.mcdram_bytes)
+                .then(|| measure(base + i, *bytes, t, NumaKind::Mcdram));
+            (ddr_s, mcdram_s)
         });
-        for (i, (&t, (meas_d, meas_m))) in usable.iter().zip(measured).enumerate() {
-            let lat = dram_model.sort_seconds(*bytes, t, CostBasis::Latency);
-            let bw = mem_model(t);
-            let full = overhead.full(bw, t);
-            table.row(vec![
-                t.to_string(),
-                secs(meas_d),
-                if meas_m.is_nan() {
-                    "-".into()
-                } else {
-                    secs(meas_m)
-                },
-                secs(lat),
-                secs(bw),
-                secs(full),
-                format!("{:.0}%", effs[i].ratio() * 100.0),
-                if effs[i].is_efficient() {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]);
-        }
-        table.print();
+        let rows: Vec<SortRow> = measured
+            .into_iter()
+            .zip(effs)
+            .map(|((ddr_s, mcdram_s), eff)| SortRow {
+                ddr_s,
+                mcdram_s,
+                mem_lat_s: dram_model.sort_seconds(*bytes, eff.threads, CostBasis::Latency),
+                eff,
+            })
+            .collect();
+        table(label, &rows).emit(&format!("fig10_sort_{label}").replace('/', "_"));
         match last_eff {
             Some(t) => println!(
                 "memory-bound (overhead ≤ {:.0}%) up to {t} threads",
@@ -133,8 +104,6 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
             ),
             None => println!("never memory-bound at this size"),
         }
-        let path = table.write_csv(&format!("fig10_sort_{label}").replace('/', "_"));
-        eprintln!("csv: {}", path.display());
         println!();
     }
 
@@ -147,4 +116,91 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
          (no benefit despite 4-5x bandwidth)",
         d / c
     );
+}
+
+/// One thread count of a panel: the measured sorts and the model lines.
+struct SortRow {
+    /// Measured (simulated) seconds with the data in DRAM.
+    ddr_s: f64,
+    /// The same in MCDRAM, or `None` (printed "-") where the sort's two
+    /// buffers of the panel's size do not fit the scaled 256 MiB MCDRAM:
+    /// the 256 MiB panel of `--paper`.
+    mcdram_s: Option<f64>,
+    /// Memory model with the latency cost, seconds.
+    mem_lat_s: f64,
+    /// Memory model with the bandwidth cost, the modeled overhead and the
+    /// 10 % verdict, at this row's thread count.
+    eff: Efficiency,
+}
+
+/// One panel's table.
+fn table(label: &str, rows: &[SortRow]) -> Table {
+    let mut table = Table::new(
+        &format!("Fig. 10 — sorting {label} of integers, SNC4-flat"),
+        &[
+            "threads",
+            "measured DRAM",
+            "measured MCDRAM",
+            "mem model (lat)",
+            "mem model (BW)",
+            "full model (BW)",
+            "overhead/mem",
+            "efficient?",
+        ],
+    );
+    for r in rows {
+        table.row(vec![
+            r.eff.threads.to_string(),
+            secs(r.ddr_s),
+            cell(r.mcdram_s, secs),
+            secs(r.mem_lat_s),
+            secs(r.eff.memory_s),
+            secs(r.eff.memory_s + r.eff.overhead_s),
+            format!("{:.0}%", r.eff.ratio() * 100.0),
+            if r.eff.is_efficient() { "yes" } else { "NO" }.to_string(),
+        ]);
+    }
+    table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_render_exactly() {
+        let row = |threads, ddr_s, mcdram_s, mem_lat_s, memory_s, overhead_s| SortRow {
+            ddr_s,
+            mcdram_s,
+            mem_lat_s,
+            eff: Efficiency {
+                threads,
+                memory_s,
+                overhead_s,
+            },
+        };
+        let rows = [
+            row(1, 1.5e-6, Some(1.25e-3), 2.0, 0.5, 0.025),
+            row(64, 3.0, None, 4e-7, 1e-3, 5e-4),
+        ];
+        let t = table("1GB/4", &rows);
+        assert_eq!(
+            t.render(),
+            concat!(
+                "== Fig. 10 — sorting 1GB/4 of integers, SNC4-flat ==\n",
+                "threads  measured DRAM  measured MCDRAM  mem model (lat)  mem model (BW)  full model (BW)  overhead/mem  efficient?  \n",
+                "---------------------------------------------------------------------------------------------------------------------\n",
+                "1        1.50 µs        1.25 ms          2.00 s           500.00 ms       525.00 ms        5%            yes         \n",
+                "64       3.00 s         -                400 ns           1.00 ms         1.50 ms          50%           NO          \n",
+            )
+        );
+        assert_eq!(
+            t.csv(),
+            concat!(
+                "threads,measured DRAM,measured MCDRAM,mem model (lat),mem model (BW),full model (BW),overhead/mem,efficient?\n",
+                "1,1.50 µs,1.25 ms,2.00 s,500.00 ms,525.00 ms,5%,yes\n",
+                "64,3.00 s,-,400 ns,1.00 ms,1.50 ms,50%,NO\n",
+            )
+        );
+    }
 }

@@ -31,7 +31,8 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
         states.len(),
         conf.jobs
     );
-    let per_partner = executor(conf).run("fig4", &partners, |i, &partner| {
+    // One row per partner: the median latency in each of `states`.
+    let rows = executor(conf).run("fig4", &partners, |i, &partner| {
         let mut m = machine(conf, cfg.clone());
         let owner = CoreId(partner);
         // Helper: any tile different from both owner and origin.
@@ -39,61 +40,43 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
             .map(CoreId)
             .find(|c| c.tile() != owner.tile() && c.tile() != origin.tile())
             .expect("machine has ≥3 tiles");
-        let row = states
-            .map(|st| {
-                let sample = if st == LineState::Invalid {
-                    invalid_latency(&mut m, origin, iters, partner as u64)
-                } else {
-                    transfer_latency(&mut m, owner, origin, helper, st, iters)
-                };
-                (st.letter(), sample.median())
-            })
-            .to_vec();
+        let row = states.map(|st| {
+            let sample = if st == LineState::Invalid {
+                invalid_latency(&mut m, origin, iters, partner as u64)
+            } else {
+                transfer_latency(&mut m, owner, origin, helper, st, iters)
+            };
+            sample.median()
+        });
         m.finish_check();
         sink.submit(i, &mut m);
         row
     });
-    let map: Vec<(u16, char, f64)> = partners
-        .iter()
-        .zip(per_partner)
-        .flat_map(|(&p, row)| row.into_iter().map(move |(st, l)| (p, st, l)))
-        .collect();
 
     let mut table = Table::new(
         "Fig. 4 — latency core 0 -> core c, SNC4-flat [ns]",
         &["core", "tile", "quadrant", "M", "E", "I"],
     );
     let topo = cfg.topology();
-    for c in 1..num_cores {
-        let get = |st: char| {
-            map.iter()
-                .find(|(p, s, _)| *p == c && *s == st)
-                .map(|(_, _, l)| *l)
-                .unwrap_or(f64::NAN)
-        };
+    for (&c, [m, e, i]) in partners.iter().zip(&rows) {
         let core = CoreId(c);
         table.row(vec![
             c.to_string(),
             core.tile().to_string(),
             topo.tile_quadrant(core.tile()).to_string(),
-            f1(get('M')),
-            f1(get('E')),
-            f1(get('I')),
+            f1(*m),
+            f1(*e),
+            f1(*i),
         ]);
     }
-    table.print();
-    let path = table.write_csv("fig4_latency_map");
-    eprintln!("csv: {}", path.display());
+    table.emit("fig4_latency_map");
 
-    // Shape summary: same-tile fast, remote flat-ish, I = memory.
-    let tile_m = map.iter().find(|(p, s, _)| *p == 1 && *s == 'M').unwrap().2;
-    let remote_m: Vec<f64> = map
-        .iter()
-        .filter(|(p, s, _)| *p > 1 && *s == 'M')
-        .map(|(_, _, l)| *l)
-        .collect();
-    let rm_min = remote_m.iter().copied().fold(f64::INFINITY, f64::min);
-    let rm_max = remote_m.iter().copied().fold(0.0, f64::max);
+    // Shape summary: same-tile fast (core 1 shares core 0's tile), remote
+    // flat-ish, I = memory.
+    let (tile, remote) = rows.split_first().expect("core 0 has partners");
+    let tile_m = tile[0];
+    let rm_min = remote.iter().map(|r| r[0]).fold(f64::INFINITY, f64::min);
+    let rm_max = remote.iter().map(|r| r[0]).fold(0.0, f64::max);
     println!();
     println!(
         "tile M: {tile_m:.1} ns; remote M range: {rm_min:.1}-{rm_max:.1} ns (paper: 34 vs 107-122)"

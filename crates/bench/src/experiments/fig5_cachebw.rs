@@ -69,7 +69,5 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
             ]);
         }
     }
-    table.print();
-    let path = table.write_csv("fig5_cachebw");
-    eprintln!("csv: {}", path.display());
+    table.emit("fig5_cachebw");
 }

@@ -64,7 +64,5 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
             f1(dd),
         ]);
     }
-    table.print();
-    let path = table.write_csv("fig9_triad");
-    eprintln!("csv: {}", path.display());
+    table.emit("fig9_triad");
 }

@@ -18,13 +18,13 @@
 //! The default sweep runs Quadrant-flat (the paper's headline
 //! configuration); `--paper` widens the suite like the other experiments.
 
-use crate::output::{f1, Table};
+use crate::output::{cell, f1, metric_rows, Table};
 use crate::runconf::RunConf;
 use crate::sweep::{print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
-use knl_benchsuite::run_configs_with;
+use knl_benchsuite::{run_configs_with, CacheResults, MemResults};
 use knl_core::{optimize_barrier, optimize_tree, CapabilityModel, TreeKind};
-use knl_sim::StreamKind;
+use knl_sim::{Counters, StreamKind};
 
 pub fn run(conf: &RunConf, sink: &TraceSink) {
     let params = conf.effort.suite_params();
@@ -43,105 +43,95 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
     );
     let runs = run_configs_with(&configs, &params, conf.jobs, conf.observer_config());
 
-    let mut models = Vec::new();
-    let mut counters = Vec::new();
-    let mut results = Vec::new();
-    for (i, (p, run)) in ProtocolKind::ALL.into_iter().zip(runs).enumerate() {
-        print_counters(p.name(), &run.counters);
-        sink.submit_detached(i, run.tracer, run.telemetry);
-        models.push(CapabilityModel::from_suite(&run.results));
-        counters.push(run.counters);
-        results.push(run.results);
-    }
-
     let header: Vec<&str> = std::iter::once("metric")
         .chain(ProtocolKind::ALL.iter().map(|p| p.name()))
         .collect();
+    let mut columns = [Vec::new(), Vec::new(), Vec::new()];
+    for (i, (p, run)) in ProtocolKind::ALL.into_iter().zip(runs).enumerate() {
+        print_counters(p.name(), &run.counters);
+        sink.submit_detached(i, run.tracer, run.telemetry);
+        let model = CapabilityModel::from_suite(&run.results);
+        columns[0].push(cache_column(&model, &run.results.cache, &run.counters));
+        columns[1].push(memory_column(&run.results.mem));
+        columns[2].push(collectives_column(&model));
+    }
+    for (columns, (title, name)) in columns.iter().zip([
+        ("Table I capabilities (Quadrant-flat)", "protocols_table1"),
+        ("Table II capabilities (Quadrant-flat)", "protocols_table2"),
+        (
+            "model-tuned collectives (32 tiles)",
+            "protocols_collectives",
+        ),
+    ]) {
+        let mut table = Table::new(&format!("Protocol comparison — {title}"), &header);
+        for row in metric_rows(columns) {
+            table.row(row);
+        }
+        table.emit(name);
+    }
+}
 
-    // ---- differential Table I (cache-to-cache capabilities) ----
-    let mut t1 = Table::new(
-        "Protocol comparison — Table I capabilities (Quadrant-flat)",
-        &header,
-    );
-    let row = |name: &str, f: &dyn Fn(usize) -> String| -> Vec<String> {
-        let mut r = vec![name.to_string()];
-        r.extend((0..ProtocolKind::ALL.len()).map(f));
-        r
-    };
-    t1.row(row("Latency local L1 [ns]", &|i| f1(models[i].rl_ns)));
+/// One protocol's differential Table I column (cache-to-cache
+/// capabilities and the coherence traffic that produced them).
+fn cache_column(model: &CapabilityModel, c: &CacheResults, n: &Counters) -> Vec<(String, String)> {
+    let mut cells = vec![("Latency local L1 [ns]".to_string(), cell(c.local_ns(), f1))];
     for st in ['M', 'E', 'S', 'F'] {
-        t1.row(row(&format!("Latency tile {st}-prep [ns]"), &|i| {
-            f1(results[i].tile_ns(st).unwrap_or(f64::NAN))
-        }));
+        cells.push((
+            format!("Latency tile {st}-prep [ns]"),
+            cell(c.tile_ns(st), f1),
+        ));
     }
     for st in ['M', 'E', 'S', 'F'] {
-        t1.row(row(&format!("Latency remote {st}-prep [ns]"), &|i| {
-            f1(results[i].remote_ns(st).unwrap_or(f64::NAN))
-        }));
+        cells.push((
+            format!("Latency remote {st}-prep [ns]"),
+            cell(c.remote_ns(st), f1),
+        ));
     }
-    t1.row(row("BW read [GB/s]", &|i| {
-        f1(results[i].cache.read_bw_gbps)
-    }));
-    t1.row(row("Contention α [ns]", &|i| {
-        f1(models[i].contention.alpha)
-    }));
-    t1.row(row("Contention β [ns/thread]", &|i| {
-        f1(models[i].contention.beta)
-    }));
-    t1.row(row("Invalidation msgs", &|i| {
-        format!("{}", counters[i].invalidations)
-    }));
-    t1.row(row("Update msgs", &|i| format!("{}", counters[i].updates)));
-    t1.row(row("Write-backs", &|i| {
-        format!("{}", counters[i].writebacks)
-    }));
-    t1.print();
-    let p1 = t1.write_csv("protocols_table1");
-    eprintln!("csv: {}", p1.display());
+    cells.extend([
+        ("BW read [GB/s]".to_string(), f1(c.read_bw_gbps)),
+        ("Contention α [ns]".to_string(), f1(model.contention.alpha)),
+        (
+            "Contention β [ns/thread]".to_string(),
+            f1(model.contention.beta),
+        ),
+        ("Invalidation msgs".to_string(), n.invalidations.to_string()),
+        ("Update msgs".to_string(), n.updates.to_string()),
+        ("Write-backs".to_string(), n.writebacks.to_string()),
+    ]);
+    cells
+}
 
-    // ---- differential Table II (memory capabilities) ----
-    let mut t2 = Table::new(
-        "Protocol comparison — Table II capabilities (Quadrant-flat)",
-        &header,
-    );
+/// One protocol's differential Table II column (memory capabilities).
+fn memory_column(mem: &MemResults) -> Vec<(String, String)> {
+    let mut cells = Vec::new();
     for target in ["DRAM", "MCDRAM"] {
-        t2.row(row(&format!("Latency {target} [ns]"), &|i| {
-            f1(results[i].mem.latency(target).unwrap_or(f64::NAN))
-        }));
+        cells.push((
+            format!("Latency {target} [ns]"),
+            cell(mem.latency(target), f1),
+        ));
         for kind in [StreamKind::Read, StreamKind::Copy, StreamKind::Triad] {
-            t2.row(row(&format!("BW {} {target} [GB/s]", kind.name()), &|i| {
-                f1(results[i].mem.table_cell(kind, target).unwrap_or(f64::NAN))
-            }));
+            let bw = cell(mem.table_cell(kind, target), f1);
+            cells.push((format!("BW {} {target} [GB/s]", kind.name()), bw));
         }
     }
-    t2.print();
-    let p2 = t2.write_csv("protocols_table2");
-    eprintln!("csv: {}", p2.display());
+    cells
+}
 
-    // ---- per-protocol model-tuned collective choice ----
-    let n = 32; // one participant per tile
-    let mut t3 = Table::new(
-        "Protocol comparison — model-tuned collectives (32 tiles)",
-        &header,
-    );
-    let bcast: Vec<_> = models
-        .iter()
-        .map(|m| optimize_tree(m, n, TreeKind::Broadcast))
-        .collect();
-    t3.row(row("Broadcast tree cost [ns]", &|i| f1(bcast[i].cost_ns)));
-    t3.row(row("Broadcast root fan-out", &|i| {
-        format!("{}", bcast[i].tree.degree())
-    }));
-    t3.row(row("Reduce tree cost [ns]", &|i| {
-        f1(optimize_tree(&models[i], n, TreeKind::Reduce).cost_ns)
-    }));
-    t3.row(row("Barrier cost [ns]", &|i| {
-        f1(optimize_barrier(&models[i], n).cost_ns)
-    }));
-    t3.row(row("Barrier fan-in m", &|i| {
-        format!("{}", optimize_barrier(&models[i], n).m)
-    }));
-    t3.print();
-    let p3 = t3.write_csv("protocols_collectives");
-    eprintln!("csv: {}", p3.display());
+/// The collective plans one protocol's fitted model implies, with one
+/// participant per tile.
+fn collectives_column(model: &CapabilityModel) -> Vec<(String, String)> {
+    let n = 32;
+    let bcast = optimize_tree(model, n, TreeKind::Broadcast);
+    let reduce = optimize_tree(model, n, TreeKind::Reduce);
+    let barrier = optimize_barrier(model, n);
+    vec![
+        ("Broadcast tree cost [ns]".to_string(), f1(bcast.cost_ns)),
+        (
+            "Broadcast root fan-out".to_string(),
+            bcast.tree.degree().to_string(),
+        ),
+        ("Reduce tree cost [ns]".to_string(), f1(reduce.cost_ns)),
+        ("Barrier cost [ns]".to_string(), f1(barrier.cost_ns)),
+        ("Barrier fan-in m".to_string(), barrier.m.to_string()),
+    ]
 }

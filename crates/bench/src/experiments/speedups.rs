@@ -2,9 +2,9 @@
 //! provide speedups of up to 7x (barrier) and 5x (reduce) over OpenMP, and
 //! up to 24x (barrier), 13x (broadcast) and 14x (reduce) over Intel's MPI".
 
-use crate::collective_fig::{run_figure, CollectiveKind};
+use crate::collective_fig::{best, run_figure, CollectiveKind, SeriesPoint};
 use crate::modelfit::{fit_model, snc4_flat};
-use crate::output::Table;
+use crate::output::{x1, Table};
 use crate::runconf::RunConf;
 use crate::sweep::TraceSink;
 use knl_arch::Schedule;
@@ -42,29 +42,27 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
             base,
         );
         base += pts.len();
-        let best_omp = pts
-            .iter()
-            .max_by(|a, b| a.openmp_speedup().total_cmp(&b.openmp_speedup()))
-            .expect("points");
-        let best_mpi = pts
-            .iter()
-            .max_by(|a, b| a.mpi_speedup().total_cmp(&b.mpi_speedup()))
-            .expect("points");
-        table.row(vec![
-            kind.name().to_string(),
-            format!("{:.1}x", best_omp.openmp_speedup()),
-            best_omp.threads.to_string(),
-            format!("{:.1}x", best_mpi.mpi_speedup()),
-            best_mpi.threads.to_string(),
-        ]);
+        table.row(row(kind, &pts));
     }
-    table.print();
-    let path = table.write_csv("speedups");
-    eprintln!("csv: {}", path.display());
+    table.emit("speedups");
 
     // §IV-B.3's "not fundamental" aside: an XPMEM-style single-copy MPI
     // closes part of the gap; the model-tuned tree still wins.
     whatif_single_copy_mpi(conf, &model, iters, sink, base);
+}
+
+/// One collective's row: its figure's best speedup over each baseline and
+/// the thread count it was reached at.
+fn row(kind: CollectiveKind, pts: &[SeriesPoint]) -> Vec<String> {
+    let omp = best(pts, SeriesPoint::openmp_speedup);
+    let mpi = best(pts, SeriesPoint::mpi_speedup);
+    vec![
+        kind.name().to_string(),
+        x1(omp.openmp_speedup()),
+        omp.threads.to_string(),
+        x1(mpi.mpi_speedup()),
+        mpi.threads.to_string(),
+    ]
 }
 
 fn whatif_single_copy_mpi(
@@ -122,4 +120,44 @@ fn whatif_single_copy_mpi(
          paper's point that address-space mapping alone would not close the gap)",
         single / tuned
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::collective_fig::summary;
+    use knl_core::CapabilityModel;
+
+    #[test]
+    fn rows_are_each_figures_fold() {
+        let conf = RunConf {
+            jobs: 2,
+            progress: knl_benchsuite::ProgressMode::Off,
+            ..Default::default()
+        };
+        let sink = TraceSink::new(&conf, "unused");
+        let (cfg, model) = (snc4_flat(), CapabilityModel::paper_reference());
+        for kind in [CollectiveKind::Barrier, CollectiveKind::Broadcast] {
+            let scheds = [Schedule::Scatter];
+            let pts = run_figure(&cfg, &model, kind, &[4, 8], &scheds, 2, &conf, &sink, 0);
+            let r = row(kind, &pts);
+            // The figure's own last line prints the same two numbers ...
+            let line = format!(
+                "max speedup of model-tuned {} over OpenMP-like: {}, over MPI-like: {}",
+                kind.name(),
+                r[1],
+                r[3]
+            );
+            assert_eq!(summary(kind, &pts), line);
+            // ... and they are the maxima over the points, at the thread
+            // count of the last point that reaches each.
+            let fold = |speedup: fn(&SeriesPoint) -> f64| {
+                let max = pts.iter().map(speedup).fold(f64::NEG_INFINITY, f64::max);
+                let at = pts.iter().rfind(|p| speedup(p) == max).expect("a maximum");
+                [x1(max), at.threads.to_string()]
+            };
+            assert_eq!(r[1..3], fold(SeriesPoint::openmp_speedup));
+            assert_eq!(r[3..5], fold(SeriesPoint::mpi_speedup));
+        }
+    }
 }

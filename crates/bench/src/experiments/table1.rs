@@ -2,21 +2,15 @@
 //! five cluster modes (flat memory mode, as the latency rows do not depend
 //! on the memory mode per the paper).
 
-use crate::output::{f1, f2, Table};
+use crate::output::{cell, f1, f2, metric_rows, Table};
 use crate::runconf::RunConf;
 use crate::sweep::{executor, machine, print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode};
-use knl_benchsuite::run_cache_suite;
-use knl_stats::fit_linear;
+use knl_benchsuite::congestion::NO_CONGESTION_BELOW;
+use knl_benchsuite::{contention, run_cache_suite, CacheResults};
 
 pub fn run(conf: &RunConf, sink: &TraceSink) {
     let params = conf.effort.suite_params();
-
-    let mut table = Table::new(
-        "Table I — cache-to-cache capabilities (medians; paper values in EXPERIMENTS.md)",
-        &["metric", "SNC4", "SNC2", "QUAD", "HEM", "A2A"],
-    );
-
     eprintln!(
         "running cache suite for {} cluster modes ({} jobs) ...",
         ClusterMode::ALL.len(),
@@ -35,73 +29,136 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
         print_counters(cm.name(), &counters);
         columns.push(res);
     }
+    table(&ClusterMode::ALL, &columns).emit("table1");
+}
 
-    let metric = |name: &str, f: &dyn Fn(&knl_benchsuite::CacheResults) -> String| -> Vec<String> {
-        let mut row = vec![name.to_string()];
-        row.extend(columns.iter().map(f));
-        row
-    };
+/// The table: one column per cluster mode.
+fn table(modes: &[ClusterMode], columns: &[CacheResults]) -> Table {
+    let header: Vec<&str> = std::iter::once("metric")
+        .chain(modes.iter().map(|cm| cm.name()))
+        .collect();
+    let mut table = Table::new(
+        "Table I — cache-to-cache capabilities (medians; paper values in EXPERIMENTS.md)",
+        &header,
+    );
+    let columns: Vec<_> = columns.iter().map(column).collect();
+    for row in metric_rows(&columns) {
+        table.row(row);
+    }
+    table
+}
 
-    table.row(metric("Latency local L1 [ns]", &|c| {
-        f1(c.local_ns
-            .as_ref()
-            .map(|l| l.median_ns())
-            .unwrap_or(f64::NAN))
-    }));
+/// One cluster mode's column: (metric, cell) from top to bottom.
+fn column(c: &CacheResults) -> Vec<(String, String)> {
+    let mut cells = vec![("Latency local L1 [ns]".to_string(), cell(c.local_ns(), f1))];
     for st in ['M', 'E', 'S', 'F'] {
-        table.row(metric(&format!("Latency tile {st} [ns]"), &|c| {
-            f1(c.tile_ns
-                .iter()
-                .find(|(s, _)| *s == st)
-                .map(|(_, l)| l.median_ns())
-                .unwrap_or(f64::NAN))
-        }));
+        cells.push((format!("Latency tile {st} [ns]"), cell(c.tile_ns(st), f1)));
     }
     for st in ['M', 'E', 'S', 'F'] {
-        table.row(metric(&format!("Latency remote {st} [ns]"), &|c| {
-            f1(c.remote_ns
-                .iter()
-                .find(|(s, _)| *s == st)
-                .map(|(_, l)| l.median_ns())
-                .unwrap_or(f64::NAN))
-        }));
+        cells.push((
+            format!("Latency remote {st} [ns]"),
+            cell(c.remote_ns(st), f1),
+        ));
     }
-    table.row(metric("BW read [GB/s]", &|c| f1(c.read_bw_gbps)));
+    cells.push(("BW read [GB/s]".to_string(), f1(c.read_bw_gbps)));
     for (loc, st) in [
         ("tile", 'M'),
         ("tile", 'E'),
         ("remote", 'M'),
         ("remote", 'E'),
     ] {
-        table.row(metric(&format!("BW copy {loc} {st} [GB/s]"), &|c| {
-            f1(c.copy_bw_gbps
-                .iter()
-                .find(|(l, s, _)| l == loc && *s == st)
-                .map(|(_, _, g)| *g)
-                .unwrap_or(f64::NAN))
-        }));
+        cells.push((
+            format!("BW copy {loc} {st} [GB/s]"),
+            cell(c.copy_bw(loc, st), f1),
+        ));
     }
-    table.row(metric("Contention α [ns]", &|c| {
-        let xs: Vec<f64> = c.contention.iter().map(|(n, _)| *n as f64).collect();
-        let ys: Vec<f64> = c.contention.iter().map(|(_, s)| s.median()).collect();
-        f1(fit_linear(&xs, &ys).alpha)
-    }));
-    table.row(metric("Contention β [ns/thread]", &|c| {
-        let xs: Vec<f64> = c.contention.iter().map(|(n, _)| *n as f64).collect();
-        let ys: Vec<f64> = c.contention.iter().map(|(_, s)| s.median()).collect();
-        f1(fit_linear(&xs, &ys).beta)
-    }));
-    table.row(metric("Congestion (max/min pairs ratio)", &|c| {
-        let lo = c
-            .congestion
-            .iter()
-            .map(|(_, l)| *l)
-            .fold(f64::INFINITY, f64::min);
-        let hi = c.congestion.iter().map(|(_, l)| *l).fold(0.0, f64::max);
-        format!("{} (none)", f2(hi / lo))
-    }));
+    let fit = contention::fit(&c.contention);
+    cells.push(("Contention α [ns]".to_string(), f1(fit.alpha)));
+    cells.push(("Contention β [ns/thread]".to_string(), f1(fit.beta)));
+    let ratio = c.congestion_ratio();
+    let verdict = if ratio < NO_CONGESTION_BELOW {
+        "none"
+    } else {
+        "congested"
+    };
+    cells.push((
+        "Congestion (max/min pairs ratio)".to_string(),
+        format!("{} ({verdict})", f2(ratio)),
+    ));
+    cells
+}
 
-    table.print();
-    let path = table.write_csv("table1");
-    eprintln!("csv: {}", path.display());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use knl_benchsuite::LatencyStat;
+    use knl_stats::Sample;
+
+    #[test]
+    fn column_renders_exactly_with_its_congestion_verdict() {
+        let lat = |ns: f64| LatencyStat::from_sample(Sample::from_values(vec![ns]));
+        let c = CacheResults {
+            local_ns: Some(lat(3.84)),
+            tile_ns: vec![('M', lat(34.0))],
+            remote_ns: vec![('M', lat(119.25))],
+            read_bw_gbps: 2.5,
+            copy_bw_gbps: vec![("tile".to_string(), 'M', 7.45)],
+            contention: vec![
+                (1, Sample::from_values(vec![234.0])),
+                (8, Sample::from_values(vec![472.0])),
+            ],
+            congestion: vec![(1, 100.0), (8, 150.0)],
+            ..CacheResults::default()
+        };
+        assert_eq!(c.congestion_ratio(), 1.5);
+        let t = table(&[ClusterMode::Quadrant], &[c]);
+        assert_eq!(
+            t.render(),
+            concat!(
+                "== Table I — cache-to-cache capabilities (medians; paper values in EXPERIMENTS.md) ==\n",
+                "metric                            QUAD              \n",
+                "----------------------------------------------------\n",
+                "Latency local L1 [ns]             3.8               \n",
+                "Latency tile M [ns]               34.0              \n",
+                "Latency tile E [ns]               -                 \n",
+                "Latency tile S [ns]               -                 \n",
+                "Latency tile F [ns]               -                 \n",
+                "Latency remote M [ns]             119.2             \n",
+                "Latency remote E [ns]             -                 \n",
+                "Latency remote S [ns]             -                 \n",
+                "Latency remote F [ns]             -                 \n",
+                "BW read [GB/s]                    2.5               \n",
+                "BW copy tile M [GB/s]             7.5               \n",
+                "BW copy tile E [GB/s]             -                 \n",
+                "BW copy remote M [GB/s]           -                 \n",
+                "BW copy remote E [GB/s]           -                 \n",
+                "Contention α [ns]                 200.0             \n",
+                "Contention β [ns/thread]          34.0              \n",
+                "Congestion (max/min pairs ratio)  1.50 (congested)  \n",
+            )
+        );
+        assert_eq!(
+            t.csv(),
+            concat!(
+                "metric,QUAD\n",
+                "Latency local L1 [ns],3.8\n",
+                "Latency tile M [ns],34.0\n",
+                "Latency tile E [ns],-\n",
+                "Latency tile S [ns],-\n",
+                "Latency tile F [ns],-\n",
+                "Latency remote M [ns],119.2\n",
+                "Latency remote E [ns],-\n",
+                "Latency remote S [ns],-\n",
+                "Latency remote F [ns],-\n",
+                "BW read [GB/s],2.5\n",
+                "BW copy tile M [GB/s],7.5\n",
+                "BW copy tile E [GB/s],-\n",
+                "BW copy remote M [GB/s],-\n",
+                "BW copy remote E [GB/s],-\n",
+                "Contention α [ns],200.0\n",
+                "Contention β [ns/thread],34.0\n",
+                "Congestion (max/min pairs ratio),1.50 (congested)\n",
+            )
+        );
+    }
 }

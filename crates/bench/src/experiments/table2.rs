@@ -2,7 +2,7 @@
 //! flat and cache memory modes (medians; "peak" = best iteration anywhere
 //! in the sweep, the STREAM column analogue).
 
-use crate::output::{f1, Table};
+use crate::output::{cell, f1, metric_rows, Table};
 use crate::runconf::RunConf;
 use crate::sweep::{executor, machine, print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode};
@@ -33,47 +33,42 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
     let mut results = results.into_iter();
 
     for mm in MEM_MODES {
-        let mut columns: Vec<MemResults> = Vec::new();
+        let mut columns = Vec::new();
         for cm in ClusterMode::ALL {
             let (res, counters) = results.next().expect("one result per configuration");
             print_counters(&format!("{}-{}", cm.name(), mm.name()), &counters);
-            columns.push(res);
+            columns.push(column(mm, &res));
         }
-
         let mut table = Table::new(
             &format!("Table II ({} mode) — memory capabilities", mm.name()),
             &["metric", "SNC4", "SNC2", "QUAD", "HEM", "A2A"],
         );
-        let metric = |name: &str, f: &dyn Fn(&MemResults) -> f64| -> Vec<String> {
-            let mut row = vec![name.to_string()];
-            row.extend(columns.iter().map(|c| f1(f(c))));
-            row
-        };
-
-        let targets: &[&str] = match mm {
-            MemoryMode::Flat => &["DRAM", "MCDRAM"],
-            _ => &["cache"],
-        };
-        for t in targets {
-            table.row(metric(&format!("Latency {t} [ns]"), &|c| {
-                c.latency(t).unwrap_or(f64::NAN)
-            }));
+        for row in metric_rows(&columns) {
+            table.row(row);
         }
-        for kind in StreamKind::ALL {
-            for t in targets {
-                table.row(metric(
-                    &format!("BW {} {t} median [GB/s]", kind.name()),
-                    &|c| c.table_cell(kind, t).unwrap_or(f64::NAN),
-                ));
-                table.row(metric(
-                    &format!("BW {} {t} peak [GB/s]", kind.name()),
-                    &|c| c.peak_cell(kind, t).unwrap_or(f64::NAN),
-                ));
-            }
-        }
-        table.print();
-        let path = table.write_csv(&format!("table2_{}", mm.name()));
-        eprintln!("csv: {}", path.display());
+        table.emit(&format!("table2_{}", mm.name()));
         println!();
     }
+}
+
+/// One cluster mode's column in memory mode `mm`: (metric, cell) from top
+/// to bottom.
+fn column(mm: MemoryMode, c: &MemResults) -> Vec<(String, String)> {
+    let targets: &[&str] = match mm {
+        MemoryMode::Flat => &["DRAM", "MCDRAM"],
+        _ => &["cache"],
+    };
+    let mut cells = Vec::new();
+    for t in targets {
+        cells.push((format!("Latency {t} [ns]"), cell(c.latency(t), f1)));
+    }
+    for kind in StreamKind::ALL {
+        let name = kind.name();
+        for t in targets {
+            let (median, peak) = (c.table_cell(kind, t), c.peak_cell(kind, t));
+            cells.push((format!("BW {name} {t} median [GB/s]"), cell(median, f1)));
+            cells.push((format!("BW {name} {t} peak [GB/s]"), cell(peak, f1)));
+        }
+    }
+    cells
 }

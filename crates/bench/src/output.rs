@@ -40,9 +40,8 @@ impl Table {
         let mut out = String::new();
         out.push_str(&format!("== {} ==\n", self.title));
         let line = |cells: &[String], out: &mut String| {
-            for (i, c) in cells.iter().enumerate() {
-                out.push_str(&format!("{:<w$}", c, w = widths[i] + 2));
-                let _ = i;
+            for (c, w) in cells.iter().zip(&widths) {
+                out.push_str(&format!("{:<w$}", c, w = w + 2));
             }
             out.push('\n');
         };
@@ -55,9 +54,14 @@ impl Table {
         out
     }
 
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
+    /// The CSV text: the header, then every row, one record a line.
+    pub(crate) fn csv(&self) -> String {
+        let mut text = String::new();
+        for record in std::iter::once(&self.header).chain(&self.rows) {
+            text.push_str(&csv_record(record));
+            text.push('\n');
+        }
+        text
     }
 
     /// Write as CSV under `results/<name>.csv` (creating the directory)
@@ -68,14 +72,35 @@ impl Table {
         let dir = results_dir();
         fs::create_dir_all(&dir).expect("create results dir");
         let path = dir.join(format!("{name}.csv"));
-        let mut text = String::new();
-        for record in std::iter::once(&self.header).chain(&self.rows) {
-            text.push_str(&csv_record(record));
-            text.push('\n');
-        }
-        crate::provenance::write_artifact(&path, text.as_bytes()).expect("write csv");
+        crate::provenance::write_artifact(&path, self.csv().as_bytes()).expect("write csv");
         path
     }
+
+    /// What an experiment does with a finished table: print it to stdout,
+    /// write `results/<name>.csv` and name that file on stderr.
+    pub fn emit(&self, name: &str) {
+        print!("{}", self.render());
+        eprintln!("csv: {}", self.write_csv(name).display());
+    }
+}
+
+/// The rows of a metric × configuration table from its columns: each
+/// column holds one configuration's `(metric, cell)` pairs, and every
+/// column names the same metrics in the same order.
+pub(crate) fn metric_rows(columns: &[Vec<(String, String)>]) -> Vec<Vec<String>> {
+    let Some(first) = columns.first() else {
+        return Vec::new();
+    };
+    (0..first.len())
+        .map(|i| {
+            let mut row = vec![first[i].0.clone()];
+            for column in columns {
+                assert_eq!(column[i].0, first[i].0, "columns disagree on metric {i}");
+                row.push(column[i].1.clone());
+            }
+            row
+        })
+        .collect()
 }
 
 /// Make `path` hold exactly `bytes`, writing only when it does not already:
@@ -173,6 +198,16 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// A cell whose value may be absent: `fmt` of the value, or "-".
+pub(crate) fn cell(x: Option<f64>, fmt: fn(f64) -> String) -> String {
+    x.map_or_else(|| "-".to_string(), fmt)
+}
+
+/// Format a speedup with 1 decimal and an "x".
+pub(crate) fn x1(x: f64) -> String {
+    format!("{x:.1}x")
+}
+
 /// Format seconds in engineering units.
 pub fn secs(x: f64) -> String {
     if x >= 1.0 {
@@ -194,11 +229,20 @@ mod tests {
     fn render_aligns() {
         let mut t = Table::new("demo", &["a", "bbbb"]);
         t.row(vec!["xx".into(), "1".into()]);
-        let r = t.render();
-        assert!(r.contains("== demo =="));
-        assert!(r.contains("a"));
-        assert!(r.contains("xx"));
-        assert_eq!(r.lines().count(), 4);
+        // Every cell, the last included, is padded to its column's width
+        // plus two; the rule spans the padded widths.
+        assert_eq!(
+            t.render(),
+            "== demo ==\na   bbbb  \n----------\nxx  1     \n"
+        );
+        assert_eq!(t.csv(), "a,bbbb\nxx,1\n");
+        assert_eq!(
+            metric_rows(&[
+                vec![("lat".into(), "1.0".into()), ("bw".into(), "2".into())],
+                vec![("lat".into(), "3.0".into()), ("bw".into(), "-".into())],
+            ]),
+            [["lat", "1.0", "3.0"], ["bw", "2", "-"]]
+        );
     }
 
     #[test]
@@ -351,5 +395,8 @@ mod tests {
         assert_eq!(secs(250e-9), "250 ns");
         assert_eq!(f1(1.25), "1.2");
         assert_eq!(f2(1.254), "1.25");
+        assert_eq!(x1(7.04), "7.0x");
+        assert_eq!(cell(Some(2.5e-6), secs), "2.50 µs");
+        assert_eq!(cell(None, f1), "-");
     }
 }

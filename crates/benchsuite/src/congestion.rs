@@ -9,6 +9,11 @@ use crate::state_prep::prep_lines;
 use knl_arch::CoreId;
 use knl_sim::{AccessKind, LineState, Machine, SimTime};
 
+/// The largest max/min per-pair latency ratio
+/// ([`CacheResults::congestion_ratio`](crate::CacheResults::congestion_ratio))
+/// that still reads as Table I's "none".
+pub const NO_CONGESTION_BELOW: f64 = 1.25;
+
 /// For each pair count, run simultaneous one-line ping-pongs and return the
 /// median per-pair round latency (ns). Pairs are (core 2k, core 2k+1 of a
 /// distant tile) so every transfer crosses the mesh. As in the paper, the

@@ -1,12 +1,13 @@
 //! The contention benchmark (§IV-A.2): one thread on core 0 owns a one-line
 //! buffer; N other threads access it simultaneously and copy it into a local
 //! buffer. The paper fits `T_C(N) = α + β·N` (Table I: α ≈ 200, β ≈ 34).
-//! [`contention`] drives [`Machine::access`] directly, with no Op-IR form.
+//! [`contention`] drives [`Machine::access`] directly, with no Op-IR form,
+//! and [`fit`] fits the law to what it returns.
 
 use crate::state_prep::prep_lines;
 use knl_arch::{CoreId, Schedule};
 use knl_sim::{AccessKind, LineState, Machine, SimTime};
-use knl_stats::Sample;
+use knl_stats::{fit_linear, LinearFit, Sample};
 
 /// Run the 1:N contention benchmark for each N in `ns` with the given
 /// reader schedule ("each new thread runs in a different tile" = Scatter,
@@ -62,11 +63,18 @@ pub fn contention(
     out
 }
 
+/// The contention law `T_C(N) = α + β·N`, fitted to the median of each N's
+/// sample as [`contention`] returns them.
+pub fn fit(points: &[(usize, Sample)]) -> LinearFit {
+    let xs: Vec<f64> = points.iter().map(|(n, _)| *n as f64).collect();
+    let ys: Vec<f64> = points.iter().map(|(_, s)| s.median()).collect();
+    fit_linear(&xs, &ys)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use knl_arch::{ClusterMode, MachineConfig, MemoryMode};
-    use knl_stats::fit_linear;
 
     #[test]
     fn contention_is_linear_with_beta_near_34() {
@@ -78,9 +86,7 @@ mod tests {
         // Scatter: each new reader lands on its own tile, so every request
         // goes through the home directory (the paper's per-tile schedule).
         let pts = contention(&mut m, &[1, 4, 8, 16, 24, 31], Schedule::Scatter, 5);
-        let xs: Vec<f64> = pts.iter().map(|(n, _)| *n as f64).collect();
-        let ys: Vec<f64> = pts.iter().map(|(_, s)| s.median()).collect();
-        let fit = fit_linear(&xs, &ys);
+        let fit = fit(&pts);
         assert!(
             (25.0..45.0).contains(&fit.beta),
             "β = {} (paper: 34)",

@@ -67,6 +67,45 @@ pub struct CacheResults {
     pub congestion: Vec<(usize, f64)>,
 }
 
+impl CacheResults {
+    /// Median local (L1) load latency.
+    pub fn local_ns(&self) -> Option<f64> {
+        self.local_ns.as_ref().map(LatencyStat::median_ns)
+    }
+
+    /// Median same-tile latency for a state letter.
+    pub fn tile_ns(&self, state: char) -> Option<f64> {
+        median_of(&self.tile_ns, state)
+    }
+
+    /// Median remote-tile latency for a state letter.
+    pub fn remote_ns(&self, state: char) -> Option<f64> {
+        median_of(&self.remote_ns, state)
+    }
+
+    /// Copy bandwidth (GB/s) by location label and state letter.
+    pub fn copy_bw(&self, location: &str, state: char) -> Option<f64> {
+        self.copy_bw_gbps
+            .iter()
+            .find(|(l, s, _)| l == location && *s == state)
+            .map(|(_, _, g)| *g)
+    }
+
+    /// Congestion as Table I reports it: the largest per-pair latency over
+    /// the smallest (1.0 when pairs do not slow each other).
+    pub fn congestion_ratio(&self) -> f64 {
+        let lat = || self.congestion.iter().map(|(_, l)| *l);
+        lat().fold(0.0, f64::max) / lat().fold(f64::INFINITY, f64::min)
+    }
+}
+
+fn median_of(stats: &[(char, LatencyStat)], state: char) -> Option<f64> {
+    stats
+        .iter()
+        .find(|(s, _)| *s == state)
+        .map(|(_, l)| l.median_ns())
+}
+
 /// Memory capability measurements (Table II + Fig. 9 inputs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemResults {
@@ -119,24 +158,6 @@ impl SuiteResults {
     /// Configuration label, e.g. `SNC4-flat`.
     pub fn label(&self) -> String {
         format!("{}-{}", self.cluster.name(), self.memory.name())
-    }
-
-    /// Median same-tile latency for a state letter.
-    pub fn tile_ns(&self, state: char) -> Option<f64> {
-        self.cache
-            .tile_ns
-            .iter()
-            .find(|(s, _)| *s == state)
-            .map(|(_, l)| l.median_ns())
-    }
-
-    /// Median remote-tile latency for a state letter.
-    pub fn remote_ns(&self, state: char) -> Option<f64> {
-        self.cache
-            .remote_ns
-            .iter()
-            .find(|(s, _)| *s == state)
-            .map(|(_, l)| l.median_ns())
     }
 }
 

@@ -294,9 +294,9 @@ mod tests {
         let r = run_full_suite(&cfg, &params);
         assert_eq!(r.label(), "SNC4-flat");
         // Table I shape checks.
-        assert!(r.cache.local_ns.as_ref().unwrap().median_ns() < 6.0);
-        assert!(r.tile_ns('M').unwrap() > r.tile_ns('S').unwrap());
-        assert!(r.remote_ns('M').unwrap() > r.tile_ns('M').unwrap());
+        assert!(r.cache.local_ns().unwrap() < 6.0);
+        assert!(r.cache.tile_ns('M').unwrap() > r.cache.tile_ns('S').unwrap());
+        assert!(r.cache.remote_ns('M').unwrap() > r.cache.tile_ns('M').unwrap());
         assert!(r.cache.read_bw_gbps > 1.0);
         assert!(!r.cache.contention.is_empty());
         // Table II shape checks.

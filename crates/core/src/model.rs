@@ -141,12 +141,7 @@ impl CapabilityModel {
             .iter()
             .map(|(c, l)| (*c, l.median_ns()))
             .collect();
-        let rl_ns = r
-            .cache
-            .local_ns
-            .as_ref()
-            .map(|l| l.median_ns())
-            .unwrap_or(f64::NAN);
+        let rl_ns = r.cache.local_ns().unwrap_or(f64::NAN);
         // R_R: shared/forward remote read (flag re-reads find the flag in
         // the writer's cache in M; model-tuning uses the measured state mix —
         // we take the average of S/F and M as the paper's single R_R).
@@ -161,9 +156,7 @@ impl CapabilityModel {
         };
 
         let contention = if r.cache.contention.len() >= 2 {
-            let xs: Vec<f64> = r.cache.contention.iter().map(|(n, _)| *n as f64).collect();
-            let ys: Vec<f64> = r.cache.contention.iter().map(|(_, s)| s.median()).collect();
-            fit_linear(&xs, &ys)
+            knl_benchsuite::contention::fit(&r.cache.contention)
         } else {
             LinearFit::constant(rr_ns)
         };

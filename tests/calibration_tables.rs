@@ -6,9 +6,9 @@
 //! tighter): the goal is shape, not decimal matching.
 
 use knl::arch::{ClusterMode, MachineConfig, MemoryMode};
-use knl::benchsuite::{run_cache_suite, run_memory_suite, SuiteParams};
+use knl::benchsuite::congestion::NO_CONGESTION_BELOW;
+use knl::benchsuite::{contention, run_cache_suite, run_memory_suite, SuiteParams};
 use knl::sim::{Machine, StreamKind};
-use knl::stats::fit_linear;
 
 fn params() -> SuiteParams {
     let mut p = SuiteParams::quick();
@@ -30,60 +30,36 @@ fn table1_quadrant_bands() {
     let c = run_cache_suite(&mut m, &params());
 
     // Latency rows (paper: 3.8 / 34 / 18 / 14 / 119 / 116 / 107–117).
-    in_band(c.local_ns.as_ref().unwrap().median_ns(), 3.2, 4.4, "L1");
-    let tile = |s: char| {
-        c.tile_ns
-            .iter()
-            .find(|(x, _)| *x == s)
-            .unwrap()
-            .1
-            .median_ns()
-    };
+    in_band(c.local_ns().unwrap(), 3.2, 4.4, "L1");
+    let tile = |s: char| c.tile_ns(s).unwrap();
     in_band(tile('M'), 27.0, 41.0, "tile M");
     in_band(tile('E'), 14.5, 22.0, "tile E");
     in_band(tile('S'), 11.0, 17.0, "tile S");
-    let remote = |s: char| {
-        c.remote_ns
-            .iter()
-            .find(|(x, _)| *x == s)
-            .unwrap()
-            .1
-            .median_ns()
-    };
+    let remote = |s: char| c.remote_ns(s).unwrap();
     in_band(remote('M'), 95.0, 145.0, "remote M");
     in_band(remote('S'), 85.0, 130.0, "remote S");
     assert!(remote('M') > remote('S'), "M slower than S/F");
 
     // Bandwidth rows (paper: read 2.5, copy tile E 9.2, copy remote 7.5).
     in_band(c.read_bw_gbps, 1.8, 3.3, "read BW");
-    let copy = |loc: &str, s: char| {
-        c.copy_bw_gbps
-            .iter()
-            .find(|(l, x, _)| l == loc && *x == s)
-            .unwrap()
-            .2
-    };
+    let copy = |loc: &str, s: char| c.copy_bw(loc, s).unwrap();
     in_band(copy("tile", 'E'), 7.0, 11.5, "copy tile E");
     in_band(copy("tile", 'M'), 5.5, 9.5, "copy tile M");
     in_band(copy("remote", 'M'), 5.5, 10.0, "copy remote");
     assert!(copy("tile", 'E') > copy("tile", 'M'), "E copy beats M copy");
 
     // Contention law (paper: 200 + 34·N).
-    let xs: Vec<f64> = c.contention.iter().map(|(n, _)| *n as f64).collect();
-    let ys: Vec<f64> = c.contention.iter().map(|(_, s)| s.median()).collect();
-    let fit = fit_linear(&xs, &ys);
+    let fit = contention::fit(&c.contention);
     in_band(fit.beta, 26.0, 43.0, "contention β");
     in_band(fit.alpha, 140.0, 280.0, "contention α");
     assert!(fit.r2 > 0.95, "contention linearity r²={}", fit.r2);
 
     // Congestion: none (paper Table I).
-    let lo = c
-        .congestion
-        .iter()
-        .map(|(_, l)| *l)
-        .fold(f64::INFINITY, f64::min);
-    let hi = c.congestion.iter().map(|(_, l)| *l).fold(0.0, f64::max);
-    assert!(hi / lo < 1.25, "congestion must be flat: {lo}..{hi}");
+    assert!(
+        c.congestion_ratio() < NO_CONGESTION_BELOW,
+        "congestion must be flat: {:?}",
+        c.congestion
+    );
 }
 
 #[test]
