@@ -20,7 +20,7 @@
 
 use crate::output::{cell, f1, metric_rows, Table};
 use crate::runconf::RunConf;
-use crate::sweep::{print_counters, TraceSink};
+use crate::sweep::{machine_as_configured, print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode, ProtocolKind};
 use knl_benchsuite::{run_configs_with, CacheResults, MemResults};
 use knl_core::{optimize_barrier, optimize_tree, CapabilityModel, TreeKind};
@@ -41,7 +41,9 @@ pub fn run(conf: &RunConf, sink: &TraceSink) {
         base.label(),
         conf.jobs
     );
-    let runs = run_configs_with(&configs, &params, conf.jobs, conf.observer_config());
+    let runs = run_configs_with(&configs, &params, conf.jobs, |c| {
+        machine_as_configured(conf, c.clone())
+    });
 
     let header: Vec<&str> = std::iter::once("metric")
         .chain(ProtocolKind::ALL.iter().map(|p| p.name()))

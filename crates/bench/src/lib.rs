@@ -11,6 +11,9 @@
 //! * [`modelcheck`] — `knl mc`'s exhaustive checker of the protocol
 //!   tables, and [`mutation`], the defect catalog its kill gate injects
 //!   through the simulator's one transition hook,
+//! * [`analyze`] — `--analyze`'s static workload checks (races, flag-line
+//!   sharing, duplicate pins, lost intervals), run through the simulator's
+//!   one run-start hook,
 //! * [`flags`] — the flag table type and the one argument loop,
 //! * [`runconf`] — the flags every experiment shares (`--quick` /
 //!   `--paper`, `--jobs`, `--protocol`, the observer flags),
@@ -32,6 +35,7 @@
 //! *shape* (who wins, by what factor, where crossovers fall) is the
 //! reproduction target (see EXPERIMENTS.md).
 
+pub mod analyze;
 pub mod collective_fig;
 pub mod experiments;
 pub mod flags;

@@ -1,7 +1,8 @@
 //! Fitting a capability model from a (possibly reduced) suite run.
 
+use crate::analyze::AnalyzeLevel;
 use crate::runconf::RunConf;
-use crate::sweep::{print_counters, TraceSink};
+use crate::sweep::{machine_as_configured, print_counters, TraceSink};
 use knl_arch::{ClusterMode, MachineConfig, MemoryMode};
 use knl_benchsuite::{run_configs_with, run_full_suite, SuiteParams, SuiteResults};
 use knl_core::CapabilityModel;
@@ -17,22 +18,23 @@ pub fn fit_model(cfg: &MachineConfig, params: &SuiteParams) -> CapabilityModel {
 
 /// [`fit_model`] honouring a parsed command line: the suite run executes
 /// on the `--jobs` worker pool under the `--check` / `--trace-level` /
-/// `--analyze` observer set, with its trace section submitted to the
-/// caller's `sink` as job 0. Because cached suite results skip the
-/// simulation pass entirely, the JSON cache is bypassed (but still
-/// refreshed) whenever any observer is on — asking for a checked or traced
-/// run means asking for the simulation to actually happen.
+/// `--telemetry` observer set and `--analyze`, with its trace section
+/// submitted to the caller's `sink` as job 0. Because cached suite results
+/// skip the simulation pass entirely, the JSON cache is bypassed (but
+/// still refreshed) whenever any of them is on — asking for a checked,
+/// traced or analyzed run means asking for the simulation to happen.
 pub fn fit_model_observed(
     cfg: &MachineConfig,
     params: &SuiteParams,
     conf: &RunConf,
     sink: &TraceSink,
 ) -> CapabilityModel {
-    let observers = conf.observer_config();
-    if observers == ObserverConfig::default() {
+    if conf.observer_config() == ObserverConfig::default() && conf.analyze == AnalyzeLevel::Off {
         return fit_model(cfg, params);
     }
-    let mut runs = run_configs_with(std::slice::from_ref(cfg), params, conf.jobs, observers);
+    let mut runs = run_configs_with(std::slice::from_ref(cfg), params, conf.jobs, |c| {
+        machine_as_configured(conf, c.clone())
+    });
     let run = runs.remove(0);
     print_counters(&cfg.label(), &run.counters);
     sink.submit_detached(0, run.tracer, run.telemetry);

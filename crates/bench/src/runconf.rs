@@ -1,10 +1,11 @@
 //! The command line of `knl run`: sweep effort, worker count, protocol and
 //! the observer flags, shared by every experiment.
 
+use crate::analyze::AnalyzeLevel;
 use crate::flags::{self, Arg, Flag, Stop};
 use knl_arch::ProtocolKind;
 use knl_benchsuite::{ProgressMode, SuiteParams};
-use knl_sim::{AnalyzeLevel, CheckLevel, ObserverConfig, TelemetryConfig, TraceLevel};
+use knl_sim::{CheckLevel, ObserverConfig, TelemetryConfig, TraceLevel};
 
 /// Effort level of a regeneration run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,10 +69,10 @@ pub struct RunConf {
     /// `--trace-level` implies `full`; a non-off level without a path
     /// writes `results/<label>.trace`.
     pub trace_path: Option<String>,
-    /// Static workload analysis level (`--analyze off|error|warn|info`,
-    /// or `KNL_ANALYZE`). A pure pre-pass over the programs each run
-    /// executes: panics on `Error` findings (races, deadlocks, pairing
-    /// errors), prints lower severities; never changes results.
+    /// Static workload analysis level (`--analyze off|error|warn`, or
+    /// `KNL_ANALYZE`). A pure pre-pass over the programs each run
+    /// executes: panics on `Error` findings (races, duplicate pins),
+    /// prints warnings at `warn`; never changes results.
     pub analyze: AnalyzeLevel,
     /// Coherence protocol the simulated directories run
     /// (`--protocol mesif|mesi|moesi|dragon` or `KNL_PROTOCOL`; MESIF, the
@@ -113,8 +114,8 @@ pub const USAGE: &str = "usage: knl run <id>|all [flags]   (`knl list` shows the
 const TRACE_LEVEL: &str = "--trace-level";
 
 /// Every flag of `knl run`, declared once (see [`crate::flags`]). The
-/// observers (`--check`, `--trace-level`, `--analyze`, `--telemetry`)
-/// never change results.
+/// observers (`--check`, `--trace-level`, `--telemetry`) and the
+/// `--analyze` pre-pass never change results.
 pub const FLAGS: &[Flag<RunConf>] = &[
     Flag {
         names: &["--quick", "--paper", "--full"],
@@ -168,9 +169,10 @@ pub const FLAGS: &[Flag<RunConf>] = &[
     Flag {
         names: &["--analyze"],
         env: Some("KNL_ANALYZE"),
-        arg: Arg::Value("off|error|warn|info"),
-        help: "statically check workloads for races and deadlocks before they run\n\
-               (default off); panics on error findings",
+        arg: Arg::Value("off|error|warn"),
+        help: "statically check workloads for races, flag-line sharing, shared\n\
+               hardware threads and lost intervals before they run (default off);\n\
+               panics on error findings",
         set: |c, v| AnalyzeLevel::parse(v).map(|x| c.analyze = x),
     },
     Flag {
@@ -248,12 +250,13 @@ impl RunConf {
     }
 
     /// The observer set this command line asks for, as one
-    /// [`ObserverConfig`] for [`knl_sim::Machine::with_observer_config`].
+    /// [`ObserverConfig`] for [`knl_sim::Machine::with_observer_config`]
+    /// (`--analyze` is not an observer: [`crate::sweep::machine`] installs
+    /// it).
     pub fn observer_config(&self) -> ObserverConfig {
         ObserverConfig::default()
             .check(self.check)
             .trace(self.trace)
-            .analyze(self.analyze)
             .telemetry(self.telemetry)
     }
 }
@@ -345,7 +348,6 @@ mod tests {
         ("--analyze error", |c| c.analyze = An::Error),
         ("--analyze=warn", |c| c.analyze = An::Warn),
         ("--analyze=on", |c| c.analyze = An::Warn),
-        ("--analyze=info", |c| c.analyze = An::Info),
         ("--analyze=off", |_| {}),
         ("--protocol moesi", |c| c.protocol = Pk::Moesi),
         ("--protocol=dragon", |c| c.protocol = Pk::Dragon),
@@ -388,7 +390,7 @@ mod tests {
     fn bad_arguments_rejected() {
         let bad = "--trace | --trace-level | --trace-level verbose | --trace-level=chatty \
                    | --check | --check sometimes | --check=maybe \
-                   | --analyze | --analyze loudly | --analyze=deep \
+                   | --analyze | --analyze loudly | --analyze=deep | --analyze=info \
                    | --protocol | --protocol mosey | --protocol=firefly \
                    | --telemetry=often | --telemetry=10s | --telemetry=-5 | --telemetry-out \
                    | --telemetry=99999999999999999999ms | --progress=loud | --progress \

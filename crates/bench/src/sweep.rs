@@ -1,11 +1,12 @@
 //! Shared sweep plumbing for the experiments: an executor built from the
 //! parsed command line, machines honouring the observer flags (`--check`,
-//! `--trace-level`, `--analyze`, `--telemetry`), the per-configuration
+//! `--trace-level`, `--telemetry`) and `--analyze`, the per-configuration
 //! hardware-counter summary every experiment prints after its sweep, and
 //! the [`TraceSink`] that merges per-job trace and telemetry sections
 //! deterministically — one sink per experiment, written once by the
 //! driver ([`crate::experiments::run`]).
 
+use crate::analyze::{analyze, AnalyzeLevel};
 use crate::output::results_dir;
 use crate::provenance::write_artifact;
 use crate::runconf::RunConf;
@@ -29,7 +30,22 @@ pub fn executor(conf: &RunConf) -> SweepExecutor {
 /// counter/oracle reconciliation runs, and hand the machine to
 /// [`TraceSink::submit`] so its trace section is collected.
 pub fn machine(conf: &RunConf, cfg: MachineConfig) -> Machine {
-    Machine::with_observer_config(cfg.with_protocol(conf.protocol), conf.observer_config())
+    machine_as_configured(conf, cfg.with_protocol(conf.protocol))
+}
+
+/// [`machine`] keeping `cfg`'s own protocol: for the suite sweeps whose
+/// configurations choose it (`protocols`, and the fitted model, whose
+/// suite cache is named by it). The one place `--analyze` is installed,
+/// as the machine's run-start hook.
+pub(crate) fn machine_as_configured(conf: &RunConf, cfg: MachineConfig) -> Machine {
+    let mut m = Machine::with_observer_config(cfg, conf.observer_config());
+    let level = conf.analyze;
+    if level != AnalyzeLevel::Off {
+        m.set_run_start_hook(Some(Box::new(move |programs, flags| {
+            analyze(programs, flags).enforce(level)
+        })));
+    }
+    m
 }
 
 /// One merged artifact: its header line, where it goes (`None` when that
@@ -198,10 +214,20 @@ mod tests {
         let m = machine(&c, cfg.clone());
         assert_eq!(m.check_level(), CheckLevel::Off);
         assert_eq!(m.trace_level(), TraceLevel::Off);
-        assert_eq!(m.analyze_level(), knl_sim::AnalyzeLevel::Off);
-        c.analyze = knl_sim::AnalyzeLevel::Error;
-        let m = machine(&c, cfg);
-        assert_eq!(m.analyze_level(), knl_sim::AnalyzeLevel::Error);
+        // Unsynchronized writers of one line run; `--analyze error`
+        // refuses them before the first op.
+        let run = |c: &RunConf| {
+            let racy = (0..2).map(|t| {
+                let mut p = knl_sim::Program::new(knl_arch::HwThreadId(4 * t));
+                p.push(knl_sim::Op::Write(4096));
+                p
+            });
+            knl_sim::Runner::new(&mut machine(c, cfg.clone()), racy.collect()).run()
+        };
+        run(&c);
+        c.analyze = AnalyzeLevel::Error;
+        let refused = std::panic::catch_unwind(|| run(&c));
+        assert!(refused.is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::memlat;
 use crate::params::SuiteParams;
 use crate::pointer_chase;
 use knl_arch::{CoreId, MachineConfig, MemoryMode, NumaKind, Schedule};
-use knl_sim::{LineState, Machine, ObserverConfig, StreamKind, TelemetrySampler, Tracer};
+use knl_sim::{LineState, Machine, StreamKind, TelemetrySampler, Tracer};
 
 /// Everything one fully observed suite run hands back: the measured
 /// results plus the machine's counters and whatever detachable observers
@@ -224,21 +224,18 @@ pub fn run_memory_suite(m: &mut Machine, params: &SuiteParams) -> MemResults {
 
 /// Run everything for one configuration on an unobserved machine.
 pub fn run_full_suite(cfg: &MachineConfig, params: &SuiteParams) -> SuiteResults {
-    run_full_suite_with(cfg, params, ObserverConfig::default()).results
+    run_full_suite_with(Machine::new(cfg.clone()), params).results
 }
 
-/// The root suite entry point: run everything for one configuration with
-/// the full observer set an [`ObserverConfig`] describes (checker, tracer,
-/// analyzer pre-pass, telemetry sampler). All four are pure observers, so
-/// `results` and `counters` are bit-identical whatever is attached; with a
-/// checker the final reconciliation (`Machine::finish_check`) runs before
-/// returning and panics on any violation.
-pub fn run_full_suite_with(
-    cfg: &MachineConfig,
-    params: &SuiteParams,
-    observers: ObserverConfig,
-) -> ObservedRun {
-    let mut m = Machine::with_observer_config(cfg.clone(), observers);
+/// The root suite entry point: run everything on `m`, a fresh machine
+/// built with whatever observers and hooks the caller wants. Observers are
+/// pure, so `results` and `counters` are bit-identical whatever is
+/// attached; with a checker the final reconciliation
+/// (`Machine::finish_check`) runs before returning and panics on any
+/// violation.
+pub fn run_full_suite_with(mut m: Machine, params: &SuiteParams) -> ObservedRun {
+    let cfg = m.config();
+    let (cluster, memory) = (cfg.cluster, cfg.memory);
     let cache = run_cache_suite(&mut m, params);
     m.reset_caches();
     m.reset_devices();
@@ -249,8 +246,8 @@ pub fn run_full_suite_with(
     let telemetry = m.take_telemetry();
     ObservedRun {
         results: SuiteResults {
-            cluster: cfg.cluster,
-            memory: cfg.memory,
+            cluster,
+            memory,
             cache,
             mem,
         },
@@ -261,8 +258,8 @@ pub fn run_full_suite_with(
 }
 
 /// The parallel-sweep entry point: [`run_full_suite_with`] for many
-/// configurations on a worker pool, each job owning a freshly constructed
-/// [`Machine`] under the same [`ObserverConfig`]. Results (with each job's
+/// configurations on a worker pool, each job owning the fresh [`Machine`]
+/// `machine` builds for its configuration. Results (with each job's
 /// detached tracer and sampler) come back in the order of `configs` and
 /// are bit-identical for every worker count (see the determinism contract
 /// on [`crate::parallel::SweepExecutor`]).
@@ -270,12 +267,12 @@ pub fn run_configs_with(
     configs: &[MachineConfig],
     params: &SuiteParams,
     jobs: usize,
-    observers: ObserverConfig,
+    machine: impl Fn(&MachineConfig) -> Machine + Sync,
 ) -> Vec<ObservedRun> {
     crate::parallel::SweepExecutor::new(jobs)
         .progress_mode(crate::ProgressMode::Text)
         .run("suite", configs, |_i, cfg| {
-            run_full_suite_with(cfg, params, observers)
+            run_full_suite_with(machine(cfg), params)
         })
 }
 

@@ -14,30 +14,7 @@
 use crate::plan::RankPlan;
 use knl_arch::{NumaKind, Schedule};
 use knl_core::Tree;
-use knl_sim::analyze::{AnalysisReport, Finding, Rule, Severity};
 use knl_sim::{Arena, Machine, Op, Program, RunResult, Runner, SimTime};
-
-/// Static analysis entry point for collective schedules: structurally
-/// validate the rank plan, then run the happens-before analyzer over the
-/// generated programs. A plan defect becomes an `Error` finding under the
-/// `plan` rule, ahead of whatever the program-level passes report.
-pub fn analyze_schedule(plan: &RankPlan, programs: &[Program]) -> AnalysisReport {
-    let mut report = knl_sim::analyze(programs, &[]);
-    if let Err(e) = plan.validate() {
-        report.findings.insert(
-            0,
-            Finding {
-                severity: Severity::Error,
-                rule: Rule::Plan,
-                threads: Vec::new(),
-                ops: Vec::new(),
-                line: None,
-                message: format!("malformed rank plan: {e}"),
-            },
-        );
-    }
-    report
-}
 
 /// Per-message software overhead of the MPI-like baselines, ns (envelope
 /// matching + request bookkeeping of a shared-memory MPI).

@@ -2,22 +2,19 @@
 //! a [`ProtocolEvent`], and the [`ObserverHub`] hands it to the observers
 //! an [`ObserverConfig`] asked for — checker, tracer, telemetry sampler, in
 //! that order — with the one event context (runner thread, requesting
-//! tile) the hub keeps. The analyzer pre-pass runs at run start. Every
-//! call is static.
+//! tile) the hub keeps. Every call is static.
 //!
 //! Observers are *pure*: they may panic (the checker's whole job) but never
 //! change simulated timings, counters or cache state (`checked ≡
-//! unchecked`, `traced ≡ untraced`, `analyzer-on ≡ off` pin it), and
+//! unchecked`, `traced ≡ untraced` pin it), and
 //! `tests/golden/observed_{transfer,stream}.txt` pin what they write. With
 //! no event consumer attached every emission helper is one `#[inline]`
 //! flag test.
 
-use crate::analyze::AnalyzeLevel;
 use crate::counters::Counters;
 use crate::directory::{DirEntry, GlobalState};
 use crate::invariants::{CheckLevel, CoherenceChecker};
 use crate::machine::ServedBy;
-use crate::program::Program;
 use crate::protocol::{Outcome, Request};
 use crate::telemetry::{TelemetryConfig, TelemetrySampler};
 use crate::trace::{TraceLevel, Tracer, NO_THREAD};
@@ -135,8 +132,6 @@ pub struct ObserverConfig {
     pub check: CheckLevel,
     /// Structured event tracing level.
     pub trace: TraceLevel,
-    /// Static workload analysis level (runner pre-pass).
-    pub analyze: AnalyzeLevel,
     /// Time-resolved telemetry sampling (off by default).
     pub telemetry: TelemetryConfig,
 }
@@ -151,12 +146,6 @@ impl ObserverConfig {
     /// Set the tracing level.
     pub fn trace(mut self, level: TraceLevel) -> Self {
         self.trace = level;
-        self
-    }
-
-    /// Set the static-analysis level.
-    pub fn analyze(mut self, level: AnalyzeLevel) -> Self {
-        self.analyze = level;
         self
     }
 
@@ -186,7 +175,7 @@ impl Default for EventContext {
     }
 }
 
-/// The observer bus: the four things an [`ObserverConfig`] can ask for,
+/// The observer bus: the three things an [`ObserverConfig`] can ask for,
 /// one field each, and the event context. Emission helpers are the
 /// *single* construction site of each [`ProtocolEvent`] variant; `emit`
 /// and the lifecycle hooks call exactly the observers that implement them,
@@ -196,9 +185,6 @@ pub struct ObserverHub {
     pub(crate) checker: Option<Box<CoherenceChecker>>,
     pub(crate) tracer: Option<Box<Tracer>>,
     pub(crate) telemetry: Option<Box<TelemetrySampler>>,
-    /// The analyzer pre-pass level. Not an event consumer: an analyze-only
-    /// machine keeps the empty-hub fast path.
-    pub(crate) analyze: AnalyzeLevel,
     /// Cached "checker, tracer or telemetry attached" — the empty-hub fast
     /// path.
     events: bool,
@@ -222,7 +208,6 @@ impl ObserverHub {
             checker,
             tracer,
             telemetry,
-            analyze: oc.analyze,
             ctx: EventContext::default(),
         }
     }
@@ -448,15 +433,6 @@ impl ObserverHub {
         }
     }
 
-    /// A runner is about to execute `programs` with `initial_flags`
-    /// (sorted by address): the analyzer's static pre-pass. Findings at
-    /// `Error` severity panic; lower severities print per the level.
-    pub(crate) fn on_run_start(&self, programs: &[Program], initial_flags: &[(u64, u64)]) {
-        if self.analyze != AnalyzeLevel::Off {
-            crate::analyze::analyze(programs, initial_flags).enforce(self.analyze);
-        }
-    }
-
     /// End-of-run verification against the machine's hardware counters.
     pub(crate) fn finish(&self, counters: &Counters) {
         if let Some(c) = self.checker.as_deref() {
@@ -586,15 +562,6 @@ mod tests {
             assert_eq!(oc, ObserverConfig::default());
             assert!(!hub(oc).enabled());
         }
-    }
-
-    #[test]
-    fn analyze_only_hub_keeps_event_fast_path() {
-        // The analyzer pre-pass never consumes events: the hot-path flag
-        // stays cold even though an observer was asked for.
-        let hub = hub(ObserverConfig::default().analyze(AnalyzeLevel::Info));
-        assert!(!hub.enabled());
-        assert_eq!(hub.analyze, AnalyzeLevel::Info);
     }
 
     #[test]
@@ -766,7 +733,7 @@ mod tests {
 
     #[test]
     fn all_three_observers_match_bare_machine() {
-        // The full stack at once — checker, tracer, and analyzer gate —
+        // The full stack at once — checker, tracer and telemetry sampler —
         // must still be invisible to simulated results.
         let cfg = MachineConfig::knl7210(ClusterMode::Quadrant, MemoryMode::Cache);
         let mut plain = Machine::new(cfg.clone());
@@ -775,7 +742,7 @@ mod tests {
             ObserverConfig::default()
                 .check(CheckLevel::FullOracle)
                 .trace(TraceLevel::Full)
-                .analyze(AnalyzeLevel::Error),
+                .telemetry(TelemetryConfig::on()),
         );
         plain.set_jitter(0);
         observed.set_jitter(0);

@@ -23,7 +23,6 @@
 //! (`SetFlag`/`WaitFlag`), which is exactly how the paper's collectives work.
 
 pub mod alloc;
-pub mod analyze;
 pub mod cache;
 pub mod counters;
 pub mod directory;
@@ -47,7 +46,6 @@ pub mod telemetry;
 pub mod trace;
 
 pub use alloc::Arena;
-pub use analyze::{analyze, AnalysisReport, AnalyzeLevel, Finding, Rule, Severity};
 pub use counters::Counters;
 pub use directory::{DirEntry, GlobalState, LineState, TileSet};
 pub use engine::observe::{ObserverConfig, ObserverHub, ProtocolEvent};

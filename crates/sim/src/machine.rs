@@ -11,11 +11,10 @@
 //! surface. The protocol paths live in `engine/serve.rs`, bulk
 //! transfers in `engine/transfer.rs`, and all instrumentation flows
 //! through the [`ObserverHub`] defined in [`crate::engine::observe`] — a
-//! plain struct of the four observers, built from an [`ObserverConfig`] at
+//! plain struct of the three observers, built from an [`ObserverConfig`] at
 //! construction; the observer accessors below read its fields.
 
 use crate::alloc::Arena;
-use crate::analyze::AnalyzeLevel;
 use crate::cache::TagCache;
 use crate::counters::Counters;
 use crate::directory::{DirEntry, LineState, TileSet};
@@ -112,15 +111,17 @@ pub struct Machine {
     /// `2 · jitter_pct + 1`, the span a jitter hash is reduced by.
     jitter_span: Reducer,
     jitter_seq: u64,
-    /// The event spine: the four observers (coherence checker, tracer,
-    /// telemetry sampler, analyzer pre-pass) are this hub's four fields.
-    /// Empty by default, in which case each emission point is a single
-    /// never-taken branch.
+    /// The event spine: the three observers (coherence checker, tracer,
+    /// telemetry sampler) are this hub's three fields. Empty by default, in
+    /// which case each emission point is a single never-taken branch.
     pub(crate) hub: ObserverHub,
     /// Run after every directory transition (see
     /// [`Machine::set_transition_hook`]). `None` is the only production
     /// value.
     pub(crate) transition_hook: Option<Box<TransitionHook>>,
+    /// Run by [`crate::Runner::run`] before its first op (see
+    /// [`Machine::set_run_start_hook`]).
+    pub(crate) run_start_hook: Option<Box<RunStartHook>>,
 }
 
 /// A post-transition hook: handed the protocol, the request, the
@@ -129,6 +130,10 @@ pub struct Machine {
 #[doc(hidden)]
 pub type TransitionHook =
     dyn Fn(ProtocolKind, Request, TileId, &DirEntry, &mut DirEntry, &mut Outcome) + Send;
+
+/// A pre-run hook: handed the programs a [`crate::Runner`] is about to
+/// execute and its initial flags, sorted by address.
+pub(crate) type RunStartHook = dyn Fn(&[Program], &[(u64, u64)]) + Send;
 
 // Sweep workers (knl-benchsuite's executor) each own a fresh Machine on a
 // scoped thread; keep the type `Send` so a future field (Rc, RefCell over
@@ -147,8 +152,8 @@ impl Machine {
 
     /// The simulated machine for one configuration with the observers an
     /// [`ObserverConfig`] describes attached — the one construction knob
-    /// for checker, tracer, analyzer pre-pass and telemetry sampler, and
-    /// the only way any of them is built.
+    /// for checker, tracer and telemetry sampler, and the only way any of
+    /// them is built.
     pub fn with_observer_config(cfg: MachineConfig, oc: ObserverConfig) -> Self {
         assert!(
             cfg.active_tiles <= TileSet::CAPACITY,
@@ -212,13 +217,8 @@ impl Machine {
             jitter_seq: 0,
             hub,
             transition_hook: None,
+            run_start_hook: None,
         }
-    }
-
-    /// A runner is about to execute `programs` with `initial_flags`
-    /// (sorted by address): the analyzer's static pre-pass runs here.
-    pub fn observe_run_start(&self, programs: &[Program], initial_flags: &[(u64, u64)]) {
-        self.hub.on_run_start(programs, initial_flags);
     }
 
     /// The active checking level.
@@ -248,6 +248,14 @@ impl Machine {
         self.transition_hook = hook;
     }
 
+    /// Pre-run checks for workload tools: run `hook` on the programs and
+    /// sorted initial flags of every [`crate::Runner::run`] on this
+    /// machine, before its first op, or `None` to run without.
+    #[doc(hidden)]
+    pub fn set_run_start_hook(&mut self, hook: Option<Box<RunStartHook>>) {
+        self.run_start_hook = hook;
+    }
+
     /// The active tracing level.
     pub fn trace_level(&self) -> TraceLevel {
         self.tracer().map_or(TraceLevel::Off, |t| t.level())
@@ -274,11 +282,6 @@ impl Machine {
     /// like traces.
     pub fn take_telemetry(&mut self) -> Option<Box<TelemetrySampler>> {
         self.hub.take_telemetry()
-    }
-
-    /// The active static-analysis level.
-    pub fn analyze_level(&self) -> AnalyzeLevel {
-        self.hub.analyze
     }
 
     /// Stamp subsequent trace events with the executing `thread` (set by

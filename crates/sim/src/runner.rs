@@ -14,7 +14,6 @@
 //! host thread; parallelism lives one level up, where `crates/bench`
 //! sweeps thousands of small independent simulations (DESIGN.md §5i).
 
-use crate::analyze::AnalyzeLevel;
 use crate::fxmap::LineMap;
 use crate::machine::{AccessKind, Machine, StreamState};
 use crate::ops::Op;
@@ -159,18 +158,14 @@ impl<'m> Runner<'m> {
 
     /// Run to completion.
     pub fn run(mut self) -> RunResult {
-        if self.machine.analyze_level() != AnalyzeLevel::Off {
-            // The analyzer's static pre-pass, with the pre-set flags as the
-            // initial flag state (sorted for determinism) — a pure
-            // observer: it may panic (Error findings) but never changes
-            // what the simulation computes.
+        if let Some(hook) = self.machine.run_start_hook.as_deref() {
             let initial: Vec<(u64, u64)> = self
                 .flags
                 .sorted_keys()
                 .into_iter()
                 .map(|a| (a, *self.flags.get(a).expect("key listed")))
                 .collect();
-            self.machine.observe_run_start(&self.programs, &initial);
+            hook(&self.programs, &initial);
         }
         for tid in 0..self.programs.len() {
             self.enqueue(0, tid);
@@ -182,21 +177,20 @@ impl<'m> Runner<'m> {
             self.threads[tid].now = self.threads[tid].now.max(time);
             self.step(tid);
         }
-        let parked: Vec<usize> = self
+        // Flags only grow, so a thread still parked here waits forever.
+        let parked: Vec<String> = self
             .threads
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.parked_on.is_some())
-            .map(|(i, _)| i)
+            .filter_map(|(tid, t)| {
+                let (addr, want) = t.parked_on?;
+                let holds = self.flags.get(addr).copied().unwrap_or(0);
+                Some(format!(
+                    "thread {tid} waits for flag {addr:#x} to reach {want}; it holds {holds}"
+                ))
+            })
             .collect();
-        assert!(
-            parked.is_empty(),
-            "deadlock: threads {parked:?} parked on flags {:?}",
-            parked
-                .iter()
-                .map(|&i| self.threads[i].parked_on)
-                .collect::<Vec<_>>()
-        );
+        assert!(parked.is_empty(), "deadlock: {}", parked.join("; "));
         self.result.end_time = self.threads.iter().map(|t| t.now).max().unwrap_or(0);
         self.result
     }
@@ -446,12 +440,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
+    #[should_panic(expected = "deadlock: thread 1 waits for flag 0x40 to reach 2; it holds 1")]
     fn unmatched_wait_deadlocks() {
         let mut m = machine();
+        let mut setter = Program::on_core(CoreId(0));
+        setter.push(Op::SetFlag { addr: 64, val: 1 });
+        let mut waiter = Program::on_core(CoreId(2));
+        waiter.push(Op::WaitFlag { addr: 64, val: 2 });
+        run_programs(&mut m, vec![setter, waiter]);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread 0: MarkEnd(3) without MarkStart")]
+    fn mark_end_without_start_panics() {
+        let mut m = machine();
+        let mut p = Program::on_core(CoreId(0));
+        p.push(Op::MarkEnd(3));
+        run_programs(&mut m, vec![p]);
+    }
+
+    #[test]
+    fn run_start_hook_sees_programs_and_sorted_flags() {
+        let (seen, calls) = std::sync::mpsc::channel();
+        let mut m = machine();
+        m.set_run_start_hook(Some(Box::new(move |programs, flags| {
+            seen.send((programs.len(), flags.to_vec())).unwrap();
+        })));
         let mut p = Program::on_core(CoreId(0));
         p.push(Op::WaitFlag { addr: 64, val: 1 });
-        run_programs(&mut m, vec![p]);
+        let mut r = Runner::new(&mut m, vec![p.clone(), p]);
+        r.set_initial_flag(1 << 20, 5);
+        r.set_initial_flag(64, 1);
+        r.run();
+        let calls: Vec<_> = calls.try_iter().collect();
+        assert_eq!(calls, [(2, vec![(64, 1), (1 << 20, 5)])]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The observer-hub contract: checker, tracer, analyzer pre-pass and
-//! telemetry sampler ride one event spine and are *pure* observers. Turning
+//! The observer-hub contract: checker, tracer and telemetry sampler ride
+//! one event spine and are *pure* observers. Turning
 //! them on at once must not move a single bit of simulated output — end
 //! times, per-iteration durations, hardware counters, and (across `--jobs`
 //! worker counts) the merged trace bytes are compared against the empty-hub
@@ -20,8 +20,8 @@ use knl::benchsuite::cachebw::copy_bandwidth;
 use knl::benchsuite::membw::{bandwidth_sample, Target};
 use knl::benchsuite::{SuiteParams, SweepExecutor};
 use knl::sim::{
-    AnalyzeLevel, CheckLevel, Counters, LineState, Machine, Metrics, ObserverConfig, Runner,
-    StreamKind, TelemetryConfig, TelemetrySeries, TraceLevel,
+    CheckLevel, Counters, LineState, Machine, Metrics, ObserverConfig, Runner, StreamKind,
+    TelemetryConfig, TelemetrySeries, TraceLevel,
 };
 use std::fmt::Write as _;
 use transfer::transfer_programs;
@@ -42,7 +42,6 @@ fn all_on() -> ObserverConfig {
     ObserverConfig::default()
         .check(CheckLevel::FullOracle)
         .trace(TraceLevel::Full)
-        .analyze(AnalyzeLevel::Error)
 }
 
 /// Everything an observer could have perturbed, plus what the detached

@@ -5,7 +5,7 @@
 
 use knl::arch::{ClusterMode, MachineConfig, MemoryMode, SplitMixRng};
 use knl::benchsuite::{encode_suite, run_configs_with, SuiteParams, SuiteResults, SweepExecutor};
-use knl::sim::{CheckLevel, Counters, ObserverConfig};
+use knl::sim::{CheckLevel, Counters, Machine, ObserverConfig};
 
 /// The comparable part of a suite sweep: results and counters per config.
 fn sweep(
@@ -14,10 +14,12 @@ fn sweep(
     jobs: usize,
     observers: ObserverConfig,
 ) -> Vec<(SuiteResults, Counters)> {
-    run_configs_with(configs, params, jobs, observers)
-        .into_iter()
-        .map(|run| (run.results, run.counters))
-        .collect()
+    run_configs_with(configs, params, jobs, |cfg| {
+        Machine::with_observer_config(cfg.clone(), observers)
+    })
+    .into_iter()
+    .map(|run| (run.results, run.counters))
+    .collect()
 }
 
 fn tiny_params() -> SuiteParams {
